@@ -179,11 +179,17 @@ def _beta_bid_interpolator(n: int, beta_shape: tuple[float, float], nodes: int =
 
     The bid function is smooth on the closed interval, so Chebyshev-Lobatto
     nodes give near machine-precision interpolation; used inside scalar
-    quadratures where batch evaluation does not apply.
+    quadratures where batch evaluation does not apply. The barycentric
+    weights of these nodes have the closed form ``(-1)^j``, halved at both
+    ends; passing them keeps scipy from computing them in a random node
+    order, which would make the interpolant differ in the last bit between
+    processes.
     """
     grid = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, nodes)))
     values = _beta_bid_batch(grid, n, beta_shape)
-    return scipy.interpolate.BarycentricInterpolator(grid, values)
+    weights = (-1.0) ** np.arange(nodes)
+    weights[[0, -1]] *= 0.5
+    return scipy.interpolate.BarycentricInterpolator(grid, values, wi=weights)
 
 
 def _bid_vector(values: np.ndarray, n: int, scenario: AuctionScenario) -> np.ndarray:
@@ -341,10 +347,6 @@ class UniformAuctionModel(BenchmarkFamily):
         return UniformIpvBenchmark()
 
 
-def uniform_benchmark() -> UniformIpvBenchmark:
-    return UniformIpvBenchmark()
-
-
 SRE_POLY_DEGREE = 5
 SRE_PENALTY_WEIGHTS = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)  # heavier on higher degrees
 STAT_MAX_DEGREE = 5
@@ -391,37 +393,40 @@ def auction_experiment(
     records: list[tuple] = []
     for trial in range(trials) if trial_indices is None else trial_indices:
         trial_rng = rng.stream(trial)
-        data = simulate_auctions(scenario, trial_rng.split(0))
-        supervised = data.to_dataset()
-        fits = {}
-        if "statistical" in estimators:
-            x, y = supervised.inputs[:, 0], supervised.outcome
-            degree = select_degree_aic(x, y, STAT_MAX_DEGREE)
-            fits["statistical"] = fit_polynomial(x, y, degree).predict
-        if "structural" in estimators:
-            fits["structural"] = UniformIpvBenchmark().implied_mean
-        if "sre" in estimators:
-            penalty = auction_penalty(supervised.n, lambda_grid)
-            sre_fit = sre_sample_split(
-                supervised,
-                benchmark_family,
-                PolynomialFeatures(SRE_POLY_DEGREE),
-                penalty,
-                cv_plan,
-                trial_rng.split(1),
-                synthetic_domain=synth_domain,
-            )
-            fits["sre"] = sre_fit.predict
-        for name, predictor in fits.items():
-            for domain, grid, truth in (
-                ("in", grid_in, truth_in),
-                ("out", grid_out, truth_out),
-            ):
-                preds = np.asarray(predictor(grid.astype(float)[:, None])).ravel()
-                records.extend(
-                    (trial, name, domain, float(x), float(t), float(p))
-                    for x, t, p in zip(grid, truth, preds)
+        try:
+            data = simulate_auctions(scenario, trial_rng.split(0))
+            supervised = data.to_dataset()
+            fits = {}
+            if "statistical" in estimators:
+                x, y = supervised.inputs[:, 0], supervised.outcome
+                degree = select_degree_aic(x, y, STAT_MAX_DEGREE)
+                fits["statistical"] = fit_polynomial(x, y, degree).predict
+            if "structural" in estimators:
+                fits["structural"] = UniformIpvBenchmark().implied_mean
+            if "sre" in estimators:
+                penalty = auction_penalty(supervised.n, lambda_grid)
+                sre_fit = sre_sample_split(
+                    supervised,
+                    benchmark_family,
+                    PolynomialFeatures(SRE_POLY_DEGREE),
+                    penalty,
+                    cv_plan,
+                    trial_rng.split(1),
+                    synthetic_domain=synth_domain,
                 )
+                fits["sre"] = sre_fit.predict
+            for name, predictor in fits.items():
+                for domain, grid, truth in (
+                    ("in", grid_in, truth_in),
+                    ("out", grid_out, truth_out),
+                ):
+                    preds = np.asarray(predictor(grid.astype(float)[:, None])).ravel()
+                    records.extend(
+                        (trial, name, domain, float(x), float(t), float(p))
+                        for x, t, p in zip(grid, truth, preds)
+                    )
+        except Exception as exc:
+            raise RuntimeError(f"trial {trial} failed: {exc}") from exc
 
     metadata = {
         "scenario": scenario.__dict__.copy(),

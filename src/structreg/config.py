@@ -7,7 +7,6 @@ keys) doubles as the reproducibility snapshot written next to results.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,13 +48,7 @@ CONFIG_SCHEMA = {
         "cv": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "kind": {"type": "string", "enum": ["kfold", "forward", "rolling"]},
-                "K": {"type": "integer", "minimum": 2},
-                "window_length": {"type": "integer", "minimum": 2},
-                "horizon": {"type": "integer", "minimum": 1},
-                "fraction": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            },
+            "properties": {"K": {"type": "integer", "minimum": 2}},
         },
         "auction": {
             "type": "object",
@@ -147,9 +140,6 @@ class RunConfig:
             out["out_dir"] = self.out_dir
         return out
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_mapping(), sort_keys=True, indent=2) + "\n"
-
 
 def validate_mapping(raw: dict) -> None:
     """Schema-check a raw config mapping; errors name the offending key."""
@@ -166,6 +156,9 @@ def validate_mapping(raw: dict) -> None:
             f"scenario {raw['scenario']} invalid for {experiment}; "
             f"choose from {SCENARIO_CHOICES[experiment]}"
         )
+    if "cv" in raw and experiment != "auction":
+        # cv.K is the auction study's forward-CV fold count; no other study reads cv
+        raise ConfigError(f"config key 'cv' does not apply to {experiment}")
     allowed = set(ESTIMATOR_CHOICES[experiment])
     for name in raw.get("estimators", []):
         if name not in allowed:

@@ -32,7 +32,7 @@ from .sre import (
     fit_theta_m,
     sre_gmm,
 )
-from .tuning import BenchmarkFamily, CvPlan, CvTrace
+from .tuning import BenchmarkFamily, CvPlan, CvTrace, kfold_cv
 
 INSTRUMENT_POWERS = 5
 EVAL_GRID_POINTS = 100
@@ -309,7 +309,7 @@ def _gmm_sre_fitter(benchmark: DemandBenchmark, penalty: PenaltySpec,
                     synthetic_domain: DomainSpec):
     features = PolynomialFeatures(2)
 
-    def fitter(train: Dataset, lam: float) -> GmmSreFit:
+    def fitter(train: Dataset):
         F = features.transform(train.inputs)
         _, transform = standardize(Dataset(F, train.outcome))
         theta_m = fit_theta_m(features, benchmark, synthetic_domain, transform=transform)
@@ -320,8 +320,12 @@ def _gmm_sre_fitter(benchmark: DemandBenchmark, penalty: PenaltySpec,
         center, scale = float(z.mean()), float(z.std(ddof=0) or 1.0)
         Z = instrument_basis(z, center, scale)
         W = projection_weight(Z)
-        theta = sre_gmm(design, Z, train.outcome, W, theta_m, penalty, lam)
-        return GmmSreFit(SREFit(theta, transform, theta_m, lam, features), W, center, scale)
+
+        def solve(lam: float) -> GmmSreFit:
+            theta = sre_gmm(design, Z, train.outcome, W, theta_m, penalty, lam)
+            return GmmSreFit(SREFit(theta, transform, theta_m, lam, features), W, center, scale)
+
+        return solve
 
     return fitter
 
@@ -361,26 +365,8 @@ def sre_demand(
     penalty = PenaltySpec(grid, np.array([0.0, 1.0, 1.0]))
     fitter = _gmm_sre_fitter(benchmark, penalty, price_span)
 
-    fold_idx = partition_indices(d2.n, cv_plan.K, rng.split(2))
-    all_rows = np.arange(d2.n)
-    errors = np.empty((cv_plan.K, grid.size))
-    for k, val_rows in enumerate(fold_idx):
-        train = d2.subset(np.setdiff1d(all_rows, val_rows))
-        val = d2.subset(val_rows)
-        for i, lam in enumerate(grid):
-            errors[k, i] = _gmm_scorer(fitter(train, float(lam)), val)
-    trace = CvTrace.from_fold_errors("kfold", grid, errors, rng.split(2))
-    final = fitter(d2, trace.lambda_star)
-    fit = SREFit(
-        final.fit.theta,
-        final.fit.transform,
-        final.fit.theta_m,
-        trace.lambda_star,
-        final.fit.feature_map,
-        method="sample-split",
-        cv="kfold",
-        parts=(trace,),
-    )
+    trace = kfold_cv(fitter, _gmm_scorer, d2, grid, cv_plan.K, rng.split(2))
+    fit = replace(fitter(d2)(trace.lambda_star).fit, cv="kfold", parts=(trace,))
     return fit, trace
 
 

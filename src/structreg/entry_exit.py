@@ -32,8 +32,8 @@ from .estimators import (
     select_arx_order_aic,
     solve_least_squares,
 )
-from .sre import LinearFeatures, PenaltySpec, SREFit, default_lambda_grid, sre_ridge
-from .tuning import CvPlan, rolling_cv
+from .sre import LinearFeatures, PenaltySpec, SREFit, default_lambda_grid
+from .tuning import ridge_stage, rolling_cv
 
 EULER_GAMMA = float(np.euler_gamma)
 VALUE_TOL = 1e-12
@@ -510,37 +510,22 @@ def arx_feature_rows(shares_with_initial: np.ndarray, R_path: np.ndarray,
     return Dataset(np.column_stack(cols), s[periods], time_index=periods)
 
 
-@dataclass
-class _ArxSreFitter:
+def _arx_sre_fitter(penalty: PenaltySpec, synthetic: Dataset):
     """Second-stage fitter for series data: ARX features shrunk toward their
-    projection on synthetic benchmark panels, re-expressed per training
-    window's standardization (memoized per window, since it does not depend
-    on the penalty strength)."""
+    projection on synthetic benchmark panels, re-expressed in each training
+    window's standardization."""
 
-    penalty: PenaltySpec
-    synthetic_features: np.ndarray
-    synthetic_target: np.ndarray
-
-    def __post_init__(self):
-        self._memo: tuple | None = None
-
-    def _prepare(self, train: Dataset):
-        if self._memo is not None and self._memo[0] is train:
-            return self._memo[1:]
+    def fitter(train: Dataset):
         std, transform = standardize(Dataset(train.inputs, train.outcome))
-        syn = transform.transform_inputs(self.synthetic_features)
+        syn = transform.transform_inputs(synthetic.inputs)
         design_m = np.column_stack([np.ones(syn.shape[0]), syn])
-        theta_m = solve_least_squares(design_m, self.synthetic_target)
+        theta_m = solve_least_squares(design_m, synthetic.outcome)
         design = np.column_stack([np.ones(train.n), std.inputs])
-        self._memo = (train, transform, theta_m, design)
-        return transform, theta_m, design
-
-    def __call__(self, train: Dataset, lam: float) -> SREFit:
-        transform, theta_m, design = self._prepare(train)
-        theta = sre_ridge(design, train.outcome, theta_m, self.penalty, lam)
-        return SREFit(
-            theta, transform, theta_m, lam, LinearFeatures(train.p), cv="rolling"
+        return ridge_stage(
+            design, train.outcome, transform, theta_m, penalty, LinearFeatures(train.p)
         )
+
+    return fitter
 
 
 SYNTHETIC_PANEL_REPLICAS = 10
@@ -595,22 +580,10 @@ def sre_entry_exit(
     )
     grid = default_lambda_grid(train.n) if lambda_grid is None else np.asarray(lambda_grid, float)
     weights = np.concatenate([[0.0], np.ones(train.p)])
-    fitter = _ArxSreFitter(
-        PenaltySpec(grid, weights), synthetic.inputs, synthetic.outcome
-    )
+    fitter = _arx_sre_fitter(PenaltySpec(grid, weights), synthetic)
     window = window_length if window_length is not None else max(2, train.n // 5)
     trace = rolling_cv(train, fitter, grid, window, horizon=1)
-    fit = fitter(train, trace.lambda_star)
-    fit = SREFit(
-        fit.theta,
-        fit.transform,
-        fit.theta_m,
-        trace.lambda_star,
-        fit.feature_map,
-        method="sample-split",
-        cv="rolling",
-        parts=(trace,),
-    )
+    fit = replace(fitter(train)(trace.lambda_star), cv="rolling", parts=(trace,))
     return fit, benchmark
 
 

@@ -93,7 +93,7 @@ class StructuralBenchmark(abc.ABC):
         """Synthetic draws with inputs inside ``domain``."""
 
 
-def synthetic_design(domain: DomainSpec, size: int, rng: SeededRng) -> np.ndarray:
+def synthetic_design(domain: DomainSpec, size: int) -> np.ndarray:
     """Deterministic input design covering a domain.
 
     One dimension uses an even grid; higher dimensions use an unscrambled
@@ -178,7 +178,6 @@ def fit_theta_m(
     benchmark: StructuralBenchmark,
     domain: DomainSpec,
     size: int | None = None,
-    rng: SeededRng | None = None,
     transform: StandardizeTransform | None = None,
 ) -> np.ndarray:
     """Project the benchmark's implied mean onto the statistical model's span.
@@ -204,9 +203,7 @@ def fit_theta_m(
     """
     if size is None:
         size = max(1000, 50 * feature_map.n_features)
-    if rng is None:
-        rng = SeededRng(0)
-    X = synthetic_design(domain, size, rng)
+    X = synthetic_design(domain, size)
     target = np.asarray(benchmark.implied_mean(X), dtype=float).ravel()
     F = feature_map.transform(X)
     if transform is not None:

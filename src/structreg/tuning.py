@@ -11,7 +11,7 @@ on data independent of the penalized second stage, either once
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -123,6 +123,39 @@ def _concat(parts: list[Dataset]) -> Dataset:
     )
 
 
+def _cv_loop(kind, fitter, scorer, splits, lambda_grid, unit="fold", rng=None) -> CvTrace:
+    """Score every grid point on every ``(train, val)`` split.
+
+    ``fitter(train)`` does the split's penalty-independent work once and
+    returns ``solve``; ``solve(lam)`` returns a model scored by
+    ``scorer(model, val)``.
+    """
+    lambda_grid = np.asarray(lambda_grid, float)
+    if lambda_grid.size == 0:
+        raise DataError("lambda grid must be nonempty")
+    fold_errors = []
+    for k, (train, val) in enumerate(splits):
+        try:
+            solve = fitter(train)
+        except Exception as exc:
+            raise CvError(f"fitter failed on {unit} {k}") from exc
+        row = []
+        for lam in lambda_grid:
+            try:
+                model = solve(float(lam))
+            except Exception as exc:
+                raise CvError(f"fitter failed on {unit} {k} at lambda={lam}") from exc
+            row.append(scorer(model, val))
+        fold_errors.append(row)
+    return CvTrace.from_fold_errors(kind, lambda_grid, fold_errors, rng)
+
+
+def _kfold_splits(data: Dataset, K: int, rng: SeededRng):
+    all_rows = np.arange(data.n)
+    for val_idx in partition_indices(data.n, K, rng):
+        yield data.subset(np.setdiff1d(all_rows, val_idx)), data.subset(val_idx)
+
+
 def kfold_cv(
     fitter,
     scorer,
@@ -133,25 +166,11 @@ def kfold_cv(
 ) -> CvTrace:
     """Standard K-fold cross-validation over a penalty grid.
 
-    ``fitter(train, lam)`` returns a model scored by ``scorer(model, val)``;
-    the reported error per grid point is the mean over held-out folds.
+    ``fitter(train)`` prepares a training fold once and returns ``solve``;
+    ``solve(lam)`` returns a model scored by ``scorer(model, val)``. The
+    reported error per grid point is the mean over held-out folds.
     """
-    lambda_grid = np.asarray(lambda_grid, float)
-    if lambda_grid.size == 0:
-        raise DataError("lambda grid must be nonempty")
-    folds = partition_indices(data.n, K, rng)
-    all_rows = np.arange(data.n)
-    fold_errors = np.empty((K, lambda_grid.size))
-    for k, val_idx in enumerate(folds):
-        train = data.subset(np.setdiff1d(all_rows, val_idx))
-        val = data.subset(val_idx)
-        for i, lam in enumerate(lambda_grid):
-            try:
-                model = fitter(train, float(lam))
-            except Exception as exc:
-                raise CvError(f"fitter failed on fold {k} at lambda={lam}") from exc
-            fold_errors[k, i] = scorer(model, val)
-    return CvTrace.from_fold_errors("kfold", lambda_grid, fold_errors, rng)
+    return _cv_loop("kfold", fitter, scorer, _kfold_splits(data, K, rng), lambda_grid, rng=rng)
 
 
 def forward_cv(
@@ -170,29 +189,16 @@ def forward_cv(
     entirely; the far part is partitioned into K folds. Iteration k trains on
     the far part minus fold k and validates on fold k plus the whole
     near-target part, so every validation set contains the observations
-    closest to where the model will be applied.
+    closest to where the model will be applied. ``fitter(train)`` and
+    ``solve(lam)`` follow :func:`kfold_cv`.
     """
-    lambda_grid = np.asarray(lambda_grid, float)
-    if lambda_grid.size == 0:
-        raise DataError("lambda grid must be nonempty")
     s1, s2 = forward_split(sample, target, fraction)
     if s2.n == 0:
         raise DataError("forward split produced an empty validation block")
     if s1.n < K:
         raise DataError(f"cannot form {K} folds from {s1.n} far-part rows")
-    folds = partition_indices(s1.n, K, rng)
-    all_rows = np.arange(s1.n)
-    fold_errors = np.empty((K, lambda_grid.size))
-    for k, val_idx in enumerate(folds):
-        train = s1.subset(np.setdiff1d(all_rows, val_idx))
-        val = _concat([s1.subset(val_idx), s2])
-        for i, lam in enumerate(lambda_grid):
-            try:
-                model = fitter(train, float(lam))
-            except Exception as exc:
-                raise CvError(f"fitter failed on fold {k} at lambda={lam}") from exc
-            fold_errors[k, i] = scorer(model, val)
-    return CvTrace.from_fold_errors("forward", lambda_grid, fold_errors, rng)
+    splits = ((train, _concat([val, s2])) for train, val in _kfold_splits(s1, K, rng))
+    return _cv_loop("forward", fitter, scorer, splits, lambda_grid, rng=rng)
 
 
 def rolling_cv(
@@ -208,10 +214,9 @@ def rolling_cv(
     Every window origin fits on ``window_length`` consecutive observations
     and scores on the next ``horizon`` observations, so training never sees
     the future. Rows must carry a nondecreasing ``time_index``.
+    ``fitter(train)`` prepares a window once and returns ``solve``;
+    ``solve(lam)`` returns the model for one grid point.
     """
-    lambda_grid = np.asarray(lambda_grid, float)
-    if lambda_grid.size == 0:
-        raise DataError("lambda grid must be nonempty")
     if data.time_index is None:
         raise DataError("rolling cross-validation requires time-indexed data")
     if np.any(np.diff(data.time_index) < 0):
@@ -219,18 +224,14 @@ def rolling_cv(
     T = data.n
     if T < window_length + horizon:
         raise DataError("series shorter than window_length + horizon")
-    origins = range(0, T - window_length - horizon + 1)
-    fold_errors = np.empty((len(origins), lambda_grid.size))
-    for w, t0 in enumerate(origins):
-        train = data.subset(np.arange(t0, t0 + window_length))
-        val = data.subset(np.arange(t0 + window_length, t0 + window_length + horizon))
-        for i, lam in enumerate(lambda_grid):
-            try:
-                model = fitter(train, float(lam))
-            except Exception as exc:
-                raise CvError(f"fitter failed on window {w} at lambda={lam}") from exc
-            fold_errors[w, i] = scorer(model, val)
-    return CvTrace.from_fold_errors("rolling", lambda_grid, fold_errors)
+    splits = (
+        (
+            data.subset(np.arange(t0, t0 + window_length)),
+            data.subset(np.arange(t0 + window_length, t0 + window_length + horizon)),
+        )
+        for t0 in range(0, T - window_length - horizon + 1)
+    )
+    return _cv_loop("rolling", fitter, scorer, splits, lambda_grid, unit="window")
 
 
 def run_cv(plan: CvPlan, fitter, data: Dataset, lambda_grid, rng: SeededRng,
@@ -255,15 +256,30 @@ class BenchmarkFamily(abc.ABC):
         ...
 
 
+def ridge_stage(design, y, transform, theta_m, penalty: PenaltySpec, feature_map: FeatureMap):
+    """``solve(lam)`` for one prepared training sample.
+
+    Everything but the ``sre_ridge`` call is fixed by the arguments, so a
+    cross-validation fold pays for standardization and the benchmark
+    projection once, not once per grid point.
+    """
+
+    def solve(lam: float) -> SREFit:
+        theta = sre_ridge(design, y, theta_m, penalty, lam)
+        return SREFit(theta, transform, theta_m, lam, feature_map)
+
+    return solve
+
+
 @dataclass
 class SreRidgeFitter:
     """Second-stage fitter: standardized features shrunk toward a benchmark.
 
-    Calling ``fitter(train, lam)`` standardizes the expanded features of the
-    training sample, projects the benchmark's implied mean onto the same
-    standardized basis over ``synthetic_domain``, and solves the penalized
-    least-squares problem. Pure in its inputs, so fold evaluations can run in
-    any order.
+    Calling ``fitter(train)`` standardizes the expanded features of the
+    training sample and projects the benchmark's implied mean onto the same
+    standardized basis over ``synthetic_domain``; the returned ``solve(lam)``
+    solves the penalized least-squares problem. Pure in its inputs, so fold
+    evaluations can run in any order.
     """
 
     feature_map: FeatureMap
@@ -271,22 +287,15 @@ class SreRidgeFitter:
     penalty: PenaltySpec
     synthetic_domain: DomainSpec
     synthetic_size: int | None = None
-    rng: SeededRng = field(default_factory=lambda: SeededRng(0))
 
-    def __call__(self, train: Dataset, lam: float) -> SREFit:
+    def __call__(self, train: Dataset):
         features = Dataset(self.feature_map.transform(train.inputs), train.outcome)
         std, transform = standardize(features)
-        theta_m = fit_theta_m(
-            self.feature_map,
-            self.benchmark,
-            self.synthetic_domain,
-            self.synthetic_size,
-            self.rng,
-            transform,
-        )
+        theta_m = fit_theta_m(self.feature_map, self.benchmark, self.synthetic_domain,
+                              self.synthetic_size, transform=transform)
         design = np.column_stack([np.ones(train.n), std.inputs])
-        theta = sre_ridge(design, train.outcome, theta_m, self.penalty, lam)
-        return SREFit(theta, transform, theta_m, lam, self.feature_map)
+        return ridge_stage(design, train.outcome, transform, theta_m, self.penalty,
+                           self.feature_map)
 
 
 def _hull_with_target(data: Dataset, target: DomainSpec | None) -> DomainSpec:
@@ -296,6 +305,21 @@ def _hull_with_target(data: Dataset, target: DomainSpec | None) -> DomainSpec:
         lo = np.minimum(lo, target.lower)
         hi = np.maximum(hi, target.upper)
     return DomainSpec(lo, hi)
+
+
+def _orientation(est: Dataset, fit_half: Dataset, benchmark_family: BenchmarkFamily,
+                 feature_map: FeatureMap, penalty: PenaltySpec, cv_plan: CvPlan,
+                 synthetic_domain: DomainSpec, synthetic_size: int | None,
+                 rng_estimate: SeededRng, rng_cv: SeededRng) -> SREFit:
+    """Estimate the benchmark on ``est``; select and fit the penalty on ``fit_half``."""
+    try:
+        benchmark = benchmark_family.estimate(est, rng_estimate)
+    except Exception as exc:
+        raise StageError(f"structural stage failed: {exc}") from exc
+    fitter = SreRidgeFitter(feature_map, benchmark, penalty, synthetic_domain, synthetic_size)
+    trace = run_cv(cv_plan, fitter, fit_half, penalty.lambda_grid, rng_cv)
+    fit = fitter(fit_half)(trace.lambda_star)
+    return replace(fit, cv=cv_plan.kind, parts=(trace,))
 
 
 def sre_sample_split(
@@ -315,36 +339,22 @@ def sre_sample_split(
     ``cv_plan``) and the final penalized fit at the selected strength.
     """
     d1, d2 = partition(data, 2, rng.split(0))
-    try:
-        benchmark = benchmark_family.estimate(d1, rng.split(1))
-    except Exception as exc:
-        raise StageError(f"structural stage failed: {exc}") from exc
-    if synthetic_domain is None:
-        synthetic_domain = _hull_with_target(data, cv_plan.target)
-    fitter = SreRidgeFitter(
-        feature_map, benchmark, penalty, synthetic_domain, synthetic_size, rng.split(2)
+    domain = synthetic_domain or _hull_with_target(data, cv_plan.target)
+    return _orientation(
+        d1, d2, benchmark_family, feature_map, penalty, cv_plan, domain,
+        synthetic_size, rng.split(1), rng.split(3),
     )
-    trace = run_cv(cv_plan, fitter, d2, penalty.lambda_grid, rng.split(3))
-    fit = fitter(d2, trace.lambda_star)
-    return SREFit(
-        fit.theta,
-        fit.transform,
-        fit.theta_m,
-        trace.lambda_star,
-        feature_map,
-        method="sample-split",
-        cv=cv_plan.kind,
-        parts=(trace,),
-    )
+
+
+def _to_raw(coefficients, transform) -> np.ndarray:
+    slopes = coefficients[1:] / transform.column_scales
+    intercept = coefficients[0] - float(slopes @ transform.column_means)
+    return np.concatenate([[intercept], slopes])
 
 
 def raw_affine_coefficients(fit: SREFit) -> np.ndarray:
     """Coefficients of the fit over raw features ``(1, F_1(x), ..., F_k(x))``."""
-    scales = fit.transform.column_scales
-    means = fit.transform.column_means
-    slopes = fit.theta[1:] / scales
-    intercept = fit.theta[0] - float(slopes @ means)
-    return np.concatenate([[intercept], slopes])
+    return _to_raw(fit.theta, fit.transform)
 
 
 def _express_in_transform(raw, transform) -> np.ndarray:
@@ -371,33 +381,18 @@ def sre_cross_fit(
     orientation's choice; both full fits are kept in ``parts``.
     """
     d1, d2 = partition(data, 2, rng.split(0))
-    halves = []
-    for j, (est, fit_half) in enumerate(((d1, d2), (d2, d1))):
-        try:
-            benchmark = benchmark_family.estimate(est, rng.split(1, j))
-        except Exception as exc:
-            raise StageError(f"structural stage failed: {exc}") from exc
-        domain = synthetic_domain or _hull_with_target(data, cv_plan.target)
-        fitter = SreRidgeFitter(
-            feature_map, benchmark, penalty, domain, synthetic_size, rng.split(2, j)
+    domain = synthetic_domain or _hull_with_target(data, cv_plan.target)
+    halves = [
+        _orientation(
+            est, fit_half, benchmark_family, feature_map, penalty, cv_plan, domain,
+            synthetic_size, rng.split(1, j), rng.split(3, j),
         )
-        trace = run_cv(cv_plan, fitter, fit_half, penalty.lambda_grid, rng.split(3, j))
-        half = fitter(fit_half, trace.lambda_star)
-        halves.append(
-            SREFit(
-                half.theta,
-                half.transform,
-                half.theta_m,
-                trace.lambda_star,
-                feature_map,
-                method="sample-split",
-                cv=cv_plan.kind,
-                parts=(trace,),
-            )
-        )
+        for j, (est, fit_half) in enumerate(((d1, d2), (d2, d1)))
+    ]
     raw = 0.5 * (raw_affine_coefficients(halves[0]) + raw_affine_coefficients(halves[1]))
     raw_m = 0.5 * (
-        _raw_theta_m(halves[0]) + _raw_theta_m(halves[1])
+        _to_raw(halves[0].theta_m, halves[0].transform)
+        + _to_raw(halves[1].theta_m, halves[1].transform)
     )
     features = Dataset(feature_map.transform(data.inputs), data.outcome)
     _, transform = standardize(features)
@@ -411,11 +406,3 @@ def sre_cross_fit(
         cv=cv_plan.kind,
         parts=tuple(halves),
     )
-
-
-def _raw_theta_m(fit: SREFit) -> np.ndarray:
-    scales = fit.transform.column_scales
-    means = fit.transform.column_means
-    slopes = fit.theta_m[1:] / scales
-    intercept = fit.theta_m[0] - float(slopes @ means)
-    return np.concatenate([[intercept], slopes])

@@ -5,6 +5,7 @@ from structreg.auction import (
     AuctionScenario,
     UniformIpvBenchmark,
     _beta_bid_batch,
+    _beta_bid_interpolator,
     auction_experiment,
     equilibrium_bid,
     overbid_truth_with_se,
@@ -200,3 +201,33 @@ def test_auction_experiment_out_of_domain_blows_up_statistical_fit():
     )
     table = metrics_table(records)
     assert table[("statistical", "out")].mse >= 10.0 * table[("statistical", "in")].mse
+
+
+def test_beta_bid_interpolator_is_deterministic():
+    # two uncached builds must agree to the last bit, so auction truth values
+    # do not depend on the process that computed them
+    a = _beta_bid_interpolator.__wrapped__(12, (2.0, 5.0))
+    b = _beta_bid_interpolator.__wrapped__(12, (2.0, 5.0))
+    assert np.array_equal(a.wi, b.wi)
+    v = np.linspace(0.0, 1.0, 1001)
+    assert np.array_equal(a(v), b(v))
+
+
+def test_auction_experiment_names_the_failing_trial(monkeypatch):
+    import structreg.auction as auction
+
+    calls = []
+    real = auction.simulate_auctions
+
+    def flaky(scenario, rng):
+        calls.append(rng)
+        if len(calls) == 2:
+            raise ValueError("simulated failure")
+        return real(scenario, rng)
+
+    monkeypatch.setattr(auction, "simulate_auctions", flaky)
+    with pytest.raises(RuntimeError, match="trial 4 failed: simulated failure"):
+        auction_experiment(
+            AuctionScenario.from_index(1, M=30), trials=6, rng=SeededRng(3),
+            lambda_grid=[0.0, 1.0], trial_indices=(3, 4, 5),
+        )

@@ -170,11 +170,21 @@ def test_worker_pool_matches_sequential(tmp_path, monkeypatch):
     assert pooled.aggregates == sequential.aggregates
 
 
+def _cli_env() -> dict:
+    """The environment plus this checkout's package on PYTHONPATH, for CLI subprocesses."""
+    import structreg
+
+    src = os.path.dirname(os.path.dirname(structreg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_cli_run_validate_and_list(tmp_path):
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps(BASE_CONFIG))
     out_dir = tmp_path / "out"
-    env = dict(os.environ)
+    env = _cli_env()
     base = [sys.executable, "-m", "structreg.cli"]
 
     proc = subprocess.run(
@@ -213,8 +223,23 @@ def test_cli_flags_override_config(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "structreg.cli", "run", "--config", str(config_path),
          "--trials", "1", "--seed", "9", "--out", str(out_dir)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_cli_env(),
     )
     assert proc.returncode == 0, proc.stderr
     snapshot = json.loads((out_dir / "config.snapshot").read_text())
     assert snapshot["trials"] == 1 and snapshot["base_seed"] == 9
+
+
+@pytest.mark.parametrize(
+    "experiment, cv, key",
+    [("auction", {"kind": "rolling"}, "kind"), ("demand", {"K": 3}, "cv")],
+)
+def test_cli_validate_rejects_cv_settings_no_study_reads(tmp_path, capsys, experiment, cv, key):
+    from structreg.cli import main
+
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(
+        {"experiment": experiment, "scenario": 1, "trials": 1, "base_seed": 0, "cv": cv}
+    ))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert key in json.loads(capsys.readouterr().err.strip())["error"]

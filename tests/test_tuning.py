@@ -36,9 +36,9 @@ class _RecordingFitter:
         self.inner = inner
         self.train_inputs = []
 
-    def __call__(self, train, lam):
+    def __call__(self, train):
         self.train_inputs.append(train.inputs.copy())
-        return self.inner(train, lam)
+        return self.inner(train)
 
 
 def _line_fitter(benchmark, domain, weights, grid):
@@ -88,7 +88,7 @@ def test_kfold_misspecified_benchmark_prefers_min_lambda():
 def test_kfold_propagates_fitter_failure_with_fold_id():
     data = _noisy_line_data(n=20)
 
-    def bad_fitter(train, lam):
+    def bad_fitter(train):
         raise RuntimeError("boom")
 
     with pytest.raises(CvError, match="fold 0"):
@@ -145,7 +145,7 @@ def test_rolling_cv_constant_series_zero_error_smallest_lambda():
         def predict(self, inputs):
             return np.full(inputs.shape[0], 0.3)
 
-    trace = rolling_cv(data, lambda train, lam: ConstantModel(), [0.0, 1.0, 2.0], 10, 1)
+    trace = rolling_cv(data, lambda train: lambda lam: ConstantModel(), [0.0, 1.0, 2.0], 10, 1)
     assert np.allclose(trace.mean_errors, 0.0)
     assert trace.lambda_star == 0.0
 
@@ -158,14 +158,14 @@ def test_rolling_cv_window_covering_all_but_last_is_single_holdout():
 
     calls = []
 
-    def fitter(train, lam):
+    def fitter(train):
         calls.append(train.n)
 
         class M:
             def predict(self, inputs):
                 return np.zeros(inputs.shape[0])
 
-        return M()
+        return lambda lam: M()
 
     trace = rolling_cv(data, fitter, [0.0], T - 1, 1)
     assert trace.fold_errors.shape[0] == 1
@@ -181,14 +181,14 @@ def test_rolling_cv_never_trains_on_future():
     )
     windows = []
 
-    def fitter(train, lam):
+    def fitter(train):
         windows.append((train.time_index.min(), train.time_index.max()))
 
         class M:
             def predict(self, inputs):
                 return inputs[:, 0]
 
-        return M()
+        return lambda lam: M()
 
     seen = []
 
@@ -216,7 +216,7 @@ def test_rolling_cv_benchmark_true_series_prefers_large_lambda():
 def test_rolling_cv_requires_time_index():
     data = Dataset(np.arange(10.0)[:, None], np.zeros(10))
     with pytest.raises(DataError):
-        rolling_cv(data, lambda t, lam: None, [0.0], 4, 1)
+        rolling_cv(data, lambda t: None, [0.0], 4, 1)
 
 
 def test_sample_split_lambda_zero_reduces_to_plain_fit():
