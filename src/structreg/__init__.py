@@ -20,7 +20,6 @@ from .data import (  # noqa: F401
     SeededRng,
     StandardizeTransform,
     forward_split,
-    hausdorff_distance,
     partition,
     partition_indices,
     standardize,

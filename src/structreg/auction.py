@@ -20,7 +20,7 @@ on bidder counts 5-30 (in-domain) and 31-50 (out-of-domain).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
@@ -41,6 +41,10 @@ from .tuning import BenchmarkFamily, CvPlan, sre_sample_split
 OVERBID_TRUTH_DRAWS = 4_000_000
 _OVERBID_TRUTH_SEED = 181_000_001  # fixed: truth values are config-independent
 
+# the fields that set each scenario of the study apart
+_SCENARIO_FIELDS = {1: {"value_dist": "uniform"}, 2: {"value_dist": "beta"},
+                    3: {"value_dist": "uniform", "overbid_sigma": 0.5}}
+
 
 @dataclass(frozen=True)
 class AuctionScenario:
@@ -56,20 +60,22 @@ class AuctionScenario:
     def __post_init__(self):
         if self.value_dist not in ("uniform", "beta"):
             raise ValueError(f"unknown value distribution: {self.value_dist}")
+        if self.overbid_sigma is not None and self.value_dist != "uniform":
+            # the overbid truth table draws uniform values
+            raise ValueError("overbidding is modelled for uniform values only")
         if self.M < 1:
             raise ValueError("M must be >= 1")
         if min(self.n_range_train) < 2 or min(self.n_range_test) < 2:
             raise ValueError("bidder counts must be >= 2")
+        if any(lo > hi for lo, hi in (self.n_range_train, self.n_range_test)):
+            raise ValueError("bidder count ranges must run from low to high")
 
     @classmethod
     def from_index(cls, index: int, **overrides) -> "AuctionScenario":
-        if index == 1:
-            return cls(value_dist="uniform", **overrides)
-        if index == 2:
-            return cls(value_dist="beta", **overrides)
-        if index == 3:
-            return cls(value_dist="uniform", overbid_sigma=0.5, **overrides)
-        raise ValueError(f"auction scenario must be 1, 2, or 3, got {index}")
+        """Scenario 1, 2 or 3 of the study; ``overrides`` replace its fields."""
+        if index not in _SCENARIO_FIELDS:
+            raise ValueError(f"auction scenario must be 1, 2, or 3, got {index}")
+        return cls(**{**_SCENARIO_FIELDS[index], **overrides})
 
 
 @dataclass(frozen=True)
@@ -78,23 +84,19 @@ class AuctionData:
 
     n_bidders: np.ndarray
     bids: tuple[np.ndarray, ...]
-    winning_bids: np.ndarray = field(default=None)
 
     def __post_init__(self):
         n = np.asarray(self.n_bidders, dtype=int)
         object.__setattr__(self, "n_bidders", n)
         object.__setattr__(self, "bids", tuple(np.asarray(b, float) for b in self.bids))
-        if self.winning_bids is None:
-            object.__setattr__(
-                self, "winning_bids", np.array([b.max() for b in self.bids])
-            )
-        else:
-            object.__setattr__(self, "winning_bids", np.asarray(self.winning_bids, float))
         for m, b in enumerate(self.bids):
             if b.shape[0] != n[m]:
                 raise ValueError(f"auction {m} has {b.shape[0]} bids for {n[m]} bidders")
-            if not np.isclose(self.winning_bids[m], b.max()):
-                raise ValueError(f"auction {m} winning bid is not the maximum bid")
+
+    @property
+    def winning_bids(self) -> np.ndarray:
+        """The maximum bid of each auction."""
+        return np.array([b.max() for b in self.bids])
 
     def to_dataset(self) -> Dataset:
         """(bidder count, winning bid) pairs for conditional-mean estimation."""
@@ -322,28 +324,16 @@ class UniformIpvBenchmark(StructuralBenchmark):
     variance.
     """
 
-    identifier = "uniform-ipv-auction"
-
     def implied_mean(self, x) -> np.ndarray:
         n = np.asarray(x, dtype=float)
         n = n.ravel() if n.ndim <= 1 else n[:, 0]
         return (n - 1.0) / (n + 1.0)
 
-    def simulate(self, domain: DomainSpec, size: int, rng: SeededRng) -> Dataset:
-        gen = rng.generator()
-        lo = int(np.ceil(domain.lower[0]))
-        hi = int(np.floor(domain.upper[0]))
-        n = gen.integers(lo, hi + 1, size=size)
-        # max of n uniforms has cdf v^n; invert for a single draw per auction
-        top_value = gen.uniform(0.0, 1.0, size=size) ** (1.0 / n)
-        winning = (n - 1.0) / n * top_value
-        return Dataset(n.astype(float)[:, None], winning)
-
 
 class UniformAuctionModel(BenchmarkFamily):
     """Benchmark family for the auction experiments (parameter-free)."""
 
-    def estimate(self, data: Dataset, rng: SeededRng) -> UniformIpvBenchmark:
+    def estimate(self, data: Dataset) -> UniformIpvBenchmark:
         return UniformIpvBenchmark()
 
 

@@ -18,7 +18,7 @@ from .config import (
     config_from_mapping,
     load_config,
 )
-from .harness import emit_outputs, run_monte_carlo
+from .harness import configured_study, emit_outputs, run_monte_carlo
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="YAML/JSON config file; flags override it")
     run.add_argument("--out", required=True, help="output directory")
 
-    validate = sub.add_parser("validate", help="schema-check a config file")
+    validate = sub.add_parser("validate", help="check a config file as a run would")
     validate.add_argument("--config", required=True)
 
     sub.add_parser("list-experiments", help="list experiments and scenarios")
@@ -80,7 +80,7 @@ def main(argv=None) -> int:
         return 0
     if args.command == "validate":
         try:
-            load_config(args.config)
+            configured_study(load_config(args.config))
         except (ConfigError, OSError) as exc:
             return _fail(str(exc))
         print(f"{args.config}: ok")

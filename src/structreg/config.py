@@ -31,6 +31,10 @@ SCENARIO_CHOICES = {
 # design: 1 = perfect foresight, 2 = adaptive expectations, 3 = myopic.
 ENTRY_EXIT_REGIMES = {1: "perfect_foresight", 2: "adaptive", 3: "myopic"}
 
+# the optional blocks each experiment reads (cv.K is the auction forward-CV fold count)
+STUDY_BLOCKS = {"auction": ("auction", "cv"), "entry-exit": ("entry_exit",), "demand": ("demand",)}
+AUCTION_SCENARIO_KEYS = {"beta_shape": 2, "overbid_sigma": 3}  # keys one scenario reads
+
 _NUMBER = {"type": "number"}
 _INT = {"type": "integer"}
 
@@ -93,7 +97,6 @@ CONFIG_SCHEMA = {
                 "M": {"type": "integer", "minimum": 1},
             },
         },
-        "out_dir": {"type": "string"},
     },
 }
 
@@ -116,7 +119,6 @@ class RunConfig:
     auction: dict = field(default_factory=dict)
     entry_exit: dict = field(default_factory=dict)
     demand: dict = field(default_factory=dict)
-    out_dir: str | None = None
 
     def __post_init__(self):
         if not self.estimators:
@@ -136,8 +138,6 @@ class RunConfig:
             block = getattr(self, key)
             if block:
                 out[key] = dict(block)
-        if self.out_dir is not None:
-            out["out_dir"] = self.out_dir
         return out
 
 
@@ -156,9 +156,14 @@ def validate_mapping(raw: dict) -> None:
             f"scenario {raw['scenario']} invalid for {experiment}; "
             f"choose from {SCENARIO_CHOICES[experiment]}"
         )
-    if "cv" in raw and experiment != "auction":
-        # cv.K is the auction study's forward-CV fold count; no other study reads cv
-        raise ConfigError(f"config key 'cv' does not apply to {experiment}")
+    for block in ("cv", "auction", "entry_exit", "demand"):
+        if block in raw and block not in STUDY_BLOCKS[experiment]:
+            raise ConfigError(f"config key {block!r} does not apply to {experiment}")
+    for key, scenario in AUCTION_SCENARIO_KEYS.items():
+        if key in raw.get("auction", {}) and raw["scenario"] != scenario:
+            raise ConfigError(
+                f"config key 'auction.{key}' applies only to auction scenario {scenario}"
+            )
     allowed = set(ESTIMATOR_CHOICES[experiment])
     for name in raw.get("estimators", []):
         if name not in allowed:
@@ -184,7 +189,6 @@ def config_from_mapping(raw: dict) -> RunConfig:
         auction=dict(raw.get("auction", {})),
         entry_exit=dict(raw.get("entry_exit", {})),
         demand=dict(raw.get("demand", {})),
-        out_dir=raw.get("out_dir"),
     )
 
 

@@ -125,16 +125,6 @@ class DomainSpec:
     def interval(cls, lo: float, hi: float) -> "DomainSpec":
         return cls(np.array([lo]), np.array([hi]))
 
-    @classmethod
-    def from_points(cls, points) -> "DomainSpec":
-        """Bounding box of a finite point set."""
-        pts = _as_matrix(points, "points")
-        return cls(pts.min(axis=0), pts.max(axis=0))
-
-    def contains(self, x) -> np.ndarray:
-        pts = _as_matrix(x, "x")
-        return np.all((pts >= self.lower) & (pts <= self.upper), axis=1)
-
     def point_distance(self, x) -> np.ndarray:
         """Euclidean distance from each point to the nearest point of the box.
 
@@ -274,76 +264,6 @@ def partition_indices(n: int, K: int, rng: SeededRng) -> list[np.ndarray]:
 def partition(data: Dataset, K: int, rng: SeededRng) -> list[Dataset]:
     """Randomly partition a sample into K equal-sized (±1) disjoint parts."""
     return [data.subset(idx) for idx in partition_indices(data.n, K, rng)]
-
-
-def _directed_box_box(a: DomainSpec, b: DomainSpec) -> float:
-    # sup over x in a of dist(x, b); separable over dimensions, the per-axis
-    # sup is attained at an interval endpoint.
-    lo_d = np.maximum(b.lower - a.lower, 0.0) + np.maximum(a.lower - b.upper, 0.0)
-    hi_d = np.maximum(b.lower - a.upper, 0.0) + np.maximum(a.upper - b.upper, 0.0)
-    worst = np.maximum(lo_d, hi_d)
-    return float(np.sqrt((worst**2).sum()))
-
-
-def _directed_points_points(a: np.ndarray, b: np.ndarray) -> float:
-    diff = a[:, None, :] - b[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    return float(dist.min(axis=1).max())
-
-
-def _directed_interval_points(a: DomainSpec, pts: np.ndarray) -> float:
-    # 1-D: sup over the interval of distance to the nearest point. Candidates
-    # are the interval endpoints and midpoints of consecutive sites.
-    lo, hi = float(a.lower[0]), float(a.upper[0])
-    sites = np.sort(pts.ravel())
-    candidates = [lo, hi]
-    mids = 0.5 * (sites[:-1] + sites[1:])
-    candidates.extend(np.clip(mids, lo, hi).tolist())
-    cand = np.asarray(candidates)
-    dist = np.abs(cand[:, None] - sites[None, :]).min(axis=1)
-    return float(dist.max())
-
-
-def _box_grid(box: DomainSpec, per_axis: int) -> np.ndarray:
-    axes = [np.linspace(box.lower[d], box.upper[d], per_axis) for d in range(box.dimension)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def hausdorff_distance(a, b, *, grid_per_axis: int = 64) -> float:
-    """Hausdorff distance between two compact sets under the Euclidean metric.
-
-    Each argument is either a :class:`DomainSpec` box or a finite point set
-    (array of shape ``(m, p)`` or ``(m,)``). Box/box and point/point pairs are
-    computed exactly; a mixed pair is exact in one dimension and falls back to
-    a deterministic grid discretization of the box (``grid_per_axis`` points
-    per axis) in higher dimensions.
-    """
-    a_box = isinstance(a, DomainSpec)
-    b_box = isinstance(b, DomainSpec)
-    a_pts = None if a_box else _as_matrix(a, "a")
-    b_pts = None if b_box else _as_matrix(b, "b")
-    dim_a = a.dimension if a_box else a_pts.shape[1]
-    dim_b = b.dimension if b_box else b_pts.shape[1]
-    if dim_a != dim_b:
-        raise DataError(f"dimension mismatch: {dim_a} vs {dim_b}")
-    if (a_pts is not None and a_pts.shape[0] == 0) or (b_pts is not None and b_pts.shape[0] == 0):
-        raise DataError("point sets must be nonempty")
-
-    if a_box and b_box:
-        return max(_directed_box_box(a, b), _directed_box_box(b, a))
-    if not a_box and not b_box:
-        return max(
-            _directed_points_points(a_pts, b_pts), _directed_points_points(b_pts, a_pts)
-        )
-
-    box, pts = (a, b_pts) if a_box else (b, a_pts)
-    d_pts_box = float(box.point_distance(pts).max())
-    if box.dimension == 1:
-        d_box_pts = _directed_interval_points(box, pts)
-    else:
-        d_box_pts = _directed_points_points(_box_grid(box, grid_per_axis), pts)
-    return max(d_pts_box, d_box_pts)
 
 
 def forward_split(

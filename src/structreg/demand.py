@@ -32,11 +32,12 @@ from .sre import (
     fit_theta_m,
     sre_gmm,
 )
-from .tuning import BenchmarkFamily, CvPlan, CvTrace, kfold_cv
+from .tuning import BenchmarkFamily, CvTrace, kfold_cv
 
 INSTRUMENT_POWERS = 5
 EVAL_GRID_POINTS = 100
 REFERENCE_MARKETS = 20_000
+CV_FOLDS = 5
 _GRID_STREAM = 2**62  # reserved stream index; trials use small indices
 
 
@@ -104,32 +105,6 @@ class MarketData:
         return MarketData(self.prices[idx], self.quantities[idx], self.cost_shifters[idx])
 
 
-MARKET_CSV_HEADER = "m,p,q,z"
-
-
-def markets_to_csv(data: MarketData, path) -> None:
-    """Persist per-market observations as CSV rows ``(m, p, q, z)``."""
-    from pathlib import Path
-
-    lines = [MARKET_CSV_HEADER]
-    for m in range(data.m):
-        lines.append(
-            f"{m},{format(data.prices[m], '.17g')},"
-            f"{format(data.quantities[m], '.17g')},{format(data.cost_shifters[m], '.17g')}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def markets_from_csv(path) -> MarketData:
-    from pathlib import Path
-
-    lines = Path(path).read_text().strip().splitlines()
-    if lines[0] != MARKET_CSV_HEADER:
-        raise ValueError("unexpected market CSV header")
-    rows = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
-    return MarketData(rows[:, 0], rows[:, 1], rows[:, 2])
-
-
 def simulate_markets(params: DemandParams, rng: SeededRng) -> MarketData:
     """Draw cost shifters and demand shocks, then solve market equilibria.
 
@@ -161,7 +136,6 @@ class DemandEstimates:
     beta: float
     a: float
     b: float
-    residual_sd: float = 0.0
 
     def implied_demand(self, p) -> np.ndarray:
         return self.alpha - self.beta * np.asarray(p, dtype=float)
@@ -186,8 +160,7 @@ def structural_estimate_demand(data: MarketData) -> DemandEstimates:
         raise ValueError("estimated inverse demand slope is nonpositive")
     beta_hat = 1.0 / inv_beta
     alpha_hat = float(np.mean(data.quantities + beta_hat * data.prices))
-    resid = data.quantities - (alpha_hat - beta_hat * data.prices)
-    return DemandEstimates(alpha_hat, beta_hat, a_hat, b_hat, float(resid.std(ddof=0)))
+    return DemandEstimates(alpha_hat, beta_hat, a_hat, b_hat)
 
 
 @dataclass(frozen=True)
@@ -210,51 +183,39 @@ def rf_demand(data: MarketData, form: str = "linear") -> RfDemandFit:
     if form not in ("linear", "loglog"):
         raise ValueError(f"unknown reduced form: {form}")
     if form == "linear":
-        fit = fit_2sls(data.quantities, data.prices[:, None],
-                       data.cost_shifters[:, None], ("p",))
+        fit = fit_2sls(data.quantities, data.prices[:, None], data.cost_shifters[:, None])
     else:
         if np.any(data.prices <= 0.0) or np.any(data.quantities <= 0.0):
             raise ValueError("log-log form requires positive prices and quantities")
         fit = fit_2sls(np.log(data.quantities), np.log(data.prices)[:, None],
-                       data.cost_shifters[:, None], ("log p",))
+                       data.cost_shifters[:, None])
     return RfDemandFit(form, fit)
 
 
 @dataclass(frozen=True)
 class DemandBenchmark(StructuralBenchmark):
-    """Estimated pricing model as a generative demand benchmark."""
+    """Estimated pricing model as a demand benchmark."""
 
     estimates: DemandEstimates
-    price_range: tuple[float, float]
-
-    identifier = "monopoly-pricing-demand"
 
     def implied_mean(self, x) -> np.ndarray:
         p = np.asarray(x, dtype=float)
         p = p.ravel() if p.ndim <= 1 else p[:, 0]
         return self.estimates.implied_demand(p)
 
-    def simulate(self, domain: DomainSpec, size: int, rng: SeededRng) -> Dataset:
-        gen = rng.generator()
-        p = gen.uniform(domain.lower[0], domain.upper[0], size=size)
-        q = self.implied_mean(p) + gen.normal(0.0, self.estimates.residual_sd, size=size)
-        return Dataset(p[:, None], q)
 
-
-def demand_benchmark(estimates: DemandEstimates, price_range: tuple[float, float]) -> DemandBenchmark:
+def demand_benchmark(estimates: DemandEstimates) -> DemandBenchmark:
     if estimates.beta <= 0.0:
         raise ValueError("benchmark requires a positive demand slope")
-    return DemandBenchmark(estimates, price_range)
+    return DemandBenchmark(estimates)
 
 
 class MonopolyPricingModel(BenchmarkFamily):
     """Benchmark family: estimate the pricing system on a market sample."""
 
-    def estimate(self, data: Dataset, rng: SeededRng) -> DemandBenchmark:
+    def estimate(self, data: Dataset) -> DemandBenchmark:
         markets = MarketData(data.inputs[:, 0], data.outcome, data.instruments[:, 0])
-        estimates = structural_estimate_demand(markets)
-        rng_span = (float(markets.prices.min()), float(markets.prices.max()))
-        return demand_benchmark(estimates, rng_span)
+        return demand_benchmark(structural_estimate_demand(markets))
 
 
 def instrument_basis(
@@ -342,22 +303,18 @@ def sre_demand(
     benchmark_family: BenchmarkFamily,
     rng: SeededRng,
     lambda_grid=None,
-    cv_plan: CvPlan | None = None,
 ) -> tuple[SREFit, CvTrace]:
     """Two-stage moment-penalized demand fit with sample splitting.
 
     Half the markets estimate the pricing model; the other half carry the
     quadratic moment fit with instruments ``(1, z, ..., z^5)`` and projection
-    weighting, with the penalty chosen by standard K-fold cross-validation on
-    the held-out moment objective (training-fold weight).
+    weighting, with the penalty chosen by ``CV_FOLDS``-fold cross-validation
+    on the held-out moment objective (training-fold weight).
     """
     dataset = data.to_dataset()
-    cv_plan = cv_plan if cv_plan is not None else CvPlan(kind="kfold", K=5)
-    if cv_plan.kind != "kfold":
-        raise ValueError("demand penalty selection uses standard K-fold CV")
     folds = partition_indices(dataset.n, 2, rng.split(0))
     d1, d2 = dataset.subset(folds[0]), dataset.subset(folds[1])
-    benchmark = benchmark_family.estimate(d1, rng.split(1))
+    benchmark = benchmark_family.estimate(d1)
     price_span = DomainSpec.interval(
         float(data.prices.min()), float(data.prices.max())
     )
@@ -365,7 +322,7 @@ def sre_demand(
     penalty = PenaltySpec(grid, np.array([0.0, 1.0, 1.0]))
     fitter = _gmm_sre_fitter(benchmark, penalty, price_span)
 
-    trace = kfold_cv(fitter, _gmm_scorer, d2, grid, cv_plan.K, rng.split(2))
+    trace = kfold_cv(fitter, _gmm_scorer, d2, grid, CV_FOLDS, rng.split(2))
     fit = replace(fitter(d2)(trace.lambda_star).fit, cv="kfold", parts=(trace,))
     return fit, trace
 

@@ -288,41 +288,6 @@ class MarketPanel:
         )
 
 
-PANEL_CSV_HEADER = "t,n,R,stay_out,enter,exit,stay_in"
-
-
-def panel_to_csv(panel: MarketPanel, path) -> None:
-    """Persist a panel as CSV: period, incumbent count, profit, and the four
-    transition counts (from-state-0 pair first)."""
-    lines = [PANEL_CSV_HEADER]
-    n = panel.n
-    for t in range(panel.t_total):
-        c = panel.counts[t]
-        lines.append(
-            f"{t + 1},{n[t]},{format(panel.R_path[t], '.17g')},"
-            f"{c[0, 0]},{c[0, 1]},{c[1, 0]},{c[1, 1]}"
-        )
-    from pathlib import Path
-
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def panel_from_csv(path) -> MarketPanel:
-    from pathlib import Path
-
-    lines = Path(path).read_text().strip().splitlines()
-    if lines[0] != PANEL_CSV_HEADER:
-        raise ValueError("unexpected panel CSV header")
-    rows = [line.split(",") for line in lines[1:]]
-    counts = np.array(
-        [[[int(r[3]), int(r[4])], [int(r[5]), int(r[6])]] for r in rows], dtype=np.int64
-    )
-    R = np.array([float(r[2]) for r in rows])
-    n_firms = int(counts[0].sum())
-    initial = int(counts[0, 1].sum())
-    return MarketPanel(n_firms, initial, counts, R)
-
-
 def merge_panels(a: MarketPanel, b: MarketPanel) -> MarketPanel:
     if a.t_total != b.t_total or not np.array_equal(a.R_path, b.R_path):
         raise ValueError("panels must share the same horizon and profit path")
@@ -423,6 +388,17 @@ def estimate_ccp_euler(
     return estimate_ccp_euler_from_ccps(clamped, R_path, discount)
 
 
+def _propagate_shares(ccps: np.ndarray, initial_share: float) -> np.ndarray:
+    """Expected occupancy share after each period under choice probabilities
+    ``ccps[t, j, k]``, starting from the initial share."""
+    out = np.empty(ccps.shape[0])
+    share = initial_share
+    for t in range(ccps.shape[0]):
+        share = share * ccps[t, 1, 1] + (1.0 - share) * ccps[t, 0, 1]
+        out[t] = share
+    return out
+
+
 @dataclass(frozen=True)
 class DdcBenchmark:
     """Estimated foresight model used for prediction and synthetic data."""
@@ -433,8 +409,6 @@ class DdcBenchmark:
     discount: float
     R_path: np.ndarray
     ccps: np.ndarray
-
-    identifier = "ccp-euler-entry-exit"
 
     @classmethod
     def from_estimates(
@@ -455,18 +429,9 @@ class DdcBenchmark:
         prev = np.asarray(prev_shares, dtype=float)
         return prev * self.ccps[idx, 1, 1] + (1.0 - prev) * self.ccps[idx, 0, 1]
 
-    def implied_mean(self, prev_shares, periods) -> np.ndarray:
-        return self.step_shares(prev_shares, periods)
-
     def expected_path(self, initial_share: float = 0.5) -> np.ndarray:
         """Deterministic occupancy path propagated from the initial mix."""
-        T = self.ccps.shape[0]
-        out = np.empty(T)
-        share = initial_share
-        for t in range(T):
-            share = share * self.ccps[t, 1, 1] + (1.0 - share) * self.ccps[t, 0, 1]
-            out[t] = share
-        return out
+        return _propagate_shares(self.ccps, initial_share)
 
     def simulate(self, rng: SeededRng, n_firms: int) -> MarketPanel:
         return simulate_market(
@@ -478,14 +443,7 @@ def expected_regime_path(
     regime: str, params: DdcParams, R_path, initial_share: float = 0.5
 ) -> np.ndarray:
     """True expected occupancy path: exact regime CCPs propagated forward."""
-    ccps = regime_ccps(regime, params, R_path)
-    T = ccps.shape[0]
-    out = np.empty(T)
-    share = initial_share
-    for t in range(T):
-        share = share * ccps[t, 1, 1] + (1.0 - share) * ccps[t, 0, 1]
-        out[t] = share
-    return out
+    return _propagate_shares(regime_ccps(regime, params, R_path), initial_share)
 
 
 SRE_ARX_ORDERS = (2, 4)
@@ -561,10 +519,10 @@ def sre_entry_exit(
     R_path_full: np.ndarray,
     rng: SeededRng,
     lambda_grid=None,
-    window_length: int | None = None,
 ) -> tuple[SREFit, DdcBenchmark]:
     """Sample-split series fit: structural stage on one half-panel of firms,
-    penalized ARX stage with rolling-window penalty selection on the other.
+    penalized ARX stage with rolling-window penalty selection on the other
+    (windows of a fifth of the training rows, one-step-ahead validation).
 
     The benchmark's synthetic panels cover the full horizon (the profit path
     is exogenous and known), so the shrink target encodes the model's
@@ -581,8 +539,7 @@ def sre_entry_exit(
     grid = default_lambda_grid(train.n) if lambda_grid is None else np.asarray(lambda_grid, float)
     weights = np.concatenate([[0.0], np.ones(train.p)])
     fitter = _arx_sre_fitter(PenaltySpec(grid, weights), synthetic)
-    window = window_length if window_length is not None else max(2, train.n // 5)
-    trace = rolling_cv(train, fitter, grid, window, horizon=1)
+    trace = rolling_cv(train, fitter, grid, max(2, train.n // 5), horizon=1)
     fit = replace(fitter(train)(trace.lambda_star), cv="rolling", parts=(trace,))
     return fit, benchmark
 

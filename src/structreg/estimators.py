@@ -8,7 +8,7 @@ pseudo-inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,17 +36,14 @@ def solve_least_squares(A: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearFit:
-    """Intercept plus slope coefficients over labelled design columns."""
+    """Intercept plus slope coefficients over the design columns."""
 
     intercept: float
     coefficients: np.ndarray
-    design_description: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         coefs = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
         object.__setattr__(self, "coefficients", coefs)
-        if self.design_description and len(self.design_description) != coefs.shape[0]:
-            raise ValueError("design_description length does not match coefficients")
         if not np.isfinite(coefs).all() or not np.isfinite(self.intercept):
             raise ValueError("non-finite fit coefficients")
 
@@ -57,7 +54,7 @@ class LinearFit:
         return self.intercept + X @ self.coefficients
 
 
-def fit_ols(X, y, design_description: tuple[str, ...] = ()) -> LinearFit:
+def fit_ols(X, y) -> LinearFit:
     """Ordinary least squares with an intercept.
 
     Parameters
@@ -81,7 +78,7 @@ def fit_ols(X, y, design_description: tuple[str, ...] = ()) -> LinearFit:
         raise ValueError(f"need more than {p} rows to fit {p} slopes")
     design = np.column_stack([np.ones(n), X])
     theta = solve_least_squares(design, y)
-    return LinearFit(float(theta[0]), theta[1:], design_description)
+    return LinearFit(float(theta[0]), theta[1:])
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ def fit_polynomial(x, y, degree: int) -> PolyFit:
         raise SingularDesignError("singular design")
     z = (x - mean) / scale
     powers = np.column_stack([z**j for j in range(1, degree + 1)])
-    fit = fit_ols(powers, y, tuple(f"x^{j}" for j in range(1, degree + 1)))
+    fit = fit_ols(powers, y)
     return PolyFit(degree, fit, mean, scale)
 
 
@@ -284,7 +281,7 @@ def select_arx_order_aic(y, R, exog_orders, ar_orders) -> tuple[int, int]:
     return best
 
 
-def fit_2sls(y, X, Z, design_description: tuple[str, ...] = ()) -> LinearFit:
+def fit_2sls(y, X, Z) -> LinearFit:
     """Two-stage least squares with an intercept in both stages.
 
     Requires at least as many instruments as regressors. When the instrument
@@ -322,4 +319,4 @@ def fit_2sls(y, X, Z, design_description: tuple[str, ...] = ()) -> LinearFit:
         theta = solve_least_squares(X_hat, y)
     except SingularDesignError as exc:
         raise SingularDesignError("rank-deficient projected design") from exc
-    return LinearFit(float(theta[0]), theta[1:], design_description)
+    return LinearFit(float(theta[0]), theta[1:])

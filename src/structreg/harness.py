@@ -10,6 +10,7 @@ sequential).
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import json
 import os
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .auction import AuctionScenario, auction_experiment
-from .config import ENTRY_EXIT_REGIMES, RunConfig
+from .config import ENTRY_EXIT_REGIMES, ConfigError, RunConfig
 from .data import SeededRng
 from .demand import DemandParams, demand_experiment
 from .entry_exit import DdcParams, RPathSpec, entry_exit_experiment
@@ -58,65 +59,48 @@ def _g17(value: float) -> str:
     return format(float(value), ".17g")
 
 
+# auction config keys that differ from the AuctionScenario field they set
+_AUCTION_RENAMES = {"n_train": "n_range_train", "n_test": "n_range_test"}
+
+
+def _from_block(cls, block: dict):
+    """``cls`` built from the keys of a config block that name its fields."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{key: value for key, value in block.items() if key in names})
+
+
+def configured_study(config: RunConfig):
+    """The configured experiment as ``(function, args, kwargs)``.
+
+    Each study block maps onto the study's parameter dataclasses by their own
+    field names, so building them runs every check the study makes of its
+    parameters; ``structreg validate`` calls this too, and a failed check is
+    a :class:`ConfigError`.
+    """
+    try:
+        if config.experiment == "auction":
+            overrides = {_AUCTION_RENAMES.get(k, k): tuple(v) if isinstance(v, list) else v
+                         for k, v in config.auction.items()}
+            scenario = AuctionScenario.from_index(config.scenario, **overrides)
+            kwargs = {"forward_K": config.cv["K"]} if config.cv else {}
+            return auction_experiment, (scenario,), kwargs
+        if config.experiment == "entry-exit":
+            params, rpath = (_from_block(cls, config.entry_exit) for cls in (DdcParams, RPathSpec))
+            regime = ENTRY_EXIT_REGIMES[config.scenario]
+            return entry_exit_experiment, (regime, params), {"rpath": rpath}
+        params = _from_block(DemandParams, config.demand) if config.demand else None
+        return demand_experiment, (config.scenario,), {"params": params}
+    except ValueError as exc:
+        raise ConfigError(f"invalid {config.experiment} settings: {exc}") from exc
+
+
 def _run_slice(config: RunConfig, indices: tuple[int, ...]) -> tuple[list, dict]:
     """Run a subset of trial indices of the configured experiment."""
-    rng = SeededRng(config.base_seed)
+    experiment, args, kwargs = configured_study(config)
     grid = None if config.lambda_grid is None else np.asarray(config.lambda_grid, float)
-    cv = config.cv
-    if config.experiment == "auction":
-        block = dict(config.auction)
-        scenario = AuctionScenario.from_index(
-            config.scenario,
-            **{
-                key: tuple(value) if isinstance(value, list) else value
-                for key, value in (
-                    (k, block[k])
-                    for k in ("M", "overbid_sigma", "beta_shape")
-                    if k in block
-                )
-            },
-            **(
-                {"n_range_train": tuple(block["n_train"])} if "n_train" in block else {}
-            ),
-            **({"n_range_test": tuple(block["n_test"])} if "n_test" in block else {}),
-        )
-        return auction_experiment(
-            scenario,
-            estimators=config.estimators,
-            trials=config.trials,
-            rng=rng,
-            lambda_grid=grid,
-            forward_K=cv.get("K", 6),
-            trial_indices=indices,
-        )
-    if config.experiment == "entry-exit":
-        block = dict(config.entry_exit)
-        param_keys = (
-            "mu", "alpha", "entry_cost", "discount", "n_firms", "t_total", "t_train",
-        )
-        params = DdcParams(**{k: block[k] for k in param_keys if k in block})
-        rpath_keys = ("r0", "trend", "ar_coef", "innovation_sd")
-        rpath = RPathSpec(**{k: block[k] for k in rpath_keys if k in block})
-        return entry_exit_experiment(
-            ENTRY_EXIT_REGIMES[config.scenario],
-            params,
-            estimators=config.estimators,
-            trials=config.trials,
-            rng=rng,
-            rpath=rpath,
-            lambda_grid=grid,
-            trial_indices=indices,
-        )
-    params = DemandParams(**config.demand) if config.demand else None
-    return demand_experiment(
-        config.scenario,
-        params=params,
-        estimators=config.estimators,
-        trials=config.trials,
-        rng=rng,
-        lambda_grid=grid,
-        trial_indices=indices,
-    )
+    return experiment(*args, estimators=config.estimators, trials=config.trials,
+                      rng=SeededRng(config.base_seed), lambda_grid=grid,
+                      trial_indices=indices, **kwargs)
 
 
 def _worker_count(trials: int) -> int:

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CURVE_FIELDS = ("trial", "estimator", "domain", "x", "truth", "prediction")
-
 
 class MetricsError(ValueError):
     pass

@@ -28,7 +28,7 @@ import scipy.linalg
 import scipy.optimize
 import scipy.stats.qmc
 
-from .data import Dataset, DomainSpec, SeededRng, StandardizeTransform
+from .data import DomainSpec, StandardizeTransform
 from .estimators import SingularDesignError, solve_least_squares
 
 
@@ -51,7 +51,6 @@ class PenaltySpec:
 
     lambda_grid: np.ndarray
     weights: np.ndarray
-    distance: str = "squared_l2"
 
     def __post_init__(self):
         grid = np.atleast_1d(np.asarray(self.lambda_grid, dtype=float))
@@ -66,8 +65,6 @@ class PenaltySpec:
             raise PenaltyError("lambda grid must be strictly increasing")
         if np.any(weights < 0.0) or not np.isfinite(weights).all():
             raise PenaltyError("penalty weights must be nonnegative and finite")
-        if self.distance != "squared_l2":
-            raise PenaltyError(f"unsupported distance family: {self.distance}")
 
     def omega(self, theta, theta_m) -> float:
         """Weighted squared distance between a coefficient vector and the target."""
@@ -78,19 +75,13 @@ class PenaltySpec:
 class StructuralBenchmark(abc.ABC):
     """An estimated structural model usable as a shrinkage target.
 
-    Exposes synthetic data generation over a requested input domain and the
-    model-implied conditional outcome mean.
+    Exposes the model-implied conditional outcome mean, which
+    :func:`fit_theta_m` projects onto the statistical model.
     """
-
-    identifier: str = "benchmark"
 
     @abc.abstractmethod
     def implied_mean(self, x) -> np.ndarray:
         """Model-implied conditional mean of the outcome at inputs ``x``."""
-
-    @abc.abstractmethod
-    def simulate(self, domain: DomainSpec, size: int, rng: SeededRng) -> Dataset:
-        """Synthetic draws with inputs inside ``domain``."""
 
 
 def synthetic_design(domain: DomainSpec, size: int) -> np.ndarray:

@@ -5,7 +5,8 @@ i.i.d. data, a forward variant that always validates on the subsample nearest
 a known target input region, and a rolling-window variant for series data.
 The orchestrators split the sample so the structural benchmark is estimated
 on data independent of the penalized second stage, either once
-(sample-splitting) or in both directions with averaging (cross-fitting).
+(sample-splitting) or in both directions with averaging (cross-fitting); they
+choose the penalty by K-fold or forward cross-validation.
 """
 
 from __future__ import annotations
@@ -49,29 +50,23 @@ class StageError(RuntimeError):
 class CvPlan:
     """How to choose the penalty strength.
 
-    ``kind`` is one of ``kfold`` (default K=5), ``forward`` (default K=6,
-    requires ``target``), or ``rolling`` (requires time-ordered data;
-    ``window_length`` defaults to a fifth of the series).
+    ``kind`` is ``kfold`` (default K=5) or ``forward`` (default K=6, requires
+    ``target``).
     """
 
     kind: str = "kfold"
     K: int = 0
     target: DomainSpec | None = None
-    window_length: int | None = None
-    horizon: int = 1
-    fraction: float = FORWARD_FRACTION
 
     def __post_init__(self):
-        if self.kind not in ("kfold", "forward", "rolling"):
+        if self.kind not in ("kfold", "forward"):
             raise DataError(f"unknown cv kind: {self.kind}")
         if self.K == 0:
             object.__setattr__(self, "K", 6 if self.kind == "forward" else 5)
-        if self.kind in ("kfold", "forward") and self.K < 2:
+        if self.K < 2:
             raise DataError("fold-based cross-validation requires K >= 2")
         if self.kind == "forward" and self.target is None:
             raise DataError("forward cross-validation requires a target domain")
-        if self.horizon < 1:
-            raise DataError("horizon must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -239,12 +234,7 @@ def run_cv(plan: CvPlan, fitter, data: Dataset, lambda_grid, rng: SeededRng,
     """Dispatch to the cross-validation flavor named by ``plan``."""
     if plan.kind == "kfold":
         return kfold_cv(fitter, scorer, data, lambda_grid, plan.K, rng)
-    if plan.kind == "forward":
-        return forward_cv(
-            data, plan.K, plan.target, fitter, lambda_grid, rng, plan.fraction, scorer
-        )
-    window = plan.window_length if plan.window_length is not None else max(2, data.n // 5)
-    return rolling_cv(data, fitter, lambda_grid, window, plan.horizon, scorer)
+    return forward_cv(data, plan.K, plan.target, fitter, lambda_grid, rng, scorer=scorer)
 
 
 class BenchmarkFamily(abc.ABC):
@@ -252,7 +242,7 @@ class BenchmarkFamily(abc.ABC):
     estimated benchmark."""
 
     @abc.abstractmethod
-    def estimate(self, data: Dataset, rng: SeededRng) -> StructuralBenchmark:
+    def estimate(self, data: Dataset) -> StructuralBenchmark:
         ...
 
 
@@ -286,13 +276,12 @@ class SreRidgeFitter:
     benchmark: StructuralBenchmark
     penalty: PenaltySpec
     synthetic_domain: DomainSpec
-    synthetic_size: int | None = None
 
     def __call__(self, train: Dataset):
         features = Dataset(self.feature_map.transform(train.inputs), train.outcome)
         std, transform = standardize(features)
         theta_m = fit_theta_m(self.feature_map, self.benchmark, self.synthetic_domain,
-                              self.synthetic_size, transform=transform)
+                              transform=transform)
         design = np.column_stack([np.ones(train.n), std.inputs])
         return ridge_stage(design, train.outcome, transform, theta_m, self.penalty,
                            self.feature_map)
@@ -309,14 +298,13 @@ def _hull_with_target(data: Dataset, target: DomainSpec | None) -> DomainSpec:
 
 def _orientation(est: Dataset, fit_half: Dataset, benchmark_family: BenchmarkFamily,
                  feature_map: FeatureMap, penalty: PenaltySpec, cv_plan: CvPlan,
-                 synthetic_domain: DomainSpec, synthetic_size: int | None,
-                 rng_estimate: SeededRng, rng_cv: SeededRng) -> SREFit:
+                 synthetic_domain: DomainSpec, rng_cv: SeededRng) -> SREFit:
     """Estimate the benchmark on ``est``; select and fit the penalty on ``fit_half``."""
     try:
-        benchmark = benchmark_family.estimate(est, rng_estimate)
+        benchmark = benchmark_family.estimate(est)
     except Exception as exc:
         raise StageError(f"structural stage failed: {exc}") from exc
-    fitter = SreRidgeFitter(feature_map, benchmark, penalty, synthetic_domain, synthetic_size)
+    fitter = SreRidgeFitter(feature_map, benchmark, penalty, synthetic_domain)
     trace = run_cv(cv_plan, fitter, fit_half, penalty.lambda_grid, rng_cv)
     fit = fitter(fit_half)(trace.lambda_star)
     return replace(fit, cv=cv_plan.kind, parts=(trace,))
@@ -330,7 +318,6 @@ def sre_sample_split(
     cv_plan: CvPlan,
     rng: SeededRng,
     synthetic_domain: DomainSpec | None = None,
-    synthetic_size: int | None = None,
 ) -> SREFit:
     """Two-stage structurally regularized fit with sample-splitting.
 
@@ -341,8 +328,7 @@ def sre_sample_split(
     d1, d2 = partition(data, 2, rng.split(0))
     domain = synthetic_domain or _hull_with_target(data, cv_plan.target)
     return _orientation(
-        d1, d2, benchmark_family, feature_map, penalty, cv_plan, domain,
-        synthetic_size, rng.split(1), rng.split(3),
+        d1, d2, benchmark_family, feature_map, penalty, cv_plan, domain, rng.split(3)
     )
 
 
@@ -371,7 +357,6 @@ def sre_cross_fit(
     cv_plan: CvPlan,
     rng: SeededRng,
     synthetic_domain: DomainSpec | None = None,
-    synthetic_size: int | None = None,
 ) -> SREFit:
     """Cross-fitting: run both (estimate, fit) orientations and average.
 
@@ -385,7 +370,7 @@ def sre_cross_fit(
     halves = [
         _orientation(
             est, fit_half, benchmark_family, feature_map, penalty, cv_plan, domain,
-            synthetic_size, rng.split(1, j), rng.split(3, j),
+            rng.split(3, j),
         )
         for j, (est, fit_half) in enumerate(((d1, d2), (d2, d1)))
     ]

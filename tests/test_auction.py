@@ -12,7 +12,7 @@ from structreg.auction import (
     simulate_auctions,
     true_expected_winning_bid,
 )
-from structreg.data import DomainSpec, SeededRng
+from structreg.data import SeededRng
 from structreg.metrics import metrics_table
 
 
@@ -169,10 +169,25 @@ def test_uniform_benchmark_zero_variance_predictions():
 
 
 def test_uniform_benchmark_simulation_matches_implied_mean():
-    bench = UniformIpvBenchmark()
-    draws = bench.simulate(DomainSpec.interval(10, 10), 100_000, SeededRng(8))
-    se = draws.outcome.std() / np.sqrt(draws.n)
-    assert abs(draws.outcome.mean() - 9.0 / 11.0) <= 4 * se
+    # scenario 1 simulated with ten bidders in every auction
+    sc = AuctionScenario.from_index(1, M=20_000, n_range_train=(10, 10))
+    winning = simulate_auctions(sc, SeededRng(8)).winning_bids
+    se = winning.std() / np.sqrt(winning.size)
+    assert abs(winning.mean() - UniformIpvBenchmark().implied_mean(10.0)[0]) <= 4 * se
+
+
+def test_from_index_overrides_replace_scenario_fields():
+    sc = AuctionScenario.from_index(3, overbid_sigma=0.3, M=7)
+    assert (sc.value_dist, sc.overbid_sigma, sc.M) == ("uniform", 0.3, 7)
+    assert AuctionScenario.from_index(3).overbid_sigma == 0.5
+    assert AuctionScenario.from_index(2, beta_shape=(3.0, 3.0)).beta_shape == (3.0, 3.0)
+
+
+def test_overbidding_requires_uniform_values():
+    # the overbid truth assumes uniform values, so beta values would be
+    # scored against the wrong truth
+    with pytest.raises(ValueError, match="uniform values"):
+        AuctionScenario.from_index(2, overbid_sigma=0.3)
 
 
 def test_auction_experiment_structural_error_is_exactly_zero():

@@ -9,7 +9,6 @@ from structreg.data import (
     DomainSpec,
     SeededRng,
     forward_split,
-    hausdorff_distance,
     partition,
     standardize,
 )
@@ -121,52 +120,6 @@ def test_seeded_rng_streams_reproducible_and_distinct():
     assert not np.array_equal(a, d)
 
 
-def test_hausdorff_identical_intervals_zero():
-    box = DomainSpec.interval(0.0, 1.0)
-    assert hausdorff_distance(box, box) == 0.0
-
-
-def test_hausdorff_disjoint_intervals():
-    # directed sup-inf by hand: farthest point of [0,1] from [2,3] is 0 -> 2;
-    # farthest point of [2,3] from [0,1] is 3 -> 2
-    assert hausdorff_distance(DomainSpec.interval(0, 1), DomainSpec.interval(2, 3)) == 2.0
-
-
-def test_hausdorff_point_sets():
-    # directed distances: {0}->({0,5}) = 0, ({0,5})->{0} = 5
-    assert hausdorff_distance(np.array([[0.0]]), np.array([[0.0], [5.0]])) == 5.0
-
-
-def test_hausdorff_dimension_mismatch():
-    with pytest.raises(DataError):
-        hausdorff_distance(DomainSpec.interval(0, 1), np.zeros((3, 2)))
-
-
-def test_hausdorff_mixed_interval_vs_points_exact_1d():
-    # sup over [0,2] of distance to {0,2} is at the midpoint
-    box = DomainSpec([0.0], [2.0])
-    pts = np.array([[0.0], [2.0]])
-    assert hausdorff_distance(box, pts) == pytest.approx(1.0, abs=1e-12)
-
-
-@given(st.lists(st.floats(min_value=-50, max_value=50), min_size=6, max_size=6))
-@settings(max_examples=50, deadline=None)
-def test_hausdorff_metric_properties_on_intervals(raw):
-    def interval(a, b):
-        return DomainSpec.interval(min(a, b), max(a, b))
-
-    A = interval(raw[0], raw[1])
-    B = interval(raw[2], raw[3])
-    C = interval(raw[4], raw[5])
-    dab = hausdorff_distance(A, B)
-    dba = hausdorff_distance(B, A)
-    assert dab == pytest.approx(dba, abs=1e-12)
-    assert hausdorff_distance(A, A) == 0.0
-    dac = hausdorff_distance(A, C)
-    dcb = hausdorff_distance(C, B)
-    assert dab <= dac + dcb + 1e-9
-
-
 def test_forward_split_equal_spacing_example():
     ds = Dataset(np.arange(1.0, 7.0)[:, None], np.zeros(6))
     far, near = forward_split(ds, DomainSpec.interval(7.0, 10.0), 1.0 / 6.0)
@@ -201,10 +154,13 @@ def test_forward_split_partition_and_ordering_properties():
     d_far = target.point_distance(far.inputs)
     d_near = target.point_distance(near.inputs)
     assert d_near.max() <= d_far.min() + 1e-12
-    # hull of the near part is closer to the target in Hausdorff distance
-    h_near = hausdorff_distance(DomainSpec.from_points(near.inputs), target)
-    h_far = hausdorff_distance(DomainSpec.from_points(far.inputs), target)
-    assert h_near < h_far
+    # hull of the near part is closer to the target in Hausdorff distance,
+    # which for intervals [a, b] and [c, d] is max(|a - c|, |b - d|)
+    def hausdorff(part):
+        lo, hi = part.inputs.min(), part.inputs.max()
+        return max(abs(lo - target.lower[0]), abs(hi - target.upper[0]))
+
+    assert hausdorff(near) < hausdorff(far)
 
 
 def test_forward_split_rejects_bad_fraction():

@@ -125,8 +125,8 @@ def test_rf_weak_instrument_raises():
 def test_benchmark_affine_and_quadratic_projection():
     from structreg.demand import DemandEstimates
 
-    est = DemandEstimates(alpha=100.0, beta=2.0, a=10.0, b=1.0, residual_sd=1.0)
-    bench = demand_benchmark(est, (20.0, 40.0))
+    est = DemandEstimates(alpha=100.0, beta=2.0, a=10.0, b=1.0)
+    bench = demand_benchmark(est)
     grid = np.linspace(20, 40, 7)
     assert np.allclose(bench.implied_mean(grid), 100.0 - 2.0 * grid)
     deriv = (bench.implied_mean(grid + 1e-6) - bench.implied_mean(grid - 1e-6)) / 2e-6
@@ -141,7 +141,7 @@ def test_benchmark_requires_positive_slope():
     from structreg.demand import DemandEstimates
 
     with pytest.raises(ValueError):
-        demand_benchmark(DemandEstimates(1.0, -2.0, 0.0, 0.0), (0.0, 1.0))
+        demand_benchmark(DemandEstimates(1.0, -2.0, 0.0, 0.0))
 
 
 def test_sre_gmm_matches_2sls_for_linear_instrument_block():
@@ -225,15 +225,3 @@ def test_demand_experiment_grid_shared_and_deterministic():
     assert len(meta_a["grid"]) == 100
     xs = sorted({r[3] for r in records_a})
     assert xs == sorted(meta_a["grid"])
-
-
-def test_market_csv_roundtrip(tmp_path):
-    from structreg.demand import markets_from_csv, markets_to_csv
-
-    data = simulate_markets(DemandParams(M=40), SeededRng(16))
-    path = tmp_path / "markets.csv"
-    markets_to_csv(data, path)
-    back = markets_from_csv(path)
-    assert np.array_equal(back.prices, data.prices)
-    assert np.array_equal(back.quantities, data.quantities)
-    assert np.array_equal(back.cost_shifters, data.cost_shifters)

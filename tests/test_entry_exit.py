@@ -280,18 +280,3 @@ def test_merge_panels_adds_counts():
     merged = merge_panels(a, b)
     assert merged.n_firms == 200
     assert np.array_equal(merged.counts, a.counts + b.counts)
-
-
-def test_panel_csv_roundtrip(tmp_path):
-    from structreg.entry_exit import panel_from_csv, panel_to_csv
-
-    params = small_params(n_firms=300)
-    R = draw_profit_path(RPathSpec(), params.t_total, SeededRng(29))
-    panel = simulate_market("adaptive", params, R, SeededRng(30))
-    path = tmp_path / "panel.csv"
-    panel_to_csv(panel, path)
-    back = panel_from_csv(path)
-    assert back.n_firms == panel.n_firms
-    assert np.array_equal(back.counts, panel.counts)
-    assert np.array_equal(back.R_path, panel.R_path)
-    assert np.array_equal(back.n, panel.n)

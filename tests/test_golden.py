@@ -1,12 +1,16 @@
-"""Pinned-seed golden outputs, one small run per study.
+"""Pinned-seed golden outputs, small runs of every study.
 
 Each case directory under ``tests/golden/`` holds a run config and the
-``summary.csv`` and ``curves.csv`` that ``structreg run`` wrote for it before
-the second-stage protocol was refactored. A change that should leave results
-alone must reproduce both files byte for byte. The files were made, from the
-repository root, with::
+``summary.csv`` and ``curves.csv`` that ``structreg run`` wrote for it. The
+first three cases use each study's defaults and were made before the
+second-stage protocol was refactored; the ``*-all-keys`` cases set every key
+of their study's config block (auction also ``cv.K`` and ``lambda_grid``) and
+were made before the config-to-study mapping was rewritten, so they pin that
+mapping. A change that should leave results alone must reproduce both files
+byte for byte. The files were made, from the repository root, with::
 
-    for case in auction-1 demand-4 entry-exit-2; do
+    for case in auction-1 demand-4 entry-exit-2 \\
+                auction-2-all-keys demand-2-all-keys entry-exit-1-all-keys; do
         structreg run --config tests/golden/$case/config.yaml --out /tmp/golden-$case
         cp /tmp/golden-$case/summary.csv /tmp/golden-$case/curves.csv tests/golden/$case/
     done
@@ -22,9 +26,13 @@ import pytest
 from structreg.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+CASES = [
+    "auction-1", "demand-4", "entry-exit-2",
+    "auction-2-all-keys", "demand-2-all-keys", "entry-exit-1-all-keys",
+]
 
 
-@pytest.mark.parametrize("case", ["auction-1", "demand-4", "entry-exit-2"])
+@pytest.mark.parametrize("case", CASES)
 def test_outputs_match_golden_bytes(tmp_path, case):
     assert main(["run", "--config", str(GOLDEN / case / "config.yaml"),
                  "--out", str(tmp_path)]) == 0

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,3 +244,69 @@ def test_cli_validate_rejects_cv_settings_no_study_reads(tmp_path, capsys, exper
     ))
     assert main(["validate", "--config", str(path)]) == 1
     assert key in json.loads(capsys.readouterr().err.strip())["error"]
+
+
+@pytest.mark.parametrize(
+    "experiment, block",
+    [("entry-exit", "demand"), ("entry-exit", "auction"), ("demand", "entry_exit"),
+     ("auction", "demand")],
+)
+def test_config_rejects_blocks_the_run_does_not_read(experiment, block):
+    raw = {"experiment": experiment, "scenario": 1, "trials": 1, "base_seed": 0, block: {}}
+    with pytest.raises(ConfigError, match=f"'{block}' does not apply"):
+        config_from_mapping(raw)
+
+
+@pytest.mark.parametrize(
+    "scenario, key, value",
+    [(1, "overbid_sigma", 0.3), (2, "overbid_sigma", 0.3), (1, "beta_shape", [3.0, 3.0]),
+     (3, "beta_shape", [3.0, 3.0])],
+)
+def test_config_rejects_auction_keys_another_scenario_reads(scenario, key, value):
+    raw = dict(BASE_CONFIG, scenario=scenario, auction={key: value})
+    with pytest.raises(ConfigError, match=f"auction.{key}"):
+        config_from_mapping(raw)
+
+
+def test_auction_block_overrides_scenario_defaults():
+    from structreg.harness import configured_study
+
+    config = run_config(scenario=3, auction={"M": 30, "overbid_sigma": 0.3})
+    _, (scenario,), _ = configured_study(config)
+    assert (scenario.overbid_sigma, scenario.M) == (0.3, 30)
+    config = run_config(scenario=2, auction={"beta_shape": [3.0, 4.0], "n_test": [31, 40]})
+    _, (scenario,), _ = configured_study(config)
+    assert scenario.beta_shape == (3.0, 4.0) and scenario.n_range_test == (31, 40)
+
+
+def test_readme_config_example_validates(tmp_path, capsys):
+    import re
+
+    from structreg.cli import main
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("### Config files", 1)[1]
+    example = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+    path = tmp_path / "run.yaml"
+    path.write_text(example)
+    assert main(["validate", "--config", str(path)]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "experiment, block, message",
+    [("entry-exit", {"entry_exit": {"t_total": 100, "t_train": 200}},
+      "t_train must be smaller than t_total"),
+     ("demand", {"demand": {"z_low": 5.0, "z_high": 1.0}}, "z interval is empty"),
+     ("auction", {"auction": {"n_train": [30, 5]}}, "run from low to high")],
+)
+def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, experiment, block, message):
+    from structreg.cli import main
+
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(
+        {"experiment": experiment, "scenario": 1, "trials": 1, "base_seed": 0, **block}
+    ))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert message in json.loads(capsys.readouterr().err.strip())["error"]
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert message in json.loads(capsys.readouterr().err.strip())["error"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from structreg.data import Dataset, DomainSpec, SeededRng
+from structreg.data import Dataset, DomainSpec
 from structreg.estimators import fit_ols
 from structreg.sre import (
     LinearFeatures,
@@ -22,23 +22,15 @@ from structreg.estimators import fit_polynomial
 
 
 class LineBenchmark(StructuralBenchmark):
-    """f(x) = a + b x with optional simulation noise."""
+    """f(x) = a + b x."""
 
-    identifier = "line"
-
-    def __init__(self, a, b, noise_sd=0.0):
-        self.a, self.b, self.noise_sd = a, b, noise_sd
+    def __init__(self, a, b):
+        self.a, self.b = a, b
 
     def implied_mean(self, x):
         x = np.asarray(x, dtype=float)
         x = x.ravel() if x.ndim <= 1 else x[:, 0]
         return self.a + self.b * x
-
-    def simulate(self, domain, size, rng):
-        gen = rng.generator()
-        x = gen.uniform(domain.lower[0], domain.upper[0], size=size)
-        y = self.implied_mean(x) + gen.normal(0.0, self.noise_sd, size=size)
-        return Dataset(x[:, None], y)
 
 
 def unit_penalty(k, grid=(1.0,)):
@@ -82,15 +74,10 @@ def test_fit_theta_m_auction_mean_projection_matches_quadrature_oracle():
     oracle = np.linalg.solve(gram, (V * weights[:, None]).T @ truth_fn(x))
 
     class WinningBidCurve(StructuralBenchmark):
-        identifier = "winning-bid"
-
         def implied_mean(self, rows):
             n = np.asarray(rows, dtype=float)
             n = n.ravel() if n.ndim <= 1 else n[:, 0]
             return truth_fn(n)
-
-        def simulate(self, domain, size, rng):
-            raise NotImplementedError
 
     fmap = PolynomialFeatures(5)
     theta = fit_theta_m(fmap, WinningBidCurve(), DomainSpec.interval(5, 50), size=1000)
@@ -319,11 +306,3 @@ def test_ate_rejects_out_of_range_index():
     fit = fit_ols(np.arange(10.0)[:, None], np.arange(10.0))
     with pytest.raises(IndexError):
         ate_from_fit(fit, 3)
-
-
-def test_benchmark_simulation_consistent_with_implied_mean():
-    bench = LineBenchmark(1.0, 2.0, noise_sd=0.5)
-    domain = DomainSpec.interval(2.0, 2.0)  # degenerate: simulate at x = 2
-    draws = bench.simulate(domain, 100_000, SeededRng(11))
-    se = 0.5 / np.sqrt(draws.n)
-    assert abs(draws.outcome.mean() - bench.implied_mean(2.0)) <= 4 * se

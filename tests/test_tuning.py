@@ -25,7 +25,7 @@ class LineFamily(BenchmarkFamily):
     def __init__(self, a, b):
         self.a, self.b = a, b
 
-    def estimate(self, data, rng):
+    def estimate(self, data):
         return LineBenchmark(self.a, self.b)
 
 
