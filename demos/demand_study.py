@@ -15,7 +15,7 @@ from structreg.demand import DemandParams, demand_experiment, simulate_markets
 from structreg.metrics import metrics_table
 
 # confounding, visibly: naive regression of price on quantity slopes upward
-scatter = simulate_markets(DemandParams(M=20_000), SeededRng(1))
+scatter = simulate_markets(DemandParams(lambda_markup=1.0, M=20_000), SeededRng(1))
 slope = np.polyfit(scatter.quantities, scatter.prices, 1)[0]
 print(f"naive price-on-quantity slope: {slope:+.3f} (true demand slope is -2)\n")
 

@@ -46,6 +46,7 @@ from .sre import (  # noqa: F401
     ate_from_fit,
     default_lambda_grid,
     fit_theta_m,
+    quadratic_path,
     sre_extremum,
     sre_gmm,
     sre_ridge,
@@ -54,6 +55,7 @@ from .tuning import (  # noqa: F401
     BenchmarkFamily,
     CvPlan,
     CvTrace,
+    RidgeFold,
     forward_cv,
     kfold_cv,
     rolling_cv,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, DomainSpec, SeededRng, partition_indices, standardize
+from .data import Dataset, DomainSpec, SeededRng, partition_indices
 from .estimators import LinearFit, SingularDesignError, fit_2sls, solve_least_squares
 from .sre import (
     PenaltySpec,
@@ -30,14 +30,18 @@ from .sre import (
     StructuralBenchmark,
     default_lambda_grid,
     fit_theta_m,
+    gmm_normal_equations,
+    quadratic_path,
     sre_gmm,
 )
-from .tuning import BenchmarkFamily, CvTrace, kfold_cv
+from .tuning import BenchmarkFamily, CvTrace, RidgeFold, kfold_cv, ridge_fold
 
 INSTRUMENT_POWERS = 5
 EVAL_GRID_POINTS = 100
 REFERENCE_MARKETS = 20_000
 CV_FOLDS = 5
+DAMPENED_MARKUP = 0.4
+_QUADRATIC = PolynomialFeatures(2)  # the regularized fit's demand curve
 _GRID_STREAM = 2**62  # reserved stream index; trials use small indices
 
 
@@ -48,14 +52,16 @@ class DemandParams:
     The shipped defaults keep every price and quantity positive, give the
     cost shifter enough sweep that a log-log fit of the linear curve is
     visibly misspecified, and make demand noise large enough that the naive
-    price-quantity scatter slopes upward under optimal pricing.
+    price-quantity scatter slopes upward under optimal pricing. The default
+    markup is the one the dampened-pricing scenarios use; the optimal-pricing
+    scenarios set it to 1 (see :func:`scenario_params`).
     """
 
     alpha: float = 260.0
     beta: float = 2.0
     a: float = 10.0
     b: float = 1.2
-    lambda_markup: float = 1.0
+    lambda_markup: float = DAMPENED_MARKUP
     z_low: float = 0.0
     z_high: float = 40.0
     eps_sd: float = 29.0
@@ -248,54 +254,47 @@ def projection_weight(Z: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GmmSreFit:
-    """Penalized moment fit of the quadratic demand curve.
+class GmmFold(RidgeFold):
+    """One training sample's penalized moment fit of the quadratic demand curve.
 
     ``theta`` multiplies ``(1, p_std, p_std^2)`` where the price powers are
-    standardized by ``fit.transform``. The training-sample projection weight
-    and the instrument rescaling constants are kept so held-out moments are
-    scored in the same basis.
+    standardized by ``transform``. The sample's instrument block, projection
+    weight and instrument rescaling constants are kept so held-out moments
+    are scored in the same basis.
     """
 
-    fit: SREFit
+    instruments: np.ndarray
     weight: np.ndarray
     z_center: float
     z_scale: float
 
-    def predict(self, inputs) -> np.ndarray:
-        return self.fit.predict(inputs)
+    def path(self, lambda_grid) -> np.ndarray:
+        G, b = gmm_normal_equations(self.design, self.instruments, self.outcome, self.weight)
+        return quadratic_path(G, b, self.penalty.weights, self.theta_m, lambda_grid)
+
+    def fit(self, lam: float) -> SREFit:
+        theta = sre_gmm(self.design, self.instruments, self.outcome, self.weight,
+                        self.theta_m, self.penalty, lam)
+        return SREFit(theta, self.transform, self.theta_m, lam, self.feature_map)
 
 
-def _gmm_sre_fitter(benchmark: DemandBenchmark, penalty: PenaltySpec,
-                    synthetic_domain: DomainSpec):
-    features = PolynomialFeatures(2)
-
-    def fitter(train: Dataset):
-        F = features.transform(train.inputs)
-        _, transform = standardize(Dataset(F, train.outcome))
-        theta_m = fit_theta_m(features, benchmark, synthetic_domain, transform=transform)
-        design = np.column_stack(
-            [np.ones(train.n), transform.transform_inputs(F)]
-        )
-        z = train.instruments[:, 0]
-        center, scale = float(z.mean()), float(z.std(ddof=0) or 1.0)
-        Z = instrument_basis(z, center, scale)
-        W = projection_weight(Z)
-
-        def solve(lam: float) -> GmmSreFit:
-            theta = sre_gmm(design, Z, train.outcome, W, theta_m, penalty, lam)
-            return GmmSreFit(SREFit(theta, transform, theta_m, lam, features), W, center, scale)
-
-        return solve
-
-    return fitter
+def _gmm_fold(train: Dataset, penalty: PenaltySpec, theta_m) -> GmmFold:
+    """The sample's :class:`GmmFold`; ``theta_m(transform)`` gives the
+    benchmark projection on the sample's standardization."""
+    ridge = ridge_fold(train, _QUADRATIC, penalty, theta_m)
+    z = train.instruments[:, 0]
+    center, scale = float(z.mean()), float(z.std(ddof=0) or 1.0)
+    Z = instrument_basis(z, center, scale)
+    return GmmFold(**vars(ridge), instruments=Z, weight=projection_weight(Z), z_center=center,
+                   z_scale=scale)
 
 
-def _gmm_scorer(model: GmmSreFit, val: Dataset) -> float:
-    resid = val.outcome - model.predict(val.inputs)
-    Z = instrument_basis(val.instruments[:, 0], model.z_center, model.z_scale)
+def _gmm_scorer(fold: GmmFold, thetas: np.ndarray, val: Dataset) -> np.ndarray:
+    """Held-out moment objective, with the training weight, of every path row."""
+    resid = val.outcome[:, None] - fold.predict(thetas, val.inputs)
+    Z = instrument_basis(val.instruments[:, 0], fold.z_center, fold.z_scale)
     m_bar = Z.T @ resid / val.n
-    return float(m_bar @ (model.weight @ m_bar))
+    return np.sum(m_bar * (fold.weight @ m_bar), axis=0)
 
 
 def sre_demand(
@@ -320,10 +319,14 @@ def sre_demand(
     )
     grid = default_lambda_grid(d2.n) if lambda_grid is None else np.asarray(lambda_grid, float)
     penalty = PenaltySpec(grid, np.array([0.0, 1.0, 1.0]))
-    fitter = _gmm_sre_fitter(benchmark, penalty, price_span)
+    final = _gmm_fold(d2, penalty, lambda transform: fit_theta_m(
+        _QUADRATIC, benchmark, price_span, transform=transform))
+
+    def fitter(train: Dataset) -> GmmFold:
+        return _gmm_fold(train, penalty, final.theta_m_in)
 
     trace = kfold_cv(fitter, _gmm_scorer, d2, grid, CV_FOLDS, rng.split(2))
-    fit = replace(fitter(d2)(trace.lambda_star).fit, cv="kfold", parts=(trace,))
+    fit = replace(final.fit(trace.lambda_star), cv="kfold", parts=(trace,))
     return fit, trace
 
 
@@ -333,7 +336,6 @@ SCENARIOS = {
     3: ("optimal", "loglog"),
     4: ("dampened", "loglog"),
 }
-DAMPENED_MARKUP = 0.4
 
 
 def scenario_params(index: int, params: DemandParams) -> tuple[DemandParams, str]:
@@ -374,7 +376,7 @@ def demand_experiment(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = rng if rng is not None else SeededRng(0)
-    params = params if params is not None else DemandParams(lambda_markup=DAMPENED_MARKUP)
+    params = params if params is not None else DemandParams()
     sim_params, rf_form = scenario_params(scenario, params)
     grid = evaluation_grid(sim_params, rng)
     truth = sim_params.alpha - sim_params.beta * grid

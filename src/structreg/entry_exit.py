@@ -23,17 +23,18 @@ probabilities, and the module's primary correctness oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .data import Dataset, SeededRng, standardize
+from .data import Dataset, SeededRng, StandardizeTransform
 from .estimators import (
     fit_arx,
     select_arx_order_aic,
     solve_least_squares,
 )
 from .sre import LinearFeatures, PenaltySpec, SREFit, default_lambda_grid
-from .tuning import ridge_stage, rolling_cv
+from .tuning import RidgeFold, ridge_fold, rolling_cv
 
 EULER_GAMMA = float(np.euler_gamma)
 VALUE_TOL = 1e-12
@@ -468,22 +469,10 @@ def arx_feature_rows(shares_with_initial: np.ndarray, R_path: np.ndarray,
     return Dataset(np.column_stack(cols), s[periods], time_index=periods)
 
 
-def _arx_sre_fitter(penalty: PenaltySpec, synthetic: Dataset):
-    """Second-stage fitter for series data: ARX features shrunk toward their
-    projection on synthetic benchmark panels, re-expressed in each training
-    window's standardization."""
-
-    def fitter(train: Dataset):
-        std, transform = standardize(Dataset(train.inputs, train.outcome))
-        syn = transform.transform_inputs(synthetic.inputs)
-        design_m = np.column_stack([np.ones(syn.shape[0]), syn])
-        theta_m = solve_least_squares(design_m, synthetic.outcome)
-        design = np.column_stack([np.ones(train.n), std.inputs])
-        return ridge_stage(
-            design, train.outcome, transform, theta_m, penalty, LinearFeatures(train.p)
-        )
-
-    return fitter
+def _synthetic_projection(synthetic: Dataset, transform: StandardizeTransform) -> np.ndarray:
+    """ARX coefficients of the synthetic benchmark rows over standardized features."""
+    syn = transform.transform_inputs(synthetic.inputs)
+    return solve_least_squares(np.column_stack([np.ones(syn.shape[0]), syn]), synthetic.outcome)
 
 
 SYNTHETIC_PANEL_REPLICAS = 10
@@ -495,7 +484,7 @@ def synthetic_arx_rows(
 ) -> Dataset:
     """Stacked ARX rows from simulated benchmark panels over the full horizon.
 
-    Simulated (rather than deterministic) occupancancy paths keep the lagged
+    Simulated (rather than deterministic) occupancy paths keep the lagged
     shares from collapsing onto the profit polynomial: on a noise-free path
     the two are collinear and the projection splits their roles arbitrarily,
     which makes a poor shrink target. Matching the second stage's firm count
@@ -526,7 +515,8 @@ def sre_entry_exit(
 
     The benchmark's synthetic panels cover the full horizon (the profit path
     is exogenous and known), so the shrink target encodes the model's
-    out-of-domain behavior.
+    out-of-domain behavior. It is projected once, on the whole training
+    sample's standardization, and each window re-expresses it on its own.
     """
     t_train = panel_second.t_total
     estimates = estimate_ccp_euler(panel_first, discount=discount)
@@ -537,10 +527,15 @@ def sre_entry_exit(
         panel_second.shares_with_initial(), R_path_full[:t_train], p, q
     )
     grid = default_lambda_grid(train.n) if lambda_grid is None else np.asarray(lambda_grid, float)
-    weights = np.concatenate([[0.0], np.ones(train.p)])
-    fitter = _arx_sre_fitter(PenaltySpec(grid, weights), synthetic)
+    penalty = PenaltySpec(grid, np.concatenate([[0.0], np.ones(train.p)]))
+    features = LinearFeatures(train.p)
+    final = ridge_fold(train, features, penalty, partial(_synthetic_projection, synthetic))
+
+    def fitter(window: Dataset) -> RidgeFold:
+        return ridge_fold(window, features, penalty, final.theta_m_in)
+
     trace = rolling_cv(train, fitter, grid, max(2, train.n // 5), horizon=1)
-    fit = replace(fitter(train)(trace.lambda_star), cv="rolling", parts=(trace,))
+    fit = replace(final.fit(trace.lambda_star), cv="rolling", parts=(trace,))
     return fit, benchmark
 
 

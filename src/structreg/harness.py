@@ -88,7 +88,7 @@ def configured_study(config: RunConfig):
             params, rpath = (_from_block(cls, config.entry_exit) for cls in (DdcParams, RPathSpec))
             regime = ENTRY_EXIT_REGIMES[config.scenario]
             return entry_exit_experiment, (regime, params), {"rpath": rpath}
-        params = _from_block(DemandParams, config.demand) if config.demand else None
+        params = _from_block(DemandParams, config.demand)
         return demand_experiment, (config.scenario,), {"params": params}
     except ValueError as exc:
         raise ConfigError(f"invalid {config.experiment} settings: {exc}") from exc
@@ -125,7 +125,9 @@ def run_monte_carlo(config: RunConfig) -> MonteCarloReport:
     if workers == 1:
         records, metadata = _run_slice(config, indices)
     else:
-        chunks = [tuple(chunk) for chunk in np.array_split(indices, workers) if len(chunk)]
+        # plain ints: numpy indices would reach the records and fail to serialize
+        chunks = [tuple(int(i) for i in chunk)
+                  for chunk in np.array_split(indices, workers) if len(chunk)]
         records, metadata = [], {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part_records, part_meta in pool.map(

@@ -16,6 +16,10 @@ convex combination ``theta = ols / (1 + lam) + lam * theta_m / (1 + lam)``,
 i.e. a weighted average of purely statistical and purely structural
 estimation. An intercept is left unpenalized by giving it weight zero; on a
 centered design it then equals the outcome mean at every ``lam``.
+
+Both are one quadratic in ``theta``, so :func:`quadratic_path` solves a whole
+grid of ``lam`` values from one eigendecomposition; cross-validation uses it,
+and the per-``lam`` solvers remain the reference for a single fit.
 """
 
 from __future__ import annotations
@@ -206,6 +210,91 @@ def fit_theta_m(
         raise SingularDesignError("singular feature Gram matrix") from exc
 
 
+class SingularPathError(SingularDesignError):
+    """The penalized system is numerically singular at grid point ``lam``."""
+
+    def __init__(self, lam: float):
+        super().__init__("singular penalized system")
+        self.lam = lam
+
+
+def _singular_floor(eigenvalues: np.ndarray) -> float:
+    """Eigenvalues at or below this are zero to working precision."""
+    if eigenvalues.size == 0:
+        return 0.0
+    return eigenvalues.size * np.finfo(float).eps * float(np.abs(eigenvalues).max())
+
+
+def quadratic_path(G, b, weights, theta_m, grid) -> np.ndarray:
+    """Every grid point's minimizer of ``t'G t - 2 b't + lam * sum_j w_j (t_j - theta_m_j)^2``.
+
+    ``G`` is the Gram matrix of the unpenalized quadratic (``X'X`` for least
+    squares, ``X'Z W Z'X`` for the moment objective) and ``b`` its linear term
+    (``X'y``, ``X'Z W Z'y``); row ``i`` of the result solves
+    ``(G + lam_i L) t = b + lam_i L theta_m``, the system :func:`sre_ridge`
+    and :func:`sre_gmm` solve for one ``lam``.
+
+    The zero-weight coordinates are eliminated by a Schur complement and the
+    others rescaled by ``sqrt(w)``, so the penalty becomes
+    ``lam * ||phi - phi_m||^2`` over a reduced system ``S phi = c``. One
+    eigendecomposition ``S = V D V'`` then gives every grid point as
+    ``phi(lam) = V (V'c + lam V'phi_m) / (D + lam)``, which tends to
+    ``phi_m`` as ``lam`` grows without cancellation.
+
+    Raises
+    ------
+    SingularPathError
+        At the first grid point where the penalized system is singular to
+        working precision (for example ``lam = 0`` with a rank-deficient
+        ``G``).
+
+    Returns
+    -------
+    ndarray of shape ``(len(grid), len(theta_m))``
+    """
+    G = np.asarray(G, dtype=float)
+    b = np.asarray(b, dtype=float).ravel()
+    w = np.asarray(weights, dtype=float).ravel()
+    theta_m = np.asarray(theta_m, dtype=float).ravel()
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    k = b.shape[0]
+    if G.shape != (k, k) or w.shape != (k,) or theta_m.shape != (k,):
+        raise PenaltyError("G, b, weights and theta_m must share one width")
+    if grid.ndim != 1 or grid.size == 0:
+        raise PenaltyError("lambda grid must be a nonempty vector")
+    if np.any(grid < 0.0) or not np.isfinite(grid).all():
+        raise PenaltyError("lambda grid must be nonnegative and finite")
+    if np.any(w < 0.0) or not np.isfinite(w).all():
+        raise PenaltyError("penalty weights must be nonnegative and finite")
+    if not (np.isfinite(G).all() and np.isfinite(b).all() and np.isfinite(theta_m).all()):
+        raise PenaltyError("G, b and theta_m must be finite")
+    free, pen = np.flatnonzero(w == 0.0), np.flatnonzero(w > 0.0)
+    root = np.sqrt(w[pen])
+    G_p = G[pen]
+    S, c = G_p[:, pen], b[pen]
+    if free.size:
+        # K = G_ff^{-1} [G_fp, b_f]: the free block given the penalized one
+        d_f, V_f = np.linalg.eigh(G[free][:, free])
+        if d_f[0] <= _singular_floor(d_f):
+            raise SingularPathError(float(grid[0]))
+        K = V_f @ ((V_f.T @ np.column_stack([G_p[:, free].T, b[free]])) / d_f[:, None])
+        S = S - G_p[:, free] @ K[:, :-1]
+        c = c - G_p[:, free] @ K[:, -1]
+    S = S / np.outer(root, root)
+    d, V = np.linalg.eigh(0.5 * (S + S.T))
+    denominators = d[None, :] + grid[:, None]
+    floor = _singular_floor(d) + d.size * np.finfo(float).eps * grid
+    singular = denominators.min(axis=1, initial=np.inf) <= floor
+    if singular.any():
+        raise SingularPathError(float(grid[np.argmax(singular)]))
+    numerators = (V.T @ (c / root))[None, :] + grid[:, None] * (V.T @ (root * theta_m[pen]))
+    theta = np.empty((grid.size, k))
+    theta[:, pen] = (numerators / denominators) @ V.T / root
+    if free.size:
+        theta[:, free] = K[:, -1] - theta[:, pen] @ K[:, :-1].T
+    return theta
+
+
 def _penalized_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     try:
         return scipy.linalg.solve(A, b, assume_a="sym")
@@ -247,19 +336,13 @@ def _check_weight_matrix(W: np.ndarray) -> np.ndarray:
     return 0.5 * (W + W.T)
 
 
-def sre_gmm(X, Z, y, W, theta_m, penalty: PenaltySpec, lam: float) -> np.ndarray:
-    """Closed-form penalized linear GMM with instrument moments.
-
-    Minimizes ``(y - X theta)' Z W Z' (y - X theta)`` plus the weighted
-    squared distance from ``theta_m``. At ``lam = 0`` with the projection
-    weight ``W = (Z'Z)^{-1}`` this is two-stage least squares.
-    """
-    if lam < 0.0:
-        raise PenaltyError("lambda must be nonnegative")
+def gmm_normal_equations(X, Z, y, W) -> tuple[np.ndarray, np.ndarray]:
+    """``(X'Z W Z'X, X'Z W Z'y)``: the quadratic and linear terms of the
+    moment objective ``(y - X theta)' Z W Z' (y - X theta)``, after checking
+    that ``W`` is a symmetric positive semi-definite weight for ``Z``."""
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
-    theta_m = np.asarray(theta_m, dtype=float).ravel()
     if X.ndim == 1:
         X = X[:, None]
     if Z.ndim == 1:
@@ -269,12 +352,26 @@ def sre_gmm(X, Z, y, W, theta_m, penalty: PenaltySpec, lam: float) -> np.ndarray
     W = _check_weight_matrix(W)
     if W.shape[0] != Z.shape[1]:
         raise PenaltyError("weight matrix width does not match instruments")
-    k = X.shape[1]
+    XZ = X.T @ Z
+    return XZ @ W @ XZ.T, XZ @ W @ (Z.T @ y)
+
+
+def sre_gmm(X, Z, y, W, theta_m, penalty: PenaltySpec, lam: float) -> np.ndarray:
+    """Closed-form penalized linear GMM with instrument moments.
+
+    Minimizes ``(y - X theta)' Z W Z' (y - X theta)`` plus the weighted
+    squared distance from ``theta_m``. At ``lam = 0`` with the projection
+    weight ``W = (Z'Z)^{-1}`` this is two-stage least squares.
+    """
+    if lam < 0.0:
+        raise PenaltyError("lambda must be nonnegative")
+    theta_m = np.asarray(theta_m, dtype=float).ravel()
+    G, b = gmm_normal_equations(X, Z, y, W)
+    k = G.shape[0]
     if theta_m.shape[0] != k or penalty.weights.shape[0] != k:
         raise PenaltyError("theta_m and penalty weights must match design width")
-    XZ = X.T @ Z
-    A = XZ @ W @ XZ.T + lam * np.diag(penalty.weights)
-    b = XZ @ W @ (Z.T @ y) + lam * (penalty.weights * theta_m)
+    A = G + lam * np.diag(penalty.weights)
+    b = b + lam * (penalty.weights * theta_m)
     return _penalized_solve(A, b)
 
 

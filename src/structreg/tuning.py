@@ -21,6 +21,7 @@ from .data import (
     Dataset,
     DomainSpec,
     SeededRng,
+    StandardizeTransform,
     forward_split,
     partition,
     partition_indices,
@@ -29,9 +30,11 @@ from .data import (
 from .sre import (
     FeatureMap,
     PenaltySpec,
+    SingularPathError,
     SREFit,
     StructuralBenchmark,
     fit_theta_m,
+    quadratic_path,
     sre_ridge,
 )
 
@@ -100,9 +103,10 @@ class CvTrace:
         return cls(kind, lambda_grid, mean_errors, star, fold_errors, rng)
 
 
-def squared_error_scorer(model, val: Dataset) -> float:
-    resid = val.outcome - model.predict(val.inputs)
-    return float(np.mean(resid**2))
+def squared_error_scorer(fold, thetas: np.ndarray, val: Dataset) -> np.ndarray:
+    """Held-out mean squared error of every coefficient row of a fold's path."""
+    resid = val.outcome[:, None] - fold.predict(thetas, val.inputs)
+    return np.mean(resid**2, axis=0)
 
 
 def _concat(parts: list[Dataset]) -> Dataset:
@@ -121,9 +125,10 @@ def _concat(parts: list[Dataset]) -> Dataset:
 def _cv_loop(kind, fitter, scorer, splits, lambda_grid, unit="fold", rng=None) -> CvTrace:
     """Score every grid point on every ``(train, val)`` split.
 
-    ``fitter(train)`` does the split's penalty-independent work once and
-    returns ``solve``; ``solve(lam)`` returns a model scored by
-    ``scorer(model, val)``.
+    ``fitter(train)`` prepares the split once and returns a fold whose
+    ``path(lambda_grid)`` holds one coefficient row per grid point;
+    ``scorer(fold, thetas, val)`` scores all rows at once. A singular or
+    non-finite path names the split and its first offending grid point.
     """
     lambda_grid = np.asarray(lambda_grid, float)
     if lambda_grid.size == 0:
@@ -131,17 +136,17 @@ def _cv_loop(kind, fitter, scorer, splits, lambda_grid, unit="fold", rng=None) -
     fold_errors = []
     for k, (train, val) in enumerate(splits):
         try:
-            solve = fitter(train)
+            fold = fitter(train)
+            thetas = fold.path(lambda_grid)
+        except SingularPathError as exc:
+            raise CvError(f"fitter failed on {unit} {k} at lambda={exc.lam}: {exc}") from exc
         except Exception as exc:
             raise CvError(f"fitter failed on {unit} {k}") from exc
-        row = []
-        for lam in lambda_grid:
-            try:
-                model = solve(float(lam))
-            except Exception as exc:
-                raise CvError(f"fitter failed on {unit} {k} at lambda={lam}") from exc
-            row.append(scorer(model, val))
-        fold_errors.append(row)
+        bad = ~np.isfinite(thetas).all(axis=1)
+        if bad.any():
+            lam = float(lambda_grid[np.argmax(bad)])
+            raise CvError(f"fitter failed on {unit} {k} at lambda={lam}: non-finite coefficients")
+        fold_errors.append(scorer(fold, thetas, val))
     return CvTrace.from_fold_errors(kind, lambda_grid, fold_errors, rng)
 
 
@@ -161,9 +166,11 @@ def kfold_cv(
 ) -> CvTrace:
     """Standard K-fold cross-validation over a penalty grid.
 
-    ``fitter(train)`` prepares a training fold once and returns ``solve``;
-    ``solve(lam)`` returns a model scored by ``scorer(model, val)``. The
-    reported error per grid point is the mean over held-out folds.
+    ``fitter(train)`` prepares a training fold once and returns a fold
+    object (for example :class:`RidgeFold`) whose ``path(lambda_grid)`` gives
+    one coefficient row per grid point; ``scorer(fold, thetas, val)`` returns
+    the held-out error of every row. The reported error per grid point is the
+    mean over held-out folds.
     """
     return _cv_loop("kfold", fitter, scorer, _kfold_splits(data, K, rng), lambda_grid, rng=rng)
 
@@ -184,8 +191,8 @@ def forward_cv(
     entirely; the far part is partitioned into K folds. Iteration k trains on
     the far part minus fold k and validates on fold k plus the whole
     near-target part, so every validation set contains the observations
-    closest to where the model will be applied. ``fitter(train)`` and
-    ``solve(lam)`` follow :func:`kfold_cv`.
+    closest to where the model will be applied. ``fitter(train)``, the
+    fold's ``path`` and ``scorer`` follow :func:`kfold_cv`.
     """
     s1, s2 = forward_split(sample, target, fraction)
     if s2.n == 0:
@@ -209,8 +216,9 @@ def rolling_cv(
     Every window origin fits on ``window_length`` consecutive observations
     and scores on the next ``horizon`` observations, so training never sees
     the future. Rows must carry a nondecreasing ``time_index``.
-    ``fitter(train)`` prepares a window once and returns ``solve``;
-    ``solve(lam)`` returns the model for one grid point.
+    ``fitter(train)`` prepares a window once and returns a fold whose
+    ``path(lambda_grid)`` solves every grid point at once; ``scorer`` follows
+    :func:`kfold_cv`.
     """
     if data.time_index is None:
         raise DataError("rolling cross-validation requires time-indexed data")
@@ -246,19 +254,54 @@ class BenchmarkFamily(abc.ABC):
         ...
 
 
-def ridge_stage(design, y, transform, theta_m, penalty: PenaltySpec, feature_map: FeatureMap):
-    """``solve(lam)`` for one prepared training sample.
+@dataclass(frozen=True)
+class RidgeFold:
+    """One training sample's penalized least-squares problem.
 
-    Everything but the ``sre_ridge`` call is fixed by the arguments, so a
-    cross-validation fold pays for standardization and the benchmark
-    projection once, not once per grid point.
+    ``design`` is ``(1, standardized features)`` of the sample and
+    ``theta_m`` the benchmark projection on the same scale. Cross-validation
+    takes every grid point from :meth:`path` at once; the final fit at the
+    chosen penalty is :meth:`fit`, the per-``lam`` closed form.
     """
 
-    def solve(lam: float) -> SREFit:
-        theta = sre_ridge(design, y, theta_m, penalty, lam)
-        return SREFit(theta, transform, theta_m, lam, feature_map)
+    design: np.ndarray
+    outcome: np.ndarray
+    transform: StandardizeTransform
+    theta_m: np.ndarray
+    penalty: PenaltySpec
+    feature_map: FeatureMap
 
-    return solve
+    def path(self, lambda_grid) -> np.ndarray:
+        """Coefficients at every grid point, one row each."""
+        X = self.design
+        return quadratic_path(X.T @ X, X.T @ self.outcome, self.penalty.weights, self.theta_m,
+                              lambda_grid)
+
+    def predict(self, thetas: np.ndarray, inputs) -> np.ndarray:
+        """Predictions at ``inputs``, one column per coefficient row."""
+        F = self.transform.transform_inputs(self.feature_map.transform(inputs))
+        return thetas[:, 0] + F @ thetas[:, 1:].T
+
+    def fit(self, lam: float) -> SREFit:
+        theta = sre_ridge(self.design, self.outcome, self.theta_m, self.penalty, lam)
+        return SREFit(theta, self.transform, self.theta_m, lam, self.feature_map)
+
+    def theta_m_in(self, transform: StandardizeTransform) -> np.ndarray:
+        """``theta_m`` over another standardization of the same features.
+
+        Standardization is affine, so this equals projecting the benchmark
+        afresh on that scale, without the projection.
+        """
+        return _express_in_transform(_to_raw(self.theta_m, self.transform), transform)
+
+
+def ridge_fold(train: Dataset, feature_map: FeatureMap, penalty: PenaltySpec,
+               theta_m) -> RidgeFold:
+    """The sample's :class:`RidgeFold` over its standardized expanded features;
+    ``theta_m(transform)`` gives the benchmark projection on that scale."""
+    std, transform = standardize(Dataset(feature_map.transform(train.inputs), train.outcome))
+    design = np.column_stack([np.ones(train.n), std.inputs])
+    return RidgeFold(design, train.outcome, transform, theta_m(transform), penalty, feature_map)
 
 
 @dataclass
@@ -267,9 +310,9 @@ class SreRidgeFitter:
 
     Calling ``fitter(train)`` standardizes the expanded features of the
     training sample and projects the benchmark's implied mean onto the same
-    standardized basis over ``synthetic_domain``; the returned ``solve(lam)``
-    solves the penalized least-squares problem. Pure in its inputs, so fold
-    evaluations can run in any order.
+    standardized basis over ``synthetic_domain``, returning the sample's
+    :class:`RidgeFold`. Pure in its inputs, so fold evaluations can run in any
+    order.
     """
 
     feature_map: FeatureMap
@@ -277,14 +320,12 @@ class SreRidgeFitter:
     penalty: PenaltySpec
     synthetic_domain: DomainSpec
 
-    def __call__(self, train: Dataset):
-        features = Dataset(self.feature_map.transform(train.inputs), train.outcome)
-        std, transform = standardize(features)
-        theta_m = fit_theta_m(self.feature_map, self.benchmark, self.synthetic_domain,
-                              transform=transform)
-        design = np.column_stack([np.ones(train.n), std.inputs])
-        return ridge_stage(design, train.outcome, transform, theta_m, self.penalty,
-                           self.feature_map)
+    def __call__(self, train: Dataset) -> RidgeFold:
+        return ridge_fold(train, self.feature_map, self.penalty, self._theta_m)
+
+    def _theta_m(self, transform: StandardizeTransform) -> np.ndarray:
+        return fit_theta_m(self.feature_map, self.benchmark, self.synthetic_domain,
+                           transform=transform)
 
 
 def _hull_with_target(data: Dataset, target: DomainSpec | None) -> DomainSpec:
@@ -299,15 +340,22 @@ def _hull_with_target(data: Dataset, target: DomainSpec | None) -> DomainSpec:
 def _orientation(est: Dataset, fit_half: Dataset, benchmark_family: BenchmarkFamily,
                  feature_map: FeatureMap, penalty: PenaltySpec, cv_plan: CvPlan,
                  synthetic_domain: DomainSpec, rng_cv: SeededRng) -> SREFit:
-    """Estimate the benchmark on ``est``; select and fit the penalty on ``fit_half``."""
+    """Estimate the benchmark on ``est``; select and fit the penalty on ``fit_half``.
+
+    The benchmark is projected once, on ``fit_half``'s standardization, and
+    each cross-validation fold re-expresses that projection on its own.
+    """
     try:
         benchmark = benchmark_family.estimate(est)
     except Exception as exc:
         raise StageError(f"structural stage failed: {exc}") from exc
-    fitter = SreRidgeFitter(feature_map, benchmark, penalty, synthetic_domain)
+    final = SreRidgeFitter(feature_map, benchmark, penalty, synthetic_domain)(fit_half)
+
+    def fitter(train: Dataset) -> RidgeFold:
+        return ridge_fold(train, feature_map, penalty, final.theta_m_in)
+
     trace = run_cv(cv_plan, fitter, fit_half, penalty.lambda_grid, rng_cv)
-    fit = fitter(fit_half)(trace.lambda_star)
-    return replace(fit, cv=cv_plan.kind, parts=(trace,))
+    return replace(final.fit(trace.lambda_star), cv=cv_plan.kind, parts=(trace,))
 
 
 def sre_sample_split(

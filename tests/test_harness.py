@@ -310,3 +310,53 @@ def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, experiment, blo
     assert message in json.loads(capsys.readouterr().err.strip())["error"]
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert message in json.loads(capsys.readouterr().err.strip())["error"]
+
+
+def _cli_outputs(config: dict, out: Path) -> dict:
+    """``structreg run`` of ``config`` into ``out``; the bytes of both CSVs."""
+    from structreg.cli import main
+
+    path = out.with_suffix(".json")
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    return {name: (out / name).read_bytes() for name in ("summary.csv", "curves.csv")}
+
+
+def test_partial_demand_block_starts_from_the_study_defaults(tmp_path):
+    # M is the default market count, so the block changes nothing; the
+    # dampened scenario must keep its dampened markup
+    run = {"experiment": "demand", "scenario": 2, "trials": 1, "base_seed": 0}
+    without = _cli_outputs(run, tmp_path / "without")
+    assert _cli_outputs({**run, "demand": {"M": 1000}}, tmp_path / "with") == without
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"experiment": "entry-exit", "scenario": 2, "trials": 2, "base_seed": 3,
+      "entry_exit": {"n_firms": 2000}},
+     {"experiment": "demand", "scenario": 4, "trials": 3, "base_seed": 3}],
+    ids=["entry-exit", "demand"],
+)
+def test_two_worker_pool_matches_sequential_bytes(tmp_path, monkeypatch, config):
+    monkeypatch.delenv("SRE_THREADS", raising=False)
+    sequential = _cli_outputs(config, tmp_path / "sequential")
+    monkeypatch.setenv("SRE_THREADS", "2")
+    assert _cli_outputs(config, tmp_path / "pooled") == sequential
+
+
+def test_failing_trial_in_worker_pool_is_named_and_writes_no_outputs(tmp_path, monkeypatch,
+                                                                      capsys):
+    from structreg.cli import main
+
+    # with this noise scale, trial 2 of seed 2 draws too many nonpositive
+    # quantities while trials 0 and 1 and the price grid's reference draw pass
+    config = {"experiment": "demand", "scenario": 1, "trials": 3, "base_seed": 2,
+              "demand": {"eps_sd": 52.0}}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    monkeypatch.setenv("SRE_THREADS", "2")
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert "trial 2 failed" in error and "nonpositive price or quantity" in error
+    assert not (out / "summary.csv").exists() and not (out / "curves.csv").exists()

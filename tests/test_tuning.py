@@ -41,6 +41,19 @@ class _RecordingFitter:
         return self.inner(train)
 
 
+class _FixedFold:
+    """A fold whose every grid point predicts ``predict(inputs)``."""
+
+    def __init__(self, predict):
+        self._predict = predict
+
+    def path(self, grid):
+        return np.zeros((len(grid), 1))
+
+    def predict(self, thetas, inputs):
+        return np.repeat(self._predict(inputs)[:, None], thetas.shape[0], axis=1)
+
+
 def _line_fitter(benchmark, domain, weights, grid):
     return SreRidgeFitter(
         PolynomialFeatures(1), benchmark, PenaltySpec(grid, weights), domain
@@ -111,9 +124,9 @@ def test_forward_cv_near_target_rows_always_validated_never_trained():
     fitter = _RecordingFitter(inner)
     captured_vals = []
 
-    def scorer(model, val):
+    def scorer(fold, thetas, val):
         captured_vals.append(val.inputs.copy())
-        return squared_error_scorer(model, val)
+        return squared_error_scorer(fold, thetas, val)
 
     forward_cv(data, 5, target, fitter, [0.0, 1.0], SeededRng(9), scorer=scorer)
     near = set(range(51, 61))  # ceil(60/6) = 10 nearest points
@@ -141,11 +154,10 @@ def test_rolling_cv_constant_series_zero_error_smallest_lambda():
         np.column_stack([np.ones(T)]), np.full(T, 0.3), time_index=np.arange(T)
     )
 
-    class ConstantModel:
-        def predict(self, inputs):
-            return np.full(inputs.shape[0], 0.3)
+    def constant(inputs):
+        return np.full(inputs.shape[0], 0.3)
 
-    trace = rolling_cv(data, lambda train: lambda lam: ConstantModel(), [0.0, 1.0, 2.0], 10, 1)
+    trace = rolling_cv(data, lambda train: _FixedFold(constant), [0.0, 1.0, 2.0], 10, 1)
     assert np.allclose(trace.mean_errors, 0.0)
     assert trace.lambda_star == 0.0
 
@@ -160,12 +172,7 @@ def test_rolling_cv_window_covering_all_but_last_is_single_holdout():
 
     def fitter(train):
         calls.append(train.n)
-
-        class M:
-            def predict(self, inputs):
-                return np.zeros(inputs.shape[0])
-
-        return lambda lam: M()
+        return _FixedFold(lambda inputs: np.zeros(inputs.shape[0]))
 
     trace = rolling_cv(data, fitter, [0.0], T - 1, 1)
     assert trace.fold_errors.shape[0] == 1
@@ -183,18 +190,13 @@ def test_rolling_cv_never_trains_on_future():
 
     def fitter(train):
         windows.append((train.time_index.min(), train.time_index.max()))
-
-        class M:
-            def predict(self, inputs):
-                return inputs[:, 0]
-
-        return lambda lam: M()
+        return _FixedFold(lambda inputs: inputs[:, 0])
 
     seen = []
 
-    def scorer(model, val):
+    def scorer(fold, thetas, val):
         seen.append(val.time_index.min())
-        return 0.0
+        return np.zeros(thetas.shape[0])
 
     rolling_cv(data, fitter, [1.0], 12, 1, scorer=scorer)
     for (lo, hi), val_min in zip(windows, seen):
