@@ -5,9 +5,10 @@ maximize ``(v - b) * P(win)``; the symmetric equilibrium strategy is::
 
     b(v) = v - (1 / F(v)^(n-1)) * integral_0^v F(x)^(n-1) dx
 
-which for uniform values reduces to ``b(v) = (n - 1) / n * v`` and makes the
-expected winning bid ``(n - 1) / (n + 1)`` (the winning bid is the bid of the
-highest value, whose mean is ``n / (n + 1)``).
+which for uniform values reduces to ``b(v) = (n - 1) / n * v``. By revenue
+equivalence the expected winning bid equals the expected second-highest
+value, ``integral_0^1 1 - F^n - n F^(n-1) (1 - F) dv``; for uniform values
+that is ``(n - 1) / (n + 1)``.
 
 Three data-generating scenarios share one structural model (uniform values,
 equilibrium bidding): uniform values, Beta(2, 5) values, and uniform values
@@ -24,9 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
-import scipy.interpolate
 import scipy.special
-import scipy.stats
 
 from .data import Dataset, DomainSpec, SeededRng
 from .estimators import fit_polynomial, select_degree_aic
@@ -103,10 +102,6 @@ class AuctionData:
         return Dataset(self.n_bidders.astype(float)[:, None], self.winning_bids)
 
 
-def _beta_dist(shape: tuple[float, float]):
-    return scipy.stats.beta(*shape)
-
-
 def _beta_logcdf(x, shape: tuple[float, float]) -> np.ndarray:
     # betainc underflows only below ~1e-154 for these shapes; the clip keeps
     # the log finite without touching any value a simulation can produce
@@ -175,25 +170,6 @@ def _beta_bid_batch(
     return out
 
 
-@functools.lru_cache(maxsize=256)
-def _beta_bid_interpolator(n: int, beta_shape: tuple[float, float], nodes: int = 161):
-    """Barycentric interpolant of the beta-value bid function on [0, 1].
-
-    The bid function is smooth on the closed interval, so Chebyshev-Lobatto
-    nodes give near machine-precision interpolation; used inside scalar
-    quadratures where batch evaluation does not apply. The barycentric
-    weights of these nodes have the closed form ``(-1)^j``, halved at both
-    ends; passing them keeps scipy from computing them in a random node
-    order, which would make the interpolant differ in the last bit between
-    processes.
-    """
-    grid = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, nodes)))
-    values = _beta_bid_batch(grid, n, beta_shape)
-    weights = (-1.0) ** np.arange(nodes)
-    weights[[0, -1]] *= 0.5
-    return scipy.interpolate.BarycentricInterpolator(grid, values, wi=weights)
-
-
 def _bid_vector(values: np.ndarray, n: int, scenario: AuctionScenario) -> np.ndarray:
     if scenario.value_dist == "uniform":
         return (n - 1) / n * values
@@ -238,17 +214,16 @@ def simulate_auctions(scenario: AuctionScenario, rng: SeededRng) -> AuctionData:
 
 @functools.lru_cache(maxsize=1024)
 def _beta_truth(n: int, beta_shape: tuple[float, float]) -> float:
-    # winning bid = bid of the maximum value, whose density is n F^{n-1} f
-    dist = _beta_dist(beta_shape)
-    interp = _beta_bid_interpolator(n, beta_shape)
-
-    def integrand(v):
-        return interp(v) * np.exp((n - 1) * _beta_logcdf(v, beta_shape) + dist.logpdf(v))
+    # revenue equivalence: the mean of the second-highest value, integrated
+    # from its survival function (see the module docstring)
+    def survival(v):
+        F = scipy.special.betainc(beta_shape[0], beta_shape[1], v)
+        return 1.0 - F**n - n * F ** (n - 1) * (1.0 - F)
 
     value, _ = scipy.integrate.quad(
-        integrand, 0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=200
+        survival, 0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=200
     )
-    return n * value
+    return value
 
 
 @functools.lru_cache(maxsize=8)
@@ -272,8 +247,8 @@ def _overbid_max_table(
         k = np.arange(size + 1) / size
         out = np.empty(ns.shape[0])
         for i, n in enumerate(ns):
-            w = k[1:] ** n - k[:-1] ** n
-            out[i] = w @ s
+            p = k**n
+            out[i] = (p[1:] - p[:-1]) @ s
         return out
 
     estimate = plugin(u)
@@ -301,10 +276,10 @@ def overbid_truth_with_se(scenario: AuctionScenario, n: int) -> tuple[float, flo
 def true_expected_winning_bid(scenario: AuctionScenario, n: int) -> float:
     """Expected winning bid under the scenario's true mechanism.
 
-    Uniform values: exact ``(n - 1) / (n + 1)``. Beta values: quadrature of
-    the winning bid against the maximum-value density. Overbidding: Monte
-    Carlo with a fixed internal seed (see :func:`overbid_truth_with_se` for
-    the standard error).
+    Uniform values: exact ``(n - 1) / (n + 1)``. Beta values: by revenue
+    equivalence, the expected second-highest value, one quadrature of its
+    survival function. Overbidding: Monte Carlo with a fixed internal seed
+    (see :func:`overbid_truth_with_se` for the standard error).
     """
     if n < 2:
         raise ValueError("need at least two bidders")

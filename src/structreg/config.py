@@ -7,6 +7,7 @@ keys) doubles as the reproducibility snapshot written next to results.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -105,6 +106,18 @@ class ConfigError(ValueError):
     pass
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """YAML 1.1 loader that also reads exponent-form floats such as ``1e12``,
+    which plain YAML 1.1 takes for strings."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated experiment configuration."""
@@ -196,7 +209,7 @@ def load_config(path: str | Path) -> RunConfig:
     """Read and validate a YAML or JSON config file."""
     text = Path(path).read_text()
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not isinstance(raw, dict):

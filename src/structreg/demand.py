@@ -34,7 +34,7 @@ from .sre import (
     quadratic_path,
     sre_gmm,
 )
-from .tuning import BenchmarkFamily, CvTrace, RidgeFold, kfold_cv, ridge_fold
+from .tuning import CvTrace, RidgeFold, kfold_cv, ridge_fold
 
 INSTRUMENT_POWERS = 5
 EVAL_GRID_POINTS = 100
@@ -216,14 +216,6 @@ def demand_benchmark(estimates: DemandEstimates) -> DemandBenchmark:
     return DemandBenchmark(estimates)
 
 
-class MonopolyPricingModel(BenchmarkFamily):
-    """Benchmark family: estimate the pricing system on a market sample."""
-
-    def estimate(self, data: Dataset) -> DemandBenchmark:
-        markets = MarketData(data.inputs[:, 0], data.outcome, data.instruments[:, 0])
-        return demand_benchmark(structural_estimate_demand(markets))
-
-
 def instrument_basis(
     z: np.ndarray,
     center: float = 0.0,
@@ -245,7 +237,13 @@ def instrument_basis(
 
 
 def projection_weight(Z: np.ndarray) -> np.ndarray:
-    """Two-stage-least-squares weight ``(Z'Z)^{-1}`` with a ridge-free inverse."""
+    """Two-stage-least-squares weight ``(Z'Z)^{-1}`` with a ridge-free inverse.
+
+    Fewer rows than instrument columns make the Gram matrix singular, which
+    an inverse in floating point may not detect, so that case raises directly.
+    """
+    if Z.shape[0] < Z.shape[1]:
+        raise SingularDesignError("singular instrument Gram matrix")
     gram = Z.T @ Z
     try:
         return np.linalg.inv(gram)
@@ -299,7 +297,6 @@ def _gmm_scorer(fold: GmmFold, thetas: np.ndarray, val: Dataset) -> np.ndarray:
 
 def sre_demand(
     data: MarketData,
-    benchmark_family: BenchmarkFamily,
     rng: SeededRng,
     lambda_grid=None,
 ) -> tuple[SREFit, CvTrace]:
@@ -310,10 +307,9 @@ def sre_demand(
     weighting, with the penalty chosen by ``CV_FOLDS``-fold cross-validation
     on the held-out moment objective (training-fold weight).
     """
-    dataset = data.to_dataset()
-    folds = partition_indices(dataset.n, 2, rng.split(0))
-    d1, d2 = dataset.subset(folds[0]), dataset.subset(folds[1])
-    benchmark = benchmark_family.estimate(d1)
+    folds = partition_indices(data.m, 2, rng.split(0))
+    benchmark = demand_benchmark(structural_estimate_demand(data.subset(folds[0])))
+    d2 = data.subset(folds[1]).to_dataset()
     price_span = DomainSpec.interval(
         float(data.prices.min()), float(data.prices.max())
     )
@@ -380,7 +376,6 @@ def demand_experiment(
     sim_params, rf_form = scenario_params(scenario, params)
     grid = evaluation_grid(sim_params, rng)
     truth = sim_params.alpha - sim_params.beta * grid
-    family = MonopolyPricingModel()
 
     records: list[tuple] = []
     for trial in range(trials) if trial_indices is None else trial_indices:
@@ -394,9 +389,7 @@ def demand_experiment(
                 estimates = structural_estimate_demand(data)
                 preds["structural"] = estimates.implied_demand(grid)
             if "sre" in estimators:
-                fit, _ = sre_demand(
-                    data, family, trial_rng.split(1), lambda_grid=lambda_grid
-                )
+                fit, _ = sre_demand(data, trial_rng.split(1), lambda_grid=lambda_grid)
                 preds["sre"] = fit.predict(grid[:, None])
         except Exception as exc:
             raise RuntimeError(f"trial {trial} failed: {exc}") from exc

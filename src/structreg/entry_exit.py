@@ -430,21 +430,10 @@ class DdcBenchmark:
         prev = np.asarray(prev_shares, dtype=float)
         return prev * self.ccps[idx, 1, 1] + (1.0 - prev) * self.ccps[idx, 0, 1]
 
-    def expected_path(self, initial_share: float = 0.5) -> np.ndarray:
-        """Deterministic occupancy path propagated from the initial mix."""
-        return _propagate_shares(self.ccps, initial_share)
-
     def simulate(self, rng: SeededRng, n_firms: int) -> MarketPanel:
         return simulate_market(
             "perfect_foresight", None, self.R_path, rng, n_firms, ccps=self.ccps
         )
-
-
-def expected_regime_path(
-    regime: str, params: DdcParams, R_path, initial_share: float = 0.5
-) -> np.ndarray:
-    """True expected occupancy path: exact regime CCPs propagated forward."""
-    return _propagate_shares(regime_ccps(regime, params, R_path), initial_share)
 
 
 SRE_ARX_ORDERS = (2, 4)
@@ -565,20 +554,18 @@ def entry_exit_experiment(
     rng = rng if rng is not None else SeededRng(0)
     rpath = rpath if rpath is not None else RPathSpec()
     T, T_train = params.t_total, params.t_train
-    half = replace(params, n_firms=params.n_firms // 2)
 
     records: list[tuple] = []
     for trial in range(trials) if trial_indices is None else trial_indices:
         trial_rng = rng.stream(trial)
         try:
             R_path = draw_profit_path(rpath, T, trial_rng.split(0))
-            truth = expected_regime_path(regime, params, R_path)
             regime_p = regime_ccps(regime, params, R_path)
-            panel_a = simulate_market(
-                regime, half, R_path, trial_rng.split(1), ccps=regime_p
-            )
-            panel_b = simulate_market(
-                regime, half, R_path, trial_rng.split(2), ccps=regime_p
+            truth = _propagate_shares(regime_p, 0.5)
+            panel_a, panel_b = (
+                simulate_market(regime, params, R_path, trial_rng.split(half),
+                                params.n_firms // 2, ccps=regime_p)
+                for half in (1, 2)
             )
             panel = merge_panels(panel_a, panel_b)
             shares_full = panel.shares_with_initial()

@@ -141,7 +141,7 @@ def _cv_loop(kind, fitter, scorer, splits, lambda_grid, unit="fold", rng=None) -
         except SingularPathError as exc:
             raise CvError(f"fitter failed on {unit} {k} at lambda={exc.lam}: {exc}") from exc
         except Exception as exc:
-            raise CvError(f"fitter failed on {unit} {k}") from exc
+            raise CvError(f"fitter failed on {unit} {k}: {exc}") from exc
         bad = ~np.isfinite(thetas).all(axis=1)
         if bad.any():
             lam = float(lambda_grid[np.argmax(bad)])

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.special
+import scipy.stats
 
 from structreg.auction import (
     AuctionScenario,
     UniformIpvBenchmark,
     _beta_bid_batch,
-    _beta_bid_interpolator,
+    _beta_truth,
     auction_experiment,
     equilibrium_bid,
     overbid_truth_with_se,
@@ -218,14 +221,20 @@ def test_auction_experiment_out_of_domain_blows_up_statistical_fit():
     assert table[("statistical", "out")].mse >= 10.0 * table[("statistical", "in")].mse
 
 
-def test_beta_bid_interpolator_is_deterministic():
-    # two uncached builds must agree to the last bit, so auction truth values
-    # do not depend on the process that computed them
-    a = _beta_bid_interpolator.__wrapped__(12, (2.0, 5.0))
-    b = _beta_bid_interpolator.__wrapped__(12, (2.0, 5.0))
-    assert np.array_equal(a.wi, b.wi)
-    v = np.linspace(0.0, 1.0, 1001)
-    assert np.array_equal(a(v), b(v))
+@pytest.mark.parametrize("shape", [(2.0, 5.0), (2.5, 4.0), (0.7, 1.5)])
+@pytest.mark.parametrize("n", [2, 5, 30])
+def test_beta_truth_matches_the_bid_function_by_revenue_equivalence(n, shape):
+    # the winning bid is the equilibrium bid of the highest of n values,
+    # whose density is n F^{n-1} f
+    density = scipy.stats.beta(*shape).pdf
+
+    def winning_bid(v):
+        F = scipy.special.betainc(*shape, v)
+        return equilibrium_bid(v, n, "beta", shape) * n * F ** (n - 1) * density(v)
+
+    oracle, _ = scipy.integrate.quad(winning_bid, 0.0, 1.0, epsabs=1e-11, epsrel=1e-11,
+                                     limit=200)
+    assert _beta_truth(n, shape) == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 def test_auction_experiment_names_the_failing_trial(monkeypatch):

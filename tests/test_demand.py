@@ -6,7 +6,6 @@ from structreg.data import SeededRng
 from structreg.demand import (
     DemandParams,
     MarketData,
-    MonopolyPricingModel,
     demand_benchmark,
     demand_experiment,
     evaluation_grid,
@@ -18,7 +17,7 @@ from structreg.demand import (
     sre_demand,
     structural_estimate_demand,
 )
-from structreg.estimators import fit_2sls
+from structreg.estimators import SingularDesignError, fit_2sls
 from structreg.metrics import metrics_table
 from structreg.sre import PenaltySpec, fit_theta_m, sre_gmm, PolynomialFeatures
 from structreg.data import DomainSpec
@@ -161,7 +160,7 @@ def test_sre_demand_lambda_zero_grid_reduces_to_quadratic_iv():
     params = DemandParams(lambda_markup=1.0, M=600)
     data = simulate_markets(params, SeededRng(11))
     rng = SeededRng(12)
-    fit, trace = sre_demand(data, MonopolyPricingModel(), rng, lambda_grid=[0.0])
+    fit, trace = sre_demand(data, rng, lambda_grid=[0.0])
     assert trace.lambda_star == 0.0
     # reproduce the unpenalized quadratic moment fit on the same half
     from structreg.data import partition_indices, standardize, Dataset
@@ -189,7 +188,7 @@ def test_sre_demand_negative_derivative_majority():
     trials = 12
     for trial in range(trials):
         data = simulate_markets(params, SeededRng(13).stream(trial))
-        fit, _ = sre_demand(data, MonopolyPricingModel(), SeededRng(13).stream(trial).split(1))
+        fit, _ = sre_demand(data, SeededRng(13).stream(trial).split(1))
         slopes = fit.derivative(grid[:, None])
         negatives += bool(np.all(slopes < 0.0))
     assert negatives >= 0.95 * trials
@@ -225,3 +224,22 @@ def test_demand_experiment_grid_shared_and_deterministic():
     assert len(meta_a["grid"]) == 100
     xs = sorted({r[3] for r in records_a})
     assert xs == sorted(meta_a["grid"])
+
+
+@pytest.mark.parametrize("z", [[3.0, 11.0, 27.0, 35.0], [2.0, 9.0, 17.0, 30.0, 38.0]])
+def test_projection_weight_rejects_fewer_rows_than_instruments(z):
+    # a floating-point inverse of these rank-deficient Gram matrices need not fail
+    z = np.asarray(z)
+    Z = instrument_basis(z, z.mean(), z.std())
+    with pytest.raises(SingularDesignError, match="singular instrument Gram matrix"):
+        projection_weight(Z)
+
+
+def test_demand_trial_with_too_few_markets_per_fold_names_the_cause():
+    # 12 markets leave 6 for the moment fit and 4-5 per training fold,
+    # fewer than the 6 instrument columns
+    with pytest.raises(
+        RuntimeError,
+        match="trial 0 failed: fitter failed on fold 0: singular instrument Gram matrix",
+    ):
+        demand_experiment(1, DemandParams(M=12), trials=1, rng=SeededRng(0))

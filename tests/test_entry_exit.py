@@ -9,13 +9,13 @@ from structreg.entry_exit import (
     InsufficientTransitionsError,
     PayoffParams,
     RPathSpec,
+    _propagate_shares,
     arx_feature_rows,
     draw_profit_path,
     entry_exit_experiment,
     estimate_ccp_euler,
     estimate_ccp_euler_from_ccps,
     euler_residuals,
-    expected_regime_path,
     flow_payoffs,
     merge_panels,
     myopic_ccp,
@@ -211,7 +211,7 @@ def test_benchmark_half_ccps_propagate_to_half():
     T = 20
     ccps = np.full((T, 2, 2), 0.5)
     bench = DdcBenchmark(0.0, 0.0, 0.0, 0.9, np.zeros(T), ccps)
-    path = bench.expected_path(0.1)
+    path = _propagate_shares(bench.ccps, 0.1)
     assert np.allclose(path, 0.5)
 
 
@@ -226,7 +226,7 @@ def test_expected_regime_path_tracks_large_simulation():
     params = small_params(n_firms=200_000)
     R = draw_profit_path(RPathSpec(), params.t_total, SeededRng(20))
     for regime in ("perfect_foresight", "adaptive", "myopic"):
-        truth = expected_regime_path(regime, params, R)
+        truth = _propagate_shares(regime_ccps(regime, params, R), 0.5)
         panel = simulate_market(regime, params, R, SeededRng(21))
         assert np.abs(panel.shares - truth).max() <= 0.02
 
@@ -280,3 +280,32 @@ def test_merge_panels_adds_counts():
     merged = merge_panels(a, b)
     assert merged.n_firms == 200
     assert np.array_equal(merged.counts, a.counts + b.counts)
+
+
+def test_entry_exit_experiment_solves_each_regime_once_per_trial(monkeypatch):
+    import structreg.entry_exit as entry_exit
+
+    calls = []
+    real = entry_exit.regime_ccps
+
+    def counting(regime, params, R_path):
+        calls.append(regime)
+        return real(regime, params, R_path)
+
+    monkeypatch.setattr(entry_exit, "regime_ccps", counting)
+    entry_exit_experiment(
+        "adaptive", small_params(n_firms=400), trials=3, rng=SeededRng(29),
+        lambda_grid=[0.0, 1.0],
+    )
+    assert calls == ["adaptive"] * 3
+
+
+@pytest.mark.parametrize("n_firms", [2, 3])
+def test_entry_exit_experiment_accepts_the_smallest_firm_counts(n_firms):
+    # the two half-panels of one firm each are valid; the estimators then
+    # fail on the trial's data, not on the parameters
+    with pytest.raises(RuntimeError, match="trial 0 failed: insufficient transitions"):
+        entry_exit_experiment(
+            "myopic", DdcParams(n_firms=n_firms), trials=1, rng=SeededRng(30),
+            estimators=("structural",),
+        )

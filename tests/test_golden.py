@@ -19,8 +19,10 @@ Regenerate them only for a change that is meant to move the numbers, and say
 why in CHANGES.md.
 """
 
+import csv
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from structreg.cli import main
@@ -32,9 +34,50 @@ CASES = [
 ]
 
 
+def describe_difference(got: str, expected: str) -> str:
+    """The first differing line of two CSV texts and, when both have the same
+    header and row count, the largest relative difference of each numeric
+    column (``inf`` where only one side is NaN)."""
+    new, old = got.splitlines(), expected.splitlines()
+    i = next((i for i, (a, b) in enumerate(zip(new, old)) if a != b), min(len(new), len(old)))
+    lines = [f"first difference at line {i + 1}:",
+             f"  got      {new[i] if i < len(new) else '<end of file>'}",
+             f"  expected {old[i] if i < len(old) else '<end of file>'}"]
+    if len(new) != len(old) or new[:1] != old[:1]:
+        return "\n".join(lines + [f"{len(new)} lines against {len(old)} expected"])
+    rows_new, rows_old = list(csv.reader(new[1:])), list(csv.reader(old[1:]))
+    for j, column in enumerate(next(csv.reader(old[:1]))):
+        try:
+            a = np.array([float(row[j]) for row in rows_new])
+            b = np.array([float(row[j]) for row in rows_old])
+        except ValueError:
+            continue
+        same = (a == b) | (np.isnan(a) & np.isnan(b))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rel = np.where(same, 0.0, np.abs(a - b) / np.abs(b))
+        lines.append(f"  {column}: largest relative difference "
+                     f"{np.nan_to_num(rel, nan=np.inf).max(initial=0.0):.3g}")
+    return "\n".join(lines)
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_outputs_match_golden_bytes(tmp_path, case):
     assert main(["run", "--config", str(GOLDEN / case / "config.yaml"),
                  "--out", str(tmp_path)]) == 0
     for name in ("summary.csv", "curves.csv"):
-        assert (tmp_path / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
+        got, expected = (tmp_path / name).read_bytes(), (GOLDEN / case / name).read_bytes()
+        assert got == expected, f"{name}\n" + describe_difference(got.decode(), expected.decode())
+
+
+def test_describe_difference_names_the_line_and_the_column_bounds():
+    expected = "x,truth,label\n1,0.5,a\n2,nan,b\n3,4.0,c\n"
+    got = "x,truth,label\n1,0.5,a\n2,nan,b\n3,4.000000002,c\n"
+    assert describe_difference(got, expected).splitlines() == [
+        "first difference at line 4:",
+        "  got      3,4.000000002,c",
+        "  expected 3,4.0,c",
+        "  x: largest relative difference 0",
+        "  truth: largest relative difference 5e-10",
+    ]
+    assert describe_difference("x\n1\n", "x\n1\n2\n").splitlines()[1:] == [
+        "  got      <end of file>", "  expected 2", "2 lines against 3 expected"]

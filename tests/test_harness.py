@@ -113,6 +113,18 @@ def test_config_validates_scenario_and_estimators():
         config_from_mapping(bad)
 
 
+def test_config_reads_exponent_form_floats(tmp_path):
+    # plain YAML 1.1 reads these as strings
+    path = tmp_path / "run.yaml"
+    path.write_text(
+        "experiment: auction\nscenario: 3\ntrials: 1\nbase_seed: 0\n"
+        "lambda_grid: [0, 1E4, 1.0e8, 1e12]\nauction: {overbid_sigma: 5e-1}\n"
+    )
+    cfg = load_config(path)
+    assert cfg.lambda_grid == (0, 1e4, 1e8, 1e12)
+    assert cfg.auction == {"overbid_sigma": 0.5}
+
+
 def test_config_yaml_roundtrip(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text(
