@@ -563,9 +563,9 @@ def entry_exit_experiment(
             regime_p = regime_ccps(regime, params, R_path)
             truth = _propagate_shares(regime_p, 0.5)
             panel_a, panel_b = (
-                simulate_market(regime, params, R_path, trial_rng.split(half),
+                simulate_market(regime, params, R_path, trial_rng.split(stream),
                                 params.n_firms // 2, ccps=regime_p)
-                for half in (1, 2)
+                for stream in (1, 2)
             )
             panel = merge_panels(panel_a, panel_b)
             shares_full = panel.shares_with_initial()

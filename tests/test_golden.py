@@ -6,8 +6,11 @@ first three cases use each study's defaults and were made before the
 second-stage protocol was refactored; the ``*-all-keys`` cases set every key
 of their study's config block (auction also ``cv.K`` and ``lambda_grid``) and
 were made before the config-to-study mapping was rewritten, so they pin that
-mapping. A change that should leave results alone must reproduce both files
-byte for byte. The files were made, from the repository root, with::
+mapping. ``auction-2-all-keys`` was regenerated when the beta truth became
+the revenue-equivalence quadrature, which moved its ``truth`` column by at
+most 5.6e-16 relative, and with it the aggregates. A change that should leave
+results alone must reproduce both files byte for byte. The files were made,
+from the repository root, with::
 
     for case in auction-1 demand-4 entry-exit-2 \\
                 auction-2-all-keys demand-2-all-keys entry-exit-1-all-keys; do
