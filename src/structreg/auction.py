@@ -62,6 +62,10 @@ class AuctionScenario:
         if self.overbid_sigma is not None and self.value_dist != "uniform":
             # the overbid truth table draws uniform values
             raise ValueError("overbidding is modelled for uniform values only")
+        if self.overbid_sigma is not None and not 0.0 <= self.overbid_sigma < np.inf:
+            raise ValueError("overbid_sigma must be nonnegative and finite")
+        if not all(0.0 < a < np.inf for a in self.beta_shape):
+            raise ValueError("beta_shape entries must be positive and finite")
         if self.M < 1:
             raise ValueError("M must be >= 1")
         if min(self.n_range_train) < 2 or min(self.n_range_test) < 2:
@@ -170,12 +174,6 @@ def _beta_bid_batch(
     return out
 
 
-def _bid_vector(values: np.ndarray, n: int, scenario: AuctionScenario) -> np.ndarray:
-    if scenario.value_dist == "uniform":
-        return (n - 1) / n * values
-    return _beta_bid_batch(values, n, scenario.beta_shape)
-
-
 def simulate_auctions(scenario: AuctionScenario, rng: SeededRng) -> AuctionData:
     """Simulate M auctions with bidder counts uniform on the training range.
 
@@ -192,18 +190,19 @@ def simulate_auctions(scenario: AuctionScenario, rng: SeededRng) -> AuctionData:
             values.append(gen.uniform(0.0, 1.0, size=n))
         else:
             values.append(gen.beta(*scenario.beta_shape, size=n))
-    if scenario.value_dist == "uniform":
-        bids = [_bid_vector(v, int(n), scenario) for v, n in zip(values, n_bidders)]
-    else:
-        # one quadrature batch per distinct bidder count
-        bids = [None] * scenario.M
-        for n in np.unique(n_bidders):
-            where = np.flatnonzero(n_bidders == n)
-            flat = _bid_vector(np.concatenate([values[m] for m in where]), int(n), scenario)
-            offset = 0
-            for m in where:
-                bids[m] = flat[offset : offset + n]
-                offset += n
+    # one batch per distinct bidder count (one quadrature pass for beta values)
+    bids = [None] * scenario.M
+    for n in map(int, np.unique(n_bidders)):
+        where = np.flatnonzero(n_bidders == n)
+        flat = np.concatenate([values[m] for m in where])
+        if scenario.value_dist == "uniform":
+            flat = (n - 1) / n * flat
+        else:
+            flat = _beta_bid_batch(flat, n, scenario.beta_shape)
+        offset = 0
+        for m in where:
+            bids[m] = flat[offset : offset + n]
+            offset += n
     if scenario.overbid_sigma is not None:
         bids = [
             b * np.abs(gen.normal(0.0, scenario.overbid_sigma, size=b.shape[0]))

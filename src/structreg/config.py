@@ -7,6 +7,7 @@ keys) doubles as the reproducibility snapshot written next to results.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -102,6 +103,10 @@ CONFIG_SCHEMA = {
 }
 
 
+# built once: jsonschema.validate would re-check the schema itself on every call
+_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 class ConfigError(ValueError):
     pass
 
@@ -154,15 +159,26 @@ class RunConfig:
         return out
 
 
+def _non_finite_paths(value, path: str = ""):
+    """Key paths of the non-finite numbers (YAML ``.inf``, ``.nan``) in a parsed config."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield path
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _non_finite_paths(item, f"{path}.{key}" if path else str(key))
+
+
 def validate_mapping(raw: dict) -> None:
     """Schema-check a raw config mapping; errors name the offending key."""
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        if exc.validator == "additionalProperties":
-            raise ConfigError(f"unknown config key: {exc.message}") from exc
-        path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"invalid config value at {path}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        if error.validator == "additionalProperties":
+            raise ConfigError(f"unknown config key: {error.message}") from error
+        path = ".".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"invalid config value at {path}: {error.message}") from error
+    path = next(_non_finite_paths(raw), None)
+    if path is not None:
+        raise ConfigError(f"invalid config value at {path}: must be finite")
     experiment = raw["experiment"]
     if raw["scenario"] not in SCENARIO_CHOICES[experiment]:
         raise ConfigError(

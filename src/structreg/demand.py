@@ -34,7 +34,7 @@ from .sre import (
     quadratic_path,
     sre_gmm,
 )
-from .tuning import CvTrace, RidgeFold, kfold_cv, ridge_fold
+from .tuning import RidgeFold, kfold_cv, ridge_fold
 
 INSTRUMENT_POWERS = 5
 EVAL_GRID_POINTS = 100
@@ -266,14 +266,18 @@ class GmmFold(RidgeFold):
     z_center: float
     z_scale: float
 
+    def refold(self, train: Dataset) -> "GmmFold":
+        """The same problem on another sample, with that sample's own
+        standardization, instrument block and projection weight."""
+        return _gmm_fold(train, self.penalty, self.theta_m_in)
+
     def path(self, lambda_grid) -> np.ndarray:
         G, b = gmm_normal_equations(self.design, self.instruments, self.outcome, self.weight)
         return quadratic_path(G, b, self.penalty.weights, self.theta_m, lambda_grid)
 
-    def fit(self, lam: float) -> SREFit:
-        theta = sre_gmm(self.design, self.instruments, self.outcome, self.weight,
-                        self.theta_m, self.penalty, lam)
-        return SREFit(theta, self.transform, self.theta_m, lam, self.feature_map)
+    def solve(self, lam: float) -> np.ndarray:
+        return sre_gmm(self.design, self.instruments, self.outcome, self.weight,
+                       self.theta_m, self.penalty, lam)
 
 
 def _gmm_fold(train: Dataset, penalty: PenaltySpec, theta_m) -> GmmFold:
@@ -299,13 +303,14 @@ def sre_demand(
     data: MarketData,
     rng: SeededRng,
     lambda_grid=None,
-) -> tuple[SREFit, CvTrace]:
+) -> SREFit:
     """Two-stage moment-penalized demand fit with sample splitting.
 
     Half the markets estimate the pricing model; the other half carry the
     quadratic moment fit with instruments ``(1, z, ..., z^5)`` and projection
     weighting, with the penalty chosen by ``CV_FOLDS``-fold cross-validation
-    on the held-out moment objective (training-fold weight).
+    on the held-out moment objective (training-fold weight). The
+    cross-validation trace is ``fit.parts[0]``.
     """
     folds = partition_indices(data.m, 2, rng.split(0))
     benchmark = demand_benchmark(structural_estimate_demand(data.subset(folds[0])))
@@ -317,13 +322,7 @@ def sre_demand(
     penalty = PenaltySpec(grid, np.array([0.0, 1.0, 1.0]))
     final = _gmm_fold(d2, penalty, lambda transform: fit_theta_m(
         _QUADRATIC, benchmark, price_span, transform=transform))
-
-    def fitter(train: Dataset) -> GmmFold:
-        return _gmm_fold(train, penalty, final.theta_m_in)
-
-    trace = kfold_cv(fitter, _gmm_scorer, d2, grid, CV_FOLDS, rng.split(2))
-    fit = replace(final.fit(trace.lambda_star), cv="kfold", parts=(trace,))
-    return fit, trace
+    return final.fit(kfold_cv(final.refold, _gmm_scorer, d2, grid, CV_FOLDS, rng.split(2)))
 
 
 SCENARIOS = {
@@ -389,7 +388,7 @@ def demand_experiment(
                 estimates = structural_estimate_demand(data)
                 preds["structural"] = estimates.implied_demand(grid)
             if "sre" in estimators:
-                fit, _ = sre_demand(data, trial_rng.split(1), lambda_grid=lambda_grid)
+                fit = sre_demand(data, trial_rng.split(1), lambda_grid=lambda_grid)
                 preds["sre"] = fit.predict(grid[:, None])
         except Exception as exc:
             raise RuntimeError(f"trial {trial} failed: {exc}") from exc

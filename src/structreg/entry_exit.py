@@ -22,7 +22,7 @@ probabilities, and the module's primary correctness oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -34,7 +34,7 @@ from .estimators import (
     solve_least_squares,
 )
 from .sre import LinearFeatures, PenaltySpec, SREFit, default_lambda_grid
-from .tuning import RidgeFold, ridge_fold, rolling_cv
+from .tuning import ridge_fold, rolling_cv
 
 EULER_GAMMA = float(np.euler_gamma)
 VALUE_TOL = 1e-12
@@ -372,21 +372,19 @@ def estimate_ccp_euler_from_ccps(
     return float(theta[0]), float(theta[1]), float(theta[2])
 
 
-def estimate_ccp_euler(
-    panel: MarketPanel, R_path=None, discount: float = 0.9
-) -> tuple[float, float, float]:
-    """Estimate ``(mu, alpha, c)`` from a simulated panel, discount known.
+def estimate_ccp_euler(panel: MarketPanel, discount: float) -> tuple[float, float, float]:
+    """Estimate ``(mu, alpha, c)`` from a simulated panel and its profit path,
+    discount known.
 
     Observed transition frequencies are clamped to ``[1/(2N), 1 - 1/(2N)]``
     before logs as a finite-sample continuity correction; periods with an
     empty state are skipped.
     """
-    R_path = panel.R_path if R_path is None else np.asarray(R_path, float)
     eps = 1.0 / (2.0 * panel.n_firms)
     p_hat = panel.ccp_hat()
     clamped = np.clip(p_hat, eps, 1.0 - eps)
     clamped = np.where(np.isnan(p_hat), np.nan, clamped)
-    return estimate_ccp_euler_from_ccps(clamped, R_path, discount)
+    return estimate_ccp_euler_from_ccps(clamped, panel.R_path, discount)
 
 
 def _propagate_shares(ccps: np.ndarray, initial_share: float) -> np.ndarray:
@@ -497,7 +495,7 @@ def sre_entry_exit(
     R_path_full: np.ndarray,
     rng: SeededRng,
     lambda_grid=None,
-) -> tuple[SREFit, DdcBenchmark]:
+) -> SREFit:
     """Sample-split series fit: structural stage on one half-panel of firms,
     penalized ARX stage with rolling-window penalty selection on the other
     (windows of a fifth of the training rows, one-step-ahead validation).
@@ -506,6 +504,7 @@ def sre_entry_exit(
     is exogenous and known), so the shrink target encodes the model's
     out-of-domain behavior. It is projected once, on the whole training
     sample's standardization, and each window re-expresses it on its own.
+    The rolling cross-validation trace is ``fit.parts[0]``.
     """
     t_train = panel_second.t_total
     estimates = estimate_ccp_euler(panel_first, discount=discount)
@@ -519,13 +518,7 @@ def sre_entry_exit(
     penalty = PenaltySpec(grid, np.concatenate([[0.0], np.ones(train.p)]))
     features = LinearFeatures(train.p)
     final = ridge_fold(train, features, penalty, partial(_synthetic_projection, synthetic))
-
-    def fitter(window: Dataset) -> RidgeFold:
-        return ridge_fold(window, features, penalty, final.theta_m_in)
-
-    trace = rolling_cv(train, fitter, grid, max(2, train.n // 5), horizon=1)
-    fit = replace(final.fit(trace.lambda_star), cv="rolling", parts=(trace,))
-    return fit, benchmark
+    return final.fit(rolling_cv(train, final.refold, grid, max(2, train.n // 5), horizon=1))
 
 
 def entry_exit_experiment(
@@ -590,13 +583,11 @@ def entry_exit_experiment(
                 ) + arx.intercept
                 preds["statistical"] = full[1:]
             if "structural" in estimators:
-                est = estimate_ccp_euler(
-                    panel.truncate(T_train), R_path[:T_train], params.discount
-                )
+                est = estimate_ccp_euler(panel.truncate(T_train), params.discount)
                 bench_full = DdcBenchmark.from_estimates(est, params.discount, R_path)
                 preds["structural"] = bench_full.step_shares(prev_share, periods)
             if "sre" in estimators:
-                sre_fit, _ = sre_entry_exit(
+                sre_fit = sre_entry_exit(
                     panel_a.truncate(T_train),
                     panel_b.truncate(T_train),
                     params.discount,

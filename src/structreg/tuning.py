@@ -7,12 +7,18 @@ The orchestrators split the sample so the structural benchmark is estimated
 on data independent of the penalized second stage, either once
 (sample-splitting) or in both directions with averaging (cross-fitting); they
 choose the penalty by K-fold or forward cross-validation.
+
+Every study's second stage is one select-and-fit step on a fold object
+(:class:`RidgeFold`, or the demand study's moment fold): it builds the fold
+on its fitting sample, passes the fold's :meth:`~RidgeFold.refold` to the
+cross-validation as the fitter, and returns :meth:`~RidgeFold.fit` of the
+resulting :class:`CvTrace`.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,10 +173,10 @@ def kfold_cv(
     """Standard K-fold cross-validation over a penalty grid.
 
     ``fitter(train)`` prepares a training fold once and returns a fold
-    object (for example :class:`RidgeFold`) whose ``path(lambda_grid)`` gives
-    one coefficient row per grid point; ``scorer(fold, thetas, val)`` returns
-    the held-out error of every row. The reported error per grid point is the
-    mean over held-out folds.
+    object whose ``path(lambda_grid)`` gives one coefficient row per grid
+    point (the studies pass :meth:`RidgeFold.refold` of their final fold);
+    ``scorer(fold, thetas, val)`` returns the held-out error of every row.
+    The reported error per grid point is the mean over held-out folds.
     """
     return _cv_loop("kfold", fitter, scorer, _kfold_splits(data, K, rng), lambda_grid, rng=rng)
 
@@ -260,8 +266,10 @@ class RidgeFold:
 
     ``design`` is ``(1, standardized features)`` of the sample and
     ``theta_m`` the benchmark projection on the same scale. Cross-validation
-    takes every grid point from :meth:`path` at once; the final fit at the
-    chosen penalty is :meth:`fit`, the per-``lam`` closed form.
+    rebuilds the problem on each training fold with :meth:`refold` and takes
+    every grid point from :meth:`path` at once; :meth:`fit` then refits at
+    the penalty the cross-validation chose, with the per-``lam`` closed form
+    of :meth:`solve`.
     """
 
     design: np.ndarray
@@ -270,6 +278,11 @@ class RidgeFold:
     theta_m: np.ndarray
     penalty: PenaltySpec
     feature_map: FeatureMap
+
+    def refold(self, train: Dataset) -> "RidgeFold":
+        """The same problem on another sample, over that sample's own
+        standardization, with ``theta_m`` re-expressed on it."""
+        return ridge_fold(train, self.feature_map, self.penalty, self.theta_m_in)
 
     def path(self, lambda_grid) -> np.ndarray:
         """Coefficients at every grid point, one row each."""
@@ -282,9 +295,15 @@ class RidgeFold:
         F = self.transform.transform_inputs(self.feature_map.transform(inputs))
         return thetas[:, 0] + F @ thetas[:, 1:].T
 
-    def fit(self, lam: float) -> SREFit:
-        theta = sre_ridge(self.design, self.outcome, self.theta_m, self.penalty, lam)
-        return SREFit(theta, self.transform, self.theta_m, lam, self.feature_map)
+    def solve(self, lam: float) -> np.ndarray:
+        """Coefficients at one penalty strength."""
+        return sre_ridge(self.design, self.outcome, self.theta_m, self.penalty, lam)
+
+    def fit(self, trace: CvTrace) -> SREFit:
+        """The fit at the trace's ``lambda_star``, carrying the trace in ``parts``."""
+        lam = trace.lambda_star
+        return SREFit(self.solve(lam), self.transform, self.theta_m, lam, self.feature_map,
+                      cv=trace.kind, parts=(trace,))
 
     def theta_m_in(self, transform: StandardizeTransform) -> np.ndarray:
         """``theta_m`` over another standardization of the same features.
@@ -302,30 +321,6 @@ def ridge_fold(train: Dataset, feature_map: FeatureMap, penalty: PenaltySpec,
     std, transform = standardize(Dataset(feature_map.transform(train.inputs), train.outcome))
     design = np.column_stack([np.ones(train.n), std.inputs])
     return RidgeFold(design, train.outcome, transform, theta_m(transform), penalty, feature_map)
-
-
-@dataclass
-class SreRidgeFitter:
-    """Second-stage fitter: standardized features shrunk toward a benchmark.
-
-    Calling ``fitter(train)`` standardizes the expanded features of the
-    training sample and projects the benchmark's implied mean onto the same
-    standardized basis over ``synthetic_domain``, returning the sample's
-    :class:`RidgeFold`. Pure in its inputs, so fold evaluations can run in any
-    order.
-    """
-
-    feature_map: FeatureMap
-    benchmark: StructuralBenchmark
-    penalty: PenaltySpec
-    synthetic_domain: DomainSpec
-
-    def __call__(self, train: Dataset) -> RidgeFold:
-        return ridge_fold(train, self.feature_map, self.penalty, self._theta_m)
-
-    def _theta_m(self, transform: StandardizeTransform) -> np.ndarray:
-        return fit_theta_m(self.feature_map, self.benchmark, self.synthetic_domain,
-                           transform=transform)
 
 
 def _hull_with_target(data: Dataset, target: DomainSpec | None) -> DomainSpec:
@@ -349,13 +344,9 @@ def _orientation(est: Dataset, fit_half: Dataset, benchmark_family: BenchmarkFam
         benchmark = benchmark_family.estimate(est)
     except Exception as exc:
         raise StageError(f"structural stage failed: {exc}") from exc
-    final = SreRidgeFitter(feature_map, benchmark, penalty, synthetic_domain)(fit_half)
-
-    def fitter(train: Dataset) -> RidgeFold:
-        return ridge_fold(train, feature_map, penalty, final.theta_m_in)
-
-    trace = run_cv(cv_plan, fitter, fit_half, penalty.lambda_grid, rng_cv)
-    return replace(final.fit(trace.lambda_star), cv=cv_plan.kind, parts=(trace,))
+    final = ridge_fold(fit_half, feature_map, penalty, lambda transform: fit_theta_m(
+        feature_map, benchmark, synthetic_domain, transform=transform))
+    return final.fit(run_cv(cv_plan, final.refold, fit_half, penalty.lambda_grid, rng_cv))
 
 
 def sre_sample_split(

@@ -160,7 +160,8 @@ def test_sre_demand_lambda_zero_grid_reduces_to_quadratic_iv():
     params = DemandParams(lambda_markup=1.0, M=600)
     data = simulate_markets(params, SeededRng(11))
     rng = SeededRng(12)
-    fit, trace = sre_demand(data, rng, lambda_grid=[0.0])
+    fit = sre_demand(data, rng, lambda_grid=[0.0])
+    trace = fit.parts[0]
     assert trace.lambda_star == 0.0
     # reproduce the unpenalized quadratic moment fit on the same half
     from structreg.data import partition_indices, standardize, Dataset
@@ -188,7 +189,7 @@ def test_sre_demand_negative_derivative_majority():
     trials = 12
     for trial in range(trials):
         data = simulate_markets(params, SeededRng(13).stream(trial))
-        fit, _ = sre_demand(data, SeededRng(13).stream(trial).split(1))
+        fit = sre_demand(data, SeededRng(13).stream(trial).split(1))
         slopes = fit.derivative(grid[:, None])
         negatives += bool(np.all(slopes < 0.0))
     assert negatives >= 0.95 * trials

@@ -123,7 +123,7 @@ def test_estimate_consistency_across_seeds():
             panel = simulate_market(
                 "perfect_foresight", params, R, SeededRng(10).stream(seed), ccps=ccps
             )
-            est = estimate_ccp_euler(panel, R, params.discount)
+            est = estimate_ccp_euler(panel, params.discount)
             errors.append(np.array(est) - [params.mu, params.alpha, params.entry_cost])
         return np.abs(np.array(errors)).mean(axis=0)
 
@@ -251,11 +251,10 @@ def test_sre_entry_exit_runs_and_is_deterministic():
     )
     pa = simulate_market("myopic", half, R, SeededRng(23), ccps=ccps)
     pb = simulate_market("myopic", half, R, SeededRng(24), ccps=ccps)
-    fit1, bench = sre_entry_exit(pa.truncate(100), pb.truncate(100), 0.9, R, SeededRng(25))
-    fit2, _ = sre_entry_exit(pa.truncate(100), pb.truncate(100), 0.9, R, SeededRng(25))
+    fit1 = sre_entry_exit(pa.truncate(100), pb.truncate(100), 0.9, R, SeededRng(25))
+    fit2 = sre_entry_exit(pa.truncate(100), pb.truncate(100), 0.9, R, SeededRng(25))
     assert np.array_equal(fit1.theta, fit2.theta)
     assert fit1.lambda_star in fit1.parts[0].lambda_grid
-    assert bench.ccps.shape == (140, 2, 2)
 
 
 def test_entry_exit_experiment_smoke_and_shapes():

@@ -91,6 +91,15 @@ BASE_CONFIG = {
 }
 
 
+def test_config_schema_is_a_valid_schema():
+    # config validation builds its validator once and does not re-check the schema
+    import jsonschema
+
+    from structreg.config import CONFIG_SCHEMA
+
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+
 def test_config_rejects_unknown_keys():
     bad = dict(BASE_CONFIG)
     bad["bogus_key"] = 1
@@ -309,13 +318,26 @@ def test_readme_config_example_validates(tmp_path, capsys):
     [("entry-exit", {"entry_exit": {"t_total": 100, "t_train": 200}},
       "t_train must be smaller than t_total"),
      ("demand", {"demand": {"z_low": 5.0, "z_high": 1.0}}, "z interval is empty"),
-     ("auction", {"auction": {"n_train": [30, 5]}}, "run from low to high")],
+     ("auction", {"auction": {"n_train": [30, 5]}}, "run from low to high"),
+     # YAML .inf and .nan, which the schema's "number" accepts
+     ("auction", {"lambda_grid": [0.0, float("inf")]},
+      "invalid config value at lambda_grid.1: must be finite"),
+     ("demand", {"demand": {"alpha": float("nan")}},
+      "invalid config value at demand.alpha: must be finite"),
+     ("entry-exit", {"entry_exit": {"mu": float("inf")}},
+      "invalid config value at entry_exit.mu: must be finite"),
+     ("auction", {"scenario": 3, "auction": {"overbid_sigma": -0.5}},
+      "overbid_sigma must be nonnegative and finite"),
+     ("auction", {"scenario": 2, "auction": {"beta_shape": [-1.0, 5.0]}},
+      "beta_shape entries must be positive and finite")],
 )
 def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, experiment, block, message):
+    import yaml
+
     from structreg.cli import main
 
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps(
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(
         {"experiment": experiment, "scenario": 1, "trials": 1, "base_seed": 0, **block}
     ))
     assert main(["validate", "--config", str(path)]) == 1

@@ -1,17 +1,35 @@
 import numpy as np
 import pytest
 
+from structreg import tuning
+from structreg.auction import (
+    SRE_POLY_DEGREE,
+    AuctionScenario,
+    UniformAuctionModel,
+    auction_penalty,
+    simulate_auctions,
+)
 from structreg.data import DataError, Dataset, DomainSpec, SeededRng
+from structreg.demand import DemandParams, _gmm_fold, simulate_markets, sre_demand
+from structreg.entry_exit import (
+    DdcParams,
+    RPathSpec,
+    draw_profit_path,
+    regime_ccps,
+    simulate_market,
+    sre_entry_exit,
+)
 from structreg.estimators import fit_ols
-from structreg.sre import PenaltySpec, PolynomialFeatures, sre_ridge
+from structreg.sre import PenaltySpec, PolynomialFeatures, fit_theta_m
 from structreg.tuning import (
     BenchmarkFamily,
     CvError,
     CvPlan,
-    SreRidgeFitter,
+    CvTrace,
     forward_cv,
     kfold_cv,
     raw_affine_coefficients,
+    ridge_fold,
     rolling_cv,
     sre_cross_fit,
     sre_sample_split,
@@ -55,9 +73,10 @@ class _FixedFold:
 
 
 def _line_fitter(benchmark, domain, weights, grid):
-    return SreRidgeFitter(
-        PolynomialFeatures(1), benchmark, PenaltySpec(grid, weights), domain
-    )
+    """Each training fold standardized on its own, with the benchmark projected on it."""
+    fmap, penalty = PolynomialFeatures(1), PenaltySpec(grid, weights)
+    return lambda train: ridge_fold(train, fmap, penalty, lambda transform: fit_theta_m(
+        fmap, benchmark, domain, transform=transform))
 
 
 def _noisy_line_data(n=60, seed=0, noise=0.5):
@@ -318,3 +337,71 @@ def test_cv_plan_validation():
     plan = CvPlan(kind="forward", target=DomainSpec.interval(0, 1))
     assert plan.K == 6
     assert CvPlan(kind="kfold").K == 5
+
+
+def _auction_second_stage():
+    scenario = AuctionScenario.from_index(1)
+    data = simulate_auctions(scenario, SeededRng(30)).to_dataset()
+    target = DomainSpec.interval(*scenario.n_range_test)
+    return sre_sample_split(
+        data, UniformAuctionModel(), PolynomialFeatures(SRE_POLY_DEGREE),
+        auction_penalty(data.n), CvPlan(kind="forward", K=6, target=target), SeededRng(31),
+        synthetic_domain=DomainSpec.interval(5, 50),
+    )
+
+
+def _entry_exit_second_stage():
+    params = DdcParams(mu=-2.0, alpha=1.0, entry_cost=2.0, discount=0.9,
+                       n_firms=1000, t_total=140, t_train=100)
+    R = draw_profit_path(RPathSpec(), 140, SeededRng(22))
+    ccps = regime_ccps("myopic", params, R)
+    pa, pb = (simulate_market("myopic", params, R, SeededRng(seed), ccps=ccps).truncate(100)
+              for seed in (23, 24))
+    return sre_entry_exit(pa, pb, params.discount, R, SeededRng(25))
+
+
+def _demand_second_stage():
+    return sre_demand(simulate_markets(DemandParams(M=600), SeededRng(11)), SeededRng(12))
+
+
+def _ridge_fold_on(final, train):
+    return ridge_fold(train, final.feature_map, final.penalty, final.theta_m_in)
+
+
+def _gmm_fold_on(final, train):
+    return _gmm_fold(train, final.penalty, final.theta_m_in)
+
+
+@pytest.mark.parametrize(
+    "second_stage, kind, fold_on",
+    [(_auction_second_stage, "forward", _ridge_fold_on),
+     (_entry_exit_second_stage, "rolling", _ridge_fold_on),
+     (_demand_second_stage, "kfold", _gmm_fold_on)],
+    ids=["auction", "entry-exit", "demand"],
+)
+def test_second_stage_refits_the_fold_its_cv_refolded(monkeypatch, second_stage, kind, fold_on):
+    # record the fitter and the first training sample of the study's one CV run
+    seen = []
+    cv_loop = tuning._cv_loop
+
+    def recording(cv_kind, fitter, scorer, splits, *args, **kwargs):
+        splits = list(splits)
+        seen.append((fitter, splits[0][0]))
+        return cv_loop(cv_kind, fitter, scorer, splits, *args, **kwargs)
+
+    monkeypatch.setattr(tuning, "_cv_loop", recording)
+    fit = second_stage()
+    [(fitter, train)] = seen
+    trace = fit.parts[0]
+    assert isinstance(trace, CvTrace)
+    assert fit.lambda_star == trace.lambda_star
+    assert fit.cv == trace.kind == kind
+    # the fitter is the final fold's refold, and the fit is that fold's solve at lambda*
+    final = fitter.__self__
+    assert fitter == final.refold
+    assert np.array_equal(fit.theta, final.solve(trace.lambda_star))
+    assert np.array_equal(fit.theta_m, final.theta_m)
+    # refold builds the same fold as one built from scratch on the sample
+    refolded, scratch = final.refold(train), fold_on(final, train)
+    assert type(refolded) is type(scratch)
+    assert np.array_equal(refolded.path(trace.lambda_grid), scratch.path(trace.lambda_grid))
