@@ -5,10 +5,11 @@ distance between its coefficients and the values implied by an estimated
 structural (causal) model, trading in-sample fit against agreement with
 theory. The package provides the penalized solvers (closed-form least
 squares and moment-based variants plus a derivative-free fallback), penalty
-selection by K-fold, forward, and rolling-window cross-validation with
-sample-splitting or cross-fitting, and a reproducible Monte Carlo harness
-covering three applications: first-price auctions, dynamic firm entry/exit,
-and demand estimation with instruments.
+selection by K-fold, forward, and rolling-window cross-validation, and a
+reproducible Monte Carlo harness covering three applications: first-price
+auctions, dynamic firm entry/exit, and demand estimation with instruments.
+Each application estimates its structural model on one half of the sample
+and selects and fits the penalized model on the other.
 """
 
 __version__ = "0.1.0"
@@ -52,15 +53,11 @@ from .sre import (  # noqa: F401
     sre_ridge,
 )
 from .tuning import (  # noqa: F401
-    BenchmarkFamily,
-    CvPlan,
     CvTrace,
     RidgeFold,
     forward_cv,
     kfold_cv,
     rolling_cv,
-    sre_cross_fit,
-    sre_sample_split,
 )
 from .metrics import AggregateRow, metrics, metrics_table  # noqa: F401
 from .config import RunConfig, config_from_mapping, load_config  # noqa: F401

@@ -27,15 +27,17 @@ import numpy as np
 import scipy.integrate
 import scipy.special
 
-from .data import Dataset, DomainSpec, SeededRng
+from .data import Dataset, DomainSpec, SeededRng, partition
 from .estimators import fit_polynomial, select_degree_aic
 from .sre import (
     PenaltySpec,
     PolynomialFeatures,
+    SREFit,
     StructuralBenchmark,
     default_lambda_grid,
+    fit_theta_m,
 )
-from .tuning import BenchmarkFamily, CvPlan, sre_sample_split
+from .tuning import forward_cv, ridge_fold
 
 OVERBID_TRUTH_DRAWS = 4_000_000
 _OVERBID_TRUTH_SEED = 181_000_001  # fixed: truth values are config-independent
@@ -304,21 +306,38 @@ class UniformIpvBenchmark(StructuralBenchmark):
         return (n - 1.0) / (n + 1.0)
 
 
-class UniformAuctionModel(BenchmarkFamily):
-    """Benchmark family for the auction experiments (parameter-free)."""
-
-    def estimate(self, data: Dataset) -> UniformIpvBenchmark:
-        return UniformIpvBenchmark()
-
-
 SRE_POLY_DEGREE = 5
 SRE_PENALTY_WEIGHTS = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)  # heavier on higher degrees
 STAT_MAX_DEGREE = 5
+FORWARD_K = 6
 
 
-def auction_penalty(data_size: int, lambda_grid=None) -> PenaltySpec:
-    grid = default_lambda_grid(data_size) if lambda_grid is None else lambda_grid
-    return PenaltySpec(grid, np.asarray(SRE_PENALTY_WEIGHTS))
+def sre_auction(
+    data: Dataset,
+    scenario: AuctionScenario,
+    rng: SeededRng,
+    lambda_grid=None,
+    forward_K: int = FORWARD_K,
+) -> SREFit:
+    """Sample-split polynomial fit shrunk toward the uniform-values model.
+
+    The sample is halved; the structural model has no free parameter, so the
+    first half goes unused and the second carries forward cross-validation
+    (validating nearest the out-of-domain bidder counts) and the final fit.
+    The benchmark is projected once, over the bidder counts of both domains,
+    on the fitting half's standardization, and each fold re-expresses it on
+    its own. The cross-validation trace is ``fit.parts[0]``.
+    """
+    grid = default_lambda_grid(data.n) if lambda_grid is None else lambda_grid
+    penalty = PenaltySpec(grid, np.asarray(SRE_PENALTY_WEIGHTS))
+    features = PolynomialFeatures(SRE_POLY_DEGREE)
+    synthetic_domain = DomainSpec.interval(scenario.n_range_train[0], scenario.n_range_test[1])
+    target = DomainSpec.interval(*scenario.n_range_test)
+    _, fit_half = partition(data, 2, rng.split(0))
+    final = ridge_fold(fit_half, features, penalty, lambda transform: fit_theta_m(
+        features, UniformIpvBenchmark(), synthetic_domain, transform=transform))
+    return final.fit(forward_cv(fit_half, forward_K, target, final.refold, penalty.lambda_grid,
+                                rng.split(3)))
 
 
 def auction_experiment(
@@ -327,7 +346,7 @@ def auction_experiment(
     trials: int = 100,
     rng: SeededRng | None = None,
     lambda_grid=None,
-    forward_K: int = 6,
+    forward_K: int = FORWARD_K,
     trial_indices=None,
 ) -> tuple[list[tuple], dict]:
     """Monte Carlo comparison of the three estimators on one auction scenario.
@@ -349,10 +368,6 @@ def auction_experiment(
     grid_out = np.arange(scenario.n_range_test[0], scenario.n_range_test[1] + 1)
     truth_in = np.array([true_expected_winning_bid(scenario, int(n)) for n in grid_in])
     truth_out = np.array([true_expected_winning_bid(scenario, int(n)) for n in grid_out])
-    target = DomainSpec.interval(*scenario.n_range_test)
-    synth_domain = DomainSpec.interval(scenario.n_range_train[0], scenario.n_range_test[1])
-    cv_plan = CvPlan(kind="forward", K=forward_K, target=target)
-    benchmark_family = UniformAuctionModel()
 
     records: list[tuple] = []
     for trial in range(trials) if trial_indices is None else trial_indices:
@@ -368,17 +383,8 @@ def auction_experiment(
             if "structural" in estimators:
                 fits["structural"] = UniformIpvBenchmark().implied_mean
             if "sre" in estimators:
-                penalty = auction_penalty(supervised.n, lambda_grid)
-                sre_fit = sre_sample_split(
-                    supervised,
-                    benchmark_family,
-                    PolynomialFeatures(SRE_POLY_DEGREE),
-                    penalty,
-                    cv_plan,
-                    trial_rng.split(1),
-                    synthetic_domain=synth_domain,
-                )
-                fits["sre"] = sre_fit.predict
+                fits["sre"] = sre_auction(supervised, scenario, trial_rng.split(1), lambda_grid,
+                                          forward_K).predict
             for name, predictor in fits.items():
                 for domain, grid, truth in (
                     ("in", grid_in, truth_in),

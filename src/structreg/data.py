@@ -287,12 +287,17 @@ def forward_split(
         raise DataError("fraction must lie strictly between 0 and 1")
     if target.dimension != data.p:
         raise DataError("target dimension does not match data inputs")
-    n2 = math.ceil(fraction * data.n)
-    if n2 >= data.n:
+    n_far = forward_far_rows(data.n, fraction)
+    if n_far <= 0:
         raise DataError("fraction leaves no observations for the far part")
     box_dist = target.point_distance(data.inputs)
     center_dist = np.sqrt(((data.inputs - target.center) ** 2).sum(axis=1))
     order = np.lexsort((np.arange(data.n), center_dist, box_dist))
-    near = np.sort(order[:n2])
-    far = np.sort(order[n2:])
+    near = np.sort(order[:-n_far])
+    far = np.sort(order[-n_far:])
     return data.subset(far), data.subset(near)
+
+
+def forward_far_rows(n: int, fraction: float) -> int:
+    """Rows :func:`forward_split` leaves in the far part of an ``n``-row sample."""
+    return n - math.ceil(fraction * n)

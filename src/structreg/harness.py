@@ -22,12 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .auction import AuctionScenario, auction_experiment
+from .auction import FORWARD_K, AuctionScenario, auction_experiment
 from .config import ENTRY_EXIT_REGIMES, ConfigError, RunConfig
-from .data import SeededRng
+from .data import SeededRng, forward_far_rows
 from .demand import DemandParams, demand_experiment
 from .entry_exit import DdcParams, RPathSpec, entry_exit_experiment
 from .metrics import AggregateRow, metrics, sort_curves
+from .tuning import FORWARD_FRACTION
 
 SUMMARY_HEADER = "experiment,scenario,estimator,domain,bias,variance,mse,trials,seed"
 CURVES_HEADER = "trial,estimator,domain,x,truth,prediction"
@@ -82,8 +83,13 @@ def configured_study(config: RunConfig):
             overrides = {_AUCTION_RENAMES.get(k, k): tuple(v) if isinstance(v, list) else v
                          for k, v in config.auction.items()}
             scenario = AuctionScenario.from_index(config.scenario, **overrides)
-            kwargs = {"forward_K": config.cv["K"]} if config.cv else {}
-            return auction_experiment, (scenario,), kwargs
+            K = config.cv.get("K", FORWARD_K)
+            # the fold is built on the second half of the sample, M // 2 rows
+            far = forward_far_rows(scenario.M // 2, FORWARD_FRACTION)
+            if "sre" in config.estimators and far < K:
+                raise ValueError(f"cv.K = {K} forward folds need {K} far-part rows, but "
+                                 f"auction.M = {scenario.M} leaves {far} in the fitting half")
+            return auction_experiment, (scenario,), {"forward_K": K}
         if config.experiment == "entry-exit":
             params, rpath = (_from_block(cls, config.entry_exit) for cls in (DdcParams, RPathSpec))
             regime = ENTRY_EXIT_REGIMES[config.scenario]
@@ -106,9 +112,11 @@ def _run_slice(config: RunConfig, indices: tuple[int, ...]) -> tuple[list, dict]
 def _worker_count(trials: int) -> int:
     raw = os.environ.get("SRE_THREADS", "1")
     try:
-        limit = max(1, int(raw))
+        limit = int(raw)
     except ValueError:
-        limit = 1
+        limit = 0
+    if limit < 1:
+        raise ConfigError(f"SRE_THREADS must be a positive integer, got {raw!r}")
     return min(limit, trials)
 
 

@@ -453,7 +453,6 @@ class SREFit:
     theta_m: np.ndarray
     lambda_star: float
     feature_map: FeatureMap
-    method: str = "sample-split"
     cv: str = "kfold"
     parts: tuple = field(default=(), compare=False)
 

@@ -1,23 +1,18 @@
-"""Penalty selection and estimation orchestration.
+"""Penalty selection and the second stage's select-and-fit step.
 
 Three cross-validation flavors pick the penalty strength: standard K-fold for
 i.i.d. data, a forward variant that always validates on the subsample nearest
 a known target input region, and a rolling-window variant for series data.
-The orchestrators split the sample so the structural benchmark is estimated
-on data independent of the penalized second stage, either once
-(sample-splitting) or in both directions with averaging (cross-fitting); they
-choose the penalty by K-fold or forward cross-validation.
 
 Every study's second stage is one select-and-fit step on a fold object
 (:class:`RidgeFold`, or the demand study's moment fold): it builds the fold
-on its fitting sample, passes the fold's :meth:`~RidgeFold.refold` to the
-cross-validation as the fitter, and returns :meth:`~RidgeFold.fit` of the
-resulting :class:`CvTrace`.
+on the half of the sample the structural stage did not use, passes the
+fold's :meth:`~RidgeFold.refold` to the cross-validation as the fitter, and
+returns :meth:`~RidgeFold.fit` of the resulting :class:`CvTrace`.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +24,6 @@ from .data import (
     SeededRng,
     StandardizeTransform,
     forward_split,
-    partition,
     partition_indices,
     standardize,
 )
@@ -38,8 +32,7 @@ from .sre import (
     PenaltySpec,
     SingularPathError,
     SREFit,
-    StructuralBenchmark,
-    fit_theta_m,
+    fit_theta_m,  # noqa: F401  perfbench/selftest.py reads it as tuning.fit_theta_m
     quadratic_path,
     sre_ridge,
 )
@@ -51,41 +44,13 @@ class CvError(RuntimeError):
     """Cross-validation failed on a specific fold or window."""
 
 
-class StageError(RuntimeError):
-    """A stage of the two-stage procedure failed."""
-
-
-@dataclass(frozen=True)
-class CvPlan:
-    """How to choose the penalty strength.
-
-    ``kind`` is ``kfold`` (default K=5) or ``forward`` (default K=6, requires
-    ``target``).
-    """
-
-    kind: str = "kfold"
-    K: int = 0
-    target: DomainSpec | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("kfold", "forward"):
-            raise DataError(f"unknown cv kind: {self.kind}")
-        if self.K == 0:
-            object.__setattr__(self, "K", 6 if self.kind == "forward" else 5)
-        if self.K < 2:
-            raise DataError("fold-based cross-validation requires K >= 2")
-        if self.kind == "forward" and self.target is None:
-            raise DataError("forward cross-validation requires a target domain")
-
-
 @dataclass(frozen=True)
 class CvTrace:
     """Validation-error record of one cross-validation run.
 
     ``lambda_star`` attains the minimum mean error; exact ties resolve to the
     smallest penalty. ``fold_errors`` has one row per fold (or window) and one
-    column per grid point, and ``rng`` records the seed that fixed the fold
-    assignment.
+    column per grid point.
     """
 
     kind: str
@@ -93,7 +58,6 @@ class CvTrace:
     mean_errors: np.ndarray
     lambda_star: float
     fold_errors: np.ndarray
-    rng: SeededRng | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "lambda_grid", np.asarray(self.lambda_grid, float))
@@ -101,12 +65,12 @@ class CvTrace:
         object.__setattr__(self, "fold_errors", np.asarray(self.fold_errors, float))
 
     @classmethod
-    def from_fold_errors(cls, kind, lambda_grid, fold_errors, rng=None) -> "CvTrace":
+    def from_fold_errors(cls, kind, lambda_grid, fold_errors) -> "CvTrace":
         lambda_grid = np.asarray(lambda_grid, float)
         fold_errors = np.asarray(fold_errors, float)
         mean_errors = fold_errors.mean(axis=0)
         star = float(lambda_grid[int(np.argmin(mean_errors))])
-        return cls(kind, lambda_grid, mean_errors, star, fold_errors, rng)
+        return cls(kind, lambda_grid, mean_errors, star, fold_errors)
 
 
 def squared_error_scorer(fold, thetas: np.ndarray, val: Dataset) -> np.ndarray:
@@ -128,7 +92,7 @@ def _concat(parts: list[Dataset]) -> Dataset:
     )
 
 
-def _cv_loop(kind, fitter, scorer, splits, lambda_grid, unit="fold", rng=None) -> CvTrace:
+def _cv_loop(kind, fitter, scorer, splits, lambda_grid, unit="fold") -> CvTrace:
     """Score every grid point on every ``(train, val)`` split.
 
     ``fitter(train)`` prepares the split once and returns a fold whose
@@ -153,7 +117,7 @@ def _cv_loop(kind, fitter, scorer, splits, lambda_grid, unit="fold", rng=None) -
             lam = float(lambda_grid[np.argmax(bad)])
             raise CvError(f"fitter failed on {unit} {k} at lambda={lam}: non-finite coefficients")
         fold_errors.append(scorer(fold, thetas, val))
-    return CvTrace.from_fold_errors(kind, lambda_grid, fold_errors, rng)
+    return CvTrace.from_fold_errors(kind, lambda_grid, fold_errors)
 
 
 def _kfold_splits(data: Dataset, K: int, rng: SeededRng):
@@ -178,7 +142,7 @@ def kfold_cv(
     ``scorer(fold, thetas, val)`` returns the held-out error of every row.
     The reported error per grid point is the mean over held-out folds.
     """
-    return _cv_loop("kfold", fitter, scorer, _kfold_splits(data, K, rng), lambda_grid, rng=rng)
+    return _cv_loop("kfold", fitter, scorer, _kfold_splits(data, K, rng), lambda_grid)
 
 
 def forward_cv(
@@ -206,7 +170,7 @@ def forward_cv(
     if s1.n < K:
         raise DataError(f"cannot form {K} folds from {s1.n} far-part rows")
     splits = ((train, _concat([val, s2])) for train, val in _kfold_splits(s1, K, rng))
-    return _cv_loop("forward", fitter, scorer, splits, lambda_grid, rng=rng)
+    return _cv_loop("forward", fitter, scorer, splits, lambda_grid)
 
 
 def rolling_cv(
@@ -241,23 +205,6 @@ def rolling_cv(
         for t0 in range(0, T - window_length - horizon + 1)
     )
     return _cv_loop("rolling", fitter, scorer, splits, lambda_grid, unit="window")
-
-
-def run_cv(plan: CvPlan, fitter, data: Dataset, lambda_grid, rng: SeededRng,
-           scorer=squared_error_scorer) -> CvTrace:
-    """Dispatch to the cross-validation flavor named by ``plan``."""
-    if plan.kind == "kfold":
-        return kfold_cv(fitter, scorer, data, lambda_grid, plan.K, rng)
-    return forward_cv(data, plan.K, plan.target, fitter, lambda_grid, rng, scorer=scorer)
-
-
-class BenchmarkFamily(abc.ABC):
-    """An estimable structural model: fits itself to data and returns the
-    estimated benchmark."""
-
-    @abc.abstractmethod
-    def estimate(self, data: Dataset) -> StructuralBenchmark:
-        ...
 
 
 @dataclass(frozen=True)
@@ -323,110 +270,13 @@ def ridge_fold(train: Dataset, feature_map: FeatureMap, penalty: PenaltySpec,
     return RidgeFold(design, train.outcome, transform, theta_m(transform), penalty, feature_map)
 
 
-def _hull_with_target(data: Dataset, target: DomainSpec | None) -> DomainSpec:
-    lo = data.inputs.min(axis=0)
-    hi = data.inputs.max(axis=0)
-    if target is not None:
-        lo = np.minimum(lo, target.lower)
-        hi = np.maximum(hi, target.upper)
-    return DomainSpec(lo, hi)
-
-
-def _orientation(est: Dataset, fit_half: Dataset, benchmark_family: BenchmarkFamily,
-                 feature_map: FeatureMap, penalty: PenaltySpec, cv_plan: CvPlan,
-                 synthetic_domain: DomainSpec, rng_cv: SeededRng) -> SREFit:
-    """Estimate the benchmark on ``est``; select and fit the penalty on ``fit_half``.
-
-    The benchmark is projected once, on ``fit_half``'s standardization, and
-    each cross-validation fold re-expresses that projection on its own.
-    """
-    try:
-        benchmark = benchmark_family.estimate(est)
-    except Exception as exc:
-        raise StageError(f"structural stage failed: {exc}") from exc
-    final = ridge_fold(fit_half, feature_map, penalty, lambda transform: fit_theta_m(
-        feature_map, benchmark, synthetic_domain, transform=transform))
-    return final.fit(run_cv(cv_plan, final.refold, fit_half, penalty.lambda_grid, rng_cv))
-
-
-def sre_sample_split(
-    data: Dataset,
-    benchmark_family: BenchmarkFamily,
-    feature_map: FeatureMap,
-    penalty: PenaltySpec,
-    cv_plan: CvPlan,
-    rng: SeededRng,
-    synthetic_domain: DomainSpec | None = None,
-) -> SREFit:
-    """Two-stage structurally regularized fit with sample-splitting.
-
-    The sample is randomly halved; the structural model is estimated on the
-    first half, and the second half carries penalty selection (per
-    ``cv_plan``) and the final penalized fit at the selected strength.
-    """
-    d1, d2 = partition(data, 2, rng.split(0))
-    domain = synthetic_domain or _hull_with_target(data, cv_plan.target)
-    return _orientation(
-        d1, d2, benchmark_family, feature_map, penalty, cv_plan, domain, rng.split(3)
-    )
-
-
 def _to_raw(coefficients, transform) -> np.ndarray:
     slopes = coefficients[1:] / transform.column_scales
     intercept = coefficients[0] - float(slopes @ transform.column_means)
     return np.concatenate([[intercept], slopes])
 
 
-def raw_affine_coefficients(fit: SREFit) -> np.ndarray:
-    """Coefficients of the fit over raw features ``(1, F_1(x), ..., F_k(x))``."""
-    return _to_raw(fit.theta, fit.transform)
-
-
 def _express_in_transform(raw, transform) -> np.ndarray:
     slopes = raw[1:] * transform.column_scales
     intercept = raw[0] + float(raw[1:] @ transform.column_means)
     return np.concatenate([[intercept], slopes])
-
-
-def sre_cross_fit(
-    data: Dataset,
-    benchmark_family: BenchmarkFamily,
-    feature_map: FeatureMap,
-    penalty: PenaltySpec,
-    cv_plan: CvPlan,
-    rng: SeededRng,
-    synthetic_domain: DomainSpec | None = None,
-) -> SREFit:
-    """Cross-fitting: run both (estimate, fit) orientations and average.
-
-    Each half's fit lives in its own standardized basis, so the coefficient
-    average is taken on the raw feature scale and then re-expressed over a
-    standardization of the full sample. ``lambda_star`` reports the first
-    orientation's choice; both full fits are kept in ``parts``.
-    """
-    d1, d2 = partition(data, 2, rng.split(0))
-    domain = synthetic_domain or _hull_with_target(data, cv_plan.target)
-    halves = [
-        _orientation(
-            est, fit_half, benchmark_family, feature_map, penalty, cv_plan, domain,
-            rng.split(3, j),
-        )
-        for j, (est, fit_half) in enumerate(((d1, d2), (d2, d1)))
-    ]
-    raw = 0.5 * (raw_affine_coefficients(halves[0]) + raw_affine_coefficients(halves[1]))
-    raw_m = 0.5 * (
-        _to_raw(halves[0].theta_m, halves[0].transform)
-        + _to_raw(halves[1].theta_m, halves[1].transform)
-    )
-    features = Dataset(feature_map.transform(data.inputs), data.outcome)
-    _, transform = standardize(features)
-    return SREFit(
-        _express_in_transform(raw, transform),
-        transform,
-        _express_in_transform(raw_m, transform),
-        halves[0].lambda_star,
-        feature_map,
-        method="cross-fit",
-        cv=cv_plan.kind,
-        parts=tuple(halves),
-    )

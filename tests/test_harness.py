@@ -184,6 +184,19 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("value", ["two", "0", "-1", "1.5", ""])
+def test_sre_threads_must_be_a_positive_integer(monkeypatch, value):
+    import structreg.harness
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(structreg.harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("SRE_THREADS", value)
+    with pytest.raises(ConfigError, match="SRE_THREADS must be a positive integer"):
+        run_monte_carlo(run_config(trials=2))
+
+
 def test_worker_pool_matches_sequential(tmp_path, monkeypatch):
     sequential = run_monte_carlo(run_config(trials=3))
     monkeypatch.setenv("SRE_THREADS", "3")
@@ -329,7 +342,11 @@ def test_readme_config_example_validates(tmp_path, capsys):
      ("auction", {"scenario": 3, "auction": {"overbid_sigma": -0.5}},
       "overbid_sigma must be nonnegative and finite"),
      ("auction", {"scenario": 2, "auction": {"beta_shape": [-1.0, 5.0]}},
-      "beta_shape entries must be positive and finite")],
+      "beta_shape entries must be positive and finite"),
+     # the fitting half of 100 auctions leaves 41 far-part rows for forward CV
+     ("auction", {"cv": {"K": 45}}, "cv.K = 45 forward folds need 45 far-part rows, "
+      "but auction.M = 100 leaves 41"),
+     ("auction", {"auction": {"M": 8}}, "auction.M = 8 leaves 3")],
 )
 def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, experiment, block, message):
     import yaml

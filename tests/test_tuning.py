@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from structreg import tuning
-from structreg.auction import (
-    SRE_POLY_DEGREE,
-    AuctionScenario,
-    UniformAuctionModel,
-    auction_penalty,
-    simulate_auctions,
-)
-from structreg.data import DataError, Dataset, DomainSpec, SeededRng
+from structreg.auction import AuctionScenario, simulate_auctions, sre_auction
+from structreg.data import DataError, Dataset, DomainSpec, SeededRng, partition
 from structreg.demand import DemandParams, _gmm_fold, simulate_markets, sre_demand
 from structreg.entry_exit import (
     DdcParams,
@@ -22,29 +16,16 @@ from structreg.entry_exit import (
 from structreg.estimators import fit_ols
 from structreg.sre import PenaltySpec, PolynomialFeatures, fit_theta_m
 from structreg.tuning import (
-    BenchmarkFamily,
     CvError,
-    CvPlan,
     CvTrace,
     forward_cv,
     kfold_cv,
-    raw_affine_coefficients,
     ridge_fold,
     rolling_cv,
-    sre_cross_fit,
-    sre_sample_split,
     squared_error_scorer,
 )
 
 from .test_sre import LineBenchmark
-
-
-class LineFamily(BenchmarkFamily):
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def estimate(self, data):
-        return LineBenchmark(self.a, self.b)
 
 
 class _RecordingFitter:
@@ -240,22 +221,21 @@ def test_rolling_cv_requires_time_index():
         rolling_cv(data, lambda t: None, [0.0], 4, 1)
 
 
+def _select_and_fit_on_half(data, benchmark, grid, rng):
+    """The select-and-fit step on the second half of ``data``: the final fold,
+    5-fold cross-validation with its refold, and the fit at lambda*."""
+    _, fit_half = partition(data, 2, rng.split(0))
+    final = _line_fitter(benchmark, DomainSpec.interval(0, 10), WEIGHTS, grid)(fit_half)
+    trace = kfold_cv(final.refold, squared_error_scorer, fit_half, grid, 5, rng.split(3))
+    return final.fit(trace), fit_half
+
+
 def test_sample_split_lambda_zero_reduces_to_plain_fit():
     data = _noisy_line_data(n=80, seed=13)
-    rng = SeededRng(14)
-    fit = sre_sample_split(
-        data,
-        LineFamily(0.0, 0.0),
-        PolynomialFeatures(1),
-        PenaltySpec([0.0], WEIGHTS),
-        CvPlan(kind="kfold", K=5),
-        rng,
-    )
-    from structreg.data import partition
-
-    _, d2 = partition(data, 2, rng.split(0))
-    plain = fit_ols(d2.inputs, d2.outcome)
+    fit, fit_half = _select_and_fit_on_half(data, LineBenchmark(0.0, 0.0), [0.0], SeededRng(14))
+    plain = fit_ols(fit_half.inputs, fit_half.outcome)
     grid = np.linspace(0, 10, 9)[:, None]
+    assert fit.lambda_star == 0.0
     assert np.abs(fit.predict(grid) - plain.predict(grid)).max() <= 1e-8
 
 
@@ -263,91 +243,16 @@ def test_sample_split_exact_benchmark_noiseless():
     gen = np.random.default_rng(15)
     x = gen.uniform(0.0, 10.0, size=100)
     data = Dataset(x[:, None], 1.0 + 2.0 * x)
-    fit = sre_sample_split(
-        data,
-        LineFamily(1.0, 2.0),
-        PolynomialFeatures(1),
-        PenaltySpec(np.array([0.0, 1.0, 1e9]), WEIGHTS),
-        CvPlan(kind="kfold", K=5),
-        SeededRng(16),
-    )
+    fit, _ = _select_and_fit_on_half(data, LineBenchmark(1.0, 2.0),
+                                     np.array([0.0, 1.0, 1e9]), SeededRng(16))
     grid = np.linspace(0, 10, 21)[:, None]
     assert np.abs(fit.predict(grid) - (1.0 + 2.0 * grid[:, 0])).max() <= 1e-6
 
 
-def test_sample_split_deterministic():
-    data = _noisy_line_data(n=70, seed=17)
-    kwargs = dict(
-        benchmark_family=LineFamily(1.0, 2.0),
-        feature_map=PolynomialFeatures(1),
-        penalty=PenaltySpec(GRID, WEIGHTS),
-        cv_plan=CvPlan(kind="kfold", K=5),
-    )
-    a = sre_sample_split(data, rng=SeededRng(18), **kwargs)
-    b = sre_sample_split(data, rng=SeededRng(18), **kwargs)
-    assert np.array_equal(a.theta, b.theta)
-    assert a.lambda_star == b.lambda_star
-
-
-def test_cross_fit_raw_average_identity():
-    # raw-scale averaging: two fits with raw coefficients (0, 2) and (2, 0)
-    # average to (1, 1) regardless of each fit's standardization
-    from structreg.data import standardize
-    from structreg.sre import SREFit
-
-    def make_fit(intercept, slope, xs):
-        fmap = PolynomialFeatures(1)
-        F = fmap.transform(xs[:, None])
-        _, transform = standardize(Dataset(F, np.zeros(xs.size)))
-        theta = np.array(
-            [intercept + slope * transform.column_means[0],
-             slope * transform.column_scales[0]]
-        )
-        return SREFit(theta, transform, np.zeros(2), 0.0, fmap)
-
-    f1 = make_fit(0.0, 2.0, np.array([0.0, 1.0, 4.0]))
-    f2 = make_fit(2.0, 0.0, np.array([5.0, 7.0, 11.0]))
-    avg = 0.5 * (raw_affine_coefficients(f1) + raw_affine_coefficients(f2))
-    assert np.allclose(avg, [1.0, 1.0], atol=1e-12)
-
-
-def test_cross_fit_noiseless_matches_sample_split_predictions():
-    gen = np.random.default_rng(19)
-    x = gen.uniform(0.0, 10.0, size=100)
-    data = Dataset(x[:, None], 1.0 + 2.0 * x)
-    kwargs = dict(
-        benchmark_family=LineFamily(1.0, 2.0),
-        feature_map=PolynomialFeatures(1),
-        penalty=PenaltySpec(np.array([0.0, 1e9]), WEIGHTS),
-        cv_plan=CvPlan(kind="kfold", K=5),
-    )
-    cross = sre_cross_fit(data, rng=SeededRng(20), **kwargs)
-    split = sre_sample_split(data, rng=SeededRng(20), **kwargs)
-    grid = np.linspace(0, 10, 13)[:, None]
-    assert np.abs(cross.predict(grid) - split.predict(grid)).max() <= 1e-6
-    assert cross.method == "cross-fit"
-    assert len(cross.parts) == 2
-
-
-def test_cv_plan_validation():
-    with pytest.raises(DataError):
-        CvPlan(kind="bogus")
-    with pytest.raises(DataError):
-        CvPlan(kind="forward")  # missing target
-    plan = CvPlan(kind="forward", target=DomainSpec.interval(0, 1))
-    assert plan.K == 6
-    assert CvPlan(kind="kfold").K == 5
-
-
 def _auction_second_stage():
     scenario = AuctionScenario.from_index(1)
-    data = simulate_auctions(scenario, SeededRng(30)).to_dataset()
-    target = DomainSpec.interval(*scenario.n_range_test)
-    return sre_sample_split(
-        data, UniformAuctionModel(), PolynomialFeatures(SRE_POLY_DEGREE),
-        auction_penalty(data.n), CvPlan(kind="forward", K=6, target=target), SeededRng(31),
-        synthetic_domain=DomainSpec.interval(5, 50),
-    )
+    return sre_auction(simulate_auctions(scenario, SeededRng(30)).to_dataset(), scenario,
+                       SeededRng(31))
 
 
 def _entry_exit_second_stage():
