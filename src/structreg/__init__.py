@@ -43,7 +43,6 @@ from .sre import (  # noqa: F401
     PenaltySpec,
     PolynomialFeatures,
     SREFit,
-    StructuralBenchmark,
     ate_from_fit,
     default_lambda_grid,
     fit_theta_m,

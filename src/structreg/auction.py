@@ -33,7 +33,6 @@ from .sre import (
     PenaltySpec,
     PolynomialFeatures,
     SREFit,
-    StructuralBenchmark,
     default_lambda_grid,
     fit_theta_m,
 )
@@ -291,25 +290,24 @@ def true_expected_winning_bid(scenario: AuctionScenario, n: int) -> float:
     return _beta_truth(n, scenario.beta_shape)
 
 
-class UniformIpvBenchmark(StructuralBenchmark):
-    """Structural model: uniform independent private values, equilibrium bids.
+def uniform_ipv_mean(x) -> np.ndarray:
+    """Expected winning bid ``(n - 1) / (n + 1)`` at bidder counts ``x`` under
+    the structural model: uniform independent private values, equilibrium bids.
 
     Values are identified from bids by ``v = n / (n - 1) * b``, and the
-    winning-bid prediction ``(n - 1) / (n + 1)`` involves no free parameter,
-    so the model requires no estimation and its predictions have zero
-    variance.
+    prediction involves no free parameter, so the model requires no
+    estimation and its predictions have zero variance.
     """
-
-    def implied_mean(self, x) -> np.ndarray:
-        n = np.asarray(x, dtype=float)
-        n = n.ravel() if n.ndim <= 1 else n[:, 0]
-        return (n - 1.0) / (n + 1.0)
+    n = np.asarray(x, dtype=float)
+    n = n.ravel() if n.ndim <= 1 else n[:, 0]
+    return (n - 1.0) / (n + 1.0)
 
 
 SRE_POLY_DEGREE = 5
 SRE_PENALTY_WEIGHTS = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)  # heavier on higher degrees
 STAT_MAX_DEGREE = 5
 FORWARD_K = 6
+SYNTHETIC_ROWS = 1000
 
 
 def sre_auction(
@@ -324,20 +322,21 @@ def sre_auction(
     The sample is halved; the structural model has no free parameter, so the
     first half goes unused and the second carries forward cross-validation
     (validating nearest the out-of-domain bidder counts) and the final fit.
-    The benchmark is projected once, over the bidder counts of both domains,
-    on the fitting half's standardization, and each fold re-expresses it on
-    its own. The cross-validation trace is ``fit.parts[0]``.
+    The benchmark's rows are its expected winning bids on an even grid of
+    ``SYNTHETIC_ROWS`` bidder counts over both domains; they are projected
+    once, on the fitting half's standardization, and each fold re-expresses
+    the projection on its own. The cross-validation trace is ``fit.parts[0]``.
     """
     grid = default_lambda_grid(data.n) if lambda_grid is None else lambda_grid
     penalty = PenaltySpec(grid, np.asarray(SRE_PENALTY_WEIGHTS))
     features = PolynomialFeatures(SRE_POLY_DEGREE)
-    synthetic_domain = DomainSpec.interval(scenario.n_range_train[0], scenario.n_range_test[1])
-    target = DomainSpec.interval(*scenario.n_range_test)
+    n = np.linspace(scenario.n_range_train[0], scenario.n_range_test[1], SYNTHETIC_ROWS)
+    synthetic = Dataset(n[:, None], uniform_ipv_mean(n))
     _, fit_half = partition(data, 2, rng.split(0))
-    final = ridge_fold(fit_half, features, penalty, lambda transform: fit_theta_m(
-        features, UniformIpvBenchmark(), synthetic_domain, transform=transform))
-    return final.fit(forward_cv(fit_half, forward_K, target, final.refold, penalty.lambda_grid,
-                                rng.split(3)))
+    final = ridge_fold(fit_half, features, penalty,
+                       functools.partial(fit_theta_m, features, synthetic))
+    target = DomainSpec.interval(*scenario.n_range_test)
+    return final.fit(forward_cv(final, fit_half, forward_K, target, rng.split(3)))
 
 
 def auction_experiment(
@@ -381,7 +380,7 @@ def auction_experiment(
                 degree = select_degree_aic(x, y, STAT_MAX_DEGREE)
                 fits["statistical"] = fit_polynomial(x, y, degree).predict
             if "structural" in estimators:
-                fits["structural"] = UniformIpvBenchmark().implied_mean
+                fits["structural"] = uniform_ipv_mean
             if "sre" in estimators:
                 fits["sre"] = sre_auction(supervised, scenario, trial_rng.split(1), lambda_grid,
                                           forward_K).predict

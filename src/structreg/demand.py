@@ -18,16 +18,16 @@ quadratic moment-based fit shrunk toward the structural model's demand line.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .data import Dataset, DomainSpec, SeededRng, partition_indices
+from .data import Dataset, SeededRng, partition_indices
 from .estimators import LinearFit, SingularDesignError, fit_2sls, solve_least_squares
 from .sre import (
     PenaltySpec,
     PolynomialFeatures,
     SREFit,
-    StructuralBenchmark,
     default_lambda_grid,
     fit_theta_m,
     gmm_normal_equations,
@@ -40,6 +40,7 @@ INSTRUMENT_POWERS = 5
 EVAL_GRID_POINTS = 100
 REFERENCE_MARKETS = 20_000
 CV_FOLDS = 5
+SYNTHETIC_ROWS = 1000
 DAMPENED_MARKUP = 0.4
 _QUADRATIC = PolynomialFeatures(2)  # the regularized fit's demand curve
 _GRID_STREAM = 2**62  # reserved stream index; trials use small indices
@@ -198,24 +199,6 @@ def rf_demand(data: MarketData, form: str = "linear") -> RfDemandFit:
     return RfDemandFit(form, fit)
 
 
-@dataclass(frozen=True)
-class DemandBenchmark(StructuralBenchmark):
-    """Estimated pricing model as a demand benchmark."""
-
-    estimates: DemandEstimates
-
-    def implied_mean(self, x) -> np.ndarray:
-        p = np.asarray(x, dtype=float)
-        p = p.ravel() if p.ndim <= 1 else p[:, 0]
-        return self.estimates.implied_demand(p)
-
-
-def demand_benchmark(estimates: DemandEstimates) -> DemandBenchmark:
-    if estimates.beta <= 0.0:
-        raise ValueError("benchmark requires a positive demand slope")
-    return DemandBenchmark(estimates)
-
-
 def instrument_basis(
     z: np.ndarray,
     center: float = 0.0,
@@ -275,6 +258,13 @@ class GmmFold(RidgeFold):
         G, b = gmm_normal_equations(self.design, self.instruments, self.outcome, self.weight)
         return quadratic_path(G, b, self.penalty.weights, self.theta_m, lambda_grid)
 
+    def score(self, thetas: np.ndarray, val: Dataset) -> np.ndarray:
+        """Held-out moment objective, with the training weight, of every row."""
+        resid = val.outcome[:, None] - self.predict(thetas, val.inputs)
+        Z = instrument_basis(val.instruments[:, 0], self.z_center, self.z_scale)
+        m_bar = Z.T @ resid / val.n
+        return np.sum(m_bar * (self.weight @ m_bar), axis=0)
+
     def solve(self, lam: float) -> np.ndarray:
         return sre_gmm(self.design, self.instruments, self.outcome, self.weight,
                        self.theta_m, self.penalty, lam)
@@ -291,14 +281,6 @@ def _gmm_fold(train: Dataset, penalty: PenaltySpec, theta_m) -> GmmFold:
                    z_scale=scale)
 
 
-def _gmm_scorer(fold: GmmFold, thetas: np.ndarray, val: Dataset) -> np.ndarray:
-    """Held-out moment objective, with the training weight, of every path row."""
-    resid = val.outcome[:, None] - fold.predict(thetas, val.inputs)
-    Z = instrument_basis(val.instruments[:, 0], fold.z_center, fold.z_scale)
-    m_bar = Z.T @ resid / val.n
-    return np.sum(m_bar * (fold.weight @ m_bar), axis=0)
-
-
 def sre_demand(
     data: MarketData,
     rng: SeededRng,
@@ -306,23 +288,23 @@ def sre_demand(
 ) -> SREFit:
     """Two-stage moment-penalized demand fit with sample splitting.
 
-    Half the markets estimate the pricing model; the other half carry the
-    quadratic moment fit with instruments ``(1, z, ..., z^5)`` and projection
-    weighting, with the penalty chosen by ``CV_FOLDS``-fold cross-validation
-    on the held-out moment objective (training-fold weight). The
-    cross-validation trace is ``fit.parts[0]``.
+    Half the markets estimate the pricing model, whose demand line on an
+    even grid of ``SYNTHETIC_ROWS`` prices over the observed price span is
+    the benchmark's rows; the other half carry the quadratic moment fit with
+    instruments ``(1, z, ..., z^5)`` and projection weighting, with the
+    penalty chosen by ``CV_FOLDS``-fold cross-validation on the held-out
+    moment objective (training-fold weight). The cross-validation trace is
+    ``fit.parts[0]``.
     """
     folds = partition_indices(data.m, 2, rng.split(0))
-    benchmark = demand_benchmark(structural_estimate_demand(data.subset(folds[0])))
+    estimates = structural_estimate_demand(data.subset(folds[0]))
+    prices = np.linspace(float(data.prices.min()), float(data.prices.max()), SYNTHETIC_ROWS)
+    synthetic = Dataset(prices[:, None], estimates.implied_demand(prices))
     d2 = data.subset(folds[1]).to_dataset()
-    price_span = DomainSpec.interval(
-        float(data.prices.min()), float(data.prices.max())
-    )
     grid = default_lambda_grid(d2.n) if lambda_grid is None else np.asarray(lambda_grid, float)
     penalty = PenaltySpec(grid, np.array([0.0, 1.0, 1.0]))
-    final = _gmm_fold(d2, penalty, lambda transform: fit_theta_m(
-        _QUADRATIC, benchmark, price_span, transform=transform))
-    return final.fit(kfold_cv(final.refold, _gmm_scorer, d2, grid, CV_FOLDS, rng.split(2)))
+    final = _gmm_fold(d2, penalty, partial(fit_theta_m, _QUADRATIC, synthetic))
+    return final.fit(kfold_cv(final, d2, CV_FOLDS, rng.split(2)))
 
 
 SCENARIOS = {

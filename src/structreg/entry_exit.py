@@ -27,13 +27,14 @@ from functools import partial
 
 import numpy as np
 
-from .data import Dataset, SeededRng, StandardizeTransform
+from .data import Dataset, SeededRng
 from .estimators import (
+    arx_feature_rows,
     fit_arx,
     select_arx_order_aic,
     solve_least_squares,
 )
-from .sre import LinearFeatures, PenaltySpec, SREFit, default_lambda_grid
+from .sre import LinearFeatures, PenaltySpec, SREFit, default_lambda_grid, fit_theta_m
 from .tuning import ridge_fold, rolling_cv
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -440,28 +441,6 @@ STAT_AR_ORDERS = (1, 2, 3, 4)
 PREDICTION_START = 11  # early periods reflect the arbitrary initial state mix
 
 
-def arx_feature_rows(shares_with_initial: np.ndarray, R_path: np.ndarray,
-                     p: int, q: int) -> Dataset:
-    """Supervised dataset for share prediction: rows are periods ``q..T``.
-
-    Features are ``(R_t, ..., R_t^p, s_{t-1}, ..., s_{t-q})`` where the share
-    series includes the initial state mix at position 0.
-    """
-    s = np.asarray(shares_with_initial, dtype=float)
-    R = np.asarray(R_path, dtype=float)
-    T = R.shape[0]
-    periods = np.arange(q, T + 1)  # 1-indexed targets
-    cols = [R[periods - 1] ** j for j in range(1, p + 1)]
-    cols.extend(s[periods - ell] for ell in range(1, q + 1))
-    return Dataset(np.column_stack(cols), s[periods], time_index=periods)
-
-
-def _synthetic_projection(synthetic: Dataset, transform: StandardizeTransform) -> np.ndarray:
-    """ARX coefficients of the synthetic benchmark rows over standardized features."""
-    syn = transform.transform_inputs(synthetic.inputs)
-    return solve_least_squares(np.column_stack([np.ones(syn.shape[0]), syn]), synthetic.outcome)
-
-
 SYNTHETIC_PANEL_REPLICAS = 10
 
 
@@ -517,8 +496,8 @@ def sre_entry_exit(
     grid = default_lambda_grid(train.n) if lambda_grid is None else np.asarray(lambda_grid, float)
     penalty = PenaltySpec(grid, np.concatenate([[0.0], np.ones(train.p)]))
     features = LinearFeatures(train.p)
-    final = ridge_fold(train, features, penalty, partial(_synthetic_projection, synthetic))
-    return final.fit(rolling_cv(train, final.refold, grid, max(2, train.n // 5), horizon=1))
+    final = ridge_fold(train, features, penalty, partial(fit_theta_m, features, synthetic))
+    return final.fit(rolling_cv(final, train, max(2, train.n // 5)))
 
 
 def entry_exit_experiment(

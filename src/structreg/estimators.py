@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Dataset
+
 CONDITION_LIMIT = 1e12
 
 
@@ -212,34 +214,31 @@ class ARXFit:
 
         Returns predictions for ``t = q, ..., T-1`` (0-indexed).
         """
-        y = np.asarray(y, dtype=float).ravel()
-        R = np.asarray(R, dtype=float).ravel()
-        q = self.ar_order
-        X = arx_design(y, R, self.exog_order, q)[0]
+        rows = arx_feature_rows(y, np.ravel(R)[1:], self.exog_order, self.ar_order)
         theta = np.concatenate(
             [[self.intercept], self.exog_coefficients, self.ar_coefficients]
         )
-        return X @ theta
+        return np.column_stack([np.ones(rows.n), rows.inputs]) @ theta
 
 
-def arx_design(y, R, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Supervised design for an ARX(p, q) fit.
+def arx_feature_rows(shares_with_initial, R_path, p: int, q: int) -> Dataset:
+    """Supervised dataset for an ARX(p, q) fit: rows are periods ``q..T``.
 
-    Rows cover ``t = q .. T-1``: features ``(1, R_t, ..., R_t^p, y_{t-1}, ...,
-    y_{t-q})``, targets ``y_t``.
+    Features are ``(R_t, ..., R_t^p, s_{t-1}, ..., s_{t-q})`` and targets
+    ``s_t``, where the series ``s`` includes the initial state at position 0,
+    so it is one longer than the exogenous path ``R_1..R_T``.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    R = np.asarray(R, dtype=float).ravel()
-    if y.shape[0] != R.shape[0]:
+    s = np.asarray(shares_with_initial, dtype=float).ravel()
+    R = np.asarray(R_path, dtype=float).ravel()
+    if s.shape[0] != R.shape[0] + 1:
         raise ValueError("series lengths differ")
-    T = y.shape[0]
-    if T <= p + q + 1:
+    T = R.shape[0]
+    if T < q:
         raise ValueError("series too short for requested orders")
-    t = np.arange(q, T)
-    cols = [np.ones(T - q)]
-    cols.extend(R[t] ** j for j in range(1, p + 1))
-    cols.extend(y[t - ell] for ell in range(1, q + 1))
-    return np.column_stack(cols), y[t]
+    periods = np.arange(q, T + 1)  # 1-indexed targets
+    cols = [R[periods - 1] ** j for j in range(1, p + 1)]
+    cols.extend(s[periods - ell] for ell in range(1, q + 1))
+    return Dataset(np.column_stack(cols), s[periods], time_index=periods)
 
 
 def fit_arx(y, R, p: int, q: int) -> ARXFit:
@@ -251,7 +250,10 @@ def fit_arx(y, R, p: int, q: int) -> ARXFit:
     """
     if p < 1 or q < 1:
         raise ValueError("orders must be >= 1")
-    X, target = arx_design(y, R, p, q)
+    rows = arx_feature_rows(y, np.ravel(R)[1:], p, q)
+    if rows.n <= p + 1:
+        raise ValueError("series too short for requested orders")
+    X, target = np.column_stack([np.ones(rows.n), rows.inputs]), rows.outcome
     keep = np.ptp(X[:, 1:], axis=0) > 0.0
     theta = np.zeros(X.shape[1])
     cols = np.concatenate([[True], keep])

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -25,8 +26,8 @@ from . import __version__
 from .auction import FORWARD_K, AuctionScenario, auction_experiment
 from .config import ENTRY_EXIT_REGIMES, ConfigError, RunConfig
 from .data import SeededRng, forward_far_rows
-from .demand import DemandParams, demand_experiment
-from .entry_exit import DdcParams, RPathSpec, entry_exit_experiment
+from .demand import CV_FOLDS, INSTRUMENT_POWERS, DemandParams, demand_experiment
+from .entry_exit import PREDICTION_START, DdcParams, RPathSpec, entry_exit_experiment
 from .metrics import AggregateRow, metrics, sort_curves
 from .tuning import FORWARD_FRACTION
 
@@ -92,9 +93,20 @@ def configured_study(config: RunConfig):
             return auction_experiment, (scenario,), {"forward_K": K}
         if config.experiment == "entry-exit":
             params, rpath = (_from_block(cls, config.entry_exit) for cls in (DdcParams, RPathSpec))
+            if params.t_train < PREDICTION_START:
+                raise ValueError(f"entry_exit.t_train = {params.t_train} ends training before "
+                                 f"period {PREDICTION_START}, the first one scored")
             regime = ENTRY_EXIT_REGIMES[config.scenario]
             return entry_exit_experiment, (regime, params), {"rpath": rpath}
         params = _from_block(DemandParams, config.demand)
+        # the fit is on the second half of the markets; each training part
+        # of its K-fold CV needs a nonsingular instrument block
+        half = params.M // 2
+        train = half - math.ceil(half / CV_FOLDS)
+        if "sre" in config.estimators and train <= INSTRUMENT_POWERS:
+            raise ValueError(f"demand.M = {params.M} leaves {train} markets in a training part "
+                             f"of the {CV_FOLDS}-fold CV, fewer than the "
+                             f"{INSTRUMENT_POWERS + 1} instrument columns")
         return demand_experiment, (config.scenario,), {"params": params}
     except ValueError as exc:
         raise ConfigError(f"invalid {config.experiment} settings: {exc}") from exc

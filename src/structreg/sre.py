@@ -30,9 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.optimize
-import scipy.stats.qmc
 
-from .data import DomainSpec, StandardizeTransform
+from .data import Dataset, StandardizeTransform
 from .estimators import SingularDesignError, solve_least_squares
 
 
@@ -74,31 +73,6 @@ class PenaltySpec:
         """Weighted squared distance between a coefficient vector and the target."""
         diff = np.asarray(theta, float) - np.asarray(theta_m, float)
         return float(self.weights @ diff**2)
-
-
-class StructuralBenchmark(abc.ABC):
-    """An estimated structural model usable as a shrinkage target.
-
-    Exposes the model-implied conditional outcome mean, which
-    :func:`fit_theta_m` projects onto the statistical model.
-    """
-
-    @abc.abstractmethod
-    def implied_mean(self, x) -> np.ndarray:
-        """Model-implied conditional mean of the outcome at inputs ``x``."""
-
-
-def synthetic_design(domain: DomainSpec, size: int) -> np.ndarray:
-    """Deterministic input design covering a domain.
-
-    One dimension uses an even grid; higher dimensions use an unscrambled
-    Halton sequence, so the design depends only on the domain and size.
-    """
-    if domain.dimension == 1:
-        return np.linspace(domain.lower[0], domain.upper[0], size)[:, None]
-    sampler = scipy.stats.qmc.Halton(d=domain.dimension, scramble=False)
-    unit = sampler.random(size)
-    return scipy.stats.qmc.scale(unit, domain.lower, domain.upper)
 
 
 class FeatureMap(abc.ABC):
@@ -169,43 +143,27 @@ class LinearFeatures(FeatureMap):
 
 
 def fit_theta_m(
-    feature_map: FeatureMap,
-    benchmark: StructuralBenchmark,
-    domain: DomainSpec,
-    size: int | None = None,
-    transform: StandardizeTransform | None = None,
+    feature_map: FeatureMap, synthetic: Dataset, transform: StandardizeTransform
 ) -> np.ndarray:
-    """Project the benchmark's implied mean onto the statistical model's span.
+    """Project the structural benchmark onto the statistical model's span.
 
-    Fits the model to ``(x_i, f(x_i))`` pairs on a deterministic design over
-    ``domain``, where ``f`` is the benchmark's implied conditional mean. Using
-    implied means instead of simulated outcomes removes simulation noise from
-    the target coefficients.
-
-    Parameters
-    ----------
-    size : int, optional
-        Design size; defaults to ``max(1000, 50 * n_features)``.
-    transform : StandardizeTransform, optional
-        When given, coefficients are expressed over the standardized features
-        ``(F - means) / scales`` so they live on the same scale as a
-        second-stage fit that used this transform.
+    ``synthetic`` holds rows the estimated structural model implies: inputs
+    and the outcome the model predicts for them (the auction and demand
+    studies evaluate the model's conditional mean on an even grid, the
+    entry/exit study stacks simulated benchmark panels). The statistical
+    model is fitted to them by least squares over the standardized features
+    ``(F - means) / scales`` of ``transform``, so the coefficients live on the
+    scale of a second-stage fit that used it.
 
     Returns
     -------
     ndarray of length ``n_features + 1``
         Intercept followed by feature coefficients.
     """
-    if size is None:
-        size = max(1000, 50 * feature_map.n_features)
-    X = synthetic_design(domain, size)
-    target = np.asarray(benchmark.implied_mean(X), dtype=float).ravel()
-    F = feature_map.transform(X)
-    if transform is not None:
-        F = transform.transform_inputs(F)
+    F = transform.transform_inputs(feature_map.transform(synthetic.inputs))
     design = np.column_stack([np.ones(F.shape[0]), F])
     try:
-        return solve_least_squares(design, target)
+        return solve_least_squares(design, synthetic.outcome)
     except SingularDesignError as exc:
         raise SingularDesignError("singular feature Gram matrix") from exc
 

@@ -6,9 +6,11 @@ a known target input region, and a rolling-window variant for series data.
 
 Every study's second stage is one select-and-fit step on a fold object
 (:class:`RidgeFold`, or the demand study's moment fold): it builds the fold
-on the half of the sample the structural stage did not use, passes the
-fold's :meth:`~RidgeFold.refold` to the cross-validation as the fitter, and
-returns :meth:`~RidgeFold.fit` of the resulting :class:`CvTrace`.
+on the half of the sample the structural stage did not use, passes it to the
+cross-validation, and returns :meth:`~RidgeFold.fit` of the resulting
+:class:`CvTrace`. The fold fixes everything the cross-validation needs: its
+penalty's grid, :meth:`~RidgeFold.refold` to prepare each training sample,
+and the refolded fold's :meth:`~RidgeFold.score` of held-out rows.
 """
 
 from __future__ import annotations
@@ -73,12 +75,6 @@ class CvTrace:
         return cls(kind, lambda_grid, mean_errors, star, fold_errors)
 
 
-def squared_error_scorer(fold, thetas: np.ndarray, val: Dataset) -> np.ndarray:
-    """Held-out mean squared error of every coefficient row of a fold's path."""
-    resid = val.outcome[:, None] - fold.predict(thetas, val.inputs)
-    return np.mean(resid**2, axis=0)
-
-
 def _concat(parts: list[Dataset]) -> Dataset:
     return Dataset(
         np.vstack([p.inputs for p in parts]),
@@ -92,21 +88,20 @@ def _concat(parts: list[Dataset]) -> Dataset:
     )
 
 
-def _cv_loop(kind, fitter, scorer, splits, lambda_grid, unit="fold") -> CvTrace:
-    """Score every grid point on every ``(train, val)`` split.
+def _cv_loop(kind, final, splits, unit="fold") -> CvTrace:
+    """Score every grid point of ``final``'s penalty on every ``(train, val)`` split.
 
-    ``fitter(train)`` prepares the split once and returns a fold whose
-    ``path(lambda_grid)`` holds one coefficient row per grid point;
-    ``scorer(fold, thetas, val)`` scores all rows at once. A singular or
-    non-finite path names the split and its first offending grid point.
+    Each split's fold is ``final.refold(train)``: one preparation of the
+    training sample whose ``path(grid)`` holds one coefficient row per grid
+    point, all scored at once by the fold's ``score(thetas, val)``. A
+    singular or non-finite path names the split and its first offending grid
+    point.
     """
-    lambda_grid = np.asarray(lambda_grid, float)
-    if lambda_grid.size == 0:
-        raise DataError("lambda grid must be nonempty")
+    lambda_grid = final.penalty.lambda_grid
     fold_errors = []
     for k, (train, val) in enumerate(splits):
         try:
-            fold = fitter(train)
+            fold = final.refold(train)
             thetas = fold.path(lambda_grid)
         except SingularPathError as exc:
             raise CvError(f"fitter failed on {unit} {k} at lambda={exc.lam}: {exc}") from exc
@@ -116,7 +111,7 @@ def _cv_loop(kind, fitter, scorer, splits, lambda_grid, unit="fold") -> CvTrace:
         if bad.any():
             lam = float(lambda_grid[np.argmax(bad)])
             raise CvError(f"fitter failed on {unit} {k} at lambda={lam}: non-finite coefficients")
-        fold_errors.append(scorer(fold, thetas, val))
+        fold_errors.append(fold.score(thetas, val))
     return CvTrace.from_fold_errors(kind, lambda_grid, fold_errors)
 
 
@@ -126,85 +121,53 @@ def _kfold_splits(data: Dataset, K: int, rng: SeededRng):
         yield data.subset(np.setdiff1d(all_rows, val_idx)), data.subset(val_idx)
 
 
-def kfold_cv(
-    fitter,
-    scorer,
-    data: Dataset,
-    lambda_grid,
-    K: int,
-    rng: SeededRng,
-) -> CvTrace:
-    """Standard K-fold cross-validation over a penalty grid.
+def kfold_cv(final: RidgeFold, data: Dataset, K: int, rng: SeededRng) -> CvTrace:
+    """Standard K-fold cross-validation over ``final``'s penalty grid.
 
-    ``fitter(train)`` prepares a training fold once and returns a fold
-    object whose ``path(lambda_grid)`` gives one coefficient row per grid
-    point (the studies pass :meth:`RidgeFold.refold` of their final fold);
-    ``scorer(fold, thetas, val)`` returns the held-out error of every row.
-    The reported error per grid point is the mean over held-out folds.
+    Every training fold is prepared once by ``final.refold`` and scored at
+    every grid point by the fold's ``score`` on its held-out rows; the
+    reported error per grid point is the mean over held-out folds.
     """
-    return _cv_loop("kfold", fitter, scorer, _kfold_splits(data, K, rng), lambda_grid)
+    return _cv_loop("kfold", final, _kfold_splits(data, K, rng))
 
 
-def forward_cv(
-    sample: Dataset,
-    K: int,
-    target: DomainSpec,
-    fitter,
-    lambda_grid,
-    rng: SeededRng,
-    fraction: float = FORWARD_FRACTION,
-    scorer=squared_error_scorer,
-) -> CvTrace:
+def forward_cv(final: RidgeFold, sample: Dataset, K: int, target: DomainSpec,
+               rng: SeededRng) -> CvTrace:
     """K-fold cross-validation that always validates nearest the target.
 
-    The sample is first split so its near-target part is held out of training
-    entirely; the far part is partitioned into K folds. Iteration k trains on
-    the far part minus fold k and validates on fold k plus the whole
-    near-target part, so every validation set contains the observations
-    closest to where the model will be applied. ``fitter(train)``, the
-    fold's ``path`` and ``scorer`` follow :func:`kfold_cv`.
+    The ``FORWARD_FRACTION`` of the sample nearest ``target`` is first held
+    out of training entirely; the far part is partitioned into K folds.
+    Iteration k trains on the far part minus fold k and validates on fold k
+    plus the whole near-target part, so every validation set contains the
+    observations closest to where the model will be applied. Folds are
+    refolded and scored as in :func:`kfold_cv`.
     """
-    s1, s2 = forward_split(sample, target, fraction)
-    if s2.n == 0:
-        raise DataError("forward split produced an empty validation block")
+    s1, s2 = forward_split(sample, target, FORWARD_FRACTION)
     if s1.n < K:
         raise DataError(f"cannot form {K} folds from {s1.n} far-part rows")
     splits = ((train, _concat([val, s2])) for train, val in _kfold_splits(s1, K, rng))
-    return _cv_loop("forward", fitter, scorer, splits, lambda_grid)
+    return _cv_loop("forward", final, splits)
 
 
-def rolling_cv(
-    data: Dataset,
-    fitter,
-    lambda_grid,
-    window_length: int,
-    horizon: int = 1,
-    scorer=squared_error_scorer,
-) -> CvTrace:
+def rolling_cv(final: RidgeFold, data: Dataset, window_length: int) -> CvTrace:
     """Rolling-window cross-validation for time-ordered data.
 
     Every window origin fits on ``window_length`` consecutive observations
-    and scores on the next ``horizon`` observations, so training never sees
-    the future. Rows must carry a nondecreasing ``time_index``.
-    ``fitter(train)`` prepares a window once and returns a fold whose
-    ``path(lambda_grid)`` solves every grid point at once; ``scorer`` follows
-    :func:`kfold_cv`.
+    and scores on the next one, so training never sees the future. Rows must
+    carry a nondecreasing ``time_index``. Windows are refolded and scored as
+    in :func:`kfold_cv`.
     """
     if data.time_index is None:
         raise DataError("rolling cross-validation requires time-indexed data")
     if np.any(np.diff(data.time_index) < 0):
         raise DataError("time_index must be nondecreasing")
-    T = data.n
-    if T < window_length + horizon:
-        raise DataError("series shorter than window_length + horizon")
+    if data.n <= window_length:
+        raise DataError("series shorter than window_length + 1")
     splits = (
-        (
-            data.subset(np.arange(t0, t0 + window_length)),
-            data.subset(np.arange(t0 + window_length, t0 + window_length + horizon)),
-        )
-        for t0 in range(0, T - window_length - horizon + 1)
+        (data.subset(np.arange(t0, t0 + window_length)), data.subset([t0 + window_length]))
+        for t0 in range(data.n - window_length)
     )
-    return _cv_loop("rolling", fitter, scorer, splits, lambda_grid, unit="window")
+    return _cv_loop("rolling", final, splits, unit="window")
 
 
 @dataclass(frozen=True)
@@ -213,10 +176,11 @@ class RidgeFold:
 
     ``design`` is ``(1, standardized features)`` of the sample and
     ``theta_m`` the benchmark projection on the same scale. Cross-validation
-    rebuilds the problem on each training fold with :meth:`refold` and takes
-    every grid point from :meth:`path` at once; :meth:`fit` then refits at
-    the penalty the cross-validation chose, with the per-``lam`` closed form
-    of :meth:`solve`.
+    rebuilds the problem on each training fold with :meth:`refold`, takes
+    every grid point from :meth:`path` at once and scores them with
+    :meth:`score`; :meth:`fit` then refits at the penalty the
+    cross-validation chose, with the per-``lam`` closed form of
+    :meth:`solve`.
     """
 
     design: np.ndarray
@@ -241,6 +205,11 @@ class RidgeFold:
         """Predictions at ``inputs``, one column per coefficient row."""
         F = self.transform.transform_inputs(self.feature_map.transform(inputs))
         return thetas[:, 0] + F @ thetas[:, 1:].T
+
+    def score(self, thetas: np.ndarray, val: Dataset) -> np.ndarray:
+        """Held-out mean squared error of every coefficient row."""
+        resid = val.outcome[:, None] - self.predict(thetas, val.inputs)
+        return np.mean(resid**2, axis=0)
 
     def solve(self, lam: float) -> np.ndarray:
         """Coefficients at one penalty strength."""

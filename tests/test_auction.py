@@ -6,7 +6,6 @@ import scipy.stats
 
 from structreg.auction import (
     AuctionScenario,
-    UniformIpvBenchmark,
     _beta_bid_batch,
     _beta_truth,
     auction_experiment,
@@ -14,6 +13,7 @@ from structreg.auction import (
     overbid_truth_with_se,
     simulate_auctions,
     true_expected_winning_bid,
+    uniform_ipv_mean,
 )
 from structreg.data import SeededRng
 from structreg.metrics import metrics_table
@@ -158,16 +158,14 @@ def test_true_winning_bid_overbid_reports_se():
 
 
 def test_uniform_benchmark_values():
-    bench = UniformIpvBenchmark()
-    assert bench.implied_mean(5.0)[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert bench.implied_mean(1e6)[0] == pytest.approx(1.0, abs=1e-5)
+    assert uniform_ipv_mean(5.0)[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert uniform_ipv_mean(1e6)[0] == pytest.approx(1.0, abs=1e-5)
 
 
 def test_uniform_benchmark_zero_variance_predictions():
-    bench = UniformIpvBenchmark()
     grid = np.arange(5.0, 51.0)
-    a = bench.implied_mean(grid)
-    b = bench.implied_mean(grid)
+    a = uniform_ipv_mean(grid)
+    b = uniform_ipv_mean(grid)
     assert np.array_equal(a, b)
 
 
@@ -176,7 +174,7 @@ def test_uniform_benchmark_simulation_matches_implied_mean():
     sc = AuctionScenario.from_index(1, M=20_000, n_range_train=(10, 10))
     winning = simulate_auctions(sc, SeededRng(8)).winning_bids
     se = winning.std() / np.sqrt(winning.size)
-    assert abs(winning.mean() - UniformIpvBenchmark().implied_mean(10.0)[0]) <= 4 * se
+    assert abs(winning.mean() - uniform_ipv_mean(10.0)[0]) <= 4 * se
 
 
 def test_from_index_overrides_replace_scenario_fields():

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from structreg.data import SeededRng
+from structreg.data import Dataset, SeededRng, StandardizeTransform
 from structreg.demand import (
     DemandParams,
     MarketData,
-    demand_benchmark,
     demand_experiment,
     evaluation_grid,
     instrument_basis,
@@ -20,7 +19,6 @@ from structreg.demand import (
 from structreg.estimators import SingularDesignError, fit_2sls
 from structreg.metrics import metrics_table
 from structreg.sre import PenaltySpec, fit_theta_m, sre_gmm, PolynomialFeatures
-from structreg.data import DomainSpec
 
 
 def test_equilibrium_identities_hold():
@@ -125,22 +123,23 @@ def test_benchmark_affine_and_quadratic_projection():
     from structreg.demand import DemandEstimates
 
     est = DemandEstimates(alpha=100.0, beta=2.0, a=10.0, b=1.0)
-    bench = demand_benchmark(est)
     grid = np.linspace(20, 40, 7)
-    assert np.allclose(bench.implied_mean(grid), 100.0 - 2.0 * grid)
-    deriv = (bench.implied_mean(grid + 1e-6) - bench.implied_mean(grid - 1e-6)) / 2e-6
+    assert np.allclose(est.implied_demand(grid), 100.0 - 2.0 * grid)
+    deriv = (est.implied_demand(grid + 1e-6) - est.implied_demand(grid - 1e-6)) / 2e-6
     assert np.allclose(deriv, -2.0, atol=1e-6)
-    theta = fit_theta_m(
-        PolynomialFeatures(2), bench, DomainSpec.interval(20.0, 40.0)
-    )
+    prices = np.linspace(20.0, 40.0, 1000)
+    theta = fit_theta_m(PolynomialFeatures(2), Dataset(prices[:, None], est.implied_demand(prices)),
+                        StandardizeTransform(np.zeros(2), np.ones(2), 0.0))
     assert abs(theta[2]) <= 1e-6  # projecting a line yields no curvature
 
 
 def test_benchmark_requires_positive_slope():
-    from structreg.demand import DemandEstimates
-
-    with pytest.raises(ValueError):
-        demand_benchmark(DemandEstimates(1.0, -2.0, 0.0, 0.0))
+    # prices that fall with quantity imply an upward-sloping demand curve,
+    # which the structural stage refuses before any benchmark is built
+    gen = np.random.default_rng(3)
+    z, q = gen.uniform(0, 10, size=50), gen.uniform(10, 20, size=50)
+    with pytest.raises(ValueError, match="inverse demand slope is nonpositive"):
+        structural_estimate_demand(MarketData(40.0 + z - 0.5 * q, q, z))
 
 
 def test_sre_gmm_matches_2sls_for_linear_instrument_block():

@@ -10,7 +10,6 @@ from structreg.entry_exit import (
     PayoffParams,
     RPathSpec,
     _propagate_shares,
-    arx_feature_rows,
     draw_profit_path,
     entry_exit_experiment,
     estimate_ccp_euler,
@@ -25,6 +24,7 @@ from structreg.entry_exit import (
     solve_stationary,
     sre_entry_exit,
 )
+from structreg.estimators import arx_feature_rows
 
 
 def small_params(**overrides) -> DdcParams:

@@ -215,6 +215,14 @@ def _cli_env() -> dict:
     return env
 
 
+def test_cli_import_does_not_load_scipy_stats():
+    # a fresh interpreter: this one may have imported scipy.stats for other tests
+    code = "import sys, structreg.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_cli_env(), check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_run_validate_and_list(tmp_path):
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps(BASE_CONFIG))
@@ -346,7 +354,15 @@ def test_readme_config_example_validates(tmp_path, capsys):
      # the fitting half of 100 auctions leaves 41 far-part rows for forward CV
      ("auction", {"cv": {"K": 45}}, "cv.K = 45 forward folds need 45 far-part rows, "
       "but auction.M = 100 leaves 41"),
-     ("auction", {"auction": {"M": 8}}, "auction.M = 8 leaves 3")],
+     ("auction", {"auction": {"M": 8}}, "auction.M = 8 leaves 3"),
+     # ARX orders need 8 training periods, and scoring starts at period 11
+     ("entry-exit", {"entry_exit": {"t_train": 7}},
+      "entry_exit.t_train = 7 ends training before period 11"),
+     ("entry-exit", {"entry_exit": {"t_train": 10}},
+      "entry_exit.t_train = 10 ends training before period 11"),
+     # the fitting half of 15 markets is 7, so a 5-fold training part has 5
+     ("demand", {"demand": {"M": 15}}, "demand.M = 15 leaves 5 markets"),
+     ("demand", {"demand": {"M": 14}}, "demand.M = 14 leaves 5 markets")],
 )
 def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, experiment, block, message):
     import yaml
@@ -361,6 +377,26 @@ def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, experiment, blo
     assert message in json.loads(capsys.readouterr().err.strip())["error"]
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert message in json.loads(capsys.readouterr().err.strip())["error"]
+
+
+@pytest.mark.parametrize(
+    "experiment, block",
+    [("entry-exit", {"entry_exit": {"t_train": 11, "t_total": 60}}),
+     ("demand", {"demand": {"M": 16}})],
+    ids=["t_train-11", "M-16"],
+)
+def test_cli_runs_the_smallest_sizes_validate_accepts(tmp_path, capsys, experiment, block):
+    import yaml
+
+    from structreg.cli import main
+
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(
+        {"experiment": experiment, "scenario": 2, "trials": 1, "base_seed": 0, **block}
+    ))
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert ",in," in (tmp_path / "out" / "curves.csv").read_text()
 
 
 def _cli_outputs(config: dict, out: Path) -> dict:

@@ -6,6 +6,8 @@ reference. Designs are drawn from a hypothesis-chosen seed, so a failing
 example replays from its seed.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from structreg.sre import (
     sre_gmm,
     sre_ridge,
 )
-from structreg.tuning import CvError, kfold_cv, ridge_fold, rolling_cv, squared_error_scorer
+from structreg.tuning import CvError, kfold_cv, ridge_fold, rolling_cv
 
 GRID = np.array([0.0, 1e-3, 1.0, 10.0, 1e3, 1e6, 1e9, 1e12])
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -185,14 +187,14 @@ def test_rolling_cv_names_singular_window_and_lambda():
     second = np.where(np.arange(T) < 20, gen.normal(size=T), 0.7)
     data = Dataset(np.column_stack([gen.normal(size=T), second]), gen.normal(size=T),
                    time_index=np.arange(T))
-    penalty = PenaltySpec([0.0, 1.0], [0.0, 1.0, 1.0])
 
-    def fitter(window):
-        return ridge_fold(window, LinearFeatures(2), penalty, _zero_target)
+    def final(grid):
+        return ridge_fold(data, LinearFeatures(2), PenaltySpec(grid, [0.0, 1.0, 1.0]),
+                          _zero_target)
 
     with pytest.raises(CvError, match=r"window 20 at lambda=0\.0: singular"):
-        rolling_cv(data, fitter, [0.0, 1.0], 10, 1)
-    trace = rolling_cv(data, fitter, [0.5, 1.0], 10, 1)
+        rolling_cv(final([0.0, 1.0]), data, 10)
+    trace = rolling_cv(final([0.5, 1.0]), data, 10)
     assert np.isfinite(trace.mean_errors).all()
 
 
@@ -203,11 +205,13 @@ def test_kfold_names_non_finite_path_and_lambda():
     grid = [0.0, 1e10]
     penalty = PenaltySpec(grid, [0.0, 1.0])
 
-    def fitter(train):
+    def refold(train):
         # lam * theta_m overflows at the second grid point only
         return ridge_fold(train, LinearFeatures(1), penalty,
                           lambda transform: np.array([0.0, 1e300]))
 
+    # every fold keeps the raw target, which re-expressing it would overflow
+    final = SimpleNamespace(penalty=penalty, refold=refold)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             CvError, match=r"fold 0 at lambda=10000000000\.0: non-finite"):
-        kfold_cv(fitter, squared_error_scorer, data, grid, 4, SeededRng(23))
+        kfold_cv(final, data, 4, SeededRng(23))

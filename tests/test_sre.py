@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from structreg.data import Dataset, DomainSpec
+from structreg.data import Dataset, StandardizeTransform
 from structreg.estimators import fit_ols
 from structreg.sre import (
     LinearFeatures,
@@ -10,7 +10,6 @@ from structreg.sre import (
     PenaltySpec,
     PolynomialFeatures,
     SREFit,
-    StructuralBenchmark,
     ate_from_fit,
     fit_theta_m,
     gmm_objective,
@@ -21,16 +20,15 @@ from structreg.sre import (
 from structreg.estimators import fit_polynomial
 
 
-class LineBenchmark(StructuralBenchmark):
-    """f(x) = a + b x."""
+def line_rows(a, b, lo, hi, size=1000):
+    """Synthetic benchmark rows of the line ``a + b x`` on an even grid over ``[lo, hi]``."""
+    x = np.linspace(lo, hi, size)
+    return Dataset(x[:, None], a + b * x)
 
-    def __init__(self, a, b):
-        self.a, self.b = a, b
 
-    def implied_mean(self, x):
-        x = np.asarray(x, dtype=float)
-        x = x.ravel() if x.ndim <= 1 else x[:, 0]
-        return self.a + self.b * x
+def raw_scale(k):
+    """The identity standardization of ``k`` feature columns."""
+    return StandardizeTransform(np.zeros(k), np.ones(k), 0.0)
 
 
 def unit_penalty(k, grid=(1.0,)):
@@ -49,12 +47,12 @@ def test_penalty_spec_validation():
 
 
 def test_fit_theta_m_linear_benchmark_exact():
-    theta = fit_theta_m(LinearFeatures(1), LineBenchmark(2.0, -3.0), DomainSpec.interval(0, 1))
+    theta = fit_theta_m(LinearFeatures(1), line_rows(2.0, -3.0, 0, 1), raw_scale(1))
     assert np.allclose(theta, [2.0, -3.0], atol=1e-10)
 
 
 def test_fit_theta_m_constant_benchmark():
-    theta = fit_theta_m(PolynomialFeatures(3), LineBenchmark(4.0, 0.0), DomainSpec.interval(0, 2))
+    theta = fit_theta_m(PolynomialFeatures(3), line_rows(4.0, 0.0, 0, 2), raw_scale(3))
     assert theta[0] == pytest.approx(4.0, abs=1e-8)
     assert np.allclose(theta[1:], 0.0, atol=1e-8)
 
@@ -73,14 +71,9 @@ def test_fit_theta_m_auction_mean_projection_matches_quadrature_oracle():
     gram = (V * weights[:, None]).T @ V
     oracle = np.linalg.solve(gram, (V * weights[:, None]).T @ truth_fn(x))
 
-    class WinningBidCurve(StructuralBenchmark):
-        def implied_mean(self, rows):
-            n = np.asarray(rows, dtype=float)
-            n = n.ravel() if n.ndim <= 1 else n[:, 0]
-            return truth_fn(n)
-
+    n = np.linspace(5, 50, 1000)
     fmap = PolynomialFeatures(5)
-    theta = fit_theta_m(fmap, WinningBidCurve(), DomainSpec.interval(5, 50), size=1000)
+    theta = fit_theta_m(fmap, Dataset(n[:, None], truth_fn(n)), raw_scale(5))
     grid = np.linspace(5, 50, 2000)
     pred = theta[0] + fmap.transform(grid[:, None]) @ theta[1:]
     oracle_pred = sum(c * grid**j for j, c in enumerate(oracle))

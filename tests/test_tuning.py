@@ -1,3 +1,6 @@
+from functools import partial
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -18,33 +21,48 @@ from structreg.sre import PenaltySpec, PolynomialFeatures, fit_theta_m
 from structreg.tuning import (
     CvError,
     CvTrace,
+    RidgeFold,
     forward_cv,
     kfold_cv,
     ridge_fold,
     rolling_cv,
-    squared_error_scorer,
 )
 
-from .test_sre import LineBenchmark
+from .test_sre import line_rows
 
 
-class _RecordingFitter:
-    """Wraps a fitter, recording every training sample it sees."""
+class _Recording:
+    """Wraps a final fold, recording every training and validation sample its
+    refolds see."""
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.train_inputs = []
+    def __init__(self, inner, trains=None, vals=None):
+        self.inner, self.penalty = inner, inner.penalty
+        self.trains = [] if trains is None else trains
+        self.vals = [] if vals is None else vals
 
-    def __call__(self, train):
-        self.train_inputs.append(train.inputs.copy())
-        return self.inner(train)
+    def refold(self, train):
+        self.trains.append(train)
+        return _Recording(self.inner.refold(train), self.trains, self.vals)
+
+    def path(self, grid):
+        return self.inner.path(grid)
+
+    def score(self, thetas, val):
+        self.vals.append(val)
+        return self.inner.score(thetas, val)
 
 
 class _FixedFold:
-    """A fold whose every grid point predicts ``predict(inputs)``."""
+    """A fold whose every grid point predicts ``predict(inputs)``; it refolds to itself."""
 
-    def __init__(self, predict):
+    score = RidgeFold.score
+
+    def __init__(self, predict, grid):
         self._predict = predict
+        self.penalty = SimpleNamespace(lambda_grid=np.asarray(grid, float))
+
+    def refold(self, train):
+        return self
 
     def path(self, grid):
         return np.zeros((len(grid), 1))
@@ -53,11 +71,12 @@ class _FixedFold:
         return np.repeat(self._predict(inputs)[:, None], thetas.shape[0], axis=1)
 
 
-def _line_fitter(benchmark, domain, weights, grid):
-    """Each training fold standardized on its own, with the benchmark projected on it."""
-    fmap, penalty = PolynomialFeatures(1), PenaltySpec(grid, weights)
-    return lambda train: ridge_fold(train, fmap, penalty, lambda transform: fit_theta_m(
-        fmap, benchmark, domain, transform=transform))
+def _line_fold(train, line, domain, grid):
+    """The sample's ridge fold of a line, shrunk toward the benchmark line
+    ``(intercept, slope)`` projected over ``domain``."""
+    fmap = PolynomialFeatures(1)
+    return ridge_fold(train, fmap, PenaltySpec(grid, WEIGHTS),
+                      partial(fit_theta_m, fmap, line_rows(*line, *domain)))
 
 
 def _noisy_line_data(n=60, seed=0, noise=0.5):
@@ -73,8 +92,7 @@ WEIGHTS = np.array([0.0, 1.0])
 
 def test_kfold_singleton_grid():
     data = _noisy_line_data()
-    fitter = _line_fitter(LineBenchmark(0.0, 0.0), DomainSpec.interval(0, 10), WEIGHTS, [0.0])
-    trace = kfold_cv(fitter, squared_error_scorer, data, [0.0], 5, SeededRng(1))
+    trace = kfold_cv(_line_fold(data, (0.0, 0.0), (0, 10), [0.0]), data, 5, SeededRng(1))
     assert trace.lambda_star == 0.0
 
 
@@ -84,34 +102,32 @@ def test_kfold_benchmark_true_dgp_prefers_max_lambda():
     gen = np.random.default_rng(2)
     x = gen.uniform(0.0, 10.0, size=60)
     data = Dataset(x[:, None], 1.0 + 2.0 * x + 0.5 * gen.normal(size=60))
-    fitter = _line_fitter(LineBenchmark(1.0, 2.0), DomainSpec.interval(0, 10), WEIGHTS, GRID)
-    trace = kfold_cv(fitter, squared_error_scorer, data, GRID, 5, SeededRng(3))
+    trace = kfold_cv(_line_fold(data, (1.0, 2.0), (0, 10), GRID), data, 5, SeededRng(3))
     assert trace.lambda_star == GRID[-1]
     assert np.all(np.diff(trace.mean_errors) <= 1e-12)
 
 
 def test_kfold_misspecified_benchmark_prefers_min_lambda():
     data = _noisy_line_data(n=400, seed=4, noise=0.1)
-    bad = LineBenchmark(-30.0, -7.0)  # far from the true line
-    fitter = _line_fitter(bad, DomainSpec.interval(0, 10), WEIGHTS, GRID)
-    trace = kfold_cv(fitter, squared_error_scorer, data, GRID, 5, SeededRng(5))
+    bad = (-30.0, -7.0)  # far from the true line
+    trace = kfold_cv(_line_fold(data, bad, (0, 10), GRID), data, 5, SeededRng(5))
     assert trace.lambda_star == GRID[0]
 
 
 def test_kfold_propagates_fitter_failure_with_fold_id():
     data = _noisy_line_data(n=20)
 
-    def bad_fitter(train):
+    def bad_refold(train):
         raise RuntimeError("boom")
 
+    final = SimpleNamespace(penalty=PenaltySpec([0.0], WEIGHTS), refold=bad_refold)
     with pytest.raises(CvError, match="fold 0"):
-        kfold_cv(bad_fitter, squared_error_scorer, data, [0.0], 4, SeededRng(6))
+        kfold_cv(final, data, 4, SeededRng(6))
 
 
 def test_cv_trace_lambda_star_attains_minimum():
     data = _noisy_line_data(n=80, seed=7)
-    fitter = _line_fitter(LineBenchmark(1.0, 2.0), DomainSpec.interval(0, 10), WEIGHTS, GRID)
-    trace = kfold_cv(fitter, squared_error_scorer, data, GRID, 4, SeededRng(8))
+    trace = kfold_cv(_line_fold(data, (1.0, 2.0), (0, 10), GRID), data, 4, SeededRng(8))
     assert trace.lambda_star == trace.lambda_grid[np.argmin(trace.mean_errors)]
     assert trace.fold_errors.shape == (4, GRID.size)
     assert np.allclose(trace.fold_errors.mean(axis=0), trace.mean_errors)
@@ -120,32 +136,25 @@ def test_cv_trace_lambda_star_attains_minimum():
 def test_forward_cv_near_target_rows_always_validated_never_trained():
     data = Dataset(np.arange(1.0, 61.0)[:, None], np.zeros(60))
     target = DomainSpec.interval(61.0, 100.0)
-    inner = _line_fitter(LineBenchmark(0.0, 0.0), DomainSpec.interval(1, 100), WEIGHTS, [0.0, 1.0])
-    fitter = _RecordingFitter(inner)
-    captured_vals = []
-
-    def scorer(fold, thetas, val):
-        captured_vals.append(val.inputs.copy())
-        return squared_error_scorer(fold, thetas, val)
-
-    forward_cv(data, 5, target, fitter, [0.0, 1.0], SeededRng(9), scorer=scorer)
+    final = _Recording(_line_fold(data, (0.0, 0.0), (1, 100), [0.0, 1.0]))
+    forward_cv(final, data, 5, target, SeededRng(9))
     near = set(range(51, 61))  # ceil(60/6) = 10 nearest points
-    for train_inputs in fitter.train_inputs:
-        assert near.isdisjoint(set(train_inputs.ravel().astype(int)))
-    for val_inputs in captured_vals:
-        assert near.issubset(set(val_inputs.ravel().astype(int)))
+    assert len(final.trains) == len(final.vals) == 5
+    for train in final.trains:
+        assert near.isdisjoint(set(train.inputs.ravel().astype(int)))
+    for val in final.vals:
+        assert near.issubset(set(val.inputs.ravel().astype(int)))
 
 
 def test_forward_cv_fold_count_and_guards():
     data = Dataset(np.arange(1.0, 13.0)[:, None], np.zeros(12))
     target = DomainSpec.interval(20.0, 30.0)
-    inner = _line_fitter(LineBenchmark(0.0, 0.0), DomainSpec.interval(1, 30), WEIGHTS, [0.0])
-    fitter = _RecordingFitter(inner)
-    trace = forward_cv(data, 5, target, fitter, [0.0], SeededRng(10))
+    final = _line_fold(data, (0.0, 0.0), (1, 30), [0.0])
+    trace = forward_cv(final, data, 5, target, SeededRng(10))
     assert trace.fold_errors.shape[0] == 5
-    # a fraction that swallows nearly everything leaves too few far-part rows
-    with pytest.raises(DataError):
-        forward_cv(data, 5, target, fitter, [0.0], SeededRng(10), fraction=0.95)
+    # the near-target sixth leaves 10 far-part rows, too few for 11 folds
+    with pytest.raises(DataError, match="cannot form 11 folds from 10 far-part rows"):
+        forward_cv(final, data, 11, target, SeededRng(10))
 
 
 def test_rolling_cv_constant_series_zero_error_smallest_lambda():
@@ -157,7 +166,7 @@ def test_rolling_cv_constant_series_zero_error_smallest_lambda():
     def constant(inputs):
         return np.full(inputs.shape[0], 0.3)
 
-    trace = rolling_cv(data, lambda train: _FixedFold(constant), [0.0, 1.0, 2.0], 10, 1)
+    trace = rolling_cv(_FixedFold(constant, [0.0, 1.0, 2.0]), data, 10)
     assert np.allclose(trace.mean_errors, 0.0)
     assert trace.lambda_star == 0.0
 
@@ -167,16 +176,10 @@ def test_rolling_cv_window_covering_all_but_last_is_single_holdout():
     T = 30
     x = gen.normal(size=T)
     data = Dataset(x[:, None], gen.normal(size=T), time_index=np.arange(T))
-
-    calls = []
-
-    def fitter(train):
-        calls.append(train.n)
-        return _FixedFold(lambda inputs: np.zeros(inputs.shape[0]))
-
-    trace = rolling_cv(data, fitter, [0.0], T - 1, 1)
+    final = _Recording(_FixedFold(lambda inputs: np.zeros(inputs.shape[0]), [0.0]))
+    trace = rolling_cv(final, data, T - 1)
     assert trace.fold_errors.shape[0] == 1
-    assert calls == [T - 1]
+    assert [train.n for train in final.trains] == [T - 1]
 
 
 def test_rolling_cv_never_trains_on_future():
@@ -186,21 +189,11 @@ def test_rolling_cv_never_trains_on_future():
         np.arange(T, dtype=float),
         time_index=np.arange(T),
     )
-    windows = []
-
-    def fitter(train):
-        windows.append((train.time_index.min(), train.time_index.max()))
-        return _FixedFold(lambda inputs: inputs[:, 0])
-
-    seen = []
-
-    def scorer(fold, thetas, val):
-        seen.append(val.time_index.min())
-        return np.zeros(thetas.shape[0])
-
-    rolling_cv(data, fitter, [1.0], 12, 1, scorer=scorer)
-    for (lo, hi), val_min in zip(windows, seen):
-        assert hi < val_min
+    final = _Recording(_FixedFold(lambda inputs: inputs[:, 0], [1.0]))
+    rolling_cv(final, data, 12)
+    assert len(final.trains) == len(final.vals) == T - 12
+    for train, val in zip(final.trains, final.vals):
+        assert train.time_index.max() < val.time_index.min()
 
 
 def test_rolling_cv_benchmark_true_series_prefers_large_lambda():
@@ -210,29 +203,27 @@ def test_rolling_cv_benchmark_true_series_prefers_large_lambda():
     y = 1.0 + 2.0 * x + 0.8 * gen.normal(size=T)
     data = Dataset(x[:, None], y, time_index=np.arange(T))
     grid = np.array([0.0, 1e8])
-    fitter = _line_fitter(LineBenchmark(1.0, 2.0), DomainSpec.interval(0, 5), WEIGHTS, grid)
-    trace = rolling_cv(data, fitter, grid, 24, 1)
+    trace = rolling_cv(_line_fold(data, (1.0, 2.0), (0, 5), grid), data, 24)
     assert trace.lambda_star == grid[-1]
 
 
 def test_rolling_cv_requires_time_index():
     data = Dataset(np.arange(10.0)[:, None], np.zeros(10))
     with pytest.raises(DataError):
-        rolling_cv(data, lambda t: None, [0.0], 4, 1)
+        rolling_cv(_FixedFold(lambda inputs: np.zeros(inputs.shape[0]), [0.0]), data, 4)
 
 
-def _select_and_fit_on_half(data, benchmark, grid, rng):
+def _select_and_fit_on_half(data, line, grid, rng):
     """The select-and-fit step on the second half of ``data``: the final fold,
-    5-fold cross-validation with its refold, and the fit at lambda*."""
+    5-fold cross-validation of it, and the fit at lambda*."""
     _, fit_half = partition(data, 2, rng.split(0))
-    final = _line_fitter(benchmark, DomainSpec.interval(0, 10), WEIGHTS, grid)(fit_half)
-    trace = kfold_cv(final.refold, squared_error_scorer, fit_half, grid, 5, rng.split(3))
-    return final.fit(trace), fit_half
+    final = _line_fold(fit_half, line, (0, 10), grid)
+    return final.fit(kfold_cv(final, fit_half, 5, rng.split(3))), fit_half
 
 
 def test_sample_split_lambda_zero_reduces_to_plain_fit():
     data = _noisy_line_data(n=80, seed=13)
-    fit, fit_half = _select_and_fit_on_half(data, LineBenchmark(0.0, 0.0), [0.0], SeededRng(14))
+    fit, fit_half = _select_and_fit_on_half(data, (0.0, 0.0), [0.0], SeededRng(14))
     plain = fit_ols(fit_half.inputs, fit_half.outcome)
     grid = np.linspace(0, 10, 9)[:, None]
     assert fit.lambda_star == 0.0
@@ -243,8 +234,8 @@ def test_sample_split_exact_benchmark_noiseless():
     gen = np.random.default_rng(15)
     x = gen.uniform(0.0, 10.0, size=100)
     data = Dataset(x[:, None], 1.0 + 2.0 * x)
-    fit, _ = _select_and_fit_on_half(data, LineBenchmark(1.0, 2.0),
-                                     np.array([0.0, 1.0, 1e9]), SeededRng(16))
+    fit, _ = _select_and_fit_on_half(data, (1.0, 2.0), np.array([0.0, 1.0, 1e9]),
+                                     SeededRng(16))
     grid = np.linspace(0, 10, 21)[:, None]
     assert np.abs(fit.predict(grid) - (1.0 + 2.0 * grid[:, 0])).max() <= 1e-6
 
@@ -285,25 +276,24 @@ def _gmm_fold_on(final, train):
     ids=["auction", "entry-exit", "demand"],
 )
 def test_second_stage_refits_the_fold_its_cv_refolded(monkeypatch, second_stage, kind, fold_on):
-    # record the fitter and the first training sample of the study's one CV run
+    # record the fold and the first training sample of the study's one CV run
     seen = []
     cv_loop = tuning._cv_loop
 
-    def recording(cv_kind, fitter, scorer, splits, *args, **kwargs):
+    def recording(cv_kind, final, splits, *args, **kwargs):
         splits = list(splits)
-        seen.append((fitter, splits[0][0]))
-        return cv_loop(cv_kind, fitter, scorer, splits, *args, **kwargs)
+        seen.append((final, splits[0][0]))
+        return cv_loop(cv_kind, final, splits, *args, **kwargs)
 
     monkeypatch.setattr(tuning, "_cv_loop", recording)
     fit = second_stage()
-    [(fitter, train)] = seen
+    [(final, train)] = seen
     trace = fit.parts[0]
     assert isinstance(trace, CvTrace)
     assert fit.lambda_star == trace.lambda_star
     assert fit.cv == trace.kind == kind
-    # the fitter is the final fold's refold, and the fit is that fold's solve at lambda*
-    final = fitter.__self__
-    assert fitter == final.refold
+    # the fold the CV refolded made the fit: its solve at lambda* and its theta_m
+    assert np.array_equal(trace.lambda_grid, final.penalty.lambda_grid)
     assert np.array_equal(fit.theta, final.solve(trace.lambda_star))
     assert np.array_equal(fit.theta_m, final.theta_m)
     # refold builds the same fold as one built from scratch on the sample
