@@ -4,10 +4,10 @@ The estimator fits a flexible statistical model with a penalty on the
 distance between its coefficients and the values implied by an estimated
 structural (causal) model, trading in-sample fit against agreement with
 theory. The package provides the penalized solvers (closed-form least
-squares and moment-based variants plus a derivative-free fallback), penalty
-selection by K-fold, forward, and rolling-window cross-validation, and a
-reproducible Monte Carlo harness covering three applications: first-price
-auctions, dynamic firm entry/exit, and demand estimation with instruments.
+squares and moment-based variants), penalty selection by K-fold, forward,
+and rolling-window cross-validation, and a reproducible Monte Carlo harness
+covering three applications: first-price auctions, dynamic firm entry/exit,
+and demand estimation with instruments.
 Each application estimates its structural model on one half of the sample
 and selects and fits the penalized model on the other.
 """
@@ -43,11 +43,9 @@ from .sre import (  # noqa: F401
     PenaltySpec,
     PolynomialFeatures,
     SREFit,
-    ate_from_fit,
     default_lambda_grid,
     fit_theta_m,
     quadratic_path,
-    sre_extremum,
     sre_gmm,
     sre_ridge,
 )

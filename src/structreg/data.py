@@ -206,6 +206,23 @@ def standardize(data: Dataset) -> tuple[Dataset, StandardizeTransform]:
     return transform.apply(data), transform
 
 
+def stacked_standardization(values: np.ndarray, weight: np.ndarray):
+    """:func:`standardize`'s column means and scales for a stack of samples.
+
+    ``values`` has shape ``(S, r, c)``: ``S`` samples of ``r`` rows each, of
+    which sample ``s`` uses the rows where ``weight[s]`` is 1 (0 elsewhere).
+    Returns ``(means, scales, centered)``: the ``(S, c)`` means and ``ddof=0``
+    scales of the used rows, with zero-variance columns at scale 1, and the
+    centered values, which are 0 on unused rows.
+    """
+    w = weight[:, :, None]
+    count = weight.sum(axis=1)[:, None]
+    means = (values * w).sum(axis=1) / count
+    centered = (values - means[:, None, :]) * w
+    scales = np.sqrt((centered * centered).sum(axis=1) / count)
+    return means, np.where(scales > 0.0, scales, 1.0), centered
+
+
 @dataclass(frozen=True)
 class SeededRng:
     """Deterministic, splittable random stream.
@@ -283,6 +300,14 @@ def forward_split(
     (S1, S2)
         Far and near subsamples, each preserving original row order.
     """
+    far, near = forward_split_rows(data, target, fraction)
+    return data.subset(far), data.subset(near)
+
+
+def forward_split_rows(
+    data: Dataset, target: DomainSpec, fraction: float = 1.0 / 6.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted row indices of :func:`forward_split`'s far and near parts."""
     if not (0.0 < fraction < 1.0):
         raise DataError("fraction must lie strictly between 0 and 1")
     if target.dimension != data.p:
@@ -293,9 +318,7 @@ def forward_split(
     box_dist = target.point_distance(data.inputs)
     center_dist = np.sqrt(((data.inputs - target.center) ** 2).sum(axis=1))
     order = np.lexsort((np.arange(data.n), center_dist, box_dist))
-    near = np.sort(order[:-n_far])
-    far = np.sort(order[-n_far:])
-    return data.subset(far), data.subset(near)
+    return np.sort(order[-n_far:]), np.sort(order[:-n_far])
 
 
 def forward_far_rows(n: int, fraction: float) -> int:

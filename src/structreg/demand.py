@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .data import Dataset, SeededRng, partition_indices
+from .data import Dataset, SeededRng, partition_indices, stacked_standardization
 from .estimators import LinearFit, SingularDesignError, fit_2sls, solve_least_squares
 from .sre import (
     PenaltySpec,
@@ -41,6 +41,7 @@ EVAL_GRID_POINTS = 100
 REFERENCE_MARKETS = 20_000
 CV_FOLDS = 5
 SYNTHETIC_ROWS = 1000
+STRUCTURAL_MIN_MARKETS = 4  # the pricing identity has three coefficients
 DAMPENED_MARKUP = 0.4
 _QUADRATIC = PolynomialFeatures(2)  # the regularized fit's demand curve
 _GRID_STREAM = 2**62  # reserved stream index; trials use small indices
@@ -156,8 +157,8 @@ def structural_estimate_demand(data: MarketData) -> DemandEstimates:
     slope estimates ``beta / markup`` — the model's misspecification bias.
     The demand intercept follows as the mean of ``q + beta_hat * p``.
     """
-    if data.m < 4:
-        raise ValueError("need at least four markets")
+    if data.m < STRUCTURAL_MIN_MARKETS:
+        raise ValueError(f"need at least {STRUCTURAL_MIN_MARKETS} markets")
     design = np.column_stack(
         [np.ones(data.m), data.cost_shifters, data.quantities]
     )
@@ -212,11 +213,11 @@ def instrument_basis(
     raw powers (the moment objective is invariant to affine recombinations of
     the basis) while keeping the Gram matrix well conditioned at degree 5.
     The caller must reuse one (center, scale) pair for every basis that
-    shares a weight matrix.
+    shares a weight matrix. ``z`` of shape ``(S, n)`` with ``center`` and
+    ``scale`` of shape ``(S, 1)`` gives ``S`` blocks at once.
     """
-    z = np.asarray(z, dtype=float).ravel()
-    zs = (z - center) / scale
-    return np.column_stack([zs**j for j in range(powers + 1)])
+    zs = (np.asarray(z, dtype=float) - center) / scale
+    return np.stack([zs**j for j in range(powers + 1)], axis=-1)
 
 
 def projection_weight(Z: np.ndarray) -> np.ndarray:
@@ -241,18 +242,15 @@ class GmmFold(RidgeFold):
     ``theta`` multiplies ``(1, p_std, p_std^2)`` where the price powers are
     standardized by ``transform``. The sample's instrument block, projection
     weight and instrument rescaling constants are kept so held-out moments
-    are scored in the same basis.
+    are scored in the same basis. In cross-validation every training fold
+    gets its own instrument rescaling, projection weight and held-out moment
+    objective, all folds at once.
     """
 
     instruments: np.ndarray
     weight: np.ndarray
     z_center: float
     z_scale: float
-
-    def refold(self, train: Dataset) -> "GmmFold":
-        """The same problem on another sample, with that sample's own
-        standardization, instrument block and projection weight."""
-        return _gmm_fold(train, self.penalty, self.theta_m_in)
 
     def path(self, lambda_grid) -> np.ndarray:
         G, b = gmm_normal_equations(self.design, self.instruments, self.outcome, self.weight)
@@ -264,6 +262,33 @@ class GmmFold(RidgeFold):
         Z = instrument_basis(val.instruments[:, 0], self.z_center, self.z_scale)
         m_bar = Z.T @ resid / val.n
         return np.sum(m_bar * (self.weight @ m_bar), axis=0)
+
+    def _cv_system(self, data, splits, design, outcome):
+        """Every split's moment normal equations, with its own instrument
+        rescaling and projection weight, and the scorer of its held-out
+        moment objective."""
+        z = data.instruments[:, 0]
+        weight = splits.train_weight
+        center, scale, _ = stacked_standardization(z[splits.train][:, :, None], weight)
+        Z = instrument_basis(z[splits.train], center, scale) * weight[:, :, None]
+        few = weight.sum(axis=1) < Z.shape[2]
+        if few.any():
+            raise splits.failure(int(np.argmax(few)), "singular instrument Gram matrix")
+        gram = Z.swapaxes(1, 2) @ Z
+        try:
+            W = np.linalg.inv(gram)
+        except np.linalg.LinAlgError as exc:
+            first = int(np.argmax(np.linalg.det(gram) == 0.0))
+            raise splits.failure(first, "singular instrument Gram matrix") from exc
+        G, b = gmm_normal_equations(design, Z, outcome, W)
+        Z_val = instrument_basis(z[splits.val], center, scale) * splits.val_weight[:, :, None]
+        count = splits.val_weight.sum(axis=1)[:, None, None]
+
+        def score(resid):
+            m_bar = Z_val.swapaxes(1, 2) @ resid / count
+            return np.sum(m_bar * (W @ m_bar), axis=1)
+
+        return G, b, score
 
     def solve(self, lam: float) -> np.ndarray:
         return sre_gmm(self.design, self.instruments, self.outcome, self.weight,

@@ -29,6 +29,7 @@ import numpy as np
 
 from .data import Dataset, SeededRng
 from .estimators import (
+    SingularDesignError,
     arx_feature_rows,
     fit_arx,
     select_arx_order_aic,
@@ -496,7 +497,14 @@ def sre_entry_exit(
     grid = default_lambda_grid(train.n) if lambda_grid is None else np.asarray(lambda_grid, float)
     penalty = PenaltySpec(grid, np.concatenate([[0.0], np.ones(train.p)]))
     features = LinearFeatures(train.p)
-    final = ridge_fold(train, features, penalty, partial(fit_theta_m, features, synthetic))
+    try:
+        final = ridge_fold(train, features, penalty, partial(fit_theta_m, features, synthetic))
+    except SingularDesignError as exc:
+        mu, alpha, entry_cost = estimates
+        raise SingularDesignError(
+            f"{exc}: the benchmark's synthetic panels do not identify the ARX model; "
+            f"degenerate CCP-Euler estimate mu={mu:.4g}, alpha={alpha:.4g}, "
+            f"entry_cost={entry_cost:.4g}") from exc
     return final.fit(rolling_cv(final, train, max(2, train.n // 5)))
 
 

@@ -115,17 +115,6 @@ class PolyFit:
             out += coefs[j - 1] * j * z ** (j - 1)
         return out / self.input_scale
 
-    def raw_coefficients(self) -> np.ndarray:
-        """Coefficients ``(c_0, ..., c_degree)`` of the fitted polynomial in x."""
-        poly = np.polynomial.Polynomial(
-            np.concatenate([[self.linear_fit.intercept], self.linear_fit.coefficients])
-        )
-        shift = np.polynomial.Polynomial([-self.input_mean / self.input_scale, 1.0 / self.input_scale])
-        raw = poly(shift)
-        coefs = np.zeros(self.degree + 1)
-        coefs[: len(raw.coef)] = raw.coef
-        return coefs
-
 
 def fit_polynomial(x, y, degree: int) -> PolyFit:
     """Least-squares polynomial fit of stated degree on a standardized regressor."""
@@ -198,16 +187,6 @@ class ARXFit:
             raise ValueError("exogenous coefficient count does not match order")
         if self.ar_coefficients.shape[0] != self.ar_order:
             raise ValueError("AR coefficient count does not match order")
-
-    def predict_step(self, R_t: float, lags) -> float:
-        """One-step prediction from ``R_t`` and ``lags = (y_{t-1}, ..., y_{t-q})``."""
-        lags = np.asarray(lags, dtype=float).ravel()
-        if lags.shape[0] != self.ar_order:
-            raise ValueError("lag vector length does not match AR order")
-        powers = np.array([R_t**j for j in range(1, self.exog_order + 1)])
-        return float(
-            self.intercept + powers @ self.exog_coefficients + lags @ self.ar_coefficients
-        )
 
     def predict_series(self, y, R) -> np.ndarray:
         """One-step-ahead predictions of ``y_t`` using realized lags.

@@ -26,7 +26,13 @@ from . import __version__
 from .auction import FORWARD_K, AuctionScenario, auction_experiment
 from .config import ENTRY_EXIT_REGIMES, ConfigError, RunConfig
 from .data import SeededRng, forward_far_rows
-from .demand import CV_FOLDS, INSTRUMENT_POWERS, DemandParams, demand_experiment
+from .demand import (
+    CV_FOLDS,
+    INSTRUMENT_POWERS,
+    STRUCTURAL_MIN_MARKETS,
+    DemandParams,
+    demand_experiment,
+)
 from .entry_exit import PREDICTION_START, DdcParams, RPathSpec, entry_exit_experiment
 from .metrics import AggregateRow, metrics, sort_curves
 from .tuning import FORWARD_FRACTION
@@ -99,6 +105,9 @@ def configured_study(config: RunConfig):
             regime = ENTRY_EXIT_REGIMES[config.scenario]
             return entry_exit_experiment, (regime, params), {"rpath": rpath}
         params = _from_block(DemandParams, config.demand)
+        if "structural" in config.estimators and params.M < STRUCTURAL_MIN_MARKETS:
+            raise ValueError(f"demand.M = {params.M} is fewer than the "
+                             f"{STRUCTURAL_MIN_MARKETS} markets the structural estimator needs")
         # the fit is on the second half of the markets; each training part
         # of its K-fold CV needs a nonsingular instrument block
         half = params.M // 2

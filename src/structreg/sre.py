@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .data import Dataset, StandardizeTransform
 from .estimators import SingularDesignError, solve_least_squares
@@ -169,18 +168,25 @@ def fit_theta_m(
 
 
 class SingularPathError(SingularDesignError):
-    """The penalized system is numerically singular at grid point ``lam``."""
+    """The penalized system is numerically singular at grid point ``lam``.
 
-    def __init__(self, lam: float):
+    ``index`` is the offending system's position in a stacked call, ``None``
+    for a single system.
+    """
+
+    def __init__(self, lam: float, index: int | None = None):
         super().__init__("singular penalized system")
         self.lam = lam
+        self.index = index
 
 
-def _singular_floor(eigenvalues: np.ndarray) -> float:
-    """Eigenvalues at or below this are zero to working precision."""
-    if eigenvalues.size == 0:
-        return 0.0
-    return eigenvalues.size * np.finfo(float).eps * float(np.abs(eigenvalues).max())
+def _singular_floor(eigenvalues: np.ndarray) -> np.ndarray:
+    """Eigenvalues at or below this are zero to working precision, per system
+    (the last axis holds one system's eigenvalues)."""
+    n = eigenvalues.shape[-1]
+    if n == 0:
+        return np.zeros(eigenvalues.shape[:-1])
+    return n * np.finfo(float).eps * np.abs(eigenvalues).max(axis=-1)
 
 
 def quadratic_path(G, b, weights, theta_m, grid) -> np.ndarray:
@@ -192,6 +198,10 @@ def quadratic_path(G, b, weights, theta_m, grid) -> np.ndarray:
     ``(G + lam_i L) t = b + lam_i L theta_m``, the system :func:`sre_ridge`
     and :func:`sre_gmm` solve for one ``lam``.
 
+    ``G``, ``b`` and ``theta_m`` may carry a leading stack axis of ``S``
+    systems that share ``weights`` and ``grid`` (cross-validation solves every
+    fold at once); a single system is the stack of one.
+
     The zero-weight coordinates are eliminated by a Schur complement and the
     others rescaled by ``sqrt(w)``, so the penalty becomes
     ``lam * ||phi - phi_m||^2`` over a reduced system ``S phi = c``. One
@@ -202,22 +212,27 @@ def quadratic_path(G, b, weights, theta_m, grid) -> np.ndarray:
     Raises
     ------
     SingularPathError
-        At the first grid point where the penalized system is singular to
-        working precision (for example ``lam = 0`` with a rank-deficient
-        ``G``).
+        At the first system, and its first grid point, where the penalized
+        system is singular to working precision (for example ``lam = 0``
+        with a rank-deficient ``G``).
 
     Returns
     -------
-    ndarray of shape ``(len(grid), len(theta_m))``
+    ndarray of shape ``(len(grid), len(theta_m))``, or ``(S, len(grid), k)``
+    for a stack
     """
     G = np.asarray(G, dtype=float)
-    b = np.asarray(b, dtype=float).ravel()
+    b = np.asarray(b, dtype=float)
     w = np.asarray(weights, dtype=float).ravel()
-    theta_m = np.asarray(theta_m, dtype=float).ravel()
+    theta_m = np.asarray(theta_m, dtype=float)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    k = b.shape[0]
-    if G.shape != (k, k) or w.shape != (k,) or theta_m.shape != (k,):
+    single = G.ndim == 2
+    if single:
+        G, b, theta_m = G[None], b.ravel()[None], theta_m.ravel()[None]
+    if (b.ndim != 2 or G.shape != b.shape + b.shape[1:] or w.shape != b.shape[1:]
+            or theta_m.shape != b.shape):
         raise PenaltyError("G, b, weights and theta_m must share one width")
+    n, k = b.shape
     if grid.ndim != 1 or grid.size == 0:
         raise PenaltyError("lambda grid must be a nonempty vector")
     if np.any(grid < 0.0) or not np.isfinite(grid).all():
@@ -228,29 +243,35 @@ def quadratic_path(G, b, weights, theta_m, grid) -> np.ndarray:
         raise PenaltyError("G, b and theta_m must be finite")
     free, pen = np.flatnonzero(w == 0.0), np.flatnonzero(w > 0.0)
     root = np.sqrt(w[pen])
-    G_p = G[pen]
-    S, c = G_p[:, pen], b[pen]
+    G_pf, S, c = G[:, pen][:, :, free], G[:, pen][:, :, pen], b[:, pen]
+    # a singular free block is singular at every grid point
+    free_singular = np.zeros(n, dtype=bool)
     if free.size:
         # K = G_ff^{-1} [G_fp, b_f]: the free block given the penalized one
-        d_f, V_f = np.linalg.eigh(G[free][:, free])
-        if d_f[0] <= _singular_floor(d_f):
-            raise SingularPathError(float(grid[0]))
-        K = V_f @ ((V_f.T @ np.column_stack([G_p[:, free].T, b[free]])) / d_f[:, None])
-        S = S - G_p[:, free] @ K[:, :-1]
-        c = c - G_p[:, free] @ K[:, -1]
+        d_f, V_f = np.linalg.eigh(G[:, free][:, :, free])
+        free_singular = d_f[:, 0] <= _singular_floor(d_f)
+        d_f[free_singular] = 1.0  # placeholder; those systems raise below
+        rhs = np.concatenate([G_pf.swapaxes(1, 2), b[:, free, None]], axis=2)
+        K = V_f @ ((V_f.swapaxes(1, 2) @ rhs) / d_f[:, :, None])
+        S = S - G_pf @ K[:, :, :-1]
+        c = c - (G_pf @ K[:, :, -1:])[:, :, 0]
     S = S / np.outer(root, root)
-    d, V = np.linalg.eigh(0.5 * (S + S.T))
-    denominators = d[None, :] + grid[:, None]
-    floor = _singular_floor(d) + d.size * np.finfo(float).eps * grid
-    singular = denominators.min(axis=1, initial=np.inf) <= floor
+    d, V = np.linalg.eigh(0.5 * (S + S.swapaxes(1, 2)))
+    denominators = d[:, None, :] + grid[None, :, None]
+    floor = _singular_floor(d)[:, None] + d.shape[1] * np.finfo(float).eps * grid
+    singular = (denominators.min(axis=2, initial=np.inf) <= floor) | free_singular[:, None]
     if singular.any():
-        raise SingularPathError(float(grid[np.argmax(singular)]))
-    numerators = (V.T @ (c / root))[None, :] + grid[:, None] * (V.T @ (root * theta_m[pen]))
-    theta = np.empty((grid.size, k))
-    theta[:, pen] = (numerators / denominators) @ V.T / root
+        first = np.argmax(singular.any(axis=1))
+        raise SingularPathError(float(grid[np.argmax(singular[first])]),
+                                None if single else int(first))
+    Vt = V.swapaxes(1, 2)
+    numerators = (Vt @ (c / root)[:, :, None]).swapaxes(1, 2) + grid[None, :, None] * (
+        Vt @ (root * theta_m[:, pen])[:, :, None]).swapaxes(1, 2)
+    theta = np.empty((n, grid.size, k))
+    theta[:, :, pen] = (numerators / denominators) @ Vt / root
     if free.size:
-        theta[:, free] = K[:, -1] - theta[:, pen] @ K[:, :-1].T
-    return theta
+        theta[:, :, free] = K[:, None, :, -1] - theta[:, :, pen] @ K[:, :, :-1].swapaxes(1, 2)
+    return theta[0] if single else theta
 
 
 def _penalized_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -284,34 +305,40 @@ def sre_ridge(X, y, theta_m, penalty: PenaltySpec, lam: float) -> np.ndarray:
 
 def _check_weight_matrix(W: np.ndarray) -> np.ndarray:
     W = np.asarray(W, dtype=float)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
+    if W.ndim < 2 or W.shape[-2] != W.shape[-1]:
         raise PenaltyError("weight matrix must be square")
-    if not np.allclose(W, W.T, atol=1e-10):
+    Wt = W.swapaxes(-2, -1)
+    if not np.allclose(W, Wt, atol=1e-10):
         raise PenaltyError("weight matrix must be symmetric")
-    eigs = np.linalg.eigvalsh(0.5 * (W + W.T))
-    if eigs.min() < -1e-10 * max(1.0, abs(eigs.max())):
+    eigs = np.linalg.eigvalsh(0.5 * (W + Wt))
+    if np.any(eigs.min(axis=-1) < -1e-10 * np.maximum(1.0, np.abs(eigs.max(axis=-1)))):
         raise PenaltyError("weight matrix must be positive semi-definite")
-    return 0.5 * (W + W.T)
+    return 0.5 * (W + Wt)
 
 
 def gmm_normal_equations(X, Z, y, W) -> tuple[np.ndarray, np.ndarray]:
     """``(X'Z W Z'X, X'Z W Z'y)``: the quadratic and linear terms of the
     moment objective ``(y - X theta)' Z W Z' (y - X theta)``, after checking
-    that ``W`` is a symmetric positive semi-definite weight for ``Z``."""
+    that ``W`` is a symmetric positive semi-definite weight for ``Z``.
+
+    With a leading stack axis on every argument (``X`` of shape
+    ``(S, n, k)``, ``y`` of shape ``(S, n)``) it returns every system's terms.
+    """
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
+    y = np.asarray(y, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     if Z.ndim == 1:
         Z = Z[:, None]
-    if Z.shape[1] < X.shape[1]:
+    if Z.shape[-1] < X.shape[-1]:
         raise PenaltyError("need at least as many instruments as parameters")
     W = _check_weight_matrix(W)
-    if W.shape[0] != Z.shape[1]:
+    if W.shape[-1] != Z.shape[-1]:
         raise PenaltyError("weight matrix width does not match instruments")
-    XZ = X.T @ Z
-    return XZ @ W @ XZ.T, XZ @ W @ (Z.T @ y)
+    XZ = X.swapaxes(-2, -1) @ Z
+    XZW = XZ @ W
+    return XZW @ XZ.swapaxes(-2, -1), (XZW @ (Z.swapaxes(-2, -1) @ y[..., None]))[..., 0]
 
 
 def sre_gmm(X, Z, y, W, theta_m, penalty: PenaltySpec, lam: float) -> np.ndarray:
@@ -338,62 +365,6 @@ def gmm_objective(X, Z, y, W, theta) -> float:
     resid = np.asarray(y, float).ravel() - np.asarray(X, float) @ np.asarray(theta, float)
     m = np.asarray(Z, float).T @ resid
     return float(m @ (np.asarray(W, float) @ m))
-
-
-def sre_extremum(
-    objective,
-    theta_m,
-    penalty: PenaltySpec,
-    lam: float,
-    theta_init,
-    max_evaluations: int = 100_000,
-    tol: float = 1e-9,
-) -> np.ndarray:
-    """Derivative-free minimizer of ``objective(theta) + lam * Omega(theta)``.
-
-    Runs simplex searches restarted from ``theta_m`` and from ``theta_init``
-    until the best value stops improving in relative terms, and returns the
-    best point found (a local minimizer in general). Deterministic given its
-    inputs.
-    """
-    if lam < 0.0:
-        raise PenaltyError("lambda must be nonnegative")
-    theta_m = np.asarray(theta_m, dtype=float).ravel()
-    theta_init = np.asarray(theta_init, dtype=float).ravel()
-    if theta_init.shape != theta_m.shape:
-        raise PenaltyError("theta_init and theta_m dimensions differ")
-
-    def total(theta):
-        value = objective(theta) + lam * penalty.omega(theta, theta_m)
-        if not np.isfinite(value):
-            raise PenaltyError(f"non-finite objective at theta={theta!r}")
-        return value
-
-    total(theta_init)
-    evals_left = max_evaluations
-    best_x, best_f = None, np.inf
-    for start in (theta_m, theta_init):
-        x0 = start.copy()
-        while evals_left > 0:
-            res = scipy.optimize.minimize(
-                total,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "maxfev": evals_left,
-                    "xatol": tol,
-                    "fatol": tol,
-                    "adaptive": theta_m.size > 4,
-                },
-            )
-            evals_left -= res.nfev
-            improved = res.fun < best_f - tol * (1.0 + abs(best_f))
-            if res.fun < best_f:
-                best_x, best_f = res.x, res.fun
-            if not improved:
-                break
-            x0 = res.x
-    return np.asarray(best_x)
 
 
 @dataclass(frozen=True)
@@ -430,31 +401,3 @@ class SREFit:
         dF = self.feature_map.derivative(X, coordinate) / self.transform.column_scales
         return dF @ self.theta[1:]
 
-
-def ate_from_fit(fit, treatment_index: int = 0):
-    """Average-treatment-effect function from a fitted conditional mean.
-
-    Returns the analytic partial derivative of the fitted outcome mean with
-    respect to the treatment coordinate, in the raw input scale. Accepts
-    :class:`SREFit`, :class:`~structreg.estimators.PolyFit`, and
-    :class:`~structreg.estimators.LinearFit`.
-    """
-    from .estimators import LinearFit, PolyFit
-
-    if isinstance(fit, SREFit):
-        probe = np.zeros((1, 1))
-        try:
-            fit.feature_map.derivative(probe, treatment_index)
-        except IndexError:
-            raise IndexError("treatment_index out of range") from None
-        return lambda d, w=None: fit.derivative(np.atleast_1d(d), treatment_index)
-    if isinstance(fit, PolyFit):
-        if treatment_index != 0:
-            raise IndexError("treatment_index out of range")
-        return lambda d, w=None: fit.derivative(np.atleast_1d(d))
-    if isinstance(fit, LinearFit):
-        if not 0 <= treatment_index < fit.coefficients.shape[0]:
-            raise IndexError("treatment_index out of range")
-        slope = float(fit.coefficients[treatment_index])
-        return lambda d, w=None: np.full(np.shape(np.atleast_1d(d)), slope)
-    raise TypeError(f"cannot differentiate fit of type {type(fit).__name__}")

@@ -9,8 +9,10 @@ Every study's second stage is one select-and-fit step on a fold object
 on the half of the sample the structural stage did not use, passes it to the
 cross-validation, and returns :meth:`~RidgeFold.fit` of the resulting
 :class:`CvTrace`. The fold fixes everything the cross-validation needs: its
-penalty's grid, :meth:`~RidgeFold.refold` to prepare each training sample,
-and the refolded fold's :meth:`~RidgeFold.score` of held-out rows.
+penalty's grid and :meth:`~RidgeFold.cv_errors`, which scores that grid on
+every split of a :class:`CvSplits` in one stacked array computation. A split
+is row indices into the sample with 0/1 row weights (a sliding window of rows
+for rolling cross-validation), so no per-split sample or fold is built.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import (
     DataError,
@@ -25,8 +28,9 @@ from .data import (
     DomainSpec,
     SeededRng,
     StandardizeTransform,
-    forward_split,
+    forward_split_rows,
     partition_indices,
+    stacked_standardization,
     standardize,
 )
 from .sre import (
@@ -75,60 +79,91 @@ class CvTrace:
         return cls(kind, lambda_grid, mean_errors, star, fold_errors)
 
 
-def _concat(parts: list[Dataset]) -> Dataset:
-    return Dataset(
-        np.vstack([p.inputs for p in parts]),
-        np.concatenate([p.outcome for p in parts]),
-        None
-        if any(p.instruments is None for p in parts)
-        else np.vstack([p.instruments for p in parts]),
-        None
-        if any(p.time_index is None for p in parts)
-        else np.concatenate([p.time_index for p in parts]),
-    )
+@dataclass(frozen=True)
+class CvSplits:
+    """Every split of one cross-validation run, as row indices into one sample.
 
-
-def _cv_loop(kind, final, splits, unit="fold") -> CvTrace:
-    """Score every grid point of ``final``'s penalty on every ``(train, val)`` split.
-
-    Each split's fold is ``final.refold(train)``: one preparation of the
-    training sample whose ``path(grid)`` holds one coefficient row per grid
-    point, all scored at once by the fold's ``score(thetas, val)``. A
-    singular or non-finite path names the split and its first offending grid
-    point.
+    Row ``s`` of ``train`` and ``val`` lists split ``s``'s training and
+    validation rows; ``train_weight`` and ``val_weight`` are 1 on the rows the
+    split uses and 0 on the others, so splits of unequal size share one
+    rectangular stack. ``kind`` names the cross-validation flavor.
     """
-    lambda_grid = final.penalty.lambda_grid
-    fold_errors = []
-    for k, (train, val) in enumerate(splits):
-        try:
-            fold = final.refold(train)
-            thetas = fold.path(lambda_grid)
-        except SingularPathError as exc:
-            raise CvError(f"fitter failed on {unit} {k} at lambda={exc.lam}: {exc}") from exc
-        except Exception as exc:
-            raise CvError(f"fitter failed on {unit} {k}: {exc}") from exc
-        bad = ~np.isfinite(thetas).all(axis=1)
-        if bad.any():
-            lam = float(lambda_grid[np.argmax(bad)])
-            raise CvError(f"fitter failed on {unit} {k} at lambda={lam}: non-finite coefficients")
-        fold_errors.append(fold.score(thetas, val))
-    return CvTrace.from_fold_errors(kind, lambda_grid, fold_errors)
+
+    kind: str
+    train: np.ndarray
+    train_weight: np.ndarray
+    val: np.ndarray
+    val_weight: np.ndarray
+
+    @property
+    def unit(self) -> str:
+        return "window" if self.kind == "rolling" else "fold"
+
+    def failure(self, index: int, reason, lam: float | None = None) -> CvError:
+        """The error naming split ``index`` and, when known, its grid point."""
+        at = "" if lam is None else f" at lambda={lam}"
+        return CvError(f"fitter failed on {self.unit} {index}{at}: {reason}")
 
 
-def _kfold_splits(data: Dataset, K: int, rng: SeededRng):
-    all_rows = np.arange(data.n)
-    for val_idx in partition_indices(data.n, K, rng):
-        yield data.subset(np.setdiff1d(all_rows, val_idx)), data.subset(val_idx)
+def _fold_rows(rows: np.ndarray, K: int, rng: SeededRng) -> tuple[np.ndarray, ...]:
+    """``(train, train_weight, val, val_weight)`` of K random folds of ``rows``:
+    split k validates on fold k and trains on the others, each padded to the
+    largest split with rows of weight 0."""
+    label = np.empty(rows.size, dtype=int)
+    for k, idx in enumerate(partition_indices(rows.size, K, rng)):
+        label[idx] = k
+    in_fold = label == np.arange(K)[:, None]
+    size = in_fold.sum(axis=1)
+    # a stable sort lists a split's own rows first, in sample order
+    train = np.argsort(in_fold, axis=1, kind="stable")[:, : rows.size - size.min()]
+    val = np.argsort(~in_fold, axis=1, kind="stable")[:, : size.max()]
+    return (rows[train], 1.0 - np.take_along_axis(in_fold, train, axis=1),
+            rows[val], np.take_along_axis(in_fold, val, axis=1).astype(float))
+
+
+def kfold_splits(n: int, K: int, rng: SeededRng) -> CvSplits:
+    """K random folds of ``n`` rows: fold k validates, the others train."""
+    return CvSplits("kfold", *_fold_rows(np.arange(n), K, rng))
+
+
+def forward_splits(sample: Dataset, K: int, target: DomainSpec, rng: SeededRng) -> CvSplits:
+    """K folds of the far part of ``sample``, each validated with the near part.
+
+    The ``FORWARD_FRACTION`` of rows nearest ``target`` never trains; split k
+    trains on the far part minus fold k and validates on fold k plus the
+    whole near part.
+    """
+    far, near = forward_split_rows(sample, target, FORWARD_FRACTION)
+    if far.size < K:
+        raise DataError(f"cannot form {K} folds from {far.size} far-part rows")
+    train, train_weight, val, val_weight = _fold_rows(far, K, rng)
+    return CvSplits("forward", train, train_weight,
+                    np.column_stack([val, np.broadcast_to(near, (K, near.size))]),
+                    np.column_stack([val_weight, np.ones((K, near.size))]))
+
+
+def rolling_splits(n: int, window_length: int) -> CvSplits:
+    """Every window of ``window_length`` consecutive rows, validated on the next row."""
+    train = sliding_window_view(np.arange(n), window_length)[:-1]
+    val = np.arange(window_length, n)[:, None]
+    return CvSplits("rolling", train, np.ones(train.shape), val, np.ones(val.shape))
+
+
+def _cross_validate(final: RidgeFold, data: Dataset, splits: CvSplits) -> CvTrace:
+    """``final``'s error curve on ``data`` over every split at once."""
+    return CvTrace.from_fold_errors(splits.kind, final.penalty.lambda_grid,
+                                    final.cv_errors(data, splits))
 
 
 def kfold_cv(final: RidgeFold, data: Dataset, K: int, rng: SeededRng) -> CvTrace:
     """Standard K-fold cross-validation over ``final``'s penalty grid.
 
-    Every training fold is prepared once by ``final.refold`` and scored at
-    every grid point by the fold's ``score`` on its held-out rows; the
-    reported error per grid point is the mean over held-out folds.
+    Every training fold is standardized on its own rows and scored at every
+    grid point on its held-out rows by ``final.cv_errors``, all folds in one
+    stacked computation; the reported error per grid point is the mean over
+    held-out folds.
     """
-    return _cv_loop("kfold", final, _kfold_splits(data, K, rng))
+    return _cross_validate(final, data, kfold_splits(data.n, K, rng))
 
 
 def forward_cv(final: RidgeFold, sample: Dataset, K: int, target: DomainSpec,
@@ -140,13 +175,9 @@ def forward_cv(final: RidgeFold, sample: Dataset, K: int, target: DomainSpec,
     Iteration k trains on the far part minus fold k and validates on fold k
     plus the whole near-target part, so every validation set contains the
     observations closest to where the model will be applied. Folds are
-    refolded and scored as in :func:`kfold_cv`.
+    scored as in :func:`kfold_cv`.
     """
-    s1, s2 = forward_split(sample, target, FORWARD_FRACTION)
-    if s1.n < K:
-        raise DataError(f"cannot form {K} folds from {s1.n} far-part rows")
-    splits = ((train, _concat([val, s2])) for train, val in _kfold_splits(s1, K, rng))
-    return _cv_loop("forward", final, splits)
+    return _cross_validate(final, sample, forward_splits(sample, K, target, rng))
 
 
 def rolling_cv(final: RidgeFold, data: Dataset, window_length: int) -> CvTrace:
@@ -154,8 +185,8 @@ def rolling_cv(final: RidgeFold, data: Dataset, window_length: int) -> CvTrace:
 
     Every window origin fits on ``window_length`` consecutive observations
     and scores on the next one, so training never sees the future. Rows must
-    carry a nondecreasing ``time_index``. Windows are refolded and scored as
-    in :func:`kfold_cv`.
+    carry a nondecreasing ``time_index``. Windows are scored as in
+    :func:`kfold_cv`.
     """
     if data.time_index is None:
         raise DataError("rolling cross-validation requires time-indexed data")
@@ -163,11 +194,7 @@ def rolling_cv(final: RidgeFold, data: Dataset, window_length: int) -> CvTrace:
         raise DataError("time_index must be nondecreasing")
     if data.n <= window_length:
         raise DataError("series shorter than window_length + 1")
-    splits = (
-        (data.subset(np.arange(t0, t0 + window_length)), data.subset([t0 + window_length]))
-        for t0 in range(data.n - window_length)
-    )
-    return _cv_loop("rolling", final, splits, unit="window")
+    return _cross_validate(final, data, rolling_splits(data.n, window_length))
 
 
 @dataclass(frozen=True)
@@ -176,11 +203,11 @@ class RidgeFold:
 
     ``design`` is ``(1, standardized features)`` of the sample and
     ``theta_m`` the benchmark projection on the same scale. Cross-validation
-    rebuilds the problem on each training fold with :meth:`refold`, takes
-    every grid point from :meth:`path` at once and scores them with
-    :meth:`score`; :meth:`fit` then refits at the penalty the
-    cross-validation chose, with the per-``lam`` closed form of
-    :meth:`solve`.
+    calls :meth:`cv_errors`, which poses the same problem on every split's
+    training rows at once and scores every grid point on the split's held-out
+    rows; :meth:`fit` then refits at the penalty the cross-validation chose,
+    with the per-``lam`` closed form of :meth:`solve`. :meth:`path` and
+    :meth:`score` are the same two steps for this one sample.
     """
 
     design: np.ndarray
@@ -189,11 +216,6 @@ class RidgeFold:
     theta_m: np.ndarray
     penalty: PenaltySpec
     feature_map: FeatureMap
-
-    def refold(self, train: Dataset) -> "RidgeFold":
-        """The same problem on another sample, over that sample's own
-        standardization, with ``theta_m`` re-expressed on it."""
-        return ridge_fold(train, self.feature_map, self.penalty, self.theta_m_in)
 
     def path(self, lambda_grid) -> np.ndarray:
         """Coefficients at every grid point, one row each."""
@@ -211,6 +233,53 @@ class RidgeFold:
         resid = val.outcome[:, None] - self.predict(thetas, val.inputs)
         return np.mean(resid**2, axis=0)
 
+    def cv_errors(self, data: Dataset, splits: CvSplits) -> np.ndarray:
+        """Held-out error of every grid point on every split, ``(splits, grid)``.
+
+        Each split's training rows are standardized on their own, ``theta_m``
+        is re-expressed on that scale as :meth:`theta_m_in` does, every
+        split's normal equations come from one batched product, and one
+        stacked :func:`~structreg.sre.quadratic_path` call solves every
+        split's path. A split that cannot be solved raises :class:`CvError`
+        naming it and its first offending grid point.
+        """
+        weight = splits.train_weight
+        count = weight.sum(axis=1)
+        if np.any(count < 2):
+            raise splits.failure(int(np.argmax(count < 2)),
+                                 "standardize requires at least two rows")
+        F = self.feature_map.transform(data.inputs)
+        means, scales, centered = stacked_standardization(F[splits.train], weight)
+        design = np.concatenate([weight[:, :, None], centered / scales[:, None, :]], axis=2)
+        outcome = data.outcome[splits.train] * weight
+        G, b, score = self._cv_system(data, splits, design, outcome)
+        theta_m = _express_in_transform(_to_raw(self.theta_m, self.transform), means, scales)
+        finite = np.isfinite(G).all(axis=(1, 2)) & np.isfinite(b).all(axis=1) & np.isfinite(
+            theta_m).all(axis=1)
+        if not finite.all():
+            raise splits.failure(int(np.argmin(finite)), "G, b and theta_m must be finite")
+        grid = self.penalty.lambda_grid
+        try:
+            thetas = quadratic_path(G, b, self.penalty.weights, theta_m, grid)
+        except SingularPathError as exc:
+            raise splits.failure(exc.index, exc, exc.lam) from exc
+        bad = ~np.isfinite(thetas).all(axis=2)
+        if bad.any():
+            first = int(np.argmax(bad.any(axis=1)))
+            raise splits.failure(first, "non-finite coefficients",
+                                 float(grid[np.argmax(bad[first])]))
+        F_val = (F[splits.val] - means[:, None, :]) / scales[:, None, :]
+        predictions = thetas[:, None, :, 0] + F_val @ thetas[:, :, 1:].swapaxes(1, 2)
+        resid = (data.outcome[splits.val][:, :, None] - predictions) * splits.val_weight[:, :, None]
+        return score(resid)
+
+    def _cv_system(self, data, splits, design, outcome):
+        """Every split's ``(X'X, X'y)`` and the scorer of its held-out residuals."""
+        Xt = design.swapaxes(1, 2)
+        count = splits.val_weight.sum(axis=1)[:, None]
+        return Xt @ design, (Xt @ outcome[:, :, None])[:, :, 0], (
+            lambda resid: (resid * resid).sum(axis=1) / count)
+
     def solve(self, lam: float) -> np.ndarray:
         """Coefficients at one penalty strength."""
         return sre_ridge(self.design, self.outcome, self.theta_m, self.penalty, lam)
@@ -227,7 +296,8 @@ class RidgeFold:
         Standardization is affine, so this equals projecting the benchmark
         afresh on that scale, without the projection.
         """
-        return _express_in_transform(_to_raw(self.theta_m, self.transform), transform)
+        return _express_in_transform(_to_raw(self.theta_m, self.transform),
+                                     transform.column_means, transform.column_scales)
 
 
 def ridge_fold(train: Dataset, feature_map: FeatureMap, penalty: PenaltySpec,
@@ -245,7 +315,8 @@ def _to_raw(coefficients, transform) -> np.ndarray:
     return np.concatenate([[intercept], slopes])
 
 
-def _express_in_transform(raw, transform) -> np.ndarray:
-    slopes = raw[1:] * transform.column_scales
-    intercept = raw[0] + float(raw[1:] @ transform.column_means)
-    return np.concatenate([[intercept], slopes])
+def _express_in_transform(raw, means, scales) -> np.ndarray:
+    """Raw-scale coefficients over ``(F - means) / scales``; ``means`` and
+    ``scales`` may carry a leading stack axis, one row per standardization."""
+    intercept = raw[0] + means @ raw[1:]
+    return np.concatenate([np.asarray(intercept)[..., None], raw[1:] * scales], axis=-1)

@@ -243,3 +243,24 @@ def test_demand_trial_with_too_few_markets_per_fold_names_the_cause():
         match="trial 0 failed: fitter failed on fold 0: singular instrument Gram matrix",
     ):
         demand_experiment(1, DemandParams(M=12), trials=1, rng=SeededRng(0))
+
+
+def test_kfold_names_the_training_fold_whose_instrument_gram_is_singular():
+    from structreg.demand import _gmm_fold
+    from structreg.tuning import CvError, kfold_cv, kfold_splits
+
+    # the cost shifter varies only inside fold 2, so the training part that
+    # leaves fold 2 out sees one shifter value: its instrument powers are
+    # (1, 0, ..., 0) and their Gram matrix is exactly singular
+    n, K = 60, 5
+    splits = kfold_splits(n, K, SeededRng(7))
+    fold_2 = splits.val[2][splits.val_weight[2] == 1.0]
+    gen = np.random.default_rng(8)
+    z = np.full(n, 2.0)
+    z[fold_2] = gen.uniform(0.0, 40.0, size=fold_2.size)
+    p = 50.0 + z + gen.normal(size=n)
+    data = Dataset(p[:, None], 200.0 - 2.0 * p + gen.normal(size=n), z[:, None])
+    penalty = PenaltySpec([1.0, 10.0], np.array([0.0, 1.0, 1.0]))
+    final = _gmm_fold(data, penalty, lambda transform: np.zeros(3))
+    with pytest.raises(CvError, match="fitter failed on fold 2: singular instrument Gram matrix"):
+        kfold_cv(final, data, K, SeededRng(7))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -362,7 +363,10 @@ def test_readme_config_example_validates(tmp_path, capsys):
       "entry_exit.t_train = 10 ends training before period 11"),
      # the fitting half of 15 markets is 7, so a 5-fold training part has 5
      ("demand", {"demand": {"M": 15}}, "demand.M = 15 leaves 5 markets"),
-     ("demand", {"demand": {"M": 14}}, "demand.M = 14 leaves 5 markets")],
+     ("demand", {"demand": {"M": 14}}, "demand.M = 14 leaves 5 markets"),
+     # without sre the structural estimator still needs its three coefficients identified
+     ("demand", {"estimators": ["rf", "structural"], "demand": {"M": 3}},
+      "demand.M = 3 is fewer than the 4 markets the structural estimator needs")],
 )
 def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, experiment, block, message):
     import yaml
@@ -397,6 +401,22 @@ def test_cli_runs_the_smallest_sizes_validate_accepts(tmp_path, capsys, experime
     assert main(["validate", "--config", str(path)]) == 0
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     assert ",in," in (tmp_path / "out" / "curves.csv").read_text()
+
+
+def test_thin_entry_exit_panel_names_the_degenerate_structural_estimate(tmp_path, capsys):
+    # the half-panel's CCP-Euler estimate is degenerate: its synthetic panels
+    # never leave the empty state, so the benchmark projection is singular
+    from structreg.cli import main
+
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "experiment": "entry-exit", "scenario": 2, "trials": 1, "base_seed": 0,
+        "entry_exit": {"t_train": 20, "t_total": 100, "n_firms": 2000}}))
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert "trial 0 failed: singular feature Gram matrix" in error
+    assert re.search(r"degenerate CCP-Euler estimate mu=\S+, alpha=\S+, entry_cost=\S+", error)
 
 
 def _cli_outputs(config: dict, out: Path) -> dict:

@@ -2,18 +2,19 @@
 
 ``quadratic_path`` solves a whole lambda grid from one eigendecomposition;
 ``sre_ridge`` and ``sre_gmm`` solve one lambda at a time and are the
-reference. Designs are drawn from a hypothesis-chosen seed, so a failing
+reference. A stack of systems is checked against each system alone, and the
+stacked cross-validation of a fold against a fold built on each split's own
+rows. Designs are drawn from a hypothesis-chosen seed, so a failing
 example replays from its seed.
 """
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structreg.data import Dataset, SeededRng
+from structreg.data import Dataset, DomainSpec, SeededRng
+from structreg.demand import DemandParams, _gmm_fold, simulate_markets
 from structreg.estimators import fit_2sls, fit_ols
 from structreg.sre import (
     LinearFeatures,
@@ -25,7 +26,15 @@ from structreg.sre import (
     sre_gmm,
     sre_ridge,
 )
-from structreg.tuning import CvError, kfold_cv, ridge_fold, rolling_cv
+from structreg.tuning import (
+    CvError,
+    forward_splits,
+    kfold_cv,
+    kfold_splits,
+    ridge_fold,
+    rolling_cv,
+    rolling_splits,
+)
 
 GRID = np.array([0.0, 1e-3, 1.0, 10.0, 1e3, 1e6, 1e9, 1e12])
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -202,16 +211,141 @@ def test_kfold_names_non_finite_path_and_lambda():
     gen = np.random.default_rng(22)
     x = gen.uniform(0.0, 10.0, size=40)
     data = Dataset(x[:, None], 1.0 + 2.0 * x)
-    grid = [0.0, 1e10]
-    penalty = PenaltySpec(grid, [0.0, 1.0])
-
-    def refold(train):
-        # lam * theta_m overflows at the second grid point only
-        return ridge_fold(train, LinearFeatures(1), penalty,
-                          lambda transform: np.array([0.0, 1e300]))
-
-    # every fold keeps the raw target, which re-expressing it would overflow
-    final = SimpleNamespace(penalty=penalty, refold=refold)
+    # lam * theta_m overflows at the second grid point only
+    final = ridge_fold(data, LinearFeatures(1), PenaltySpec([0.0, 1e10], [0.0, 1.0]),
+                       lambda transform: np.array([0.0, 1e300]))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             CvError, match=r"fold 0 at lambda=10000000000\.0: non-finite"):
         kfold_cv(final, data, 4, SeededRng(23))
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_stacked_path_is_each_systems_path(seed):
+    gen = np.random.default_rng(seed)
+    _, X, _, weights, _ = _problem(seed, with_intercept=seed % 2 == 0)
+    S, (n, k) = int(gen.integers(1, 5)), X.shape
+    Xs = gen.normal(size=(S, n, k)) * gen.uniform(0.1, 10.0, size=k)
+    if seed % 2 == 0:
+        Xs[:, :, 0] = 1.0
+    ys, targets = 3.0 * gen.normal(size=(S, n)), 5.0 * gen.normal(size=(S, k))
+    G, b = Xs.swapaxes(1, 2) @ Xs, (Xs.swapaxes(1, 2) @ ys[:, :, None])[:, :, 0]
+    stacked = quadratic_path(G, b, weights, targets, GRID)
+    assert stacked.shape == (S, GRID.size, k)
+    for s in range(S):
+        assert _relative(stacked[s], quadratic_path(G[s], b[s], weights, targets[s], GRID)) \
+            <= 1e-12
+
+
+def test_stacked_path_names_first_singular_system_and_lambda():
+    good = np.column_stack([np.ones(6), np.arange(6.0), np.arange(6.0) ** 2])
+    rank_deficient = np.column_stack([np.ones(6), np.arange(6.0), np.zeros(6)])
+    no_intercept = np.column_stack([np.zeros(6), np.arange(6.0), np.arange(6.0) ** 2])
+
+    def path(designs, grid):
+        X = np.stack(designs)
+        G, b = X.swapaxes(1, 2) @ X, X.swapaxes(1, 2) @ np.arange(6.0)
+        return quadratic_path(G, b, [0.0, 1.0, 1.0], np.zeros((len(designs), 3)), grid)
+
+    with pytest.raises(SingularPathError) as info:
+        path([good, rank_deficient, no_intercept], [0.0, 1.0])
+    assert (info.value.index, info.value.lam) == (1, 0.0)
+    # a singular free block is singular at every grid point: it names the first
+    with pytest.raises(SingularPathError) as info:
+        path([good, rank_deficient, no_intercept], [0.5, 1.0])
+    assert (info.value.index, info.value.lam) == (2, 0.5)
+    assert np.isfinite(path([good, rank_deficient], [0.5, 1.0])).all()
+    # a single system names no index
+    G, b = rank_deficient.T @ rank_deficient, rank_deficient.T @ np.arange(6.0)
+    with pytest.raises(SingularPathError) as info:
+        quadratic_path(G, b, [0.0, 1.0, 1.0], np.zeros(3), [0.0])
+    assert info.value.index is None
+
+
+def _cv_problem(seed, n=None):
+    """A random three-column sample and a penalty that leaves one slope free."""
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(23, 61)) if n is None else n
+    X = gen.normal(size=(n, 3)) * gen.uniform(0.5, 5.0, size=3) + gen.normal(size=3)
+    y = X @ gen.normal(size=3) + gen.normal(size=n)
+    data = Dataset(X, y, time_index=np.arange(n))
+    penalty = PenaltySpec(GRID, [0.0, 0.0, 1.0, gen.uniform(0.1, 10.0)])
+    return gen, data, penalty
+
+
+def split_rows(splits, s):
+    """Split ``s``'s training and validation row indices."""
+    return (splits.train[s][splits.train_weight[s] == 1.0],
+            splits.val[s][splits.val_weight[s] == 1.0])
+
+
+def assert_matches_each_split(final, data, splits, fold_on=None, errors=None):
+    """The stacked errors of every split (``errors``, computed afresh if not
+    given) against a fold built anew on the split's training rows,
+    relative to the split's largest error."""
+    fold_on = fold_on or (lambda final, train: ridge_fold(
+        train, final.feature_map, final.penalty, final.theta_m_in))
+    stacked = final.cv_errors(data, splits) if errors is None else errors
+    for s in range(splits.train.shape[0]):
+        train, val = split_rows(splits, s)
+        fold = fold_on(final, data.subset(train))
+        reference = fold.score(fold.path(final.penalty.lambda_grid), data.subset(val))
+        assert np.all(np.abs(stacked[s] - reference) <= 1e-9 * np.abs(reference).max())
+
+
+@given(seeds)
+@settings(max_examples=30, deadline=None)
+def test_stacked_kfold_and_forward_match_each_split(seed):
+    gen, data, penalty = _cv_problem(seed)
+    final = ridge_fold(data, LinearFeatures(3), penalty,
+                       lambda transform: 3.0 * np.arange(4.0) - 1.0)
+    K = int(gen.integers(2, 7))
+    if data.n % K == 0:
+        K += 1  # unequal fold sizes
+    assert_matches_each_split(final, data, kfold_splits(data.n, K, SeededRng(seed)))
+    target = DomainSpec(data.inputs.max(axis=0), data.inputs.max(axis=0) + 1.0)
+    assert_matches_each_split(final, data, forward_splits(data, K, target, SeededRng(seed)))
+
+
+@given(seeds)
+@settings(max_examples=20, deadline=None)
+def test_stacked_rolling_matches_each_window_with_a_constant_column(seed):
+    gen, data, penalty = _cv_problem(seed, n=40)
+    X = data.inputs.copy()
+    X[15:27, 2] = 0.7  # constant inside the window of rows 15..24 (and 16..25, 17..26)
+    data = Dataset(X, data.outcome, time_index=data.time_index)
+    # up to rounding the constant column standardizes to zeros there, which is
+    # singular at lambda = 0 only
+    penalty = PenaltySpec(GRID[1:], penalty.weights)
+    final = ridge_fold(data, LinearFeatures(3), penalty, lambda transform: np.ones(4))
+    splits = rolling_splits(data.n, 10)
+    assert_matches_each_split(final, data, splits)
+    # with lambda = 0 on the grid the first window the one-sample path finds
+    # singular is the one the stacked run names
+    final = ridge_fold(data, LinearFeatures(3), PenaltySpec(GRID, penalty.weights),
+                       lambda transform: np.ones(4))
+    first = None
+    for s in range(splits.train.shape[0]):
+        try:
+            ridge_fold(data.subset(split_rows(splits, s)[0]), final.feature_map, final.penalty,
+                       final.theta_m_in).path(GRID)
+        except SingularPathError as exc:
+            first = (s, exc.lam)
+            break
+    assert first is not None and 15 <= first[0] <= 17
+    with pytest.raises(CvError, match=rf"window {first[0]} at lambda={first[1]}: singular"):
+        rolling_cv(final, data, 10)
+
+
+@given(seeds)
+@settings(max_examples=20, deadline=None)
+def test_stacked_moment_kfold_matches_each_split(seed):
+    gen = np.random.default_rng(seed)
+    markets = simulate_markets(DemandParams(M=int(gen.integers(100, 160))), SeededRng(seed))
+    data = markets.to_dataset()
+    penalty = PenaltySpec(GRID, [0.0, 1.0, gen.uniform(0.1, 10.0)])
+    final = _gmm_fold(data, penalty, lambda transform: np.array([100.0, -20.0, 1.0]))
+    K = 7 if data.n % 7 else 6
+    assert_matches_each_split(
+        final, data, kfold_splits(data.n, K, SeededRng(seed)),
+        lambda final, train: _gmm_fold(train, final.penalty, final.theta_m_in))

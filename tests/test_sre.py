@@ -10,10 +10,8 @@ from structreg.sre import (
     PenaltySpec,
     PolynomialFeatures,
     SREFit,
-    ate_from_fit,
     fit_theta_m,
     gmm_objective,
-    sre_extremum,
     sre_gmm,
     sre_ridge,
 )
@@ -217,61 +215,10 @@ def test_sre_gmm_rejects_non_psd_weight():
         sre_gmm(np.eye(2), np.eye(2), np.ones(2), W, np.zeros(2), unit_penalty(2), 0.0)
 
 
-def test_sre_extremum_quadratic_analytic_minimum():
-    A = np.array([[3.0, 0.5], [0.5, 1.0]])
-    b = np.array([1.0, -2.0])
-    minimum = np.linalg.solve(A, b)
-
-    def objective(t):
-        return 0.5 * t @ A @ t - b @ t
-
-    pen = unit_penalty(2)
-    found = sre_extremum(objective, np.zeros(2), pen, 0.0, np.array([5.0, 5.0]))
-    assert np.abs(found - minimum).max() <= 1e-6
-
-
-def test_sre_extremum_penalty_only_returns_target():
-    theta_m = np.array([1.0, 2.0, 3.0])
-    found = sre_extremum(lambda t: 0.0, theta_m, unit_penalty(3), 5.0, np.zeros(3))
-    assert np.abs(found - theta_m).max() <= 1e-6
-
-
-def test_sre_extremum_agrees_with_ridge_closed_form():
-    gen = np.random.default_rng(9)
-    X = gen.normal(size=(40, 2))
-    y = gen.normal(size=40)
-    theta_m = gen.normal(size=2)
-    pen = unit_penalty(2)
-    lam = 2.0
-    closed = sre_ridge(X, y, theta_m, pen, lam)
-
-    def objective(t):
-        r = y - X @ t
-        return float(r @ r)
-
-    found = sre_extremum(objective, theta_m, pen, lam, np.zeros(2))
-    assert np.abs(found - closed).max() <= 1e-6
-
-
-def test_sre_extremum_propagates_non_finite_objective():
-    def objective(t):
-        return np.inf if t[0] > 0.5 else float(t @ t)
-
-    with pytest.raises(PenaltyError, match="non-finite"):
-        sre_extremum(objective, np.array([1.0]), unit_penalty(1), 0.0, np.array([0.0]))
-
-
-def test_ate_constant_slope():
-    fit = fit_ols(np.arange(10.0)[:, None], 2.0 + 3.0 * np.arange(10.0))
-    tau = ate_from_fit(fit, 0)
-    assert np.allclose(tau(np.array([0.0, 5.0])), 3.0, atol=1e-10)
-
-
 def test_ate_power_rule():
     x = np.linspace(-2, 2, 15)
     fit = fit_polynomial(x, x**2, 2)
-    tau = ate_from_fit(fit)
-    assert tau(np.array([1.0]))[0] == pytest.approx(2.0, abs=1e-8)
+    assert fit.derivative(np.array([1.0]))[0] == pytest.approx(2.0, abs=1e-8)
 
 
 def test_ate_matches_finite_differences_on_sre_fit():
@@ -287,15 +234,16 @@ def test_ate_matches_finite_differences_on_sre_fit():
     pen = PenaltySpec([1.0], np.array([0.0, 1.0, 1.0]))
     theta = sre_ridge(design, y, np.zeros(3), pen, 1.0)
     fit = SREFit(theta, transform, np.zeros(3), 1.0, fmap)
-    tau = ate_from_fit(fit, 0)
     grid = np.array([1.2, 2.0, 2.8])
     h = 1e-6
     fd = (fit.predict((grid + h)[:, None]) - fit.predict((grid - h)[:, None])) / (2 * h)
-    analytic = tau(grid)
+    analytic = fit.derivative(grid, 0)
     assert np.abs(analytic - fd).max() <= 1e-6 * (1 + np.abs(fd).max())
 
 
 def test_ate_rejects_out_of_range_index():
-    fit = fit_ols(np.arange(10.0)[:, None], np.arange(10.0))
+    fmap = PolynomialFeatures(2)
+    fit = SREFit(np.zeros(3), StandardizeTransform(np.zeros(2), np.ones(2), 0.0), np.zeros(3),
+                 1.0, fmap)
     with pytest.raises(IndexError):
-        ate_from_fit(fit, 3)
+        fit.derivative(np.array([1.0]), 3)

@@ -1,5 +1,4 @@
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,58 +16,35 @@ from structreg.entry_exit import (
     sre_entry_exit,
 )
 from structreg.estimators import fit_ols
-from structreg.sre import PenaltySpec, PolynomialFeatures, fit_theta_m
+from structreg.sre import LinearFeatures, PenaltySpec, PolynomialFeatures, fit_theta_m
 from structreg.tuning import (
     CvError,
     CvTrace,
-    RidgeFold,
     forward_cv,
     kfold_cv,
     ridge_fold,
     rolling_cv,
 )
 
+from .test_path import assert_matches_each_split, split_rows
 from .test_sre import line_rows
 
 
-class _Recording:
-    """Wraps a final fold, recording every training and validation sample its
-    refolds see."""
+def _record_cv(monkeypatch):
+    """Record ``(final, data, splits)`` of every cross-validation run."""
+    seen = []
+    cross_validate = tuning._cross_validate
 
-    def __init__(self, inner, trains=None, vals=None):
-        self.inner, self.penalty = inner, inner.penalty
-        self.trains = [] if trains is None else trains
-        self.vals = [] if vals is None else vals
+    def recording(final, data, splits):
+        seen.append((final, data, splits))
+        return cross_validate(final, data, splits)
 
-    def refold(self, train):
-        self.trains.append(train)
-        return _Recording(self.inner.refold(train), self.trains, self.vals)
-
-    def path(self, grid):
-        return self.inner.path(grid)
-
-    def score(self, thetas, val):
-        self.vals.append(val)
-        return self.inner.score(thetas, val)
+    monkeypatch.setattr(tuning, "_cross_validate", recording)
+    return seen
 
 
-class _FixedFold:
-    """A fold whose every grid point predicts ``predict(inputs)``; it refolds to itself."""
-
-    score = RidgeFold.score
-
-    def __init__(self, predict, grid):
-        self._predict = predict
-        self.penalty = SimpleNamespace(lambda_grid=np.asarray(grid, float))
-
-    def refold(self, train):
-        return self
-
-    def path(self, grid):
-        return np.zeros((len(grid), 1))
-
-    def predict(self, thetas, inputs):
-        return np.repeat(self._predict(inputs)[:, None], thetas.shape[0], axis=1)
+def _zero_target(transform):
+    return np.zeros(transform.column_means.size + 1)
 
 
 def _line_fold(train, line, domain, grid):
@@ -115,13 +91,12 @@ def test_kfold_misspecified_benchmark_prefers_min_lambda():
 
 
 def test_kfold_propagates_fitter_failure_with_fold_id():
-    data = _noisy_line_data(n=20)
-
-    def bad_refold(train):
-        raise RuntimeError("boom")
-
-    final = SimpleNamespace(penalty=PenaltySpec([0.0], WEIGHTS), refold=bad_refold)
-    with pytest.raises(CvError, match="fold 0"):
+    # two identical feature columns: every training fold is singular at lambda = 0
+    x = _noisy_line_data(n=20).inputs
+    data = Dataset(np.column_stack([x, x]), np.arange(20.0))
+    final = ridge_fold(data, LinearFeatures(2), PenaltySpec([0.0], [0.0, 1.0, 1.0]),
+                       _zero_target)
+    with pytest.raises(CvError, match="fold 0 at lambda=0.0: singular"):
         kfold_cv(final, data, 4, SeededRng(6))
 
 
@@ -133,17 +108,20 @@ def test_cv_trace_lambda_star_attains_minimum():
     assert np.allclose(trace.fold_errors.mean(axis=0), trace.mean_errors)
 
 
-def test_forward_cv_near_target_rows_always_validated_never_trained():
+def test_forward_cv_near_target_rows_always_validated_never_trained(monkeypatch):
+    seen = _record_cv(monkeypatch)
     data = Dataset(np.arange(1.0, 61.0)[:, None], np.zeros(60))
     target = DomainSpec.interval(61.0, 100.0)
-    final = _Recording(_line_fold(data, (0.0, 0.0), (1, 100), [0.0, 1.0]))
-    forward_cv(final, data, 5, target, SeededRng(9))
+    forward_cv(_line_fold(data, (0.0, 0.0), (1, 100), [0.0, 1.0]), data, 5, target,
+               SeededRng(9))
+    [(_, _, splits)] = seen
     near = set(range(51, 61))  # ceil(60/6) = 10 nearest points
-    assert len(final.trains) == len(final.vals) == 5
-    for train in final.trains:
-        assert near.isdisjoint(set(train.inputs.ravel().astype(int)))
-    for val in final.vals:
-        assert near.issubset(set(val.inputs.ravel().astype(int)))
+    assert splits.kind == "forward" and splits.train.shape[0] == 5
+    for s in range(5):
+        train, val = (set(data.inputs[rows, 0].astype(int)) for rows in split_rows(splits, s))
+        assert near.isdisjoint(train)
+        assert near.issubset(val)
+        assert train.isdisjoint(val) and len(train | val) == 60
 
 
 def test_forward_cv_fold_count_and_guards():
@@ -158,42 +136,46 @@ def test_forward_cv_fold_count_and_guards():
 
 
 def test_rolling_cv_constant_series_zero_error_smallest_lambda():
+    # a constant regressor standardizes to zeros in every window, so the slope
+    # sits at its zero target and every grid point predicts the window mean
     T = 40
     data = Dataset(
         np.column_stack([np.ones(T)]), np.full(T, 0.3), time_index=np.arange(T)
     )
-
-    def constant(inputs):
-        return np.full(inputs.shape[0], 0.3)
-
-    trace = rolling_cv(_FixedFold(constant, [0.0, 1.0, 2.0]), data, 10)
+    final = ridge_fold(data, LinearFeatures(1), PenaltySpec([0.5, 1.0, 2.0], WEIGHTS),
+                       _zero_target)
+    trace = rolling_cv(final, data, 10)
     assert np.allclose(trace.mean_errors, 0.0)
-    assert trace.lambda_star == 0.0
+    assert trace.lambda_star == 0.5
 
 
-def test_rolling_cv_window_covering_all_but_last_is_single_holdout():
+def test_rolling_cv_window_covering_all_but_last_is_single_holdout(monkeypatch):
+    seen = _record_cv(monkeypatch)
     gen = np.random.default_rng(11)
     T = 30
     x = gen.normal(size=T)
     data = Dataset(x[:, None], gen.normal(size=T), time_index=np.arange(T))
-    final = _Recording(_FixedFold(lambda inputs: np.zeros(inputs.shape[0]), [0.0]))
-    trace = rolling_cv(final, data, T - 1)
+    trace = rolling_cv(_line_fold(data, (0.0, 0.0), (-3, 3), [0.0]), data, T - 1)
     assert trace.fold_errors.shape[0] == 1
-    assert [train.n for train in final.trains] == [T - 1]
+    [(_, _, splits)] = seen
+    assert [rows.size for rows in split_rows(splits, 0)] == [T - 1, 1]
 
 
-def test_rolling_cv_never_trains_on_future():
+def test_rolling_cv_never_trains_on_future(monkeypatch):
+    seen = _record_cv(monkeypatch)
     T = 60
     data = Dataset(
         np.arange(T, dtype=float)[:, None],
         np.arange(T, dtype=float),
         time_index=np.arange(T),
     )
-    final = _Recording(_FixedFold(lambda inputs: inputs[:, 0], [1.0]))
-    rolling_cv(final, data, 12)
-    assert len(final.trains) == len(final.vals) == T - 12
-    for train, val in zip(final.trains, final.vals):
-        assert train.time_index.max() < val.time_index.min()
+    rolling_cv(_line_fold(data, (0.0, 1.0), (0, T), [1.0]), data, 12)
+    [(_, _, splits)] = seen
+    assert splits.train.shape[0] == T - 12
+    for s in range(T - 12):
+        train, val = split_rows(splits, s)
+        assert train.size == 12 and val.size == 1
+        assert data.time_index[train].max() < data.time_index[val].min()
 
 
 def test_rolling_cv_benchmark_true_series_prefers_large_lambda():
@@ -210,7 +192,7 @@ def test_rolling_cv_benchmark_true_series_prefers_large_lambda():
 def test_rolling_cv_requires_time_index():
     data = Dataset(np.arange(10.0)[:, None], np.zeros(10))
     with pytest.raises(DataError):
-        rolling_cv(_FixedFold(lambda inputs: np.zeros(inputs.shape[0]), [0.0]), data, 4)
+        rolling_cv(_line_fold(data, (0.0, 0.0), (0, 10), [0.0]), data, 4)
 
 
 def _select_and_fit_on_half(data, line, grid, rng):
@@ -276,27 +258,17 @@ def _gmm_fold_on(final, train):
     ids=["auction", "entry-exit", "demand"],
 )
 def test_second_stage_refits_the_fold_its_cv_refolded(monkeypatch, second_stage, kind, fold_on):
-    # record the fold and the first training sample of the study's one CV run
-    seen = []
-    cv_loop = tuning._cv_loop
-
-    def recording(cv_kind, final, splits, *args, **kwargs):
-        splits = list(splits)
-        seen.append((final, splits[0][0]))
-        return cv_loop(cv_kind, final, splits, *args, **kwargs)
-
-    monkeypatch.setattr(tuning, "_cv_loop", recording)
+    # record the fold, sample and splits of the study's one CV run
+    seen = _record_cv(monkeypatch)
     fit = second_stage()
-    [(final, train)] = seen
+    [(final, data, splits)] = seen
     trace = fit.parts[0]
     assert isinstance(trace, CvTrace)
     assert fit.lambda_star == trace.lambda_star
-    assert fit.cv == trace.kind == kind
-    # the fold the CV refolded made the fit: its solve at lambda* and its theta_m
+    assert fit.cv == trace.kind == splits.kind == kind
+    # the fold the CV scored made the fit: its solve at lambda* and its theta_m
     assert np.array_equal(trace.lambda_grid, final.penalty.lambda_grid)
     assert np.array_equal(fit.theta, final.solve(trace.lambda_star))
     assert np.array_equal(fit.theta_m, final.theta_m)
-    # refold builds the same fold as one built from scratch on the sample
-    refolded, scratch = final.refold(train), fold_on(final, train)
-    assert type(refolded) is type(scratch)
-    assert np.array_equal(refolded.path(trace.lambda_grid), scratch.path(trace.lambda_grid))
+    # every split posed the problem a fold built anew on its rows poses
+    assert_matches_each_split(final, data, splits, fold_on, errors=trace.fold_errors)
