@@ -188,8 +188,8 @@ def standardize(data: Dataset) -> tuple[Dataset, StandardizeTransform]:
     """Center every input column and scale nondegenerate columns to unit spread.
 
     Scales are the per-column standard deviations of the sample (``ddof=0``);
-    columns with zero variance are centered but left unscaled. The outcome is
-    centered by its mean.
+    columns with zero variance, up to the rounding of their mean, are centered
+    but left unscaled. The outcome is centered by its mean.
 
     Returns
     -------
@@ -200,8 +200,7 @@ def standardize(data: Dataset) -> tuple[Dataset, StandardizeTransform]:
     if data.n < 2:
         raise DataError("standardize requires at least two rows")
     means = data.inputs.mean(axis=0)
-    scales = data.inputs.std(axis=0, ddof=0)
-    scales = np.where(scales > 0.0, scales, 1.0)
+    scales = _column_scales(data.inputs.std(axis=0, ddof=0), means)
     transform = StandardizeTransform(means, scales, float(data.outcome.mean()))
     return transform.apply(data), transform
 
@@ -220,7 +219,17 @@ def stacked_standardization(values: np.ndarray, weight: np.ndarray):
     means = (values * w).sum(axis=1) / count
     centered = (values - means[:, None, :]) * w
     scales = np.sqrt((centered * centered).sum(axis=1) / count)
-    return means, np.where(scales > 0.0, scales, 1.0), centered
+    return means, _column_scales(scales, means), centered
+
+
+def _column_scales(std: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Standard deviations with zero-variance columns at scale 1.
+
+    A column is zero-variance when its standard deviation is at most
+    ``64 * eps * |mean|``, the spread that rounding alone leaves in a constant
+    column whose mean is not exactly representable.
+    """
+    return np.where(std > 64 * np.finfo(float).eps * np.abs(means), std, 1.0)
 
 
 @dataclass(frozen=True)

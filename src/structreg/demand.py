@@ -42,6 +42,7 @@ REFERENCE_MARKETS = 20_000
 CV_FOLDS = 5
 SYNTHETIC_ROWS = 1000
 STRUCTURAL_MIN_MARKETS = 4  # the pricing identity has three coefficients
+RF_MIN_MARKETS = 3  # with two, the two-coefficient 2SLS line interpolates
 DAMPENED_MARKUP = 0.4
 _QUADRATIC = PolynomialFeatures(2)  # the regularized fit's demand curve
 _GRID_STREAM = 2**62  # reserved stream index; trials use small indices

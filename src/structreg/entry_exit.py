@@ -13,11 +13,16 @@ Euler-Mascheroni constant).
 
 Three expectation regimes drive the simulated data: perfect foresight over
 the profit path, adaptive expectations (firms treat the current profit as
-permanent), and myopia (no continuation value). The structural estimator
-assumes the foresight model regardless, exploiting finite dependence: one-
-period-ahead choice probabilities difference away the continuation values,
-leaving a linear system in ``(mu, alpha, c)`` — exact on noiseless choice
-probabilities, and the module's primary correctness oracle.
+permanent), and myopia (no continuation value). Adaptive firms, and the
+foresight recursion beyond its last period, use the stationary values at a
+fixed profit level: the fixed point of the smoothed Bellman map, found by
+Newton steps, each a closed-form 2x2 solve per profit level, as the map's
+Jacobian is the discounted choice-probability matrix. The structural
+estimator assumes the foresight model regardless, exploiting finite
+dependence: one-period-ahead choice probabilities difference away the
+continuation values, leaving a linear system in ``(mu, alpha, c)`` — exact
+on noiseless choice probabilities, and the module's primary correctness
+oracle.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .tuning import ridge_fold, rolling_cv
 
 EULER_GAMMA = float(np.euler_gamma)
 VALUE_TOL = 1e-12
+NEWTON_STEPS = 100
 REGIMES = ("perfect_foresight", "adaptive", "myopic")
 
 
@@ -143,8 +149,17 @@ def _expected_value(cvf: np.ndarray) -> np.ndarray:
 def solve_stationary(params: PayoffParams, R) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fixed-point values and CCPs when the profit stays at ``R`` forever.
 
-    Accepts a scalar or a vector of profit levels (solved jointly). Value
-    iteration contracts at rate ``discount`` and runs to sup-norm 1e-12.
+    Accepts a scalar or a vector of profit levels (solved jointly). The
+    values solve ``vbar = T(vbar)`` for the smoothed Bellman map
+    ``T(v)[j] = E max_k (pi[j, k] + b * v[k] + eps_k)``, whose Jacobian is
+    ``b * ccp``. Newton-Kantorovich steps (the second phase of Rust's NFXP
+    poly-algorithm) start from the myopic values and update
+    ``vbar -= (I - b * ccp)^-1 (vbar - T(vbar))``, one closed-form 2x2 solve
+    per profit level. ``T`` is convex and ``I - b * ccp`` an M-matrix, so the
+    iterates converge from any start, quadratically near the fixed point;
+    about six steps reach a step of ``VALUE_TOL`` relative to the values at
+    ``b = 0.95``, and ``b = 0`` needs one. Non-finite payoffs never converge
+    and raise ``RuntimeError``.
 
     Returns
     -------
@@ -152,18 +167,27 @@ def solve_stationary(params: PayoffParams, R) -> tuple[np.ndarray, np.ndarray, n
         Expected values ``[.., j]``, choice probabilities ``[.., j, k]``, and
         choice-specific values ``[.., j, k]``.
     """
+    b = params.discount
     pi = flow_payoffs(params, R)
-    vbar = np.zeros(pi.shape[:-1])
-    for _ in range(100_000):
-        cvf = pi + params.discount * vbar[..., None, :]
-        new = _expected_value(cvf)
-        gap = np.abs(new - vbar).max()
-        vbar = new
-        if gap <= VALUE_TOL or params.discount == 0.0:
+    vbar = _expected_value(pi)
+    for _ in range(NEWTON_STEPS):
+        cvf = pi + b * vbar[..., None, :]
+        ccp = _ccp_from_values(cvf)
+        residual = vbar - _expected_value(cvf)
+        # I - b * ccp = [[1 - b + e, -e], [-x, 1 - b + x]] with e = b * p01 and
+        # x = b * p10; its determinant (1 - b) * (1 - b + e + x) is positive
+        # and formed without cancellation
+        e, x = b * ccp[..., 0, 1], b * ccp[..., 1, 0]
+        det = (1.0 - b) * (1.0 - b + e + x)
+        step = np.stack([(1.0 - b + x) * residual[..., 0] + e * residual[..., 1],
+                         x * residual[..., 0] + (1.0 - b + e) * residual[..., 1]],
+                        axis=-1) / det[..., None]
+        vbar = vbar - step
+        if np.abs(step).max() <= VALUE_TOL * max(1.0, np.abs(vbar).max()):
             break
     else:
-        raise RuntimeError("value iteration did not converge")
-    cvf = pi + params.discount * vbar[..., None, :]
+        raise RuntimeError("Newton iteration for the stationary values did not converge")
+    cvf = pi + b * vbar[..., None, :]
     return vbar, _ccp_from_values(cvf), cvf
 
 

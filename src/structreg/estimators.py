@@ -24,10 +24,15 @@ class SingularDesignError(ValueError):
 def solve_least_squares(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares solve via SVD with a condition-number guard.
 
-    ``y`` may be a vector or a matrix of stacked right-hand sides.
+    ``y`` may be a vector or a matrix of stacked right-hand sides. A design
+    with fewer rows than columns is rank deficient and raises
+    :class:`SingularDesignError` like any other singular one.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
+    if A.shape[0] < A.shape[1]:
+        raise SingularDesignError(
+            f"singular design: {A.shape[0]} rows for {A.shape[1]} coefficients")
     u, s, vt = np.linalg.svd(A, full_matrices=False)
     if s[0] <= 0.0 or s[-1] <= 0.0 or s[0] / s[-1] > CONDITION_LIMIT:
         raise SingularDesignError("singular design")

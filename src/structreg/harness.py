@@ -29,6 +29,7 @@ from .data import SeededRng, forward_far_rows
 from .demand import (
     CV_FOLDS,
     INSTRUMENT_POWERS,
+    RF_MIN_MARKETS,
     STRUCTURAL_MIN_MARKETS,
     DemandParams,
     demand_experiment,
@@ -108,6 +109,9 @@ def configured_study(config: RunConfig):
         if "structural" in config.estimators and params.M < STRUCTURAL_MIN_MARKETS:
             raise ValueError(f"demand.M = {params.M} is fewer than the "
                              f"{STRUCTURAL_MIN_MARKETS} markets the structural estimator needs")
+        if "rf" in config.estimators and params.M < RF_MIN_MARKETS:
+            raise ValueError(f"demand.M = {params.M} is fewer than the {RF_MIN_MARKETS} "
+                             f"markets the reduced-form 2SLS needs")
         # the fit is on the second half of the markets; each training part
         # of its K-fold CV needs a nonsingular instrument block
         half = params.M // 2

@@ -10,6 +10,7 @@ from structreg.data import (
     SeededRng,
     forward_split,
     partition,
+    stacked_standardization,
     standardize,
 )
 
@@ -64,6 +65,25 @@ def test_standardize_zero_variance_column_centered_not_scaled():
     out, tr = standardize(ds)
     assert tr.column_scales[0] == 1.0
     assert np.allclose(out.inputs[:, 0], 0.0)
+
+
+def test_constant_non_dyadic_column_counts_as_zero_variance():
+    # 0.7 is not a binary fraction: the mean of seven copies rounds one ulp
+    # away, which leaves a computed std of about 1e-16 instead of 0
+    column = np.full(7, 0.7)
+    assert column.std() > 0.0
+    ds = Dataset(np.column_stack([column, np.arange(7.0)]), np.zeros(7))
+    out, tr = standardize(ds)
+    assert tr.column_scales[0] == 1.0
+    assert np.abs(out.inputs[:, 0]).max() <= 1e-15
+    # the stacked statistics of two samples, the constant one on five rows
+    values = np.stack([ds.inputs, ds.inputs])
+    weight = np.array([[1.0] * 7, [0.0, 0.0] + [1.0] * 5])
+    means, scales, centered = stacked_standardization(values, weight)
+    assert np.array_equal(scales[:, 0], [1.0, 1.0])
+    assert np.allclose(scales[:, 1], [np.arange(7.0).std(), np.arange(2.0, 7.0).std()])
+    assert np.abs(centered[:, :, 0]).max() <= 1e-15
+    assert np.array_equal(scales[0], tr.column_scales)
 
 
 def test_standardize_rejects_tiny_samples():

@@ -9,6 +9,8 @@ from structreg.entry_exit import (
     InsufficientTransitionsError,
     PayoffParams,
     RPathSpec,
+    _ccp_from_values,
+    _expected_value,
     _propagate_shares,
     draw_profit_path,
     entry_exit_experiment,
@@ -59,6 +61,97 @@ def test_stationary_beta_zero_equals_myopic():
     params = PayoffParams(-0.5, 1.0, 1.0, 0.0)
     _, ccp, _ = solve_stationary(params, np.array([0.3, 1.7]))
     assert np.allclose(ccp, myopic_ccp(params, np.array([0.3, 1.7])), atol=1e-14)
+
+
+def value_iteration(params, R, rtol=1e-11):
+    """Stationary values by value iteration from zero, the reference for the
+    Newton steps of ``solve_stationary``.
+
+    The map contracts at rate ``b``, so after a sweep that moved the values by
+    ``gap`` they are within ``gap * b / (1 - b)`` of the fixed point; iteration
+    stops once that bound is ``rtol`` of the values' scale. (An absolute stop
+    is out of reach when ``b / (1 - b)`` times the rounding of large values
+    exceeds it.)
+    """
+    b = params.discount
+    pi = flow_payoffs(params, R)
+    vbar = np.zeros(pi.shape[:-1])
+    for _ in range(1_000_000):
+        new = _expected_value(pi + b * vbar[..., None, :])
+        gap = np.abs(new - vbar).max()
+        vbar = new
+        if gap * b <= rtol * (1.0 - b) * max(1.0, np.abs(vbar).max()):
+            break
+    else:
+        raise AssertionError("value iteration did not converge")
+    cvf = pi + b * vbar[..., None, :]
+    return vbar, _ccp_from_values(cvf), cvf
+
+
+def assert_matches_value_iteration(params, R):
+    vbar, ccp, cvf = solve_stationary(params, R)
+    vbar_vi, ccp_vi, _ = value_iteration(params, R)
+    scale = max(1.0, np.abs(vbar_vi).max())
+    assert vbar.shape == vbar_vi.shape and ccp.shape == ccp_vi.shape
+    assert np.abs(vbar - vbar_vi).max() <= 1e-10 * scale
+    assert np.abs(ccp - ccp_vi).max() <= 1e-10
+    # a fixed point to rounding, which value iteration's stop cannot show
+    assert np.abs(vbar - _expected_value(cvf)).max() <= 8 * np.finfo(float).eps * scale
+    assert np.array_equal(cvf, flow_payoffs(params, R) + params.discount * vbar[..., None, :])
+
+
+@pytest.mark.parametrize("discount", [0.5, 0.9, 0.95, 0.999])
+@pytest.mark.parametrize("seed", range(3))
+def test_stationary_newton_matches_value_iteration(seed, discount):
+    gen = np.random.default_rng([31, seed])
+    params = PayoffParams(mu=gen.uniform(-5.0, 2.0), alpha=gen.uniform(-2.0, 2.0),
+                          entry_cost=gen.uniform(0.0, 8.0), discount=discount)
+    assert_matches_value_iteration(params, gen.uniform(-50.0, 50.0, size=gen.integers(1, 60)))
+    assert_matches_value_iteration(params, gen.uniform(-50.0, 50.0))
+
+
+@pytest.mark.parametrize("discount", [0.5, 0.9, 0.95, 0.999])
+def test_stationary_newton_matches_value_iteration_at_huge_entry_cost(discount):
+    params = PayoffParams(-1.0, 0.7, 25.0, discount)
+    assert_matches_value_iteration(params, np.linspace(-50.0, 50.0, 41))
+
+
+def test_stationary_newton_takes_few_steps(monkeypatch):
+    import structreg.entry_exit as entry_exit
+
+    # Newton converges quadratically: the study's 500 profit levels need six
+    # steps where value iteration needed about 540 sweeps (the fifth moves the
+    # values by 1e-8 of their scale, the sixth by 2e-15, at the rounding floor)
+    monkeypatch.setattr(entry_exit, "NEWTON_STEPS", 6)
+    R = draw_profit_path(RPathSpec(), 500, SeededRng(32))
+    assert_matches_value_iteration(DdcParams(), R)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stationary_non_finite_profit_does_not_converge(bad):
+    params = PayoffParams(-1.0, 1.0, 2.0, 0.9)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            solve_stationary(params, np.array([0.5, bad]))
+        with pytest.raises(RuntimeError, match="did not converge"):
+            solve_stationary(params, bad)
+
+
+@pytest.mark.parametrize("discount", [0.5, 0.9, 0.95, 0.999])
+def test_foresight_terminal_value_is_the_stationary_fixed_point(discount):
+    # backward induction closed by the stationary values equals backward
+    # induction over the same path followed by many periods at the final
+    # profit, and the Euler identity holds across the closure
+    rng = SeededRng(33)
+    params = PayoffParams(-3.5, 1.0, 4.0, discount)
+    R = draw_profit_path(RPathSpec(), 80, rng)
+    _, ccp, _ = solve_perfect_foresight(params, R)
+    extended = np.concatenate([R, np.full(40, R[-1])])
+    _, ccp_ext, _ = solve_perfect_foresight(params, extended)
+    assert np.abs(ccp - ccp_ext[:80]).max() <= 1e-10
+    for path, probs in ((R, ccp), (extended, ccp_ext)):
+        residuals = euler_residuals(probs, flow_payoffs(params, path), discount)
+        assert np.abs(residuals).max() <= 1e-10
 
 
 def test_perfect_foresight_symmetric_payoffs_half():

@@ -10,6 +10,7 @@ from structreg.estimators import (
     fit_polynomial,
     select_arx_order_aic,
     select_degree_aic,
+    solve_least_squares,
 )
 
 
@@ -50,6 +51,18 @@ def test_ols_rejects_rank_deficient_design():
     X = np.column_stack([np.arange(10.0), 2.0 * np.arange(10.0)])
     with pytest.raises(SingularDesignError, match="singular design"):
         fit_ols(X, np.arange(10.0))
+
+
+def test_least_squares_rejects_fewer_rows_than_columns():
+    # the SVD of a wide matrix has only as many singular values as rows, all
+    # positive here, so only the shape shows that the system is underdetermined
+    A = np.array([[1.0, 2.0, 0.5], [1.0, -1.0, 3.0]])
+    with pytest.raises(SingularDesignError, match="singular design: 2 rows for 3 coefficients"):
+        solve_least_squares(A, np.array([1.0, 2.0]))
+    with pytest.raises(SingularDesignError, match="singular instrument design"):
+        fit_2sls([1.0], [[2.0]], [[3.0]])
+    square = solve_least_squares(A[:, :2], np.array([1.0, 2.0]))
+    assert np.allclose(A[:, :2] @ square, [1.0, 2.0])
 
 
 def test_polynomial_recovers_raw_coefficients():

@@ -8,9 +8,13 @@ of their study's config block (auction also ``cv.K`` and ``lambda_grid``) and
 were made before the config-to-study mapping was rewritten, so they pin that
 mapping. ``auction-2-all-keys`` was regenerated when the beta truth became
 the revenue-equivalence quadrature, which moved its ``truth`` column by at
-most 5.6e-16 relative, and with it the aggregates. A change that should leave
-results alone must reproduce both files byte for byte. The files were made,
-from the repository root, with::
+most 5.6e-16 relative, and with it the aggregates. ``entry-exit-2`` and
+``entry-exit-1-all-keys`` were regenerated when the stationary entry/exit
+values became Newton steps instead of value iteration, which moved their
+``truth`` and ``prediction`` columns by at most 1.4e-14 relative and their
+aggregates by at most 3.9e-15; no trial's chosen penalty moved. A change
+that should leave results alone must reproduce both files byte for byte. The
+files were made, from the repository root, with::
 
     for case in auction-1 demand-4 entry-exit-2 \\
                 auction-2-all-keys demand-2-all-keys entry-exit-1-all-keys; do

@@ -366,7 +366,12 @@ def test_readme_config_example_validates(tmp_path, capsys):
      ("demand", {"demand": {"M": 14}}, "demand.M = 14 leaves 5 markets"),
      # without sre the structural estimator still needs its three coefficients identified
      ("demand", {"estimators": ["rf", "structural"], "demand": {"M": 3}},
-      "demand.M = 3 is fewer than the 4 markets the structural estimator needs")],
+      "demand.M = 3 is fewer than the 4 markets the structural estimator needs"),
+     # one market leaves the 2SLS line underdetermined, two make it interpolate
+     ("demand", {"estimators": ["rf"], "demand": {"M": 1}},
+      "demand.M = 1 is fewer than the 3 markets the reduced-form 2SLS needs"),
+     ("demand", {"estimators": ["rf"], "demand": {"M": 2}},
+      "demand.M = 2 is fewer than the 3 markets the reduced-form 2SLS needs")],
 )
 def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, experiment, block, message):
     import yaml
@@ -386,8 +391,9 @@ def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, experiment, blo
 @pytest.mark.parametrize(
     "experiment, block",
     [("entry-exit", {"entry_exit": {"t_train": 11, "t_total": 60}}),
-     ("demand", {"demand": {"M": 16}})],
-    ids=["t_train-11", "M-16"],
+     ("demand", {"demand": {"M": 16}}),
+     ("demand", {"estimators": ["rf"], "demand": {"M": 3}})],
+    ids=["t_train-11", "M-16", "rf-M-3"],
 )
 def test_cli_runs_the_smallest_sizes_validate_accepts(tmp_path, capsys, experiment, block):
     import yaml

@@ -10,7 +10,7 @@ example replays from its seed.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from structreg.data import Dataset, DomainSpec, SeededRng
@@ -308,32 +308,33 @@ def test_stacked_kfold_and_forward_match_each_split(seed):
 
 
 @given(seeds)
+@example(152385)
 @settings(max_examples=20, deadline=None)
 def test_stacked_rolling_matches_each_window_with_a_constant_column(seed):
     gen, data, penalty = _cv_problem(seed, n=40)
     X = data.inputs.copy()
     X[15:27, 2] = 0.7  # constant inside the window of rows 15..24 (and 16..25, 17..26)
     data = Dataset(X, data.outcome, time_index=data.time_index)
-    # up to rounding the constant column standardizes to zeros there, which is
-    # singular at lambda = 0 only
+    # the constant column's rounding spread counts as zero variance, so it
+    # standardizes to zeros there, which is singular at lambda = 0 only
     penalty = PenaltySpec(GRID[1:], penalty.weights)
     final = ridge_fold(data, LinearFeatures(3), penalty, lambda transform: np.ones(4))
     splits = rolling_splits(data.n, 10)
     assert_matches_each_split(final, data, splits)
-    # with lambda = 0 on the grid the first window the one-sample path finds
-    # singular is the one the stacked run names
+    # with lambda = 0 on the grid window 15, the first with the constant
+    # column, is singular in the one-sample path and in the stacked run
     final = ridge_fold(data, LinearFeatures(3), PenaltySpec(GRID, penalty.weights),
                        lambda transform: np.ones(4))
-    first = None
-    for s in range(splits.train.shape[0]):
-        try:
-            ridge_fold(data.subset(split_rows(splits, s)[0]), final.feature_map, final.penalty,
-                       final.theta_m_in).path(GRID)
-        except SingularPathError as exc:
-            first = (s, exc.lam)
-            break
-    assert first is not None and 15 <= first[0] <= 17
-    with pytest.raises(CvError, match=rf"window {first[0]} at lambda={first[1]}: singular"):
+    for s in range(16):
+        fold = ridge_fold(data.subset(split_rows(splits, s)[0]), final.feature_map,
+                          final.penalty, final.theta_m_in)
+        if s < 15:
+            assert np.isfinite(fold.path(GRID)).all()
+        else:
+            with pytest.raises(SingularPathError) as info:
+                fold.path(GRID)
+            assert info.value.lam == 0.0
+    with pytest.raises(CvError, match=r"window 15 at lambda=0\.0: singular"):
         rolling_cv(final, data, 10)
 
 
