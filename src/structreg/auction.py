@@ -84,23 +84,10 @@ class AuctionScenario:
 
 @dataclass(frozen=True)
 class AuctionData:
-    """Observed bids of M auctions with varying bidder counts."""
+    """Bidder count and winning bid of each of M auctions."""
 
     n_bidders: np.ndarray
-    bids: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        n = np.asarray(self.n_bidders, dtype=int)
-        object.__setattr__(self, "n_bidders", n)
-        object.__setattr__(self, "bids", tuple(np.asarray(b, float) for b in self.bids))
-        for m, b in enumerate(self.bids):
-            if b.shape[0] != n[m]:
-                raise ValueError(f"auction {m} has {b.shape[0]} bids for {n[m]} bidders")
-
-    @property
-    def winning_bids(self) -> np.ndarray:
-        """The maximum bid of each auction."""
-        return np.array([b.max() for b in self.bids])
+    winning_bids: np.ndarray
 
     def to_dataset(self) -> Dataset:
         """(bidder count, winning bid) pairs for conditional-mean estimation."""
@@ -176,40 +163,39 @@ def _beta_bid_batch(
 
 
 def simulate_auctions(scenario: AuctionScenario, rng: SeededRng) -> AuctionData:
-    """Simulate M auctions with bidder counts uniform on the training range.
+    """Simulate the winning bids of M auctions with bidder counts uniform on
+    the training range.
 
     Bids are equilibrium bids of i.i.d. private values, optionally multiplied
     by i.i.d. half-normal overbidding factors; the winning bid is the maximum
-    submitted bid.
+    submitted bid. Without overbidding the equilibrium bid increases with the
+    value, so only each auction's top value is bid. The draws come in a fixed
+    order: bidder counts, then each auction's values in auction order, then
+    each auction's overbidding factors in auction order.
     """
     gen = rng.generator()
     lo, hi = scenario.n_range_train
     n_bidders = gen.integers(lo, hi + 1, size=scenario.M)
-    values = []
-    for n in n_bidders:
-        if scenario.value_dist == "uniform":
-            values.append(gen.uniform(0.0, 1.0, size=n))
-        else:
-            values.append(gen.beta(*scenario.beta_shape, size=n))
-    # one batch per distinct bidder count (one quadrature pass for beta values)
-    bids = [None] * scenario.M
-    for n in map(int, np.unique(n_bidders)):
-        where = np.flatnonzero(n_bidders == n)
-        flat = np.concatenate([values[m] for m in where])
-        if scenario.value_dist == "uniform":
-            flat = (n - 1) / n * flat
-        else:
-            flat = _beta_bid_batch(flat, n, scenario.beta_shape)
-        offset = 0
-        for m in where:
-            bids[m] = flat[offset : offset + n]
-            offset += n
+    starts = np.cumsum(n_bidders) - n_bidders
+    total = int(n_bidders.sum())
+    if scenario.value_dist == "uniform":
+        values = gen.uniform(0.0, 1.0, size=total)
+    else:
+        values = gen.beta(*scenario.beta_shape, size=total)
+    shading = (n_bidders - 1) / n_bidders
     if scenario.overbid_sigma is not None:
-        bids = [
-            b * np.abs(gen.normal(0.0, scenario.overbid_sigma, size=b.shape[0]))
-            for b in bids
-        ]
-    return AuctionData(n_bidders, tuple(bids))
+        # overbidding reorders the bidders, so every bid competes
+        bids = np.repeat(shading, n_bidders) * values
+        bids *= np.abs(gen.normal(0.0, scenario.overbid_sigma, size=total))
+        return AuctionData(n_bidders, np.maximum.reduceat(bids, starts))
+    top = np.maximum.reduceat(values, starts)
+    if scenario.value_dist == "uniform":
+        return AuctionData(n_bidders, shading * top)
+    winning = np.empty(scenario.M)
+    for n in np.unique(n_bidders):
+        where = n_bidders == n
+        winning[where] = _beta_bid_batch(top[where], int(n), scenario.beta_shape)
+    return AuctionData(n_bidders, winning)
 
 
 @functools.lru_cache(maxsize=1024)

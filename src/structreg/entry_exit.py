@@ -208,15 +208,22 @@ def solve_perfect_foresight(
     """
     R_path = np.asarray(R_path, dtype=float)
     T = R_path.shape[0]
-    pi = flow_payoffs(params, R_path)
-    vbar = np.empty((T, 2))
-    cvf = np.empty((T, 2, 2))
-    vbar_next = solve_stationary(params, R_path[-1])[0]
+    b = params.discount
+    v0, v1 = solve_stationary(params, R_path[-1])[0].tolist()
+    flows = flow_payoffs(params, R_path).reshape(T, 4).tolist()
+    vbar, cvf = [None] * T, [None] * T
+    # _expected_value on Python floats: numpy's per-call overhead would
+    # dominate a 2x2 block, while exp and log stay numpy's so that every
+    # value rounds as in the vectorized form
     for t in range(T - 1, -1, -1):
-        cvf[t] = pi[t] + params.discount * vbar_next[None, :]
-        vbar[t] = _expected_value(cvf[t])
-        vbar_next = vbar[t]
-    return vbar, _ccp_from_values(cvf), cvf
+        p00, p01, p10, p11 = flows[t]
+        c00, c01, c10, c11 = cvf[t] = (p00 + b * v0, p01 + b * v1, p10 + b * v0, p11 + b * v1)
+        s0, s1 = max(c00, c01), max(c10, c11)
+        e00, e01, e10, e11 = np.exp(np.array([c00 - s0, c01 - s0, c10 - s1, c11 - s1])).tolist()
+        l0, l1 = np.log(np.array([e00 + e01, e10 + e11])).tolist()
+        v0, v1 = vbar[t] = (EULER_GAMMA + s0 + l0, EULER_GAMMA + s1 + l1)
+    cvf = np.array(cvf).reshape(T, 2, 2)
+    return np.array(vbar), _ccp_from_values(cvf), cvf
 
 
 def myopic_ccp(params: PayoffParams, R) -> np.ndarray:

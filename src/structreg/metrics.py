@@ -45,38 +45,32 @@ def metrics(records) -> list[AggregateRow]:
     and MSE compare each prediction with its own trial's truth, while the
     variance is taken over predictions alone.
     """
-    cells: dict[tuple, list[tuple[float, float]]] = {}
+    groups: dict[tuple, list[tuple]] = {}
     for trial, estimator, domain, x, truth, prediction in records:
-        cells.setdefault((estimator, domain, x), []).append((truth, prediction))
-
-    groups: dict[tuple, dict[float, list[tuple[float, float]]]] = {}
-    for (estimator, domain, x), values in cells.items():
-        groups.setdefault((estimator, domain), {})[x] = values
+        groups.setdefault((estimator, domain), []).append((x, truth, prediction))
 
     rows = []
-    for (estimator, domain), by_x in sorted(groups.items()):
-        counts = {len(v) for v in by_x.values()}
-        if len(counts) != 1:
+    for (estimator, domain), cells in sorted(groups.items()):
+        arr = np.asarray(cells, dtype=float)
+        # stable: each point keeps its trials in record order
+        x, truth, pred = arr[np.argsort(arr[:, 0], kind="stable")].T.copy()
+        counts = np.unique(np.unique(x, return_counts=True)[1])
+        if counts.shape[0] != 1:
             raise MetricsError(
                 f"mismatched trial counts for estimator={estimator!r} "
-                f"domain={domain!r}: {sorted(counts)}"
+                f"domain={domain!r}: {counts.tolist()}"
             )
-        (n_trials,) = counts
-        pw_bias, pw_var, pw_mse = [], [], []
-        for x in sorted(by_x):
-            arr = np.asarray(by_x[x], dtype=float)
-            truth, pred = arr[:, 0], arr[:, 1]
-            err = pred - truth
-            pw_bias.append(np.abs(err).mean())
-            pw_var.append(pred.var(ddof=0))
-            pw_mse.append((err**2).mean())
+        n_trials = int(counts[0])
+        truth = truth.reshape(-1, n_trials)
+        pred = pred.reshape(-1, n_trials)
+        err = pred - truth
         rows.append(
             AggregateRow(
                 estimator,
                 domain,
-                float(np.mean(pw_bias)),
-                float(np.mean(pw_var)),
-                float(np.mean(pw_mse)),
+                float(np.mean(np.abs(err).mean(axis=1))),
+                float(np.mean(pred.var(axis=1, ddof=0))),
+                float(np.mean((err**2).mean(axis=1))),
                 n_trials,
             )
         )

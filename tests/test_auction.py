@@ -81,8 +81,7 @@ def test_bid_monotone_and_shaded():
 
 def test_simulate_uniform_bids_bounded():
     data = simulate_auctions(AuctionScenario.from_index(1), SeededRng(1))
-    for n, bids in zip(data.n_bidders, data.bids):
-        assert bids.max() <= (n - 1) / n + 1e-12
+    assert np.all(data.winning_bids <= (data.n_bidders - 1) / data.n_bidders + 1e-12)
     assert data.winning_bids.max() <= 1.0
 
 
@@ -101,23 +100,46 @@ def test_simulate_beta_value_mean():
 
 
 def test_simulate_overbid_factor_mean():
-    sc = AuctionScenario.from_index(3, M=500)
-    data = simulate_auctions(sc, SeededRng(3))
-    uniform = simulate_auctions(AuctionScenario.from_index(1, M=500), SeededRng(3))
-    # same seed draws the same values; the bid ratio recovers the half-normal
-    # overbid factors
-    ratios = np.concatenate(
-        [o / u for o, u in zip(data.bids, uniform.bids)]
-    )
-    expected = 0.5 * np.sqrt(2.0 / np.pi)
-    sd = 0.5 * np.sqrt(1.0 - 2.0 / np.pi)
-    assert abs(ratios.mean() - expected) <= 4.0 * sd / np.sqrt(ratios.size)
+    n = 10
+    sc = AuctionScenario.from_index(3, M=4000, n_range_train=(n, n))
+    winning = simulate_auctions(sc, SeededRng(3)).winning_bids
+    truth, table_se = overbid_truth_with_se(sc, n)
+    se = winning.std() / np.sqrt(winning.size)
+    assert abs(winning.mean() - truth) <= 4.0 * (se + table_se)
 
 
-def test_winning_bid_is_bid_of_top_value_without_overbidding():
-    data = simulate_auctions(AuctionScenario.from_index(2, M=50), SeededRng(4))
-    for bids, b_star in zip(data.bids, data.winning_bids):
-        assert b_star == bids.max()
+def every_bid(scenario, rng):
+    """Each auction's bids, bidder by bidder, from the simulation's draws."""
+    gen = rng.generator()
+    lo, hi = scenario.n_range_train
+    n_bidders = gen.integers(lo, hi + 1, size=scenario.M)
+    if scenario.value_dist == "uniform":
+        values = [gen.uniform(0.0, 1.0, size=n) for n in n_bidders]
+        bids = [(n - 1) / n * v for n, v in zip(n_bidders, values)]
+    else:
+        values = [gen.beta(*scenario.beta_shape, size=n) for n in n_bidders]
+        bids = [_beta_bid_batch(v, int(n), scenario.beta_shape) for n, v in zip(n_bidders, values)]
+    if scenario.overbid_sigma is not None:
+        bids = [b * np.abs(gen.normal(0.0, scenario.overbid_sigma, size=b.size)) for b in bids]
+    return n_bidders, bids
+
+
+@pytest.mark.parametrize("index", [1, 2, 3])
+def test_winning_bids_are_the_top_bid_over_all_bidders(index):
+    # the simulation bids only each auction's top value (or, with
+    # overbidding, takes the top of the scaled bids); brute force bids for
+    # every bidder. Uniform values round identically; the beta quadrature's
+    # batched dot product may round a row differently in a smaller batch.
+    for seed in range(5):
+        sc = AuctionScenario.from_index(index, M=60)
+        data = simulate_auctions(sc, SeededRng(seed))
+        n_bidders, bids = every_bid(sc, SeededRng(seed))
+        expected = np.array([b.max() for b in bids])
+        assert np.array_equal(data.n_bidders, n_bidders)
+        if index == 2:
+            assert np.all(np.abs(data.winning_bids - expected) <= 2e-15 * expected)
+        else:
+            assert np.array_equal(data.winning_bids, expected)
 
 
 def test_true_winning_bid_uniform_analytic():

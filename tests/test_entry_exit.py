@@ -154,6 +154,30 @@ def test_foresight_terminal_value_is_the_stationary_fixed_point(discount):
         assert np.abs(residuals).max() <= 1e-10
 
 
+def per_block_foresight(params, R):
+    """Backward induction one 2x2 numpy block per period: the reference for
+    the float loop of ``solve_perfect_foresight``."""
+    pi = flow_payoffs(params, R)
+    vbar = np.empty((R.shape[0], 2))
+    cvf = np.empty((R.shape[0], 2, 2))
+    vbar_next = solve_stationary(params, R[-1])[0]
+    for t in range(R.shape[0] - 1, -1, -1):
+        cvf[t] = pi[t] + params.discount * vbar_next[None, :]
+        vbar[t] = vbar_next = _expected_value(cvf[t])
+    return vbar, _ccp_from_values(cvf), cvf
+
+
+@pytest.mark.parametrize("discount", [0.0, 0.5, 0.9, 0.95, 0.999])
+@pytest.mark.parametrize("seed", range(4))
+def test_perfect_foresight_matches_the_per_block_reference(seed, discount):
+    gen = np.random.default_rng([34, seed])
+    params = PayoffParams(mu=gen.uniform(-5.0, 2.0), alpha=gen.uniform(-2.0, 2.0),
+                          entry_cost=gen.uniform(0.0, 25.0), discount=discount)
+    R = gen.uniform(-50.0, 50.0, size=gen.integers(1, 500))
+    for got, want in zip(solve_perfect_foresight(params, R), per_block_foresight(params, R)):
+        assert np.array_equal(got, want)
+
+
 def test_perfect_foresight_symmetric_payoffs_half():
     params = PayoffParams(0.0, 0.0, 0.0, 0.9)
     _, ccp, _ = solve_perfect_foresight(params, np.linspace(0, 5, 30))

@@ -82,6 +82,46 @@ def test_metrics_supports_per_trial_truth():
     assert row.mse == 0.25
 
 
+def per_point_metrics(records):
+    """Bias, variance and MSE of each (estimator, domain), one evaluation
+    point at a time: the reference for the vectorized ``metrics``."""
+    cells = {}
+    for trial, estimator, domain, x, truth, prediction in records:
+        cells.setdefault((estimator, domain), {}).setdefault(x, []).append((truth, prediction))
+    out = []
+    for key, by_x in sorted(cells.items()):
+        bias, var, mse = [], [], []
+        for x in sorted(by_x):
+            arr = np.asarray(by_x[x], dtype=float)
+            err = arr[:, 1] - arr[:, 0]
+            bias.append(np.abs(err).mean())
+            var.append(arr[:, 1].var(ddof=0))
+            mse.append((err**2).mean())
+        out.append((*key, float(np.mean(bias)), float(np.mean(var)), float(np.mean(mse)),
+                    len(arr)))
+    return out
+
+
+@pytest.mark.parametrize("trials", [1, 2, 7, 8, 9, 127, 128, 129, 1000])
+def test_metrics_match_the_per_point_reference(trials):
+    # 127-129 straddle the block size of numpy's pairwise summation, 7-9 its
+    # unrolled width; the records arrive shuffled, so each point's trials
+    # keep the order they have in the records
+    gen = np.random.default_rng(trials)
+    records = [
+        (r, est, dom, float(x), float(gen.normal() * 10.0 ** gen.integers(-3, 3)),
+         float(gen.normal() * 10.0 ** gen.integers(-3, 3)))
+        for r in range(trials)
+        for est in ("sre", "statistical")
+        for dom, xs in (("in", range(5, 31)), ("out", range(31, 51)))
+        for x in xs
+    ]
+    records = [records[i] for i in gen.permutation(len(records))]
+    rows = [(r.estimator, r.domain, r.bias, r.variance, r.mse, r.trials)
+            for r in metrics(records)]
+    assert rows == per_point_metrics(records)
+
+
 BASE_CONFIG = {
     "experiment": "auction",
     "scenario": 1,
