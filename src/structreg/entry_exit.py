@@ -355,15 +355,18 @@ def simulate_market(
     incumbents = N // 2
     initial = incumbents
     T = R_path.shape[0]
-    counts = np.zeros((T, 2, 2), dtype=np.int64)
-    for t in range(T):
-        stay = gen.binomial(incumbents, ccps[t, 1, 1])
-        enter = gen.binomial(N - incumbents, ccps[t, 0, 1])
-        counts[t, 1, 1] = stay
-        counts[t, 1, 0] = incumbents - stay
-        counts[t, 0, 1] = enter
-        counts[t, 0, 0] = (N - incumbents) - enter
+    steps = []
+    for p_stay, p_enter in zip(ccps[:T, 1, 1].tolist(), ccps[:T, 0, 1].tolist()):
+        stay = gen.binomial(incumbents, p_stay)
+        enter = gen.binomial(N - incumbents, p_enter)
+        steps.append((incumbents, stay, enter))
         incumbents = stay + enter
+    held, stay, enter = np.array(steps, dtype=np.int64).reshape(T, 3).T
+    counts = np.empty((T, 2, 2), dtype=np.int64)
+    counts[:, 1, 1] = stay
+    counts[:, 1, 0] = held - stay
+    counts[:, 0, 1] = enter
+    counts[:, 0, 0] = (N - held) - enter
     return MarketPanel(N, initial, counts, R_path)
 
 
@@ -383,25 +386,19 @@ def estimate_ccp_euler_from_ccps(
     """
     ccps = np.asarray(ccps, dtype=float)
     R_path = np.asarray(R_path, dtype=float)
-    T = ccps.shape[0]
-    rows, targets = [], []
-    for t in range(T - 1):
-        block = ccps[t : t + 2]
-        if not np.isfinite(block).all() or block.min() <= 0.0 or block.max() >= 1.0:
-            continue
-        lhs_entry = np.log(ccps[t, 0, 1] / ccps[t, 0, 0]) + discount * np.log(
-            ccps[t + 1, 1, 1] / ccps[t + 1, 0, 1]
-        )
-        lhs_exit = np.log(ccps[t, 1, 0] / ccps[t, 1, 1]) + discount * np.log(
-            ccps[t + 1, 0, 0] / ccps[t + 1, 1, 0]
-        )
-        rows.append([1.0, R_path[t], -(1.0 - discount)])
-        targets.append(lhs_entry)
-        rows.append([-1.0, -R_path[t], 0.0])
-        targets.append(lhs_exit)
-    if len(rows) < 6:
+    # a period t is usable when both ccps[t] and ccps[t + 1] are finite and inside (0, 1)
+    inside = (np.isfinite(ccps) & (ccps > 0.0) & (ccps < 1.0)).all(axis=(1, 2))
+    t = np.flatnonzero(inside[:-1] & inside[1:])
+    if len(t) < 3:
         raise InsufficientTransitionsError("insufficient transitions")
-    theta = solve_least_squares(np.asarray(rows), np.asarray(targets))
+    now, nxt = ccps[t], ccps[t + 1]
+    # an entry row, then an exit row, for each period
+    rows = np.zeros((len(t), 2, 3))
+    rows[:, 0, 0], rows[:, 0, 1], rows[:, 0, 2] = 1.0, R_path[t], -(1.0 - discount)
+    rows[:, 1, 0], rows[:, 1, 1] = -1.0, -R_path[t]
+    lhs_entry = np.log(now[:, 0, 1] / now[:, 0, 0]) + discount * np.log(nxt[:, 1, 1] / nxt[:, 0, 1])
+    lhs_exit = np.log(now[:, 1, 0] / now[:, 1, 1]) + discount * np.log(nxt[:, 0, 0] / nxt[:, 1, 0])
+    theta = solve_least_squares(rows.reshape(-1, 3), np.column_stack([lhs_entry, lhs_exit]).ravel())
     return float(theta[0]), float(theta[1]), float(theta[2])
 
 

@@ -158,7 +158,7 @@ def run_monte_carlo(config: RunConfig) -> MonteCarloReport:
     if workers == 1:
         records, metadata = _run_slice(config, indices)
     else:
-        # plain ints: numpy indices would reach the records and fail to serialize
+        # plain ints, so pooled records carry the same trial types as sequential ones
         chunks = [tuple(int(i) for i in chunk)
                   for chunk in np.array_split(indices, workers) if len(chunk)]
         records, metadata = [], {}
@@ -211,12 +211,19 @@ def _write_summary(report: MonteCarloReport, path: Path) -> None:
 
 
 def _write_curves(report: MonteCarloReport, path: Path) -> None:
-    lines = [CURVES_HEADER]
-    for trial, estimator, domain, x, truth, prediction in report.curves:
-        lines.append(
-            f"{trial},{estimator},{domain},{_g17(x)},{_g17(truth)},{_g17(prediction)}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+    # %.17g formats a float exactly as _g17 does, in one pass over the records
+    path.write_text(CURVES_HEADER + "\n" + "".join(
+        ["%d,%s,%s,%.17g,%.17g,%.17g\n" % record for record in report.curves]))
+
+
+def read_curves(path: str | Path) -> tuple[tuple, ...]:
+    """The ``(trial, estimator, domain, x, truth, prediction)`` records of a curves.csv."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != CURVES_HEADER:
+        raise ValueError(f"unexpected header in {path}")
+    return tuple((int(trial), estimator, domain, float(x), float(truth), float(prediction))
+                 for trial, estimator, domain, x, truth, prediction
+                 in (line.split(",") for line in lines[1:]))
 
 
 def report_to_dict(report: MonteCarloReport) -> dict:
@@ -237,14 +244,13 @@ def report_to_dict(report: MonteCarloReport) -> dict:
             }
             for row in report.aggregates
         ],
-        "curves": [list(record) for record in report.curves],
         "config_snapshot": report.config_snapshot,
         "software_version": report.software_version,
         "metadata": report.metadata,
     }
 
 
-def report_from_dict(payload: dict) -> MonteCarloReport:
+def report_from_dict(payload: dict, curves: tuple[tuple, ...]) -> MonteCarloReport:
     return MonteCarloReport(
         experiment=payload["experiment"],
         scenario=payload["scenario"],
@@ -252,7 +258,7 @@ def report_from_dict(payload: dict) -> MonteCarloReport:
         base_seed=payload["base_seed"],
         estimators=tuple(payload["estimators"]),
         aggregates=tuple(AggregateRow(**row) for row in payload["aggregates"]),
-        curves=tuple(tuple(record) for record in payload["curves"]),
+        curves=curves,
         config_snapshot=payload["config_snapshot"],
         software_version=payload["software_version"],
         metadata=payload["metadata"],
@@ -260,14 +266,17 @@ def report_from_dict(payload: dict) -> MonteCarloReport:
 
 
 def load_report(path: str | Path) -> MonteCarloReport:
-    return report_from_dict(json.loads(Path(path).read_text()))
+    """The report.json at ``path``, with its curves read from the curves.csv beside it."""
+    path = Path(path)
+    return report_from_dict(json.loads(path.read_text()), read_curves(path.with_name("curves.csv")))
 
 
 def emit_outputs(report: MonteCarloReport, out_dir: str | Path) -> list[Path]:
     """Write summary.csv, curves.csv, config.snapshot, and report.json.
 
-    Numbers use 17 significant digits (lossless for doubles). On any failure
-    the partially written files are removed before the error propagates.
+    Numbers use 17 significant digits (lossless for doubles). report.json holds
+    everything but the curves, which :func:`load_report` reads from curves.csv.
+    On failure, partially written files are removed before the error propagates.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -298,13 +307,4 @@ def emit_outputs(report: MonteCarloReport, out_dir: str | Path) -> list[Path]:
 
 def recompute_aggregates_from_curves(path: str | Path) -> list[AggregateRow]:
     """Re-derive the summary metrics from an emitted curves.csv."""
-    lines = Path(path).read_text().strip().splitlines()
-    if lines[0] != CURVES_HEADER:
-        raise ValueError("unexpected curves.csv header")
-    records = []
-    for line in lines[1:]:
-        trial, estimator, domain, x, truth, prediction = line.split(",")
-        records.append(
-            (int(trial), estimator, domain, float(x), float(truth), float(prediction))
-        )
-    return metrics(records)
+    return metrics(read_curves(path))

@@ -26,7 +26,7 @@ from structreg.entry_exit import (
     solve_stationary,
     sre_entry_exit,
 )
-from structreg.estimators import arx_feature_rows
+from structreg.estimators import arx_feature_rows, solve_least_squares
 
 
 def small_params(**overrides) -> DdcParams:
@@ -223,6 +223,53 @@ def test_estimate_requires_enough_transitions():
         estimate_ccp_euler_from_ccps(ccp, np.zeros(2), 0.9)
 
 
+def per_period_euler(ccps, R, discount):
+    """Two stacked rows per usable period, one period at a time: the reference
+    for the masked arrays of ``estimate_ccp_euler_from_ccps``."""
+    rows, targets = [], []
+    for t in range(ccps.shape[0] - 1):
+        block = ccps[t : t + 2]
+        if not np.isfinite(block).all() or block.min() <= 0.0 or block.max() >= 1.0:
+            continue
+        rows.append([1.0, R[t], -(1.0 - discount)])
+        targets.append(np.log(ccps[t, 0, 1] / ccps[t, 0, 0])
+                       + discount * np.log(ccps[t + 1, 1, 1] / ccps[t + 1, 0, 1]))
+        rows.append([-1.0, -R[t], 0.0])
+        targets.append(np.log(ccps[t, 1, 0] / ccps[t, 1, 1])
+                       + discount * np.log(ccps[t + 1, 0, 0] / ccps[t + 1, 1, 0]))
+    if len(rows) < 6:
+        raise InsufficientTransitionsError("insufficient transitions")
+    theta = solve_least_squares(np.asarray(rows), np.asarray(targets))
+    return float(theta[0]), float(theta[1]), float(theta[2])
+
+
+def clamped_ccp_hat(panel):
+    eps = 1.0 / (2.0 * panel.n_firms)
+    p_hat = panel.ccp_hat()
+    return np.where(np.isnan(p_hat), np.nan, np.clip(p_hat, eps, 1.0 - eps))
+
+
+@pytest.mark.parametrize("regime", ["perfect_foresight", "adaptive", "myopic"])
+@pytest.mark.parametrize("seed", range(6))
+def test_estimate_matches_the_per_period_reference(regime, seed):
+    # thin panels: with 6 or 20 firms and a low entry payoff some periods
+    # have an empty state (NaN frequencies), which both must skip
+    gen = np.random.default_rng([35, seed])
+    params = small_params(mu=gen.uniform(-4.0, 0.0), n_firms=[6, 20, 200][seed % 3],
+                          t_total=80)
+    R = draw_profit_path(RPathSpec(), params.t_total, SeededRng(36).stream(seed))
+    ccps = regime_ccps(regime, params, R)
+    for probs in (ccps, clamped_ccp_hat(simulate_market(regime, params, R, SeededRng(37)
+                                                        .stream(seed), ccps=ccps))):
+        try:
+            want = per_period_euler(probs, R, params.discount)
+        except InsufficientTransitionsError:
+            with pytest.raises(InsufficientTransitionsError, match="insufficient transitions"):
+                estimate_ccp_euler_from_ccps(probs, R, params.discount)
+            continue
+        assert estimate_ccp_euler_from_ccps(probs, R, params.discount) == want
+
+
 def test_estimate_consistency_across_seeds():
     # panel estimates concentrate around the truth as the firm count grows;
     # interior choice probabilities keep the log-frequency bias at the
@@ -282,6 +329,36 @@ def test_simulate_market_frequencies_match_solver_ccps():
             denom = panel.counts[t, j].sum()
             se = np.sqrt(ccps[t, j, 1] * (1 - ccps[t, j, 1]) / denom)
             assert abs(p_hat[t, j, 1] - ccps[t, j, 1]) <= 4 * se + 1e-12
+
+
+def per_period_counts(n_firms, ccps, rng):
+    """Two binomial draws on numpy scalars and four element writes per period:
+    the reference for the scalar loop of ``simulate_market``."""
+    gen = rng.generator()
+    incumbents = n_firms // 2
+    counts = np.zeros((ccps.shape[0], 2, 2), dtype=np.int64)
+    for t in range(ccps.shape[0]):
+        stay = gen.binomial(incumbents, ccps[t, 1, 1])
+        enter = gen.binomial(n_firms - incumbents, ccps[t, 0, 1])
+        counts[t, 1, 1] = stay
+        counts[t, 1, 0] = incumbents - stay
+        counts[t, 0, 1] = enter
+        counts[t, 0, 0] = (n_firms - incumbents) - enter
+        incumbents = stay + enter
+    return counts
+
+
+@pytest.mark.parametrize("regime", ["perfect_foresight", "adaptive", "myopic"])
+@pytest.mark.parametrize("seed", range(6))
+def test_simulate_market_matches_the_per_period_reference(regime, seed):
+    gen = np.random.default_rng([38, seed])
+    params = small_params(mu=gen.uniform(-4.0, 0.0), n_firms=[2, 7, 2000][seed % 3],
+                          t_total=int(gen.integers(1, 120)), t_train=0)
+    R = draw_profit_path(RPathSpec(), params.t_total, SeededRng(39).stream(seed))
+    ccps = regime_ccps(regime, params, R)
+    panel = simulate_market(regime, params, R, SeededRng(40).stream(seed))
+    want = per_period_counts(params.n_firms, ccps, SeededRng(40).stream(seed))
+    assert panel.counts.dtype == want.dtype and np.array_equal(panel.counts, want)
 
 
 def test_panel_counts_conserved_and_rows_sum():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -15,6 +16,9 @@ from structreg.config import (
     load_config,
 )
 from structreg.harness import (
+    CURVES_HEADER,
+    MonteCarloReport,
+    _write_curves,
     emit_outputs,
     load_report,
     recompute_aggregates_from_curves,
@@ -205,6 +209,8 @@ def test_run_monte_carlo_report_and_outputs(tmp_path):
     assert sorted(p.name for p in paths) == [
         "config.snapshot", "curves.csv", "report.json", "summary.csv",
     ]
+    # the curves are written once, to curves.csv, and read back from there
+    assert "curves" not in json.loads((out / "report.json").read_text())
     reloaded = load_report(out / "report.json")
     assert reloaded == report
 
@@ -214,6 +220,38 @@ def test_run_monte_carlo_report_and_outputs(tmp_path):
         assert abs(again.bias - row.bias) <= 1e-12
         assert abs(again.variance - row.variance) <= 1e-12
         assert abs(again.mse - row.mse) <= 1e-12
+
+
+def test_load_report_names_the_missing_curves_file(tmp_path):
+    emit_outputs(run_monte_carlo(run_config(trials=1)), tmp_path)
+    (tmp_path / "curves.csv").unlink()
+    with pytest.raises(FileNotFoundError, match="curves.csv"):
+        load_report(tmp_path / "report.json")
+
+
+def per_record_curves(records) -> str:
+    """One f-string and three ``.17g`` format calls per record: the reference
+    for the one-pass ``%`` formatting of ``_write_curves``."""
+    g17 = lambda value: format(float(value), ".17g")  # noqa: E731
+    lines = [CURVES_HEADER]
+    for trial, estimator, domain, x, truth, prediction in records:
+        lines.append(f"{trial},{estimator},{domain},{g17(x)},{g17(truth)},{g17(prediction)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_write_curves_matches_the_per_record_reference(tmp_path):
+    gen = np.random.default_rng(41)
+    edge = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -2.2250738585072e-309,
+            1e308, -1.7976931348623157e308, 0.1, 1 / 3, 1e16, 2.0**53 + 1, 12.0, 7, np.float64(0.3),
+            np.int64(-4)]
+    values = edge + list(gen.standard_normal(50) * 10.0 ** gen.integers(-300, 300, 50))
+    records = [(trial, estimator, "in" if i % 2 else "out", x, values[(i + 3) % len(values)],
+                values[(i + 7) % len(values)])
+               for i, x in enumerate(values)
+               for trial, estimator in ((i % 5, "sre"), (np.int64(i), "structural"))]
+    report = MonteCarloReport("demand", 1, 5, 0, ("sre", "structural"), (), tuple(records), {})
+    _write_curves(report, tmp_path / "curves.csv")
+    assert (tmp_path / "curves.csv").read_text() == per_record_curves(records)
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -495,6 +533,10 @@ def test_two_worker_pool_matches_sequential_bytes(tmp_path, monkeypatch, config)
     sequential = _cli_outputs(config, tmp_path / "sequential")
     monkeypatch.setenv("SRE_THREADS", "2")
     assert _cli_outputs(config, tmp_path / "pooled") == sequential
+    # the reloaded reports differ only in their timings
+    pooled, alone = (dataclasses.replace(load_report(tmp_path / side / "report.json"), metadata={})
+                     for side in ("pooled", "sequential"))
+    assert pooled == alone
 
 
 def test_failing_trial_in_worker_pool_is_named_and_writes_no_outputs(tmp_path, monkeypatch,
