@@ -39,6 +39,7 @@ from .sre import (
 from .tuning import forward_cv, ridge_fold
 
 OVERBID_TRUTH_DRAWS = 4_000_000
+BID_QUADRATURE_NODES = 256
 _OVERBID_TRUTH_SEED = 181_000_001  # fixed: truth values are config-independent
 
 # the fields that set each scenario of the study apart
@@ -129,15 +130,14 @@ def equilibrium_bid(
     return v - shade
 
 
-@functools.lru_cache(maxsize=8)
-def _gl_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+@functools.lru_cache(maxsize=1)
+def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The ``BID_QUADRATURE_NODES``-point Gauss-Legendre rule on ``[0, 1]``."""
+    nodes, weights = np.polynomial.legendre.leggauss(BID_QUADRATURE_NODES)
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def _beta_bid_batch(
-    values: np.ndarray, n: int, beta_shape: tuple[float, float], n_nodes: int = 256
-) -> np.ndarray:
+def _beta_bid_batch(values: np.ndarray, n: int, beta_shape: tuple[float, float]) -> np.ndarray:
     """Vectorized equilibrium bids for beta-distributed values.
 
     Evaluates the shading integral with the substitutions ``x = v u`` and
@@ -147,7 +147,7 @@ def _beta_bid_batch(
     batch in one pass. Agrees with :func:`equilibrium_bid` to ~1e-10.
     """
     v = np.asarray(values, dtype=float).ravel()
-    s, w = _gl_rule(n_nodes)
+    s, w = _gl_rule()
     u = 1.0 - (1.0 - s) ** 2
     jacobian = 2.0 * (1.0 - s)
     positive = v > 0.0

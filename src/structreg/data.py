@@ -293,7 +293,7 @@ def partition(data: Dataset, K: int, rng: SeededRng) -> list[Dataset]:
 
 
 def forward_split(
-    data: Dataset, target: DomainSpec, fraction: float = 1.0 / 6.0
+    data: Dataset, target: DomainSpec, fraction: float
 ) -> tuple[Dataset, Dataset]:
     """Split a sample so the second part sits nearest a target input region.
 
@@ -314,7 +314,7 @@ def forward_split(
 
 
 def forward_split_rows(
-    data: Dataset, target: DomainSpec, fraction: float = 1.0 / 6.0
+    data: Dataset, target: DomainSpec, fraction: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sorted row indices of :func:`forward_split`'s far and near parts."""
     if not (0.0 < fraction < 1.0):

@@ -31,10 +31,9 @@ from .sre import (
     default_lambda_grid,
     fit_theta_m,
     gmm_normal_equations,
-    quadratic_path,
     sre_gmm,
 )
-from .tuning import RidgeFold, kfold_cv, ridge_fold
+from .tuning import RidgeFold, kfold_cv
 
 INSTRUMENT_POWERS = 5
 EVAL_GRID_POINTS = 100
@@ -201,13 +200,8 @@ def rf_demand(data: MarketData, form: str = "linear") -> RfDemandFit:
     return RfDemandFit(form, fit)
 
 
-def instrument_basis(
-    z: np.ndarray,
-    center: float = 0.0,
-    scale: float = 1.0,
-    powers: int = INSTRUMENT_POWERS,
-) -> np.ndarray:
-    """Polynomial instrument block ``(1, z, z^2, ..., z^powers)``.
+def instrument_basis(z: np.ndarray, center, scale) -> np.ndarray:
+    """Polynomial instrument block ``(1, z, z^2, ..., z^INSTRUMENT_POWERS)``.
 
     Powers are formed on the affinely rescaled shifter ``(z - center) /
     scale``; with the projection weight this spans the same column space as
@@ -218,22 +212,7 @@ def instrument_basis(
     ``scale`` of shape ``(S, 1)`` gives ``S`` blocks at once.
     """
     zs = (np.asarray(z, dtype=float) - center) / scale
-    return np.stack([zs**j for j in range(powers + 1)], axis=-1)
-
-
-def projection_weight(Z: np.ndarray) -> np.ndarray:
-    """Two-stage-least-squares weight ``(Z'Z)^{-1}`` with a ridge-free inverse.
-
-    Fewer rows than instrument columns make the Gram matrix singular, which
-    an inverse in floating point may not detect, so that case raises directly.
-    """
-    if Z.shape[0] < Z.shape[1]:
-        raise SingularDesignError("singular instrument Gram matrix")
-    gram = Z.T @ Z
-    try:
-        return np.linalg.inv(gram)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError("singular instrument Gram matrix") from exc
+    return np.stack([zs**j for j in range(INSTRUMENT_POWERS + 1)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -241,55 +220,51 @@ class GmmFold(RidgeFold):
     """One training sample's penalized moment fit of the quadratic demand curve.
 
     ``theta`` multiplies ``(1, p_std, p_std^2)`` where the price powers are
-    standardized by ``transform``. The sample's instrument block, projection
-    weight and instrument rescaling constants are kept so held-out moments
-    are scored in the same basis. In cross-validation every training fold
-    gets its own instrument rescaling, projection weight and held-out moment
-    objective, all folds at once.
+    standardized by ``transform``. ``instruments`` is the sample's instrument
+    block over its own rescaling of the cost shifter and ``weight`` its
+    projection weight ``(Z'Z)^{-1}``. Every sample of a stack gets its own
+    rescaling and weight, and a cross-validation split's held-out moments are
+    scored in its training rows' basis and weight.
     """
 
     instruments: np.ndarray
     weight: np.ndarray
-    z_center: float
-    z_scale: float
 
-    def path(self, lambda_grid) -> np.ndarray:
-        G, b = gmm_normal_equations(self.design, self.instruments, self.outcome, self.weight)
-        return quadratic_path(G, b, self.penalty.weights, self.theta_m, lambda_grid)
+    @classmethod
+    def _pose(cls, F, data, rows, weight, fail) -> dict:
+        """:meth:`RidgeFold._pose` with every sample's instrument block, its
+        projection weight, and the shifter's ``z_means`` and ``z_scales`` that
+        rescale its basis.
 
-    def score(self, thetas: np.ndarray, val: Dataset) -> np.ndarray:
-        """Held-out moment objective, with the training weight, of every row."""
-        resid = val.outcome[:, None] - self.predict(thetas, val.inputs)
-        Z = instrument_basis(val.instruments[:, 0], self.z_center, self.z_scale)
-        m_bar = Z.T @ resid / val.n
-        return np.sum(m_bar * (self.weight @ m_bar), axis=0)
-
-    def _cv_system(self, data, splits, design, outcome):
-        """Every split's moment normal equations, with its own instrument
-        rescaling and projection weight, and the scorer of its held-out
-        moment objective."""
+        Fewer rows than instrument columns, or an exactly singular Gram
+        matrix, fail as ``singular instrument Gram matrix``.
+        """
+        posed = super()._pose(F, data, rows, weight, fail)
         z = data.instruments[:, 0]
-        weight = splits.train_weight
-        center, scale, _ = stacked_standardization(z[splits.train][:, :, None], weight)
-        Z = instrument_basis(z[splits.train], center, scale) * weight[:, :, None]
+        center, scale, _ = stacked_standardization(z[rows][:, :, None], weight)
+        Z = instrument_basis(z[rows], center, scale) * weight[:, :, None]
         few = weight.sum(axis=1) < Z.shape[2]
         if few.any():
-            raise splits.failure(int(np.argmax(few)), "singular instrument Gram matrix")
+            raise fail(int(np.argmax(few)), SingularDesignError("singular instrument Gram matrix"))
         gram = Z.swapaxes(1, 2) @ Z
         try:
             W = np.linalg.inv(gram)
         except np.linalg.LinAlgError as exc:
             first = int(np.argmax(np.linalg.det(gram) == 0.0))
-            raise splits.failure(first, "singular instrument Gram matrix") from exc
-        G, b = gmm_normal_equations(design, Z, outcome, W)
-        Z_val = instrument_basis(z[splits.val], center, scale) * splits.val_weight[:, :, None]
-        count = splits.val_weight.sum(axis=1)[:, None, None]
+            raise fail(first, SingularDesignError("singular instrument Gram matrix")) from exc
+        return posed | {"instruments": Z, "weight": W, "z_means": center, "z_scales": scale}
 
-        def score(resid):
-            m_bar = Z_val.swapaxes(1, 2) @ resid / count
-            return np.sum(m_bar * (W @ m_bar), axis=1)
+    def _normal_equations(self, posed) -> tuple[np.ndarray, np.ndarray]:
+        """Every posed sample's moment normal equations."""
+        return gmm_normal_equations(posed["design"], posed["instruments"], posed["outcome"],
+                                    posed["weight"])
 
-        return G, b, score
+    def _held_out_error(self, posed, data, splits, resid) -> np.ndarray:
+        """Every split's held-out moment objective, with its training weight."""
+        Z_val = instrument_basis(data.instruments[splits.val, 0], posed["z_means"],
+                                 posed["z_scales"]) * splits.val_weight[:, :, None]
+        m_bar = Z_val.swapaxes(1, 2) @ resid / splits.val_weight.sum(axis=1)[:, None, None]
+        return np.sum(m_bar * (posed["weight"] @ m_bar), axis=1)
 
     def solve(self, lam: float) -> np.ndarray:
         return sre_gmm(self.design, self.instruments, self.outcome, self.weight,
@@ -299,12 +274,7 @@ class GmmFold(RidgeFold):
 def _gmm_fold(train: Dataset, penalty: PenaltySpec, theta_m) -> GmmFold:
     """The sample's :class:`GmmFold`; ``theta_m(transform)`` gives the
     benchmark projection on the sample's standardization."""
-    ridge = ridge_fold(train, _QUADRATIC, penalty, theta_m)
-    z = train.instruments[:, 0]
-    center, scale = float(z.mean()), float(z.std(ddof=0) or 1.0)
-    Z = instrument_basis(z, center, scale)
-    return GmmFold(**vars(ridge), instruments=Z, weight=projection_weight(Z), z_center=center,
-                   z_scale=scale)
+    return GmmFold._of_sample(train, _QUADRATIC, penalty, theta_m)
 
 
 def sre_demand(

@@ -333,32 +333,23 @@ def merge_panels(a: MarketPanel, b: MarketPanel) -> MarketPanel:
     )
 
 
-def simulate_market(
-    regime: str,
-    params: DdcParams | None,
-    R_path,
-    rng: SeededRng,
-    n_firms: int | None = None,
-    ccps: np.ndarray | None = None,
-) -> MarketPanel:
-    """Simulate firm transitions under a regime's choice probabilities.
+def simulate_market(ccps: np.ndarray, R_path, n_firms: int, rng: SeededRng) -> MarketPanel:
+    """Simulate ``n_firms`` firms' transitions under choice probabilities
+    ``ccps[t, j, k]`` (from state ``j`` to ``k`` in period ``t``, as
+    :func:`regime_ccps` gives them) along the profit path ``R_path``.
 
     Half the firms start as incumbents. Firms are exchangeable, so per-period
     binomial draws of stayers and entrants carry the full panel information.
-    ``params`` may be omitted when explicit ``ccps`` and ``n_firms`` are given.
     """
     R_path = np.asarray(R_path, dtype=float)
-    if ccps is None:
-        ccps = regime_ccps(regime, params, R_path)
-    N = params.n_firms if n_firms is None else n_firms
     gen = rng.generator()
-    incumbents = N // 2
+    incumbents = n_firms // 2
     initial = incumbents
     T = R_path.shape[0]
     steps = []
     for p_stay, p_enter in zip(ccps[:T, 1, 1].tolist(), ccps[:T, 0, 1].tolist()):
         stay = gen.binomial(incumbents, p_stay)
-        enter = gen.binomial(N - incumbents, p_enter)
+        enter = gen.binomial(n_firms - incumbents, p_enter)
         steps.append((incumbents, stay, enter))
         incumbents = stay + enter
     held, stay, enter = np.array(steps, dtype=np.int64).reshape(T, 3).T
@@ -366,8 +357,8 @@ def simulate_market(
     counts[:, 1, 1] = stay
     counts[:, 1, 0] = held - stay
     counts[:, 0, 1] = enter
-    counts[:, 0, 0] = (N - held) - enter
-    return MarketPanel(N, initial, counts, R_path)
+    counts[:, 0, 0] = (n_firms - held) - enter
+    return MarketPanel(n_firms, initial, counts, R_path)
 
 
 class InsufficientTransitionsError(ValueError):
@@ -459,9 +450,7 @@ class DdcBenchmark:
         return prev * self.ccps[idx, 1, 1] + (1.0 - prev) * self.ccps[idx, 0, 1]
 
     def simulate(self, rng: SeededRng, n_firms: int) -> MarketPanel:
-        return simulate_market(
-            "perfect_foresight", None, self.R_path, rng, n_firms, ccps=self.ccps
-        )
+        return simulate_market(self.ccps, self.R_path, n_firms, rng)
 
 
 SRE_ARX_ORDERS = (2, 4)
@@ -473,11 +462,9 @@ PREDICTION_START = 11  # early periods reflect the arbitrary initial state mix
 SYNTHETIC_PANEL_REPLICAS = 10
 
 
-def synthetic_arx_rows(
-    benchmark: DdcBenchmark, n_firms: int, rng: SeededRng,
-    replicas: int = SYNTHETIC_PANEL_REPLICAS,
-) -> Dataset:
-    """Stacked ARX rows from simulated benchmark panels over the full horizon.
+def synthetic_arx_rows(benchmark: DdcBenchmark, n_firms: int, rng: SeededRng) -> Dataset:
+    """Stacked ARX rows from ``SYNTHETIC_PANEL_REPLICAS`` simulated benchmark
+    panels over the full horizon.
 
     Simulated (rather than deterministic) occupancy paths keep the lagged
     shares from collapsing onto the profit polynomial: on a noise-free path
@@ -487,7 +474,7 @@ def synthetic_arx_rows(
     """
     p, q = SRE_ARX_ORDERS
     parts = []
-    for r in range(replicas):
+    for r in range(SYNTHETIC_PANEL_REPLICAS):
         panel = benchmark.simulate(rng.split(r), n_firms)
         parts.append(arx_feature_rows(panel.shares_with_initial(), benchmark.R_path, p, q))
     return Dataset(
@@ -571,8 +558,7 @@ def entry_exit_experiment(
             regime_p = regime_ccps(regime, params, R_path)
             truth = _propagate_shares(regime_p, 0.5)
             panel_a, panel_b = (
-                simulate_market(regime, params, R_path, trial_rng.split(stream),
-                                params.n_firms // 2, ccps=regime_p)
+                simulate_market(regime_p, R_path, params.n_firms // 2, trial_rng.split(stream))
                 for stream in (1, 2)
             )
             panel = merge_panels(panel_a, panel_b)

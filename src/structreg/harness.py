@@ -286,18 +286,19 @@ def emit_outputs(report: MonteCarloReport, out_dir: str | Path) -> list[Path]:
         "config": out / "config.snapshot",
         "report": out / "report.json",
     }
+    # a path is recorded before its write, so a write that fails halfway is removed too
     written: list[Path] = []
     try:
-        _write_summary(report, paths["summary"])
         written.append(paths["summary"])
-        _write_curves(report, paths["curves"])
+        _write_summary(report, paths["summary"])
         written.append(paths["curves"])
+        _write_curves(report, paths["curves"])
+        written.append(paths["config"])
         paths["config"].write_text(
             json.dumps(report.config_snapshot, sort_keys=True, indent=2) + "\n"
         )
-        written.append(paths["config"])
-        paths["report"].write_text(json.dumps(report_to_dict(report)) + "\n")
         written.append(paths["report"])
+        paths["report"].write_text(json.dumps(report_to_dict(report)) + "\n")
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)

@@ -38,9 +38,13 @@ class PenaltyError(ValueError):
     """Invalid penalty configuration or solver input."""
 
 
-def default_lambda_grid(n: int, num: int = 25) -> np.ndarray:
-    """Log-spaced penalty grid over ``[1e-4, 1e4]`` scaled by the sample size."""
-    return n * np.logspace(-4.0, 4.0, num)
+LAMBDA_GRID_POINTS = 25
+
+
+def default_lambda_grid(n: int) -> np.ndarray:
+    """``LAMBDA_GRID_POINTS`` log-spaced penalties over ``[1e-4, 1e4]``, scaled by
+    the sample size."""
+    return n * np.logspace(-4.0, 4.0, LAMBDA_GRID_POINTS)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,16 @@ penalty's grid and :meth:`~RidgeFold.cv_errors`, which scores that grid on
 every split of a :class:`CvSplits` in one stacked array computation. A split
 is row indices into the sample with 0/1 row weights (a sliding window of rows
 for rolling cross-validation), so no per-split sample or fold is built.
+
+A second-stage problem is posed in one place, the fold's ``_pose``, which
+poses a stack of samples at once: the cross-validation's splits, or the
+fitting sample itself as a stack of one (every row, weight 1), which is how
+:func:`ridge_fold` builds the final fold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,7 +36,7 @@ from .data import (
     forward_split_rows,
     partition_indices,
     stacked_standardization,
-    standardize,
+    standardize,  # noqa: F401  perfbench/selftest.py reads it as tuning.standardize
 )
 from .sre import (
     FeatureMap,
@@ -100,7 +105,8 @@ class CvSplits:
         return "window" if self.kind == "rolling" else "fold"
 
     def failure(self, index: int, reason, lam: float | None = None) -> CvError:
-        """The error naming split ``index`` and, when known, its grid point."""
+        """The error naming split ``index`` and, when known, its grid point;
+        ``reason`` is a message or the error the split raised."""
         at = "" if lam is None else f" at lambda={lam}"
         return CvError(f"fitter failed on {self.unit} {index}{at}: {reason}")
 
@@ -202,12 +208,12 @@ class RidgeFold:
     """One training sample's penalized least-squares problem.
 
     ``design`` is ``(1, standardized features)`` of the sample and
-    ``theta_m`` the benchmark projection on the same scale. Cross-validation
-    calls :meth:`cv_errors`, which poses the same problem on every split's
-    training rows at once and scores every grid point on the split's held-out
-    rows; :meth:`fit` then refits at the penalty the cross-validation chose,
-    with the per-``lam`` closed form of :meth:`solve`. :meth:`path` and
-    :meth:`score` are the same two steps for this one sample.
+    ``theta_m`` the benchmark projection on the same scale. :meth:`_pose`
+    poses the problem on a stack of samples; the fold itself is the stack of
+    one sample of every row, and cross-validation's :meth:`cv_errors` poses
+    every split's training rows at once and scores every grid point on the
+    split's held-out rows. :meth:`fit` then refits at the penalty the
+    cross-validation chose, with the per-``lam`` closed form of :meth:`solve`.
     """
 
     design: np.ndarray
@@ -217,42 +223,62 @@ class RidgeFold:
     penalty: PenaltySpec
     feature_map: FeatureMap
 
-    def path(self, lambda_grid) -> np.ndarray:
-        """Coefficients at every grid point, one row each."""
-        X = self.design
-        return quadratic_path(X.T @ X, X.T @ self.outcome, self.penalty.weights, self.theta_m,
-                              lambda_grid)
+    @classmethod
+    def _of_sample(cls, train: Dataset, feature_map: FeatureMap, penalty: PenaltySpec,
+                   theta_m) -> RidgeFold:
+        """``train``'s fold, posed as a stack of one sample: every row, weight 1."""
+        posed = cls._pose(feature_map.transform(train.inputs), train, np.arange(train.n)[None],
+                          np.ones((1, train.n)), lambda index, error: error)
+        transform = StandardizeTransform(posed["means"][0], posed["scales"][0],
+                                         float(train.outcome.mean()))
+        arrays = {f.name: posed[f.name][0] for f in fields(cls) if f.name in posed}
+        return cls(**arrays, transform=transform, theta_m=theta_m(transform), penalty=penalty,
+                   feature_map=feature_map)
 
-    def predict(self, thetas: np.ndarray, inputs) -> np.ndarray:
-        """Predictions at ``inputs``, one column per coefficient row."""
-        F = self.transform.transform_inputs(self.feature_map.transform(inputs))
-        return thetas[:, 0] + F @ thetas[:, 1:].T
+    @classmethod
+    def _pose(cls, F, data, rows, weight, fail) -> dict:
+        """The problem of every sample in a stack, each array with a leading stack axis.
 
-    def score(self, thetas: np.ndarray, val: Dataset) -> np.ndarray:
-        """Held-out mean squared error of every coefficient row."""
-        resid = val.outcome[:, None] - self.predict(thetas, val.inputs)
-        return np.mean(resid**2, axis=0)
+        Sample ``s`` is the rows ``rows[s]`` of ``data`` where ``weight[s]``
+        is 1, with expanded features ``F[rows[s]]``; it is standardized on
+        those rows alone, as :func:`~structreg.data.standardize` would. The
+        result holds the samples' ``means`` and ``scales`` and their
+        ``design`` and ``outcome`` (0 on unused rows). A sample that cannot be
+        posed raises ``fail(s, error)``.
+        """
+        count = weight.sum(axis=1)
+        if np.any(count < 2):
+            raise fail(int(np.argmax(count < 2)),
+                       DataError("standardize requires at least two rows"))
+        means, scales, centered = stacked_standardization(F[rows], weight)
+        design = np.concatenate([weight[:, :, None], centered / scales[:, None, :]], axis=2)
+        return {"means": means, "scales": scales, "design": design,
+                "outcome": data.outcome[rows] * weight}
+
+    def _normal_equations(self, posed) -> tuple[np.ndarray, np.ndarray]:
+        """Every posed sample's ``(X'X, X'y)``."""
+        Xt = posed["design"].swapaxes(1, 2)
+        return Xt @ posed["design"], (Xt @ posed["outcome"][:, :, None])[:, :, 0]
+
+    def _held_out_error(self, posed, data, splits, resid) -> np.ndarray:
+        """Every split's held-out mean squared error, one column per grid point."""
+        return (resid * resid).sum(axis=1) / splits.val_weight.sum(axis=1)[:, None]
 
     def cv_errors(self, data: Dataset, splits: CvSplits) -> np.ndarray:
         """Held-out error of every grid point on every split, ``(splits, grid)``.
 
-        Each split's training rows are standardized on their own, ``theta_m``
-        is re-expressed on that scale as :meth:`theta_m_in` does, every
-        split's normal equations come from one batched product, and one
+        Every split's training rows are posed at once by :meth:`_pose`,
+        ``theta_m`` is re-expressed on each split's standardization (which
+        equals projecting the benchmark afresh on that scale), and one
         stacked :func:`~structreg.sre.quadratic_path` call solves every
-        split's path. A split that cannot be solved raises :class:`CvError`
-        naming it and its first offending grid point.
+        split's path. A split that cannot be posed or solved raises
+        :class:`CvError` naming it and, for a solve, its first offending grid
+        point.
         """
-        weight = splits.train_weight
-        count = weight.sum(axis=1)
-        if np.any(count < 2):
-            raise splits.failure(int(np.argmax(count < 2)),
-                                 "standardize requires at least two rows")
         F = self.feature_map.transform(data.inputs)
-        means, scales, centered = stacked_standardization(F[splits.train], weight)
-        design = np.concatenate([weight[:, :, None], centered / scales[:, None, :]], axis=2)
-        outcome = data.outcome[splits.train] * weight
-        G, b, score = self._cv_system(data, splits, design, outcome)
+        posed = self._pose(F, data, splits.train, splits.train_weight, splits.failure)
+        means, scales = posed["means"], posed["scales"]
+        G, b = self._normal_equations(posed)
         theta_m = _express_in_transform(_to_raw(self.theta_m, self.transform), means, scales)
         finite = np.isfinite(G).all(axis=(1, 2)) & np.isfinite(b).all(axis=1) & np.isfinite(
             theta_m).all(axis=1)
@@ -271,14 +297,7 @@ class RidgeFold:
         F_val = (F[splits.val] - means[:, None, :]) / scales[:, None, :]
         predictions = thetas[:, None, :, 0] + F_val @ thetas[:, :, 1:].swapaxes(1, 2)
         resid = (data.outcome[splits.val][:, :, None] - predictions) * splits.val_weight[:, :, None]
-        return score(resid)
-
-    def _cv_system(self, data, splits, design, outcome):
-        """Every split's ``(X'X, X'y)`` and the scorer of its held-out residuals."""
-        Xt = design.swapaxes(1, 2)
-        count = splits.val_weight.sum(axis=1)[:, None]
-        return Xt @ design, (Xt @ outcome[:, :, None])[:, :, 0], (
-            lambda resid: (resid * resid).sum(axis=1) / count)
+        return self._held_out_error(posed, data, splits, resid)
 
     def solve(self, lam: float) -> np.ndarray:
         """Coefficients at one penalty strength."""
@@ -290,23 +309,12 @@ class RidgeFold:
         return SREFit(self.solve(lam), self.transform, self.theta_m, lam, self.feature_map,
                       cv=trace.kind, parts=(trace,))
 
-    def theta_m_in(self, transform: StandardizeTransform) -> np.ndarray:
-        """``theta_m`` over another standardization of the same features.
-
-        Standardization is affine, so this equals projecting the benchmark
-        afresh on that scale, without the projection.
-        """
-        return _express_in_transform(_to_raw(self.theta_m, self.transform),
-                                     transform.column_means, transform.column_scales)
-
 
 def ridge_fold(train: Dataset, feature_map: FeatureMap, penalty: PenaltySpec,
                theta_m) -> RidgeFold:
     """The sample's :class:`RidgeFold` over its standardized expanded features;
     ``theta_m(transform)`` gives the benchmark projection on that scale."""
-    std, transform = standardize(Dataset(feature_map.transform(train.inputs), train.outcome))
-    design = np.column_stack([np.ones(train.n), std.inputs])
-    return RidgeFold(design, train.outcome, transform, theta_m(transform), penalty, feature_map)
+    return RidgeFold._of_sample(train, feature_map, penalty, theta_m)
 
 
 def _to_raw(coefficients, transform) -> np.ndarray:

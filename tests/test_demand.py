@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from structreg.data import Dataset, SeededRng, StandardizeTransform
+from structreg.data import DataError, Dataset, SeededRng, StandardizeTransform
 from structreg.demand import (
     DemandParams,
     MarketData,
+    _gmm_fold,
     demand_experiment,
     evaluation_grid,
     instrument_basis,
-    projection_weight,
     rf_demand,
     scenario_params,
     simulate_markets,
@@ -147,7 +147,7 @@ def test_sre_gmm_matches_2sls_for_linear_instrument_block():
     data = simulate_markets(params, SeededRng(10))
     X = np.column_stack([np.ones(data.m), data.prices])
     Z = np.column_stack([np.ones(data.m), data.cost_shifters])
-    W = projection_weight(Z)
+    W = np.linalg.inv(Z.T @ Z)
     pen = PenaltySpec([0.0], np.array([0.0, 1.0]))
     theta = sre_gmm(X, Z, data.quantities, W, np.zeros(2), pen, 0.0)
     ref = fit_2sls(data.quantities, data.prices[:, None], data.cost_shifters[:, None])
@@ -173,7 +173,7 @@ def test_sre_demand_lambda_zero_grid_reduces_to_quadratic_iv():
     design = np.column_stack([np.ones(d2.m), transform.transform_inputs(F)])
     center, scale = d2.cost_shifters.mean(), d2.cost_shifters.std(ddof=0)
     Z = instrument_basis(d2.cost_shifters, center, scale)
-    W = projection_weight(Z)
+    W = np.linalg.inv(Z.T @ Z)
     pen = PenaltySpec([0.0], np.array([0.0, 1.0, 1.0]))
     ref = sre_gmm(design, Z, d2.quantities, W, np.zeros(3), pen, 0.0)
     assert np.abs(fit.theta - ref).max() <= 1e-8
@@ -226,13 +226,40 @@ def test_demand_experiment_grid_shared_and_deterministic():
     assert xs == sorted(meta_a["grid"])
 
 
+def _markets(z):
+    """A moment-fold sample over cost shifters ``z``."""
+    z = np.asarray(z, dtype=float)
+    p = 50.0 + z + np.linspace(0.0, 1.0, z.size) ** 2
+    return Dataset(p[:, None], 200.0 - 2.0 * p, z[:, None])
+
+
+_PENALTY = PenaltySpec([1.0, 10.0], np.array([0.0, 1.0, 1.0]))
+
+
 @pytest.mark.parametrize("z", [[3.0, 11.0, 27.0, 35.0], [2.0, 9.0, 17.0, 30.0, 38.0]])
-def test_projection_weight_rejects_fewer_rows_than_instruments(z):
+def test_moment_fold_rejects_fewer_rows_than_instruments(z):
     # a floating-point inverse of these rank-deficient Gram matrices need not fail
-    z = np.asarray(z)
-    Z = instrument_basis(z, z.mean(), z.std())
     with pytest.raises(SingularDesignError, match="singular instrument Gram matrix"):
-        projection_weight(Z)
+        _gmm_fold(_markets(z), _PENALTY, lambda transform: np.zeros(3))
+
+
+def test_moment_fold_rejects_a_singular_instrument_gram_matrix():
+    # one shifter value: the instrument powers are (1, 0, ..., 0)
+    with pytest.raises(SingularDesignError, match="singular instrument Gram matrix"):
+        _gmm_fold(_markets(np.full(10, 7.0)), _PENALTY, lambda transform: np.zeros(3))
+
+
+def test_moment_fold_of_one_row_is_rejected_by_its_standardization():
+    with pytest.raises(DataError, match="standardize requires at least two rows"):
+        _gmm_fold(_markets([5.0]), _PENALTY, lambda transform: np.zeros(3))
+
+
+def test_moment_fold_instruments_and_weight_are_the_sample_alone():
+    z = SeededRng(9).generator().uniform(0.0, 40.0, size=300)
+    fold = _gmm_fold(_markets(z), _PENALTY, lambda transform: np.zeros(3))
+    Z = instrument_basis(z, float(z.mean()), float(z.std(ddof=0)))
+    assert np.array_equal(fold.instruments, Z)
+    assert np.array_equal(fold.weight, np.linalg.inv(Z.T @ Z))
 
 
 def test_demand_trial_with_too_few_markets_per_fold_names_the_cause():
@@ -246,7 +273,6 @@ def test_demand_trial_with_too_few_markets_per_fold_names_the_cause():
 
 
 def test_kfold_names_the_training_fold_whose_instrument_gram_is_singular():
-    from structreg.demand import _gmm_fold
     from structreg.tuning import CvError, kfold_cv, kfold_splits
 
     # the cost shifter varies only inside fold 2, so the training part that

@@ -259,8 +259,8 @@ def test_estimate_matches_the_per_period_reference(regime, seed):
                           t_total=80)
     R = draw_profit_path(RPathSpec(), params.t_total, SeededRng(36).stream(seed))
     ccps = regime_ccps(regime, params, R)
-    for probs in (ccps, clamped_ccp_hat(simulate_market(regime, params, R, SeededRng(37)
-                                                        .stream(seed), ccps=ccps))):
+    panel = simulate_market(ccps, R, params.n_firms, SeededRng(37).stream(seed))
+    for probs in (ccps, clamped_ccp_hat(panel)):
         try:
             want = per_period_euler(probs, R, params.discount)
         except InsufficientTransitionsError:
@@ -284,9 +284,7 @@ def test_estimate_consistency_across_seeds():
         assert ccps.min() > 0.02
         errors = []
         for seed in range(20):
-            panel = simulate_market(
-                "perfect_foresight", params, R, SeededRng(10).stream(seed), ccps=ccps
-            )
+            panel = simulate_market(ccps, R, params.n_firms, SeededRng(10).stream(seed))
             est = estimate_ccp_euler(panel, params.discount)
             errors.append(np.array(est) - [params.mu, params.alpha, params.entry_cost])
         return np.abs(np.array(errors)).mean(axis=0)
@@ -305,15 +303,14 @@ def test_simulate_market_absorbing_ccps_keep_counts_constant():
     ccps = np.zeros((T, 2, 2))
     ccps[:, 0, 0] = 1.0
     ccps[:, 1, 1] = 1.0
-    panel = simulate_market("perfect_foresight", None, np.zeros(T), SeededRng(12),
-                            n_firms=1000, ccps=ccps)
+    panel = simulate_market(ccps, np.zeros(T), 1000, SeededRng(12))
     assert np.all(panel.n == 500)
 
 
 def test_simulate_market_symmetric_payoffs_half_occupancy():
     params = small_params(mu=0.0, alpha=0.0, entry_cost=0.0)
     R = np.zeros(params.t_total)
-    panel = simulate_market("myopic", params, R, SeededRng(13))
+    panel = simulate_market(regime_ccps("myopic", params, R), R, params.n_firms, SeededRng(13))
     se = np.sqrt(0.25 / params.n_firms)
     assert abs(panel.shares.mean() - 0.5) <= 4 * se
 
@@ -322,7 +319,7 @@ def test_simulate_market_frequencies_match_solver_ccps():
     params = small_params(n_firms=1_000_000, t_total=5, t_train=3)
     R = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
     ccps = regime_ccps("perfect_foresight", params, R)
-    panel = simulate_market("perfect_foresight", params, R, SeededRng(14), ccps=ccps)
+    panel = simulate_market(ccps, R, params.n_firms, SeededRng(14))
     p_hat = panel.ccp_hat()
     for t in (0, 2, 4):
         for j in (0, 1):
@@ -356,7 +353,7 @@ def test_simulate_market_matches_the_per_period_reference(regime, seed):
                           t_total=int(gen.integers(1, 120)), t_train=0)
     R = draw_profit_path(RPathSpec(), params.t_total, SeededRng(39).stream(seed))
     ccps = regime_ccps(regime, params, R)
-    panel = simulate_market(regime, params, R, SeededRng(40).stream(seed))
+    panel = simulate_market(ccps, R, params.n_firms, SeededRng(40).stream(seed))
     want = per_period_counts(params.n_firms, ccps, SeededRng(40).stream(seed))
     assert panel.counts.dtype == want.dtype and np.array_equal(panel.counts, want)
 
@@ -364,7 +361,7 @@ def test_simulate_market_matches_the_per_period_reference(regime, seed):
 def test_panel_counts_conserved_and_rows_sum():
     params = small_params()
     R = draw_profit_path(RPathSpec(), params.t_total, SeededRng(15))
-    panel = simulate_market("adaptive", params, R, SeededRng(16))
+    panel = simulate_market(regime_ccps("adaptive", params, R), R, params.n_firms, SeededRng(16))
     assert np.all(panel.counts.sum(axis=(1, 2)) == params.n_firms)
     p_hat = panel.ccp_hat()
     rows = np.nansum(p_hat, axis=2)
@@ -393,7 +390,7 @@ def test_benchmark_one_step_unbiased_under_correct_specification():
     )
     gaps = []
     for seed in range(30):
-        panel = simulate_market("perfect_foresight", params, R, SeededRng(19).stream(seed), ccps=ccps)
+        panel = simulate_market(ccps, R, params.n_firms, SeededRng(19).stream(seed))
         shares = panel.shares_with_initial()
         preds = bench.step_shares(shares[:-1], np.arange(1, 51))
         gaps.append((panel.shares - preds).mean())
@@ -420,8 +417,9 @@ def test_expected_regime_path_tracks_large_simulation():
     params = small_params(n_firms=200_000)
     R = draw_profit_path(RPathSpec(), params.t_total, SeededRng(20))
     for regime in ("perfect_foresight", "adaptive", "myopic"):
-        truth = _propagate_shares(regime_ccps(regime, params, R), 0.5)
-        panel = simulate_market(regime, params, R, SeededRng(21))
+        ccps = regime_ccps(regime, params, R)
+        truth = _propagate_shares(ccps, 0.5)
+        panel = simulate_market(ccps, R, params.n_firms, SeededRng(21))
         assert np.abs(panel.shares - truth).max() <= 0.02
 
 
@@ -439,12 +437,8 @@ def test_sre_entry_exit_runs_and_is_deterministic():
     params = small_params(t_total=140, t_train=100)
     R = draw_profit_path(RPathSpec(), 140, SeededRng(22))
     ccps = regime_ccps("myopic", params, R)
-    half = DdcParams(
-        mu=params.mu, alpha=params.alpha, entry_cost=params.entry_cost,
-        discount=params.discount, n_firms=1000, t_total=140, t_train=100,
-    )
-    pa = simulate_market("myopic", half, R, SeededRng(23), ccps=ccps)
-    pb = simulate_market("myopic", half, R, SeededRng(24), ccps=ccps)
+    pa = simulate_market(ccps, R, 1000, SeededRng(23))
+    pb = simulate_market(ccps, R, 1000, SeededRng(24))
     fit1 = sre_entry_exit(pa.truncate(100), pb.truncate(100), 0.9, R, SeededRng(25))
     fit2 = sre_entry_exit(pa.truncate(100), pb.truncate(100), 0.9, R, SeededRng(25))
     assert np.array_equal(fit1.theta, fit2.theta)
@@ -468,8 +462,9 @@ def test_entry_exit_experiment_smoke_and_shapes():
 def test_merge_panels_adds_counts():
     params = small_params(n_firms=100)
     R = np.zeros(params.t_total)
-    a = simulate_market("myopic", params, R, SeededRng(27))
-    b = simulate_market("myopic", params, R, SeededRng(28))
+    ccps = regime_ccps("myopic", params, R)
+    a = simulate_market(ccps, R, params.n_firms, SeededRng(27))
+    b = simulate_market(ccps, R, params.n_firms, SeededRng(28))
     merged = merge_panels(a, b)
     assert merged.n_firms == 200
     assert np.array_equal(merged.counts, a.counts + b.counts)

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -227,6 +228,22 @@ def test_load_report_names_the_missing_curves_file(tmp_path):
     (tmp_path / "curves.csv").unlink()
     with pytest.raises(FileNotFoundError, match="curves.csv"):
         load_report(tmp_path / "report.json")
+
+
+def test_emit_outputs_removes_a_file_whose_write_fails_halfway(tmp_path, monkeypatch):
+    report = run_monte_carlo(run_config(trials=1))
+    write_text = Path.write_text
+
+    def disk_full_in_curves(path, text, *args, **kwargs):
+        if path.name != "curves.csv":
+            return write_text(path, text, *args, **kwargs)
+        write_text(path, text[: len(text) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", disk_full_in_curves)
+    with pytest.raises(OSError, match="No space left on device"):
+        emit_outputs(report, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def per_record_curves(records) -> str:

@@ -3,9 +3,11 @@
 ``quadratic_path`` solves a whole lambda grid from one eigendecomposition;
 ``sre_ridge`` and ``sre_gmm`` solve one lambda at a time and are the
 reference. A stack of systems is checked against each system alone, and the
-stacked cross-validation of a fold against a fold built on each split's own
-rows. Designs are drawn from a hypothesis-chosen seed, so a failing
-example replays from its seed.
+stacked cross-validation of a fold against each split posed alone: its
+training rows standardized with ``standardize``, every grid point solved with
+``sre_ridge`` (or ``sre_gmm`` with ``inv(Z'Z)``) and scored on its held-out
+rows, with no code shared with the stacked path. Designs are drawn from a
+hypothesis-chosen seed, so a failing example replays from its seed.
 """
 
 import numpy as np
@@ -13,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from structreg.data import Dataset, DomainSpec, SeededRng
-from structreg.demand import DemandParams, _gmm_fold, simulate_markets
+from structreg.data import Dataset, DomainSpec, SeededRng, standardize
+from structreg.demand import DemandParams, GmmFold, _gmm_fold, simulate_markets
 from structreg.estimators import fit_2sls, fit_ols
 from structreg.sre import (
     LinearFeatures,
@@ -279,17 +281,58 @@ def split_rows(splits, s):
             splits.val[s][splits.val_weight[s] == 1.0])
 
 
-def assert_matches_each_split(final, data, splits, fold_on=None, errors=None):
+def pose_alone(final, data, train):
+    """Split ``train`` posed on its own with ``standardize``: its design,
+    outcome, standardization and ``final.theta_m`` re-expressed on it."""
+    F = final.feature_map.transform(data.inputs[train])
+    std, transform = standardize(Dataset(F, data.outcome[train]))
+    # theta_m is affine in the standardization: raw scale first, then the split's
+    slopes = final.theta_m[1:] / final.transform.column_scales
+    intercept = final.theta_m[0] - slopes @ final.transform.column_means
+    theta_m = np.concatenate([[intercept + transform.column_means @ slopes],
+                              slopes * transform.column_scales])
+    design = np.column_stack([np.ones(train.size), std.inputs])
+    return design, data.outcome[train], transform, theta_m
+
+
+def split_errors(final, data, train, val):
+    """The held-out errors of one split posed alone and solved per lambda with
+    ``sre_ridge``, or for a moment fold with ``sre_gmm`` and ``inv(Z'Z)`` over
+    the split's own rescaling of the cost shifter."""
+    X, y, transform, theta_m = pose_alone(final, data, train)
+    F_val = transform.transform_inputs(final.feature_map.transform(data.inputs[val]))
+    moment = isinstance(final, GmmFold)
+    if moment:
+        z = data.instruments[:, 0]
+        center, scale = z[train].mean(), z[train].std()
+
+        def basis(rows):
+            return ((z[rows] - center) / scale)[:, None] ** np.arange(6)
+
+        Z, Z_val = basis(train), basis(val)
+        W = np.linalg.inv(Z.T @ Z)
+    errors = []
+    for lam in final.penalty.lambda_grid:
+        if moment:
+            theta = sre_gmm(X, Z, y, W, theta_m, final.penalty, lam)
+        else:
+            theta = sre_ridge(X, y, theta_m, final.penalty, lam)
+        resid = data.outcome[val] - theta[0] - F_val @ theta[1:]
+        if moment:
+            m_bar = Z_val.T @ resid / val.size
+            errors.append(m_bar @ W @ m_bar)
+        else:
+            errors.append(np.mean(resid**2))
+    return np.array(errors)
+
+
+def assert_matches_each_split(final, data, splits, errors=None):
     """The stacked errors of every split (``errors``, computed afresh if not
-    given) against a fold built anew on the split's training rows,
-    relative to the split's largest error."""
-    fold_on = fold_on or (lambda final, train: ridge_fold(
-        train, final.feature_map, final.penalty, final.theta_m_in))
+    given) against :func:`split_errors` of the split, relative to the split's
+    largest error."""
     stacked = final.cv_errors(data, splits) if errors is None else errors
     for s in range(splits.train.shape[0]):
-        train, val = split_rows(splits, s)
-        fold = fold_on(final, data.subset(train))
-        reference = fold.score(fold.path(final.penalty.lambda_grid), data.subset(val))
+        reference = split_errors(final, data, *split_rows(splits, s))
         assert np.all(np.abs(stacked[s] - reference) <= 1e-9 * np.abs(reference).max())
 
 
@@ -322,17 +365,17 @@ def test_stacked_rolling_matches_each_window_with_a_constant_column(seed):
     splits = rolling_splits(data.n, 10)
     assert_matches_each_split(final, data, splits)
     # with lambda = 0 on the grid window 15, the first with the constant
-    # column, is singular in the one-sample path and in the stacked run
+    # column, is singular posed alone and in the stacked run
     final = ridge_fold(data, LinearFeatures(3), PenaltySpec(GRID, penalty.weights),
                        lambda transform: np.ones(4))
     for s in range(16):
-        fold = ridge_fold(data.subset(split_rows(splits, s)[0]), final.feature_map,
-                          final.penalty, final.theta_m_in)
+        X, y, _, theta_m = pose_alone(final, data, split_rows(splits, s)[0])
         if s < 15:
-            assert np.isfinite(fold.path(GRID)).all()
+            assert np.isfinite(quadratic_path(X.T @ X, X.T @ y, penalty.weights, theta_m,
+                                              GRID)).all()
         else:
             with pytest.raises(SingularPathError) as info:
-                fold.path(GRID)
+                quadratic_path(X.T @ X, X.T @ y, penalty.weights, theta_m, GRID)
             assert info.value.lam == 0.0
     with pytest.raises(CvError, match=r"window 15 at lambda=0\.0: singular"):
         rolling_cv(final, data, 10)
@@ -347,6 +390,4 @@ def test_stacked_moment_kfold_matches_each_split(seed):
     penalty = PenaltySpec(GRID, [0.0, 1.0, gen.uniform(0.1, 10.0)])
     final = _gmm_fold(data, penalty, lambda transform: np.array([100.0, -20.0, 1.0]))
     K = 7 if data.n % 7 else 6
-    assert_matches_each_split(
-        final, data, kfold_splits(data.n, K, SeededRng(seed)),
-        lambda final, train: _gmm_fold(train, final.penalty, final.theta_m_in))
+    assert_matches_each_split(final, data, kfold_splits(data.n, K, SeededRng(seed)))

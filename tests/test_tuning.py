@@ -5,8 +5,8 @@ import pytest
 
 from structreg import tuning
 from structreg.auction import AuctionScenario, simulate_auctions, sre_auction
-from structreg.data import DataError, Dataset, DomainSpec, SeededRng, partition
-from structreg.demand import DemandParams, _gmm_fold, simulate_markets, sre_demand
+from structreg.data import DataError, Dataset, DomainSpec, SeededRng, partition, standardize
+from structreg.demand import DemandParams, simulate_markets, sre_demand
 from structreg.entry_exit import (
     DdcParams,
     RPathSpec,
@@ -195,6 +195,46 @@ def test_rolling_cv_requires_time_index():
         rolling_cv(_line_fold(data, (0.0, 0.0), (0, 10), [0.0]), data, 4)
 
 
+def _study_sample(name):
+    """A sample shaped like a study's fitting half: its inputs and feature map."""
+    gen = np.random.default_rng(17)
+    if name == "auction":  # bidder counts, polynomial degree 5
+        return gen.integers(2, 8, size=150).astype(float)[:, None], PolynomialFeatures(5)
+    if name == "demand":  # prices, polynomial degree 2
+        return gen.uniform(40.0, 120.0, size=500)[:, None], PolynomialFeatures(2)
+    # lagged shares and profit-path terms, 6 linear columns
+    return np.column_stack([gen.uniform(0.3, 0.7, size=(90, 4)),
+                            gen.normal(1.0, 0.5, size=(90, 2))]), LinearFeatures(6)
+
+
+@pytest.mark.parametrize("name", ["auction", "demand", "entry-exit"])
+def test_ridge_fold_is_the_standardize_built_fold(name):
+    inputs, fmap = _study_sample(name)
+    train = Dataset(inputs, np.random.default_rng(18).normal(size=inputs.shape[0]))
+    std, transform = standardize(Dataset(fmap.transform(inputs), train.outcome))
+    seen = []
+
+    def theta_m(on):
+        seen.append(on)
+        return np.zeros(fmap.n_features + 1)
+
+    final = ridge_fold(train, fmap, PenaltySpec(GRID, np.ones(fmap.n_features + 1)), theta_m)
+    assert np.array_equal(final.design, np.column_stack([np.ones(train.n), std.inputs]))
+    assert np.array_equal(final.outcome, train.outcome)
+    for got in (final.transform, *seen):
+        assert np.array_equal(got.column_means, transform.column_means)
+        assert np.array_equal(got.column_scales, transform.column_scales)
+        assert got.outcome_mean == transform.outcome_mean
+
+
+def test_final_fold_and_split_of_one_row_fail_typed():
+    data = Dataset(np.arange(6.0)[:, None], np.arange(6.0) ** 2, time_index=np.arange(6))
+    with pytest.raises(DataError, match="standardize requires at least two rows"):
+        _line_fold(data.subset([2]), (0.0, 0.0), (0, 6), GRID)
+    with pytest.raises(CvError, match="window 0: standardize requires at least two rows"):
+        rolling_cv(_line_fold(data, (0.0, 0.0), (0, 6), GRID), data, 1)
+
+
 def _select_and_fit_on_half(data, line, grid, rng):
     """The select-and-fit step on the second half of ``data``: the final fold,
     5-fold cross-validation of it, and the fit at lambda*."""
@@ -233,7 +273,7 @@ def _entry_exit_second_stage():
                        n_firms=1000, t_total=140, t_train=100)
     R = draw_profit_path(RPathSpec(), 140, SeededRng(22))
     ccps = regime_ccps("myopic", params, R)
-    pa, pb = (simulate_market("myopic", params, R, SeededRng(seed), ccps=ccps).truncate(100)
+    pa, pb = (simulate_market(ccps, R, params.n_firms, SeededRng(seed)).truncate(100)
               for seed in (23, 24))
     return sre_entry_exit(pa, pb, params.discount, R, SeededRng(25))
 
@@ -242,22 +282,14 @@ def _demand_second_stage():
     return sre_demand(simulate_markets(DemandParams(M=600), SeededRng(11)), SeededRng(12))
 
 
-def _ridge_fold_on(final, train):
-    return ridge_fold(train, final.feature_map, final.penalty, final.theta_m_in)
-
-
-def _gmm_fold_on(final, train):
-    return _gmm_fold(train, final.penalty, final.theta_m_in)
-
-
 @pytest.mark.parametrize(
-    "second_stage, kind, fold_on",
-    [(_auction_second_stage, "forward", _ridge_fold_on),
-     (_entry_exit_second_stage, "rolling", _ridge_fold_on),
-     (_demand_second_stage, "kfold", _gmm_fold_on)],
+    "second_stage, kind",
+    [(_auction_second_stage, "forward"),
+     (_entry_exit_second_stage, "rolling"),
+     (_demand_second_stage, "kfold")],
     ids=["auction", "entry-exit", "demand"],
 )
-def test_second_stage_refits_the_fold_its_cv_refolded(monkeypatch, second_stage, kind, fold_on):
+def test_second_stage_refits_the_fold_its_cv_refolded(monkeypatch, second_stage, kind):
     # record the fold, sample and splits of the study's one CV run
     seen = _record_cv(monkeypatch)
     fit = second_stage()
@@ -270,5 +302,5 @@ def test_second_stage_refits_the_fold_its_cv_refolded(monkeypatch, second_stage,
     assert np.array_equal(trace.lambda_grid, final.penalty.lambda_grid)
     assert np.array_equal(fit.theta, final.solve(trace.lambda_star))
     assert np.array_equal(fit.theta_m, final.theta_m)
-    # every split posed the problem a fold built anew on its rows poses
-    assert_matches_each_split(final, data, splits, fold_on, errors=trace.fold_errors)
+    # every split posed the problem it poses alone
+    assert_matches_each_split(final, data, splits, errors=trace.fold_errors)
