@@ -292,10 +292,10 @@ def partition(data: Dataset, K: int, rng: SeededRng) -> list[Dataset]:
     return [data.subset(idx) for idx in partition_indices(data.n, K, rng)]
 
 
-def forward_split(
+def forward_split_rows(
     data: Dataset, target: DomainSpec, fraction: float
-) -> tuple[Dataset, Dataset]:
-    """Split a sample so the second part sits nearest a target input region.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split a sample's rows so the second part sits nearest a target input region.
 
     The second part collects the ``ceil(fraction * N)`` observations whose
     inputs are closest to the target box (distance to the nearest box point;
@@ -306,17 +306,9 @@ def forward_split(
 
     Returns
     -------
-    (S1, S2)
-        Far and near subsamples, each preserving original row order.
+    (far, near)
+        Sorted row indices of the far and near parts.
     """
-    far, near = forward_split_rows(data, target, fraction)
-    return data.subset(far), data.subset(near)
-
-
-def forward_split_rows(
-    data: Dataset, target: DomainSpec, fraction: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted row indices of :func:`forward_split`'s far and near parts."""
     if not (0.0 < fraction < 1.0):
         raise DataError("fraction must lie strictly between 0 and 1")
     if target.dimension != data.p:
@@ -331,5 +323,5 @@ def forward_split_rows(
 
 
 def forward_far_rows(n: int, fraction: float) -> int:
-    """Rows :func:`forward_split` leaves in the far part of an ``n``-row sample."""
+    """Rows :func:`forward_split_rows` leaves in the far part of an ``n``-row sample."""
     return n - math.ceil(fraction * n)

@@ -31,7 +31,7 @@ from .sre import (
     default_lambda_grid,
     fit_theta_m,
     gmm_normal_equations,
-    sre_gmm,
+    sre_gmm,  # noqa: F401  perfbench/selftest.py reads it as demand.sre_gmm
 )
 from .tuning import RidgeFold, kfold_cv
 
@@ -215,20 +215,17 @@ def instrument_basis(z: np.ndarray, center, scale) -> np.ndarray:
     return np.stack([zs**j for j in range(INSTRUMENT_POWERS + 1)], axis=-1)
 
 
-@dataclass(frozen=True)
 class GmmFold(RidgeFold):
     """One training sample's penalized moment fit of the quadratic demand curve.
 
     ``theta`` multiplies ``(1, p_std, p_std^2)`` where the price powers are
-    standardized by ``transform``. ``instruments`` is the sample's instrument
-    block over its own rescaling of the cost shifter and ``weight`` its
-    projection weight ``(Z'Z)^{-1}``. Every sample of a stack gets its own
-    rescaling and weight, and a cross-validation split's held-out moments are
-    scored in its training rows' basis and weight.
+    standardized by ``transform``. ``G`` and ``b`` are the sample's moment
+    normal equations ``(X'Z W Z'X, X'Z W Z'y)`` over its instrument block
+    ``Z``, built on its own rescaling of the cost shifter, and its projection
+    weight ``W = (Z'Z)^{-1}``. Every sample of a stack gets its own rescaling
+    and weight, and a cross-validation split's held-out moments are scored in
+    its training rows' basis and weight.
     """
-
-    instruments: np.ndarray
-    weight: np.ndarray
 
     @classmethod
     def _pose(cls, F, data, rows, weight, fail) -> dict:
@@ -254,7 +251,8 @@ class GmmFold(RidgeFold):
             raise fail(first, SingularDesignError("singular instrument Gram matrix")) from exc
         return posed | {"instruments": Z, "weight": W, "z_means": center, "z_scales": scale}
 
-    def _normal_equations(self, posed) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def _normal_equations(posed) -> tuple[np.ndarray, np.ndarray]:
         """Every posed sample's moment normal equations."""
         return gmm_normal_equations(posed["design"], posed["instruments"], posed["outcome"],
                                     posed["weight"])
@@ -265,10 +263,6 @@ class GmmFold(RidgeFold):
                                  posed["z_scales"]) * splits.val_weight[:, :, None]
         m_bar = Z_val.swapaxes(1, 2) @ resid / splits.val_weight.sum(axis=1)[:, None, None]
         return np.sum(m_bar * (posed["weight"] @ m_bar), axis=1)
-
-    def solve(self, lam: float) -> np.ndarray:
-        return sre_gmm(self.design, self.instruments, self.outcome, self.weight,
-                       self.theta_m, self.penalty, lam)
 
 
 def _gmm_fold(train: Dataset, penalty: PenaltySpec, theta_m) -> GmmFold:

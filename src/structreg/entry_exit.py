@@ -577,11 +577,9 @@ def entry_exit_experiment(
                 arx = fit_arx(
                     shares_full[1 : T_train + 1], R_path[:T_train], p_stat, q_stat
                 )
-                rows = arx_feature_rows(shares_full, R_path, p_stat, q_stat)
                 full = np.full(T + 1, np.nan)
-                full[rows.time_index] = rows.inputs @ np.concatenate(
-                    [arx.exog_coefficients, arx.ar_coefficients]
-                ) + arx.intercept
+                # R carries a placeholder for the initial state, as y does
+                full[q_stat:] = arx.predict_series(shares_full, np.concatenate([[np.nan], R_path]))
                 preds["statistical"] = full[1:]
             if "structural" in estimators:
                 est = estimate_ccp_euler(panel.truncate(T_train), params.discount)

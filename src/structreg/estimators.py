@@ -199,10 +199,8 @@ class ARXFit:
         Returns predictions for ``t = q, ..., T-1`` (0-indexed).
         """
         rows = arx_feature_rows(y, np.ravel(R)[1:], self.exog_order, self.ar_order)
-        theta = np.concatenate(
-            [[self.intercept], self.exog_coefficients, self.ar_coefficients]
-        )
-        return np.column_stack([np.ones(rows.n), rows.inputs]) @ theta
+        slopes = np.concatenate([self.exog_coefficients, self.ar_coefficients])
+        return rows.inputs @ slopes + self.intercept
 
 
 def arx_feature_rows(shares_with_initial, R_path, p: int, q: int) -> Dataset:

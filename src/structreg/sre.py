@@ -18,8 +18,10 @@ estimation. An intercept is left unpenalized by giving it weight zero; on a
 centered design it then equals the outcome mean at every ``lam``.
 
 Both are one quadratic in ``theta``, so :func:`quadratic_path` solves a whole
-grid of ``lam`` values from one eigendecomposition; cross-validation uses it,
-and the per-``lam`` solvers remain the reference for a single fit.
+grid of ``lam`` values from one eigendecomposition. The second stage solves
+with it alone: cross-validation over the grid, and the final fit at the one
+penalty the cross-validation chose. The per-``lam`` closed forms
+:func:`sre_ridge` and :func:`sre_gmm` remain the public reference.
 """
 
 from __future__ import annotations

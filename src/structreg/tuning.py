@@ -17,12 +17,15 @@ for rolling cross-validation), so no per-split sample or fold is built.
 A second-stage problem is posed in one place, the fold's ``_pose``, which
 poses a stack of samples at once: the cross-validation's splits, or the
 fitting sample itself as a stack of one (every row, weight 1), which is how
-:func:`ridge_fold` builds the final fold.
+:func:`ridge_fold` builds the final fold. It is solved in one place too:
+:func:`~structreg.sre.quadratic_path` solves every split's path, and the
+final fit is the final fold's path at the one penalty the cross-validation
+chose.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -45,7 +48,7 @@ from .sre import (
     SREFit,
     fit_theta_m,  # noqa: F401  perfbench/selftest.py reads it as tuning.fit_theta_m
     quadratic_path,
-    sre_ridge,
+    sre_ridge,  # noqa: F401  perfbench/selftest.py reads it as tuning.sre_ridge
 )
 
 FORWARD_FRACTION = 1.0 / 6.0
@@ -207,17 +210,17 @@ def rolling_cv(final: RidgeFold, data: Dataset, window_length: int) -> CvTrace:
 class RidgeFold:
     """One training sample's penalized least-squares problem.
 
-    ``design`` is ``(1, standardized features)`` of the sample and
-    ``theta_m`` the benchmark projection on the same scale. :meth:`_pose`
-    poses the problem on a stack of samples; the fold itself is the stack of
-    one sample of every row, and cross-validation's :meth:`cv_errors` poses
-    every split's training rows at once and scores every grid point on the
-    split's held-out rows. :meth:`fit` then refits at the penalty the
-    cross-validation chose, with the per-``lam`` closed form of :meth:`solve`.
+    ``G`` and ``b`` are the sample's normal equations ``(X'X, X'y)`` over the
+    design ``(1, standardized features)`` and ``theta_m`` the benchmark
+    projection on the same scale. :meth:`_pose` poses the problem on a stack
+    of samples; the fold itself is the stack of one sample of every row, and
+    cross-validation's :meth:`cv_errors` poses every split's training rows at
+    once and scores every grid point on the split's held-out rows. :meth:`fit`
+    then solves the fold's own path at the penalty the cross-validation chose.
     """
 
-    design: np.ndarray
-    outcome: np.ndarray
+    G: np.ndarray
+    b: np.ndarray
     transform: StandardizeTransform
     theta_m: np.ndarray
     penalty: PenaltySpec
@@ -231,9 +234,8 @@ class RidgeFold:
                           np.ones((1, train.n)), lambda index, error: error)
         transform = StandardizeTransform(posed["means"][0], posed["scales"][0],
                                          float(train.outcome.mean()))
-        arrays = {f.name: posed[f.name][0] for f in fields(cls) if f.name in posed}
-        return cls(**arrays, transform=transform, theta_m=theta_m(transform), penalty=penalty,
-                   feature_map=feature_map)
+        G, b = cls._normal_equations(posed)
+        return cls(G[0], b[0], transform, theta_m(transform), penalty, feature_map)
 
     @classmethod
     def _pose(cls, F, data, rows, weight, fail) -> dict:
@@ -255,7 +257,8 @@ class RidgeFold:
         return {"means": means, "scales": scales, "design": design,
                 "outcome": data.outcome[rows] * weight}
 
-    def _normal_equations(self, posed) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def _normal_equations(posed) -> tuple[np.ndarray, np.ndarray]:
         """Every posed sample's ``(X'X, X'y)``."""
         Xt = posed["design"].swapaxes(1, 2)
         return Xt @ posed["design"], (Xt @ posed["outcome"][:, :, None])[:, :, 0]
@@ -299,14 +302,15 @@ class RidgeFold:
         resid = (data.outcome[splits.val][:, :, None] - predictions) * splits.val_weight[:, :, None]
         return self._held_out_error(posed, data, splits, resid)
 
-    def solve(self, lam: float) -> np.ndarray:
-        """Coefficients at one penalty strength."""
-        return sre_ridge(self.design, self.outcome, self.theta_m, self.penalty, lam)
-
     def fit(self, trace: CvTrace) -> SREFit:
-        """The fit at the trace's ``lambda_star``, carrying the trace in ``parts``."""
+        """The fit at the trace's ``lambda_star``, carrying the trace in ``parts``.
+
+        A fold that is singular there raises
+        :class:`~structreg.sre.SingularPathError` naming ``lambda_star``.
+        """
         lam = trace.lambda_star
-        return SREFit(self.solve(lam), self.transform, self.theta_m, lam, self.feature_map,
+        theta = quadratic_path(self.G, self.b, self.penalty.weights, self.theta_m, [lam])[0]
+        return SREFit(theta, self.transform, self.theta_m, lam, self.feature_map,
                       cv=trace.kind, parts=(trace,))
 
 

@@ -8,7 +8,7 @@ from structreg.data import (
     Dataset,
     DomainSpec,
     SeededRng,
-    forward_split,
+    forward_split_rows,
     partition,
     stacked_standardization,
     standardize,
@@ -142,16 +142,16 @@ def test_seeded_rng_streams_reproducible_and_distinct():
 
 def test_forward_split_equal_spacing_example():
     ds = Dataset(np.arange(1.0, 7.0)[:, None], np.zeros(6))
-    far, near = forward_split(ds, DomainSpec.interval(7.0, 10.0), 1.0 / 6.0)
-    assert near.inputs.ravel().tolist() == [6.0]
-    assert sorted(far.inputs.ravel().tolist()) == [1.0, 2.0, 3.0, 4.0, 5.0]
+    far, near = forward_split_rows(ds, DomainSpec.interval(7.0, 10.0), 1.0 / 6.0)
+    assert near.tolist() == [5]
+    assert far.tolist() == [0, 1, 2, 3, 4]
 
 
 def test_forward_split_degenerate_target_uses_center_distance():
     # all points inside the target: the nearest-to-center points go second
     ds = Dataset(np.array([0.0, 4.0, 5.0, 10.0])[:, None], np.zeros(4))
-    far, near = forward_split(ds, DomainSpec.interval(0.0, 10.0), 0.25)
-    assert near.inputs.ravel().tolist() == [5.0]
+    far, near = forward_split_rows(ds, DomainSpec.interval(0.0, 10.0), 0.25)
+    assert near.tolist() == [2]
 
 
 def test_forward_split_2d_grid_northeast():
@@ -159,25 +159,25 @@ def test_forward_split_2d_grid_northeast():
     pts = np.column_stack([xs.ravel(), ys.ravel()])
     ds = Dataset(pts, np.zeros(16))
     target = DomainSpec(np.array([6.0, 6.0]), np.array([8.0, 8.0]))
-    far, near = forward_split(ds, target, 1.0 / 16.0)
-    assert near.inputs.tolist() == [[3.0, 3.0]]
+    far, near = forward_split_rows(ds, target, 1.0 / 16.0)
+    assert ds.inputs[near].tolist() == [[3.0, 3.0]]
 
 
 def test_forward_split_partition_and_ordering_properties():
     gen = np.random.default_rng(5)
     ds = Dataset(gen.uniform(0, 5, size=(40, 1)), np.zeros(40))
     target = DomainSpec.interval(8.0, 9.0)
-    far, near = forward_split(ds, target, 0.2)
-    assert far.n + near.n == ds.n
-    merged = sorted(np.concatenate([far.inputs[:, 0], near.inputs[:, 0]]).tolist())
-    assert merged == sorted(ds.inputs[:, 0].tolist())
-    d_far = target.point_distance(far.inputs)
-    d_near = target.point_distance(near.inputs)
+    far, near = forward_split_rows(ds, target, 0.2)
+    assert near.size == 8
+    assert np.array_equal(np.sort(np.concatenate([far, near])), np.arange(ds.n))
+    assert np.all(np.diff(far) > 0) and np.all(np.diff(near) > 0)
+    d_far = target.point_distance(ds.inputs[far])
+    d_near = target.point_distance(ds.inputs[near])
     assert d_near.max() <= d_far.min() + 1e-12
     # hull of the near part is closer to the target in Hausdorff distance,
     # which for intervals [a, b] and [c, d] is max(|a - c|, |b - d|)
-    def hausdorff(part):
-        lo, hi = part.inputs.min(), part.inputs.max()
+    def hausdorff(rows):
+        lo, hi = ds.inputs[rows].min(), ds.inputs[rows].max()
         return max(abs(lo - target.lower[0]), abs(hi - target.upper[0]))
 
     assert hausdorff(near) < hausdorff(far)
@@ -186,6 +186,6 @@ def test_forward_split_partition_and_ordering_properties():
 def test_forward_split_rejects_bad_fraction():
     ds = Dataset(np.arange(5.0)[:, None], np.zeros(5))
     with pytest.raises(DataError):
-        forward_split(ds, DomainSpec.interval(0, 1), 0.0)
+        forward_split_rows(ds, DomainSpec.interval(0, 1), 0.0)
     with pytest.raises(DataError):
-        forward_split(ds, DomainSpec.interval(0, 1), 1.0)
+        forward_split_rows(ds, DomainSpec.interval(0, 1), 1.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from structreg.data import DataError, Dataset, SeededRng, StandardizeTransform
+from structreg.data import DataError, Dataset, SeededRng, StandardizeTransform, standardize
 from structreg.demand import (
     DemandParams,
     MarketData,
@@ -18,7 +18,13 @@ from structreg.demand import (
 )
 from structreg.estimators import SingularDesignError, fit_2sls
 from structreg.metrics import metrics_table
-from structreg.sre import PenaltySpec, fit_theta_m, sre_gmm, PolynomialFeatures
+from structreg.sre import (
+    PenaltySpec,
+    PolynomialFeatures,
+    fit_theta_m,
+    gmm_normal_equations,
+    sre_gmm,
+)
 
 
 def test_equilibrium_identities_hold():
@@ -256,10 +262,14 @@ def test_moment_fold_of_one_row_is_rejected_by_its_standardization():
 
 def test_moment_fold_instruments_and_weight_are_the_sample_alone():
     z = SeededRng(9).generator().uniform(0.0, 40.0, size=300)
-    fold = _gmm_fold(_markets(z), _PENALTY, lambda transform: np.zeros(3))
+    sample = _markets(z)
+    fold = _gmm_fold(sample, _PENALTY, lambda transform: np.zeros(3))
     Z = instrument_basis(z, float(z.mean()), float(z.std(ddof=0)))
-    assert np.array_equal(fold.instruments, Z)
-    assert np.array_equal(fold.weight, np.linalg.inv(Z.T @ Z))
+    std, _ = standardize(Dataset(PolynomialFeatures(2).transform(sample.inputs), sample.outcome))
+    X = np.column_stack([np.ones(sample.n), std.inputs])
+    G, b = gmm_normal_equations(X, Z, sample.outcome, np.linalg.inv(Z.T @ Z))
+    assert np.array_equal(fold.G, G)
+    assert np.array_equal(fold.b, b)
 
 
 def test_demand_trial_with_too_few_markets_per_fold_names_the_cause():

@@ -12,9 +12,14 @@ most 5.6e-16 relative, and with it the aggregates. ``entry-exit-2`` and
 ``entry-exit-1-all-keys`` were regenerated when the stationary entry/exit
 values became Newton steps instead of value iteration, which moved their
 ``truth`` and ``prediction`` columns by at most 1.4e-14 relative and their
-aggregates by at most 3.9e-15; no trial's chosen penalty moved. A change
-that should leave results alone must reproduce both files byte for byte. The
-files were made, from the repository root, with::
+aggregates by at most 3.9e-15; no trial's chosen penalty moved. All six
+were regenerated when the final second-stage fit became the fold's own
+penalty path at the chosen penalty instead of a per-penalty LU solve. Only
+the ``sre`` rows' ``prediction`` column moved, by at most 4.6e-12 relative
+(entry-exit-2; 4.2e-14 or less in the other cases), and with it the
+aggregates, by at most 7.3e-13 (auction-1); no trial's chosen penalty moved.
+A change that should leave results alone must reproduce both files byte for
+byte. The files were made, from the repository root, with::
 
     for case in auction-1 demand-4 entry-exit-2 \\
                 auction-2-all-keys demand-2-all-keys entry-exit-1-all-keys; do
@@ -24,9 +29,16 @@ files were made, from the repository root, with::
 
 Regenerate them only for a change that is meant to move the numbers, and say
 why in CHANGES.md.
+
+The benchmark checks every run's ``summary.csv`` against
+``perfbench/reference.json`` within a relative tolerance; one seed of each of
+its configs is checked here the same way, so a change that breaks that
+tolerance fails in the suite too.
 """
 
 import csv
+import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +47,8 @@ import pytest
 from structreg.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BENCHMARK_SEED = 11  # the seed the benchmark's notes hold out
 CASES = [
     "auction-1", "demand-4", "entry-exit-2",
     "auction-2-all-keys", "demand-2-all-keys", "entry-exit-1-all-keys",
@@ -88,3 +102,22 @@ def test_describe_difference_names_the_line_and_the_column_bounds():
     ]
     assert describe_difference("x\n1\n", "x\n1\n2\n").splitlines()[1:] == [
         "  got      <end of file>", "  expected 2", "2 lines against 3 expected"]
+
+
+def _benchmark_worker():
+    spec = importlib.util.spec_from_file_location("perfbench_worker", PERFBENCH / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    return worker
+
+
+@pytest.mark.parametrize(
+    "config", sorted(PERFBENCH.glob("configs/*/*.yaml")),
+    ids=lambda path: f"{path.parent.name}/{path.stem}")
+def test_benchmark_configs_match_the_benchmark_reference(tmp_path, config):
+    assert main(["run", "--config", str(config), "--seed", str(BENCHMARK_SEED),
+                 "--out", str(tmp_path)]) == 0
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    expected = reference[config.parent.name][str(BENCHMARK_SEED)][config.name]
+    assert _benchmark_worker().compare_summary((tmp_path / "summary.csv").read_text(),
+                                               expected) is None

@@ -295,31 +295,39 @@ def pose_alone(final, data, train):
     return design, data.outcome[train], transform, theta_m
 
 
-def split_errors(final, data, train, val):
-    """The held-out errors of one split posed alone and solved per lambda with
-    ``sre_ridge``, or for a moment fold with ``sre_gmm`` and ``inv(Z'Z)`` over
-    the split's own rescaling of the cost shifter."""
+def closed_form(final, data, train):
+    """Split ``train`` posed alone (:func:`pose_alone`) as its per-lambda closed
+    form ``solve(lam)``: ``sre_ridge``, or for a moment fold ``sre_gmm`` with
+    ``W = inv(Z'Z)`` over the split's own rescaling of the cost shifter.
+
+    Returns ``solve``, the split's standardization and, for a moment fold,
+    its instrument basis ``rows -> Z`` and ``W`` (``None`` for a ridge fold).
+    """
     X, y, transform, theta_m = pose_alone(final, data, train)
+    if not isinstance(final, GmmFold):
+        return (lambda lam: sre_ridge(X, y, theta_m, final.penalty, lam)), transform, None
+    z = data.instruments[:, 0]
+    center, scale = z[train].mean(), z[train].std()
+
+    def basis(rows):
+        return ((z[rows] - center) / scale)[:, None] ** np.arange(6)
+
+    Z = basis(train)
+    W = np.linalg.inv(Z.T @ Z)
+    return (lambda lam: sre_gmm(X, Z, y, W, theta_m, final.penalty, lam)), transform, (basis, W)
+
+
+def split_errors(final, data, train, val):
+    """The held-out errors of one split solved per lambda by :func:`closed_form`."""
+    solve, transform, moment = closed_form(final, data, train)
     F_val = transform.transform_inputs(final.feature_map.transform(data.inputs[val]))
-    moment = isinstance(final, GmmFold)
-    if moment:
-        z = data.instruments[:, 0]
-        center, scale = z[train].mean(), z[train].std()
-
-        def basis(rows):
-            return ((z[rows] - center) / scale)[:, None] ** np.arange(6)
-
-        Z, Z_val = basis(train), basis(val)
-        W = np.linalg.inv(Z.T @ Z)
     errors = []
     for lam in final.penalty.lambda_grid:
-        if moment:
-            theta = sre_gmm(X, Z, y, W, theta_m, final.penalty, lam)
-        else:
-            theta = sre_ridge(X, y, theta_m, final.penalty, lam)
+        theta = solve(lam)
         resid = data.outcome[val] - theta[0] - F_val @ theta[1:]
         if moment:
-            m_bar = Z_val.T @ resid / val.size
+            basis, W = moment
+            m_bar = basis(val).T @ resid / val.size
             errors.append(m_bar @ W @ m_bar)
         else:
             errors.append(np.mean(resid**2))

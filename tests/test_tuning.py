@@ -16,7 +16,14 @@ from structreg.entry_exit import (
     sre_entry_exit,
 )
 from structreg.estimators import fit_ols
-from structreg.sre import LinearFeatures, PenaltySpec, PolynomialFeatures, fit_theta_m
+from structreg.sre import (
+    LinearFeatures,
+    PenaltySpec,
+    PolynomialFeatures,
+    SingularPathError,
+    fit_theta_m,
+    quadratic_path,
+)
 from structreg.tuning import (
     CvError,
     CvTrace,
@@ -26,7 +33,7 @@ from structreg.tuning import (
     rolling_cv,
 )
 
-from .test_path import assert_matches_each_split, split_rows
+from .test_path import assert_matches_each_split, closed_form, split_rows
 from .test_sre import line_rows
 
 
@@ -219,8 +226,9 @@ def test_ridge_fold_is_the_standardize_built_fold(name):
         return np.zeros(fmap.n_features + 1)
 
     final = ridge_fold(train, fmap, PenaltySpec(GRID, np.ones(fmap.n_features + 1)), theta_m)
-    assert np.array_equal(final.design, np.column_stack([np.ones(train.n), std.inputs]))
-    assert np.array_equal(final.outcome, train.outcome)
+    X = np.column_stack([np.ones(train.n), std.inputs])
+    assert np.array_equal(final.G, X.T @ X)
+    assert np.array_equal(final.b, X.T @ train.outcome)
     for got in (final.transform, *seen):
         assert np.array_equal(got.column_means, transform.column_means)
         assert np.array_equal(got.column_scales, transform.column_scales)
@@ -233,6 +241,19 @@ def test_final_fold_and_split_of_one_row_fail_typed():
         _line_fold(data.subset([2]), (0.0, 0.0), (0, 6), GRID)
     with pytest.raises(CvError, match="window 0: standardize requires at least two rows"):
         rolling_cv(_line_fold(data, (0.0, 0.0), (0, 6), GRID), data, 1)
+
+
+def test_final_fit_on_a_collinear_sample_at_lambda_zero_fails_typed():
+    x = np.linspace(0.0, 1.0, 20)
+    train = Dataset(np.column_stack([x, 2.0 * x + 1.0]), np.sin(7.0 * x))
+    final = ridge_fold(train, LinearFeatures(2), PenaltySpec(GRID, [0.0, 1.0, 1.0]),
+                       _zero_target)
+    with pytest.raises(SingularPathError) as info:
+        final.fit(CvTrace.from_fold_errors("kfold", GRID, [[0.0, 1.0, 2.0, 3.0]]))
+    assert info.value.lam == 0.0
+    # a positive penalty makes the same fold regular
+    fit = final.fit(CvTrace.from_fold_errors("kfold", GRID, [[1.0, 0.0, 2.0, 3.0]]))
+    assert fit.lambda_star == 1.0 and np.isfinite(fit.theta).all()
 
 
 def _select_and_fit_on_half(data, line, grid, rng):
@@ -298,9 +319,14 @@ def test_second_stage_refits_the_fold_its_cv_refolded(monkeypatch, second_stage,
     assert isinstance(trace, CvTrace)
     assert fit.lambda_star == trace.lambda_star
     assert fit.cv == trace.kind == splits.kind == kind
-    # the fold the CV scored made the fit: its solve at lambda* and its theta_m
+    # the fold the CV scored made the fit: its own path at lambda* and its theta_m
+    lam = trace.lambda_star
     assert np.array_equal(trace.lambda_grid, final.penalty.lambda_grid)
-    assert np.array_equal(fit.theta, final.solve(trace.lambda_star))
+    assert np.array_equal(
+        fit.theta, quadratic_path(final.G, final.b, final.penalty.weights, final.theta_m, [lam])[0])
     assert np.array_equal(fit.theta_m, final.theta_m)
+    # which is the per-lambda closed form of the whole sample posed alone
+    reference = closed_form(final, data, np.arange(data.n))[0](lam)
+    assert np.linalg.norm(fit.theta - reference) <= 1e-9 * np.linalg.norm(reference)
     # every split posed the problem it poses alone
     assert_matches_each_split(final, data, splits, errors=trace.fold_errors)
