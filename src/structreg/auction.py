@@ -41,6 +41,7 @@ from .tuning import forward_cv, ridge_fold
 OVERBID_TRUTH_DRAWS = 4_000_000
 BID_QUADRATURE_NODES = 256
 _OVERBID_TRUTH_SEED = 181_000_001  # fixed: truth values are config-independent
+_OVERBID_BLOCK = 1 << 13  # overbid rows per block: in cache, and one BLAS thread per dot
 
 # the fields that set each scenario of the study apart
 _SCENARIO_FIELDS = {1: {"value_dist": "uniform"}, 2: {"value_dist": "beta"},
@@ -212,6 +213,33 @@ def _beta_truth(n: int, beta_shape: tuple[float, float]) -> float:
     return value
 
 
+def _overbid_sample(gen: np.random.Generator, sigma: float, draws: int) -> np.ndarray:
+    """``|N(0, sigma^2)| * U(0, 1)`` draws, in place: the normals, then the
+    uniforms block by block (the same stream as one call of ``draws``)."""
+    u = gen.normal(0.0, sigma, size=draws)
+    np.abs(u, out=u)
+    for start in range(0, draws, _OVERBID_BLOCK):
+        block = u[start:start + _OVERBID_BLOCK]
+        block *= gen.uniform(0.0, 1.0, size=block.shape[0])
+    return u
+
+
+def _order_stat_means(s: np.ndarray, n_max: int) -> np.ndarray:
+    """``sum_k s_(k) * ((k/S)^n - ((k-1)/S)^n)`` for n = 2..n_max and sorted ``s``,
+    by Abel summation ``s_(S) - sum_{k<S} (k/S)^n * (s_(k+1) - s_(k))``: one
+    sweep, a block of rows at a time, the powers raised by one product per n."""
+    size = s.shape[0]
+    sums = np.zeros(n_max - 1)
+    for start in range(0, size - 1, _OVERBID_BLOCK):
+        gaps = np.diff(s[start:start + _OVERBID_BLOCK + 1])
+        q = np.arange(start + 1, start + 1 + gaps.shape[0]) / size
+        p = q.copy()
+        for i in range(n_max - 1):
+            p *= q
+            sums[i] += p @ gaps
+    return s[-1] - sums
+
+
 @functools.lru_cache(maxsize=8)
 def _overbid_max_table(
     sigma: float, n_max: int, draws: int, seed: int, batches: int = 20
@@ -220,30 +248,18 @@ def _overbid_max_table(
 
     Uses a pooled sample: with the empirical distribution of ``draws``
     products, the expected n-maximum is the order-statistic average
-    ``sum_k u_(k) * ((k/S)^n - ((k-1)/S)^n)``. Standard errors come from
-    splitting the pool into batches.
+    ``sum_k u_(k) * ((k/S)^n - ((k-1)/S)^n)``, one :func:`_order_stat_means`
+    sweep for all n. Standard errors come from batches of the pool, each sorted
+    and swept before the pool is sorted in place (4M draws: ~0.5 s, 32 MB).
     """
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    u = np.abs(gen.normal(0.0, sigma, size=draws)) * gen.uniform(0.0, 1.0, size=draws)
-    ns = np.arange(2, n_max + 1)
-
-    def plugin(sample: np.ndarray) -> np.ndarray:
-        s = np.sort(sample)
-        size = s.shape[0]
-        k = np.arange(size + 1) / size
-        out = np.empty(ns.shape[0])
-        for i, n in enumerate(ns):
-            p = k**n
-            out[i] = (p[1:] - p[:-1]) @ s
-        return out
-
-    estimate = plugin(u)
-    batch_vals = np.stack([plugin(part) for part in np.array_split(u, batches)])
-    se = batch_vals.std(axis=0, ddof=1) / np.sqrt(batches)
-    values = np.full(n_max + 1, np.nan)
-    errors = np.full(n_max + 1, np.nan)
-    values[2:] = estimate
-    errors[2:] = se
+    u = _overbid_sample(gen, sigma, draws)
+    batch_vals = np.stack([_order_stat_means(np.sort(part), n_max)
+                           for part in np.array_split(u, batches)])
+    u.sort()
+    values, errors = np.full((2, n_max + 1), np.nan)
+    values[2:] = _order_stat_means(u, n_max)
+    errors[2:] = batch_vals.std(axis=0, ddof=1) / np.sqrt(batches)
     return values, errors
 
 
@@ -264,8 +280,9 @@ def true_expected_winning_bid(scenario: AuctionScenario, n: int) -> float:
 
     Uniform values: exact ``(n - 1) / (n + 1)``. Beta values: by revenue
     equivalence, the expected second-highest value, one quadrature of its
-    survival function. Overbidding: Monte Carlo with a fixed internal seed
-    (see :func:`overbid_truth_with_se` for the standard error).
+    survival function. Overbidding: the plug-in mean of the top of n of
+    ``OVERBID_TRUTH_DRAWS`` Monte Carlo draws with a fixed internal seed, one
+    sweep of the sorted sample for all n (see :func:`overbid_truth_with_se`).
     """
     if n < 2:
         raise ValueError("need at least two bidders")

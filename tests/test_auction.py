@@ -3,11 +3,18 @@ import pytest
 import scipy.integrate
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from structreg import auction
 from structreg.auction import (
+    OVERBID_TRUTH_DRAWS,
     AuctionScenario,
     _beta_bid_batch,
     _beta_truth,
+    _order_stat_means,
+    _overbid_max_table,
+    _overbid_sample,
     auction_experiment,
     equilibrium_bid,
     overbid_truth_with_se,
@@ -177,6 +184,87 @@ def test_true_winning_bid_overbid_reports_se():
     draws = (eta * v).max(axis=1) * (4.0 / 5.0)
     mc_se = draws.std() / np.sqrt(draws.size)
     assert abs(draws.mean() - value) <= 4 * (se + mc_se)
+
+
+def difference_of_powers(s, n_max):
+    """The order-statistic average term by term: ``(p[1:] - p[:-1]) @ s``."""
+    k = np.arange(s.shape[0] + 1) / s.shape[0]
+    out = np.empty(n_max - 1)
+    for i, n in enumerate(range(2, n_max + 1)):
+        p = k**n
+        out[i] = (p[1:] - p[:-1]) @ s
+    return out
+
+
+def difference_of_powers_table(sigma, n_max, draws, seed, batches=20):
+    """The overbid table from one ``k**n`` pass per n over each sorted sample."""
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    u = np.abs(gen.normal(0.0, sigma, size=draws)) * gen.uniform(0.0, 1.0, size=draws)
+    estimate = difference_of_powers(np.sort(u), n_max)
+    batch_vals = np.stack([difference_of_powers(np.sort(part), n_max)
+                           for part in np.array_split(u, batches)])
+    return estimate, batch_vals.std(axis=0, ddof=1) / np.sqrt(batches)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1e3, allow_subnormal=False), min_size=1, max_size=300),
+       st.integers(2, 60), st.sampled_from([1, 7, 64, auction._OVERBID_BLOCK]))
+def test_order_stat_sweep_matches_the_difference_of_powers(sample, n_max, block):
+    # block sizes below the sample size put block edges inside the sweep
+    s = np.sort(np.array(sample))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(auction, "_OVERBID_BLOCK", block)
+        swept = _order_stat_means(s, n_max)
+    np.testing.assert_allclose(swept, difference_of_powers(s, n_max), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("block", [auction._OVERBID_BLOCK, 4096])
+def test_overbid_table_matches_the_difference_of_powers(block, monkeypatch):
+    # 20,003 draws: a multiple of neither the batch count nor a block
+    monkeypatch.setattr(auction, "_OVERBID_BLOCK", block)
+    values, ses = _overbid_max_table.__wrapped__(0.5, 60, 20_003, 12345)
+    oracle_values, oracle_ses = difference_of_powers_table(0.5, 60, 20_003, 12345)
+    assert np.isnan(values[:2]).all() and np.isnan(ses[:2]).all()
+    np.testing.assert_allclose(values[2:], oracle_values, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(ses[2:], oracle_ses, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("draws, block", [(20_003, 4096), (3 * auction._OVERBID_BLOCK + 5, None)])
+def test_overbid_sample_is_one_normal_then_one_uniform_call(draws, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(auction, "_OVERBID_BLOCK", block)
+
+    def gen():
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(99)))
+
+    one_call = gen()
+    expected = (np.abs(one_call.normal(0.0, 0.5, draws))
+                * one_call.uniform(0.0, 1.0, draws))
+    assert np.array_equal(_overbid_sample(gen(), 0.5, draws), expected)
+
+
+def test_overbid_truth_is_pinned():
+    # the 4M-draw table at its fixed seed; a change of seed, draw order or
+    # estimator moves these far past the tolerance
+    sc = AuctionScenario.from_index(3)
+    pinned = {5: 0.3766732388857563, 30: 0.7797897262497077, 50: 0.8789998745808594}
+    for n, value in pinned.items():
+        assert true_expected_winning_bid(sc, n) == pytest.approx(value, rel=1e-13, abs=0.0)
+
+
+def test_overbid_truth_without_overbidding_is_exactly_zero():
+    sc = AuctionScenario.from_index(3, overbid_sigma=0.0)
+    assert all(overbid_truth_with_se(sc, n) == (0.0, 0.0) for n in range(2, 51))
+
+
+def test_overbid_truth_beyond_the_test_range_extends_the_same_table():
+    sc = AuctionScenario.from_index(3)
+    top = true_expected_winning_bid(sc, 60)
+    wide = _overbid_max_table(0.5, 60, OVERBID_TRUTH_DRAWS, auction._OVERBID_TRUTH_SEED)
+    narrow = _overbid_max_table(0.5, 50, OVERBID_TRUTH_DRAWS, auction._OVERBID_TRUTH_SEED)
+    assert top == 59 / 60 * wide[0][60]
+    assert np.array_equal(wide[0][:51], narrow[0], equal_nan=True)
+    assert np.array_equal(wide[1][:51], narrow[1], equal_nan=True)
 
 
 def test_uniform_benchmark_values():
