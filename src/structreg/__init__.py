@@ -20,7 +20,6 @@ from .data import (  # noqa: F401
     DomainSpec,
     SeededRng,
     StandardizeTransform,
-    partition,
     partition_indices,
     standardize,
 )

@@ -27,8 +27,8 @@ import numpy as np
 import scipy.integrate
 import scipy.special
 
-from .data import Dataset, DomainSpec, SeededRng, partition
-from .estimators import fit_polynomial, select_degree_aic
+from .data import Dataset, DomainSpec, SeededRng, partition_indices
+from .estimators import select_degree_aic
 from .sre import (
     PenaltySpec,
     PolynomialFeatures,
@@ -36,7 +36,7 @@ from .sre import (
     default_lambda_grid,
     fit_theta_m,
 )
-from .tuning import forward_cv, ridge_fold
+from .tuning import RidgeFold, forward_cv
 
 OVERBID_TRUTH_DRAWS = 4_000_000
 BID_QUADRATURE_NODES = 256
@@ -328,18 +328,18 @@ def sre_auction(
     The benchmark's rows are its expected winning bids on an even grid of
     ``SYNTHETIC_ROWS`` bidder counts over both domains; they are projected
     once, on the fitting half's standardization, and each fold re-expresses
-    the projection on its own. The cross-validation trace is ``fit.parts[0]``.
+    the projection on its own. The cross-validation trace is ``fit.trace``.
     """
     grid = default_lambda_grid(data.n) if lambda_grid is None else lambda_grid
     penalty = PenaltySpec(grid, np.asarray(SRE_PENALTY_WEIGHTS))
     features = PolynomialFeatures(SRE_POLY_DEGREE)
     n = np.linspace(scenario.n_range_train[0], scenario.n_range_test[1], SYNTHETIC_ROWS)
     synthetic = Dataset(n[:, None], uniform_ipv_mean(n))
-    _, fit_half = partition(data, 2, rng.split(0))
-    final = ridge_fold(fit_half, features, penalty,
-                       functools.partial(fit_theta_m, features, synthetic))
+    fit_half = data.subset(partition_indices(data.n, 2, rng.split(0))[1])
+    fold = RidgeFold.of_sample(fit_half, features, penalty,
+                               functools.partial(fit_theta_m, features, synthetic))
     target = DomainSpec.interval(*scenario.n_range_test)
-    return final.fit(forward_cv(final, fit_half, forward_K, target, rng.split(3)))
+    return fold.fit(forward_cv(fold, forward_K, target, rng.split(3)))
 
 
 def auction_experiment(
@@ -379,9 +379,8 @@ def auction_experiment(
             supervised = data.to_dataset()
             fits = {}
             if "statistical" in estimators:
-                x, y = supervised.inputs[:, 0], supervised.outcome
-                degree = select_degree_aic(x, y, STAT_MAX_DEGREE)
-                fits["statistical"] = fit_polynomial(x, y, degree).predict
+                fits["statistical"] = select_degree_aic(
+                    supervised.inputs[:, 0], supervised.outcome, STAT_MAX_DEGREE).predict
             if "structural" in estimators:
                 fits["structural"] = uniform_ipv_mean
             if "sre" in estimators:

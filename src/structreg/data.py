@@ -287,11 +287,6 @@ def partition_indices(n: int, K: int, rng: SeededRng) -> list[np.ndarray]:
     return folds
 
 
-def partition(data: Dataset, K: int, rng: SeededRng) -> list[Dataset]:
-    """Randomly partition a sample into K equal-sized (±1) disjoint parts."""
-    return [data.subset(idx) for idx in partition_indices(data.n, K, rng)]
-
-
 def forward_split_rows(
     data: Dataset, target: DomainSpec, fraction: float
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -257,18 +257,12 @@ class GmmFold(RidgeFold):
         return gmm_normal_equations(posed["design"], posed["instruments"], posed["outcome"],
                                     posed["weight"])
 
-    def _held_out_error(self, posed, data, splits, resid) -> np.ndarray:
+    def _held_out_error(self, posed, splits, resid) -> np.ndarray:
         """Every split's held-out moment objective, with its training weight."""
-        Z_val = instrument_basis(data.instruments[splits.val, 0], posed["z_means"],
+        Z_val = instrument_basis(self.sample.instruments[splits.val, 0], posed["z_means"],
                                  posed["z_scales"]) * splits.val_weight[:, :, None]
         m_bar = Z_val.swapaxes(1, 2) @ resid / splits.val_weight.sum(axis=1)[:, None, None]
         return np.sum(m_bar * (posed["weight"] @ m_bar), axis=1)
-
-
-def _gmm_fold(train: Dataset, penalty: PenaltySpec, theta_m) -> GmmFold:
-    """The sample's :class:`GmmFold`; ``theta_m(transform)`` gives the
-    benchmark projection on the sample's standardization."""
-    return GmmFold._of_sample(train, _QUADRATIC, penalty, theta_m)
 
 
 def sre_demand(
@@ -284,7 +278,7 @@ def sre_demand(
     instruments ``(1, z, ..., z^5)`` and projection weighting, with the
     penalty chosen by ``CV_FOLDS``-fold cross-validation on the held-out
     moment objective (training-fold weight). The cross-validation trace is
-    ``fit.parts[0]``.
+    ``fit.trace``.
     """
     folds = partition_indices(data.m, 2, rng.split(0))
     estimates = structural_estimate_demand(data.subset(folds[0]))
@@ -293,8 +287,8 @@ def sre_demand(
     d2 = data.subset(folds[1]).to_dataset()
     grid = default_lambda_grid(d2.n) if lambda_grid is None else np.asarray(lambda_grid, float)
     penalty = PenaltySpec(grid, np.array([0.0, 1.0, 1.0]))
-    final = _gmm_fold(d2, penalty, partial(fit_theta_m, _QUADRATIC, synthetic))
-    return final.fit(kfold_cv(final, d2, CV_FOLDS, rng.split(2)))
+    fold = GmmFold.of_sample(d2, _QUADRATIC, penalty, partial(fit_theta_m, _QUADRATIC, synthetic))
+    return fold.fit(kfold_cv(fold, CV_FOLDS, rng.split(2)))
 
 
 SCENARIOS = {

@@ -36,12 +36,11 @@ from .data import Dataset, SeededRng
 from .estimators import (
     SingularDesignError,
     arx_feature_rows,
-    fit_arx,
     select_arx_order_aic,
     solve_least_squares,
 )
 from .sre import LinearFeatures, PenaltySpec, SREFit, default_lambda_grid, fit_theta_m
-from .tuning import ridge_fold, rolling_cv
+from .tuning import RidgeFold, rolling_cv
 
 EULER_GAMMA = float(np.euler_gamma)
 VALUE_TOL = 1e-12
@@ -421,12 +420,9 @@ def _propagate_shares(ccps: np.ndarray, initial_share: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DdcBenchmark:
-    """Estimated foresight model used for prediction and synthetic data."""
+    """Estimated foresight model used for prediction and synthetic data: its
+    choice probabilities ``ccps[t, j, k]`` along the profit path ``R_path``."""
 
-    mu: float
-    alpha: float
-    entry_cost: float
-    discount: float
     R_path: np.ndarray
     ccps: np.ndarray
 
@@ -437,20 +433,16 @@ class DdcBenchmark:
         mu, alpha, cost = estimates
         params = PayoffParams(mu=mu, alpha=alpha, entry_cost=cost, discount=discount)
         ccps = solve_perfect_foresight(params, R_path)[1]
-        return cls(mu, alpha, cost, discount, np.asarray(R_path, float), ccps)
+        return cls(np.asarray(R_path, float), ccps)
 
-    def step_shares(self, prev_shares: np.ndarray, periods: np.ndarray) -> np.ndarray:
-        """Expected occupancy share given the previous period's share mix.
+    def step_shares(self, prev_shares: np.ndarray) -> np.ndarray:
+        """Expected occupancy share of every period given the previous period's.
 
-        ``periods`` are 1-indexed; entry ``i`` advances ``prev_shares[i]`` one
-        period using the model's CCPs at ``periods[i]``.
+        Entry ``t`` advances ``prev_shares[t]``, the share before period
+        ``t + 1``, by the model's CCPs of that period.
         """
-        idx = np.asarray(periods, dtype=int) - 1
         prev = np.asarray(prev_shares, dtype=float)
-        return prev * self.ccps[idx, 1, 1] + (1.0 - prev) * self.ccps[idx, 0, 1]
-
-    def simulate(self, rng: SeededRng, n_firms: int) -> MarketPanel:
-        return simulate_market(self.ccps, self.R_path, n_firms, rng)
+        return prev * self.ccps[:, 1, 1] + (1.0 - prev) * self.ccps[:, 0, 1]
 
 
 SRE_ARX_ORDERS = (2, 4)
@@ -475,7 +467,7 @@ def synthetic_arx_rows(benchmark: DdcBenchmark, n_firms: int, rng: SeededRng) ->
     p, q = SRE_ARX_ORDERS
     parts = []
     for r in range(SYNTHETIC_PANEL_REPLICAS):
-        panel = benchmark.simulate(rng.split(r), n_firms)
+        panel = simulate_market(benchmark.ccps, benchmark.R_path, n_firms, rng.split(r))
         parts.append(arx_feature_rows(panel.shares_with_initial(), benchmark.R_path, p, q))
     return Dataset(
         np.vstack([part.inputs for part in parts]),
@@ -499,7 +491,7 @@ def sre_entry_exit(
     is exogenous and known), so the shrink target encodes the model's
     out-of-domain behavior. It is projected once, on the whole training
     sample's standardization, and each window re-expresses it on its own.
-    The rolling cross-validation trace is ``fit.parts[0]``.
+    The rolling cross-validation trace is ``fit.trace``.
     """
     t_train = panel_second.t_total
     estimates = estimate_ccp_euler(panel_first, discount=discount)
@@ -513,14 +505,15 @@ def sre_entry_exit(
     penalty = PenaltySpec(grid, np.concatenate([[0.0], np.ones(train.p)]))
     features = LinearFeatures(train.p)
     try:
-        final = ridge_fold(train, features, penalty, partial(fit_theta_m, features, synthetic))
+        fold = RidgeFold.of_sample(train, features, penalty,
+                                   partial(fit_theta_m, features, synthetic))
     except SingularDesignError as exc:
         mu, alpha, entry_cost = estimates
         raise SingularDesignError(
             f"{exc}: the benchmark's synthetic panels do not identify the ARX model; "
             f"degenerate CCP-Euler estimate mu={mu:.4g}, alpha={alpha:.4g}, "
             f"entry_cost={entry_cost:.4g}") from exc
-    return final.fit(rolling_cv(final, train, max(2, train.n // 5)))
+    return fold.fit(rolling_cv(fold, max(2, train.n // 5)))
 
 
 def entry_exit_experiment(
@@ -563,28 +556,24 @@ def entry_exit_experiment(
             )
             panel = merge_panels(panel_a, panel_b)
             shares_full = panel.shares_with_initial()
-            prev_share = shares_full[:-1]
-            periods = np.arange(1, T + 1)
 
             preds: dict[str, np.ndarray] = {}
             if "statistical" in estimators:
-                p_stat, q_stat = select_arx_order_aic(
+                arx = select_arx_order_aic(
                     shares_full[1 : T_train + 1],
                     R_path[:T_train],
                     STAT_EXOG_ORDERS,
                     STAT_AR_ORDERS,
                 )
-                arx = fit_arx(
-                    shares_full[1 : T_train + 1], R_path[:T_train], p_stat, q_stat
-                )
                 full = np.full(T + 1, np.nan)
                 # R carries a placeholder for the initial state, as y does
-                full[q_stat:] = arx.predict_series(shares_full, np.concatenate([[np.nan], R_path]))
+                full[arx.ar_order:] = arx.predict_series(shares_full,
+                                                         np.concatenate([[np.nan], R_path]))
                 preds["statistical"] = full[1:]
             if "structural" in estimators:
                 est = estimate_ccp_euler(panel.truncate(T_train), params.discount)
                 bench_full = DdcBenchmark.from_estimates(est, params.discount, R_path)
-                preds["structural"] = bench_full.step_shares(prev_share, periods)
+                preds["structural"] = bench_full.step_shares(shares_full[:-1])
             if "sre" in estimators:
                 sre_fit = sre_entry_exit(
                     panel_a.truncate(T_train),

@@ -139,13 +139,8 @@ def fit_polynomial(x, y, degree: int) -> PolyFit:
     return PolyFit(degree, fit, mean, scale)
 
 
-def _rss(fit: PolyFit, x, y) -> float:
-    resid = np.asarray(y, dtype=float) - fit.predict(x)
-    return float(resid @ resid)
-
-
-def select_degree_aic(x, y, max_degree: int) -> int:
-    """Polynomial degree minimizing AIC; ties go to the smaller degree.
+def select_degree_aic(x, y, max_degree: int) -> PolyFit:
+    """The polynomial fit whose degree minimizes AIC; ties go to the smaller degree.
 
     AIC uses the Gaussian concentrated form ``N * ln(RSS / N) + 2 * (d + 1)``.
     Residual sums below numerical noise are floored at a common value so that
@@ -159,13 +154,15 @@ def select_degree_aic(x, y, max_degree: int) -> int:
     if n <= max_degree + 2:
         raise ValueError("need more rows than max_degree + 2")
     floor = n * (1e-10 * max(1.0, float(np.sqrt(np.mean(y**2))))) ** 2
-    best_degree, best_aic = None, np.inf
+    best, best_aic = None, np.inf
     for degree in range(1, max_degree + 1):
-        rss = max(_rss(fit_polynomial(x, y, degree), x, y), floor)
+        fit = fit_polynomial(x, y, degree)
+        resid = y - fit.predict(x)
+        rss = max(float(resid @ resid), floor)
         aic = n * np.log(rss / n) + 2.0 * (degree + 1)
         if aic < best_aic - 1e-12:
-            best_degree, best_aic = degree, aic
-    return best_degree
+            best, best_aic = fit, aic
+    return best
 
 
 @dataclass(frozen=True)
@@ -244,9 +241,9 @@ def fit_arx(y, R, p: int, q: int) -> ARXFit:
     return ARXFit(p, q, float(theta[0]), theta[1 : 1 + p], theta[1 + p :])
 
 
-def select_arx_order_aic(y, R, exog_orders, ar_orders) -> tuple[int, int]:
-    """ARX orders minimizing AIC on the common usable sample; ties prefer the
-    smaller (q, p) pair."""
+def select_arx_order_aic(y, R, exog_orders, ar_orders) -> ARXFit:
+    """The ARX fit whose orders minimize AIC on the common usable sample; ties
+    prefer the smaller (q, p) pair."""
     y = np.asarray(y, dtype=float).ravel()
     R = np.asarray(R, dtype=float).ravel()
     q_max = max(ar_orders)
@@ -261,7 +258,7 @@ def select_arx_order_aic(y, R, exog_orders, ar_orders) -> tuple[int, int]:
             rss = max(float(resid @ resid), floor)
             aic = n_eff * np.log(rss / n_eff) + 2.0 * (1 + p + q)
             if aic < best_aic - 1e-12:
-                best, best_aic = (p, q), aic
+                best, best_aic = fit, aic
     return best
 
 

@@ -64,10 +64,6 @@ class MonteCarloReport:
         raise KeyError((estimator, domain))
 
 
-def _g17(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 # auction config keys that differ from the AuctionScenario field they set
 _AUCTION_RENAMES = {"n_train": "n_range_train", "n_test": "n_range_test"}
 
@@ -190,28 +186,13 @@ def run_monte_carlo(config: RunConfig) -> MonteCarloReport:
 
 
 def _write_summary(report: MonteCarloReport, path: Path) -> None:
-    lines = [SUMMARY_HEADER]
-    for row in report.aggregates:
-        lines.append(
-            ",".join(
-                [
-                    report.experiment,
-                    str(report.scenario),
-                    row.estimator,
-                    row.domain,
-                    _g17(row.bias),
-                    _g17(row.variance),
-                    _g17(row.mse),
-                    str(row.trials),
-                    str(report.base_seed),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(SUMMARY_HEADER + "\n" + "".join(
+        ["%s,%s,%s,%s,%.17g,%.17g,%.17g,%s,%s\n" % (
+            report.experiment, report.scenario, row.estimator, row.domain, row.bias,
+            row.variance, row.mse, row.trials, report.base_seed) for row in report.aggregates]))
 
 
 def _write_curves(report: MonteCarloReport, path: Path) -> None:
-    # %.17g formats a float exactly as _g17 does, in one pass over the records
     path.write_text(CURVES_HEADER + "\n" + "".join(
         ["%d,%s,%s,%.17g,%.17g,%.17g\n" % record for record in report.curves]))
 
@@ -227,42 +208,19 @@ def read_curves(path: str | Path) -> tuple[tuple, ...]:
 
 
 def report_to_dict(report: MonteCarloReport) -> dict:
-    return {
-        "experiment": report.experiment,
-        "scenario": report.scenario,
-        "trials": report.trials,
-        "base_seed": report.base_seed,
-        "estimators": list(report.estimators),
-        "aggregates": [
-            {
-                "estimator": row.estimator,
-                "domain": row.domain,
-                "bias": row.bias,
-                "variance": row.variance,
-                "mse": row.mse,
-                "trials": row.trials,
-            }
-            for row in report.aggregates
-        ],
-        "config_snapshot": report.config_snapshot,
-        "software_version": report.software_version,
-        "metadata": report.metadata,
-    }
+    """Every field of ``report`` but the curves, in field order."""
+    payload = dataclasses.asdict(dataclasses.replace(report, curves=()))
+    del payload["curves"]
+    return payload
 
 
 def report_from_dict(payload: dict, curves: tuple[tuple, ...]) -> MonteCarloReport:
-    return MonteCarloReport(
-        experiment=payload["experiment"],
-        scenario=payload["scenario"],
-        trials=payload["trials"],
-        base_seed=payload["base_seed"],
-        estimators=tuple(payload["estimators"]),
-        aggregates=tuple(AggregateRow(**row) for row in payload["aggregates"]),
-        curves=curves,
-        config_snapshot=payload["config_snapshot"],
-        software_version=payload["software_version"],
-        metadata=payload["metadata"],
-    )
+    """The report of a :func:`report_to_dict` payload and its curves."""
+    return MonteCarloReport(**{
+        **payload,
+        "estimators": tuple(payload["estimators"]),
+        "aggregates": tuple(AggregateRow(**row) for row in payload["aggregates"]),
+    }, curves=curves)
 
 
 def load_report(path: str | Path) -> MonteCarloReport:

@@ -3,8 +3,9 @@
 A curve record is ``(trial, estimator, domain, x, truth, prediction)``. At
 each evaluation point the pointwise bias is the trial average of the absolute
 prediction error, the pointwise variance is the trial variance of the
-predictions, and the pointwise MSE is the trial average squared error; the
-reported bias/variance/MSE average those over the evaluation points. Because
+predictions (exactly 0 where every trial predicts the same value), and the
+pointwise MSE is the trial average squared error; the reported
+bias/variance/MSE average those over the evaluation points. Because
 the bias uses absolute errors, MSE = bias^2 + variance does not hold; the
 identity MSE = variance + mean squared (signed) error does.
 """
@@ -69,7 +70,8 @@ def metrics(records) -> list[AggregateRow]:
                 estimator,
                 domain,
                 float(np.mean(np.abs(err).mean(axis=1))),
-                float(np.mean(pred.var(axis=1, ddof=0))),
+                float(np.mean(np.where((pred == pred[:, :1]).all(axis=1), 0.0,
+                                       pred.var(axis=1, ddof=0)))),
                 float(np.mean((err**2).mean(axis=1))),
                 n_trials,
             )

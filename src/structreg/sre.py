@@ -28,12 +28,16 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
 
 from .data import Dataset, StandardizeTransform
 from .estimators import SingularDesignError, solve_least_squares
+
+if TYPE_CHECKING:
+    from .tuning import CvTrace
 
 
 class PenaltyError(ValueError):
@@ -380,7 +384,8 @@ class SREFit:
     Coefficients live on the standardized feature scale: ``theta[0]`` is the
     intercept (the second-stage outcome mean) and ``theta[1:]`` multiply
     ``(F(x) - means) / scales``. ``theta_m`` is the benchmark projection on
-    the same scale.
+    the same scale, and ``trace`` the cross-validation run that chose
+    ``lambda_star``, if one did.
     """
 
     theta: np.ndarray
@@ -388,8 +393,7 @@ class SREFit:
     theta_m: np.ndarray
     lambda_star: float
     feature_map: FeatureMap
-    cv: str = "kfold"
-    parts: tuple = field(default=(), compare=False)
+    trace: CvTrace | None = field(default=None, compare=False)
 
     def __post_init__(self):
         theta = np.atleast_1d(np.asarray(self.theta, dtype=float))

@@ -6,26 +6,26 @@ a known target input region, and a rolling-window variant for series data.
 
 Every study's second stage is one select-and-fit step on a fold object
 (:class:`RidgeFold`, or the demand study's moment fold): it builds the fold
-on the half of the sample the structural stage did not use, passes it to the
-cross-validation, and returns :meth:`~RidgeFold.fit` of the resulting
-:class:`CvTrace`. The fold fixes everything the cross-validation needs: its
-penalty's grid and :meth:`~RidgeFold.cv_errors`, which scores that grid on
-every split of a :class:`CvSplits` in one stacked array computation. A split
-is row indices into the sample with 0/1 row weights (a sliding window of rows
+with :meth:`~RidgeFold.of_sample` on the half of the sample the structural
+stage did not use, passes it to the cross-validation, and returns
+:meth:`~RidgeFold.fit` of the resulting :class:`CvTrace`. The fold keeps its
+sample and fixes everything the cross-validation needs: its penalty's grid and
+:meth:`~RidgeFold.cv_errors`, which scores that grid on every split of a
+:class:`CvSplits` of the sample in one stacked array computation. A split is
+row indices into the sample with 0/1 row weights (a sliding window of rows
 for rolling cross-validation), so no per-split sample or fold is built.
 
 A second-stage problem is posed in one place, the fold's ``_pose``, which
 poses a stack of samples at once: the cross-validation's splits, or the
 fitting sample itself as a stack of one (every row, weight 1), which is how
-:func:`ridge_fold` builds the final fold. It is solved in one place too:
+:meth:`~RidgeFold.of_sample` builds the fold. It is solved in one place too:
 :func:`~structreg.sre.quadratic_path` solves every split's path, and the
-final fit is the final fold's path at the one penalty the cross-validation
-chose.
+final fit is the fold's path at the one penalty the cross-validation chose.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -62,29 +62,25 @@ class CvError(RuntimeError):
 class CvTrace:
     """Validation-error record of one cross-validation run.
 
-    ``lambda_star`` attains the minimum mean error; exact ties resolve to the
-    smallest penalty. ``fold_errors`` has one row per fold (or window) and one
-    column per grid point.
+    ``fold_errors`` has one row per fold (or window) and one column per grid
+    point; ``mean_errors`` is its mean over folds, and ``lambda_star`` attains
+    the minimum mean error, exact ties resolving to the smallest penalty.
     """
 
     kind: str
     lambda_grid: np.ndarray
-    mean_errors: np.ndarray
-    lambda_star: float
     fold_errors: np.ndarray
+    mean_errors: np.ndarray = field(init=False)
+    lambda_star: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda_grid", np.asarray(self.lambda_grid, float))
-        object.__setattr__(self, "mean_errors", np.asarray(self.mean_errors, float))
-        object.__setattr__(self, "fold_errors", np.asarray(self.fold_errors, float))
-
-    @classmethod
-    def from_fold_errors(cls, kind, lambda_grid, fold_errors) -> "CvTrace":
-        lambda_grid = np.asarray(lambda_grid, float)
-        fold_errors = np.asarray(fold_errors, float)
-        mean_errors = fold_errors.mean(axis=0)
-        star = float(lambda_grid[int(np.argmin(mean_errors))])
-        return cls(kind, lambda_grid, mean_errors, star, fold_errors)
+        grid = np.asarray(self.lambda_grid, float)
+        errors = np.asarray(self.fold_errors, float)
+        mean_errors = errors.mean(axis=0)
+        object.__setattr__(self, "lambda_grid", grid)
+        object.__setattr__(self, "fold_errors", errors)
+        object.__setattr__(self, "mean_errors", mean_errors)
+        object.__setattr__(self, "lambda_star", float(grid[int(np.argmin(mean_errors))]))
 
 
 @dataclass(frozen=True)
@@ -158,67 +154,63 @@ def rolling_splits(n: int, window_length: int) -> CvSplits:
     return CvSplits("rolling", train, np.ones(train.shape), val, np.ones(val.shape))
 
 
-def _cross_validate(final: RidgeFold, data: Dataset, splits: CvSplits) -> CvTrace:
-    """``final``'s error curve on ``data`` over every split at once."""
-    return CvTrace.from_fold_errors(splits.kind, final.penalty.lambda_grid,
-                                    final.cv_errors(data, splits))
+def kfold_cv(fold: RidgeFold, K: int, rng: SeededRng) -> CvTrace:
+    """Standard K-fold cross-validation of ``fold`` over its penalty grid.
 
-
-def kfold_cv(final: RidgeFold, data: Dataset, K: int, rng: SeededRng) -> CvTrace:
-    """Standard K-fold cross-validation over ``final``'s penalty grid.
-
-    Every training fold is standardized on its own rows and scored at every
-    grid point on its held-out rows by ``final.cv_errors``, all folds in one
-    stacked computation; the reported error per grid point is the mean over
-    held-out folds.
+    Every training fold of the fold's sample is standardized on its own rows
+    and scored at every grid point on its held-out rows by
+    :meth:`RidgeFold.cross_validate`, all folds in one stacked computation;
+    the reported error per grid point is the mean over held-out folds.
     """
-    return _cross_validate(final, data, kfold_splits(data.n, K, rng))
+    return fold.cross_validate(kfold_splits(fold.sample.n, K, rng))
 
 
-def forward_cv(final: RidgeFold, sample: Dataset, K: int, target: DomainSpec,
-               rng: SeededRng) -> CvTrace:
+def forward_cv(fold: RidgeFold, K: int, target: DomainSpec, rng: SeededRng) -> CvTrace:
     """K-fold cross-validation that always validates nearest the target.
 
-    The ``FORWARD_FRACTION`` of the sample nearest ``target`` is first held
-    out of training entirely; the far part is partitioned into K folds.
+    The ``FORWARD_FRACTION`` of the fold's sample nearest ``target`` is first
+    held out of training entirely; the far part is partitioned into K folds.
     Iteration k trains on the far part minus fold k and validates on fold k
     plus the whole near-target part, so every validation set contains the
     observations closest to where the model will be applied. Folds are
     scored as in :func:`kfold_cv`.
     """
-    return _cross_validate(final, sample, forward_splits(sample, K, target, rng))
+    return fold.cross_validate(forward_splits(fold.sample, K, target, rng))
 
 
-def rolling_cv(final: RidgeFold, data: Dataset, window_length: int) -> CvTrace:
+def rolling_cv(fold: RidgeFold, window_length: int) -> CvTrace:
     """Rolling-window cross-validation for time-ordered data.
 
     Every window origin fits on ``window_length`` consecutive observations
-    and scores on the next one, so training never sees the future. Rows must
-    carry a nondecreasing ``time_index``. Windows are scored as in
-    :func:`kfold_cv`.
+    of the fold's sample and scores on the next one, so training never sees
+    the future. Rows must carry a nondecreasing ``time_index``. Windows are
+    scored as in :func:`kfold_cv`.
     """
+    data = fold.sample
     if data.time_index is None:
         raise DataError("rolling cross-validation requires time-indexed data")
     if np.any(np.diff(data.time_index) < 0):
         raise DataError("time_index must be nondecreasing")
     if data.n <= window_length:
         raise DataError("series shorter than window_length + 1")
-    return _cross_validate(final, data, rolling_splits(data.n, window_length))
+    return fold.cross_validate(rolling_splits(data.n, window_length))
 
 
 @dataclass(frozen=True)
 class RidgeFold:
     """One training sample's penalized least-squares problem.
 
-    ``G`` and ``b`` are the sample's normal equations ``(X'X, X'y)`` over the
-    design ``(1, standardized features)`` and ``theta_m`` the benchmark
+    ``G`` and ``b`` are the ``sample``'s normal equations ``(X'X, X'y)`` over
+    the design ``(1, standardized features)`` and ``theta_m`` the benchmark
     projection on the same scale. :meth:`_pose` poses the problem on a stack
-    of samples; the fold itself is the stack of one sample of every row, and
-    cross-validation's :meth:`cv_errors` poses every split's training rows at
-    once and scores every grid point on the split's held-out rows. :meth:`fit`
-    then solves the fold's own path at the penalty the cross-validation chose.
+    of samples; :meth:`of_sample` builds the fold as the stack of one sample
+    of every row, and cross-validation's :meth:`cv_errors` poses every split's
+    training rows at once and scores every grid point on the split's held-out
+    rows. :meth:`fit` then solves the fold's own path at the penalty the
+    cross-validation chose.
     """
 
+    sample: Dataset
     G: np.ndarray
     b: np.ndarray
     transform: StandardizeTransform
@@ -227,15 +219,18 @@ class RidgeFold:
     feature_map: FeatureMap
 
     @classmethod
-    def _of_sample(cls, train: Dataset, feature_map: FeatureMap, penalty: PenaltySpec,
-                   theta_m) -> RidgeFold:
-        """``train``'s fold, posed as a stack of one sample: every row, weight 1."""
-        posed = cls._pose(feature_map.transform(train.inputs), train, np.arange(train.n)[None],
-                          np.ones((1, train.n)), lambda index, error: error)
+    def of_sample(cls, sample: Dataset, feature_map: FeatureMap, penalty: PenaltySpec,
+                  theta_m) -> RidgeFold:
+        """The sample's fold over its standardized expanded features, posed as a
+        stack of one sample (every row, weight 1); ``theta_m(transform)`` gives
+        the benchmark projection on that standardization."""
+        posed = cls._pose(feature_map.transform(sample.inputs), sample,
+                          np.arange(sample.n)[None], np.ones((1, sample.n)),
+                          lambda index, error: error)
         transform = StandardizeTransform(posed["means"][0], posed["scales"][0],
-                                         float(train.outcome.mean()))
+                                         float(sample.outcome.mean()))
         G, b = cls._normal_equations(posed)
-        return cls(G[0], b[0], transform, theta_m(transform), penalty, feature_map)
+        return cls(sample, G[0], b[0], transform, theta_m(transform), penalty, feature_map)
 
     @classmethod
     def _pose(cls, F, data, rows, weight, fail) -> dict:
@@ -263,12 +258,13 @@ class RidgeFold:
         Xt = posed["design"].swapaxes(1, 2)
         return Xt @ posed["design"], (Xt @ posed["outcome"][:, :, None])[:, :, 0]
 
-    def _held_out_error(self, posed, data, splits, resid) -> np.ndarray:
+    def _held_out_error(self, posed, splits, resid) -> np.ndarray:
         """Every split's held-out mean squared error, one column per grid point."""
         return (resid * resid).sum(axis=1) / splits.val_weight.sum(axis=1)[:, None]
 
-    def cv_errors(self, data: Dataset, splits: CvSplits) -> np.ndarray:
-        """Held-out error of every grid point on every split, ``(splits, grid)``.
+    def cv_errors(self, splits: CvSplits) -> np.ndarray:
+        """Held-out error of every grid point on every split of the sample,
+        ``(splits, grid)``.
 
         Every split's training rows are posed at once by :meth:`_pose`,
         ``theta_m`` is re-expressed on each split's standardization (which
@@ -278,6 +274,7 @@ class RidgeFold:
         :class:`CvError` naming it and, for a solve, its first offending grid
         point.
         """
+        data = self.sample
         F = self.feature_map.transform(data.inputs)
         posed = self._pose(F, data, splits.train, splits.train_weight, splits.failure)
         means, scales = posed["means"], posed["scales"]
@@ -300,25 +297,21 @@ class RidgeFold:
         F_val = (F[splits.val] - means[:, None, :]) / scales[:, None, :]
         predictions = thetas[:, None, :, 0] + F_val @ thetas[:, :, 1:].swapaxes(1, 2)
         resid = (data.outcome[splits.val][:, :, None] - predictions) * splits.val_weight[:, :, None]
-        return self._held_out_error(posed, data, splits, resid)
+        return self._held_out_error(posed, splits, resid)
+
+    def cross_validate(self, splits: CvSplits) -> CvTrace:
+        """The fold's error curve over every split at once."""
+        return CvTrace(splits.kind, self.penalty.lambda_grid, self.cv_errors(splits))
 
     def fit(self, trace: CvTrace) -> SREFit:
-        """The fit at the trace's ``lambda_star``, carrying the trace in ``parts``.
+        """The fit at the trace's ``lambda_star``, carrying the trace.
 
         A fold that is singular there raises
         :class:`~structreg.sre.SingularPathError` naming ``lambda_star``.
         """
         lam = trace.lambda_star
         theta = quadratic_path(self.G, self.b, self.penalty.weights, self.theta_m, [lam])[0]
-        return SREFit(theta, self.transform, self.theta_m, lam, self.feature_map,
-                      cv=trace.kind, parts=(trace,))
-
-
-def ridge_fold(train: Dataset, feature_map: FeatureMap, penalty: PenaltySpec,
-               theta_m) -> RidgeFold:
-    """The sample's :class:`RidgeFold` over its standardized expanded features;
-    ``theta_m(transform)`` gives the benchmark projection on that scale."""
-    return RidgeFold._of_sample(train, feature_map, penalty, theta_m)
+        return SREFit(theta, self.transform, self.theta_m, lam, self.feature_map, trace)
 
 
 def _to_raw(coefficients, transform) -> np.ndarray:

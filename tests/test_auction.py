@@ -19,11 +19,13 @@ from structreg.auction import (
     equilibrium_bid,
     overbid_truth_with_se,
     simulate_auctions,
+    sre_auction,
     true_expected_winning_bid,
     uniform_ipv_mean,
 )
-from structreg.data import SeededRng
+from structreg.data import SeededRng, partition_indices
 from structreg.metrics import metrics_table
+from structreg.tuning import RidgeFold
 
 
 def test_uniform_bid_closed_form():
@@ -307,6 +309,25 @@ def test_auction_experiment_structural_error_is_exactly_zero():
     )
     structural = [r for r in records if r[1] == "structural"]
     assert structural and all(r[4] == r[5] for r in structural)
+
+
+def test_sre_auction_fits_the_second_part_of_its_split(monkeypatch):
+    scenario = AuctionScenario.from_index(1)
+    data = simulate_auctions(scenario, SeededRng(12)).to_dataset()
+    samples = []
+    of_sample = RidgeFold.of_sample.__func__
+
+    def recording(cls, sample, *args):
+        samples.append(sample)
+        return of_sample(cls, sample, *args)
+
+    monkeypatch.setattr(RidgeFold, "of_sample", classmethod(recording))
+    sre_auction(data, scenario, SeededRng(13))
+    [sample] = samples
+    # the rows of the second of the two parts the old two-way partition built
+    second = partition_indices(data.n, 2, SeededRng(13).split(0))[1]
+    assert np.array_equal(sample.inputs, data.inputs[second])
+    assert np.array_equal(sample.outcome, data.outcome[second])
 
 
 def test_auction_experiment_grids_and_determinism():

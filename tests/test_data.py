@@ -9,7 +9,7 @@ from structreg.data import (
     DomainSpec,
     SeededRng,
     forward_split_rows,
-    partition,
+    partition_indices,
     stacked_standardization,
     standardize,
 )
@@ -92,41 +92,35 @@ def test_standardize_rejects_tiny_samples():
 
 
 def test_partition_sizes_and_disjointness():
-    ds = Dataset(np.arange(10.0)[:, None], np.zeros(10))
-    folds = partition(ds, 2, SeededRng(3))
-    assert [f.n for f in folds] == [5, 5]
-    ds11 = Dataset(np.arange(11.0)[:, None], np.zeros(11))
-    folds11 = partition(ds11, 2, SeededRng(3))
-    assert sorted(f.n for f in folds11) == [5, 6]
-    values = np.concatenate([f.inputs[:, 0] for f in folds11])
-    assert sorted(values.tolist()) == list(map(float, range(11)))
+    folds = partition_indices(10, 2, SeededRng(3))
+    assert [f.size for f in folds] == [5, 5]
+    folds11 = partition_indices(11, 2, SeededRng(3))
+    assert sorted(f.size for f in folds11) == [5, 6]
+    assert sorted(np.concatenate(folds11).tolist()) == list(range(11))
+    assert all(np.array_equal(f, np.sort(f)) for f in folds11)
 
 
 def test_partition_deterministic_in_seed():
-    ds = Dataset(np.arange(20.0)[:, None], np.zeros(20))
-    a = partition(ds, 4, SeededRng(9, 2))
-    b = partition(ds, 4, SeededRng(9, 2))
+    a = partition_indices(20, 4, SeededRng(9, 2))
+    b = partition_indices(20, 4, SeededRng(9, 2))
     for fa, fb in zip(a, b):
-        assert np.array_equal(fa.inputs, fb.inputs)
-    c = partition(ds, 4, SeededRng(9, 3))
-    assert any(not np.array_equal(fa.inputs, fc.inputs) for fa, fc in zip(a, c))
+        assert np.array_equal(fa, fb)
+    c = partition_indices(20, 4, SeededRng(9, 3))
+    assert any(not np.array_equal(fa, fc) for fa, fc in zip(a, c))
 
 
 def test_partition_rejects_more_folds_than_rows():
-    ds = Dataset(np.arange(3.0)[:, None], np.zeros(3))
     with pytest.raises(DataError):
-        partition(ds, 4, SeededRng(0))
+        partition_indices(3, 4, SeededRng(0))
 
 
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_partition_union_property(K, seed):
     n = 3 * K + 1
-    ds = Dataset(np.arange(float(n))[:, None], np.zeros(n))
-    folds = partition(ds, K, SeededRng(seed))
-    merged = sorted(float(v) for f in folds for v in f.inputs[:, 0])
-    assert merged == [float(i) for i in range(n)]
-    sizes = {f.n for f in folds}
+    folds = partition_indices(n, K, SeededRng(seed))
+    assert sorted(np.concatenate(folds).tolist()) == list(range(n))
+    sizes = {f.size for f in folds}
     assert max(sizes) - min(sizes) <= 1
 
 

@@ -5,8 +5,8 @@ from dataclasses import replace
 from structreg.data import DataError, Dataset, SeededRng, StandardizeTransform, standardize
 from structreg.demand import (
     DemandParams,
+    GmmFold,
     MarketData,
-    _gmm_fold,
     demand_experiment,
     evaluation_grid,
     instrument_basis,
@@ -166,7 +166,7 @@ def test_sre_demand_lambda_zero_grid_reduces_to_quadratic_iv():
     data = simulate_markets(params, SeededRng(11))
     rng = SeededRng(12)
     fit = sre_demand(data, rng, lambda_grid=[0.0])
-    trace = fit.parts[0]
+    trace = fit.trace
     assert trace.lambda_star == 0.0
     # reproduce the unpenalized quadratic moment fit on the same half
     from structreg.data import partition_indices, standardize, Dataset
@@ -242,28 +242,33 @@ def _markets(z):
 _PENALTY = PenaltySpec([1.0, 10.0], np.array([0.0, 1.0, 1.0]))
 
 
+def _moment_fold(sample, penalty, theta_m):
+    """The sample's moment fold of the demand study's quadratic curve."""
+    return GmmFold.of_sample(sample, PolynomialFeatures(2), penalty, theta_m)
+
+
 @pytest.mark.parametrize("z", [[3.0, 11.0, 27.0, 35.0], [2.0, 9.0, 17.0, 30.0, 38.0]])
 def test_moment_fold_rejects_fewer_rows_than_instruments(z):
     # a floating-point inverse of these rank-deficient Gram matrices need not fail
     with pytest.raises(SingularDesignError, match="singular instrument Gram matrix"):
-        _gmm_fold(_markets(z), _PENALTY, lambda transform: np.zeros(3))
+        _moment_fold(_markets(z), _PENALTY, lambda transform: np.zeros(3))
 
 
 def test_moment_fold_rejects_a_singular_instrument_gram_matrix():
     # one shifter value: the instrument powers are (1, 0, ..., 0)
     with pytest.raises(SingularDesignError, match="singular instrument Gram matrix"):
-        _gmm_fold(_markets(np.full(10, 7.0)), _PENALTY, lambda transform: np.zeros(3))
+        _moment_fold(_markets(np.full(10, 7.0)), _PENALTY, lambda transform: np.zeros(3))
 
 
 def test_moment_fold_of_one_row_is_rejected_by_its_standardization():
     with pytest.raises(DataError, match="standardize requires at least two rows"):
-        _gmm_fold(_markets([5.0]), _PENALTY, lambda transform: np.zeros(3))
+        _moment_fold(_markets([5.0]), _PENALTY, lambda transform: np.zeros(3))
 
 
 def test_moment_fold_instruments_and_weight_are_the_sample_alone():
     z = SeededRng(9).generator().uniform(0.0, 40.0, size=300)
     sample = _markets(z)
-    fold = _gmm_fold(sample, _PENALTY, lambda transform: np.zeros(3))
+    fold = _moment_fold(sample, _PENALTY, lambda transform: np.zeros(3))
     Z = instrument_basis(z, float(z.mean()), float(z.std(ddof=0)))
     std, _ = standardize(Dataset(PolynomialFeatures(2).transform(sample.inputs), sample.outcome))
     X = np.column_stack([np.ones(sample.n), std.inputs])
@@ -297,6 +302,6 @@ def test_kfold_names_the_training_fold_whose_instrument_gram_is_singular():
     p = 50.0 + z + gen.normal(size=n)
     data = Dataset(p[:, None], 200.0 - 2.0 * p + gen.normal(size=n), z[:, None])
     penalty = PenaltySpec([1.0, 10.0], np.array([0.0, 1.0, 1.0]))
-    final = _gmm_fold(data, penalty, lambda transform: np.zeros(3))
+    final = _moment_fold(data, penalty, lambda transform: np.zeros(3))
     with pytest.raises(CvError, match="fitter failed on fold 2: singular instrument Gram matrix"):
-        kfold_cv(final, data, K, SeededRng(7))
+        kfold_cv(final, K, SeededRng(7))

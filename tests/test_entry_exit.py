@@ -392,7 +392,7 @@ def test_benchmark_one_step_unbiased_under_correct_specification():
     for seed in range(30):
         panel = simulate_market(ccps, R, params.n_firms, SeededRng(19).stream(seed))
         shares = panel.shares_with_initial()
-        preds = bench.step_shares(shares[:-1], np.arange(1, 51))
+        preds = bench.step_shares(shares[:-1])
         gaps.append((panel.shares - preds).mean())
     gaps = np.array(gaps)
     assert abs(gaps.mean()) <= 4 * gaps.std(ddof=1) / np.sqrt(gaps.size) + 1e-4
@@ -401,7 +401,7 @@ def test_benchmark_one_step_unbiased_under_correct_specification():
 def test_benchmark_half_ccps_propagate_to_half():
     T = 20
     ccps = np.full((T, 2, 2), 0.5)
-    bench = DdcBenchmark(0.0, 0.0, 0.0, 0.9, np.zeros(T), ccps)
+    bench = DdcBenchmark(np.zeros(T), ccps)
     path = _propagate_shares(bench.ccps, 0.1)
     assert np.allclose(path, 0.5)
 
@@ -442,7 +442,7 @@ def test_sre_entry_exit_runs_and_is_deterministic():
     fit1 = sre_entry_exit(pa.truncate(100), pb.truncate(100), 0.9, R, SeededRng(25))
     fit2 = sre_entry_exit(pa.truncate(100), pb.truncate(100), 0.9, R, SeededRng(25))
     assert np.array_equal(fit1.theta, fit2.theta)
-    assert fit1.lambda_star in fit1.parts[0].lambda_grid
+    assert fit1.lambda_star in fit1.trace.lambda_grid
 
 
 def test_entry_exit_experiment_smoke_and_shapes():

@@ -105,13 +105,13 @@ def test_polynomial_prediction_invariant_to_internal_standardization():
 
 def test_select_degree_linear_data():
     x = np.linspace(0, 1, 30)
-    assert select_degree_aic(x, 2.0 + 3.0 * x, 5) == 1
+    assert select_degree_aic(x, 2.0 + 3.0 * x, 5).degree == 1
 
 
 def test_select_degree_noiseless_cubic():
     x = np.linspace(-1, 2, 25)
     y = 1.0 - x + 0.5 * x**3
-    assert select_degree_aic(x, y, 5) == 3
+    assert select_degree_aic(x, y, 5).degree == 3
 
 
 def test_select_degree_tie_prefers_smaller():
@@ -119,7 +119,16 @@ def test_select_degree_tie_prefers_smaller():
     # resolves to the smallest degree
     x = np.linspace(-2, 2, 30)
     y = x**2
-    assert select_degree_aic(x, y, 5) == 2
+    assert select_degree_aic(x, y, 5).degree == 2
+
+
+def test_selected_polynomial_predicts_as_a_refit_at_its_degree():
+    gen = np.random.default_rng(10)
+    x = gen.integers(5, 31, size=100).astype(float)
+    y = (x - 1.0) / (x + 1.0) + 0.05 * gen.normal(size=100)
+    fit = select_degree_aic(x, y, 5)
+    grid = np.arange(5.0, 51.0)
+    assert np.array_equal(fit.predict(grid), fit_polynomial(x, y, fit.degree).predict(grid))
 
 
 def test_arx_exact_ar1_recovery():
@@ -173,7 +182,8 @@ def test_arx_order_selection_on_noiseless_orders():
     y[:2] = (0.5, 0.2)
     for t in range(2, T):
         y[t] = 0.2 + 0.5 * R[t] + 0.4 * y[t - 1] + 0.3 * y[t - 2]
-    assert select_arx_order_aic(y, R, (1, 2), (1, 2, 3, 4)) == (1, 2)
+    fit = select_arx_order_aic(y, R, (1, 2), (1, 2, 3, 4))
+    assert (fit.exog_order, fit.ar_order) == (1, 2)
 
 
 def test_2sls_equals_ols_when_instrumenting_with_regressors():
@@ -206,3 +216,15 @@ def test_2sls_irrelevant_instrument_raises():
     y = 1.0 - 2.0 * x + gen.normal(size=300)
     with pytest.raises(SingularDesignError):
         fit_2sls(y, x[:, None], z[:, None])
+
+
+def test_selected_arx_predicts_as_a_refit_at_its_orders():
+    gen = np.random.default_rng(11)
+    T = 120
+    R = gen.normal(size=T)
+    y = np.zeros(T)
+    for t in range(1, T):
+        y[t] = 0.2 + 0.3 * R[t] - 0.2 * R[t] ** 2 + 0.6 * y[t - 1] + 0.1 * gen.normal()
+    fit = select_arx_order_aic(y, R, (1, 2), (1, 2, 3, 4))
+    refit = fit_arx(y, R, fit.exog_order, fit.ar_order)
+    assert np.array_equal(fit.predict_series(y, R), refit.predict_series(y, R))

@@ -25,7 +25,7 @@ from structreg.harness import (
     recompute_aggregates_from_curves,
     run_monte_carlo,
 )
-from structreg.metrics import MetricsError, metrics, metrics_table, sort_curves
+from structreg.metrics import AggregateRow, MetricsError, metrics, metrics_table, sort_curves
 
 
 def test_metrics_zero_error_fixture():
@@ -39,6 +39,14 @@ def test_metrics_constant_offset_fixture():
     records = [(r, "m", "in", float(x), float(x), float(x) + 2.0) for r in range(5) for x in range(3)]
     row = metrics(records)[0]
     assert row.bias == 2.0 and row.variance == 0.0 and row.mse == 4.0
+
+
+def test_metrics_equal_predictions_have_exactly_zero_variance():
+    # the mean of 100 copies of 2/3 does not round back to 2/3, so a plain
+    # variance of equal predictions is rounding noise (4.9e-32), not 0
+    records = [(r, "m", "in", 5.0, 0.5, 2.0 / 3.0) for r in range(100)]
+    assert np.var(np.full(100, 2.0 / 3.0)) > 0.0
+    assert metrics(records)[0].variance == 0.0
 
 
 def test_metrics_two_trial_fixture():
@@ -210,8 +218,12 @@ def test_run_monte_carlo_report_and_outputs(tmp_path):
     assert sorted(p.name for p in paths) == [
         "config.snapshot", "curves.csv", "report.json", "summary.csv",
     ]
-    # the curves are written once, to curves.csv, and read back from there
-    assert "curves" not in json.loads((out / "report.json").read_text())
+    # the curves are written once, to curves.csv, and read back from there;
+    # report.json holds every other field, in field order
+    payload = json.loads((out / "report.json").read_text())
+    assert list(payload) == [f.name for f in dataclasses.fields(MonteCarloReport)
+                             if f.name != "curves"]
+    assert list(payload["aggregates"][0]) == [f.name for f in dataclasses.fields(AggregateRow)]
     reloaded = load_report(out / "report.json")
     assert reloaded == report
 

@@ -16,12 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from structreg.data import Dataset, DomainSpec, SeededRng, standardize
-from structreg.demand import DemandParams, GmmFold, _gmm_fold, simulate_markets
+from structreg.demand import DemandParams, GmmFold, simulate_markets
 from structreg.estimators import fit_2sls, fit_ols
 from structreg.sre import (
     LinearFeatures,
     PenaltyError,
     PenaltySpec,
+    PolynomialFeatures,
     SingularPathError,
     gmm_normal_equations,
     quadratic_path,
@@ -30,10 +31,10 @@ from structreg.sre import (
 )
 from structreg.tuning import (
     CvError,
+    RidgeFold,
     forward_splits,
     kfold_cv,
     kfold_splits,
-    ridge_fold,
     rolling_cv,
     rolling_splits,
 )
@@ -199,13 +200,13 @@ def test_rolling_cv_names_singular_window_and_lambda():
     data = Dataset(np.column_stack([gen.normal(size=T), second]), gen.normal(size=T),
                    time_index=np.arange(T))
 
-    def final(grid):
-        return ridge_fold(data, LinearFeatures(2), PenaltySpec(grid, [0.0, 1.0, 1.0]),
-                          _zero_target)
+    def fold(grid):
+        return RidgeFold.of_sample(data, LinearFeatures(2), PenaltySpec(grid, [0.0, 1.0, 1.0]),
+                                   _zero_target)
 
     with pytest.raises(CvError, match=r"window 20 at lambda=0\.0: singular"):
-        rolling_cv(final([0.0, 1.0]), data, 10)
-    trace = rolling_cv(final([0.5, 1.0]), data, 10)
+        rolling_cv(fold([0.0, 1.0]), 10)
+    trace = rolling_cv(fold([0.5, 1.0]), 10)
     assert np.isfinite(trace.mean_errors).all()
 
 
@@ -214,11 +215,11 @@ def test_kfold_names_non_finite_path_and_lambda():
     x = gen.uniform(0.0, 10.0, size=40)
     data = Dataset(x[:, None], 1.0 + 2.0 * x)
     # lam * theta_m overflows at the second grid point only
-    final = ridge_fold(data, LinearFeatures(1), PenaltySpec([0.0, 1e10], [0.0, 1.0]),
-                       lambda transform: np.array([0.0, 1e300]))
+    fold = RidgeFold.of_sample(data, LinearFeatures(1), PenaltySpec([0.0, 1e10], [0.0, 1.0]),
+                               lambda transform: np.array([0.0, 1e300]))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             CvError, match=r"fold 0 at lambda=10000000000\.0: non-finite"):
-        kfold_cv(final, data, 4, SeededRng(23))
+        kfold_cv(fold, 4, SeededRng(23))
 
 
 @given(seeds)
@@ -281,21 +282,23 @@ def split_rows(splits, s):
             splits.val[s][splits.val_weight[s] == 1.0])
 
 
-def pose_alone(final, data, train):
-    """Split ``train`` posed on its own with ``standardize``: its design,
-    outcome, standardization and ``final.theta_m`` re-expressed on it."""
-    F = final.feature_map.transform(data.inputs[train])
+def pose_alone(fold, train):
+    """Rows ``train`` of the fold's sample posed on their own with
+    ``standardize``: their design, outcome, standardization and
+    ``fold.theta_m`` re-expressed on it."""
+    data = fold.sample
+    F = fold.feature_map.transform(data.inputs[train])
     std, transform = standardize(Dataset(F, data.outcome[train]))
     # theta_m is affine in the standardization: raw scale first, then the split's
-    slopes = final.theta_m[1:] / final.transform.column_scales
-    intercept = final.theta_m[0] - slopes @ final.transform.column_means
+    slopes = fold.theta_m[1:] / fold.transform.column_scales
+    intercept = fold.theta_m[0] - slopes @ fold.transform.column_means
     theta_m = np.concatenate([[intercept + transform.column_means @ slopes],
                               slopes * transform.column_scales])
     design = np.column_stack([np.ones(train.size), std.inputs])
     return design, data.outcome[train], transform, theta_m
 
 
-def closed_form(final, data, train):
+def closed_form(fold, train):
     """Split ``train`` posed alone (:func:`pose_alone`) as its per-lambda closed
     form ``solve(lam)``: ``sre_ridge``, or for a moment fold ``sre_gmm`` with
     ``W = inv(Z'Z)`` over the split's own rescaling of the cost shifter.
@@ -303,10 +306,10 @@ def closed_form(final, data, train):
     Returns ``solve``, the split's standardization and, for a moment fold,
     its instrument basis ``rows -> Z`` and ``W`` (``None`` for a ridge fold).
     """
-    X, y, transform, theta_m = pose_alone(final, data, train)
-    if not isinstance(final, GmmFold):
-        return (lambda lam: sre_ridge(X, y, theta_m, final.penalty, lam)), transform, None
-    z = data.instruments[:, 0]
+    X, y, transform, theta_m = pose_alone(fold, train)
+    if not isinstance(fold, GmmFold):
+        return (lambda lam: sre_ridge(X, y, theta_m, fold.penalty, lam)), transform, None
+    z = fold.sample.instruments[:, 0]
     center, scale = z[train].mean(), z[train].std()
 
     def basis(rows):
@@ -314,15 +317,16 @@ def closed_form(final, data, train):
 
     Z = basis(train)
     W = np.linalg.inv(Z.T @ Z)
-    return (lambda lam: sre_gmm(X, Z, y, W, theta_m, final.penalty, lam)), transform, (basis, W)
+    return (lambda lam: sre_gmm(X, Z, y, W, theta_m, fold.penalty, lam)), transform, (basis, W)
 
 
-def split_errors(final, data, train, val):
+def split_errors(fold, train, val):
     """The held-out errors of one split solved per lambda by :func:`closed_form`."""
-    solve, transform, moment = closed_form(final, data, train)
-    F_val = transform.transform_inputs(final.feature_map.transform(data.inputs[val]))
+    data = fold.sample
+    solve, transform, moment = closed_form(fold, train)
+    F_val = transform.transform_inputs(fold.feature_map.transform(data.inputs[val]))
     errors = []
-    for lam in final.penalty.lambda_grid:
+    for lam in fold.penalty.lambda_grid:
         theta = solve(lam)
         resid = data.outcome[val] - theta[0] - F_val @ theta[1:]
         if moment:
@@ -334,13 +338,13 @@ def split_errors(final, data, train, val):
     return np.array(errors)
 
 
-def assert_matches_each_split(final, data, splits, errors=None):
+def assert_matches_each_split(fold, splits, errors=None):
     """The stacked errors of every split (``errors``, computed afresh if not
     given) against :func:`split_errors` of the split, relative to the split's
     largest error."""
-    stacked = final.cv_errors(data, splits) if errors is None else errors
+    stacked = fold.cv_errors(splits) if errors is None else errors
     for s in range(splits.train.shape[0]):
-        reference = split_errors(final, data, *split_rows(splits, s))
+        reference = split_errors(fold, *split_rows(splits, s))
         assert np.all(np.abs(stacked[s] - reference) <= 1e-9 * np.abs(reference).max())
 
 
@@ -348,14 +352,14 @@ def assert_matches_each_split(final, data, splits, errors=None):
 @settings(max_examples=30, deadline=None)
 def test_stacked_kfold_and_forward_match_each_split(seed):
     gen, data, penalty = _cv_problem(seed)
-    final = ridge_fold(data, LinearFeatures(3), penalty,
-                       lambda transform: 3.0 * np.arange(4.0) - 1.0)
+    fold = RidgeFold.of_sample(data, LinearFeatures(3), penalty,
+                               lambda transform: 3.0 * np.arange(4.0) - 1.0)
     K = int(gen.integers(2, 7))
     if data.n % K == 0:
         K += 1  # unequal fold sizes
-    assert_matches_each_split(final, data, kfold_splits(data.n, K, SeededRng(seed)))
+    assert_matches_each_split(fold, kfold_splits(data.n, K, SeededRng(seed)))
     target = DomainSpec(data.inputs.max(axis=0), data.inputs.max(axis=0) + 1.0)
-    assert_matches_each_split(final, data, forward_splits(data, K, target, SeededRng(seed)))
+    assert_matches_each_split(fold, forward_splits(data, K, target, SeededRng(seed)))
 
 
 @given(seeds)
@@ -369,15 +373,15 @@ def test_stacked_rolling_matches_each_window_with_a_constant_column(seed):
     # the constant column's rounding spread counts as zero variance, so it
     # standardizes to zeros there, which is singular at lambda = 0 only
     penalty = PenaltySpec(GRID[1:], penalty.weights)
-    final = ridge_fold(data, LinearFeatures(3), penalty, lambda transform: np.ones(4))
+    fold = RidgeFold.of_sample(data, LinearFeatures(3), penalty, lambda transform: np.ones(4))
     splits = rolling_splits(data.n, 10)
-    assert_matches_each_split(final, data, splits)
+    assert_matches_each_split(fold, splits)
     # with lambda = 0 on the grid window 15, the first with the constant
     # column, is singular posed alone and in the stacked run
-    final = ridge_fold(data, LinearFeatures(3), PenaltySpec(GRID, penalty.weights),
-                       lambda transform: np.ones(4))
+    fold = RidgeFold.of_sample(data, LinearFeatures(3), PenaltySpec(GRID, penalty.weights),
+                               lambda transform: np.ones(4))
     for s in range(16):
-        X, y, _, theta_m = pose_alone(final, data, split_rows(splits, s)[0])
+        X, y, _, theta_m = pose_alone(fold, split_rows(splits, s)[0])
         if s < 15:
             assert np.isfinite(quadratic_path(X.T @ X, X.T @ y, penalty.weights, theta_m,
                                               GRID)).all()
@@ -386,7 +390,7 @@ def test_stacked_rolling_matches_each_window_with_a_constant_column(seed):
                 quadratic_path(X.T @ X, X.T @ y, penalty.weights, theta_m, GRID)
             assert info.value.lam == 0.0
     with pytest.raises(CvError, match=r"window 15 at lambda=0\.0: singular"):
-        rolling_cv(final, data, 10)
+        rolling_cv(fold, 10)
 
 
 @given(seeds)
@@ -396,6 +400,7 @@ def test_stacked_moment_kfold_matches_each_split(seed):
     markets = simulate_markets(DemandParams(M=int(gen.integers(100, 160))), SeededRng(seed))
     data = markets.to_dataset()
     penalty = PenaltySpec(GRID, [0.0, 1.0, gen.uniform(0.1, 10.0)])
-    final = _gmm_fold(data, penalty, lambda transform: np.array([100.0, -20.0, 1.0]))
+    fold = GmmFold.of_sample(data, PolynomialFeatures(2), penalty,
+                             lambda transform: np.array([100.0, -20.0, 1.0]))
     K = 7 if data.n % 7 else 6
-    assert_matches_each_split(final, data, kfold_splits(data.n, K, SeededRng(seed)))
+    assert_matches_each_split(fold, kfold_splits(data.n, K, SeededRng(seed)))

@@ -3,9 +3,15 @@ from functools import partial
 import numpy as np
 import pytest
 
-from structreg import tuning
 from structreg.auction import AuctionScenario, simulate_auctions, sre_auction
-from structreg.data import DataError, Dataset, DomainSpec, SeededRng, partition, standardize
+from structreg.data import (
+    DataError,
+    Dataset,
+    DomainSpec,
+    SeededRng,
+    partition_indices,
+    standardize,
+)
 from structreg.demand import DemandParams, simulate_markets, sre_demand
 from structreg.entry_exit import (
     DdcParams,
@@ -27,9 +33,9 @@ from structreg.sre import (
 from structreg.tuning import (
     CvError,
     CvTrace,
+    RidgeFold,
     forward_cv,
     kfold_cv,
-    ridge_fold,
     rolling_cv,
 )
 
@@ -38,15 +44,15 @@ from .test_sre import line_rows
 
 
 def _record_cv(monkeypatch):
-    """Record ``(final, data, splits)`` of every cross-validation run."""
+    """Record ``(fold, splits)`` of every cross-validation run."""
     seen = []
-    cross_validate = tuning._cross_validate
+    cross_validate = RidgeFold.cross_validate
 
-    def recording(final, data, splits):
-        seen.append((final, data, splits))
-        return cross_validate(final, data, splits)
+    def recording(fold, splits):
+        seen.append((fold, splits))
+        return cross_validate(fold, splits)
 
-    monkeypatch.setattr(tuning, "_cross_validate", recording)
+    monkeypatch.setattr(RidgeFold, "cross_validate", recording)
     return seen
 
 
@@ -58,8 +64,8 @@ def _line_fold(train, line, domain, grid):
     """The sample's ridge fold of a line, shrunk toward the benchmark line
     ``(intercept, slope)`` projected over ``domain``."""
     fmap = PolynomialFeatures(1)
-    return ridge_fold(train, fmap, PenaltySpec(grid, WEIGHTS),
-                      partial(fit_theta_m, fmap, line_rows(*line, *domain)))
+    return RidgeFold.of_sample(train, fmap, PenaltySpec(grid, WEIGHTS),
+                               partial(fit_theta_m, fmap, line_rows(*line, *domain)))
 
 
 def _noisy_line_data(n=60, seed=0, noise=0.5):
@@ -75,7 +81,7 @@ WEIGHTS = np.array([0.0, 1.0])
 
 def test_kfold_singleton_grid():
     data = _noisy_line_data()
-    trace = kfold_cv(_line_fold(data, (0.0, 0.0), (0, 10), [0.0]), data, 5, SeededRng(1))
+    trace = kfold_cv(_line_fold(data, (0.0, 0.0), (0, 10), [0.0]), 5, SeededRng(1))
     assert trace.lambda_star == 0.0
 
 
@@ -85,7 +91,7 @@ def test_kfold_benchmark_true_dgp_prefers_max_lambda():
     gen = np.random.default_rng(2)
     x = gen.uniform(0.0, 10.0, size=60)
     data = Dataset(x[:, None], 1.0 + 2.0 * x + 0.5 * gen.normal(size=60))
-    trace = kfold_cv(_line_fold(data, (1.0, 2.0), (0, 10), GRID), data, 5, SeededRng(3))
+    trace = kfold_cv(_line_fold(data, (1.0, 2.0), (0, 10), GRID), 5, SeededRng(3))
     assert trace.lambda_star == GRID[-1]
     assert np.all(np.diff(trace.mean_errors) <= 1e-12)
 
@@ -93,7 +99,7 @@ def test_kfold_benchmark_true_dgp_prefers_max_lambda():
 def test_kfold_misspecified_benchmark_prefers_min_lambda():
     data = _noisy_line_data(n=400, seed=4, noise=0.1)
     bad = (-30.0, -7.0)  # far from the true line
-    trace = kfold_cv(_line_fold(data, bad, (0, 10), GRID), data, 5, SeededRng(5))
+    trace = kfold_cv(_line_fold(data, bad, (0, 10), GRID), 5, SeededRng(5))
     assert trace.lambda_star == GRID[0]
 
 
@@ -101,15 +107,15 @@ def test_kfold_propagates_fitter_failure_with_fold_id():
     # two identical feature columns: every training fold is singular at lambda = 0
     x = _noisy_line_data(n=20).inputs
     data = Dataset(np.column_stack([x, x]), np.arange(20.0))
-    final = ridge_fold(data, LinearFeatures(2), PenaltySpec([0.0], [0.0, 1.0, 1.0]),
-                       _zero_target)
+    final = RidgeFold.of_sample(data, LinearFeatures(2), PenaltySpec([0.0], [0.0, 1.0, 1.0]),
+                                _zero_target)
     with pytest.raises(CvError, match="fold 0 at lambda=0.0: singular"):
-        kfold_cv(final, data, 4, SeededRng(6))
+        kfold_cv(final, 4, SeededRng(6))
 
 
 def test_cv_trace_lambda_star_attains_minimum():
     data = _noisy_line_data(n=80, seed=7)
-    trace = kfold_cv(_line_fold(data, (1.0, 2.0), (0, 10), GRID), data, 4, SeededRng(8))
+    trace = kfold_cv(_line_fold(data, (1.0, 2.0), (0, 10), GRID), 4, SeededRng(8))
     assert trace.lambda_star == trace.lambda_grid[np.argmin(trace.mean_errors)]
     assert trace.fold_errors.shape == (4, GRID.size)
     assert np.allclose(trace.fold_errors.mean(axis=0), trace.mean_errors)
@@ -119,9 +125,8 @@ def test_forward_cv_near_target_rows_always_validated_never_trained(monkeypatch)
     seen = _record_cv(monkeypatch)
     data = Dataset(np.arange(1.0, 61.0)[:, None], np.zeros(60))
     target = DomainSpec.interval(61.0, 100.0)
-    forward_cv(_line_fold(data, (0.0, 0.0), (1, 100), [0.0, 1.0]), data, 5, target,
-               SeededRng(9))
-    [(_, _, splits)] = seen
+    forward_cv(_line_fold(data, (0.0, 0.0), (1, 100), [0.0, 1.0]), 5, target, SeededRng(9))
+    [(_, splits)] = seen
     near = set(range(51, 61))  # ceil(60/6) = 10 nearest points
     assert splits.kind == "forward" and splits.train.shape[0] == 5
     for s in range(5):
@@ -135,11 +140,11 @@ def test_forward_cv_fold_count_and_guards():
     data = Dataset(np.arange(1.0, 13.0)[:, None], np.zeros(12))
     target = DomainSpec.interval(20.0, 30.0)
     final = _line_fold(data, (0.0, 0.0), (1, 30), [0.0])
-    trace = forward_cv(final, data, 5, target, SeededRng(10))
+    trace = forward_cv(final, 5, target, SeededRng(10))
     assert trace.fold_errors.shape[0] == 5
     # the near-target sixth leaves 10 far-part rows, too few for 11 folds
     with pytest.raises(DataError, match="cannot form 11 folds from 10 far-part rows"):
-        forward_cv(final, data, 11, target, SeededRng(10))
+        forward_cv(final, 11, target, SeededRng(10))
 
 
 def test_rolling_cv_constant_series_zero_error_smallest_lambda():
@@ -149,9 +154,9 @@ def test_rolling_cv_constant_series_zero_error_smallest_lambda():
     data = Dataset(
         np.column_stack([np.ones(T)]), np.full(T, 0.3), time_index=np.arange(T)
     )
-    final = ridge_fold(data, LinearFeatures(1), PenaltySpec([0.5, 1.0, 2.0], WEIGHTS),
-                       _zero_target)
-    trace = rolling_cv(final, data, 10)
+    final = RidgeFold.of_sample(data, LinearFeatures(1), PenaltySpec([0.5, 1.0, 2.0], WEIGHTS),
+                                _zero_target)
+    trace = rolling_cv(final, 10)
     assert np.allclose(trace.mean_errors, 0.0)
     assert trace.lambda_star == 0.5
 
@@ -162,9 +167,9 @@ def test_rolling_cv_window_covering_all_but_last_is_single_holdout(monkeypatch):
     T = 30
     x = gen.normal(size=T)
     data = Dataset(x[:, None], gen.normal(size=T), time_index=np.arange(T))
-    trace = rolling_cv(_line_fold(data, (0.0, 0.0), (-3, 3), [0.0]), data, T - 1)
+    trace = rolling_cv(_line_fold(data, (0.0, 0.0), (-3, 3), [0.0]), T - 1)
     assert trace.fold_errors.shape[0] == 1
-    [(_, _, splits)] = seen
+    [(_, splits)] = seen
     assert [rows.size for rows in split_rows(splits, 0)] == [T - 1, 1]
 
 
@@ -176,8 +181,8 @@ def test_rolling_cv_never_trains_on_future(monkeypatch):
         np.arange(T, dtype=float),
         time_index=np.arange(T),
     )
-    rolling_cv(_line_fold(data, (0.0, 1.0), (0, T), [1.0]), data, 12)
-    [(_, _, splits)] = seen
+    rolling_cv(_line_fold(data, (0.0, 1.0), (0, T), [1.0]), 12)
+    [(_, splits)] = seen
     assert splits.train.shape[0] == T - 12
     for s in range(T - 12):
         train, val = split_rows(splits, s)
@@ -192,14 +197,14 @@ def test_rolling_cv_benchmark_true_series_prefers_large_lambda():
     y = 1.0 + 2.0 * x + 0.8 * gen.normal(size=T)
     data = Dataset(x[:, None], y, time_index=np.arange(T))
     grid = np.array([0.0, 1e8])
-    trace = rolling_cv(_line_fold(data, (1.0, 2.0), (0, 5), grid), data, 24)
+    trace = rolling_cv(_line_fold(data, (1.0, 2.0), (0, 5), grid), 24)
     assert trace.lambda_star == grid[-1]
 
 
 def test_rolling_cv_requires_time_index():
     data = Dataset(np.arange(10.0)[:, None], np.zeros(10))
     with pytest.raises(DataError):
-        rolling_cv(_line_fold(data, (0.0, 0.0), (0, 10), [0.0]), data, 4)
+        rolling_cv(_line_fold(data, (0.0, 0.0), (0, 10), [0.0]), 4)
 
 
 def _study_sample(name):
@@ -215,7 +220,7 @@ def _study_sample(name):
 
 
 @pytest.mark.parametrize("name", ["auction", "demand", "entry-exit"])
-def test_ridge_fold_is_the_standardize_built_fold(name):
+def test_of_sample_is_the_standardize_built_fold(name):
     inputs, fmap = _study_sample(name)
     train = Dataset(inputs, np.random.default_rng(18).normal(size=inputs.shape[0]))
     std, transform = standardize(Dataset(fmap.transform(inputs), train.outcome))
@@ -225,7 +230,8 @@ def test_ridge_fold_is_the_standardize_built_fold(name):
         seen.append(on)
         return np.zeros(fmap.n_features + 1)
 
-    final = ridge_fold(train, fmap, PenaltySpec(GRID, np.ones(fmap.n_features + 1)), theta_m)
+    final = RidgeFold.of_sample(train, fmap, PenaltySpec(GRID, np.ones(fmap.n_features + 1)),
+                                theta_m)
     X = np.column_stack([np.ones(train.n), std.inputs])
     assert np.array_equal(final.G, X.T @ X)
     assert np.array_equal(final.b, X.T @ train.outcome)
@@ -240,28 +246,40 @@ def test_final_fold_and_split_of_one_row_fail_typed():
     with pytest.raises(DataError, match="standardize requires at least two rows"):
         _line_fold(data.subset([2]), (0.0, 0.0), (0, 6), GRID)
     with pytest.raises(CvError, match="window 0: standardize requires at least two rows"):
-        rolling_cv(_line_fold(data, (0.0, 0.0), (0, 6), GRID), data, 1)
+        rolling_cv(_line_fold(data, (0.0, 0.0), (0, 6), GRID), 1)
 
 
 def test_final_fit_on_a_collinear_sample_at_lambda_zero_fails_typed():
     x = np.linspace(0.0, 1.0, 20)
     train = Dataset(np.column_stack([x, 2.0 * x + 1.0]), np.sin(7.0 * x))
-    final = ridge_fold(train, LinearFeatures(2), PenaltySpec(GRID, [0.0, 1.0, 1.0]),
-                       _zero_target)
+    final = RidgeFold.of_sample(train, LinearFeatures(2), PenaltySpec(GRID, [0.0, 1.0, 1.0]),
+                                _zero_target)
     with pytest.raises(SingularPathError) as info:
-        final.fit(CvTrace.from_fold_errors("kfold", GRID, [[0.0, 1.0, 2.0, 3.0]]))
+        final.fit(CvTrace("kfold", GRID, [[0.0, 1.0, 2.0, 3.0]]))
     assert info.value.lam == 0.0
     # a positive penalty makes the same fold regular
-    fit = final.fit(CvTrace.from_fold_errors("kfold", GRID, [[1.0, 0.0, 2.0, 3.0]]))
+    trace = CvTrace("kfold", GRID, [[1.0, 0.0, 2.0, 3.0]])
+    fit = final.fit(trace)
     assert fit.lambda_star == 1.0 and np.isfinite(fit.theta).all()
+    assert fit.trace is trace
+
+
+def test_cv_trace_computes_its_mean_and_takes_the_smallest_tied_lambda():
+    errors = np.array([[3.0, 1.0, 2.0, 1.0], [1.0, 2.0, 1.0, 2.0]])
+    trace = CvTrace("kfold", GRID, errors)
+    # grid points 1 and 3 tie at the minimum mean error 1.5
+    assert np.array_equal(trace.mean_errors, errors.mean(axis=0))
+    assert trace.mean_errors[1] == trace.mean_errors[3] == trace.mean_errors.min()
+    assert trace.lambda_star == GRID[1]
+    assert trace.fold_errors.dtype == trace.lambda_grid.dtype == float
 
 
 def _select_and_fit_on_half(data, line, grid, rng):
     """The select-and-fit step on the second half of ``data``: the final fold,
     5-fold cross-validation of it, and the fit at lambda*."""
-    _, fit_half = partition(data, 2, rng.split(0))
+    fit_half = data.subset(partition_indices(data.n, 2, rng.split(0))[1])
     final = _line_fold(fit_half, line, (0, 10), grid)
-    return final.fit(kfold_cv(final, fit_half, 5, rng.split(3))), fit_half
+    return final.fit(kfold_cv(final, 5, rng.split(3))), fit_half
 
 
 def test_sample_split_lambda_zero_reduces_to_plain_fit():
@@ -311,14 +329,14 @@ def _demand_second_stage():
     ids=["auction", "entry-exit", "demand"],
 )
 def test_second_stage_refits_the_fold_its_cv_refolded(monkeypatch, second_stage, kind):
-    # record the fold, sample and splits of the study's one CV run
+    # record the fold and splits of the study's one CV run
     seen = _record_cv(monkeypatch)
     fit = second_stage()
-    [(final, data, splits)] = seen
-    trace = fit.parts[0]
+    [(final, splits)] = seen
+    trace = fit.trace
     assert isinstance(trace, CvTrace)
     assert fit.lambda_star == trace.lambda_star
-    assert fit.cv == trace.kind == splits.kind == kind
+    assert trace.kind == splits.kind == kind
     # the fold the CV scored made the fit: its own path at lambda* and its theta_m
     lam = trace.lambda_star
     assert np.array_equal(trace.lambda_grid, final.penalty.lambda_grid)
@@ -326,7 +344,7 @@ def test_second_stage_refits_the_fold_its_cv_refolded(monkeypatch, second_stage,
         fit.theta, quadratic_path(final.G, final.b, final.penalty.weights, final.theta_m, [lam])[0])
     assert np.array_equal(fit.theta_m, final.theta_m)
     # which is the per-lambda closed form of the whole sample posed alone
-    reference = closed_form(final, data, np.arange(data.n))[0](lam)
+    reference = closed_form(final, np.arange(final.sample.n))[0](lam)
     assert np.linalg.norm(fit.theta - reference) <= 1e-9 * np.linalg.norm(reference)
     # every split posed the problem it poses alone
-    assert_matches_each_split(final, data, splits, errors=trace.fold_errors)
+    assert_matches_each_split(final, splits, errors=trace.fold_errors)
