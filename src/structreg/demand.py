@@ -18,7 +18,7 @@ quadratic moment-based fit shrunk toward the structural model's demand line.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -210,9 +210,22 @@ def instrument_basis(z: np.ndarray, center, scale) -> np.ndarray:
     The caller must reuse one (center, scale) pair for every basis that
     shares a weight matrix. ``z`` of shape ``(S, n)`` with ``center`` and
     ``scale`` of shape ``(S, 1)`` gives ``S`` blocks at once.
+
+    Column ``j`` is column ``j - 1`` times the rescaled shifter, a running
+    product rather than ``zs**j``: the rescaled shifter has both signs, and
+    numpy's float64 power of a negative base is an order of magnitude slower
+    than a multiplication and differs between its kernels by an ulp. Columns
+    0-2 equal ``zs**j`` bit for bit and the higher ones lie within 2 ulp of
+    it; every column is exactly rounded IEEE arithmetic, so the block is the
+    same whichever power kernel numpy would dispatch to.
     """
     zs = (np.asarray(z, dtype=float) - center) / scale
-    return np.stack([zs**j for j in range(INSTRUMENT_POWERS + 1)], axis=-1)
+    basis = np.empty(zs.shape + (INSTRUMENT_POWERS + 1,))
+    basis[..., 0] = 1.0
+    basis[..., 1] = zs
+    for j in range(2, INSTRUMENT_POWERS + 1):
+        np.multiply(basis[..., j - 1], zs, out=basis[..., j])
+    return basis
 
 
 class GmmFold(RidgeFold):
@@ -311,12 +324,23 @@ def scenario_params(index: int, params: DemandParams) -> tuple[DemandParams, str
 def evaluation_grid(params: DemandParams, rng: SeededRng) -> np.ndarray:
     """Shared price grid: evenly spaced between the 1st and 99th percentile of
     a large reference simulation (fixed reserved stream, so every trial and
-    rerun sees the same grid)."""
-    ref = simulate_markets(
-        replace(params, M=REFERENCE_MARKETS), rng.stream(_GRID_STREAM)
-    )
+    rerun sees the same grid).
+
+    The grid reads only the parameters other than ``M`` (the reference
+    simulation has ``REFERENCE_MARKETS`` markets) and ``rng.base_seed``, not
+    the rng's stream or subkey. It is computed once per process for each of
+    those and returned read-only, so every caller shares one array.
+    """
+    return _reference_grid(replace(params, M=REFERENCE_MARKETS), rng.base_seed)
+
+
+@lru_cache
+def _reference_grid(params: DemandParams, base_seed: int) -> np.ndarray:
+    ref = simulate_markets(params, SeededRng(base_seed).stream(_GRID_STREAM))
     lo, hi = np.percentile(ref.prices, [1.0, 99.0])
-    return np.linspace(lo, hi, EVAL_GRID_POINTS)
+    grid = np.linspace(lo, hi, EVAL_GRID_POINTS)
+    grid.flags.writeable = False
+    return grid
 
 
 def demand_experiment(
@@ -341,6 +365,7 @@ def demand_experiment(
     sim_params, rf_form = scenario_params(scenario, params)
     grid = evaluation_grid(sim_params, rng)
     truth = sim_params.alpha - sim_params.beta * grid
+    grid_points, truth_points = grid.tolist(), truth.tolist()
 
     records: list[tuple] = []
     for trial in range(trials) if trial_indices is None else trial_indices:
@@ -360,14 +385,14 @@ def demand_experiment(
             raise RuntimeError(f"trial {trial} failed: {exc}") from exc
         for name, values in preds.items():
             records.extend(
-                (trial, name, "in", float(x), float(t), float(v))
-                for x, t, v in zip(grid, truth, values)
+                (trial, name, "in", x, t, v)
+                for x, t, v in zip(grid_points, truth_points, values.tolist())
             )
 
     metadata = {
         "scenario": scenario,
         "rf_form": rf_form,
         "params": sim_params.__dict__.copy(),
-        "grid": grid.tolist(),
+        "grid": grid_points,
     }
     return records, metadata

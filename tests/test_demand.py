@@ -3,7 +3,11 @@ import pytest
 from dataclasses import replace
 
 from structreg.data import DataError, Dataset, SeededRng, StandardizeTransform, standardize
+from structreg import demand
 from structreg.demand import (
+    EVAL_GRID_POINTS,
+    INSTRUMENT_POWERS,
+    REFERENCE_MARKETS,
     DemandParams,
     GmmFold,
     MarketData,
@@ -230,6 +234,78 @@ def test_demand_experiment_grid_shared_and_deterministic():
     assert len(meta_a["grid"]) == 100
     xs = sorted({r[3] for r in records_a})
     assert xs == sorted(meta_a["grid"])
+    assert all(type(value) is float for record in records_a for value in record[3:])
+
+
+def test_instrument_basis_is_powers_by_running_products():
+    # a rescaled shifter of both signs, where numpy's power kernels differ
+    z = SeededRng(16).generator().normal(size=20_000)
+    Z = instrument_basis(z, 0.0, 1.0)
+    assert Z.shape == (z.size, INSTRUMENT_POWERS + 1)
+    for j in range(INSTRUMENT_POWERS + 1):
+        powers = z**j
+        if j <= 2:
+            assert np.array_equal(Z[:, j], powers), j
+        else:
+            assert np.all(np.abs(Z[:, j] - powers) <= 2.0 * np.spacing(np.abs(powers))), j
+
+
+def test_instrument_basis_of_a_stack_is_the_basis_of_each_row():
+    z = SeededRng(17).generator().uniform(0.0, 40.0, size=(4, 50))
+    center, scale = z.mean(axis=1, keepdims=True), z.std(axis=1, keepdims=True)
+    stacked = instrument_basis(z, center, scale)
+    for s in range(z.shape[0]):
+        assert np.array_equal(stacked[s], instrument_basis(z[s], center[s], scale[s]))
+
+
+def test_sre_demand_builds_three_instrument_blocks(monkeypatch):
+    # the final fold, the stacked training splits and their held-out rows
+    calls = []
+
+    def counting(z, center, scale):
+        calls.append(np.shape(z))
+        return instrument_basis(z, center, scale)
+
+    monkeypatch.setattr(demand, "instrument_basis", counting)
+    data = simulate_markets(DemandParams(M=400), SeededRng(18))
+    sre_demand(data, SeededRng(18).split(1))
+    assert len(calls) == 3
+
+
+def test_evaluation_grid_is_the_reference_simulation_percentiles():
+    params = DemandParams(lambda_markup=1.0)
+    grid = evaluation_grid(params, SeededRng(19))
+    reference_rng = SeededRng(19).stream(demand._GRID_STREAM)
+    ref = simulate_markets(replace(params, M=REFERENCE_MARKETS), reference_rng)
+    lo, hi = np.percentile(ref.prices, [1.0, 99.0])
+    assert np.array_equal(grid, np.linspace(lo, hi, EVAL_GRID_POINTS))
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0] = 0.0
+
+
+def test_evaluation_grid_reads_only_the_parameters_and_the_base_seed():
+    params = DemandParams()
+    grid = evaluation_grid(params, SeededRng(20))
+    assert evaluation_grid(replace(params, M=37), SeededRng(20, 5, (1, 2))) is grid
+    assert not np.array_equal(evaluation_grid(params, SeededRng(21)), grid)
+    assert not np.array_equal(evaluation_grid(replace(params, lambda_markup=1.0), SeededRng(20)),
+                              grid)
+
+
+def test_demand_experiment_simulates_the_reference_markets_once(monkeypatch):
+    reference_draws = []
+
+    def counting(params, rng):
+        reference_draws.append(params.M == REFERENCE_MARKETS)
+        return simulate_markets(params, rng)
+
+    monkeypatch.setattr(demand, "simulate_markets", counting)
+    demand._reference_grid.cache_clear()
+    first = demand_experiment(4, DemandParams(M=40), ("structural",), trials=2, rng=SeededRng(22))
+    second = demand_experiment(4, DemandParams(M=40), ("structural",), trials=2, rng=SeededRng(22))
+    assert first == second
+    assert reference_draws.count(True) == 1
+    assert reference_draws.count(False) == 4
 
 
 def _markets(z):

@@ -18,6 +18,12 @@ penalty path at the chosen penalty instead of a per-penalty LU solve. Only
 the ``sre`` rows' ``prediction`` column moved, by at most 4.6e-12 relative
 (entry-exit-2; 4.2e-14 or less in the other cases), and with it the
 aggregates, by at most 7.3e-13 (auction-1); no trial's chosen penalty moved.
+``demand-4`` and ``demand-2-all-keys`` were regenerated when the demand
+study's instrument basis became running products of the rescaled cost
+shifter instead of numpy powers. Only their ``sre`` rows moved: the
+``prediction`` column by at most 5.7e-14 relative (demand-4; 7.3e-15 in
+demand-2-all-keys) and the ``sre`` aggregates by at most 4.0e-13; no trial's
+chosen penalty moved.
 A change that should leave results alone must reproduce both files byte for
 byte. The files were made, from the repository root, with::
 
