@@ -24,9 +24,11 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
-import scipy.special
 
+# scipy.special and scipy.integrate are imported inside the functions that
+# use them: only beta-value auctions need them, and importing them costs more
+# than the rest of the package. After the first call an import is one
+# sys.modules lookup.
 from .data import Dataset, DomainSpec, SeededRng, partition_indices
 from .estimators import select_degree_aic
 from .sre import (
@@ -99,6 +101,8 @@ class AuctionData:
 def _beta_logcdf(x, shape: tuple[float, float]) -> np.ndarray:
     # betainc underflows only below ~1e-154 for these shapes; the clip keeps
     # the log finite without touching any value a simulation can produce
+    import scipy.special
+
     cdf = scipy.special.betainc(shape[0], shape[1], np.clip(x, 0.0, 1.0))
     return np.log(np.maximum(cdf, 1e-300))
 
@@ -120,6 +124,8 @@ def equilibrium_bid(
         return (n - 1) / n * v
     if v == 0.0:
         return 0.0
+    import scipy.integrate
+
     log_fv = _beta_logcdf(v, beta_shape)
 
     def integrand(x):
@@ -203,6 +209,9 @@ def simulate_auctions(scenario: AuctionScenario, rng: SeededRng) -> AuctionData:
 def _beta_truth(n: int, beta_shape: tuple[float, float]) -> float:
     # revenue equivalence: the mean of the second-highest value, integrated
     # from its survival function (see the module docstring)
+    import scipy.integrate
+    import scipy.special
+
     def survival(v):
         F = scipy.special.betainc(beta_shape[0], beta_shape[1], v)
         return 1.0 - F**n - n * F ** (n - 1) * (1.0 - F)

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -154,6 +153,9 @@ def run_monte_carlo(config: RunConfig) -> MonteCarloReport:
     if workers == 1:
         records, metadata = _run_slice(config, indices)
     else:
+        # imported here: a sequential run never loads the multiprocessing machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         # plain ints, so pooled records carry the same trial types as sequential ones
         chunks = [tuple(int(i) for i in chunk)
                   for chunk in np.array_split(indices, workers) if len(chunk)]

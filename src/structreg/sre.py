@@ -31,8 +31,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
 
+# scipy.linalg is imported in _penalized_solve, which only the reference
+# solvers sre_ridge and sre_gmm reach: the pipelines solve with numpy alone,
+# and a run that never needs scipy should not pay for importing it.
 from .data import Dataset, StandardizeTransform
 from .estimators import SingularDesignError, solve_least_squares
 
@@ -285,6 +287,8 @@ def quadratic_path(G, b, weights, theta_m, grid) -> np.ndarray:
 
 
 def _penalized_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    import scipy.linalg
+
     try:
         return scipy.linalg.solve(A, b, assume_a="sym")
     except scipy.linalg.LinAlgError as exc:

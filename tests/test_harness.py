@@ -294,12 +294,13 @@ def test_rerun_is_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5", ""])
 def test_sre_threads_must_be_a_positive_integer(monkeypatch, value):
-    import structreg.harness
+    import concurrent.futures
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(structreg.harness, "ProcessPoolExecutor", no_pool)
+    # run_monte_carlo imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setenv("SRE_THREADS", value)
     with pytest.raises(ConfigError, match="SRE_THREADS must be a positive integer"):
         run_monte_carlo(run_config(trials=2))
@@ -329,6 +330,44 @@ def test_cli_import_does_not_load_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_cli_env(), check=True)
     assert proc.stdout.strip() == "False"
+
+
+_LAZY_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from pathlib import Path
+from structreg.cli import main
+
+golden, out = Path(sys.argv[1]), Path(sys.argv[2])
+def run(case):
+    return main(["run", "--config", str(golden / case / "config.yaml"), "--out", str(out / case)])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["validate", "--config", str(path)])
+             for path in sorted(golden.glob("*/config.yaml"))]
+    codes += [run(case) for case in
+              ("auction-1", "demand-4", "entry-exit-2", "entry-exit-1-all-keys")]
+    loaded = sorted(name for name in sys.modules
+                    if name == "scipy" or name.startswith("scipy.")
+                    or name == "concurrent.futures.process")
+    codes.append(run("auction-2-all-keys"))
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_studies_without_beta_values_never_import_scipy(tmp_path):
+    # scipy and the worker pool are imported where a run first computes with
+    # them; a fresh interpreter, since this one has imported scipy for other tests
+    golden = Path(__file__).parent / "golden"
+    env = _cli_env()
+    env.pop("SRE_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", _LAZY_IMPORT_PROBE, str(golden), str(tmp_path)],
+                          capture_output=True, text=True, env=env, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * 11
+    assert result["loaded"] == []
+    # the first beta-value run imports scipy on first use and reproduces its golden files
+    for name in ("summary.csv", "curves.csv"):
+        assert ((tmp_path / "auction-2-all-keys" / name).read_bytes()
+                == (golden / "auction-2-all-keys" / name).read_bytes())
 
 
 def test_cli_run_validate_and_list(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 import scipy.optimize
 
 from structreg.data import Dataset, StandardizeTransform
-from structreg.estimators import fit_ols
+from structreg.estimators import SingularDesignError, fit_ols
 from structreg.sre import (
     LinearFeatures,
     PenaltyError,
@@ -166,6 +166,19 @@ def test_sre_ridge_perturbation_never_improves():
 def test_sre_ridge_rejects_negative_lambda():
     with pytest.raises(PenaltyError):
         sre_ridge(np.eye(2), np.ones(2), np.zeros(2), unit_penalty(2), -1.0)
+
+
+@pytest.mark.parametrize("solver", ["ridge", "gmm"])
+def test_reference_solvers_reject_a_duplicated_column_at_lambda_zero(solver):
+    # every Gram entry is a power of two, so the factorization's second pivot
+    # is exactly zero and the solve fails rather than warns
+    x = np.array([1.0, -1.0, 1.0, -1.0])
+    X, Z, y = np.column_stack([x, x]), np.column_stack([np.ones(4), x]), np.arange(4.0)
+    with pytest.raises(SingularDesignError, match="^singular penalized system$"):
+        if solver == "ridge":
+            sre_ridge(X, y, np.zeros(2), unit_penalty(2), 0.0)
+        else:
+            sre_gmm(X, Z, y, np.linalg.inv(Z.T @ Z), np.zeros(2), unit_penalty(2), 0.0)
 
 
 def test_sre_gmm_reduces_to_2sls_when_just_identified():
