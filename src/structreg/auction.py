@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy.special and scipy.integrate are imported inside the functions that
-# use them: only beta-value auctions need them, and importing them costs more
-# than the rest of the package. After the first call an import is one
-# sys.modules lookup.
+# scipy.special is imported inside the functions that use it: only
+# beta-value auctions need it, and importing it costs more than the rest of
+# the package. After the first call an import is one sys.modules lookup.
+# scipy.integrate is imported by the reference equilibrium_bid alone.
 from .data import Dataset, DomainSpec, SeededRng, partition_indices
 from .estimators import select_degree_aic
 from .sre import (
@@ -42,6 +42,16 @@ from .tuning import RidgeFold, forward_cv
 
 OVERBID_TRUTH_DRAWS = 4_000_000
 BID_QUADRATURE_NODES = 256
+# bid rows per block: bounds the (rows x nodes) arrays of a batch; a multiple
+# of four, so each block starts where the BLAS row groups of one call would
+_BID_BLOCK = 2048
+# the beta truth's double-exponential rule: steps in t, coarsest to finest,
+# the agreement of two successive steps it stops at, and the half-width of
+# its t range (the weight at |t| = 4 is below 1e-35)
+TRUTH_STEP_COARSEST = 2.0**-6
+TRUTH_STEP_FINEST = 2.0**-12
+TRUTH_RTOL = 1e-14
+TRUTH_T_MAX = 4.0
 _OVERBID_TRUTH_SEED = 181_000_001  # fixed: truth values are config-independent
 _OVERBID_BLOCK = 1 << 13  # overbid rows per block: in cache, and one BLAS thread per dot
 
@@ -69,6 +79,10 @@ class AuctionScenario:
             raise ValueError("overbidding is modelled for uniform values only")
         if self.overbid_sigma is not None and not 0.0 <= self.overbid_sigma < np.inf:
             raise ValueError("overbid_sigma must be nonnegative and finite")
+        if len(self.beta_shape) != 2:
+            raise ValueError("beta_shape must have exactly two entries")
+        # a tuple of floats: the beta truth's cache key must be hashable
+        object.__setattr__(self, "beta_shape", tuple(float(a) for a in self.beta_shape))
         if not all(0.0 < a < np.inf for a in self.beta_shape):
             raise ValueError("beta_shape entries must be positive and finite")
         if self.M < 1:
@@ -151,7 +165,8 @@ def _beta_bid_batch(values: np.ndarray, n: int, beta_shape: tuple[float, float])
     ``u = 1 - (1 - s)^2``; the latter clusters quadrature nodes where the
     integrand's mass concentrates (near ``u = 1`` for many bidders), so a
     fixed Gauss-Legendre rule reaches quadrature-level accuracy for the whole
-    batch in one pass. Agrees with :func:`equilibrium_bid` to ~1e-10.
+    batch in one pass, ``_BID_BLOCK`` values at a time. Agrees with
+    :func:`equilibrium_bid` to ~1e-10.
     """
     v = np.asarray(values, dtype=float).ravel()
     s, w = _gl_rule()
@@ -159,11 +174,14 @@ def _beta_bid_batch(values: np.ndarray, n: int, beta_shape: tuple[float, float])
     jacobian = 2.0 * (1.0 - s)
     positive = v > 0.0
     vp = v[positive]
-    log_ratio = (
-        _beta_logcdf(vp[:, None] * u[None, :], beta_shape)
-        - _beta_logcdf(vp, beta_shape)[:, None]
-    )
-    shade = vp * ((np.exp((n - 1) * log_ratio) * jacobian[None, :]) @ w)
+    shade = np.empty_like(vp)
+    for start in range(0, vp.shape[0], _BID_BLOCK):
+        block = vp[start:start + _BID_BLOCK]
+        log_ratio = (
+            _beta_logcdf(block[:, None] * u[None, :], beta_shape)
+            - _beta_logcdf(block, beta_shape)[:, None]
+        )
+        shade[start:start + _BID_BLOCK] = block * ((np.exp((n - 1) * log_ratio) * jacobian) @ w)
     out = np.zeros_like(v)
     out[positive] = vp - shade
     return out
@@ -205,21 +223,51 @@ def simulate_auctions(scenario: AuctionScenario, rng: SeededRng) -> AuctionData:
     return AuctionData(n_bidders, winning)
 
 
+class BetaTruthError(ArithmeticError):
+    """The double-exponential rule did not resolve a beta-value truth."""
+
+
+def _de_nodes(step: float, first: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes ``x``, ``1 - x`` and weights ``dx/dt`` of the double-exponential
+    rule ``x = (1 + tanh(pi/2 sinh t)) / 2`` at ``t = k * step``, ``|t| <= TRUTH_T_MAX``:
+    every ``k`` for the first step, the odd ``k`` (the nodes a halved step adds)
+    after it. ``1 - x`` is formed directly, so it keeps full precision near 1."""
+    last = round(TRUTH_T_MAX / step)
+    t = step * (np.arange(-last, last + 1) if first else np.arange(1 - last, last, 2))
+    e = np.exp(-np.pi * np.sinh(t))
+    x, y = 1.0 / (1.0 + e), e / (1.0 + e)
+    return x, y, np.pi * np.cosh(t) * x * y
+
+
 @functools.lru_cache(maxsize=1024)
 def _beta_truth(n: int, beta_shape: tuple[float, float]) -> float:
-    # revenue equivalence: the mean of the second-highest value, integrated
-    # from its survival function (see the module docstring)
-    import scipy.integrate
+    """Expected second-highest of ``n`` Beta values, the integral over [0, 1]
+    of its survival function ``1 - F^n - n F^(n-1) (1 - F)``.
+
+    The double-exponential (tanh-sinh) rule of Takahasi & Mori (1974) halves
+    its step from ``TRUTH_STEP_COARSEST`` until two successive sums agree to
+    ``TRUTH_RTOL`` relative, and raises :class:`BetaTruthError` when they still
+    differ at ``TRUTH_STEP_FINEST``. ``1 - F`` is ``betainc(b, a, 1 - x)`` at
+    the rule's own ``1 - x``, so nothing cancels near ``v = 1``.
+    """
     import scipy.special
 
-    def survival(v):
-        F = scipy.special.betainc(beta_shape[0], beta_shape[1], v)
-        return 1.0 - F**n - n * F ** (n - 1) * (1.0 - F)
-
-    value, _ = scipy.integrate.quad(
-        survival, 0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=200
+    a, b = beta_shape
+    total, previous, step = 0.0, np.nan, TRUTH_STEP_COARSEST
+    while step >= TRUTH_STEP_FINEST:
+        x, y, w = _de_nodes(step, first=step == TRUTH_STEP_COARSEST)
+        F, G = scipy.special.betainc(a, b, x), scipy.special.betainc(b, a, y)
+        total += (1.0 - F**n - n * F ** (n - 1) * G) @ w
+        value = step * total
+        change = abs(value - previous) / abs(value)
+        if change <= TRUTH_RTOL:
+            return float(value)
+        previous, step = value, step / 2
+    raise BetaTruthError(
+        f"the double-exponential rule did not resolve the beta truth for n = {n}, "
+        f"beta_shape = {beta_shape}: halving the step to {2 * step:g} moved the "
+        f"integral by {change:.2g} relative"
     )
-    return value
 
 
 def _overbid_sample(gen: np.random.Generator, sigma: float, draws: int) -> np.ndarray:
@@ -288,10 +336,13 @@ def true_expected_winning_bid(scenario: AuctionScenario, n: int) -> float:
     """Expected winning bid under the scenario's true mechanism.
 
     Uniform values: exact ``(n - 1) / (n + 1)``. Beta values: by revenue
-    equivalence, the expected second-highest value, one quadrature of its
-    survival function. Overbidding: the plug-in mean of the top of n of
-    ``OVERBID_TRUTH_DRAWS`` Monte Carlo draws with a fixed internal seed, one
-    sweep of the sorted sample for all n (see :func:`overbid_truth_with_se`).
+    equivalence, the expected second-highest value, the integral of its
+    survival function by a double-exponential rule to about 1e-15 relative
+    (:func:`_beta_truth`; :class:`BetaTruthError` for a shape too
+    concentrated for its finest step). Overbidding: the plug-in mean of the
+    top of n of ``OVERBID_TRUTH_DRAWS`` Monte Carlo draws with a fixed
+    internal seed, one sweep of the sorted sample for all n (see
+    :func:`overbid_truth_with_se`).
     """
     if n < 2:
         raise ValueError("need at least two bidders")

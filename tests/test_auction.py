@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -10,6 +14,7 @@ from structreg import auction
 from structreg.auction import (
     OVERBID_TRUTH_DRAWS,
     AuctionScenario,
+    BetaTruthError,
     _beta_bid_batch,
     _beta_truth,
     _order_stat_means,
@@ -74,6 +79,30 @@ def test_beta_bid_batch_matches_quadrature():
         batch = _beta_bid_batch(vs, n, (2.0, 5.0))
         ref = np.array([equilibrium_bid(v, n, "beta") for v in vs])
         assert np.abs(batch - ref).max() < 1e-9
+
+
+_BLOCK_PROBE = """
+import numpy as np
+from structreg.auction import _BID_BLOCK, _beta_bid_batch
+values = np.random.default_rng(4).beta(2.0, 5.0, size=3 * _BID_BLOCK + 123)
+edges = [0, 1000, _BID_BLOCK + 4, 2 * _BID_BLOCK + 516, values.size]
+pieces = [_beta_bid_batch(values[lo:hi], 7, (2.0, 5.0)) for lo, hi in zip(edges, edges[1:])]
+print(np.array_equal(_beta_bid_batch(values, 7, (2.0, 5.0)), np.concatenate(pieces)))
+"""
+
+
+def test_beta_bid_batch_blocks_do_not_change_the_bids():
+    # A call spanning several row blocks against calls on slices whose edges
+    # fall inside blocks. The BLAS matrix-vector product rounds a row by its
+    # place in a group of four rows counted from the start of the call, and
+    # splits a large call between threads, so the slices start at multiples
+    # of four and the BLAS runs one thread, in a fresh interpreter.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = os.path.dirname(os.path.dirname(auction.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _BLOCK_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["True"]
 
 
 def test_bid_monotone_and_shaded():
@@ -296,6 +325,16 @@ def test_from_index_overrides_replace_scenario_fields():
     assert AuctionScenario.from_index(2, beta_shape=(3.0, 3.0)).beta_shape == (3.0, 3.0)
 
 
+def test_beta_shape_becomes_a_tuple_of_two_floats():
+    sc = AuctionScenario(value_dist="beta", beta_shape=[2, 5.0])
+    assert sc.beta_shape == (2.0, 5.0) and all(type(a) is float for a in sc.beta_shape)
+    # a list would be an unhashable key of the cached truth
+    assert true_expected_winning_bid(sc, 5) == true_expected_winning_bid(
+        AuctionScenario.from_index(2), 5)
+    with pytest.raises(ValueError, match="exactly two"):
+        AuctionScenario(value_dist="beta", beta_shape=(2.0, 5.0, 1.0))
+
+
 def test_overbidding_requires_uniform_values():
     # the overbid truth assumes uniform values, so beta values would be
     # scored against the wrong truth
@@ -364,6 +403,33 @@ def test_beta_truth_matches_the_bid_function_by_revenue_equivalence(n, shape):
     oracle, _ = scipy.integrate.quad(winning_bid, 0.0, 1.0, epsabs=1e-11, epsrel=1e-11,
                                      limit=200)
     assert _beta_truth(n, shape) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", range(2, 51))
+def test_beta_truth_of_uniform_values_is_exact(n):
+    assert _beta_truth(n, (1.0, 1.0)) == pytest.approx((n - 1) / (n + 1), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("shape", [(0.3, 0.8), (200.0, 300.0)])
+@pytest.mark.parametrize("n", [2, 5, 30])
+def test_beta_truth_matches_quad_at_u_shaped_and_concentrated_shapes(n, shape):
+    a, b = shape
+
+    def survival(v):
+        F, G = scipy.special.betainc(a, b, v), scipy.special.betainc(b, a, 1.0 - v)
+        return 1.0 - F**n - n * F ** (n - 1) * G
+
+    # the concentrated shape's survival falls from 1 to 0 within a few
+    # hundredths around its mean
+    oracle, _ = scipy.integrate.quad(survival, 0.0, 1.0, points=[a / (a + b)],
+                                     epsabs=1e-14, epsrel=1e-14, limit=500)
+    assert _beta_truth(n, shape) == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+
+def test_beta_truth_names_a_shape_the_rule_cannot_resolve():
+    # Beta(1e6, 1e6) has standard deviation 3.5e-4, below the finest step's reach
+    with pytest.raises(BetaTruthError, match=r"n = 2, beta_shape = \(1000000.0, 1000000.0\)"):
+        _beta_truth(2, (1e6, 1e6))
 
 
 def test_auction_experiment_names_the_failing_trial(monkeypatch):
