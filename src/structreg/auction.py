@@ -31,6 +31,7 @@ import numpy as np
 # scipy.integrate is imported by the reference equilibrium_bid alone.
 from .data import Dataset, DomainSpec, SeededRng, partition_indices
 from .estimators import select_degree_aic
+from .metrics import _run_trials
 from .sre import (
     PenaltySpec,
     PolynomialFeatures,
@@ -414,29 +415,20 @@ def auction_experiment(
     """Monte Carlo comparison of the three estimators on one auction scenario.
 
     Per trial: simulate training auctions on the in-domain bidder range, fit
-    each requested estimator, and record predicted expected winning bids on
-    the integer in-domain and out-of-domain grids against the true values.
-
-    Returns
-    -------
-    (records, metadata)
-        ``records`` rows are ``(trial, estimator, domain, x, truth,
-        prediction)``; ``metadata`` documents grids and truth standard errors.
+    each requested estimator, and predict expected winning bids on the
+    integer in-domain and out-of-domain bidder grids. Returns the curve
+    records of :func:`structreg.metrics._run_trials` and metadata holding the
+    grids and, with overbidding, the truth's standard errors.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = rng if rng is not None else SeededRng(0)
-    grid_in = np.arange(scenario.n_range_train[0], scenario.n_range_train[1] + 1)
-    grid_out = np.arange(scenario.n_range_test[0], scenario.n_range_test[1] + 1)
-    truth_in = np.array([true_expected_winning_bid(scenario, int(n)) for n in grid_in])
-    truth_out = np.array([true_expected_winning_bid(scenario, int(n)) for n in grid_out])
 
-    records: list[tuple] = []
-    for trial in range(trials) if trial_indices is None else trial_indices:
-        trial_rng = rng.stream(trial)
-        try:
-            data = simulate_auctions(scenario, trial_rng.split(0))
-            supervised = data.to_dataset()
+    def setup(rng):
+        grids = {"in": np.arange(scenario.n_range_train[0], scenario.n_range_train[1] + 1),
+                 "out": np.arange(scenario.n_range_test[0], scenario.n_range_test[1] + 1)}
+        truth = {domain: [true_expected_winning_bid(scenario, int(n)) for n in grid]
+                 for domain, grid in grids.items()}
+
+        def trial(trial_rng):
+            supervised = simulate_auctions(scenario, trial_rng.split(0)).to_dataset()
             fits = {}
             if "statistical" in estimators:
                 fits["statistical"] = select_degree_aic(
@@ -446,27 +438,15 @@ def auction_experiment(
             if "sre" in estimators:
                 fits["sre"] = sre_auction(supervised, scenario, trial_rng.split(1), lambda_grid,
                                           forward_K).predict
-            for name, predictor in fits.items():
-                for domain, grid, truth in (
-                    ("in", grid_in, truth_in),
-                    ("out", grid_out, truth_out),
-                ):
-                    preds = np.asarray(predictor(grid.astype(float)[:, None])).ravel()
-                    records.extend(
-                        (trial, name, domain, float(x), float(t), float(p))
-                        for x, t, p in zip(grid, truth, preds)
-                    )
-        except Exception as exc:
-            raise RuntimeError(f"trial {trial} failed: {exc}") from exc
+            return truth, {name: {domain: predictor(grid.astype(float)[:, None])
+                                  for domain, grid in grids.items()}
+                           for name, predictor in fits.items()}
 
-    metadata = {
-        "scenario": scenario.__dict__.copy(),
-        "grid_in": grid_in.tolist(),
-        "grid_out": grid_out.tolist(),
-    }
-    if scenario.overbid_sigma is not None:
-        metadata["truth_mc_se"] = {
-            int(n): overbid_truth_with_se(scenario, int(n))[1]
-            for n in np.concatenate([grid_in, grid_out])
-        }
-    return records, metadata
+        metadata = {"scenario": scenario.__dict__.copy(),
+                    "grid_in": grids["in"].tolist(), "grid_out": grids["out"].tolist()}
+        if scenario.overbid_sigma is not None:
+            metadata["truth_mc_se"] = {int(n): overbid_truth_with_se(scenario, int(n))[1]
+                                       for n in np.concatenate(list(grids.values()))}
+        return grids, trial, metadata
+
+    return _run_trials(trials, rng, trial_indices, setup)

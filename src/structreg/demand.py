@@ -24,6 +24,7 @@ import numpy as np
 
 from .data import Dataset, SeededRng, partition_indices, stacked_standardization
 from .estimators import LinearFit, SingularDesignError, fit_2sls, solve_least_squares
+from .metrics import _run_trials
 from .sre import (
     PenaltySpec,
     PolynomialFeatures,
@@ -354,23 +355,18 @@ def demand_experiment(
 ) -> tuple[list[tuple], dict]:
     """Monte Carlo comparison of demand-curve estimators on one scenario.
 
-    All comparisons are in-domain: fitted demand curves are scored against
-    the true line ``alpha - beta * p`` on a common price grid spanning the
-    simulated price distribution.
+    Per trial: simulate the markets, fit each requested estimator, and score
+    its demand curve against the true line ``alpha - beta * p`` on the
+    common price grid (all in-domain).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = rng if rng is not None else SeededRng(0)
-    params = params if params is not None else DemandParams()
-    sim_params, rf_form = scenario_params(scenario, params)
-    grid = evaluation_grid(sim_params, rng)
-    truth = sim_params.alpha - sim_params.beta * grid
-    grid_points, truth_points = grid.tolist(), truth.tolist()
 
-    records: list[tuple] = []
-    for trial in range(trials) if trial_indices is None else trial_indices:
-        trial_rng = rng.stream(trial)
-        try:
+    def setup(rng):
+        sim_params, rf_form = scenario_params(
+            scenario, params if params is not None else DemandParams())
+        grid = evaluation_grid(sim_params, rng)
+        truth = {"in": sim_params.alpha - sim_params.beta * grid}
+
+        def trial(trial_rng):
             data = simulate_markets(sim_params, trial_rng.split(0))
             preds: dict[str, np.ndarray] = {}
             if "rf" in estimators:
@@ -381,18 +377,10 @@ def demand_experiment(
             if "sre" in estimators:
                 fit = sre_demand(data, trial_rng.split(1), lambda_grid=lambda_grid)
                 preds["sre"] = fit.predict(grid[:, None])
-        except Exception as exc:
-            raise RuntimeError(f"trial {trial} failed: {exc}") from exc
-        for name, values in preds.items():
-            records.extend(
-                (trial, name, "in", x, t, v)
-                for x, t, v in zip(grid_points, truth_points, values.tolist())
-            )
+            return truth, {name: {"in": values} for name, values in preds.items()}
 
-    metadata = {
-        "scenario": scenario,
-        "rf_form": rf_form,
-        "params": sim_params.__dict__.copy(),
-        "grid": grid_points,
-    }
-    return records, metadata
+        metadata = {"scenario": scenario, "rf_form": rf_form,
+                    "params": sim_params.__dict__.copy(), "grid": grid.tolist()}
+        return {"in": grid}, trial, metadata
+
+    return _run_trials(trials, rng, trial_indices, setup)

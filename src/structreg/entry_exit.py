@@ -39,6 +39,7 @@ from .estimators import (
     select_arx_order_aic,
     solve_least_squares,
 )
+from .metrics import _run_trials
 from .sre import LinearFeatures, PenaltySpec, SREFit, default_lambda_grid, fit_theta_m
 from .tuning import RidgeFold, rolling_cv
 
@@ -533,74 +534,55 @@ def entry_exit_experiment(
     firms), fit the ARX baseline and the foresight structural model on the
     merged panel, fit the regularized ARX on the halves, and score one-step-
     ahead share predictions (realized lags) against the regime's expected
-    path, in-domain and out-of-domain.
+    path of that trial, in-domain and out-of-domain.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime: {regime}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = rng if rng is not None else SeededRng(0)
     rpath = rpath if rpath is not None else RPathSpec()
     T, T_train = params.t_total, params.t_train
+    periods = {"in": (PREDICTION_START, T_train), "out": (T_train + 1, T)}
 
-    records: list[tuple] = []
-    for trial in range(trials) if trial_indices is None else trial_indices:
-        trial_rng = rng.stream(trial)
-        try:
-            R_path = draw_profit_path(rpath, T, trial_rng.split(0))
-            regime_p = regime_ccps(regime, params, R_path)
-            truth = _propagate_shares(regime_p, 0.5)
-            panel_a, panel_b = (
-                simulate_market(regime_p, R_path, params.n_firms // 2, trial_rng.split(stream))
-                for stream in (1, 2)
-            )
-            panel = merge_panels(panel_a, panel_b)
-            shares_full = panel.shares_with_initial()
+    def by_domain(series: np.ndarray) -> dict[str, np.ndarray]:
+        """A series over periods 1..T split into its scored periods per domain."""
+        return {domain: series[lo - 1:hi] for domain, (lo, hi) in periods.items()}
 
-            preds: dict[str, np.ndarray] = {}
-            if "statistical" in estimators:
-                arx = select_arx_order_aic(
-                    shares_full[1 : T_train + 1],
-                    R_path[:T_train],
-                    STAT_EXOG_ORDERS,
-                    STAT_AR_ORDERS,
-                )
-                full = np.full(T + 1, np.nan)
-                # R carries a placeholder for the initial state, as y does
-                full[arx.ar_order:] = arx.predict_series(shares_full,
-                                                         np.concatenate([[np.nan], R_path]))
-                preds["statistical"] = full[1:]
-            if "structural" in estimators:
-                est = estimate_ccp_euler(panel.truncate(T_train), params.discount)
-                bench_full = DdcBenchmark.from_estimates(est, params.discount, R_path)
-                preds["structural"] = bench_full.step_shares(shares_full[:-1])
-            if "sre" in estimators:
-                sre_fit = sre_entry_exit(
-                    panel_a.truncate(T_train),
-                    panel_b.truncate(T_train),
-                    params.discount,
-                    R_path,
-                    trial_rng.split(3),
-                    lambda_grid=lambda_grid,
-                )
-                rows = arx_feature_rows(shares_full, R_path, *SRE_ARX_ORDERS)
-                full = np.full(T + 1, np.nan)
-                full[rows.time_index] = sre_fit.predict(rows.inputs)
-                preds["sre"] = full[1:]
-        except Exception as exc:
-            raise RuntimeError(f"trial {trial} failed: {exc}") from exc
+    def trial(trial_rng):
+        R_path = draw_profit_path(rpath, T, trial_rng.split(0))
+        regime_p = regime_ccps(regime, params, R_path)
+        truth = _propagate_shares(regime_p, 0.5)
+        panel_a, panel_b = (
+            simulate_market(regime_p, R_path, params.n_firms // 2, trial_rng.split(stream))
+            for stream in (1, 2)
+        )
+        panel = merge_panels(panel_a, panel_b)
+        shares_full = panel.shares_with_initial()
 
-        for name, series in preds.items():
-            for domain, lo, hi in (("in", PREDICTION_START, T_train), ("out", T_train + 1, T)):
-                for t in range(lo, hi + 1):
-                    records.append(
-                        (trial, name, domain, float(t), float(truth[t - 1]), float(series[t - 1]))
-                    )
+        preds: dict[str, np.ndarray] = {}
+        if "statistical" in estimators:
+            arx = select_arx_order_aic(shares_full[1 : T_train + 1], R_path[:T_train],
+                                       STAT_EXOG_ORDERS, STAT_AR_ORDERS)
+            full = np.full(T + 1, np.nan)
+            # R carries a placeholder for the initial state, as y does
+            full[arx.ar_order:] = arx.predict_series(shares_full,
+                                                     np.concatenate([[np.nan], R_path]))
+            preds["statistical"] = full[1:]
+        if "structural" in estimators:
+            est = estimate_ccp_euler(panel.truncate(T_train), params.discount)
+            bench_full = DdcBenchmark.from_estimates(est, params.discount, R_path)
+            preds["structural"] = bench_full.step_shares(shares_full[:-1])
+        if "sre" in estimators:
+            sre_fit = sre_entry_exit(panel_a.truncate(T_train), panel_b.truncate(T_train),
+                                     params.discount, R_path, trial_rng.split(3),
+                                     lambda_grid=lambda_grid)
+            rows = arx_feature_rows(shares_full, R_path, *SRE_ARX_ORDERS)
+            full = np.full(T + 1, np.nan)
+            full[rows.time_index] = sre_fit.predict(rows.inputs)
+            preds["sre"] = full[1:]
+        return by_domain(truth), {name: by_domain(series) for name, series in preds.items()}
 
-    metadata = {
-        "regime": regime,
-        "params": params.__dict__.copy(),
-        "rpath": (rpath.__dict__.copy() if rpath else None),
-        "prediction_start": PREDICTION_START,
-    }
-    return records, metadata
+    def setup(rng):
+        metadata = {"regime": regime, "params": params.__dict__.copy(),
+                    "rpath": rpath.__dict__.copy(), "prediction_start": PREDICTION_START}
+        return by_domain(np.arange(1, T + 1)), trial, metadata
+
+    return _run_trials(trials, rng, trial_indices, setup)

@@ -1,9 +1,9 @@
 """Monte Carlo orchestration, report assembly, and result persistence.
 
-A run is fully determined by its config and seed: trial r draws from rng
-stream r, trials are merged in index order regardless of execution order, and
-the emitted ``summary.csv`` / ``curves.csv`` are byte-identical across
-reruns. Timestamps and wall time live only in ``report.json`` metadata. The
+A run is fully determined by its config and seed (the per-trial contract is
+that of the trial driver, :func:`structreg.metrics._run_trials`), so the
+emitted ``summary.csv`` / ``curves.csv`` are byte-identical across reruns.
+Timestamps and wall time live only in ``report.json`` metadata. The
 ``SRE_THREADS`` environment variable caps worker processes (default 1,
 sequential).
 """

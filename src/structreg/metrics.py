@@ -8,6 +8,9 @@ pointwise MSE is the trial average squared error; the reported
 bias/variance/MSE average those over the evaluation points. Because
 the bias uses absolute errors, MSE = bias^2 + variance does not hold; the
 identity MSE = variance + mean squared (signed) error does.
+
+The three studies produce their records through one trial driver,
+:func:`_run_trials`.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .data import SeededRng
 
 
 class MetricsError(ValueError):
@@ -31,6 +36,48 @@ class AggregateRow:
     variance: float
     mse: float
     trials: int
+
+
+def _run_trials(trials: int, rng: SeededRng | None, trial_indices, setup
+                ) -> tuple[list[tuple], dict]:
+    """Run a study's trials and return ``(records, metadata)``.
+
+    ``setup(rng)`` runs the study's trial-independent set-up once and returns
+    ``(points, trial, metadata)``: the evaluation points per domain, and a
+    function from a trial's rng to its truth per domain and its predictions
+    per estimator and domain.
+
+    The run contract: trial r draws from stream r of the run's rng (default
+    ``SeededRng(0)``) and from nothing else, so it gives the same records in
+    any slice of ``trial_indices`` (default ``range(trials)``); records come
+    in the order of those indices, and the harness merges slices in index
+    order; a failure anywhere in trial r, record building included, is
+    raised as a ``RuntimeError`` named ``trial r failed``.
+    """
+    # Private, like the studies' trial functions: the benchmark's outside
+    # tracer wraps every public function and counts a trial per simulate call
+    # directly under a ``*_experiment`` span, so a public driver would hide them.
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = rng if rng is not None else SeededRng(0)
+    points, run_trial, metadata = setup(rng)
+    points = {domain: _floats(x) for domain, x in points.items()}
+    records: list[tuple] = []
+    for trial in range(trials) if trial_indices is None else trial_indices:
+        try:
+            truth, predictions = run_trial(rng.stream(trial))
+            truth = {domain: _floats(values) for domain, values in truth.items()}
+            for estimator, by_domain in predictions.items():
+                for domain, x in points.items():
+                    records.extend((trial, estimator, domain, *point) for point in zip(
+                        x, truth[domain], _floats(by_domain[domain])))
+        except Exception as exc:
+            raise RuntimeError(f"trial {trial} failed: {exc}") from exc
+    return records, metadata
+
+
+def _floats(values) -> list[float]:
+    return np.asarray(values, dtype=float).ravel().tolist()
 
 
 def sort_curves(records) -> list[tuple]:

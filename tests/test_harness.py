@@ -10,12 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from structreg.auction import AuctionScenario, auction_experiment
 from structreg.config import (
     ConfigError,
     RunConfig,
     config_from_mapping,
     load_config,
 )
+from structreg.demand import demand_experiment
+from structreg.entry_exit import DdcParams, entry_exit_experiment
 from structreg.harness import (
     CURVES_HEADER,
     MonteCarloReport,
@@ -595,10 +598,11 @@ def test_partial_demand_block_starts_from_the_study_defaults(tmp_path):
 
 @pytest.mark.parametrize(
     "config",
-    [{"experiment": "entry-exit", "scenario": 2, "trials": 2, "base_seed": 3,
+    [{"experiment": "auction", "scenario": 2, "trials": 3, "base_seed": 3, "auction": {"M": 40}},
+     {"experiment": "entry-exit", "scenario": 2, "trials": 2, "base_seed": 3,
       "entry_exit": {"n_firms": 2000}},
      {"experiment": "demand", "scenario": 4, "trials": 3, "base_seed": 3}],
-    ids=["entry-exit", "demand"],
+    ids=["auction", "entry-exit", "demand"],
 )
 def test_two_worker_pool_matches_sequential_bytes(tmp_path, monkeypatch, config):
     monkeypatch.delenv("SRE_THREADS", raising=False)
@@ -627,3 +631,20 @@ def test_failing_trial_in_worker_pool_is_named_and_writes_no_outputs(tmp_path, m
     error = json.loads(capsys.readouterr().err.strip())["error"]
     assert "trial 2 failed" in error and "nonpositive price or quantity" in error
     assert not (out / "summary.csv").exists() and not (out / "curves.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, args",
+    [(auction_experiment, (AuctionScenario.from_index(1),)),
+     (entry_exit_experiment, ("adaptive", DdcParams())),
+     (demand_experiment, (1,))],
+    ids=["auction", "entry-exit", "demand"],
+)
+def test_every_experiment_needs_at_least_one_trial(experiment, args):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        experiment(*args, trials=0)
+
+
+def test_entry_exit_experiment_rejects_an_unknown_regime():
+    with pytest.raises(ValueError, match="unknown regime: rational"):
+        entry_exit_experiment("rational", DdcParams(), trials=1)
