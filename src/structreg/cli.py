@@ -13,6 +13,7 @@ import sys
 from .config import (
     ESTIMATOR_CHOICES,
     EXPERIMENTS,
+    REQUIRED_KEYS,
     SCENARIO_CHOICES,
     ConfigError,
     config_from_mapping,
@@ -57,7 +58,7 @@ def _merged_config(args: argparse.Namespace):
     for key, value in overrides.items():
         if value is not None:
             base[key] = value
-    missing = [k for k in ("experiment", "scenario", "trials", "base_seed") if k not in base]
+    missing = [k for k in REQUIRED_KEYS if k not in base]
     if missing:
         raise ConfigError(
             "missing required settings (pass flags or a config file): " + ", ".join(missing)

@@ -1,21 +1,25 @@
-"""Run configuration: schema-validated experiment settings.
+"""Run configuration: type-checked experiment settings.
 
-Configs are plain nested mappings read from YAML or JSON files. Unknown keys
-are rejected so typos fail loudly, and the canonical serialized form (sorted
-keys) doubles as the reproducibility snapshot written next to results.
+Configs are plain nested mappings read from YAML or JSON files. Every key is
+checked against :data:`CONFIG_KEYS`, so typos and values of the wrong type
+fail loudly, and the canonical serialized form (sorted keys) doubles as the
+reproducibility snapshot written next to results. Config checks only the
+bounds no study checks; the ranges of a study block's keys are checked by the
+study's parameter classes, which :func:`structreg.harness.configured_study`
+builds for ``structreg validate`` and ``structreg run`` alike.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import jsonschema
 import yaml
 
 EXPERIMENTS = ("auction", "entry-exit", "demand")
+REQUIRED_KEYS = ("experiment", "scenario", "trials", "base_seed")
 
 ESTIMATOR_CHOICES = {
     "auction": ("statistical", "structural", "sre"),
@@ -29,82 +33,38 @@ SCENARIO_CHOICES = {
     "demand": (1, 2, 3, 4),
 }
 
-# entry-exit scenario indices follow the experiment ordering of the study
-# design: 1 = perfect foresight, 2 = adaptive expectations, 3 = myopic.
-ENTRY_EXIT_REGIMES = {1: "perfect_foresight", 2: "adaptive", 3: "myopic"}
-
 # the optional blocks each experiment reads (cv.K is the auction forward-CV fold count)
 STUDY_BLOCKS = {"auction": ("auction", "cv"), "entry-exit": ("entry_exit",), "demand": ("demand",)}
 AUCTION_SCENARIO_KEYS = {"beta_shape": 2, "overbid_sigma": 3}  # keys one scenario reads
 
-_NUMBER = {"type": "number"}
-_INT = {"type": "integer"}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["experiment", "scenario", "trials", "base_seed"],
-    "properties": {
-        "experiment": {"type": "string", "enum": list(EXPERIMENTS)},
-        "scenario": _INT,
-        "trials": {"type": "integer", "minimum": 1},
-        "base_seed": {"type": "integer", "minimum": 0},
-        "estimators": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-        "lambda_grid": {"type": "array", "items": _NUMBER, "minItems": 1},
-        "cv": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"K": {"type": "integer", "minimum": 2}},
-        },
-        "auction": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "M": {"type": "integer", "minimum": 1},
-                "n_train": {"type": "array", "items": _INT, "minItems": 2, "maxItems": 2},
-                "n_test": {"type": "array", "items": _INT, "minItems": 2, "maxItems": 2},
-                "overbid_sigma": _NUMBER,
-                "beta_shape": {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2},
-            },
-        },
-        "entry_exit": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "mu": _NUMBER,
-                "alpha": _NUMBER,
-                "entry_cost": {"type": "number", "minimum": 0},
-                "discount": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "n_firms": {"type": "integer", "minimum": 2},
-                "t_total": {"type": "integer", "minimum": 2},
-                "t_train": {"type": "integer", "minimum": 1},
-                "r0": _NUMBER,
-                "trend": _NUMBER,
-                "ar_coef": {"type": "number", "exclusiveMinimum": -1, "exclusiveMaximum": 1},
-                "innovation_sd": {"type": "number", "minimum": 0},
-            },
-        },
-        "demand": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "alpha": _NUMBER,
-                "beta": {"type": "number", "exclusiveMinimum": 0},
-                "a": _NUMBER,
-                "b": _NUMBER,
-                "lambda_markup": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "z_low": _NUMBER,
-                "z_high": _NUMBER,
-                "eps_sd": {"type": "number", "minimum": 0},
-                "M": {"type": "integer", "minimum": 1},
-            },
-        },
+# the accepted keys and the kind of value each takes: a kind of _KINDS, a
+# ("pair" | "list", kind) tuple for a list of two or of at least one such
+# values, or the keys of a block
+CONFIG_KEYS = {
+    "experiment": "string",
+    "scenario": "integer",
+    "trials": "integer",
+    "base_seed": "integer",
+    "estimators": ("list", "string"),
+    "lambda_grid": ("list", "number"),
+    "cv": {"K": "integer"},
+    "auction": {"M": "integer", "n_train": ("pair", "integer"), "n_test": ("pair", "integer"),
+                "overbid_sigma": "number", "beta_shape": ("pair", "number")},
+    "entry_exit": {
+        **dict.fromkeys(("mu", "alpha", "entry_cost", "discount"), "number"),
+        **dict.fromkeys(("n_firms", "t_total", "t_train"), "integer"),
+        **dict.fromkeys(("r0", "trend", "ar_coef", "innovation_sd"), "number"),
     },
+    "demand": {**dict.fromkeys(("alpha", "beta", "a", "b", "lambda_markup", "z_low", "z_high",
+                                "eps_sd"), "number"), "M": "integer"},
 }
 
-
-# built once: jsonschema.validate would re-check the schema itself on every call
-_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+# kind: (test of a value, what the value must be); bools are not numbers here
+_KINDS = {
+    "integer": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "number": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+}
 
 
 class ConfigError(ValueError):
@@ -143,43 +103,53 @@ class RunConfig:
             object.__setattr__(self, "estimators", ESTIMATOR_CHOICES[self.experiment])
 
     def to_mapping(self) -> dict:
-        out = {
-            "experiment": self.experiment,
-            "scenario": self.scenario,
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "estimators": list(self.estimators),
-        }
-        if self.lambda_grid is not None:
-            out["lambda_grid"] = list(self.lambda_grid)
-        for key in ("cv", "auction", "entry_exit", "demand"):
-            block = getattr(self, key)
-            if block:
-                out[key] = dict(block)
-        return out
+        """The raw mapping of this config, without an unset grid or empty blocks."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {key: list(value) if isinstance(value, tuple) else
+                dict(value) if isinstance(value, dict) else value
+                for key, value in out.items() if value is not None and value != {}}
 
 
-def _non_finite_paths(value, path: str = ""):
-    """Key paths of the non-finite numbers (YAML ``.inf``, ``.nan``) in a parsed config."""
-    if isinstance(value, float) and not math.isfinite(value):
-        yield path
-    if isinstance(value, (dict, list)):
-        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
-            yield from _non_finite_paths(item, f"{path}.{key}" if path else str(key))
+def _check_keys(raw: dict, keys: dict, prefix: str = "") -> None:
+    """Reject a key that ``keys`` does not name, or a value not of its kind."""
+    for key, value in raw.items():
+        path, kind = f"{prefix}{key}", keys.get(key)
+        if kind is None:
+            raise ConfigError(f"unknown config key: {path}")
+        if isinstance(kind, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"invalid config value at {path}: must be a mapping")
+            _check_keys(value, kind, f"{path}.")
+            continue
+        items = [(path, value)]
+        if isinstance(kind, tuple):
+            shape, kind = kind
+            if not isinstance(value, list) or not (len(value) == 2 if shape == "pair" else value):
+                what = "a list of two" if shape == "pair" else "a nonempty list of"
+                raise ConfigError(f"invalid config value at {path}: must be {what} {kind}s")
+            items = [(f"{path}.{i}", item) for i, item in enumerate(value)]
+        test, what = _KINDS[kind]
+        for item_path, item in items:
+            if not test(item):
+                raise ConfigError(f"invalid config value at {item_path}: must be {what}")
+            if isinstance(item, float) and not math.isfinite(item):  # YAML .inf and .nan
+                raise ConfigError(f"invalid config value at {item_path}: must be finite")
 
 
 def validate_mapping(raw: dict) -> None:
-    """Schema-check a raw config mapping; errors name the offending key."""
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
-    if error is not None:
-        if error.validator == "additionalProperties":
-            raise ConfigError(f"unknown config key: {error.message}") from error
-        path = ".".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"invalid config value at {path}: {error.message}") from error
-    path = next(_non_finite_paths(raw), None)
-    if path is not None:
-        raise ConfigError(f"invalid config value at {path}: must be finite")
+    """Check a raw config mapping; errors name the offending key."""
+    _check_keys(raw, CONFIG_KEYS)
+    missing = [key for key in REQUIRED_KEYS if key not in raw]
+    if missing:
+        raise ConfigError("missing config keys: " + ", ".join(missing))
+    K = raw.get("cv", {}).get("K", 2)  # the bounds no study checks; cv.K may be unset
+    for path, value, least in (("trials", raw["trials"], 1), ("base_seed", raw["base_seed"], 0),
+                               ("cv.K", K, 2)):
+        if value < least:
+            raise ConfigError(f"invalid config value at {path}: must be >= {least}")
     experiment = raw["experiment"]
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(f"invalid config value at experiment: must be one of {EXPERIMENTS}")
     if raw["scenario"] not in SCENARIO_CHOICES[experiment]:
         raise ConfigError(
             f"scenario {raw['scenario']} invalid for {experiment}; "
@@ -194,11 +164,14 @@ def validate_mapping(raw: dict) -> None:
                 f"config key 'auction.{key}' applies only to auction scenario {scenario}"
             )
     allowed = set(ESTIMATOR_CHOICES[experiment])
-    for name in raw.get("estimators", []):
+    estimators = raw.get("estimators", [])
+    for name in estimators:
         if name not in allowed:
             raise ConfigError(
                 f"unknown estimator {name!r} for {experiment}; choose from {sorted(allowed)}"
             )
+    if len(set(estimators)) != len(estimators):
+        raise ConfigError("estimators must name each estimator once")
     grid = raw.get("lambda_grid")
     if grid is not None:
         if any(v < 0 for v in grid) or sorted(grid) != list(grid) or len(set(grid)) != len(grid):
@@ -207,18 +180,10 @@ def validate_mapping(raw: dict) -> None:
 
 def config_from_mapping(raw: dict) -> RunConfig:
     validate_mapping(raw)
-    return RunConfig(
-        experiment=raw["experiment"],
-        scenario=int(raw["scenario"]),
-        trials=int(raw["trials"]),
-        base_seed=int(raw["base_seed"]),
-        estimators=tuple(raw.get("estimators", ())),
-        lambda_grid=tuple(raw["lambda_grid"]) if "lambda_grid" in raw else None,
-        cv=dict(raw.get("cv", {})),
-        auction=dict(raw.get("auction", {})),
-        entry_exit=dict(raw.get("entry_exit", {})),
-        demand=dict(raw.get("demand", {})),
-    )
+    # the keys of CONFIG_KEYS are the fields of RunConfig
+    return RunConfig(**{key: tuple(value) if isinstance(value, list) else
+                        dict(value) if isinstance(value, dict) else value
+                        for key, value in raw.items()})
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -77,8 +77,10 @@ class DemandParams:
             raise ValueError("lambda_markup must lie in (0, 1]")
         if self.z_high < self.z_low:
             raise ValueError("z interval is empty")
-        if self.eps_sd < 0.0 or self.M < 1:
-            raise ValueError("invalid noise scale or market count")
+        if self.eps_sd < 0.0:
+            raise ValueError("eps_sd must be nonnegative")
+        if self.M < 1:
+            raise ValueError("M must be >= 1")
 
 
 @dataclass(frozen=True)

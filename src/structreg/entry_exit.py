@@ -46,6 +46,8 @@ from .tuning import RidgeFold, rolling_cv
 EULER_GAMMA = float(np.euler_gamma)
 VALUE_TOL = 1e-12
 NEWTON_STEPS = 100
+# the entry/exit scenario indices 1, 2, 3 follow the experiment ordering of the
+# study design: perfect foresight, adaptive expectations, myopic
 REGIMES = ("perfect_foresight", "adaptive", "myopic")
 
 
@@ -88,11 +90,11 @@ class DdcParams(PayoffParams):
     def __post_init__(self):
         super().__post_init__()
         if self.entry_cost < 0.0:
-            raise ValueError("entry cost must be nonnegative")
+            raise ValueError("entry_cost must be nonnegative")
         if self.t_train >= self.t_total:
             raise ValueError("t_train must be smaller than t_total")
         if self.n_firms < 2:
-            raise ValueError("need at least two firms")
+            raise ValueError("n_firms must be >= 2")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .auction import FORWARD_K, AuctionScenario, auction_experiment
-from .config import ENTRY_EXIT_REGIMES, ConfigError, RunConfig
+from .config import ConfigError, RunConfig
 from .data import SeededRng, forward_far_rows
 from .demand import (
     CV_FOLDS,
@@ -33,7 +33,7 @@ from .demand import (
     DemandParams,
     demand_experiment,
 )
-from .entry_exit import PREDICTION_START, DdcParams, RPathSpec, entry_exit_experiment
+from .entry_exit import PREDICTION_START, REGIMES, DdcParams, RPathSpec, entry_exit_experiment
 from .metrics import AggregateRow, metrics, sort_curves
 from .tuning import FORWARD_FRACTION
 
@@ -98,8 +98,7 @@ def configured_study(config: RunConfig):
             if params.t_train < PREDICTION_START:
                 raise ValueError(f"entry_exit.t_train = {params.t_train} ends training before "
                                  f"period {PREDICTION_START}, the first one scored")
-            regime = ENTRY_EXIT_REGIMES[config.scenario]
-            return entry_exit_experiment, (regime, params), {"rpath": rpath}
+            return entry_exit_experiment, (REGIMES[config.scenario - 1], params), {"rpath": rpath}
         params = _from_block(DemandParams, config.demand)
         if "structural" in config.estimators and params.M < STRUCTURAL_MIN_MARKETS:
             raise ValueError(f"demand.M = {params.M} is fewer than the "

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from structreg.auction import AuctionScenario, auction_experiment
 from structreg.config import (
@@ -148,15 +149,6 @@ BASE_CONFIG = {
 }
 
 
-def test_config_schema_is_a_valid_schema():
-    # config validation builds its validator once and does not re-check the schema
-    import jsonschema
-
-    from structreg.config import CONFIG_SCHEMA
-
-    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
-
-
 def test_config_rejects_unknown_keys():
     bad = dict(BASE_CONFIG)
     bad["bogus_key"] = 1
@@ -177,6 +169,33 @@ def test_config_validates_scenario_and_estimators():
     bad["estimators"] = ["rf"]
     with pytest.raises(ConfigError, match="estimator"):
         config_from_mapping(bad)
+
+
+@pytest.mark.parametrize(
+    "experiment, setting, path",
+    [("auction", {"auction": {"M": 40.0}}, "auction.M"),
+     ("demand", {"demand": {"M": 100.0}}, "demand.M"),
+     ("entry-exit", {"entry_exit": {"t_total": 160.0}}, "entry_exit.t_total"),
+     ("auction", {"cv": {"K": 4.0}}, "cv.K"),
+     ("auction", {"trials": 2.0}, "trials"),
+     ("entry-exit", {"entry_exit": {"n_firms": 600.0}}, "entry_exit.n_firms"),
+     ("auction", {"trials": True}, "trials"),
+     ("auction", {"auction": {"n_train": [5.0, 30]}}, "auction.n_train.0")],
+)
+def test_integer_keys_take_integers_only(tmp_path, experiment, setting, path):
+    # an integral float such as 40.0 would fail in the study's first trial or
+    # run as a float, so it is rejected when the config is loaded
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump(
+        {"experiment": experiment, "scenario": 2, "trials": 1, "base_seed": 0, **setting}))
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"invalid config value at {path}: must be an integer")):
+        load_config(config)
+
+
+def test_config_rejects_repeated_estimators():
+    with pytest.raises(ConfigError, match="estimators must name each estimator once"):
+        run_config(estimators=["structural", "sre", "structural"])
 
 
 def test_config_reads_exponent_form_floats(tmp_path):
@@ -335,6 +354,28 @@ def test_cli_import_does_not_load_scipy_stats():
     assert proc.stdout.strip() == "False"
 
 
+def test_declared_dependencies_are_the_imported_ones():
+    # every non-stdlib import of the package, function-level ones included, is a
+    # dependency in pyproject.toml, and every dependency is imported
+    import ast
+
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    imported = set()
+    for path in (root / "src" / "structreg").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    distributions = {{"yaml": "pyyaml"}.get(name, name)
+                     for name in imported - sys.stdlib_module_names}
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+                for dep in project["dependencies"]}
+    assert distributions == declared
+
+
 _LAZY_IMPORT_PROBE = """
 import contextlib, io, json, sys
 from pathlib import Path
@@ -353,7 +394,10 @@ with contextlib.redirect_stdout(io.StringIO()):
                     or name == "concurrent.futures.process")
     codes.append(run("auction-2-all-keys"))
 beta_loaded = sorted(name for name in ("scipy.special", "scipy.integrate") if name in sys.modules)
-print(json.dumps({"codes": codes, "loaded": loaded, "beta_loaded": beta_loaded}))
+schema_loaded = sorted(name for name in sys.modules if name.partition(".")[0]
+                       in ("jsonschema", "referencing", "attrs", "rpds"))
+print(json.dumps({"codes": codes, "loaded": loaded, "beta_loaded": beta_loaded,
+                  "schema_loaded": schema_loaded}))
 """
 
 
@@ -372,6 +416,8 @@ def test_studies_without_beta_values_never_import_scipy(tmp_path):
     # scipy.integrate, which only the reference equilibrium_bid needs; it
     # reproduces its golden files
     assert result["beta_loaded"] == ["scipy.special"]
+    # config checking needs no schema library
+    assert result["schema_loaded"] == []
     for name in ("summary.csv", "curves.csv"):
         assert ((tmp_path / "auction-2-all-keys" / name).read_bytes()
                 == (golden / "auction-2-all-keys" / name).read_bytes())
@@ -494,7 +540,7 @@ def test_readme_config_example_validates(tmp_path, capsys):
       "t_train must be smaller than t_total"),
      ("demand", {"demand": {"z_low": 5.0, "z_high": 1.0}}, "z interval is empty"),
      ("auction", {"auction": {"n_train": [30, 5]}}, "run from low to high"),
-     # YAML .inf and .nan, which the schema's "number" accepts
+     # YAML .inf and .nan, which load as floats
      ("auction", {"lambda_grid": [0.0, float("inf")]},
       "invalid config value at lambda_grid.1: must be finite"),
      ("demand", {"demand": {"alpha": float("nan")}},
@@ -524,7 +570,24 @@ def test_readme_config_example_validates(tmp_path, capsys):
      ("demand", {"estimators": ["rf"], "demand": {"M": 1}},
       "demand.M = 1 is fewer than the 3 markets the reduced-form 2SLS needs"),
      ("demand", {"estimators": ["rf"], "demand": {"M": 2}},
-      "demand.M = 2 is fewer than the 3 markets the reduced-form 2SLS needs")],
+      "demand.M = 2 is fewer than the 3 markets the reduced-form 2SLS needs"),
+     # the bounds of a block's keys, checked by the study's parameter classes
+     ("auction", {"auction": {"M": 0}}, "invalid auction settings: M must be >= 1"),
+     ("entry-exit", {"entry_exit": {"entry_cost": -0.1}}, "entry_cost must be nonnegative"),
+     ("entry-exit", {"entry_exit": {"discount": -0.1}}, "discount must lie in [0, 1)"),
+     ("entry-exit", {"entry_exit": {"discount": 1.0}}, "discount must lie in [0, 1)"),
+     ("entry-exit", {"entry_exit": {"n_firms": 1}}, "n_firms must be >= 2"),
+     ("entry-exit", {"entry_exit": {"t_total": 1}}, "t_train must be smaller than t_total"),
+     ("entry-exit", {"entry_exit": {"t_train": 0}},
+      "entry_exit.t_train = 0 ends training before period 11"),
+     ("entry-exit", {"entry_exit": {"ar_coef": -1.0}}, "ar_coef must lie in (-1, 1)"),
+     ("entry-exit", {"entry_exit": {"ar_coef": 1.0}}, "ar_coef must lie in (-1, 1)"),
+     ("entry-exit", {"entry_exit": {"innovation_sd": -0.1}}, "innovation_sd must be nonnegative"),
+     ("demand", {"demand": {"beta": 0.0}}, "beta must be positive"),
+     ("demand", {"demand": {"lambda_markup": 0.0}}, "lambda_markup must lie in (0, 1]"),
+     ("demand", {"demand": {"lambda_markup": 1.5}}, "lambda_markup must lie in (0, 1]"),
+     ("demand", {"demand": {"eps_sd": -0.1}}, "eps_sd must be nonnegative"),
+     ("demand", {"demand": {"M": 0}}, "invalid demand settings: M must be >= 1")],
 )
 def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, experiment, block, message):
     import yaml
