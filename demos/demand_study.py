@@ -14,9 +14,11 @@ from structreg.data import SeededRng
 from structreg.demand import DemandParams, demand_experiment, simulate_markets
 from structreg.metrics import metrics_table
 
-# confounding, visibly: naive regression of price on quantity slopes upward
+# confounding, visibly: naive regression of price on quantity slopes upward.
+# The simulated markets are a Dataset: price is its input, quantity its
+# outcome and the cost shifter its instrument.
 scatter = simulate_markets(DemandParams(lambda_markup=1.0, M=20_000), SeededRng(1))
-slope = np.polyfit(scatter.quantities, scatter.prices, 1)[0]
+slope = np.polyfit(scatter.outcome, scatter.inputs[:, 0], 1)[0]
 print(f"naive price-on-quantity slope: {slope:+.3f} (true demand slope is -2)\n")
 
 TRIALS = 30

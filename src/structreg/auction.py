@@ -88,10 +88,12 @@ class AuctionScenario:
             raise ValueError("beta_shape entries must be positive and finite")
         if self.M < 1:
             raise ValueError("M must be >= 1")
-        if min(self.n_range_train) < 2 or min(self.n_range_test) < 2:
-            raise ValueError("bidder counts must be >= 2")
-        if any(lo > hi for lo, hi in (self.n_range_train, self.n_range_test)):
-            raise ValueError("bidder count ranges must run from low to high")
+        # named by their config keys, n_train and n_test
+        for key, (lo, hi) in (("n_train", self.n_range_train), ("n_test", self.n_range_test)):
+            if min(lo, hi) < 2:
+                raise ValueError(f"{key} = [{lo}, {hi}]: bidder counts must be >= 2")
+            if lo > hi:
+                raise ValueError(f"{key} = [{lo}, {hi}]: bidder counts must run from low to high")
 
     @classmethod
     def from_index(cls, index: int, **overrides) -> "AuctionScenario":
@@ -99,18 +101,6 @@ class AuctionScenario:
         if index not in _SCENARIO_FIELDS:
             raise ValueError(f"auction scenario must be 1, 2, or 3, got {index}")
         return cls(**{**_SCENARIO_FIELDS[index], **overrides})
-
-
-@dataclass(frozen=True)
-class AuctionData:
-    """Bidder count and winning bid of each of M auctions."""
-
-    n_bidders: np.ndarray
-    winning_bids: np.ndarray
-
-    def to_dataset(self) -> Dataset:
-        """(bidder count, winning bid) pairs for conditional-mean estimation."""
-        return Dataset(self.n_bidders.astype(float)[:, None], self.winning_bids)
 
 
 def _beta_logcdf(x, shape: tuple[float, float]) -> np.ndarray:
@@ -188,9 +178,9 @@ def _beta_bid_batch(values: np.ndarray, n: int, beta_shape: tuple[float, float])
     return out
 
 
-def simulate_auctions(scenario: AuctionScenario, rng: SeededRng) -> AuctionData:
-    """Simulate the winning bids of M auctions with bidder counts uniform on
-    the training range.
+def simulate_auctions(scenario: AuctionScenario, rng: SeededRng) -> Dataset:
+    """Simulate M auctions with bidder counts uniform on the training range:
+    each auction's bidder count (as a float input) and its winning bid.
 
     Bids are equilibrium bids of i.i.d. private values, optionally multiplied
     by i.i.d. half-normal overbidding factors; the winning bid is the maximum
@@ -213,15 +203,16 @@ def simulate_auctions(scenario: AuctionScenario, rng: SeededRng) -> AuctionData:
         # overbidding reorders the bidders, so every bid competes
         bids = np.repeat(shading, n_bidders) * values
         bids *= np.abs(gen.normal(0.0, scenario.overbid_sigma, size=total))
-        return AuctionData(n_bidders, np.maximum.reduceat(bids, starts))
-    top = np.maximum.reduceat(values, starts)
-    if scenario.value_dist == "uniform":
-        return AuctionData(n_bidders, shading * top)
-    winning = np.empty(scenario.M)
-    for n in np.unique(n_bidders):
-        where = n_bidders == n
-        winning[where] = _beta_bid_batch(top[where], int(n), scenario.beta_shape)
-    return AuctionData(n_bidders, winning)
+        winning = np.maximum.reduceat(bids, starts)
+    elif scenario.value_dist == "uniform":
+        winning = shading * np.maximum.reduceat(values, starts)
+    else:
+        top = np.maximum.reduceat(values, starts)
+        winning = np.empty(scenario.M)
+        for n in np.unique(n_bidders):
+            where = n_bidders == n
+            winning[where] = _beta_bid_batch(top[where], int(n), scenario.beta_shape)
+    return Dataset(n_bidders.astype(float)[:, None], winning)
 
 
 class BetaTruthError(ArithmeticError):
@@ -322,10 +313,14 @@ def _overbid_max_table(
 
 
 def overbid_truth_with_se(scenario: AuctionScenario, n: int) -> tuple[float, float]:
-    """Monte Carlo expected winning bid and its standard error, overbid case."""
+    """Monte Carlo expected winning bid and its standard error, overbid case.
+
+    Every count of either range reads one table, built up to the largest of
+    them; a table's rows do not depend on how far it runs.
+    """
     values, ses = _overbid_max_table(
         scenario.overbid_sigma,
-        max(n, scenario.n_range_test[1]),
+        max(n, scenario.n_range_train[1], scenario.n_range_test[1]),
         OVERBID_TRUTH_DRAWS,
         _OVERBID_TRUTH_SEED,
     )
@@ -428,7 +423,7 @@ def auction_experiment(
                  for domain, grid in grids.items()}
 
         def trial(trial_rng):
-            supervised = simulate_auctions(scenario, trial_rng.split(0)).to_dataset()
+            supervised = simulate_auctions(scenario, trial_rng.split(0))
             fits = {}
             if "statistical" in estimators:
                 fits["statistical"] = select_degree_aic(

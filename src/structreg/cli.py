@@ -93,6 +93,8 @@ def main(argv=None) -> int:
     try:
         report = run_monte_carlo(config)
         emit_outputs(report, args.out)
+    except ConfigError as exc:  # worded as validate words it
+        return _fail(str(exc))
     except Exception as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
     for row in report.aggregates:

@@ -163,22 +163,10 @@ class StandardizeTransform:
         X = _as_matrix(X, "X")
         return (X - self.column_means) / self.column_scales
 
-    def invert_inputs(self, X_std) -> np.ndarray:
-        X_std = _as_matrix(X_std, "X_std")
-        return X_std * self.column_scales + self.column_means
-
     def apply(self, data: Dataset) -> Dataset:
         return Dataset(
             self.transform_inputs(data.inputs),
             data.outcome - self.outcome_mean,
-            data.instruments,
-            data.time_index,
-        )
-
-    def invert(self, data: Dataset) -> Dataset:
-        return Dataset(
-            self.invert_inputs(data.inputs),
-            data.outcome + self.outcome_mean,
             data.instruments,
             data.time_index,
         )
@@ -194,8 +182,7 @@ def standardize(data: Dataset) -> tuple[Dataset, StandardizeTransform]:
     Returns
     -------
     (Dataset, StandardizeTransform)
-        The transformed data and the transform that reproduces the original
-        data via :meth:`StandardizeTransform.invert`.
+        The transformed data and the transform that produced it.
     """
     if data.n < 2:
         raise DataError("standardize requires at least two rows")

@@ -83,41 +83,10 @@ class DemandParams:
             raise ValueError("M must be >= 1")
 
 
-@dataclass(frozen=True)
-class MarketData:
-    """Observed per-market price, quantity, and cost shifter."""
-
-    prices: np.ndarray
-    quantities: np.ndarray
-    cost_shifters: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.prices, float).ravel()
-        q = np.asarray(self.quantities, float).ravel()
-        z = np.asarray(self.cost_shifters, float).ravel()
-        for name, arr in (("prices", p), ("quantities", q), ("cost_shifters", z)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"non-finite {name}")
-        if not (p.shape == q.shape == z.shape):
-            raise ValueError("per-market arrays must have equal length")
-        object.__setattr__(self, "prices", p)
-        object.__setattr__(self, "quantities", q)
-        object.__setattr__(self, "cost_shifters", z)
-
-    @property
-    def m(self) -> int:
-        return self.prices.shape[0]
-
-    def to_dataset(self) -> Dataset:
-        return Dataset(self.prices[:, None], self.quantities, self.cost_shifters[:, None])
-
-    def subset(self, idx) -> "MarketData":
-        idx = np.asarray(idx)
-        return MarketData(self.prices[idx], self.quantities[idx], self.cost_shifters[idx])
-
-
-def simulate_markets(params: DemandParams, rng: SeededRng) -> MarketData:
-    """Draw cost shifters and demand shocks, then solve market equilibria.
+def simulate_markets(params: DemandParams, rng: SeededRng) -> Dataset:
+    """Draw cost shifters and demand shocks, then solve market equilibria:
+    each market's price (the input), quantity (the outcome) and cost shifter
+    (the instrument).
 
     Raises if more than 0.1% of markets come out with a nonpositive price or
     quantity, since downstream log-log fits need positive data; pick gentler
@@ -136,7 +105,7 @@ def simulate_markets(params: DemandParams, rng: SeededRng) -> MarketData:
             f"{bad:.2%} of markets have nonpositive price or quantity; "
             "adjust demand parameters (larger alpha or smaller eps_sd)"
         )
-    return MarketData(prices, quantities, z)
+    return Dataset(prices[:, None], quantities, z[:, None])
 
 
 @dataclass(frozen=True)
@@ -152,7 +121,7 @@ class DemandEstimates:
         return self.alpha - self.beta * np.asarray(p, dtype=float)
 
 
-def structural_estimate_demand(data: MarketData) -> DemandEstimates:
+def structural_estimate_demand(data: Dataset) -> DemandEstimates:
     """Solve the pricing identity ``p = a + b z + q / beta`` by least squares.
 
     Exact (zero residual) when prices are set optimally; under dampened
@@ -160,17 +129,15 @@ def structural_estimate_demand(data: MarketData) -> DemandEstimates:
     slope estimates ``beta / markup`` — the model's misspecification bias.
     The demand intercept follows as the mean of ``q + beta_hat * p``.
     """
-    if data.m < STRUCTURAL_MIN_MARKETS:
+    if data.n < STRUCTURAL_MIN_MARKETS:
         raise ValueError(f"need at least {STRUCTURAL_MIN_MARKETS} markets")
-    design = np.column_stack(
-        [np.ones(data.m), data.cost_shifters, data.quantities]
-    )
-    coef = solve_least_squares(design, data.prices)
+    p, q, z = data.inputs[:, 0], data.outcome, data.instruments[:, 0]
+    coef = solve_least_squares(np.column_stack([np.ones(data.n), z, q]), p)
     a_hat, b_hat, inv_beta = float(coef[0]), float(coef[1]), float(coef[2])
     if inv_beta <= 0.0:
         raise ValueError("estimated inverse demand slope is nonpositive")
     beta_hat = 1.0 / inv_beta
-    alpha_hat = float(np.mean(data.quantities + beta_hat * data.prices))
+    alpha_hat = float(np.mean(q + beta_hat * p))
     return DemandEstimates(alpha_hat, beta_hat, a_hat, b_hat)
 
 
@@ -188,18 +155,18 @@ class RfDemandFit:
         return np.exp(self.linear_fit.predict(np.log(p)[:, None]))
 
 
-def rf_demand(data: MarketData, form: str = "linear") -> RfDemandFit:
+def rf_demand(data: Dataset, form: str = "linear") -> RfDemandFit:
     """Two-stage least squares of quantity on price, instrumented by the cost
     shifter (plus a constant); the log-log form regresses logs on logs."""
     if form not in ("linear", "loglog"):
         raise ValueError(f"unknown reduced form: {form}")
+    p, q, z = data.inputs[:, 0], data.outcome, data.instruments[:, 0]
     if form == "linear":
-        fit = fit_2sls(data.quantities, data.prices[:, None], data.cost_shifters[:, None])
+        fit = fit_2sls(q, p[:, None], z[:, None])
     else:
-        if np.any(data.prices <= 0.0) or np.any(data.quantities <= 0.0):
+        if np.any(p <= 0.0) or np.any(q <= 0.0):
             raise ValueError("log-log form requires positive prices and quantities")
-        fit = fit_2sls(np.log(data.quantities), np.log(data.prices)[:, None],
-                       data.cost_shifters[:, None])
+        fit = fit_2sls(np.log(q), np.log(p)[:, None], z[:, None])
     return RfDemandFit(form, fit)
 
 
@@ -282,7 +249,7 @@ class GmmFold(RidgeFold):
 
 
 def sre_demand(
-    data: MarketData,
+    data: Dataset,
     rng: SeededRng,
     lambda_grid=None,
 ) -> SREFit:
@@ -296,11 +263,12 @@ def sre_demand(
     moment objective (training-fold weight). The cross-validation trace is
     ``fit.trace``.
     """
-    folds = partition_indices(data.m, 2, rng.split(0))
+    folds = partition_indices(data.n, 2, rng.split(0))
     estimates = structural_estimate_demand(data.subset(folds[0]))
-    prices = np.linspace(float(data.prices.min()), float(data.prices.max()), SYNTHETIC_ROWS)
+    p = data.inputs[:, 0]
+    prices = np.linspace(float(p.min()), float(p.max()), SYNTHETIC_ROWS)
     synthetic = Dataset(prices[:, None], estimates.implied_demand(prices))
-    d2 = data.subset(folds[1]).to_dataset()
+    d2 = data.subset(folds[1])
     grid = default_lambda_grid(d2.n) if lambda_grid is None else np.asarray(lambda_grid, float)
     penalty = PenaltySpec(grid, np.array([0.0, 1.0, 1.0]))
     fold = GmmFold.of_sample(d2, _QUADRATIC, penalty, partial(fit_theta_m, _QUADRATIC, synthetic))
@@ -340,7 +308,7 @@ def evaluation_grid(params: DemandParams, rng: SeededRng) -> np.ndarray:
 @lru_cache
 def _reference_grid(params: DemandParams, base_seed: int) -> np.ndarray:
     ref = simulate_markets(params, SeededRng(base_seed).stream(_GRID_STREAM))
-    lo, hi = np.percentile(ref.prices, [1.0, 99.0])
+    lo, hi = np.percentile(ref.inputs[:, 0], [1.0, 99.0])
     grid = np.linspace(lo, hi, EVAL_GRID_POINTS)
     grid.flags.writeable = False
     return grid

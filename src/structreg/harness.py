@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .auction import FORWARD_K, AuctionScenario, auction_experiment
+from .auction import FORWARD_K, STAT_MAX_DEGREE, AuctionScenario, auction_experiment
 from .config import ConfigError, RunConfig
 from .data import SeededRng, forward_far_rows
 from .demand import (
@@ -86,6 +86,17 @@ def configured_study(config: RunConfig):
             overrides = {_AUCTION_RENAMES.get(k, k): tuple(v) if isinstance(v, list) else v
                          for k, v in config.auction.items()}
             scenario = AuctionScenario.from_index(config.scenario, **overrides)
+            if "statistical" in config.estimators:
+                # the AIC search fits every degree up to STAT_MAX_DEGREE
+                lo, hi = scenario.n_range_train
+                if scenario.M <= STAT_MAX_DEGREE + 2:
+                    raise ValueError(f"auction.M = {scenario.M} is too few auctions for the "
+                                     f"statistical estimator's AIC search, which needs more "
+                                     f"than {STAT_MAX_DEGREE + 2}")
+                if hi - lo < STAT_MAX_DEGREE:
+                    raise ValueError(f"auction.n_train = [{lo}, {hi}] holds {hi - lo + 1} of the "
+                                     f"{STAT_MAX_DEGREE + 1} distinct bidder counts the statistical "
+                                     f"estimator's degree-{STAT_MAX_DEGREE} fit needs")
             K = config.cv.get("K", FORWARD_K)
             # the fold is built on the second half of the sample, M // 2 rows
             far = forward_far_rows(scenario.M // 2, FORWARD_FRACTION)

@@ -119,8 +119,9 @@ def test_bid_monotone_and_shaded():
 
 def test_simulate_uniform_bids_bounded():
     data = simulate_auctions(AuctionScenario.from_index(1), SeededRng(1))
-    assert np.all(data.winning_bids <= (data.n_bidders - 1) / data.n_bidders + 1e-12)
-    assert data.winning_bids.max() <= 1.0
+    n, winning = data.inputs[:, 0], data.outcome
+    assert np.all(winning <= (n - 1) / n + 1e-12)
+    assert winning.max() <= 1.0
 
 
 def test_simulate_beta_value_mean():
@@ -130,7 +131,7 @@ def test_simulate_beta_value_mean():
     # the bid-implied moment: winning bid of n i.i.d. Beta(2,5) values has
     # mean true_expected_winning_bid(n)
     total, count = 0.0, 0
-    for n, b_star in zip(data.n_bidders, data.winning_bids):
+    for n, b_star in zip(data.inputs[:, 0], data.outcome):
         total += b_star - true_expected_winning_bid(sc, int(n))
         count += 1
     # winning bids lie in [0, 1]; 4 standard errors of the centered mean
@@ -140,7 +141,7 @@ def test_simulate_beta_value_mean():
 def test_simulate_overbid_factor_mean():
     n = 10
     sc = AuctionScenario.from_index(3, M=4000, n_range_train=(n, n))
-    winning = simulate_auctions(sc, SeededRng(3)).winning_bids
+    winning = simulate_auctions(sc, SeededRng(3)).outcome
     truth, table_se = overbid_truth_with_se(sc, n)
     se = winning.std() / np.sqrt(winning.size)
     assert abs(winning.mean() - truth) <= 4.0 * (se + table_se)
@@ -173,11 +174,11 @@ def test_winning_bids_are_the_top_bid_over_all_bidders(index):
         data = simulate_auctions(sc, SeededRng(seed))
         n_bidders, bids = every_bid(sc, SeededRng(seed))
         expected = np.array([b.max() for b in bids])
-        assert np.array_equal(data.n_bidders, n_bidders)
+        assert np.array_equal(data.inputs[:, 0], n_bidders)
         if index == 2:
-            assert np.all(np.abs(data.winning_bids - expected) <= 2e-15 * expected)
+            assert np.all(np.abs(data.outcome - expected) <= 2e-15 * expected)
         else:
-            assert np.array_equal(data.winning_bids, expected)
+            assert np.array_equal(data.outcome, expected)
 
 
 def test_true_winning_bid_uniform_analytic():
@@ -283,6 +284,15 @@ def test_overbid_truth_is_pinned():
         assert true_expected_winning_bid(sc, n) == pytest.approx(value, rel=1e-13, abs=0.0)
 
 
+def test_a_training_range_past_the_test_range_builds_one_overbid_table():
+    # every count of both ranges, and the metadata pass after them, reads the
+    # one table that runs to the training range's top
+    sc = AuctionScenario.from_index(3, n_range_train=(5, 60))
+    _overbid_max_table.cache_clear()
+    auction_experiment(sc, estimators=("structural",), trials=1, rng=SeededRng(0))
+    assert _overbid_max_table.cache_info().misses == 1
+
+
 def test_overbid_truth_without_overbidding_is_exactly_zero():
     sc = AuctionScenario.from_index(3, overbid_sigma=0.0)
     assert all(overbid_truth_with_se(sc, n) == (0.0, 0.0) for n in range(2, 51))
@@ -313,7 +323,7 @@ def test_uniform_benchmark_zero_variance_predictions():
 def test_uniform_benchmark_simulation_matches_implied_mean():
     # scenario 1 simulated with ten bidders in every auction
     sc = AuctionScenario.from_index(1, M=20_000, n_range_train=(10, 10))
-    winning = simulate_auctions(sc, SeededRng(8)).winning_bids
+    winning = simulate_auctions(sc, SeededRng(8)).outcome
     se = winning.std() / np.sqrt(winning.size)
     assert abs(winning.mean() - uniform_ipv_mean(10.0)[0]) <= 4 * se
 
@@ -352,7 +362,7 @@ def test_auction_experiment_structural_error_is_exactly_zero():
 
 def test_sre_auction_fits_the_second_part_of_its_split(monkeypatch):
     scenario = AuctionScenario.from_index(1)
-    data = simulate_auctions(scenario, SeededRng(12)).to_dataset()
+    data = simulate_auctions(scenario, SeededRng(12))
     samples = []
     of_sample = RidgeFold.of_sample.__func__
 

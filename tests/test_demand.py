@@ -10,7 +10,6 @@ from structreg.demand import (
     REFERENCE_MARKETS,
     DemandParams,
     GmmFold,
-    MarketData,
     demand_experiment,
     evaluation_grid,
     instrument_basis,
@@ -35,26 +34,27 @@ def test_equilibrium_identities_hold():
     for markup in (1.0, 0.4):
         params = DemandParams(lambda_markup=markup, M=500)
         data = simulate_markets(params, SeededRng(0))
-        cost = params.a + params.b * data.cost_shifters
+        p, q, z = data.inputs[:, 0], data.outcome, data.instruments[:, 0]
+        cost = params.a + params.b * z
         # demand: q = alpha - beta p + eps and pricing: p = c + (markup/beta) q
-        eps = data.quantities - (params.alpha - params.beta * data.prices)
-        pricing_gap = data.prices - (cost + markup / params.beta * data.quantities)
+        eps = q - (params.alpha - params.beta * p)
+        pricing_gap = p - (cost + markup / params.beta * q)
         assert np.abs(pricing_gap).max() <= 1e-10
-        implied_q = params.alpha - params.beta * data.prices + eps
-        assert np.abs(implied_q - data.quantities).max() <= 1e-10
+        implied_q = params.alpha - params.beta * p + eps
+        assert np.abs(implied_q - q).max() <= 1e-10
 
 
 def test_degenerate_noise_gives_identical_markets():
     params = DemandParams(z_low=3.0, z_high=3.0, eps_sd=0.0, M=50)
     data = simulate_markets(params, SeededRng(1))
-    assert np.ptp(data.prices) == 0.0
-    assert np.ptp(data.quantities) == 0.0
+    assert np.ptp(data.inputs) == 0.0
+    assert np.ptp(data.outcome) == 0.0
 
 
 def test_confounding_upward_sloping_scatter():
     params = DemandParams(lambda_markup=1.0, M=50_000)
     data = simulate_markets(params, SeededRng(2))
-    slope = np.polyfit(data.quantities, data.prices, 1)[0]
+    slope = np.polyfit(data.outcome, data.inputs[:, 0], 1)[0]
     assert slope > 0.0
 
 
@@ -71,7 +71,7 @@ def test_structural_estimate_exact_under_optimal_pricing():
     assert est.a == pytest.approx(params.a, abs=1e-9)
     assert est.b == pytest.approx(params.b, abs=1e-9)
     assert est.beta == pytest.approx(params.beta, abs=1e-9)
-    se = params.eps_sd / np.sqrt(data.m)
+    se = params.eps_sd / np.sqrt(data.n)
     assert abs(est.alpha - params.alpha) <= 6 * se
 
 
@@ -88,7 +88,7 @@ def test_structural_estimate_dampened_markup_biased_slope():
 
 
 def test_structural_estimate_guards_constant_quantity():
-    data = MarketData(np.arange(1.0, 11.0), np.full(10, 5.0), np.arange(10.0))
+    data = Dataset(np.arange(1.0, 11.0), np.full(10, 5.0), np.arange(10.0))
     with pytest.raises(Exception):
         structural_estimate_demand(data)
 
@@ -108,14 +108,14 @@ def test_rf_loglog_exact_on_loglog_data():
     gen = np.random.default_rng(8)
     p = gen.uniform(1.0, 5.0, size=300)
     q = np.exp(4.0 - 1.5 * np.log(p))
-    data = MarketData(p, q, p.copy())  # price is its own (exogenous) shifter
+    data = Dataset(p, q, p.copy())  # price is its own (exogenous) shifter
     fit = rf_demand(data, "loglog")
     assert fit.linear_fit.coefficients[0] == pytest.approx(-1.5, abs=1e-8)
     assert np.abs(fit.predict(p) - q).max() <= 1e-6
 
 
 def test_rf_loglog_rejects_nonpositive_values():
-    data = MarketData(np.array([1.0, 2.0]), np.array([-1.0, 2.0]), np.array([0.0, 1.0]))
+    data = Dataset(np.array([1.0, 2.0]), np.array([-1.0, 2.0]), np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match="positive"):
         rf_demand(data, "loglog")
 
@@ -124,7 +124,7 @@ def test_rf_weak_instrument_raises():
     gen = np.random.default_rng(9)
     p = gen.uniform(10, 20, size=500)
     q = 100.0 - 2.0 * p + gen.normal(size=500)
-    data = MarketData(p, q, np.full(500, 1.0))  # b = 0: shifter carries nothing
+    data = Dataset(p, q, np.full(500, 1.0))  # b = 0: shifter carries nothing
     with pytest.raises(Exception):
         rf_demand(data, "linear")
 
@@ -149,18 +149,18 @@ def test_benchmark_requires_positive_slope():
     gen = np.random.default_rng(3)
     z, q = gen.uniform(0, 10, size=50), gen.uniform(10, 20, size=50)
     with pytest.raises(ValueError, match="inverse demand slope is nonpositive"):
-        structural_estimate_demand(MarketData(40.0 + z - 0.5 * q, q, z))
+        structural_estimate_demand(Dataset(40.0 + z - 0.5 * q, q, z))
 
 
 def test_sre_gmm_matches_2sls_for_linear_instrument_block():
     params = DemandParams(lambda_markup=1.0, M=600)
     data = simulate_markets(params, SeededRng(10))
-    X = np.column_stack([np.ones(data.m), data.prices])
-    Z = np.column_stack([np.ones(data.m), data.cost_shifters])
+    X = np.column_stack([np.ones(data.n), data.inputs])
+    Z = np.column_stack([np.ones(data.n), data.instruments])
     W = np.linalg.inv(Z.T @ Z)
     pen = PenaltySpec([0.0], np.array([0.0, 1.0]))
-    theta = sre_gmm(X, Z, data.quantities, W, np.zeros(2), pen, 0.0)
-    ref = fit_2sls(data.quantities, data.prices[:, None], data.cost_shifters[:, None])
+    theta = sre_gmm(X, Z, data.outcome, W, np.zeros(2), pen, 0.0)
+    ref = fit_2sls(data.outcome, data.inputs, data.instruments)
     assert abs(theta[0] - ref.intercept) <= 1e-8 * max(1.0, abs(ref.intercept))
     assert abs(theta[1] - ref.coefficients[0]) <= 1e-8
 
@@ -175,17 +175,17 @@ def test_sre_demand_lambda_zero_grid_reduces_to_quadratic_iv():
     # reproduce the unpenalized quadratic moment fit on the same half
     from structreg.data import partition_indices, standardize, Dataset
 
-    folds = partition_indices(data.m, 2, rng.split(0))
+    folds = partition_indices(data.n, 2, rng.split(0))
     d2 = data.subset(folds[1])
     fmap = PolynomialFeatures(2)
-    F = fmap.transform(d2.prices[:, None])
-    _, transform = standardize(Dataset(F, d2.quantities))
-    design = np.column_stack([np.ones(d2.m), transform.transform_inputs(F)])
-    center, scale = d2.cost_shifters.mean(), d2.cost_shifters.std(ddof=0)
-    Z = instrument_basis(d2.cost_shifters, center, scale)
+    F = fmap.transform(d2.inputs)
+    _, transform = standardize(Dataset(F, d2.outcome))
+    design = np.column_stack([np.ones(d2.n), transform.transform_inputs(F)])
+    z = d2.instruments[:, 0]
+    Z = instrument_basis(z, z.mean(), z.std(ddof=0))
     W = np.linalg.inv(Z.T @ Z)
     pen = PenaltySpec([0.0], np.array([0.0, 1.0, 1.0]))
-    ref = sre_gmm(design, Z, d2.quantities, W, np.zeros(3), pen, 0.0)
+    ref = sre_gmm(design, Z, d2.outcome, W, np.zeros(3), pen, 0.0)
     assert np.abs(fit.theta - ref).max() <= 1e-8
 
 
@@ -277,7 +277,7 @@ def test_evaluation_grid_is_the_reference_simulation_percentiles():
     grid = evaluation_grid(params, SeededRng(19))
     reference_rng = SeededRng(19).stream(demand._GRID_STREAM)
     ref = simulate_markets(replace(params, M=REFERENCE_MARKETS), reference_rng)
-    lo, hi = np.percentile(ref.prices, [1.0, 99.0])
+    lo, hi = np.percentile(ref.inputs[:, 0], [1.0, 99.0])
     assert np.array_equal(grid, np.linspace(lo, hi, EVAL_GRID_POINTS))
     with pytest.raises(ValueError, match="read-only"):
         grid[0] = 0.0

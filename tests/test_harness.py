@@ -587,7 +587,20 @@ def test_readme_config_example_validates(tmp_path, capsys):
      ("demand", {"demand": {"lambda_markup": 0.0}}, "lambda_markup must lie in (0, 1]"),
      ("demand", {"demand": {"lambda_markup": 1.5}}, "lambda_markup must lie in (0, 1]"),
      ("demand", {"demand": {"eps_sd": -0.1}}, "eps_sd must be nonnegative"),
-     ("demand", {"demand": {"M": 0}}, "invalid demand settings: M must be >= 1")],
+     ("demand", {"demand": {"M": 0}}, "invalid demand settings: M must be >= 1"),
+     # the statistical estimator's AIC search fits polynomials up to degree 5
+     ("auction", {"estimators": ["statistical"], "auction": {"M": 6}},
+      "auction.M = 6 is too few auctions for the statistical estimator's AIC search"),
+     ("auction", {"estimators": ["statistical"], "auction": {"M": 7}},
+      "auction.M = 7 is too few auctions for the statistical estimator's AIC search"),
+     ("auction", {"auction": {"n_train": [5, 5]}},
+      "auction.n_train = [5, 5] holds 1 of the 6 distinct bidder counts"),
+     ("auction", {"estimators": ["statistical"], "auction": {"n_train": [5, 9]}},
+      "auction.n_train = [5, 9] holds 5 of the 6 distinct bidder counts"),
+     ("auction", {"auction": {"n_train": [1, 30]}},
+      "invalid auction settings: n_train = [1, 30]: bidder counts must be >= 2"),
+     ("auction", {"auction": {"n_test": [1, 2]}},
+      "invalid auction settings: n_test = [1, 2]: bidder counts must be >= 2")],
 )
 def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, experiment, block, message):
     import yaml
@@ -599,9 +612,10 @@ def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, experiment, blo
         {"experiment": experiment, "scenario": 1, "trials": 1, "base_seed": 0, **block}
     ))
     assert main(["validate", "--config", str(path)]) == 1
-    assert message in json.loads(capsys.readouterr().err.strip())["error"]
+    rejected = capsys.readouterr().err
+    assert message in json.loads(rejected.strip())["error"]
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-    assert message in json.loads(capsys.readouterr().err.strip())["error"]
+    assert capsys.readouterr().err == rejected  # run words it as validate does
 
 
 @pytest.mark.parametrize(

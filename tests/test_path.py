@@ -397,8 +397,7 @@ def test_stacked_rolling_matches_each_window_with_a_constant_column(seed):
 @settings(max_examples=20, deadline=None)
 def test_stacked_moment_kfold_matches_each_split(seed):
     gen = np.random.default_rng(seed)
-    markets = simulate_markets(DemandParams(M=int(gen.integers(100, 160))), SeededRng(seed))
-    data = markets.to_dataset()
+    data = simulate_markets(DemandParams(M=int(gen.integers(100, 160))), SeededRng(seed))
     penalty = PenaltySpec(GRID, [0.0, 1.0, gen.uniform(0.1, 10.0)])
     fold = GmmFold.of_sample(data, PolynomialFeatures(2), penalty,
                              lambda transform: np.array([100.0, -20.0, 1.0]))

@@ -303,7 +303,7 @@ def test_sample_split_exact_benchmark_noiseless():
 
 def _auction_second_stage():
     scenario = AuctionScenario.from_index(1)
-    return sre_auction(simulate_auctions(scenario, SeededRng(30)).to_dataset(), scenario,
+    return sre_auction(simulate_auctions(scenario, SeededRng(30)), scenario,
                        SeededRng(31))
 
 
