@@ -35,7 +35,9 @@ SCENARIO_CHOICES = {
 
 # the optional blocks each experiment reads (cv.K is the auction forward-CV fold count)
 STUDY_BLOCKS = {"auction": ("auction", "cv"), "entry-exit": ("entry_exit",), "demand": ("demand",)}
-AUCTION_SCENARIO_KEYS = {"beta_shape": 2, "overbid_sigma": 3}  # keys one scenario reads
+# the block keys only some scenarios read: (block, key) -> those scenarios
+SCENARIO_KEYS = {("auction", "beta_shape"): (2,), ("auction", "overbid_sigma"): (3,),
+                 ("demand", "lambda_markup"): (2, 4)}
 
 # the accepted keys and the kind of value each takes: a kind of _KINDS, a
 # ("pair" | "list", kind) tuple for a list of two or of at least one such
@@ -158,11 +160,10 @@ def validate_mapping(raw: dict) -> None:
     for block in ("cv", "auction", "entry_exit", "demand"):
         if block in raw and block not in STUDY_BLOCKS[experiment]:
             raise ConfigError(f"config key {block!r} does not apply to {experiment}")
-    for key, scenario in AUCTION_SCENARIO_KEYS.items():
-        if key in raw.get("auction", {}) and raw["scenario"] != scenario:
-            raise ConfigError(
-                f"config key 'auction.{key}' applies only to auction scenario {scenario}"
-            )
+    for (block, key), scenarios in SCENARIO_KEYS.items():
+        if key in raw.get(block, {}) and raw["scenario"] not in scenarios:
+            raise ConfigError(f"config key '{block}.{key}' applies only to {experiment} "
+                              f"scenario {' or '.join(map(str, scenarios))}")
     allowed = set(ESTIMATOR_CHOICES[experiment])
     estimators = raw.get("estimators", [])
     for name in estimators:

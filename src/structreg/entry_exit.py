@@ -406,7 +406,6 @@ def estimate_ccp_euler(panel: MarketPanel, discount: float) -> tuple[float, floa
     eps = 1.0 / (2.0 * panel.n_firms)
     p_hat = panel.ccp_hat()
     clamped = np.clip(p_hat, eps, 1.0 - eps)
-    clamped = np.where(np.isnan(p_hat), np.nan, clamped)
     return estimate_ccp_euler_from_ccps(clamped, panel.R_path, discount)
 
 
@@ -561,12 +560,10 @@ def entry_exit_experiment(
 
         preds: dict[str, np.ndarray] = {}
         if "statistical" in estimators:
-            arx = select_arx_order_aic(shares_full[1 : T_train + 1], R_path[:T_train],
+            arx = select_arx_order_aic(shares_full[1 : T_train + 1], R_path[1:T_train],
                                        STAT_EXOG_ORDERS, STAT_AR_ORDERS)
             full = np.full(T + 1, np.nan)
-            # R carries a placeholder for the initial state, as y does
-            full[arx.ar_order:] = arx.predict_series(shares_full,
-                                                     np.concatenate([[np.nan], R_path]))
+            full[arx.ar_order:] = arx.predict_series(shares_full, R_path)
             preds["statistical"] = full[1:]
         if "structural" in estimators:
             est = estimate_ccp_euler(panel.truncate(T_train), params.discount)

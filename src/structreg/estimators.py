@@ -1,5 +1,12 @@
 """Classical baseline estimators: OLS, polynomial regression with AIC degree
-selection, nonlinear ARX series models, and two-stage least squares.
+selection, nonlinear ARX series models with AIC order selection, and two-stage
+least squares.
+
+Both selectors score their candidate fits by one rule, the concentrated
+Gaussian AIC of :func:`_lowest_aic`. The polynomial search tries only the
+degrees the sample identifies. The ARX fits take the layout of
+:func:`arx_feature_rows`: a share series that starts with the initial state,
+and a profit path one period shorter.
 
 All fits go through an SVD-based least-squares solve with a condition-number
 guard; rank-deficient designs raise instead of silently falling back to a
@@ -139,65 +146,62 @@ def fit_polynomial(x, y, degree: int) -> PolyFit:
     return PolyFit(degree, fit, mean, scale)
 
 
+def _lowest_aic(candidates, y, n: int):
+    """The candidate fit of lowest AIC; ties go to the earlier candidate.
+
+    ``candidates`` holds ``(fit, residuals, parameter count)`` triples scored
+    on ``n`` common rows. AIC uses the Gaussian concentrated form
+    ``n * ln(RSS / n) + 2 * k``. Residual sums below numerical noise, on the
+    scale of ``y``, are floored at a common value so that a family of exact
+    fits resolves ties toward the first, smallest model.
+    """
+    floor = n * (1e-10 * max(1.0, float(np.sqrt(np.mean(y**2))))) ** 2
+    best, best_aic = None, np.inf
+    for fit, resid, k in candidates:
+        rss = max(float(resid @ resid), floor)
+        aic = n * np.log(rss / n) + 2.0 * k
+        if aic < best_aic - 1e-12:
+            best, best_aic = fit, aic
+    return best
+
+
 def select_degree_aic(x, y, max_degree: int) -> PolyFit:
     """The polynomial fit whose degree minimizes AIC; ties go to the smaller degree.
 
-    AIC uses the Gaussian concentrated form ``N * ln(RSS / N) + 2 * (d + 1)``.
-    Residual sums below numerical noise are floored at a common value so that
-    an exactly-interpolating family resolves ties toward the lowest degree.
+    The degrees tried run from 1 to the smallest of ``max_degree``, the number
+    of distinct ``x`` values less one and the row count less three; a sample
+    that bounds them below 1 raises :class:`SingularDesignError`.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    n = y.shape[0]
-    if n <= max_degree + 2:
-        raise ValueError("need more rows than max_degree + 2")
-    floor = n * (1e-10 * max(1.0, float(np.sqrt(np.mean(y**2))))) ** 2
-    best, best_aic = None, np.inf
-    for degree in range(1, max_degree + 1):
-        fit = fit_polynomial(x, y, degree)
-        resid = y - fit.predict(x)
-        rss = max(float(resid @ resid), floor)
-        aic = n * np.log(rss / n) + 2.0 * (degree + 1)
-        if aic < best_aic - 1e-12:
-            best, best_aic = fit, aic
-    return best
+    n, distinct = y.shape[0], np.unique(x).shape[0]
+    top = min(max_degree, distinct - 1, n - 3)
+    if top < 1:
+        raise SingularDesignError(
+            f"singular design: {n} rows and {distinct} distinct x values allow no polynomial")
+    fits = [fit_polynomial(x, y, degree) for degree in range(1, top + 1)]
+    return _lowest_aic([(fit, y - fit.predict(x), fit.degree + 1) for fit in fits], y, n)
 
 
 @dataclass(frozen=True)
 class ARXFit:
     """Autoregressive model with a polynomial exogenous term.
 
-    Predicts ``y_t`` from ``(1, R_t, ..., R_t^p, y_{t-1}, ..., y_{t-q})``.
+    Predicts ``s_t`` from ``(1, R_t, ..., R_t^p, s_{t-1}, ..., s_{t-q})``, the
+    rows of :func:`arx_feature_rows`.
     """
 
     exog_order: int
     ar_order: int
-    intercept: float
-    exog_coefficients: np.ndarray
-    ar_coefficients: np.ndarray
+    linear_fit: LinearFit
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "exog_coefficients", np.atleast_1d(np.asarray(self.exog_coefficients, float))
-        )
-        object.__setattr__(
-            self, "ar_coefficients", np.atleast_1d(np.asarray(self.ar_coefficients, float))
-        )
-        if self.exog_coefficients.shape[0] != self.exog_order:
-            raise ValueError("exogenous coefficient count does not match order")
-        if self.ar_coefficients.shape[0] != self.ar_order:
-            raise ValueError("AR coefficient count does not match order")
-
-    def predict_series(self, y, R) -> np.ndarray:
-        """One-step-ahead predictions of ``y_t`` using realized lags.
-
-        Returns predictions for ``t = q, ..., T-1`` (0-indexed).
-        """
-        rows = arx_feature_rows(y, np.ravel(R)[1:], self.exog_order, self.ar_order)
-        slopes = np.concatenate([self.exog_coefficients, self.ar_coefficients])
-        return rows.inputs @ slopes + self.intercept
+    def predict_series(self, shares_with_initial, R_path) -> np.ndarray:
+        """One-step-ahead predictions of ``s_t`` using realized lags, for
+        ``t = q, ..., T``; the layout is that of :func:`arx_feature_rows`."""
+        rows = arx_feature_rows(shares_with_initial, R_path, self.exog_order, self.ar_order)
+        return self.linear_fit.predict(rows.inputs)
 
 
 def arx_feature_rows(shares_with_initial, R_path, p: int, q: int) -> Dataset:
@@ -220,8 +224,9 @@ def arx_feature_rows(shares_with_initial, R_path, p: int, q: int) -> Dataset:
     return Dataset(np.column_stack(cols), s[periods], time_index=periods)
 
 
-def fit_arx(y, R, p: int, q: int) -> ARXFit:
-    """OLS fit of an ARX(p, q) model; the first q periods serve as lags only.
+def fit_arx(shares_with_initial, R_path, p: int, q: int) -> ARXFit:
+    """OLS fit of an ARX(p, q) model on the rows of :func:`arx_feature_rows`;
+    the first q periods serve as lags only.
 
     Constant regressor columns (a flat series or flat exogenous path) are
     redundant with the intercept; they are dropped from the solve and their
@@ -229,7 +234,7 @@ def fit_arx(y, R, p: int, q: int) -> ARXFit:
     """
     if p < 1 or q < 1:
         raise ValueError("orders must be >= 1")
-    rows = arx_feature_rows(y, np.ravel(R)[1:], p, q)
+    rows = arx_feature_rows(shares_with_initial, R_path, p, q)
     if rows.n <= p + 1:
         raise ValueError("series too short for requested orders")
     X, target = np.column_stack([np.ones(rows.n), rows.inputs]), rows.outcome
@@ -238,28 +243,18 @@ def fit_arx(y, R, p: int, q: int) -> ARXFit:
     cols = np.concatenate([[True], keep])
     solved = solve_least_squares(X[:, cols], target)
     theta[cols] = solved
-    return ARXFit(p, q, float(theta[0]), theta[1 : 1 + p], theta[1 + p :])
+    return ARXFit(p, q, LinearFit(float(theta[0]), theta[1:]))
 
 
-def select_arx_order_aic(y, R, exog_orders, ar_orders) -> ARXFit:
-    """The ARX fit whose orders minimize AIC on the common usable sample; ties
-    prefer the smaller (q, p) pair."""
-    y = np.asarray(y, dtype=float).ravel()
-    R = np.asarray(R, dtype=float).ravel()
+def select_arx_order_aic(shares_with_initial, R_path, exog_orders, ar_orders) -> ARXFit:
+    """The ARX fit whose orders minimize AIC on the common usable sample, the
+    periods past the largest AR order; ties prefer the smaller (q, p) pair."""
+    s = np.asarray(shares_with_initial, dtype=float).ravel()
     q_max = max(ar_orders)
-    n_eff = y.shape[0] - q_max
-    floor = n_eff * (1e-10 * max(1.0, float(np.sqrt(np.mean(y**2))))) ** 2
-    best, best_aic = None, np.inf
-    for q in sorted(ar_orders):
-        for p in sorted(exog_orders):
-            fit = fit_arx(y, R, p, q)
-            pred = fit.predict_series(y, R)[q_max - q :]
-            resid = y[q_max:] - pred
-            rss = max(float(resid @ resid), floor)
-            aic = n_eff * np.log(rss / n_eff) + 2.0 * (1 + p + q)
-            if aic < best_aic - 1e-12:
-                best, best_aic = fit, aic
-    return best
+    fits = [fit_arx(s, R_path, p, q) for q in sorted(ar_orders) for p in sorted(exog_orders)]
+    candidates = [(fit, s[q_max:] - fit.predict_series(s, R_path)[q_max - fit.ar_order:],
+                   1 + fit.exog_order + fit.ar_order) for fit in fits]
+    return _lowest_aic(candidates, s, s.shape[0] - q_max)
 
 
 def fit_2sls(y, X, Z) -> LinearFit:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .auction import FORWARD_K, STAT_MAX_DEGREE, AuctionScenario, auction_experiment
+from .auction import FORWARD_K, AuctionScenario, auction_experiment
 from .config import ConfigError, RunConfig
 from .data import SeededRng, forward_far_rows
 from .demand import (
@@ -86,17 +86,12 @@ def configured_study(config: RunConfig):
             overrides = {_AUCTION_RENAMES.get(k, k): tuple(v) if isinstance(v, list) else v
                          for k, v in config.auction.items()}
             scenario = AuctionScenario.from_index(config.scenario, **overrides)
-            if "statistical" in config.estimators:
-                # the AIC search fits every degree up to STAT_MAX_DEGREE
-                lo, hi = scenario.n_range_train
-                if scenario.M <= STAT_MAX_DEGREE + 2:
-                    raise ValueError(f"auction.M = {scenario.M} is too few auctions for the "
-                                     f"statistical estimator's AIC search, which needs more "
-                                     f"than {STAT_MAX_DEGREE + 2}")
-                if hi - lo < STAT_MAX_DEGREE:
-                    raise ValueError(f"auction.n_train = [{lo}, {hi}] holds {hi - lo + 1} of the "
-                                     f"{STAT_MAX_DEGREE + 1} distinct bidder counts the statistical "
-                                     f"estimator's degree-{STAT_MAX_DEGREE} fit needs")
+            lo, hi = scenario.n_range_train
+            if "statistical" in config.estimators and (scenario.M < 4 or lo == hi):
+                # a degree-1 fit of the AIC search needs four rows and two distinct counts
+                raise ValueError(f"auction.M = {scenario.M} auctions over auction.n_train = "
+                                 f"[{lo}, {hi}] fit no polynomial; the statistical estimator "
+                                 f"needs at least 4 auctions and 2 bidder counts")
             K = config.cv.get("K", FORWARD_K)
             # the fold is built on the second half of the sample, M // 2 rows
             far = forward_far_rows(scenario.M // 2, FORWARD_FRACTION)
@@ -111,6 +106,9 @@ def configured_study(config: RunConfig):
                                  f"period {PREDICTION_START}, the first one scored")
             return entry_exit_experiment, (REGIMES[config.scenario - 1], params), {"rpath": rpath}
         params = _from_block(DemandParams, config.demand)
+        if params.z_low == params.z_high:
+            raise ValueError(f"demand.z_low = demand.z_high = {params.z_low} leaves the cost "
+                             f"shifter, every estimator's instrument, constant")
         if "structural" in config.estimators and params.M < STRUCTURAL_MIN_MARKETS:
             raise ValueError(f"demand.M = {params.M} is fewer than the "
                              f"{STRUCTURAL_MIN_MARKETS} markets the structural estimator needs")

@@ -131,6 +131,26 @@ def test_selected_polynomial_predicts_as_a_refit_at_its_degree():
     assert np.array_equal(fit.predict(grid), fit_polynomial(x, y, fit.degree).predict(grid))
 
 
+@pytest.mark.parametrize("distinct", [2, 3, 4, 5])
+def test_select_degree_stays_below_the_distinct_regressor_count(distinct):
+    # a degree-k polynomial on fewer than k + 1 distinct values is singular
+    gen = np.random.default_rng(distinct)
+    x = np.repeat(np.arange(5.0, 5.0 + distinct), 20)
+    y = 0.1 * x**3 + gen.normal(size=x.shape[0])
+    assert select_degree_aic(x, y, 5).degree <= distinct - 1
+
+
+def test_select_degree_on_four_rows_fits_degree_one():
+    x = np.array([5.0, 7.0, 9.0, 30.0])
+    assert select_degree_aic(x, np.sqrt(x), 5).degree == 1
+
+
+@pytest.mark.parametrize("x", [np.full(20, 5.0), np.arange(5.0, 8.0)])
+def test_select_degree_names_a_sample_no_polynomial_fits(x):
+    with pytest.raises(SingularDesignError, match=f"{x.shape[0]} rows and {np.unique(x).shape[0]} distinct"):
+        select_degree_aic(x, np.sqrt(x), 5)
+
+
 def test_arx_exact_ar1_recovery():
     gen = np.random.default_rng(5)
     T = 25
@@ -139,19 +159,20 @@ def test_arx_exact_ar1_recovery():
     y[0] = 1.0
     for t in range(1, T):
         y[t] = 0.5 * y[t - 1]
-    fit = fit_arx(y, R, 1, 1)
-    assert fit.ar_coefficients[0] == pytest.approx(0.5, abs=1e-8)
-    assert fit.exog_coefficients[0] == pytest.approx(0.0, abs=1e-8)
-    assert fit.intercept == pytest.approx(0.0, abs=1e-8)
+    fit = fit_arx(y, R[1:], 1, 1)
+    exog, ar = fit.linear_fit.coefficients
+    assert ar == pytest.approx(0.5, abs=1e-8)
+    assert exog == pytest.approx(0.0, abs=1e-8)
+    assert fit.linear_fit.intercept == pytest.approx(0.0, abs=1e-8)
 
 
 def test_arx_constant_series_intercept_only():
     R = np.random.default_rng(6).normal(size=20)
     y = np.full(20, 0.7)
-    fit = fit_arx(y, R, 1, 1)
-    assert fit.ar_coefficients[0] == 0.0
+    fit = fit_arx(y, R[1:], 1, 1)
+    assert fit.linear_fit.coefficients[1] == 0.0
     # fixed point: prediction reproduces the constant
-    assert np.allclose(fit.predict_series(y, R), 0.7, atol=1e-10)
+    assert np.allclose(fit.predict_series(y, R[1:]), 0.7, atol=1e-10)
 
 
 def test_arx_monte_carlo_consistency():
@@ -162,13 +183,13 @@ def test_arx_monte_carlo_consistency():
     y = np.zeros(T)
     for t in range(1, T):
         y[t] = gamma0 + gamma1 * R[t] + rho * y[t - 1] + sd * gen.normal()
-    fit = fit_arx(y, R, 1, 1)
+    fit = fit_arx(y, R[1:], 1, 1)
     X = np.column_stack([np.ones(T - 1), R[1:], y[:-1]])
-    resid = y[1:] - X @ [fit.intercept, fit.exog_coefficients[0], fit.ar_coefficients[0]]
+    estimates = np.concatenate([[fit.linear_fit.intercept], fit.linear_fit.coefficients])
+    resid = y[1:] - X @ estimates
     sigma2 = resid @ resid / (T - 1 - 3)
     cov = sigma2 * np.linalg.inv(X.T @ X)
     se = np.sqrt(np.diag(cov))
-    estimates = np.array([fit.intercept, fit.exog_coefficients[0], fit.ar_coefficients[0]])
     assert np.all(np.abs(estimates - [gamma0, gamma1, rho]) <= 3.0 * se)
 
 
@@ -182,7 +203,7 @@ def test_arx_order_selection_on_noiseless_orders():
     y[:2] = (0.5, 0.2)
     for t in range(2, T):
         y[t] = 0.2 + 0.5 * R[t] + 0.4 * y[t - 1] + 0.3 * y[t - 2]
-    fit = select_arx_order_aic(y, R, (1, 2), (1, 2, 3, 4))
+    fit = select_arx_order_aic(y, R[1:], (1, 2), (1, 2, 3, 4))
     assert (fit.exog_order, fit.ar_order) == (1, 2)
 
 
@@ -225,6 +246,6 @@ def test_selected_arx_predicts_as_a_refit_at_its_orders():
     y = np.zeros(T)
     for t in range(1, T):
         y[t] = 0.2 + 0.3 * R[t] - 0.2 * R[t] ** 2 + 0.6 * y[t - 1] + 0.1 * gen.normal()
-    fit = select_arx_order_aic(y, R, (1, 2), (1, 2, 3, 4))
-    refit = fit_arx(y, R, fit.exog_order, fit.ar_order)
-    assert np.array_equal(fit.predict_series(y, R), refit.predict_series(y, R))
+    fit = select_arx_order_aic(y, R[1:], (1, 2), (1, 2, 3, 4))
+    refit = fit_arx(y, R[1:], fit.exog_order, fit.ar_order)
+    assert np.array_equal(fit.predict_series(y, R[1:]), refit.predict_series(y, R[1:]))

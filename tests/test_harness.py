@@ -584,19 +584,25 @@ def test_readme_config_example_validates(tmp_path, capsys):
      ("entry-exit", {"entry_exit": {"ar_coef": 1.0}}, "ar_coef must lie in (-1, 1)"),
      ("entry-exit", {"entry_exit": {"innovation_sd": -0.1}}, "innovation_sd must be nonnegative"),
      ("demand", {"demand": {"beta": 0.0}}, "beta must be positive"),
-     ("demand", {"demand": {"lambda_markup": 0.0}}, "lambda_markup must lie in (0, 1]"),
-     ("demand", {"demand": {"lambda_markup": 1.5}}, "lambda_markup must lie in (0, 1]"),
+     # the dampened-pricing scenario 2 reads lambda_markup
+     ("demand", {"scenario": 2, "demand": {"lambda_markup": 0.0}},
+      "lambda_markup must lie in (0, 1]"),
+     ("demand", {"scenario": 2, "demand": {"lambda_markup": 1.5}},
+      "lambda_markup must lie in (0, 1]"),
      ("demand", {"demand": {"eps_sd": -0.1}}, "eps_sd must be nonnegative"),
      ("demand", {"demand": {"M": 0}}, "invalid demand settings: M must be >= 1"),
-     # the statistical estimator's AIC search fits polynomials up to degree 5
-     ("auction", {"estimators": ["statistical"], "auction": {"M": 6}},
-      "auction.M = 6 is too few auctions for the statistical estimator's AIC search"),
-     ("auction", {"estimators": ["statistical"], "auction": {"M": 7}},
-      "auction.M = 7 is too few auctions for the statistical estimator's AIC search"),
+     # the statistical estimator's AIC search needs a degree-1 fit: four
+     # auctions and two distinct bidder counts
+     ("auction", {"estimators": ["statistical"], "auction": {"M": 3}},
+      "auction.M = 3 auctions over auction.n_train = [5, 30] fit no polynomial"),
+     # the optimal-pricing scenario 1 fixes the markup at 1
+     ("demand", {"demand": {"lambda_markup": 0.7}},
+      "config key 'demand.lambda_markup' applies only to demand scenario 2 or 4"),
      ("auction", {"auction": {"n_train": [5, 5]}},
-      "auction.n_train = [5, 5] holds 1 of the 6 distinct bidder counts"),
-     ("auction", {"estimators": ["statistical"], "auction": {"n_train": [5, 9]}},
-      "auction.n_train = [5, 9] holds 5 of the 6 distinct bidder counts"),
+      "auction.M = 100 auctions over auction.n_train = [5, 5] fit no polynomial; the "
+      "statistical estimator needs at least 4 auctions and 2 bidder counts"),
+     ("demand", {"demand": {"z_low": 10.0, "z_high": 10.0}},
+      "demand.z_low = demand.z_high = 10.0 leaves the cost shifter"),
      ("auction", {"auction": {"n_train": [1, 30]}},
       "invalid auction settings: n_train = [1, 30]: bidder counts must be >= 2"),
      ("auction", {"auction": {"n_test": [1, 2]}},
@@ -622,8 +628,13 @@ def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, experiment, blo
     "experiment, block",
     [("entry-exit", {"entry_exit": {"t_train": 11, "t_total": 60}}),
      ("demand", {"demand": {"M": 16}}),
-     ("demand", {"estimators": ["rf"], "demand": {"M": 3}})],
-    ids=["t_train-11", "M-16", "rf-M-3"],
+     ("demand", {"estimators": ["rf"], "demand": {"M": 3}}),
+     # the AIC degree search stops at what the drawn sample identifies
+     ("auction", {"estimators": ["statistical"], "auction": {"M": 6}}),
+     ("auction", {"estimators": ["statistical"], "auction": {"M": 7}}),
+     ("auction", {"estimators": ["statistical"], "auction": {"n_train": [5, 9]}})],
+    ids=["t_train-11", "M-16", "rf-M-3", "statistical-M-6", "statistical-M-7",
+         "statistical-n_train-5-9"],
 )
 def test_cli_runs_the_smallest_sizes_validate_accepts(tmp_path, capsys, experiment, block):
     import yaml
@@ -637,6 +648,21 @@ def test_cli_runs_the_smallest_sizes_validate_accepts(tmp_path, capsys, experime
     assert main(["validate", "--config", str(path)]) == 0
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     assert ",in," in (tmp_path / "out" / "curves.csv").read_text()
+
+
+@pytest.mark.parametrize("base_seed", [1, 2, 3])
+def test_statistical_auction_runs_samples_of_few_distinct_bidder_counts(tmp_path, capsys,
+                                                                        base_seed):
+    # 8 auctions draw fewer than six distinct bidder counts in some trial of
+    # each of these seeds, which a degree-5 search could not fit
+    from structreg.cli import main
+
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"experiment": "auction", "scenario": 1, "trials": 20,
+                                "base_seed": base_seed, "estimators": ["statistical"],
+                                "auction": {"M": 8}}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "curves.csv").read_text().count(",in,") == 20 * 26
 
 
 def test_thin_entry_exit_panel_names_the_degenerate_structural_estimate(tmp_path, capsys):
