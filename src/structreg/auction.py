@@ -30,8 +30,8 @@ import numpy as np
 # the package. After the first call an import is one sys.modules lookup.
 # scipy.integrate is imported by the reference equilibrium_bid alone.
 from .data import Dataset, DomainSpec, SeededRng, partition_indices
-from .estimators import select_degree_aic
-from .metrics import _run_trials
+from .estimators import select_degrees_aic
+from .metrics import _each, _run_trials
 from .sre import (
     PenaltySpec,
     PolynomialFeatures,
@@ -39,7 +39,7 @@ from .sre import (
     default_lambda_grid,
     fit_theta_m,
 )
-from .tuning import RidgeFold, forward_cv
+from .tuning import RidgeFold, forward_splits
 
 OVERBID_TRUTH_DRAWS = 4_000_000
 BID_QUADRATURE_NODES = 256
@@ -149,32 +149,49 @@ def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def _beta_bid_batch(values: np.ndarray, n: int, beta_shape: tuple[float, float]) -> np.ndarray:
-    """Vectorized equilibrium bids for beta-distributed values.
+def _beta_bid_batch(values: np.ndarray, n, beta_shape: tuple[float, float]) -> np.ndarray:
+    """Vectorized equilibrium bids for beta-distributed values among ``n``
+    bidders, one count for all values or one per value.
 
     Evaluates the shading integral with the substitutions ``x = v u`` and
     ``u = 1 - (1 - s)^2``; the latter clusters quadrature nodes where the
     integrand's mass concentrates (near ``u = 1`` for many bidders), so a
     fixed Gauss-Legendre rule reaches quadrature-level accuracy for the whole
-    batch in one pass, ``_BID_BLOCK`` values at a time. Agrees with
-    :func:`equilibrium_bid` to ~1e-10.
+    batch in one pass, ``_BID_BLOCK`` values at a time. The values are taken
+    by bidder count, and the quadrature sum is one matrix-vector product per
+    count and block of that count's values, the product that count alone
+    would get: a BLAS product rounds a row by its place in the call. Agrees
+    with :func:`equilibrium_bid` to ~1e-10.
     """
     v = np.asarray(values, dtype=float).ravel()
+    counts = np.broadcast_to(np.asarray(n, dtype=float).ravel(), v.shape)
     s, w = _gl_rule()
     u = 1.0 - (1.0 - s) ** 2
     jacobian = 2.0 * (1.0 - s)
-    positive = v > 0.0
-    vp = v[positive]
-    shade = np.empty_like(vp)
-    for start in range(0, vp.shape[0], _BID_BLOCK):
-        block = vp[start:start + _BID_BLOCK]
-        log_ratio = (
-            _beta_logcdf(block[:, None] * u[None, :], beta_shape)
-            - _beta_logcdf(block, beta_shape)[:, None]
-        )
-        shade[start:start + _BID_BLOCK] = block * ((np.exp((n - 1) * log_ratio) * jacobian) @ w)
+    order = np.flatnonzero(v > 0.0)
+    order = order[np.argsort(counts[order], kind="stable")]
+    bounds = [0, *(np.flatnonzero(np.diff(counts[order])) + 1), order.size]
+    products = [(lo, min(lo + _BID_BLOCK, hi)) for first, hi in zip(bounds, bounds[1:])
+                for lo in range(first, hi, _BID_BLOCK)]
+    blocks: list[list[tuple[int, int]]] = []
+    for lo, hi in products:
+        if blocks and hi - blocks[-1][0][0] <= _BID_BLOCK:
+            blocks[-1].append((lo, hi))
+        else:
+            blocks.append([(lo, hi)])
     out = np.zeros_like(v)
-    out[positive] = vp - shade
+    for block in blocks:
+        start = block[0][0]
+        rows = order[start:block[-1][1]]
+        vb = v[rows]
+        log_ratio = (
+            _beta_logcdf(vb[:, None] * u[None, :], beta_shape)
+            - _beta_logcdf(vb, beta_shape)[:, None]
+        )
+        integrand = np.exp((counts[rows] - 1.0)[:, None] * log_ratio) * jacobian
+        for lo, hi in block:
+            part = slice(lo - start, hi - start)
+            out[order[lo:hi]] = vb[part] - vb[part] * (integrand[part] @ w)
     return out
 
 
@@ -207,11 +224,8 @@ def simulate_auctions(scenario: AuctionScenario, rng: SeededRng) -> Dataset:
     elif scenario.value_dist == "uniform":
         winning = shading * np.maximum.reduceat(values, starts)
     else:
-        top = np.maximum.reduceat(values, starts)
-        winning = np.empty(scenario.M)
-        for n in np.unique(n_bidders):
-            where = n_bidders == n
-            winning[where] = _beta_bid_batch(top[where], int(n), scenario.beta_shape)
+        winning = _beta_bid_batch(np.maximum.reduceat(values, starts), n_bidders,
+                                  scenario.beta_shape)
     return Dataset(n_bidders.astype(float)[:, None], winning)
 
 
@@ -385,17 +399,29 @@ def sre_auction(
     ``SYNTHETIC_ROWS`` bidder counts over both domains; they are projected
     once, on the fitting half's standardization, and each fold re-expresses
     the projection on its own. The cross-validation trace is ``fit.trace``.
+    This is the stack of one of :func:`_sre_auctions`.
     """
-    grid = default_lambda_grid(data.n) if lambda_grid is None else lambda_grid
+    return _sre_auctions([data], scenario, [rng], lambda_grid, forward_K)[0]
+
+
+def _sre_auctions(samples, scenario: AuctionScenario, rngs, lambda_grid=None,
+                  forward_K: int = FORWARD_K) -> list[SREFit]:
+    """:func:`sre_auction` of every sample with its own rng, the samples of
+    one size: their fitting halves, forward cross-validations and final fits
+    each posed and solved as one stack."""
+    grid = default_lambda_grid(samples[0].n) if lambda_grid is None else lambda_grid
     penalty = PenaltySpec(grid, np.asarray(SRE_PENALTY_WEIGHTS))
     features = PolynomialFeatures(SRE_POLY_DEGREE)
     n = np.linspace(scenario.n_range_train[0], scenario.n_range_test[1], SYNTHETIC_ROWS)
     synthetic = Dataset(n[:, None], uniform_ipv_mean(n))
-    fit_half = data.subset(partition_indices(data.n, 2, rng.split(0))[1])
-    fold = RidgeFold.of_sample(fit_half, features, penalty,
-                               functools.partial(fit_theta_m, features, synthetic))
+    fit_halves = [data.subset(partition_indices(data.n, 2, rng.split(0))[1])
+                  for data, rng in zip(samples, rngs)]
+    folds = RidgeFold.of_samples(fit_halves, features, penalty,
+                                 functools.partial(fit_theta_m, features, synthetic))
     target = DomainSpec.interval(*scenario.n_range_test)
-    return fold.fit(forward_cv(fold, forward_K, target, rng.split(3)))
+    splits = [forward_splits(fold.sample, forward_K, target, rng.split(3))
+              for fold, rng in zip(folds, rngs)]
+    return RidgeFold.fit_all(folds, RidgeFold.cross_validate_all(folds, splits))
 
 
 def auction_experiment(
@@ -411,9 +437,12 @@ def auction_experiment(
 
     Per trial: simulate training auctions on the in-domain bidder range, fit
     each requested estimator, and predict expected winning bids on the
-    integer in-domain and out-of-domain bidder grids. Returns the curve
-    records of :func:`structreg.metrics._run_trials` and metadata holding the
-    grids and, with overbidding, the truth's standard errors.
+    integer in-domain and out-of-domain bidder grids. Each trial of a block
+    is simulated on its own stream; the block's AIC searches and second
+    stages are then fitted as one stack each, with each trial's results the
+    bits it gets alone. Returns the curve records of
+    :func:`structreg.metrics._run_trials` and metadata holding the grids and,
+    with overbidding, the truth's standard errors.
     """
 
     def setup(rng):
@@ -422,26 +451,30 @@ def auction_experiment(
         truth = {domain: [true_expected_winning_bid(scenario, int(n)) for n in grid]
                  for domain, grid in grids.items()}
 
-        def trial(trial_rng):
-            supervised = simulate_auctions(scenario, trial_rng.split(0))
+        def block(trial_rngs):
+            samples = _each(lambda trial_rng: simulate_auctions(scenario, trial_rng.split(0)),
+                            trial_rngs)
             fits = {}
             if "statistical" in estimators:
-                fits["statistical"] = select_degree_aic(
-                    supervised.inputs[:, 0], supervised.outcome, STAT_MAX_DEGREE).predict
+                fits["statistical"] = [fit.predict for fit in select_degrees_aic(
+                    np.stack([data.inputs[:, 0] for data in samples]),
+                    np.stack([data.outcome for data in samples]), STAT_MAX_DEGREE)]
             if "structural" in estimators:
-                fits["structural"] = uniform_ipv_mean
+                fits["structural"] = [uniform_ipv_mean] * len(samples)
             if "sre" in estimators:
-                fits["sre"] = sre_auction(supervised, scenario, trial_rng.split(1), lambda_grid,
-                                          forward_K).predict
-            return truth, {name: {domain: predictor(grid.astype(float)[:, None])
-                                  for domain, grid in grids.items()}
-                           for name, predictor in fits.items()}
+                fits["sre"] = [fit.predict for fit in _sre_auctions(
+                    samples, scenario, [trial_rng.split(1) for trial_rng in trial_rngs],
+                    lambda_grid, forward_K)]
+            return [(truth, {name: {domain: predictors[t](grid.astype(float)[:, None])
+                                    for domain, grid in grids.items()}
+                             for name, predictors in fits.items()})
+                    for t in range(len(samples))]
 
         metadata = {"scenario": scenario.__dict__.copy(),
                     "grid_in": grids["in"].tolist(), "grid_out": grids["out"].tolist()}
         if scenario.overbid_sigma is not None:
             metadata["truth_mc_se"] = {int(n): overbid_truth_with_se(scenario, int(n))[1]
                                        for n in np.concatenate(list(grids.values()))}
-        return grids, trial, metadata
+        return grids, block, metadata
 
     return _run_trials(trials, rng, trial_indices, setup)

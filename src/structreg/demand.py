@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset, SeededRng, partition_indices, stacked_standardization
 from .estimators import LinearFit, SingularDesignError, fit_2sls, solve_least_squares
-from .metrics import _run_trials
+from .metrics import _each, _run_trials
 from .sre import (
     PenaltySpec,
     PolynomialFeatures,
@@ -240,9 +240,10 @@ class GmmFold(RidgeFold):
         return gmm_normal_equations(posed["design"], posed["instruments"], posed["outcome"],
                                     posed["weight"])
 
-    def _held_out_error(self, posed, splits, resid) -> np.ndarray:
+    @classmethod
+    def _held_out_error(cls, data, posed, splits, resid) -> np.ndarray:
         """Every split's held-out moment objective, with its training weight."""
-        Z_val = instrument_basis(self.sample.instruments[splits.val, 0], posed["z_means"],
+        Z_val = instrument_basis(data.instruments[splits.val, 0], posed["z_means"],
                                  posed["z_scales"]) * splits.val_weight[:, :, None]
         m_bar = Z_val.swapaxes(1, 2) @ resid / splits.val_weight.sum(axis=1)[:, None, None]
         return np.sum(m_bar * (posed["weight"] @ m_bar), axis=1)
@@ -351,6 +352,6 @@ def demand_experiment(
 
         metadata = {"scenario": scenario, "rf_form": rf_form,
                     "params": sim_params.__dict__.copy(), "grid": grid.tolist()}
-        return {"in": grid}, trial, metadata
+        return {"in": grid}, partial(_each, trial), metadata
 
     return _run_trials(trials, rng, trial_indices, setup)

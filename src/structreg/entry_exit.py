@@ -39,7 +39,7 @@ from .estimators import (
     select_arx_order_aic,
     solve_least_squares,
 )
-from .metrics import _run_trials
+from .metrics import _each, _run_trials
 from .sre import LinearFeatures, PenaltySpec, SREFit, default_lambda_grid, fit_theta_m
 from .tuning import RidgeFold, rolling_cv
 
@@ -582,6 +582,6 @@ def entry_exit_experiment(
     def setup(rng):
         metadata = {"regime": regime, "params": params.__dict__.copy(),
                     "rpath": rpath.__dict__.copy(), "prediction_start": PREDICTION_START}
-        return by_domain(np.arange(1, T + 1)), trial, metadata
+        return by_domain(np.arange(1, T + 1)), partial(_each, trial), metadata
 
     return _run_trials(trials, rng, trial_indices, setup)

@@ -33,19 +33,30 @@ def solve_least_squares(A: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     ``y`` may be a vector or a matrix of stacked right-hand sides. A design
     with fewer rows than columns is rank deficient and raises
-    :class:`SingularDesignError` like any other singular one.
+    :class:`SingularDesignError` like any other singular one. This is the
+    stack of one of :func:`_solve_stacked_least_squares`.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     if A.shape[0] < A.shape[1]:
         raise SingularDesignError(
             f"singular design: {A.shape[0]} rows for {A.shape[1]} coefficients")
+    return _solve_stacked_least_squares(A[None], y[None])[0]
+
+
+def _solve_stacked_least_squares(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The least-squares solve of every system of a stack, by one batched SVD:
+    ``A`` of shape ``(S, n, k)`` and ``y`` of shape ``(S, n)`` or ``(S, n, m)``.
+    Any system whose design is singular or worse conditioned than
+    ``CONDITION_LIMIT`` raises :class:`SingularDesignError`."""
     u, s, vt = np.linalg.svd(A, full_matrices=False)
-    if s[0] <= 0.0 or s[-1] <= 0.0 or s[0] / s[-1] > CONDITION_LIMIT:
-        raise SingularDesignError("singular design")
-    uy = u.T @ y
-    scaled = uy / s if uy.ndim == 1 else uy / s[:, None]
-    return vt.T @ scaled
+    for top, bottom in zip(s[:, 0].tolist(), s[:, -1].tolist()):
+        if top <= 0.0 or bottom <= 0.0 or top / bottom > CONDITION_LIMIT:
+            raise SingularDesignError("singular design")
+    vector = y.ndim == 2
+    uy = u.swapaxes(1, 2) @ (y[:, :, None] if vector else y)
+    theta = vt.swapaxes(1, 2) @ (uy / s[:, :, None])
+    return theta[:, :, 0] if vector else theta
 
 
 @dataclass(frozen=True)
@@ -170,19 +181,51 @@ def select_degree_aic(x, y, max_degree: int) -> PolyFit:
 
     The degrees tried run from 1 to the smallest of ``max_degree``, the number
     of distinct ``x`` values less one and the row count less three; a sample
-    that bounds them below 1 raises :class:`SingularDesignError`.
+    that bounds them below 1 raises :class:`SingularDesignError`. This is the
+    stack of one of :func:`select_degrees_aic`.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
+    return select_degrees_aic(x[None], y[None], max_degree)[0]
+
+
+def select_degrees_aic(x, y, max_degree: int) -> list[PolyFit]:
+    """:func:`select_degree_aic` of every row of the ``(samples, rows)``
+    arrays ``x`` and ``y``, each with its own degree bound.
+
+    Each candidate degree is fitted to every sample that allows it by one
+    batched SVD least-squares solve, with the condition guard of
+    :func:`solve_least_squares` applied to each sample.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    n, distinct = y.shape[0], np.unique(x).shape[0]
-    top = min(max_degree, distinct - 1, n - 3)
-    if top < 1:
+    n = y.shape[1]
+    distinct = 1 + (np.diff(np.sort(x, axis=1), axis=1) != 0.0).sum(axis=1)
+    top = np.minimum(np.minimum(max_degree, distinct - 1), n - 3)
+    if np.any(top < 1):
         raise SingularDesignError(
-            f"singular design: {n} rows and {distinct} distinct x values allow no polynomial")
-    fits = [fit_polynomial(x, y, degree) for degree in range(1, top + 1)]
-    return _lowest_aic([(fit, y - fit.predict(x), fit.degree + 1) for fit in fits], y, n)
+            f"singular design: {n} rows and {distinct[np.argmax(top < 1)]} distinct x values "
+            f"allow no polynomial")
+    mean = x.mean(axis=1)
+    scale = x.std(axis=1)
+    z = (x - mean[:, None]) / scale[:, None]
+    fits: list[list] = [[] for _ in range(y.shape[0])]
+    for degree in range(1, int(top.max()) + 1):
+        rows = np.flatnonzero(top >= degree)
+        powers = np.stack([z[rows] ** j for j in range(1, degree + 1)], axis=2)
+        design = np.concatenate([np.ones((rows.size, n, 1)), powers], axis=2)
+        theta = _solve_stacked_least_squares(design, y[rows])
+        if not np.isfinite(theta).all():
+            raise ValueError("non-finite fit coefficients")
+        resid = y[rows] - (theta[:, :1] + (powers @ theta[:, 1:, None])[:, :, 0])
+        for row, coefficients, r in zip(rows, theta, resid):
+            fits[row].append((degree, coefficients, r))
+    chosen = [_lowest_aic([((degree, c), r, degree + 1) for degree, c, r in candidates], row, n)
+              for candidates, row in zip(fits, y)]
+    return [PolyFit(degree, LinearFit(float(c[0]), c[1:]), float(m), float(sd))
+            for (degree, c), m, sd in zip(chosen, mean, scale)]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Monte Carlo orchestration, report assembly, and result persistence.
 
 A run is fully determined by its config and seed (the per-trial contract is
-that of the trial driver, :func:`structreg.metrics._run_trials`), so the
-emitted ``summary.csv`` / ``curves.csv`` are byte-identical across reruns.
+that of the trial driver, :func:`structreg.metrics._run_trials`: a trial's
+records depend on its own rng stream alone, whichever worker's slice and
+whichever block of ``TRIAL_BLOCK`` trials it runs in), so the emitted
+``summary.csv`` / ``curves.csv`` are byte-identical across reruns and worker
+counts.
 Timestamps and wall time live only in ``report.json`` metadata. The
 ``SRE_THREADS`` environment variable caps worker processes (default 1,
 sequential).

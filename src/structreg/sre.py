@@ -211,8 +211,11 @@ def quadratic_path(G, b, weights, theta_m, grid) -> np.ndarray:
     and :func:`sre_gmm` solve for one ``lam``.
 
     ``G``, ``b`` and ``theta_m`` may carry a leading stack axis of ``S``
-    systems that share ``weights`` and ``grid`` (cross-validation solves every
-    fold at once); a single system is the stack of one.
+    systems that share ``weights`` (cross-validation solves every fold at
+    once); a single system is the stack of one. The systems share ``grid``,
+    or a stack takes one grid row per system, ``(S, len(row))``, so that each
+    system is solved at its own penalties. Each system's result is bit for
+    bit the one it gets alone.
 
     The zero-weight coordinates are eliminated by a Schur complement and the
     others rescaled by ``sqrt(w)``, so the penalty becomes
@@ -230,14 +233,14 @@ def quadratic_path(G, b, weights, theta_m, grid) -> np.ndarray:
 
     Returns
     -------
-    ndarray of shape ``(len(grid), len(theta_m))``, or ``(S, len(grid), k)``
+    ndarray of shape ``(len(grid), len(theta_m))``, or ``(S, grid points, k)``
     for a stack
     """
     G = np.asarray(G, dtype=float)
     b = np.asarray(b, dtype=float)
     w = np.asarray(weights, dtype=float).ravel()
     theta_m = np.asarray(theta_m, dtype=float)
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))  # a shared grid is one row
     single = G.ndim == 2
     if single:
         G, b, theta_m = G[None], b.ravel()[None], theta_m.ravel()[None]
@@ -245,8 +248,8 @@ def quadratic_path(G, b, weights, theta_m, grid) -> np.ndarray:
             or theta_m.shape != b.shape):
         raise PenaltyError("G, b, weights and theta_m must share one width")
     n, k = b.shape
-    if grid.ndim != 1 or grid.size == 0:
-        raise PenaltyError("lambda grid must be a nonempty vector")
+    if grid.ndim != 2 or grid.shape[0] not in (1, n) or grid.size == 0:
+        raise PenaltyError("lambda grid must be a nonempty vector or one row per system")
     if np.any(grid < 0.0) or not np.isfinite(grid).all():
         raise PenaltyError("lambda grid must be nonnegative and finite")
     if np.any(w < 0.0) or not np.isfinite(w).all():
@@ -255,7 +258,12 @@ def quadratic_path(G, b, weights, theta_m, grid) -> np.ndarray:
         raise PenaltyError("G, b and theta_m must be finite")
     free, pen = np.flatnonzero(w == 0.0), np.flatnonzero(w > 0.0)
     root = np.sqrt(w[pen])
-    G_pf, S, c = G[:, pen][:, :, free], G[:, pen][:, :, pen], b[:, pen]
+    # Indexing an inner axis lays the result out by the stack's size, and a
+    # matrix product's rounding can follow the layout of its operands; so the
+    # products below take contiguous operands (G_pf, and phi rather than
+    # theta[:, :, pen]), and each system's result is its own in any stack.
+    G_pf = np.ascontiguousarray(G[:, pen][:, :, free])
+    S, c = G[:, pen][:, :, pen], b[:, pen]
     # a singular free block is singular at every grid point
     free_singular = np.zeros(n, dtype=bool)
     if free.size:
@@ -269,20 +277,20 @@ def quadratic_path(G, b, weights, theta_m, grid) -> np.ndarray:
         c = c - (G_pf @ K[:, :, -1:])[:, :, 0]
     S = S / np.outer(root, root)
     d, V = np.linalg.eigh(0.5 * (S + S.swapaxes(1, 2)))
-    denominators = d[:, None, :] + grid[None, :, None]
+    denominators = d[:, None, :] + grid[:, :, None]
     floor = _singular_floor(d)[:, None] + d.shape[1] * np.finfo(float).eps * grid
     singular = (denominators.min(axis=2, initial=np.inf) <= floor) | free_singular[:, None]
     if singular.any():
         first = np.argmax(singular.any(axis=1))
-        raise SingularPathError(float(grid[np.argmax(singular[first])]),
-                                None if single else int(first))
+        lam = np.broadcast_to(grid, singular.shape)[first, np.argmax(singular[first])]
+        raise SingularPathError(float(lam), None if single else int(first))
     Vt = V.swapaxes(1, 2)
-    numerators = (Vt @ (c / root)[:, :, None]).swapaxes(1, 2) + grid[None, :, None] * (
+    numerators = (Vt @ (c / root)[:, :, None]).swapaxes(1, 2) + grid[:, :, None] * (
         Vt @ (root * theta_m[:, pen])[:, :, None]).swapaxes(1, 2)
-    theta = np.empty((n, grid.size, k))
-    theta[:, :, pen] = (numerators / denominators) @ Vt / root
+    theta = np.empty((n, grid.shape[1], k))
+    theta[:, :, pen] = phi = (numerators / denominators) @ Vt / root
     if free.size:
-        theta[:, :, free] = K[:, None, :, -1] - theta[:, :, pen] @ K[:, :, :-1].swapaxes(1, 2)
+        theta[:, :, free] = K[:, None, :, -1] - phi @ K[:, :, :-1].swapaxes(1, 2)
     return theta[0] if single else theta
 
 

@@ -17,15 +17,21 @@ for rolling cross-validation), so no per-split sample or fold is built.
 
 A second-stage problem is posed in one place, the fold's ``_pose``, which
 poses a stack of samples at once: the cross-validation's splits, or the
-fitting sample itself as a stack of one (every row, weight 1), which is how
-:meth:`~RidgeFold.of_sample` builds the fold. It is solved in one place too:
+fitting samples themselves (every row, weight 1), which is how
+:meth:`~RidgeFold.of_samples` builds folds. It is solved in one place too:
 :func:`~structreg.sre.quadratic_path` solves every split's path, and the
 final fit is the fold's path at the one penalty the cross-validation chose.
+Several folds of one shape (the auction study's trials) go through each step
+as one stack: :meth:`~RidgeFold.of_samples`,
+:meth:`~RidgeFold.cross_validate_all` and :meth:`~RidgeFold.fit_all`; a single
+fold's :meth:`~RidgeFold.of_sample`, :meth:`~RidgeFold.cross_validate` and
+:meth:`~RidgeFold.fit` are their stacks of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -221,16 +227,31 @@ class RidgeFold:
     @classmethod
     def of_sample(cls, sample: Dataset, feature_map: FeatureMap, penalty: PenaltySpec,
                   theta_m) -> RidgeFold:
-        """The sample's fold over its standardized expanded features, posed as a
-        stack of one sample (every row, weight 1); ``theta_m(transform)`` gives
-        the benchmark projection on that standardization."""
-        posed = cls._pose(feature_map.transform(sample.inputs), sample,
-                          np.arange(sample.n)[None], np.ones((1, sample.n)),
+        """The sample's fold over its standardized expanded features: the
+        stack of one of :meth:`of_samples`."""
+        return cls.of_samples([sample], feature_map, penalty, theta_m)[0]
+
+    @classmethod
+    def of_samples(cls, samples, feature_map: FeatureMap, penalty: PenaltySpec,
+                   theta_m) -> list[RidgeFold]:
+        """Each sample's fold over its standardized expanded features, every
+        sample posed in one stack (all its rows, weight 1); the samples have
+        one row count. ``theta_m(transform)`` gives the benchmark projection
+        on a sample's standardization."""
+        if len({sample.n for sample in samples}) != 1:
+            raise DataError("the samples of a stack must have one row count")
+        data, offsets = _stacked_sample(samples)
+        rows = offsets[:, None] + np.arange(samples[0].n)
+        posed = cls._pose(feature_map.transform(data.inputs), data, rows, np.ones(rows.shape),
                           lambda index, error: error)
-        transform = StandardizeTransform(posed["means"][0], posed["scales"][0],
-                                         float(sample.outcome.mean()))
         G, b = cls._normal_equations(posed)
-        return cls(sample, G[0], b[0], transform, theta_m(transform), penalty, feature_map)
+        folds = []
+        for s, sample in enumerate(samples):
+            transform = StandardizeTransform(posed["means"][s], posed["scales"][s],
+                                             float(sample.outcome.mean()))
+            folds.append(cls(sample, G[s], b[s], transform, theta_m(transform), penalty,
+                             feature_map))
+        return folds
 
     @classmethod
     def _pose(cls, F, data, rows, weight, fail) -> dict:
@@ -258,60 +279,127 @@ class RidgeFold:
         Xt = posed["design"].swapaxes(1, 2)
         return Xt @ posed["design"], (Xt @ posed["outcome"][:, :, None])[:, :, 0]
 
-    def _held_out_error(self, posed, splits, resid) -> np.ndarray:
+    @classmethod
+    def _held_out_error(cls, data, posed, splits, resid) -> np.ndarray:
         """Every split's held-out mean squared error, one column per grid point."""
         return (resid * resid).sum(axis=1) / splits.val_weight.sum(axis=1)[:, None]
 
     def cv_errors(self, splits: CvSplits) -> np.ndarray:
         """Held-out error of every grid point on every split of the sample,
-        ``(splits, grid)``.
-
-        Every split's training rows are posed at once by :meth:`_pose`,
-        ``theta_m`` is re-expressed on each split's standardization (which
-        equals projecting the benchmark afresh on that scale), and one
-        stacked :func:`~structreg.sre.quadratic_path` call solves every
-        split's path. A split that cannot be posed or solved raises
-        :class:`CvError` naming it and, for a solve, its first offending grid
-        point.
-        """
-        data = self.sample
-        F = self.feature_map.transform(data.inputs)
-        posed = self._pose(F, data, splits.train, splits.train_weight, splits.failure)
-        means, scales = posed["means"], posed["scales"]
-        G, b = self._normal_equations(posed)
-        theta_m = _express_in_transform(_to_raw(self.theta_m, self.transform), means, scales)
-        finite = np.isfinite(G).all(axis=(1, 2)) & np.isfinite(b).all(axis=1) & np.isfinite(
-            theta_m).all(axis=1)
-        if not finite.all():
-            raise splits.failure(int(np.argmin(finite)), "G, b and theta_m must be finite")
-        grid = self.penalty.lambda_grid
-        try:
-            thetas = quadratic_path(G, b, self.penalty.weights, theta_m, grid)
-        except SingularPathError as exc:
-            raise splits.failure(exc.index, exc, exc.lam) from exc
-        bad = ~np.isfinite(thetas).all(axis=2)
-        if bad.any():
-            first = int(np.argmax(bad.any(axis=1)))
-            raise splits.failure(first, "non-finite coefficients",
-                                 float(grid[np.argmax(bad[first])]))
-        F_val = (F[splits.val] - means[:, None, :]) / scales[:, None, :]
-        predictions = thetas[:, None, :, 0] + F_val @ thetas[:, :, 1:].swapaxes(1, 2)
-        resid = (data.outcome[splits.val][:, :, None] - predictions) * splits.val_weight[:, :, None]
-        return self._held_out_error(posed, splits, resid)
+        ``(splits, grid)``: the stack of one of :meth:`cross_validate_all`."""
+        return self.cross_validate_all([self], [splits])[0].fold_errors
 
     def cross_validate(self, splits: CvSplits) -> CvTrace:
         """The fold's error curve over every split at once."""
-        return CvTrace(splits.kind, self.penalty.lambda_grid, self.cv_errors(splits))
+        return self.cross_validate_all([self], [splits])[0]
+
+    @staticmethod
+    def cross_validate_all(folds, splits) -> list[CvTrace]:
+        """Each fold's error curve over its own splits, every split of every
+        fold in one stacked array computation.
+
+        The folds share one class, feature map and penalty, and their splits
+        one shape. Every split's training rows are posed at once by
+        :meth:`_pose`, each fold's ``theta_m`` is re-expressed on each of its
+        splits' standardization (which equals projecting the benchmark afresh
+        on that scale), and one stacked :func:`~structreg.sre.quadratic_path`
+        call solves every split's path. A split that cannot be posed or
+        solved raises :class:`CvError` naming its place in the stack and, for
+        a solve, its first offending grid point.
+        """
+        _check_stack(folds)
+        cls, first = type(folds[0]), folds[0]
+        data, offsets = _stacked_sample([fold.sample for fold in folds])
+        stack = _stacked_splits(splits, offsets)
+        F = first.feature_map.transform(data.inputs)
+        posed = cls._pose(F, data, stack.train, stack.train_weight, stack.failure)
+        means, scales = posed["means"], posed["scales"]
+        G, b = cls._normal_equations(posed)
+        ends = list(accumulate(len(part.train) for part in splits))
+        rows = [slice(end - len(part.train), end) for part, end in zip(splits, ends)]
+        theta_m = np.concatenate([
+            _express_in_transform(_to_raw(fold.theta_m, fold.transform), means[r], scales[r])
+            for fold, r in zip(folds, rows)])
+        finite = np.isfinite(G).all(axis=(1, 2)) & np.isfinite(b).all(axis=1) & np.isfinite(
+            theta_m).all(axis=1)
+        if not finite.all():
+            raise stack.failure(int(np.argmin(finite)), "G, b and theta_m must be finite")
+        grid = first.penalty.lambda_grid
+        try:
+            thetas = quadratic_path(G, b, first.penalty.weights, theta_m, grid)
+        except SingularPathError as exc:
+            raise stack.failure(exc.index, exc, exc.lam) from exc
+        bad = ~np.isfinite(thetas).all(axis=2)
+        if bad.any():
+            index = int(np.argmax(bad.any(axis=1)))
+            raise stack.failure(index, "non-finite coefficients",
+                                float(grid[np.argmax(bad[index])]))
+        F_val = (F[stack.val] - means[:, None, :]) / scales[:, None, :]
+        predictions = thetas[:, None, :, 0] + F_val @ thetas[:, :, 1:].swapaxes(1, 2)
+        resid = (data.outcome[stack.val][:, :, None] - predictions) * stack.val_weight[:, :, None]
+        errors = cls._held_out_error(data, posed, stack, resid)
+        return [CvTrace(part.kind, grid, errors[r]) for part, r in zip(splits, rows)]
 
     def fit(self, trace: CvTrace) -> SREFit:
-        """The fit at the trace's ``lambda_star``, carrying the trace.
+        """The fit at the trace's ``lambda_star``, carrying the trace: the
+        stack of one of :meth:`fit_all`."""
+        return self.fit_all([self], [trace])[0]
 
-        A fold that is singular there raises
-        :class:`~structreg.sre.SingularPathError` naming ``lambda_star``.
+    @staticmethod
+    def fit_all(folds, traces) -> list[SREFit]:
+        """Each fold's fit at its own trace's ``lambda_star``, carrying the
+        trace, from one :func:`~structreg.sre.quadratic_path` call with one
+        penalty row per fold.
+
+        A fold that is singular at its ``lambda_star`` raises
+        :class:`~structreg.sre.SingularPathError` naming that penalty and the
+        fold's place in the stack.
         """
-        lam = trace.lambda_star
-        theta = quadratic_path(self.G, self.b, self.penalty.weights, self.theta_m, [lam])[0]
-        return SREFit(theta, self.transform, self.theta_m, lam, self.feature_map, trace)
+        _check_stack(folds)
+        lam = np.array([[trace.lambda_star] for trace in traces])
+        theta = quadratic_path(np.stack([fold.G for fold in folds]),
+                               np.stack([fold.b for fold in folds]), folds[0].penalty.weights,
+                               np.stack([fold.theta_m for fold in folds]), lam)[:, 0]
+        return [SREFit(t, fold.transform, fold.theta_m, trace.lambda_star, fold.feature_map, trace)
+                for t, fold, trace in zip(theta, folds, traces)]
+
+
+def _check_stack(folds) -> None:
+    first = folds[0]
+    if any(type(fold) is not type(first) or fold.feature_map != first.feature_map
+           or not np.array_equal(fold.penalty.lambda_grid, first.penalty.lambda_grid)
+           or not np.array_equal(fold.penalty.weights, first.penalty.weights)
+           for fold in folds[1:]):
+        raise ValueError("the folds of a stack must share one class, feature map and penalty")
+
+
+def _stacked_sample(samples) -> tuple[Dataset, np.ndarray]:
+    """One sample of every sample's rows in turn, and the row each one starts at."""
+    if len(samples) == 1:
+        return samples[0], np.zeros(1, dtype=int)
+    sizes = [sample.n for sample in samples]
+
+    def rows(name):
+        parts = [getattr(sample, name) for sample in samples]
+        return None if parts[0] is None else np.concatenate(parts)
+
+    return (Dataset(rows("inputs"), rows("outcome"), rows("instruments"), rows("time_index")),
+            np.cumsum(sizes) - sizes)
+
+
+def _stacked_splits(splits, offsets) -> CvSplits:
+    """Every fold's splits in one stack, their rows moved to the stacked
+    sample's; the splits share one width, so no sum over a split's rows is
+    padded with rows of weight 0 it would not have alone."""
+    if len(splits) == 1:
+        return splits[0]
+    if len({(part.train.shape[1], part.val.shape[1]) for part in splits}) != 1:
+        raise DataError("the splits of a stack must have one width")
+    shift = np.repeat(offsets, [part.train.shape[0] for part in splits])[:, None]
+    return CvSplits(splits[0].kind, np.concatenate([part.train for part in splits]) + shift,
+                    np.concatenate([part.train_weight for part in splits]),
+                    np.concatenate([part.val for part in splits]) + shift,
+                    np.concatenate([part.val_weight for part in splits]))
 
 
 def _to_raw(coefficients, transform) -> np.ndarray:

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from structreg.auction import (
     _order_stat_means,
     _overbid_max_table,
     _overbid_sample,
+    _sre_auctions,
     auction_experiment,
     equilibrium_bid,
     overbid_truth_with_se,
@@ -30,7 +32,7 @@ from structreg.auction import (
 )
 from structreg.data import SeededRng, partition_indices
 from structreg.metrics import metrics_table
-from structreg.tuning import RidgeFold
+from structreg.tuning import CvError, RidgeFold
 
 
 def test_uniform_bid_closed_form():
@@ -364,13 +366,13 @@ def test_sre_auction_fits_the_second_part_of_its_split(monkeypatch):
     scenario = AuctionScenario.from_index(1)
     data = simulate_auctions(scenario, SeededRng(12))
     samples = []
-    of_sample = RidgeFold.of_sample.__func__
+    of_samples = RidgeFold.of_samples.__func__
 
-    def recording(cls, sample, *args):
-        samples.append(sample)
-        return of_sample(cls, sample, *args)
+    def recording(cls, stack, *args):
+        samples.extend(stack)
+        return of_samples(cls, stack, *args)
 
-    monkeypatch.setattr(RidgeFold, "of_sample", classmethod(recording))
+    monkeypatch.setattr(RidgeFold, "of_samples", classmethod(recording))
     sre_auction(data, scenario, SeededRng(13))
     [sample] = samples
     # the rows of the second of the two parts the old two-way partition built
@@ -460,3 +462,68 @@ def test_auction_experiment_names_the_failing_trial(monkeypatch):
             AuctionScenario.from_index(1, M=30), trials=6, rng=SeededRng(3),
             lambda_grid=[0.0, 1.0], trial_indices=(3, 4, 5),
         )
+
+
+@given(seed=st.integers(0, 2**32 - 1), index=st.sampled_from([1, 2, 3]),
+       cv=st.sampled_from([(None, auction.FORWARD_K), ((0.0, 0.1, 1.0, 10.0), 4)]))
+@settings(max_examples=25, deadline=None)
+def test_stacked_second_stage_is_each_trials_stack_of_one(seed, index, cv):
+    grid, K = cv
+    gen = np.random.default_rng(seed)
+    scenario = AuctionScenario.from_index(index, M=int(gen.choice([40, 100])))
+    rngs = [SeededRng(seed).stream(int(t)) for t in gen.choice(1000, gen.integers(2, 9))]
+    samples = [simulate_auctions(scenario, rng.split(0)) for rng in rngs]
+    widths = []
+    cross_validate_all = RidgeFold.cross_validate_all
+
+    def recording(folds, splits):
+        widths.extend((part.train.shape, part.val.shape) for part in splits)
+        return cross_validate_all(folds, splits)
+
+    def second_stage(stack, stack_rngs):
+        return _sre_auctions(stack, scenario, [rng.split(1) for rng in stack_rngs], grid, K)
+
+    try:
+        alone = [second_stage([sample], [rng])[0] for sample, rng in zip(samples, rngs)]
+    except CvError:
+        # at lambda = 0 a split with fewer than six distinct bidder counts is singular
+        with pytest.raises(CvError):
+            second_stage(samples, rngs)
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RidgeFold, "cross_validate_all", staticmethod(recording))
+        fits = second_stage(samples, rngs)
+    # every trial's splits have one shape, so no sum over a split's rows is padded
+    assert len(widths) == len(rngs) and len(set(widths)) == 1
+    for fit, single, sample, rng in zip(fits, alone, samples, rngs):
+        assert fit.lambda_star == single.lambda_star
+        assert np.array_equal(fit.theta, single.theta)
+        assert np.array_equal(fit.theta_m, single.theta_m)
+        assert np.array_equal(fit.trace.fold_errors, single.trace.fold_errors)
+        # sre_auction is the stack of one
+        assert np.array_equal(sre_auction(sample, scenario, rng.split(1), grid, K).theta,
+                              single.theta)
+
+
+@pytest.mark.parametrize("block", [1, 3, 4, 10])
+def test_auction_records_do_not_depend_on_the_trial_block(monkeypatch, block):
+    run = dict(trials=10, rng=SeededRng(8), lambda_grid=[0.0, 1.0, 100.0], forward_K=4)
+    scenario = AuctionScenario.from_index(2, M=40)
+    expected = auction_experiment(scenario, **run)
+    # the package exports a function named metrics, so the module is imported by name
+    monkeypatch.setattr(importlib.import_module("structreg.metrics"), "TRIAL_BLOCK", block)
+    assert auction_experiment(scenario, **run) == expected
+
+
+def test_a_singular_split_in_a_stack_names_its_trial_and_fold():
+    # At lambda = 0 a degree-5 fit to the training rows of a forward split
+    # with fewer than six distinct bidder counts is singular. At this seed
+    # trial 5 is the first trial with such a split, its split 1.
+    scenario = AuctionScenario.from_index(1, M=60, n_range_train=(5, 12))
+    run = dict(rng=SeededRng(4), lambda_grid=[0.0, 1.0], forward_K=3)
+    auction_experiment(scenario, trials=5, **run)
+    message = (r"^trial 5 failed: fitter failed on fold 1 at lambda=0\.0: "
+               r"singular penalized system$")
+    for indices in (None, range(3, 10), (5,)):
+        with pytest.raises(RuntimeError, match=message):
+            auction_experiment(scenario, trials=10, trial_indices=indices, **run)

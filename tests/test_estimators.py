@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structreg.estimators import (
     SingularDesignError,
+    _lowest_aic,
     fit_2sls,
     fit_arx,
     fit_ols,
     fit_polynomial,
     select_arx_order_aic,
     select_degree_aic,
+    select_degrees_aic,
     solve_least_squares,
 )
 
@@ -149,6 +153,42 @@ def test_select_degree_on_four_rows_fits_degree_one():
 def test_select_degree_names_a_sample_no_polynomial_fits(x):
     with pytest.raises(SingularDesignError, match=f"{x.shape[0]} rows and {np.unique(x).shape[0]} distinct"):
         select_degree_aic(x, np.sqrt(x), 5)
+
+
+def _degree_search_one_fit_at_a_time(x, y, max_degree):
+    """The degree search as separate fits: one ``fit_polynomial`` per degree
+    the sample allows, scored by the shared AIC rule."""
+    top = min(max_degree, np.unique(x).shape[0] - 1, x.shape[0] - 3)
+    fits = [fit_polynomial(x, y, degree) for degree in range(1, top + 1)]
+    return _lowest_aic([(fit, y - fit.predict(x), fit.degree + 1) for fit in fits], y, y.shape[0])
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_batched_degree_search_is_each_samples_search(seed):
+    # samples of one block draw from 2 to 8 distinct values, so their degree
+    # bounds differ, as in auctions over few bidder counts
+    gen = np.random.default_rng(seed)
+    samples, n = int(gen.integers(1, 9)), int(gen.integers(6, 60))
+    counts = gen.integers(2, 9, size=samples)
+    x = np.stack([gen.choice(5.0 + np.arange(c), size=n) for c in counts])
+    x[:, :2] = 5.0, 6.0  # at least two distinct values in every sample
+    y = (x - 1.0) / (x + 1.0) + 0.05 * gen.normal(size=x.shape) + 1e-3 * x**2
+    fits = select_degrees_aic(x, y, 5)
+    for fit, xs, ys in zip(fits, x, y):
+        for reference in (select_degree_aic(xs, ys, 5),
+                          _degree_search_one_fit_at_a_time(xs, ys, 5)):
+            assert fit.degree == reference.degree
+            assert fit.input_mean == reference.input_mean
+            assert fit.input_scale == reference.input_scale
+            assert fit.linear_fit.intercept == reference.linear_fit.intercept
+            assert np.array_equal(fit.linear_fit.coefficients, reference.linear_fit.coefficients)
+
+
+def test_batched_degree_search_names_a_sample_no_polynomial_fits():
+    x = np.stack([np.arange(5.0, 25.0), np.full(20, 5.0)])
+    with pytest.raises(SingularDesignError, match="20 rows and 1 distinct"):
+        select_degrees_aic(x, np.sqrt(x), 5)
 
 
 def test_arx_exact_ar1_recovery():

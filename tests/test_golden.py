@@ -41,9 +41,10 @@ Regenerate them only for a change that is meant to move the numbers, and say
 why in CHANGES.md.
 
 The benchmark checks every run's ``summary.csv`` against
-``perfbench/reference.json`` within a relative tolerance; one seed of each of
-its configs is checked here the same way, so a change that breaks that
-tolerance fails in the suite too.
+``perfbench/reference.json`` within a relative tolerance; every config at
+every one of its 16 seeds is checked here the same way, so a change that
+breaks that tolerance (a chosen penalty or AIC degree that flips at any seed
+the benchmark may run) fails in the suite too.
 """
 
 import csv
@@ -58,7 +59,6 @@ from structreg.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-BENCHMARK_SEED = 11  # the seed the benchmark's notes hold out
 CASES = [
     "auction-1", "demand-4", "entry-exit-2",
     "auction-2-all-keys", "demand-2-all-keys", "entry-exit-1-all-keys",
@@ -125,9 +125,11 @@ def _benchmark_worker():
     "config", sorted(PERFBENCH.glob("configs/*/*.yaml")),
     ids=lambda path: f"{path.parent.name}/{path.stem}")
 def test_benchmark_configs_match_the_benchmark_reference(tmp_path, config):
-    assert main(["run", "--config", str(config), "--seed", str(BENCHMARK_SEED),
-                 "--out", str(tmp_path)]) == 0
-    reference = json.loads((PERFBENCH / "reference.json").read_text())
-    expected = reference[config.parent.name][str(BENCHMARK_SEED)][config.name]
-    assert _benchmark_worker().compare_summary((tmp_path / "summary.csv").read_text(),
-                                               expected) is None
+    reference = json.loads((PERFBENCH / "reference.json").read_text())[config.parent.name]
+    compare = _benchmark_worker().compare_summary
+    assert len(reference) == 16
+    for seed, expected in reference.items():
+        out = tmp_path / seed
+        assert main(["run", "--config", str(config), "--seed", seed, "--out", str(out)]) == 0
+        difference = compare((out / "summary.csv").read_text(), expected[config.name])
+        assert difference is None, f"seed {seed}: {difference}"

@@ -29,7 +29,14 @@ from structreg.harness import (
     recompute_aggregates_from_curves,
     run_monte_carlo,
 )
-from structreg.metrics import AggregateRow, MetricsError, metrics, metrics_table, sort_curves
+from structreg.metrics import (
+    TRIAL_BLOCK,
+    AggregateRow,
+    MetricsError,
+    metrics,
+    metrics_table,
+    sort_curves,
+)
 
 
 def test_metrics_zero_error_fixture():
@@ -700,17 +707,24 @@ def test_partial_demand_block_starts_from_the_study_defaults(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "config",
-    [{"experiment": "auction", "scenario": 2, "trials": 3, "base_seed": 3, "auction": {"M": 40}},
-     {"experiment": "entry-exit", "scenario": 2, "trials": 2, "base_seed": 3,
-      "entry_exit": {"n_firms": 2000}},
-     {"experiment": "demand", "scenario": 4, "trials": 3, "base_seed": 3}],
-    ids=["auction", "entry-exit", "demand"],
+    "config, workers",
+    [({"experiment": "auction", "scenario": 2, "trials": 3, "base_seed": 3, "auction": {"M": 40}},
+      2),
+     ({"experiment": "entry-exit", "scenario": 2, "trials": 2, "base_seed": 3,
+       "entry_exit": {"n_firms": 2000}}, 2),
+     ({"experiment": "demand", "scenario": 4, "trials": 3, "base_seed": 3}, 2),
+     # more trials than a block, and not a multiple of it: the sequential run
+     # and each worker's slice meet block boundaries at different trials
+     ({"experiment": "auction", "scenario": 2, "trials": TRIAL_BLOCK * 3 + 4, "base_seed": 3,
+       "auction": {"M": 40}}, 3),
+     ({"experiment": "auction", "scenario": 1, "trials": TRIAL_BLOCK * 2 + 6, "base_seed": 5,
+       "auction": {"M": 60}, "cv": {"K": 4}, "lambda_grid": [0.0, 0.1, 1.0, 10.0]}, 3)],
+    ids=["auction", "entry-exit", "demand", "auction-blocks", "auction-blocks-zero-lambda"],
 )
-def test_two_worker_pool_matches_sequential_bytes(tmp_path, monkeypatch, config):
+def test_two_worker_pool_matches_sequential_bytes(tmp_path, monkeypatch, config, workers):
     monkeypatch.delenv("SRE_THREADS", raising=False)
     sequential = _cli_outputs(config, tmp_path / "sequential")
-    monkeypatch.setenv("SRE_THREADS", "2")
+    monkeypatch.setenv("SRE_THREADS", str(workers))
     assert _cli_outputs(config, tmp_path / "pooled") == sequential
     # the reloaded reports differ only in their timings
     pooled, alone = (dataclasses.replace(load_report(tmp_path / side / "report.json"), metadata={})

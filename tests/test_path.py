@@ -240,6 +240,41 @@ def test_stacked_path_is_each_systems_path(seed):
             <= 1e-12
 
 
+@given(seeds)
+@settings(max_examples=30, deadline=None)
+def test_per_system_grid_rows_are_each_systems_own_path(seed):
+    gen, X, y, weights, theta_m = _problem(seed)
+    S, k = int(gen.integers(2, 7)), X.shape[1]
+    Xs = X[None] + 0.3 * gen.normal(size=(S,) + X.shape)
+    ys = y[None] + gen.normal(size=(S, y.size))
+    targets = theta_m[None] + gen.normal(size=(S, k))
+    G, b = Xs.swapaxes(1, 2) @ Xs, (Xs.swapaxes(1, 2) @ ys[:, :, None])[:, :, 0]
+    # every system at its own penalties, in any order, 0 included
+    grids = gen.choice(GRID[1:], size=(S, int(gen.integers(1, 4))))
+    grids[0, 0] = 0.0
+    stacked = quadratic_path(G, b, weights, targets, grids)
+    assert stacked.shape == (S, grids.shape[1], k)
+    for s in range(S):
+        alone = quadratic_path(G[s], b[s], weights, targets[s], grids[s])
+        assert np.array_equal(stacked[s], alone)
+    # a shared grid is the same grid on every row
+    assert np.array_equal(quadratic_path(G, b, weights, targets, GRID),
+                          quadratic_path(G, b, weights, targets, np.tile(GRID, (S, 1))))
+    with pytest.raises(PenaltyError):
+        quadratic_path(G, b, weights, targets, np.vstack([grids, grids]))
+
+
+def test_per_system_grid_names_the_singular_system_at_its_own_lambda():
+    good = np.column_stack([np.ones(6), np.arange(6.0), np.arange(6.0) ** 2])
+    rank_deficient = np.column_stack([np.ones(6), np.arange(6.0), np.zeros(6)])
+    X = np.stack([good, rank_deficient, rank_deficient])
+    G, b = X.swapaxes(1, 2) @ X, X.swapaxes(1, 2) @ np.arange(6.0)
+    # system 1 is regular at its own penalty, system 2 singular at its 0
+    with pytest.raises(SingularPathError) as info:
+        quadratic_path(G, b, [0.0, 1.0, 1.0], np.zeros((3, 3)), [[0.0], [0.5], [0.0]])
+    assert (info.value.index, info.value.lam) == (2, 0.0)
+
+
 def test_stacked_path_names_first_singular_system_and_lambda():
     good = np.column_stack([np.ones(6), np.arange(6.0), np.arange(6.0) ** 2])
     rank_deficient = np.column_stack([np.ones(6), np.arange(6.0), np.zeros(6)])

@@ -44,15 +44,15 @@ from .test_sre import line_rows
 
 
 def _record_cv(monkeypatch):
-    """Record ``(fold, splits)`` of every cross-validation run."""
+    """Record ``(fold, splits)`` of every cross-validation run, alone or stacked."""
     seen = []
-    cross_validate = RidgeFold.cross_validate
+    cross_validate_all = RidgeFold.cross_validate_all
 
-    def recording(fold, splits):
-        seen.append((fold, splits))
-        return cross_validate(fold, splits)
+    def recording(folds, splits):
+        seen.extend(zip(folds, splits))
+        return cross_validate_all(folds, splits)
 
-    monkeypatch.setattr(RidgeFold, "cross_validate", recording)
+    monkeypatch.setattr(RidgeFold, "cross_validate_all", staticmethod(recording))
     return seen
 
 
