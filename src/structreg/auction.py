@@ -416,8 +416,9 @@ def _sre_auctions(samples, scenario: AuctionScenario, rngs, lambda_grid=None,
     synthetic = Dataset(n[:, None], uniform_ipv_mean(n))
     fit_halves = [data.subset(partition_indices(data.n, 2, rng.split(0))[1])
                   for data, rng in zip(samples, rngs)]
-    folds = RidgeFold.of_samples(fit_halves, features, penalty,
-                                 functools.partial(fit_theta_m, features, synthetic))
+    folds = RidgeFold.of_samples(
+        fit_halves, features, penalty,
+        lambda transforms: [fit_theta_m(features, synthetic, t) for t in transforms])
     target = DomainSpec.interval(*scenario.n_range_test)
     splits = [forward_splits(fold.sample, forward_K, target, rng.split(3))
               for fold, rng in zip(folds, rngs)]

@@ -23,18 +23,18 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .data import Dataset, SeededRng, partition_indices, stacked_standardization
-from .estimators import LinearFit, SingularDesignError, fit_2sls, solve_least_squares
+from .estimators import LinearFit, SingularDesignError, _solve_stacked_least_squares, fit_2sls_all
 from .metrics import _each, _run_trials
 from .sre import (
     PenaltySpec,
     PolynomialFeatures,
     SREFit,
     default_lambda_grid,
-    fit_theta_m,
+    fit_theta_ms,
     gmm_normal_equations,
     sre_gmm,  # noqa: F401  perfbench/selftest.py reads it as demand.sre_gmm
 )
-from .tuning import RidgeFold, kfold_cv
+from .tuning import RidgeFold, kfold_splits
 
 INSTRUMENT_POWERS = 5
 EVAL_GRID_POINTS = 100
@@ -127,18 +127,34 @@ def structural_estimate_demand(data: Dataset) -> DemandEstimates:
     Exact (zero residual) when prices are set optimally; under dampened
     markups the quantity coefficient is ``markup / beta``, so the recovered
     slope estimates ``beta / markup`` — the model's misspecification bias.
-    The demand intercept follows as the mean of ``q + beta_hat * p``.
+    The demand intercept follows as the mean of ``q + beta_hat * p``. This is
+    the stack of one of :func:`_structural_estimates`.
     """
-    if data.n < STRUCTURAL_MIN_MARKETS:
+    return _structural_estimates([data])[0]
+
+
+def _columns(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The prices, quantities and cost shifters of samples of one size, one row each."""
+    return (np.stack([data.inputs[:, 0] for data in samples]),
+            np.stack([data.outcome for data in samples]),
+            np.stack([data.instruments[:, 0] for data in samples]))
+
+
+def _structural_estimates(samples) -> list[DemandEstimates]:
+    """:func:`structural_estimate_demand` of every sample, the samples of one
+    size: their pricing regressions are one batched least-squares solve."""
+    if samples[0].n < STRUCTURAL_MIN_MARKETS:
         raise ValueError(f"need at least {STRUCTURAL_MIN_MARKETS} markets")
-    p, q, z = data.inputs[:, 0], data.outcome, data.instruments[:, 0]
-    coef = solve_least_squares(np.column_stack([np.ones(data.n), z, q]), p)
-    a_hat, b_hat, inv_beta = float(coef[0]), float(coef[1]), float(coef[2])
-    if inv_beta <= 0.0:
-        raise ValueError("estimated inverse demand slope is nonpositive")
-    beta_hat = 1.0 / inv_beta
-    alpha_hat = float(np.mean(q + beta_hat * p))
-    return DemandEstimates(alpha_hat, beta_hat, a_hat, b_hat)
+    p, q, z = _columns(samples)
+    coef = _solve_stacked_least_squares(np.stack([np.ones_like(z), z, q], axis=2), p)
+    estimates = []
+    for (a_hat, b_hat, inv_beta), prices, quantities in zip(coef.tolist(), p, q):
+        if inv_beta <= 0.0:
+            raise ValueError("estimated inverse demand slope is nonpositive")
+        beta_hat = 1.0 / inv_beta
+        alpha_hat = float(np.mean(quantities + beta_hat * prices))
+        estimates.append(DemandEstimates(alpha_hat, beta_hat, a_hat, b_hat))
+    return estimates
 
 
 @dataclass(frozen=True)
@@ -157,17 +173,22 @@ class RfDemandFit:
 
 def rf_demand(data: Dataset, form: str = "linear") -> RfDemandFit:
     """Two-stage least squares of quantity on price, instrumented by the cost
-    shifter (plus a constant); the log-log form regresses logs on logs."""
+    shifter (plus a constant); the log-log form regresses logs on logs. This
+    is the stack of one of :func:`_rf_demands`."""
+    return _rf_demands([data], form)[0]
+
+
+def _rf_demands(samples, form: str) -> list[RfDemandFit]:
+    """:func:`rf_demand` of every sample, the samples of one size: each 2SLS
+    stage is one batched least-squares solve."""
     if form not in ("linear", "loglog"):
         raise ValueError(f"unknown reduced form: {form}")
-    p, q, z = data.inputs[:, 0], data.outcome, data.instruments[:, 0]
-    if form == "linear":
-        fit = fit_2sls(q, p[:, None], z[:, None])
-    else:
+    p, q, z = _columns(samples)
+    if form == "loglog":
         if np.any(p <= 0.0) or np.any(q <= 0.0):
             raise ValueError("log-log form requires positive prices and quantities")
-        fit = fit_2sls(np.log(q), np.log(p)[:, None], z[:, None])
-    return RfDemandFit(form, fit)
+        p, q = np.log(p), np.log(q)
+    return [RfDemandFit(form, fit) for fit in fit_2sls_all(q, p[:, :, None], z[:, :, None])]
 
 
 def instrument_basis(z: np.ndarray, center, scale) -> np.ndarray:
@@ -262,18 +283,33 @@ def sre_demand(
     instruments ``(1, z, ..., z^5)`` and projection weighting, with the
     penalty chosen by ``CV_FOLDS``-fold cross-validation on the held-out
     moment objective (training-fold weight). The cross-validation trace is
-    ``fit.trace``.
+    ``fit.trace``. This is the stack of one of :func:`_sre_demands`.
     """
-    folds = partition_indices(data.n, 2, rng.split(0))
-    estimates = structural_estimate_demand(data.subset(folds[0]))
-    p = data.inputs[:, 0]
-    prices = np.linspace(float(p.min()), float(p.max()), SYNTHETIC_ROWS)
-    synthetic = Dataset(prices[:, None], estimates.implied_demand(prices))
-    d2 = data.subset(folds[1])
-    grid = default_lambda_grid(d2.n) if lambda_grid is None else np.asarray(lambda_grid, float)
+    return _sre_demands([data], [rng], lambda_grid)[0]
+
+
+def _sre_demands(samples, rngs, lambda_grid=None) -> list[SREFit]:
+    """:func:`sre_demand` of every sample with its own rng, the samples of one
+    size. The pricing regressions of their first halves and the benchmark
+    projections are one batched least-squares solve each; the moment folds of
+    their second halves, their K-fold cross-validations and their final fits
+    are each posed and solved as one stack."""
+    halves = [partition_indices(data.n, 2, rng.split(0)) for data, rng in zip(samples, rngs)]
+    estimates = _structural_estimates([data.subset(folds[0])
+                                       for data, folds in zip(samples, halves)])
+    synthetic = []
+    for data, estimate in zip(samples, estimates):
+        p = data.inputs[:, 0]
+        prices = np.linspace(float(p.min()), float(p.max()), SYNTHETIC_ROWS)
+        synthetic.append(Dataset(prices[:, None], estimate.implied_demand(prices)))
+    fit_halves = [data.subset(folds[1]) for data, folds in zip(samples, halves)]
+    n = fit_halves[0].n
+    grid = default_lambda_grid(n) if lambda_grid is None else np.asarray(lambda_grid, float)
     penalty = PenaltySpec(grid, np.array([0.0, 1.0, 1.0]))
-    fold = GmmFold.of_sample(d2, _QUADRATIC, penalty, partial(fit_theta_m, _QUADRATIC, synthetic))
-    return fold.fit(kfold_cv(fold, CV_FOLDS, rng.split(2)))
+    folds = GmmFold.of_samples(fit_halves, _QUADRATIC, penalty,
+                               partial(fit_theta_ms, _QUADRATIC, synthetic))
+    splits = [kfold_splits(n, CV_FOLDS, rng.split(2)) for rng in rngs]
+    return GmmFold.fit_all(folds, GmmFold.cross_validate_all(folds, splits))
 
 
 SCENARIOS = {
@@ -328,7 +364,10 @@ def demand_experiment(
 
     Per trial: simulate the markets, fit each requested estimator, and score
     its demand curve against the true line ``alpha - beta * p`` on the
-    common price grid (all in-domain).
+    common price grid (all in-domain). Each trial of a block is simulated on
+    its own stream; the block's reduced-form and structural fits and its
+    second stages are then fitted as one stack each, with each trial's
+    results the bits it gets alone.
     """
 
     def setup(rng):
@@ -337,21 +376,23 @@ def demand_experiment(
         grid = evaluation_grid(sim_params, rng)
         truth = {"in": sim_params.alpha - sim_params.beta * grid}
 
-        def trial(trial_rng):
-            data = simulate_markets(sim_params, trial_rng.split(0))
-            preds: dict[str, np.ndarray] = {}
+        def block(trial_rngs):
+            samples = _each(lambda trial_rng: simulate_markets(sim_params, trial_rng.split(0)),
+                            trial_rngs)
+            preds: dict[str, list[np.ndarray]] = {}
             if "rf" in estimators:
-                preds["rf"] = rf_demand(data, rf_form).predict(grid)
+                preds["rf"] = [fit.predict(grid) for fit in _rf_demands(samples, rf_form)]
             if "structural" in estimators:
-                estimates = structural_estimate_demand(data)
-                preds["structural"] = estimates.implied_demand(grid)
+                preds["structural"] = [estimates.implied_demand(grid)
+                                       for estimates in _structural_estimates(samples)]
             if "sre" in estimators:
-                fit = sre_demand(data, trial_rng.split(1), lambda_grid=lambda_grid)
-                preds["sre"] = fit.predict(grid[:, None])
-            return truth, {name: {"in": values} for name, values in preds.items()}
+                preds["sre"] = [fit.predict(grid[:, None]) for fit in _sre_demands(
+                    samples, [trial_rng.split(1) for trial_rng in trial_rngs], lambda_grid)]
+            return [(truth, {name: {"in": values[t]} for name, values in preds.items()})
+                    for t in range(len(samples))]
 
         metadata = {"scenario": scenario, "rf_form": rf_form,
                     "params": sim_params.__dict__.copy(), "grid": grid.tolist()}
-        return {"in": grid}, partial(_each, trial), metadata
+        return {"in": grid}, block, metadata
 
     return _run_trials(trials, rng, trial_indices, setup)

@@ -38,17 +38,18 @@ def solve_least_squares(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
-    if A.shape[0] < A.shape[1]:
-        raise SingularDesignError(
-            f"singular design: {A.shape[0]} rows for {A.shape[1]} coefficients")
     return _solve_stacked_least_squares(A[None], y[None])[0]
 
 
 def _solve_stacked_least_squares(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The least-squares solve of every system of a stack, by one batched SVD:
     ``A`` of shape ``(S, n, k)`` and ``y`` of shape ``(S, n)`` or ``(S, n, m)``.
-    Any system whose design is singular or worse conditioned than
-    ``CONDITION_LIMIT`` raises :class:`SingularDesignError`."""
+    Designs with fewer rows than columns, and any system whose design is
+    singular or worse conditioned than ``CONDITION_LIMIT``, raise
+    :class:`SingularDesignError`."""
+    if A.shape[1] < A.shape[2]:
+        raise SingularDesignError(
+            f"singular design: {A.shape[1]} rows for {A.shape[2]} coefficients")
     u, s, vt = np.linalg.svd(A, full_matrices=False)
     for top, bottom in zip(s[:, 0].tolist(), s[:, -1].tolist()):
         if top <= 0.0 or bottom <= 0.0 or top / bottom > CONDITION_LIMIT:
@@ -305,7 +306,8 @@ def fit_2sls(y, X, Z) -> LinearFit:
 
     Requires at least as many instruments as regressors. When the instrument
     count equals the regressor count this reduces to the just-identified
-    estimator ``(Z'X)^{-1} Z'y``.
+    estimator ``(Z'X)^{-1} Z'y``. This is the stack of one of
+    :func:`fit_2sls_all`.
 
     Raises
     ------
@@ -321,21 +323,31 @@ def fit_2sls(y, X, Z) -> LinearFit:
         X = X[:, None]
     if Z.ndim == 1:
         Z = Z[:, None]
-    n, p = X.shape
-    if Z.shape[0] != n or y.shape[0] != n:
+    if Z.shape[0] != X.shape[0] or y.shape[0] != X.shape[0]:
         raise ValueError("row counts differ")
-    if Z.shape[1] < p:
+    return fit_2sls_all(y[None], X[None], Z[None])[0]
+
+
+def fit_2sls_all(y, X, Z) -> list[LinearFit]:
+    """:func:`fit_2sls` of every system of a stack: ``y`` of shape ``(S, n)``,
+    ``X`` of shape ``(S, n, p)`` and ``Z`` of shape ``(S, n, q)``. Each stage
+    is one batched SVD least-squares solve, with the condition guard of
+    :func:`solve_least_squares` applied to each system."""
+    y = np.asarray(y, dtype=float)
+    X = np.asarray(X, dtype=float)
+    Z = np.asarray(Z, dtype=float)
+    if Z.shape[2] < X.shape[2]:
         raise ValueError("need at least as many instruments as regressors")
-    ones = np.ones((n, 1))
-    Xc = np.hstack([ones, X])
-    Zc = np.hstack([ones, Z])
+    ones = np.ones(X.shape[:2] + (1,))
+    Xc = np.concatenate([ones, X], axis=2)
+    Zc = np.concatenate([ones, Z], axis=2)
     try:
-        first_stage = solve_least_squares(Zc, Xc)
+        first_stage = _solve_stacked_least_squares(Zc, Xc)
     except SingularDesignError as exc:
         raise SingularDesignError("singular instrument design") from exc
     X_hat = Zc @ first_stage
     try:
-        theta = solve_least_squares(X_hat, y)
+        theta = _solve_stacked_least_squares(X_hat, y)
     except SingularDesignError as exc:
         raise SingularDesignError("rank-deficient projected design") from exc
-    return LinearFit(float(theta[0]), theta[1:])
+    return [LinearFit(float(t[0]), t[1:]) for t in theta]

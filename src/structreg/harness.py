@@ -112,6 +112,14 @@ def configured_study(config: RunConfig):
         if params.z_low == params.z_high:
             raise ValueError(f"demand.z_low = demand.z_high = {params.z_low} leaves the cost "
                              f"shifter, every estimator's instrument, constant")
+        pricing = [name for name in ("structural", "sre") if name in config.estimators]
+        if pricing and params.eps_sd == 0.0:
+            # without a demand shock the price is affine in the shifter and the
+            # quantity affine in the price: the regression columns (1, z, q) are collinear
+            need = "estimator needs" if len(pricing) == 1 else "estimators need"
+            raise ValueError(f"demand.eps_sd = 0 makes the pricing regression singular at "
+                             f"every seed, and the {' and '.join(pricing)} {need} it; only "
+                             f"rf runs without a demand shock")
         if "structural" in config.estimators and params.M < STRUCTURAL_MIN_MARKETS:
             raise ValueError(f"demand.M = {params.M} is fewer than the "
                              f"{STRUCTURAL_MIN_MARKETS} markets the structural estimator needs")

@@ -70,8 +70,9 @@ def _run_trials(trials: int, rng: SeededRng | None, trial_indices, setup
     ``(points, run_block, metadata)``: the evaluation points per domain, and a
     function from a block of trial rngs (up to ``TRIAL_BLOCK``, in trial
     order) to each trial's truth per domain and predictions per estimator and
-    domain. A study may stack a block's trials into one array program; one
-    that does not runs its trial function on each rng through :func:`_each`.
+    domain. The auction and demand studies stack a block's trials into one
+    array program; entry/exit, which does not, runs its trial function on
+    each rng through :func:`_each`.
 
     The run contract: trial r draws from stream r of the run's rng (default
     ``SeededRng(0)``) and from nothing else, so it gives the same records in

@@ -36,7 +36,7 @@ import numpy as np
 # solvers sre_ridge and sre_gmm reach: the pipelines solve with numpy alone,
 # and a run that never needs scipy should not pay for importing it.
 from .data import Dataset, StandardizeTransform
-from .estimators import SingularDesignError, solve_least_squares
+from .estimators import SingularDesignError, _solve_stacked_least_squares
 
 if TYPE_CHECKING:
     from .tuning import CvTrace
@@ -166,15 +166,26 @@ def fit_theta_m(
     ``(F - means) / scales`` of ``transform``, so the coefficients live on the
     scale of a second-stage fit that used it.
 
+    This is the stack of one of :func:`fit_theta_ms`.
+
     Returns
     -------
     ndarray of length ``n_features + 1``
         Intercept followed by feature coefficients.
     """
-    F = transform.transform_inputs(feature_map.transform(synthetic.inputs))
-    design = np.column_stack([np.ones(F.shape[0]), F])
+    return fit_theta_ms(feature_map, [synthetic], [transform])[0]
+
+
+def fit_theta_ms(feature_map: FeatureMap, synthetics, transforms) -> np.ndarray:
+    """:func:`fit_theta_m` of each synthetic sample on its own transform, the
+    samples of one row count: one batched SVD least-squares solve, with one
+    row of coefficients per sample."""
+    F = np.stack([transform.transform_inputs(feature_map.transform(synthetic.inputs))
+                  for synthetic, transform in zip(synthetics, transforms)])
+    design = np.concatenate([np.ones(F.shape[:2] + (1,)), F], axis=2)
     try:
-        return solve_least_squares(design, synthetic.outcome)
+        return _solve_stacked_least_squares(
+            design, np.stack([synthetic.outcome for synthetic in synthetics]))
     except SingularDesignError as exc:
         raise SingularDesignError("singular feature Gram matrix") from exc
 

@@ -21,8 +21,8 @@ fitting samples themselves (every row, weight 1), which is how
 :meth:`~RidgeFold.of_samples` builds folds. It is solved in one place too:
 :func:`~structreg.sre.quadratic_path` solves every split's path, and the
 final fit is the fold's path at the one penalty the cross-validation chose.
-Several folds of one shape (the auction study's trials) go through each step
-as one stack: :meth:`~RidgeFold.of_samples`,
+Several folds of one shape (a block of the auction or demand study's trials)
+go through each step as one stack: :meth:`~RidgeFold.of_samples`,
 :meth:`~RidgeFold.cross_validate_all` and :meth:`~RidgeFold.fit_all`; a single
 fold's :meth:`~RidgeFold.of_sample`, :meth:`~RidgeFold.cross_validate` and
 :meth:`~RidgeFold.fit` are their stacks of one.
@@ -227,17 +227,22 @@ class RidgeFold:
     @classmethod
     def of_sample(cls, sample: Dataset, feature_map: FeatureMap, penalty: PenaltySpec,
                   theta_m) -> RidgeFold:
-        """The sample's fold over its standardized expanded features: the
-        stack of one of :meth:`of_samples`."""
-        return cls.of_samples([sample], feature_map, penalty, theta_m)[0]
+        """The sample's fold over its standardized expanded features, with
+        ``theta_m(transform)`` the benchmark projection on the sample's
+        standardization: the stack of one of :meth:`of_samples`."""
+        return cls.of_samples([sample], feature_map, penalty,
+                              lambda transforms: [theta_m(transforms[0])])[0]
 
     @classmethod
     def of_samples(cls, samples, feature_map: FeatureMap, penalty: PenaltySpec,
                    theta_m) -> list[RidgeFold]:
         """Each sample's fold over its standardized expanded features, every
         sample posed in one stack (all its rows, weight 1); the samples have
-        one row count. ``theta_m(transform)`` gives the benchmark projection
-        on a sample's standardization."""
+        one row count. ``theta_m(transforms)`` gives every sample's benchmark
+        projection, each on its own sample's standardization, so each sample
+        brings its own benchmark: the auction study projects one benchmark on
+        each trial's scale, the demand study each trial's own pricing model
+        in one batched solve."""
         if len({sample.n for sample in samples}) != 1:
             raise DataError("the samples of a stack must have one row count")
         data, offsets = _stacked_sample(samples)
@@ -245,13 +250,12 @@ class RidgeFold:
         posed = cls._pose(feature_map.transform(data.inputs), data, rows, np.ones(rows.shape),
                           lambda index, error: error)
         G, b = cls._normal_equations(posed)
-        folds = []
-        for s, sample in enumerate(samples):
-            transform = StandardizeTransform(posed["means"][s], posed["scales"][s],
-                                             float(sample.outcome.mean()))
-            folds.append(cls(sample, G[s], b[s], transform, theta_m(transform), penalty,
-                             feature_map))
-        return folds
+        transforms = [StandardizeTransform(posed["means"][s], posed["scales"][s],
+                                           float(sample.outcome.mean()))
+                      for s, sample in enumerate(samples)]
+        return [cls(sample, G[s], b[s], transform, projection, penalty, feature_map)
+                for s, (sample, transform, projection)
+                in enumerate(zip(samples, transforms, theta_m(transforms)))]
 
     @classmethod
     def _pose(cls, F, data, rows, weight, fail) -> dict:

@@ -1,8 +1,19 @@
-import numpy as np
-import pytest
+import importlib
 from dataclasses import replace
 
-from structreg.data import DataError, Dataset, SeededRng, StandardizeTransform, standardize
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from structreg.data import (
+    DataError,
+    Dataset,
+    SeededRng,
+    StandardizeTransform,
+    partition_indices,
+    standardize,
+)
 from structreg import demand
 from structreg.demand import (
     EVAL_GRID_POINTS,
@@ -10,6 +21,9 @@ from structreg.demand import (
     REFERENCE_MARKETS,
     DemandParams,
     GmmFold,
+    _rf_demands,
+    _sre_demands,
+    _structural_estimates,
     demand_experiment,
     evaluation_grid,
     instrument_basis,
@@ -28,6 +42,7 @@ from structreg.sre import (
     gmm_normal_equations,
     sre_gmm,
 )
+from structreg.tuning import kfold_splits
 
 
 def test_equilibrium_identities_hold():
@@ -270,6 +285,11 @@ def test_sre_demand_builds_three_instrument_blocks(monkeypatch):
     data = simulate_markets(DemandParams(M=400), SeededRng(18))
     sre_demand(data, SeededRng(18).split(1))
     assert len(calls) == 3
+    # a block of five trials builds the same three, each a stack of five
+    # fitting halves, 25 training splits and 25 held-out parts
+    calls.clear()
+    demand_experiment(2, DemandParams(M=400), ("sre",), trials=5, rng=SeededRng(18))
+    assert [shape[0] for shape in calls] == [5, 25, 25]
 
 
 def test_evaluation_grid_is_the_reference_simulation_percentiles():
@@ -381,3 +401,77 @@ def test_kfold_names_the_training_fold_whose_instrument_gram_is_singular():
     final = _moment_fold(data, penalty, lambda transform: np.zeros(3))
     with pytest.raises(CvError, match="fitter failed on fold 2: singular instrument Gram matrix"):
         kfold_cv(final, K, SeededRng(7))
+
+
+def _trial_samples(scenario, M, seed, trials):
+    """Each trial's markets and second-stage rng, as the demand experiment draws them."""
+    sim_params, _ = scenario_params(scenario, DemandParams(M=M))
+    rngs = [SeededRng(seed).stream(t) for t in trials]
+    return [simulate_markets(sim_params, rng.split(0)) for rng in rngs], [
+        rng.split(1) for rng in rngs]
+
+
+@given(seed=st.integers(0, 2**32 - 1), scenario=st.sampled_from([1, 2, 3, 4]),
+       M=st.sampled_from([60, 200, 1000]), grid=st.sampled_from([None, (0.0, 0.1, 10.0)]))
+@settings(max_examples=20, deadline=None)
+def test_stacked_second_stage_is_each_trials_sre_demand(seed, scenario, M, grid):
+    gen = np.random.default_rng(seed)
+    samples, rngs = _trial_samples(scenario, M, seed, gen.choice(1000, gen.integers(2, 7)))
+    fits = _sre_demands(samples, rngs, grid)
+    for fit, sample, rng in zip(fits, samples, rngs):
+        alone = sre_demand(sample, rng, grid)
+        assert fit.lambda_star == alone.lambda_star
+        assert np.array_equal(fit.theta, alone.theta)
+        assert np.array_equal(fit.theta_m, alone.theta_m)
+        assert np.array_equal(fit.trace.fold_errors, alone.trace.fold_errors)
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3, 4])
+def test_stacked_reduced_form_and_structural_fits_are_each_trials_fit(scenario):
+    _, rf_form = scenario_params(scenario, DemandParams())
+    samples, _ = _trial_samples(scenario, 300, 23, range(7))
+    for stacked, sample in zip(_rf_demands(samples, rf_form), samples):
+        alone = rf_demand(sample, rf_form)
+        assert stacked.linear_fit.intercept == alone.linear_fit.intercept
+        assert np.array_equal(stacked.linear_fit.coefficients, alone.linear_fit.coefficients)
+    assert _structural_estimates(samples) == [structural_estimate_demand(s) for s in samples]
+
+
+@pytest.mark.parametrize("scenario", [2, 3])  # the linear and the log-log reduced form
+@pytest.mark.parametrize("block", [1, 3, 4, 10])
+def test_demand_records_do_not_depend_on_the_trial_block(monkeypatch, scenario, block):
+    run = dict(params=DemandParams(M=200), trials=10, rng=SeededRng(8))
+    expected = demand_experiment(scenario, **run)
+    # the package exports a function named metrics, so the module is imported by name
+    monkeypatch.setattr(importlib.import_module("structreg.metrics"), "TRIAL_BLOCK", block)
+    assert demand_experiment(scenario, **run) == expected
+
+
+def test_a_singular_split_in_a_stack_names_its_trial_and_fold(monkeypatch):
+    # Trial 5's cost shifter is held at 2.0 on its fitting half, except on the
+    # rows of that half's CV fold 3. The whole half's instrument block is
+    # regular, but the training part that leaves fold 3 out sees one shifter
+    # value: its instrument powers are (1, 0, ..., 0), an exactly singular
+    # Gram matrix. The other trials are as drawn.
+    seed, failing, k, M = 6, 5, 3, 100
+    trial_rng = SeededRng(seed).stream(failing).split(1)
+    fitting = partition_indices(M, 2, trial_rng.split(0))[1]
+    splits = kfold_splits(fitting.size, demand.CV_FOLDS, trial_rng.split(2))
+    held = fitting[splits.val[k][splits.val_weight[k] == 1.0]]
+
+    def degenerate(params, rng):
+        data = simulate_markets(params, rng)
+        if rng.stream_index != failing or params.M != M:
+            return data
+        z = data.instruments[:, 0].copy()
+        z[np.setdiff1d(fitting, held)] = 2.0
+        return Dataset(data.inputs, data.outcome, z[:, None])
+
+    monkeypatch.setattr(demand, "simulate_markets", degenerate)
+    run = dict(params=DemandParams(M=M), estimators=("sre",), rng=SeededRng(seed))
+    demand_experiment(1, trials=5, **run)
+    message = (rf"^trial {failing} failed: fitter failed on fold {k}: "
+               r"singular instrument Gram matrix$")
+    for indices in (None, range(3, 10), (failing,)):
+        with pytest.raises(RuntimeError, match=message):
+            demand_experiment(1, trials=10, trial_indices=indices, **run)

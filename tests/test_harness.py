@@ -391,11 +391,16 @@ from structreg.cli import main
 golden, out = Path(sys.argv[1]), Path(sys.argv[2])
 def run(case):
     return main(["run", "--config", str(golden / case / "config.yaml"), "--out", str(out / case)])
+# an overbidding auction: its truth is a Monte Carlo table, no scipy function
+overbid = out / "auction-3.json"
+overbid.write_text(json.dumps({"experiment": "auction", "scenario": 3, "trials": 2,
+                               "base_seed": 0, "auction": {"M": 40}}))
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(["validate", "--config", str(path)])
              for path in sorted(golden.glob("*/config.yaml"))]
     codes += [run(case) for case in
               ("auction-1", "demand-4", "entry-exit-2", "entry-exit-1-all-keys")]
+    codes.append(main(["run", "--config", str(overbid), "--out", str(out / "auction-3")]))
     loaded = sorted(name for name in sys.modules
                     if name == "scipy" or name.startswith("scipy.")
                     or name == "concurrent.futures.process")
@@ -417,7 +422,7 @@ def test_studies_without_beta_values_never_import_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _LAZY_IMPORT_PROBE, str(golden), str(tmp_path)],
                           capture_output=True, text=True, env=env, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0] * 11
+    assert result["codes"] == [0] * 12
     assert result["loaded"] == []
     # the first beta-value run imports scipy.special on first use, and not
     # scipy.integrate, which only the reference equilibrium_bid needs; it
@@ -613,7 +618,16 @@ def test_readme_config_example_validates(tmp_path, capsys):
      ("auction", {"auction": {"n_train": [1, 30]}},
       "invalid auction settings: n_train = [1, 30]: bidder counts must be >= 2"),
      ("auction", {"auction": {"n_test": [1, 2]}},
-      "invalid auction settings: n_test = [1, 2]: bidder counts must be >= 2")],
+      "invalid auction settings: n_test = [1, 2]: bidder counts must be >= 2"),
+     # without a demand shock the pricing regression's columns (1, z, q) are collinear
+     ("demand", {"demand": {"eps_sd": 0.0}},
+      "invalid demand settings: demand.eps_sd = 0 makes the pricing regression singular at "
+      "every seed, and the structural and sre estimators need it; only rf runs without a "
+      "demand shock"),
+     ("demand", {"scenario": 2, "estimators": ["structural"], "demand": {"eps_sd": 0.0}},
+      "singular at every seed, and the structural estimator needs it"),
+     ("demand", {"estimators": ["rf", "sre"], "demand": {"eps_sd": 0.0}},
+      "singular at every seed, and the sre estimator needs it")],
 )
 def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, experiment, block, message):
     import yaml
@@ -639,9 +653,10 @@ def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, experiment, blo
      # the AIC degree search stops at what the drawn sample identifies
      ("auction", {"estimators": ["statistical"], "auction": {"M": 6}}),
      ("auction", {"estimators": ["statistical"], "auction": {"M": 7}}),
-     ("auction", {"estimators": ["statistical"], "auction": {"n_train": [5, 9]}})],
+     ("auction", {"estimators": ["statistical"], "auction": {"n_train": [5, 9]}}),
+     ("demand", {"estimators": ["rf"], "demand": {"eps_sd": 0.0}})],
     ids=["t_train-11", "M-16", "rf-M-3", "statistical-M-6", "statistical-M-7",
-         "statistical-n_train-5-9"],
+         "statistical-n_train-5-9", "rf-eps_sd-0"],
 )
 def test_cli_runs_the_smallest_sizes_validate_accepts(tmp_path, capsys, experiment, block):
     import yaml
@@ -718,8 +733,11 @@ def test_partial_demand_block_starts_from_the_study_defaults(tmp_path):
      ({"experiment": "auction", "scenario": 2, "trials": TRIAL_BLOCK * 3 + 4, "base_seed": 3,
        "auction": {"M": 40}}, 3),
      ({"experiment": "auction", "scenario": 1, "trials": TRIAL_BLOCK * 2 + 6, "base_seed": 5,
-       "auction": {"M": 60}, "cv": {"K": 4}, "lambda_grid": [0.0, 0.1, 1.0, 10.0]}, 3)],
-    ids=["auction", "entry-exit", "demand", "auction-blocks", "auction-blocks-zero-lambda"],
+       "auction": {"M": 60}, "cv": {"K": 4}, "lambda_grid": [0.0, 0.1, 1.0, 10.0]}, 3),
+     ({"experiment": "demand", "scenario": 3, "trials": TRIAL_BLOCK * 2 + 3, "base_seed": 7,
+       "demand": {"M": 200}}, 3)],
+    ids=["auction", "entry-exit", "demand", "auction-blocks", "auction-blocks-zero-lambda",
+         "demand-blocks"],
 )
 def test_two_worker_pool_matches_sequential_bytes(tmp_path, monkeypatch, config, workers):
     monkeypatch.delenv("SRE_THREADS", raising=False)
@@ -730,6 +748,30 @@ def test_two_worker_pool_matches_sequential_bytes(tmp_path, monkeypatch, config,
     pooled, alone = (dataclasses.replace(load_report(tmp_path / side / "report.json"), metadata={})
                      for side in ("pooled", "sequential"))
     assert pooled == alone
+
+
+def test_large_demand_blocks_give_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # OpenBLAS splits a call of about 1,800 rows or more between its threads,
+    # and some rows then round differently. 5,000 markets leave 2,500-row
+    # fitting halves; two blocks of trials, each stacked, must give the bytes
+    # of one BLAS thread at two. Fresh interpreters, since BLAS reads its
+    # thread count at load.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"experiment": "demand", "scenario": 4,
+                                  "trials": TRIAL_BLOCK + 2, "base_seed": 1,
+                                  "demand": {"M": 5000}}))
+    outputs = []
+    for threads in ("1", "2"):
+        env = _cli_env()
+        env.pop("SRE_THREADS", None)
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run([sys.executable, "-m", "structreg.cli", "run", "--config", str(config),
+                        "--out", str(out)], env=env, capture_output=True, check=True)
+        outputs.append({name: (out / name).read_bytes()
+                        for name in ("summary.csv", "curves.csv")})
+    assert outputs[0] == outputs[1]
 
 
 def test_failing_trial_in_worker_pool_is_named_and_writes_no_outputs(tmp_path, monkeypatch,
