@@ -395,13 +395,27 @@ def sre_auction(
     The sample is halved; the structural model has no free parameter, so the
     first half goes unused and the second carries forward cross-validation
     (validating nearest the out-of-domain bidder counts) and the final fit.
-    The benchmark's rows are its expected winning bids on an even grid of
-    ``SYNTHETIC_ROWS`` bidder counts over both domains; they are projected
-    once, on the fitting half's standardization, and each fold re-expresses
-    the projection on its own. The cross-validation trace is ``fit.trace``.
+    The benchmark is the projection of the model's expected winning bids
+    over both domains (:func:`_benchmark_projection`), computed once per
+    pair of bidder ranges; the fold and each of its splits re-express it on
+    their own standardization. The cross-validation trace is ``fit.trace``.
     This is the stack of one of :func:`_sre_auctions`.
     """
     return _sre_auctions([data], scenario, [rng], lambda_grid, forward_K)[0]
+
+
+@functools.lru_cache(maxsize=8)
+def _benchmark_projection(lo: int, hi: int) -> np.ndarray:
+    """Raw-scale coefficients of the degree-``SRE_POLY_DEGREE`` least-squares
+    fit to :func:`uniform_ipv_mean` on an even grid of ``SYNTHETIC_ROWS``
+    bidder counts over ``[lo, hi]``, read-only. The structural model has no
+    free parameter, so no trial's data enters: every trial of a run, and
+    every run of one process with the same ranges, shares one projection."""
+    n = np.linspace(lo, hi, SYNTHETIC_ROWS)
+    theta_m = fit_theta_m(PolynomialFeatures(SRE_POLY_DEGREE),
+                          Dataset(n[:, None], uniform_ipv_mean(n)))
+    theta_m.flags.writeable = False
+    return theta_m
 
 
 def _sre_auctions(samples, scenario: AuctionScenario, rngs, lambda_grid=None,
@@ -411,14 +425,11 @@ def _sre_auctions(samples, scenario: AuctionScenario, rngs, lambda_grid=None,
     each posed and solved as one stack."""
     grid = default_lambda_grid(samples[0].n) if lambda_grid is None else lambda_grid
     penalty = PenaltySpec(grid, np.asarray(SRE_PENALTY_WEIGHTS))
-    features = PolynomialFeatures(SRE_POLY_DEGREE)
-    n = np.linspace(scenario.n_range_train[0], scenario.n_range_test[1], SYNTHETIC_ROWS)
-    synthetic = Dataset(n[:, None], uniform_ipv_mean(n))
     fit_halves = [data.subset(partition_indices(data.n, 2, rng.split(0))[1])
                   for data, rng in zip(samples, rngs)]
     folds = RidgeFold.of_samples(
-        fit_halves, features, penalty,
-        lambda transforms: [fit_theta_m(features, synthetic, t) for t in transforms])
+        fit_halves, PolynomialFeatures(SRE_POLY_DEGREE), penalty,
+        _benchmark_projection(scenario.n_range_train[0], scenario.n_range_test[1]))
     target = DomainSpec.interval(*scenario.n_range_test)
     splits = [forward_splits(fold.sample, forward_K, target, rng.split(3))
               for fold, rng in zip(folds, rngs)]

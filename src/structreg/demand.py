@@ -18,19 +18,24 @@ quadratic moment-based fit shrunk toward the structural model's demand line.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from .data import Dataset, SeededRng, partition_indices, stacked_standardization
-from .estimators import LinearFit, SingularDesignError, _solve_stacked_least_squares, fit_2sls_all
+from .estimators import (
+    LinearFit,
+    SingularDesignError,
+    _powers,
+    _solve_stacked_least_squares,
+    fit_2sls_all,
+)
 from .metrics import _each, _run_trials
 from .sre import (
     PenaltySpec,
     PolynomialFeatures,
     SREFit,
     default_lambda_grid,
-    fit_theta_ms,
     gmm_normal_equations,
     sre_gmm,  # noqa: F401  perfbench/selftest.py reads it as demand.sre_gmm
 )
@@ -40,7 +45,6 @@ INSTRUMENT_POWERS = 5
 EVAL_GRID_POINTS = 100
 REFERENCE_MARKETS = 20_000
 CV_FOLDS = 5
-SYNTHETIC_ROWS = 1000
 STRUCTURAL_MIN_MARKETS = 4  # the pricing identity has three coefficients
 RF_MIN_MARKETS = 3  # with two, the two-coefficient 2SLS line interpolates
 DAMPENED_MARKUP = 0.4
@@ -200,23 +204,10 @@ def instrument_basis(z: np.ndarray, center, scale) -> np.ndarray:
     the basis) while keeping the Gram matrix well conditioned at degree 5.
     The caller must reuse one (center, scale) pair for every basis that
     shares a weight matrix. ``z`` of shape ``(S, n)`` with ``center`` and
-    ``scale`` of shape ``(S, 1)`` gives ``S`` blocks at once.
-
-    Column ``j`` is column ``j - 1`` times the rescaled shifter, a running
-    product rather than ``zs**j``: the rescaled shifter has both signs, and
-    numpy's float64 power of a negative base is an order of magnitude slower
-    than a multiplication and differs between its kernels by an ulp. Columns
-    0-2 equal ``zs**j`` bit for bit and the higher ones lie within 2 ulp of
-    it; every column is exactly rounded IEEE arithmetic, so the block is the
-    same whichever power kernel numpy would dispatch to.
+    ``scale`` of shape ``(S, 1)`` gives ``S`` blocks at once. The powers are
+    running products of the rescaled shifter (``estimators._powers``).
     """
-    zs = (np.asarray(z, dtype=float) - center) / scale
-    basis = np.empty(zs.shape + (INSTRUMENT_POWERS + 1,))
-    basis[..., 0] = 1.0
-    basis[..., 1] = zs
-    for j in range(2, INSTRUMENT_POWERS + 1):
-        np.multiply(basis[..., j - 1], zs, out=basis[..., j])
-    return basis
+    return _powers((np.asarray(z, dtype=float) - center) / scale, INSTRUMENT_POWERS)
 
 
 class GmmFold(RidgeFold):
@@ -277,37 +268,34 @@ def sre_demand(
 ) -> SREFit:
     """Two-stage moment-penalized demand fit with sample splitting.
 
-    Half the markets estimate the pricing model, whose demand line on an
-    even grid of ``SYNTHETIC_ROWS`` prices over the observed price span is
-    the benchmark's rows; the other half carry the quadratic moment fit with
-    instruments ``(1, z, ..., z^5)`` and projection weighting, with the
-    penalty chosen by ``CV_FOLDS``-fold cross-validation on the held-out
-    moment objective (training-fold weight). The cross-validation trace is
-    ``fit.trace``. This is the stack of one of :func:`_sre_demands`.
+    Half the markets estimate the pricing model; the other half carry the
+    quadratic moment fit with instruments ``(1, z, ..., z^5)`` and
+    projection weighting, with the penalty chosen by ``CV_FOLDS``-fold
+    cross-validation on the held-out moment objective (training-fold
+    weight). The benchmark is the estimated demand line ``alpha_hat -
+    beta_hat * p``: it lies in the quadratic's span, so its raw-scale
+    coefficients over ``(1, p, p^2)`` are ``(alpha_hat, -beta_hat, 0)`` and
+    no projection is fitted. The cross-validation trace is ``fit.trace``.
+    This is the stack of one of :func:`_sre_demands`.
     """
     return _sre_demands([data], [rng], lambda_grid)[0]
 
 
 def _sre_demands(samples, rngs, lambda_grid=None) -> list[SREFit]:
     """:func:`sre_demand` of every sample with its own rng, the samples of one
-    size. The pricing regressions of their first halves and the benchmark
-    projections are one batched least-squares solve each; the moment folds of
-    their second halves, their K-fold cross-validations and their final fits
-    are each posed and solved as one stack."""
+    size. The pricing regressions of their first halves are one batched
+    least-squares solve; the moment folds of their second halves, their
+    K-fold cross-validations and their final fits are each posed and solved
+    as one stack."""
     halves = [partition_indices(data.n, 2, rng.split(0)) for data, rng in zip(samples, rngs)]
     estimates = _structural_estimates([data.subset(folds[0])
                                        for data, folds in zip(samples, halves)])
-    synthetic = []
-    for data, estimate in zip(samples, estimates):
-        p = data.inputs[:, 0]
-        prices = np.linspace(float(p.min()), float(p.max()), SYNTHETIC_ROWS)
-        synthetic.append(Dataset(prices[:, None], estimate.implied_demand(prices)))
     fit_halves = [data.subset(folds[1]) for data, folds in zip(samples, halves)]
     n = fit_halves[0].n
     grid = default_lambda_grid(n) if lambda_grid is None else np.asarray(lambda_grid, float)
     penalty = PenaltySpec(grid, np.array([0.0, 1.0, 1.0]))
     folds = GmmFold.of_samples(fit_halves, _QUADRATIC, penalty,
-                               partial(fit_theta_ms, _QUADRATIC, synthetic))
+                               [[e.alpha, -e.beta, 0.0] for e in estimates])
     splits = [kfold_splits(n, CV_FOLDS, rng.split(2)) for rng in rngs]
     return GmmFold.fit_all(folds, GmmFold.cross_validate_all(folds, splits))
 

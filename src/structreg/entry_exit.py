@@ -491,8 +491,9 @@ def sre_entry_exit(
 
     The benchmark's synthetic panels cover the full horizon (the profit path
     is exogenous and known), so the shrink target encodes the model's
-    out-of-domain behavior. It is projected once, on the whole training
-    sample's standardization, and each window re-expresses it on its own.
+    out-of-domain behavior. It is projected once, to raw-scale coefficients
+    (:func:`~structreg.sre.fit_theta_m`), and the training sample and each
+    window re-express them on their own standardization.
     The rolling cross-validation trace is ``fit.trace``.
     """
     t_train = panel_second.t_total
@@ -507,14 +508,14 @@ def sre_entry_exit(
     penalty = PenaltySpec(grid, np.concatenate([[0.0], np.ones(train.p)]))
     features = LinearFeatures(train.p)
     try:
-        fold = RidgeFold.of_sample(train, features, penalty,
-                                   partial(fit_theta_m, features, synthetic))
+        theta_m = fit_theta_m(features, synthetic)
     except SingularDesignError as exc:
         mu, alpha, entry_cost = estimates
         raise SingularDesignError(
             f"{exc}: the benchmark's synthetic panels do not identify the ARX model; "
             f"degenerate CCP-Euler estimate mu={mu:.4g}, alpha={alpha:.4g}, "
             f"entry_cost={entry_cost:.4g}") from exc
+    fold = RidgeFold.of_sample(train, features, penalty, theta_m)
     return fold.fit(rolling_cv(fold, max(2, train.n // 5)))
 
 

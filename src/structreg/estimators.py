@@ -60,6 +60,23 @@ def _solve_stacked_least_squares(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     return theta[:, :, 0] if vector else theta
 
 
+def _powers(z: np.ndarray, degree: int) -> np.ndarray:
+    """``(1, z, z^2, ..., z^degree)`` along a new last axis, ``degree >= 1``,
+    each column the one before times ``z``: a standardized ``z`` has both
+    signs, and numpy's float64 power of a negative base is an order of
+    magnitude slower than a product and differs between its kernels by an
+    ulp. Columns 0-2 equal ``z**j`` bit for bit and the higher ones lie within
+    a few ulp of it, the same whichever power kernel numpy would dispatch to.
+    """
+    z = np.asarray(z, dtype=float)
+    out = np.empty(z.shape + (degree + 1,))
+    out[..., 0] = 1.0
+    out[..., 1] = z
+    for j in range(2, degree + 1):
+        np.multiply(out[..., j - 1], z, out=out[..., j])
+    return out
+
+
 @dataclass(frozen=True)
 class LinearFit:
     """Intercept plus slope coefficients over the design columns."""
@@ -126,18 +143,12 @@ class PolyFit:
         return (x - self.input_mean) / self.input_scale
 
     def predict(self, x) -> np.ndarray:
-        z = self._standardized(x)
-        powers = np.column_stack([z**j for j in range(1, self.degree + 1)])
-        return self.linear_fit.predict(powers)
+        return self.linear_fit.predict(_powers(self._standardized(x), self.degree)[:, 1:])
 
     def derivative(self, x) -> np.ndarray:
         """Analytic d(prediction)/dx in the raw input scale."""
-        z = self._standardized(x)
-        coefs = self.linear_fit.coefficients
-        out = np.zeros_like(z)
-        for j in range(1, self.degree + 1):
-            out += coefs[j - 1] * j * z ** (j - 1)
-        return out / self.input_scale
+        slopes = np.arange(1, self.degree + 1) * self.linear_fit.coefficients
+        return _powers(self._standardized(x), self.degree)[:, :-1] @ slopes / self.input_scale
 
 
 def fit_polynomial(x, y, degree: int) -> PolyFit:
@@ -152,9 +163,7 @@ def fit_polynomial(x, y, degree: int) -> PolyFit:
     scale = float(x.std(ddof=0))
     if scale <= 0.0:
         raise SingularDesignError("singular design")
-    z = (x - mean) / scale
-    powers = np.column_stack([z**j for j in range(1, degree + 1)])
-    fit = fit_ols(powers, y)
+    fit = fit_ols(_powers((x - mean) / scale, degree)[:, 1:], y)
     return PolyFit(degree, fit, mean, scale)
 
 
@@ -215,12 +224,11 @@ def select_degrees_aic(x, y, max_degree: int) -> list[PolyFit]:
     fits: list[list] = [[] for _ in range(y.shape[0])]
     for degree in range(1, int(top.max()) + 1):
         rows = np.flatnonzero(top >= degree)
-        powers = np.stack([z[rows] ** j for j in range(1, degree + 1)], axis=2)
-        design = np.concatenate([np.ones((rows.size, n, 1)), powers], axis=2)
+        design = _powers(z[rows], degree)
         theta = _solve_stacked_least_squares(design, y[rows])
         if not np.isfinite(theta).all():
             raise ValueError("non-finite fit coefficients")
-        resid = y[rows] - (theta[:, :1] + (powers @ theta[:, 1:, None])[:, :, 0])
+        resid = y[rows] - (design @ theta[:, :, None])[:, :, 0]
         for row, coefficients, r in zip(rows, theta, resid):
             fits[row].append((degree, coefficients, r))
     chosen = [_lowest_aic([((degree, c), r, degree + 1) for degree, c, r in candidates], row, n)

@@ -35,8 +35,8 @@ import numpy as np
 # scipy.linalg is imported in _penalized_solve, which only the reference
 # solvers sre_ridge and sre_gmm reach: the pipelines solve with numpy alone,
 # and a run that never needs scipy should not pay for importing it.
-from .data import Dataset, StandardizeTransform
-from .estimators import SingularDesignError, _solve_stacked_least_squares
+from .data import Dataset, StandardizeTransform, standardize
+from .estimators import SingularDesignError, solve_least_squares
 
 if TYPE_CHECKING:
     from .tuning import CvTrace
@@ -153,41 +153,33 @@ class LinearFeatures(FeatureMap):
         return out
 
 
-def fit_theta_m(
-    feature_map: FeatureMap, synthetic: Dataset, transform: StandardizeTransform
-) -> np.ndarray:
+def fit_theta_m(feature_map: FeatureMap, synthetic: Dataset) -> np.ndarray:
     """Project the structural benchmark onto the statistical model's span.
 
     ``synthetic`` holds rows the estimated structural model implies: inputs
-    and the outcome the model predicts for them (the auction and demand
-    studies evaluate the model's conditional mean on an even grid, the
+    and the outcome the model predicts for them (the auction study evaluates
+    the model's conditional mean on an even grid of bidder counts, the
     entry/exit study stacks simulated benchmark panels). The statistical
-    model is fitted to them by least squares over the standardized features
-    ``(F - means) / scales`` of ``transform``, so the coefficients live on the
-    scale of a second-stage fit that used it.
-
-    This is the stack of one of :func:`fit_theta_ms`.
+    model is fitted to them by least squares over the rows' own standardized
+    features, which keeps the design well conditioned; the fitted function
+    does not depend on that standardization, so the coefficients are
+    returned on the raw feature scale, the one form in which a benchmark
+    reaches a fold. A fold re-expresses them on its own standardization.
 
     Returns
     -------
     ndarray of length ``n_features + 1``
-        Intercept followed by feature coefficients.
+        Raw-scale intercept followed by the coefficients of the raw features.
     """
-    return fit_theta_ms(feature_map, [synthetic], [transform])[0]
-
-
-def fit_theta_ms(feature_map: FeatureMap, synthetics, transforms) -> np.ndarray:
-    """:func:`fit_theta_m` of each synthetic sample on its own transform, the
-    samples of one row count: one batched SVD least-squares solve, with one
-    row of coefficients per sample."""
-    F = np.stack([transform.transform_inputs(feature_map.transform(synthetic.inputs))
-                  for synthetic, transform in zip(synthetics, transforms)])
-    design = np.concatenate([np.ones(F.shape[:2] + (1,)), F], axis=2)
+    std, transform = standardize(Dataset(feature_map.transform(synthetic.inputs),
+                                         synthetic.outcome))
     try:
-        return _solve_stacked_least_squares(
-            design, np.stack([synthetic.outcome for synthetic in synthetics]))
+        coefficients = solve_least_squares(np.column_stack([np.ones(std.n), std.inputs]),
+                                           synthetic.outcome)
     except SingularDesignError as exc:
         raise SingularDesignError("singular feature Gram matrix") from exc
+    slopes = coefficients[1:] / transform.column_scales
+    return np.concatenate([[coefficients[0] - slopes @ transform.column_means], slopes])
 
 
 class SingularPathError(SingularDesignError):

@@ -10,10 +10,14 @@ with :meth:`~RidgeFold.of_sample` on the half of the sample the structural
 stage did not use, passes it to the cross-validation, and returns
 :meth:`~RidgeFold.fit` of the resulting :class:`CvTrace`. The fold keeps its
 sample and fixes everything the cross-validation needs: its penalty's grid and
-:meth:`~RidgeFold.cv_errors`, which scores that grid on every split of a
+:meth:`~RidgeFold.cross_validate`, which scores that grid on every split of a
 :class:`CvSplits` of the sample in one stacked array computation. A split is
 row indices into the sample with 0/1 row weights (a sliding window of rows
 for rolling cross-validation), so no per-split sample or fold is built.
+
+A fold takes the benchmark ``theta_m`` as raw-scale coefficients over
+``(1, F(x))`` and keeps it so; each solve re-expresses it on the
+standardization it poses, every split's and the fold's own, by its affine map.
 
 A second-stage problem is posed in one place, the fold's ``_pose``, which
 poses a stack of samples at once: the cross-validation's splits, or the
@@ -208,12 +212,12 @@ class RidgeFold:
 
     ``G`` and ``b`` are the ``sample``'s normal equations ``(X'X, X'y)`` over
     the design ``(1, standardized features)`` and ``theta_m`` the benchmark
-    projection on the same scale. :meth:`_pose` poses the problem on a stack
-    of samples; :meth:`of_sample` builds the fold as the stack of one sample
-    of every row, and cross-validation's :meth:`cv_errors` poses every split's
-    training rows at once and scores every grid point on the split's held-out
-    rows. :meth:`fit` then solves the fold's own path at the penalty the
-    cross-validation chose.
+    projection's raw-scale coefficients over ``(1, features)``. :meth:`_pose`
+    poses the problem on a stack of samples; :meth:`of_sample` builds the
+    fold as the stack of one sample of every row, and cross-validation's
+    :meth:`cross_validate` poses every split's training rows at once and
+    scores every grid point on the split's held-out rows. :meth:`fit` then
+    solves the fold's own path at the penalty the cross-validation chose.
     """
 
     sample: Dataset
@@ -227,22 +231,20 @@ class RidgeFold:
     @classmethod
     def of_sample(cls, sample: Dataset, feature_map: FeatureMap, penalty: PenaltySpec,
                   theta_m) -> RidgeFold:
-        """The sample's fold over its standardized expanded features, with
-        ``theta_m(transform)`` the benchmark projection on the sample's
-        standardization: the stack of one of :meth:`of_samples`."""
-        return cls.of_samples([sample], feature_map, penalty,
-                              lambda transforms: [theta_m(transforms[0])])[0]
+        """The sample's fold over its standardized expanded features, shrunk
+        toward the raw-scale benchmark coefficients ``theta_m``: the stack of
+        one of :meth:`of_samples`."""
+        return cls.of_samples([sample], feature_map, penalty, theta_m)[0]
 
     @classmethod
     def of_samples(cls, samples, feature_map: FeatureMap, penalty: PenaltySpec,
                    theta_m) -> list[RidgeFold]:
         """Each sample's fold over its standardized expanded features, every
         sample posed in one stack (all its rows, weight 1); the samples have
-        one row count. ``theta_m(transforms)`` gives every sample's benchmark
-        projection, each on its own sample's standardization, so each sample
-        brings its own benchmark: the auction study projects one benchmark on
-        each trial's scale, the demand study each trial's own pricing model
-        in one batched solve."""
+        one row count. ``theta_m`` holds raw-scale benchmark coefficients,
+        one row per sample or one vector that every sample shares: the
+        auction study's one cached projection, the demand study each trial's
+        estimated demand line."""
         if len({sample.n for sample in samples}) != 1:
             raise DataError("the samples of a stack must have one row count")
         data, offsets = _stacked_sample(samples)
@@ -250,12 +252,11 @@ class RidgeFold:
         posed = cls._pose(feature_map.transform(data.inputs), data, rows, np.ones(rows.shape),
                           lambda index, error: error)
         G, b = cls._normal_equations(posed)
-        transforms = [StandardizeTransform(posed["means"][s], posed["scales"][s],
-                                           float(sample.outcome.mean()))
-                      for s, sample in enumerate(samples)]
-        return [cls(sample, G[s], b[s], transform, projection, penalty, feature_map)
-                for s, (sample, transform, projection)
-                in enumerate(zip(samples, transforms, theta_m(transforms)))]
+        theta_m = np.broadcast_to(theta_m, (len(samples), feature_map.n_features + 1))
+        return [cls(sample, G[s], b[s], StandardizeTransform(
+                    posed["means"][s], posed["scales"][s], float(sample.outcome.mean())),
+                    theta_m[s], penalty, feature_map)
+                for s, sample in enumerate(samples)]
 
     @classmethod
     def _pose(cls, F, data, rows, weight, fail) -> dict:
@@ -288,13 +289,10 @@ class RidgeFold:
         """Every split's held-out mean squared error, one column per grid point."""
         return (resid * resid).sum(axis=1) / splits.val_weight.sum(axis=1)[:, None]
 
-    def cv_errors(self, splits: CvSplits) -> np.ndarray:
-        """Held-out error of every grid point on every split of the sample,
-        ``(splits, grid)``: the stack of one of :meth:`cross_validate_all`."""
-        return self.cross_validate_all([self], [splits])[0].fold_errors
-
     def cross_validate(self, splits: CvSplits) -> CvTrace:
-        """The fold's error curve over every split at once."""
+        """The fold's error curve over every split at once, one row of
+        held-out errors per split: the stack of one of
+        :meth:`cross_validate_all`."""
         return self.cross_validate_all([self], [splits])[0]
 
     @staticmethod
@@ -305,11 +303,11 @@ class RidgeFold:
         The folds share one class, feature map and penalty, and their splits
         one shape. Every split's training rows are posed at once by
         :meth:`_pose`, each fold's ``theta_m`` is re-expressed on each of its
-        splits' standardization (which equals projecting the benchmark afresh
-        on that scale), and one stacked :func:`~structreg.sre.quadratic_path`
-        call solves every split's path. A split that cannot be posed or
-        solved raises :class:`CvError` naming its place in the stack and, for
-        a solve, its first offending grid point.
+        splits' standardization, and one stacked
+        :func:`~structreg.sre.quadratic_path` call solves every split's path.
+        A split that cannot be posed or solved raises :class:`CvError` naming
+        its place in the stack and, for a solve, its first offending grid
+        point.
         """
         _check_stack(folds)
         cls, first = type(folds[0]), folds[0]
@@ -321,9 +319,8 @@ class RidgeFold:
         G, b = cls._normal_equations(posed)
         ends = list(accumulate(len(part.train) for part in splits))
         rows = [slice(end - len(part.train), end) for part, end in zip(splits, ends)]
-        theta_m = np.concatenate([
-            _express_in_transform(_to_raw(fold.theta_m, fold.transform), means[r], scales[r])
-            for fold, r in zip(folds, rows)])
+        theta_m = np.concatenate([_express_in_transform(fold.theta_m, means[r], scales[r])
+                                  for fold, r in zip(folds, rows)])
         finite = np.isfinite(G).all(axis=(1, 2)) & np.isfinite(b).all(axis=1) & np.isfinite(
             theta_m).all(axis=1)
         if not finite.all():
@@ -352,8 +349,9 @@ class RidgeFold:
     @staticmethod
     def fit_all(folds, traces) -> list[SREFit]:
         """Each fold's fit at its own trace's ``lambda_star``, carrying the
-        trace, from one :func:`~structreg.sre.quadratic_path` call with one
-        penalty row per fold.
+        trace and the fold's ``theta_m`` re-expressed on its standardization,
+        from one :func:`~structreg.sre.quadratic_path` call with one penalty
+        row per fold.
 
         A fold that is singular at its ``lambda_star`` raises
         :class:`~structreg.sre.SingularPathError` naming that penalty and the
@@ -361,11 +359,14 @@ class RidgeFold:
         """
         _check_stack(folds)
         lam = np.array([[trace.lambda_star] for trace in traces])
+        theta_m = np.stack([_express_in_transform(fold.theta_m, fold.transform.column_means,
+                                                  fold.transform.column_scales)
+                            for fold in folds])
         theta = quadratic_path(np.stack([fold.G for fold in folds]),
                                np.stack([fold.b for fold in folds]), folds[0].penalty.weights,
-                               np.stack([fold.theta_m for fold in folds]), lam)[:, 0]
-        return [SREFit(t, fold.transform, fold.theta_m, trace.lambda_star, fold.feature_map, trace)
-                for t, fold, trace in zip(theta, folds, traces)]
+                               theta_m, lam)[:, 0]
+        return [SREFit(t, fold.transform, m, trace.lambda_star, fold.feature_map, trace)
+                for t, m, fold, trace in zip(theta, theta_m, folds, traces)]
 
 
 def _check_stack(folds) -> None:
@@ -404,12 +405,6 @@ def _stacked_splits(splits, offsets) -> CvSplits:
                     np.concatenate([part.train_weight for part in splits]),
                     np.concatenate([part.val for part in splits]) + shift,
                     np.concatenate([part.val_weight for part in splits]))
-
-
-def _to_raw(coefficients, transform) -> np.ndarray:
-    slopes = coefficients[1:] / transform.column_scales
-    intercept = coefficients[0] - float(slopes @ transform.column_means)
-    return np.concatenate([[intercept], slopes])
 
 
 def _express_in_transform(raw, means, scales) -> np.ndarray:

@@ -10,7 +10,6 @@ from structreg.data import (
     DataError,
     Dataset,
     SeededRng,
-    StandardizeTransform,
     partition_indices,
     standardize,
 )
@@ -153,8 +152,7 @@ def test_benchmark_affine_and_quadratic_projection():
     deriv = (est.implied_demand(grid + 1e-6) - est.implied_demand(grid - 1e-6)) / 2e-6
     assert np.allclose(deriv, -2.0, atol=1e-6)
     prices = np.linspace(20.0, 40.0, 1000)
-    theta = fit_theta_m(PolynomialFeatures(2), Dataset(prices[:, None], est.implied_demand(prices)),
-                        StandardizeTransform(np.zeros(2), np.ones(2), 0.0))
+    theta = fit_theta_m(PolynomialFeatures(2), Dataset(prices[:, None], est.implied_demand(prices)))
     assert abs(theta[2]) <= 1e-6  # projecting a line yields no curvature
 
 
@@ -347,24 +345,24 @@ def _moment_fold(sample, penalty, theta_m):
 def test_moment_fold_rejects_fewer_rows_than_instruments(z):
     # a floating-point inverse of these rank-deficient Gram matrices need not fail
     with pytest.raises(SingularDesignError, match="singular instrument Gram matrix"):
-        _moment_fold(_markets(z), _PENALTY, lambda transform: np.zeros(3))
+        _moment_fold(_markets(z), _PENALTY, np.zeros(3))
 
 
 def test_moment_fold_rejects_a_singular_instrument_gram_matrix():
     # one shifter value: the instrument powers are (1, 0, ..., 0)
     with pytest.raises(SingularDesignError, match="singular instrument Gram matrix"):
-        _moment_fold(_markets(np.full(10, 7.0)), _PENALTY, lambda transform: np.zeros(3))
+        _moment_fold(_markets(np.full(10, 7.0)), _PENALTY, np.zeros(3))
 
 
 def test_moment_fold_of_one_row_is_rejected_by_its_standardization():
     with pytest.raises(DataError, match="standardize requires at least two rows"):
-        _moment_fold(_markets([5.0]), _PENALTY, lambda transform: np.zeros(3))
+        _moment_fold(_markets([5.0]), _PENALTY, np.zeros(3))
 
 
 def test_moment_fold_instruments_and_weight_are_the_sample_alone():
     z = SeededRng(9).generator().uniform(0.0, 40.0, size=300)
     sample = _markets(z)
-    fold = _moment_fold(sample, _PENALTY, lambda transform: np.zeros(3))
+    fold = _moment_fold(sample, _PENALTY, np.zeros(3))
     Z = instrument_basis(z, float(z.mean()), float(z.std(ddof=0)))
     std, _ = standardize(Dataset(PolynomialFeatures(2).transform(sample.inputs), sample.outcome))
     X = np.column_stack([np.ones(sample.n), std.inputs])
@@ -398,9 +396,37 @@ def test_kfold_names_the_training_fold_whose_instrument_gram_is_singular():
     p = 50.0 + z + gen.normal(size=n)
     data = Dataset(p[:, None], 200.0 - 2.0 * p + gen.normal(size=n), z[:, None])
     penalty = PenaltySpec([1.0, 10.0], np.array([0.0, 1.0, 1.0]))
-    final = _moment_fold(data, penalty, lambda transform: np.zeros(3))
+    final = _moment_fold(data, penalty, np.zeros(3))
     with pytest.raises(CvError, match="fitter failed on fold 2: singular instrument Gram matrix"):
         kfold_cv(final, K, SeededRng(7))
+
+
+@pytest.mark.parametrize("scenario", [1, 2])
+def test_demand_benchmark_is_the_estimated_line_itself(monkeypatch, scenario):
+    params, _ = scenario_params(scenario, DemandParams())
+    data, rng = simulate_markets(params, SeededRng(scenario)), SeededRng(40 + scenario)
+    estimate = structural_estimate_demand(data.subset(partition_indices(data.n, 2, rng.split(0))[0]))
+    folds = []
+    of_samples = GmmFold.of_samples.__func__
+
+    def recording(cls, *args):
+        folds.extend(of_samples(cls, *args))
+        return folds
+
+    monkeypatch.setattr(GmmFold, "of_samples", classmethod(recording))
+    fit = sre_demand(data, rng)
+    # the fold keeps the line's raw coefficients over (1, p, p^2), no fitted projection
+    [fold] = folds
+    assert np.array_equal(fold.theta_m, [estimate.alpha, -estimate.beta, 0.0])
+    # re-expressed on the fold's standardization the curvature stays exactly 0,
+    # and the benchmark curve is the line at the evaluation grid's prices, up
+    # to the rounding of a few operations
+    assert fit.theta_m[2] == 0.0
+    grid = evaluation_grid(params, SeededRng(0))
+    F = fit.transform.transform_inputs(PolynomialFeatures(2).transform(grid))
+    line = estimate.implied_demand(grid)
+    gap = np.abs(fit.theta_m[0] + F @ fit.theta_m[1:] - line).max()
+    assert gap <= 8 * np.finfo(float).eps * np.abs(line).max()
 
 
 def _trial_samples(scenario, M, seed, trials):

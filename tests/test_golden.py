@@ -28,6 +28,15 @@ beta truth became a double-exponential sum instead of an adaptive quadrature:
 its ``truth`` column moved by at most 3.7e-16 relative, the ``bias`` and
 ``mse`` aggregates by at most 3.6e-15 and 8.0e-15, ``variance`` not at all,
 and no ``prediction`` and no trial's chosen penalty moved.
+All six were regenerated again when the benchmark projection became raw-scale
+coefficients that every fold re-expresses (the auction study projecting once
+per pair of bidder ranges, the demand study taking its estimated line with no
+fit) and polynomial powers became running products. Only ``prediction`` and
+the aggregates moved: the ``sre`` rows' ``prediction`` by at most 7.9e-14
+relative (auction-2-all-keys), the ``statistical`` rows' by at most 1.0e-14
+(auction-1), and the aggregates by at most 1.5e-12 (auction-2-all-keys;
+4.3e-15 or less in the demand and entry/exit cases); no trial's chosen
+penalty or AIC degree moved.
 A change that should leave results alone must reproduce both files byte for
 byte. The files were made, from the repository root, with::
 

@@ -687,10 +687,18 @@ def test_statistical_auction_runs_samples_of_few_distinct_bidder_counts(tmp_path
     assert (tmp_path / "out" / "curves.csv").read_text().count(",in,") == 20 * 26
 
 
-def test_thin_entry_exit_panel_names_the_degenerate_structural_estimate(tmp_path, capsys):
+def test_thin_entry_exit_panel_names_the_degenerate_structural_estimate(
+        tmp_path, capsys, monkeypatch):
     # the half-panel's CCP-Euler estimate is degenerate: its synthetic panels
-    # never leave the empty state, so the benchmark projection is singular
+    # never leave the empty state, so the benchmark projection is singular,
+    # and the error names the estimate before any fold is built
     from structreg.cli import main
+    from structreg.tuning import RidgeFold
+
+    def no_fold(*args):
+        raise AssertionError("a fold was built from a singular projection")
+
+    monkeypatch.setattr(RidgeFold, "of_samples", classmethod(no_fold))
 
     path = tmp_path / "run.json"
     path.write_text(json.dumps({

@@ -187,10 +187,6 @@ def test_path_rejects_bad_inputs():
         quadratic_path(G, b, [1.0, 1.0], [0.0, np.nan], [1.0])
 
 
-def _zero_target(transform):
-    return np.zeros(transform.column_means.size + 1)
-
-
 def test_rolling_cv_names_singular_window_and_lambda():
     # the second column is constant from row 20 on, so every window that
     # starts there standardizes it to zeros: singular at lambda = 0 only
@@ -202,7 +198,7 @@ def test_rolling_cv_names_singular_window_and_lambda():
 
     def fold(grid):
         return RidgeFold.of_sample(data, LinearFeatures(2), PenaltySpec(grid, [0.0, 1.0, 1.0]),
-                                   _zero_target)
+                                   np.zeros(3))
 
     with pytest.raises(CvError, match=r"window 20 at lambda=0\.0: singular"):
         rolling_cv(fold([0.0, 1.0]), 10)
@@ -216,7 +212,7 @@ def test_kfold_names_non_finite_path_and_lambda():
     data = Dataset(x[:, None], 1.0 + 2.0 * x)
     # lam * theta_m overflows at the second grid point only
     fold = RidgeFold.of_sample(data, LinearFeatures(1), PenaltySpec([0.0, 1e10], [0.0, 1.0]),
-                               lambda transform: np.array([0.0, 1e300]))
+                               np.array([0.0, 1e300]))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             CvError, match=r"fold 0 at lambda=10000000000\.0: non-finite"):
         kfold_cv(fold, 4, SeededRng(23))
@@ -320,14 +316,12 @@ def split_rows(splits, s):
 def pose_alone(fold, train):
     """Rows ``train`` of the fold's sample posed on their own with
     ``standardize``: their design, outcome, standardization and
-    ``fold.theta_m`` re-expressed on it."""
+    the fold's raw-scale ``theta_m`` re-expressed on it."""
     data = fold.sample
     F = fold.feature_map.transform(data.inputs[train])
     std, transform = standardize(Dataset(F, data.outcome[train]))
-    # theta_m is affine in the standardization: raw scale first, then the split's
-    slopes = fold.theta_m[1:] / fold.transform.column_scales
-    intercept = fold.theta_m[0] - slopes @ fold.transform.column_means
-    theta_m = np.concatenate([[intercept + transform.column_means @ slopes],
+    slopes = fold.theta_m[1:]
+    theta_m = np.concatenate([[fold.theta_m[0] + transform.column_means @ slopes],
                               slopes * transform.column_scales])
     design = np.column_stack([np.ones(train.size), std.inputs])
     return design, data.outcome[train], transform, theta_m
@@ -377,7 +371,7 @@ def assert_matches_each_split(fold, splits, errors=None):
     """The stacked errors of every split (``errors``, computed afresh if not
     given) against :func:`split_errors` of the split, relative to the split's
     largest error."""
-    stacked = fold.cv_errors(splits) if errors is None else errors
+    stacked = fold.cross_validate(splits).fold_errors if errors is None else errors
     for s in range(splits.train.shape[0]):
         reference = split_errors(fold, *split_rows(splits, s))
         assert np.all(np.abs(stacked[s] - reference) <= 1e-9 * np.abs(reference).max())
@@ -388,7 +382,7 @@ def assert_matches_each_split(fold, splits, errors=None):
 def test_stacked_kfold_and_forward_match_each_split(seed):
     gen, data, penalty = _cv_problem(seed)
     fold = RidgeFold.of_sample(data, LinearFeatures(3), penalty,
-                               lambda transform: 3.0 * np.arange(4.0) - 1.0)
+                               3.0 * np.arange(4.0) - 1.0)
     K = int(gen.integers(2, 7))
     if data.n % K == 0:
         K += 1  # unequal fold sizes
@@ -408,13 +402,13 @@ def test_stacked_rolling_matches_each_window_with_a_constant_column(seed):
     # the constant column's rounding spread counts as zero variance, so it
     # standardizes to zeros there, which is singular at lambda = 0 only
     penalty = PenaltySpec(GRID[1:], penalty.weights)
-    fold = RidgeFold.of_sample(data, LinearFeatures(3), penalty, lambda transform: np.ones(4))
+    fold = RidgeFold.of_sample(data, LinearFeatures(3), penalty, np.ones(4))
     splits = rolling_splits(data.n, 10)
     assert_matches_each_split(fold, splits)
     # with lambda = 0 on the grid window 15, the first with the constant
     # column, is singular posed alone and in the stacked run
     fold = RidgeFold.of_sample(data, LinearFeatures(3), PenaltySpec(GRID, penalty.weights),
-                               lambda transform: np.ones(4))
+                               np.ones(4))
     for s in range(16):
         X, y, _, theta_m = pose_alone(fold, split_rows(splits, s)[0])
         if s < 15:
@@ -435,6 +429,6 @@ def test_stacked_moment_kfold_matches_each_split(seed):
     data = simulate_markets(DemandParams(M=int(gen.integers(100, 160))), SeededRng(seed))
     penalty = PenaltySpec(GRID, [0.0, 1.0, gen.uniform(0.1, 10.0)])
     fold = GmmFold.of_sample(data, PolynomialFeatures(2), penalty,
-                             lambda transform: np.array([100.0, -20.0, 1.0]))
+                             np.array([100.0, -20.0, 1.0]))
     K = 7 if data.n % 7 else 6
     assert_matches_each_split(fold, kfold_splits(data.n, K, SeededRng(seed)))

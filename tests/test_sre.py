@@ -24,11 +24,6 @@ def line_rows(a, b, lo, hi, size=1000):
     return Dataset(x[:, None], a + b * x)
 
 
-def raw_scale(k):
-    """The identity standardization of ``k`` feature columns."""
-    return StandardizeTransform(np.zeros(k), np.ones(k), 0.0)
-
-
 def unit_penalty(k, grid=(1.0,)):
     return PenaltySpec(np.asarray(grid, float), np.ones(k))
 
@@ -45,12 +40,12 @@ def test_penalty_spec_validation():
 
 
 def test_fit_theta_m_linear_benchmark_exact():
-    theta = fit_theta_m(LinearFeatures(1), line_rows(2.0, -3.0, 0, 1), raw_scale(1))
+    theta = fit_theta_m(LinearFeatures(1), line_rows(2.0, -3.0, 0, 1))
     assert np.allclose(theta, [2.0, -3.0], atol=1e-10)
 
 
 def test_fit_theta_m_constant_benchmark():
-    theta = fit_theta_m(PolynomialFeatures(3), line_rows(4.0, 0.0, 0, 2), raw_scale(3))
+    theta = fit_theta_m(PolynomialFeatures(3), line_rows(4.0, 0.0, 0, 2))
     assert theta[0] == pytest.approx(4.0, abs=1e-8)
     assert np.allclose(theta[1:], 0.0, atol=1e-8)
 
@@ -71,7 +66,7 @@ def test_fit_theta_m_auction_mean_projection_matches_quadrature_oracle():
 
     n = np.linspace(5, 50, 1000)
     fmap = PolynomialFeatures(5)
-    theta = fit_theta_m(fmap, Dataset(n[:, None], truth_fn(n)), raw_scale(5))
+    theta = fit_theta_m(fmap, Dataset(n[:, None], truth_fn(n)))
     grid = np.linspace(5, 50, 2000)
     pred = theta[0] + fmap.transform(grid[:, None]) @ theta[1:]
     oracle_pred = sum(c * grid**j for j, c in enumerate(oracle))

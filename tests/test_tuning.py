@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -56,16 +54,12 @@ def _record_cv(monkeypatch):
     return seen
 
 
-def _zero_target(transform):
-    return np.zeros(transform.column_means.size + 1)
-
-
 def _line_fold(train, line, domain, grid):
     """The sample's ridge fold of a line, shrunk toward the benchmark line
     ``(intercept, slope)`` projected over ``domain``."""
     fmap = PolynomialFeatures(1)
     return RidgeFold.of_sample(train, fmap, PenaltySpec(grid, WEIGHTS),
-                               partial(fit_theta_m, fmap, line_rows(*line, *domain)))
+                               fit_theta_m(fmap, line_rows(*line, *domain)))
 
 
 def _noisy_line_data(n=60, seed=0, noise=0.5):
@@ -108,7 +102,7 @@ def test_kfold_propagates_fitter_failure_with_fold_id():
     x = _noisy_line_data(n=20).inputs
     data = Dataset(np.column_stack([x, x]), np.arange(20.0))
     final = RidgeFold.of_sample(data, LinearFeatures(2), PenaltySpec([0.0], [0.0, 1.0, 1.0]),
-                                _zero_target)
+                                np.zeros(3))
     with pytest.raises(CvError, match="fold 0 at lambda=0.0: singular"):
         kfold_cv(final, 4, SeededRng(6))
 
@@ -155,7 +149,7 @@ def test_rolling_cv_constant_series_zero_error_smallest_lambda():
         np.column_stack([np.ones(T)]), np.full(T, 0.3), time_index=np.arange(T)
     )
     final = RidgeFold.of_sample(data, LinearFeatures(1), PenaltySpec([0.5, 1.0, 2.0], WEIGHTS),
-                                _zero_target)
+                                np.zeros(2))
     trace = rolling_cv(final, 10)
     assert np.allclose(trace.mean_errors, 0.0)
     assert trace.lambda_star == 0.5
@@ -224,21 +218,17 @@ def test_of_sample_is_the_standardize_built_fold(name):
     inputs, fmap = _study_sample(name)
     train = Dataset(inputs, np.random.default_rng(18).normal(size=inputs.shape[0]))
     std, transform = standardize(Dataset(fmap.transform(inputs), train.outcome))
-    seen = []
-
-    def theta_m(on):
-        seen.append(on)
-        return np.zeros(fmap.n_features + 1)
-
+    theta_m = np.arange(fmap.n_features + 1.0)
     final = RidgeFold.of_sample(train, fmap, PenaltySpec(GRID, np.ones(fmap.n_features + 1)),
                                 theta_m)
     X = np.column_stack([np.ones(train.n), std.inputs])
     assert np.array_equal(final.G, X.T @ X)
     assert np.array_equal(final.b, X.T @ train.outcome)
-    for got in (final.transform, *seen):
-        assert np.array_equal(got.column_means, transform.column_means)
-        assert np.array_equal(got.column_scales, transform.column_scales)
-        assert got.outcome_mean == transform.outcome_mean
+    assert np.array_equal(final.transform.column_means, transform.column_means)
+    assert np.array_equal(final.transform.column_scales, transform.column_scales)
+    assert final.transform.outcome_mean == transform.outcome_mean
+    # the fold keeps the benchmark's raw-scale coefficients as given
+    assert np.array_equal(final.theta_m, theta_m)
 
 
 def test_final_fold_and_split_of_one_row_fail_typed():
@@ -253,7 +243,7 @@ def test_final_fit_on_a_collinear_sample_at_lambda_zero_fails_typed():
     x = np.linspace(0.0, 1.0, 20)
     train = Dataset(np.column_stack([x, 2.0 * x + 1.0]), np.sin(7.0 * x))
     final = RidgeFold.of_sample(train, LinearFeatures(2), PenaltySpec(GRID, [0.0, 1.0, 1.0]),
-                                _zero_target)
+                                np.zeros(3))
     with pytest.raises(SingularPathError) as info:
         final.fit(CvTrace("kfold", GRID, [[0.0, 1.0, 2.0, 3.0]]))
     assert info.value.lam == 0.0
@@ -337,12 +327,16 @@ def test_second_stage_refits_the_fold_its_cv_refolded(monkeypatch, second_stage,
     assert isinstance(trace, CvTrace)
     assert fit.lambda_star == trace.lambda_star
     assert trace.kind == splits.kind == kind
-    # the fold the CV scored made the fit: its own path at lambda* and its theta_m
+    # the fold the CV scored made the fit: its own path at lambda*, toward its
+    # raw-scale theta_m re-expressed on the fold's standardization
     lam = trace.lambda_star
     assert np.array_equal(trace.lambda_grid, final.penalty.lambda_grid)
+    slopes = final.theta_m[1:]
+    assert np.array_equal(fit.theta_m, np.concatenate([
+        [final.theta_m[0] + final.transform.column_means @ slopes],
+        slopes * final.transform.column_scales]))
     assert np.array_equal(
-        fit.theta, quadratic_path(final.G, final.b, final.penalty.weights, final.theta_m, [lam])[0])
-    assert np.array_equal(fit.theta_m, final.theta_m)
+        fit.theta, quadratic_path(final.G, final.b, final.penalty.weights, fit.theta_m, [lam])[0])
     # which is the per-lambda closed form of the whole sample posed alone
     reference = closed_form(final, np.arange(final.sample.n))[0](lam)
     assert np.linalg.norm(fit.theta - reference) <= 1e-9 * np.linalg.norm(reference)
