@@ -30,7 +30,7 @@ import numpy as np
 # the package. After the first call an import is one sys.modules lookup.
 # scipy.integrate is imported by the reference equilibrium_bid alone.
 from .data import Dataset, DomainSpec, SeededRng, partition_indices
-from .estimators import select_degrees_aic
+from .estimators import select_degree_aic
 from .metrics import _each, _run_trials
 from .sre import (
     PenaltySpec,
@@ -383,27 +383,6 @@ FORWARD_K = 6
 SYNTHETIC_ROWS = 1000
 
 
-def sre_auction(
-    data: Dataset,
-    scenario: AuctionScenario,
-    rng: SeededRng,
-    lambda_grid=None,
-    forward_K: int = FORWARD_K,
-) -> SREFit:
-    """Sample-split polynomial fit shrunk toward the uniform-values model.
-
-    The sample is halved; the structural model has no free parameter, so the
-    first half goes unused and the second carries forward cross-validation
-    (validating nearest the out-of-domain bidder counts) and the final fit.
-    The benchmark is the projection of the model's expected winning bids
-    over both domains (:func:`_benchmark_projection`), computed once per
-    pair of bidder ranges; the fold and each of its splits re-express it on
-    their own standardization. The cross-validation trace is ``fit.trace``.
-    This is the stack of one of :func:`_sre_auctions`.
-    """
-    return _sre_auctions([data], scenario, [rng], lambda_grid, forward_K)[0]
-
-
 @functools.lru_cache(maxsize=8)
 def _benchmark_projection(lo: int, hi: int) -> np.ndarray:
     """Raw-scale coefficients of the degree-``SRE_POLY_DEGREE`` least-squares
@@ -418,11 +397,22 @@ def _benchmark_projection(lo: int, hi: int) -> np.ndarray:
     return theta_m
 
 
-def _sre_auctions(samples, scenario: AuctionScenario, rngs, lambda_grid=None,
-                  forward_K: int = FORWARD_K) -> list[SREFit]:
-    """:func:`sre_auction` of every sample with its own rng, the samples of
-    one size: their fitting halves, forward cross-validations and final fits
-    each posed and solved as one stack."""
+def sre_auction(samples, scenario: AuctionScenario, rngs, lambda_grid=None,
+                forward_K: int = FORWARD_K) -> list[SREFit]:
+    """Sample-split polynomial fits shrunk toward the uniform-values model,
+    one per sample of a block: samples of one size, each with its own rng.
+
+    Each sample is halved; the structural model has no free parameter, so the
+    first half goes unused and the second carries forward cross-validation
+    (validating nearest the out-of-domain bidder counts) and the final fit.
+    The benchmark is the projection of the model's expected winning bids
+    over both domains (:func:`_benchmark_projection`), computed once per
+    pair of bidder ranges; each fold and each of its splits re-express it on
+    their own standardization. The fitting halves, their forward
+    cross-validations and their final fits are each posed and solved as one
+    stack, and each sample gets the bits it gets in a block of one. The
+    cross-validation trace is ``fit.trace``.
+    """
     grid = default_lambda_grid(samples[0].n) if lambda_grid is None else lambda_grid
     penalty = PenaltySpec(grid, np.asarray(SRE_PENALTY_WEIGHTS))
     fit_halves = [data.subset(partition_indices(data.n, 2, rng.split(0))[1])
@@ -450,9 +440,10 @@ def auction_experiment(
     Per trial: simulate training auctions on the in-domain bidder range, fit
     each requested estimator, and predict expected winning bids on the
     integer in-domain and out-of-domain bidder grids. Each trial of a block
-    is simulated on its own stream; the block's AIC searches and second
-    stages are then fitted as one stack each, with each trial's results the
-    bits it gets alone. Returns the curve records of
+    is simulated on its own stream; the block's AIC searches
+    (:func:`structreg.estimators.select_degree_aic`) and second stages
+    (:func:`sre_auction`) are then fitted as one stack each, with each
+    trial's results the bits it gets alone. Returns the curve records of
     :func:`structreg.metrics._run_trials` and metadata holding the grids and,
     with overbidding, the truth's standard errors.
     """
@@ -468,13 +459,13 @@ def auction_experiment(
                             trial_rngs)
             fits = {}
             if "statistical" in estimators:
-                fits["statistical"] = [fit.predict for fit in select_degrees_aic(
+                fits["statistical"] = [fit.predict for fit in select_degree_aic(
                     np.stack([data.inputs[:, 0] for data in samples]),
                     np.stack([data.outcome for data in samples]), STAT_MAX_DEGREE)]
             if "structural" in estimators:
                 fits["structural"] = [uniform_ipv_mean] * len(samples)
             if "sre" in estimators:
-                fits["sre"] = [fit.predict for fit in _sre_auctions(
+                fits["sre"] = [fit.predict for fit in sre_auction(
                     samples, scenario, [trial_rng.split(1) for trial_rng in trial_rngs],
                     lambda_grid, forward_K)]
             return [(truth, {name: {domain: predictors[t](grid.astype(float)[:, None])

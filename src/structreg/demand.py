@@ -27,8 +27,8 @@ from .estimators import (
     LinearFit,
     SingularDesignError,
     _powers,
-    _solve_stacked_least_squares,
-    fit_2sls_all,
+    fit_2sls,
+    solve_least_squares,
 )
 from .metrics import _each, _run_trials
 from .sre import (
@@ -125,18 +125,6 @@ class DemandEstimates:
         return self.alpha - self.beta * np.asarray(p, dtype=float)
 
 
-def structural_estimate_demand(data: Dataset) -> DemandEstimates:
-    """Solve the pricing identity ``p = a + b z + q / beta`` by least squares.
-
-    Exact (zero residual) when prices are set optimally; under dampened
-    markups the quantity coefficient is ``markup / beta``, so the recovered
-    slope estimates ``beta / markup`` — the model's misspecification bias.
-    The demand intercept follows as the mean of ``q + beta_hat * p``. This is
-    the stack of one of :func:`_structural_estimates`.
-    """
-    return _structural_estimates([data])[0]
-
-
 def _columns(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The prices, quantities and cost shifters of samples of one size, one row each."""
     return (np.stack([data.inputs[:, 0] for data in samples]),
@@ -144,13 +132,20 @@ def _columns(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.stack([data.instruments[:, 0] for data in samples]))
 
 
-def _structural_estimates(samples) -> list[DemandEstimates]:
-    """:func:`structural_estimate_demand` of every sample, the samples of one
-    size: their pricing regressions are one batched least-squares solve."""
+def structural_estimate_demand(samples) -> list[DemandEstimates]:
+    """Solve the pricing identity ``p = a + b z + q / beta`` by least squares,
+    for every sample of a block of samples of one size, by one batched
+    least-squares solve.
+
+    Exact (zero residual) when prices are set optimally; under dampened
+    markups the quantity coefficient is ``markup / beta``, so the recovered
+    slope estimates ``beta / markup`` — the model's misspecification bias.
+    The demand intercept follows as the mean of ``q + beta_hat * p``.
+    """
     if samples[0].n < STRUCTURAL_MIN_MARKETS:
         raise ValueError(f"need at least {STRUCTURAL_MIN_MARKETS} markets")
     p, q, z = _columns(samples)
-    coef = _solve_stacked_least_squares(np.stack([np.ones_like(z), z, q], axis=2), p)
+    coef = solve_least_squares(np.stack([np.ones_like(z), z, q], axis=2), p)
     estimates = []
     for (a_hat, b_hat, inv_beta), prices, quantities in zip(coef.tolist(), p, q):
         if inv_beta <= 0.0:
@@ -175,16 +170,11 @@ class RfDemandFit:
         return np.exp(self.linear_fit.predict(np.log(p)[:, None]))
 
 
-def rf_demand(data: Dataset, form: str = "linear") -> RfDemandFit:
+def rf_demand(samples, form: str = "linear") -> list[RfDemandFit]:
     """Two-stage least squares of quantity on price, instrumented by the cost
-    shifter (plus a constant); the log-log form regresses logs on logs. This
-    is the stack of one of :func:`_rf_demands`."""
-    return _rf_demands([data], form)[0]
-
-
-def _rf_demands(samples, form: str) -> list[RfDemandFit]:
-    """:func:`rf_demand` of every sample, the samples of one size: each 2SLS
-    stage is one batched least-squares solve."""
+    shifter (plus a constant), for every sample of a block of samples of one
+    size; the log-log form regresses logs on logs. Each 2SLS stage is one
+    batched least-squares solve."""
     if form not in ("linear", "loglog"):
         raise ValueError(f"unknown reduced form: {form}")
     p, q, z = _columns(samples)
@@ -192,7 +182,7 @@ def _rf_demands(samples, form: str) -> list[RfDemandFit]:
         if np.any(p <= 0.0) or np.any(q <= 0.0):
             raise ValueError("log-log form requires positive prices and quantities")
         p, q = np.log(p), np.log(q)
-    return [RfDemandFit(form, fit) for fit in fit_2sls_all(q, p[:, :, None], z[:, :, None])]
+    return [RfDemandFit(form, fit) for fit in fit_2sls(q, p[:, :, None], z[:, :, None])]
 
 
 def instrument_basis(z: np.ndarray, center, scale) -> np.ndarray:
@@ -261,35 +251,26 @@ class GmmFold(RidgeFold):
         return np.sum(m_bar * (posed["weight"] @ m_bar), axis=1)
 
 
-def sre_demand(
-    data: Dataset,
-    rng: SeededRng,
-    lambda_grid=None,
-) -> SREFit:
-    """Two-stage moment-penalized demand fit with sample splitting.
+def sre_demand(samples, rngs, lambda_grid=None) -> list[SREFit]:
+    """Two-stage moment-penalized demand fits with sample splitting, one per
+    sample of a block: samples of one size, each with its own rng.
 
-    Half the markets estimate the pricing model; the other half carry the
-    quadratic moment fit with instruments ``(1, z, ..., z^5)`` and
+    Half of each sample's markets estimate the pricing model; the other half
+    carry the quadratic moment fit with instruments ``(1, z, ..., z^5)`` and
     projection weighting, with the penalty chosen by ``CV_FOLDS``-fold
     cross-validation on the held-out moment objective (training-fold
     weight). The benchmark is the estimated demand line ``alpha_hat -
     beta_hat * p``: it lies in the quadratic's span, so its raw-scale
     coefficients over ``(1, p, p^2)`` are ``(alpha_hat, -beta_hat, 0)`` and
-    no projection is fitted. The cross-validation trace is ``fit.trace``.
-    This is the stack of one of :func:`_sre_demands`.
-    """
-    return _sre_demands([data], [rng], lambda_grid)[0]
-
-
-def _sre_demands(samples, rngs, lambda_grid=None) -> list[SREFit]:
-    """:func:`sre_demand` of every sample with its own rng, the samples of one
-    size. The pricing regressions of their first halves are one batched
-    least-squares solve; the moment folds of their second halves, their
+    no projection is fitted. The first halves' pricing regressions are one
+    batched least-squares solve; the moment folds of the second halves, their
     K-fold cross-validations and their final fits are each posed and solved
-    as one stack."""
+    as one stack, and each sample gets the bits it gets in a block of one.
+    The cross-validation trace is ``fit.trace``.
+    """
     halves = [partition_indices(data.n, 2, rng.split(0)) for data, rng in zip(samples, rngs)]
-    estimates = _structural_estimates([data.subset(folds[0])
-                                       for data, folds in zip(samples, halves)])
+    estimates = structural_estimate_demand([data.subset(folds[0])
+                                            for data, folds in zip(samples, halves)])
     fit_halves = [data.subset(folds[1]) for data, folds in zip(samples, halves)]
     n = fit_halves[0].n
     grid = default_lambda_grid(n) if lambda_grid is None else np.asarray(lambda_grid, float)
@@ -353,9 +334,10 @@ def demand_experiment(
     Per trial: simulate the markets, fit each requested estimator, and score
     its demand curve against the true line ``alpha - beta * p`` on the
     common price grid (all in-domain). Each trial of a block is simulated on
-    its own stream; the block's reduced-form and structural fits and its
-    second stages are then fitted as one stack each, with each trial's
-    results the bits it gets alone.
+    its own stream; the block's reduced-form fits (:func:`rf_demand`),
+    structural fits (:func:`structural_estimate_demand`) and second stages
+    (:func:`sre_demand`) are then fitted as one stack each, with each
+    trial's results the bits it gets alone.
     """
 
     def setup(rng):
@@ -369,12 +351,12 @@ def demand_experiment(
                             trial_rngs)
             preds: dict[str, list[np.ndarray]] = {}
             if "rf" in estimators:
-                preds["rf"] = [fit.predict(grid) for fit in _rf_demands(samples, rf_form)]
+                preds["rf"] = [fit.predict(grid) for fit in rf_demand(samples, rf_form)]
             if "structural" in estimators:
                 preds["structural"] = [estimates.implied_demand(grid)
-                                       for estimates in _structural_estimates(samples)]
+                                       for estimates in structural_estimate_demand(samples)]
             if "sre" in estimators:
-                preds["sre"] = [fit.predict(grid[:, None]) for fit in _sre_demands(
+                preds["sre"] = [fit.predict(grid[:, None]) for fit in sre_demand(
                     samples, [trial_rng.split(1) for trial_rng in trial_rngs], lambda_grid)]
             return [(truth, {name: {"in": values[t]} for name, values in preds.items()})
                     for t in range(len(samples))]

@@ -10,7 +10,11 @@ and a profit path one period shorter.
 
 All fits go through an SVD-based least-squares solve with a condition-number
 guard; rank-deficient designs raise instead of silently falling back to a
-pseudo-inverse.
+pseudo-inverse. :func:`solve_least_squares`, :func:`select_degree_aic` and
+:func:`fit_2sls` take one system or a stack of them along a leading axis,
+told apart by one argument's number of dimensions; a stack is solved by one
+batched SVD per solve, and each of its systems gets the bits it gets alone.
+This is how the auction and demand studies fit a block of trials.
 """
 
 from __future__ import annotations
@@ -31,22 +35,19 @@ class SingularDesignError(ValueError):
 def solve_least_squares(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares solve via SVD with a condition-number guard.
 
-    ``y`` may be a vector or a matrix of stacked right-hand sides. A design
-    with fewer rows than columns is rank deficient and raises
-    :class:`SingularDesignError` like any other singular one. This is the
-    stack of one of :func:`_solve_stacked_least_squares`.
+    A 2-D ``A`` of shape ``(n, k)`` is one system, with ``y`` a vector or a
+    matrix of stacked right-hand sides. A 3-D ``A`` of shape ``(S, n, k)`` is
+    a stack of ``S`` systems with ``y`` of shape ``(S, n)`` or ``(S, n, m)``,
+    solved by one batched SVD; each system gets the bits it gets alone. A
+    design with fewer rows than columns is rank deficient and raises
+    :class:`SingularDesignError` like any system whose design is singular or
+    worse conditioned than ``CONDITION_LIMIT``.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
-    return _solve_stacked_least_squares(A[None], y[None])[0]
-
-
-def _solve_stacked_least_squares(A: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The least-squares solve of every system of a stack, by one batched SVD:
-    ``A`` of shape ``(S, n, k)`` and ``y`` of shape ``(S, n)`` or ``(S, n, m)``.
-    Designs with fewer rows than columns, and any system whose design is
-    singular or worse conditioned than ``CONDITION_LIMIT``, raise
-    :class:`SingularDesignError`."""
+    single = A.ndim == 2
+    if single:
+        A, y = A[None], y[None]
     if A.shape[1] < A.shape[2]:
         raise SingularDesignError(
             f"singular design: {A.shape[1]} rows for {A.shape[2]} coefficients")
@@ -57,7 +58,9 @@ def _solve_stacked_least_squares(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     vector = y.ndim == 2
     uy = u.swapaxes(1, 2) @ (y[:, :, None] if vector else y)
     theta = vt.swapaxes(1, 2) @ (uy / s[:, :, None])
-    return theta[:, :, 0] if vector else theta
+    if vector:
+        theta = theta[:, :, 0]
+    return theta[0] if single else theta
 
 
 def _powers(z: np.ndarray, degree: int) -> np.ndarray:
@@ -186,29 +189,25 @@ def _lowest_aic(candidates, y, n: int):
     return best
 
 
-def select_degree_aic(x, y, max_degree: int) -> PolyFit:
+def select_degree_aic(x, y, max_degree: int) -> PolyFit | list[PolyFit]:
     """The polynomial fit whose degree minimizes AIC; ties go to the smaller degree.
 
     The degrees tried run from 1 to the smallest of ``max_degree``, the number
     of distinct ``x`` values less one and the row count less three; a sample
-    that bounds them below 1 raises :class:`SingularDesignError`. This is the
-    stack of one of :func:`select_degrees_aic`.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    return select_degrees_aic(x[None], y[None], max_degree)[0]
+    that bounds them below 1 raises :class:`SingularDesignError`.
 
-
-def select_degrees_aic(x, y, max_degree: int) -> list[PolyFit]:
-    """:func:`select_degree_aic` of every row of the ``(samples, rows)``
-    arrays ``x`` and ``y``, each with its own degree bound.
-
-    Each candidate degree is fitted to every sample that allows it by one
-    batched SVD least-squares solve, with the condition guard of
-    :func:`solve_least_squares` applied to each sample.
+    A 1-D ``y`` is one sample and returns one :class:`PolyFit`. A 2-D ``y``
+    of shape ``(samples, rows)``, with ``x`` of the same shape, is a stack of
+    samples, each with its own degree bound, and returns a list: each
+    candidate degree is fitted to every sample that allows it by one batched
+    :func:`solve_least_squares` call, and each sample gets the fit it gets
+    alone.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    single = y.ndim == 1
+    if single:
+        x, y = x.ravel()[None], y[None]
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     n = y.shape[1]
@@ -225,7 +224,7 @@ def select_degrees_aic(x, y, max_degree: int) -> list[PolyFit]:
     for degree in range(1, int(top.max()) + 1):
         rows = np.flatnonzero(top >= degree)
         design = _powers(z[rows], degree)
-        theta = _solve_stacked_least_squares(design, y[rows])
+        theta = solve_least_squares(design, y[rows])
         if not np.isfinite(theta).all():
             raise ValueError("non-finite fit coefficients")
         resid = y[rows] - (design @ theta[:, :, None])[:, :, 0]
@@ -233,8 +232,9 @@ def select_degrees_aic(x, y, max_degree: int) -> list[PolyFit]:
             fits[row].append((degree, coefficients, r))
     chosen = [_lowest_aic([((degree, c), r, degree + 1) for degree, c, r in candidates], row, n)
               for candidates, row in zip(fits, y)]
-    return [PolyFit(degree, LinearFit(float(c[0]), c[1:]), float(m), float(sd))
-            for (degree, c), m, sd in zip(chosen, mean, scale)]
+    polys = [PolyFit(degree, LinearFit(float(c[0]), c[1:]), float(m), float(sd))
+             for (degree, c), m, sd in zip(chosen, mean, scale)]
+    return polys[0] if single else polys
 
 
 @dataclass(frozen=True)
@@ -309,13 +309,20 @@ def select_arx_order_aic(shares_with_initial, R_path, exog_orders, ar_orders) ->
     return _lowest_aic(candidates, s, s.shape[0] - q_max)
 
 
-def fit_2sls(y, X, Z) -> LinearFit:
+def fit_2sls(y, X, Z) -> LinearFit | list[LinearFit]:
     """Two-stage least squares with an intercept in both stages.
 
     Requires at least as many instruments as regressors. When the instrument
     count equals the regressor count this reduces to the just-identified
-    estimator ``(Z'X)^{-1} Z'y``. This is the stack of one of
-    :func:`fit_2sls_all`.
+    estimator ``(Z'X)^{-1} Z'y``.
+
+    ``X`` of at most two dimensions is one system, with ``y`` of shape
+    ``(n,)`` and ``X`` and ``Z`` of shape ``(n,)`` or ``(n, p)`` and
+    ``(n, q)``, and returns one :class:`LinearFit`. A 3-D ``X`` of shape
+    ``(S, n, p)``, with ``y`` of shape ``(S, n)`` and ``Z`` of shape
+    ``(S, n, q)``, is a stack of ``S`` systems and returns a list: each stage
+    is one batched :func:`solve_least_squares` call, and each system gets the
+    fit it gets alone.
 
     Raises
     ------
@@ -324,38 +331,29 @@ def fit_2sls(y, X, Z) -> LinearFit:
         first-stage regressors are (numerically) collinear, e.g. under an
         irrelevant instrument.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    X = np.asarray(X, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if Z.ndim == 1:
-        Z = Z[:, None]
-    if Z.shape[0] != X.shape[0] or y.shape[0] != X.shape[0]:
-        raise ValueError("row counts differ")
-    return fit_2sls_all(y[None], X[None], Z[None])[0]
-
-
-def fit_2sls_all(y, X, Z) -> list[LinearFit]:
-    """:func:`fit_2sls` of every system of a stack: ``y`` of shape ``(S, n)``,
-    ``X`` of shape ``(S, n, p)`` and ``Z`` of shape ``(S, n, q)``. Each stage
-    is one batched SVD least-squares solve, with the condition guard of
-    :func:`solve_least_squares` applied to each system."""
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
+    single = X.ndim < 3
+    if single:
+        y = y.ravel()[None]
+        X = (X[:, None] if X.ndim == 1 else X)[None]
+        Z = (Z[:, None] if Z.ndim == 1 else Z)[None]
+    if Z.shape[1] != X.shape[1] or y.shape[1] != X.shape[1]:
+        raise ValueError("row counts differ")
     if Z.shape[2] < X.shape[2]:
         raise ValueError("need at least as many instruments as regressors")
     ones = np.ones(X.shape[:2] + (1,))
     Xc = np.concatenate([ones, X], axis=2)
     Zc = np.concatenate([ones, Z], axis=2)
     try:
-        first_stage = _solve_stacked_least_squares(Zc, Xc)
+        first_stage = solve_least_squares(Zc, Xc)
     except SingularDesignError as exc:
         raise SingularDesignError("singular instrument design") from exc
     X_hat = Zc @ first_stage
     try:
-        theta = _solve_stacked_least_squares(X_hat, y)
+        theta = solve_least_squares(X_hat, y)
     except SingularDesignError as exc:
         raise SingularDesignError("rank-deficient projected design") from exc
-    return [LinearFit(float(t[0]), t[1:]) for t in theta]
+    fits = [LinearFit(float(t[0]), t[1:]) for t in theta]
+    return fits[0] if single else fits

@@ -23,7 +23,6 @@ from structreg.auction import (
     _order_stat_means,
     _overbid_max_table,
     _overbid_sample,
-    _sre_auctions,
     auction_experiment,
     equilibrium_bid,
     overbid_truth_with_se,
@@ -412,7 +411,7 @@ def test_sre_auction_fits_the_second_part_of_its_split(monkeypatch):
         return of_samples(cls, stack, *args)
 
     monkeypatch.setattr(RidgeFold, "of_samples", classmethod(recording))
-    sre_auction(data, scenario, SeededRng(13))
+    sre_auction([data], scenario, [SeededRng(13)])
     [sample] = samples
     # the rows of the second of the two parts the old two-way partition built
     second = partition_indices(data.n, 2, SeededRng(13).split(0))[1]
@@ -520,7 +519,7 @@ def test_stacked_second_stage_is_each_trials_stack_of_one(seed, index, cv):
         return cross_validate_all(folds, splits)
 
     def second_stage(stack, stack_rngs):
-        return _sre_auctions(stack, scenario, [rng.split(1) for rng in stack_rngs], grid, K)
+        return sre_auction(stack, scenario, [rng.split(1) for rng in stack_rngs], grid, K)
 
     try:
         alone = [second_stage([sample], [rng])[0] for sample, rng in zip(samples, rngs)]
@@ -534,14 +533,11 @@ def test_stacked_second_stage_is_each_trials_stack_of_one(seed, index, cv):
         fits = second_stage(samples, rngs)
     # every trial's splits have one shape, so no sum over a split's rows is padded
     assert len(widths) == len(rngs) and len(set(widths)) == 1
-    for fit, single, sample, rng in zip(fits, alone, samples, rngs):
+    for fit, single in zip(fits, alone):
         assert fit.lambda_star == single.lambda_star
         assert np.array_equal(fit.theta, single.theta)
         assert np.array_equal(fit.theta_m, single.theta_m)
         assert np.array_equal(fit.trace.fold_errors, single.trace.fold_errors)
-        # sre_auction is the stack of one
-        assert np.array_equal(sre_auction(sample, scenario, rng.split(1), grid, K).theta,
-                              single.theta)
 
 
 @pytest.mark.parametrize("block", [1, 3, 4, 10])

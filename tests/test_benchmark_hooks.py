@@ -91,9 +91,14 @@ def test_benchmark_tracer_sees_every_trial(monkeypatch):
     assert tracer.leftover_wrappers("structreg") == []
     for name, study_spans in spans.items():
         assert len(layers.SpanView(study_spans).trial_durations_s()) == 2, name
-    simulate_layers = {"auction": ["auction.simulate_s"],
-                       "entry-exit": ["entry_exit.simulate_s", "entry_exit.regime_s"],
-                       "demand": ["demand.simulate_s"]}
-    for name, metric_names in simulate_layers.items():
+    # the stages the blocks run are the public functions the layers name
+    measured_layers = {
+        "auction": ["auction.simulate_s", "estimators.baseline_s"],
+        "entry-exit": ["entry_exit.simulate_s", "entry_exit.regime_s"],
+        "demand": ["demand.simulate_s", "estimators.baseline_s", "demand.sre_s"],
+    }
+    for name, metric_names in measured_layers.items():
         values = layers.pass_metrics(spans[name], trials=2)
         assert all(values[metric] > 0 for metric in metric_names), (name, values)
+    demand_names = {span[0] for span in spans["demand"]}
+    assert {"demand.rf_demand", "demand.structural_estimate_demand"} <= demand_names

@@ -20,9 +20,6 @@ from structreg.demand import (
     REFERENCE_MARKETS,
     DemandParams,
     GmmFold,
-    _rf_demands,
-    _sre_demands,
-    _structural_estimates,
     demand_experiment,
     evaluation_grid,
     instrument_basis,
@@ -81,7 +78,7 @@ def test_simulate_rejects_nonpositive_heavy_parameters():
 def test_structural_estimate_exact_under_optimal_pricing():
     params = DemandParams(lambda_markup=1.0, M=800)
     data = simulate_markets(params, SeededRng(4))
-    est = structural_estimate_demand(data)
+    [est] = structural_estimate_demand([data])
     assert est.a == pytest.approx(params.a, abs=1e-9)
     assert est.b == pytest.approx(params.b, abs=1e-9)
     assert est.beta == pytest.approx(params.beta, abs=1e-9)
@@ -91,20 +88,20 @@ def test_structural_estimate_exact_under_optimal_pricing():
 
 def test_structural_estimate_alpha_converges():
     params = DemandParams(lambda_markup=1.0, M=200_000)
-    est = structural_estimate_demand(simulate_markets(params, SeededRng(5)))
+    [est] = structural_estimate_demand([simulate_markets(params, SeededRng(5))])
     assert abs(est.alpha - params.alpha) <= 0.5
 
 
 def test_structural_estimate_dampened_markup_biased_slope():
     params = DemandParams(lambda_markup=0.4, M=2000)
-    est = structural_estimate_demand(simulate_markets(params, SeededRng(6)))
+    [est] = structural_estimate_demand([simulate_markets(params, SeededRng(6))])
     assert est.beta == pytest.approx(params.beta / 0.4, abs=1e-8)
 
 
 def test_structural_estimate_guards_constant_quantity():
     data = Dataset(np.arange(1.0, 11.0), np.full(10, 5.0), np.arange(10.0))
     with pytest.raises(Exception):
-        structural_estimate_demand(data)
+        structural_estimate_demand([data])
 
 
 def test_rf_linear_slope_consistent():
@@ -112,7 +109,7 @@ def test_rf_linear_slope_consistent():
     slopes = []
     for seed in range(8):
         data = simulate_markets(params, SeededRng(7).stream(seed))
-        slopes.append(rf_demand(data, "linear").linear_fit.coefficients[0])
+        slopes.append(rf_demand([data], "linear")[0].linear_fit.coefficients[0])
     slopes = np.array(slopes)
     se = slopes.std(ddof=1) / np.sqrt(slopes.size)
     assert abs(slopes.mean() + params.beta) <= 4 * se
@@ -123,7 +120,7 @@ def test_rf_loglog_exact_on_loglog_data():
     p = gen.uniform(1.0, 5.0, size=300)
     q = np.exp(4.0 - 1.5 * np.log(p))
     data = Dataset(p, q, p.copy())  # price is its own (exogenous) shifter
-    fit = rf_demand(data, "loglog")
+    [fit] = rf_demand([data], "loglog")
     assert fit.linear_fit.coefficients[0] == pytest.approx(-1.5, abs=1e-8)
     assert np.abs(fit.predict(p) - q).max() <= 1e-6
 
@@ -131,7 +128,7 @@ def test_rf_loglog_exact_on_loglog_data():
 def test_rf_loglog_rejects_nonpositive_values():
     data = Dataset(np.array([1.0, 2.0]), np.array([-1.0, 2.0]), np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match="positive"):
-        rf_demand(data, "loglog")
+        rf_demand([data], "loglog")
 
 
 def test_rf_weak_instrument_raises():
@@ -140,7 +137,7 @@ def test_rf_weak_instrument_raises():
     q = 100.0 - 2.0 * p + gen.normal(size=500)
     data = Dataset(p, q, np.full(500, 1.0))  # b = 0: shifter carries nothing
     with pytest.raises(Exception):
-        rf_demand(data, "linear")
+        rf_demand([data], "linear")
 
 
 def test_benchmark_affine_and_quadratic_projection():
@@ -162,7 +159,7 @@ def test_benchmark_requires_positive_slope():
     gen = np.random.default_rng(3)
     z, q = gen.uniform(0, 10, size=50), gen.uniform(10, 20, size=50)
     with pytest.raises(ValueError, match="inverse demand slope is nonpositive"):
-        structural_estimate_demand(Dataset(40.0 + z - 0.5 * q, q, z))
+        structural_estimate_demand([Dataset(40.0 + z - 0.5 * q, q, z)])
 
 
 def test_sre_gmm_matches_2sls_for_linear_instrument_block():
@@ -182,7 +179,7 @@ def test_sre_demand_lambda_zero_grid_reduces_to_quadratic_iv():
     params = DemandParams(lambda_markup=1.0, M=600)
     data = simulate_markets(params, SeededRng(11))
     rng = SeededRng(12)
-    fit = sre_demand(data, rng, lambda_grid=[0.0])
+    [fit] = sre_demand([data], [rng], lambda_grid=[0.0])
     trace = fit.trace
     assert trace.lambda_star == 0.0
     # reproduce the unpenalized quadratic moment fit on the same half
@@ -211,7 +208,7 @@ def test_sre_demand_negative_derivative_majority():
     trials = 12
     for trial in range(trials):
         data = simulate_markets(params, SeededRng(13).stream(trial))
-        fit = sre_demand(data, SeededRng(13).stream(trial).split(1))
+        [fit] = sre_demand([data], [SeededRng(13).stream(trial).split(1)])
         slopes = fit.derivative(grid[:, None])
         negatives += bool(np.all(slopes < 0.0))
     assert negatives >= 0.95 * trials
@@ -281,7 +278,7 @@ def test_sre_demand_builds_three_instrument_blocks(monkeypatch):
 
     monkeypatch.setattr(demand, "instrument_basis", counting)
     data = simulate_markets(DemandParams(M=400), SeededRng(18))
-    sre_demand(data, SeededRng(18).split(1))
+    sre_demand([data], [SeededRng(18).split(1)])
     assert len(calls) == 3
     # a block of five trials builds the same three, each a stack of five
     # fitting halves, 25 training splits and 25 held-out parts
@@ -405,7 +402,8 @@ def test_kfold_names_the_training_fold_whose_instrument_gram_is_singular():
 def test_demand_benchmark_is_the_estimated_line_itself(monkeypatch, scenario):
     params, _ = scenario_params(scenario, DemandParams())
     data, rng = simulate_markets(params, SeededRng(scenario)), SeededRng(40 + scenario)
-    estimate = structural_estimate_demand(data.subset(partition_indices(data.n, 2, rng.split(0))[0]))
+    [estimate] = structural_estimate_demand(
+        [data.subset(partition_indices(data.n, 2, rng.split(0))[0])])
     folds = []
     of_samples = GmmFold.of_samples.__func__
 
@@ -414,7 +412,7 @@ def test_demand_benchmark_is_the_estimated_line_itself(monkeypatch, scenario):
         return folds
 
     monkeypatch.setattr(GmmFold, "of_samples", classmethod(recording))
-    fit = sre_demand(data, rng)
+    [fit] = sre_demand([data], [rng])
     # the fold keeps the line's raw coefficients over (1, p, p^2), no fitted projection
     [fold] = folds
     assert np.array_equal(fold.theta_m, [estimate.alpha, -estimate.beta, 0.0])
@@ -443,9 +441,9 @@ def _trial_samples(scenario, M, seed, trials):
 def test_stacked_second_stage_is_each_trials_sre_demand(seed, scenario, M, grid):
     gen = np.random.default_rng(seed)
     samples, rngs = _trial_samples(scenario, M, seed, gen.choice(1000, gen.integers(2, 7)))
-    fits = _sre_demands(samples, rngs, grid)
+    fits = sre_demand(samples, rngs, grid)
     for fit, sample, rng in zip(fits, samples, rngs):
-        alone = sre_demand(sample, rng, grid)
+        [alone] = sre_demand([sample], [rng], grid)
         assert fit.lambda_star == alone.lambda_star
         assert np.array_equal(fit.theta, alone.theta)
         assert np.array_equal(fit.theta_m, alone.theta_m)
@@ -456,11 +454,12 @@ def test_stacked_second_stage_is_each_trials_sre_demand(seed, scenario, M, grid)
 def test_stacked_reduced_form_and_structural_fits_are_each_trials_fit(scenario):
     _, rf_form = scenario_params(scenario, DemandParams())
     samples, _ = _trial_samples(scenario, 300, 23, range(7))
-    for stacked, sample in zip(_rf_demands(samples, rf_form), samples):
-        alone = rf_demand(sample, rf_form)
+    for stacked, sample in zip(rf_demand(samples, rf_form), samples):
+        [alone] = rf_demand([sample], rf_form)
         assert stacked.linear_fit.intercept == alone.linear_fit.intercept
         assert np.array_equal(stacked.linear_fit.coefficients, alone.linear_fit.coefficients)
-    assert _structural_estimates(samples) == [structural_estimate_demand(s) for s in samples]
+    assert structural_estimate_demand(samples) == [structural_estimate_demand([s])[0]
+                                                   for s in samples]
 
 
 @pytest.mark.parametrize("scenario", [2, 3])  # the linear and the log-log reduced form

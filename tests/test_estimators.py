@@ -13,7 +13,6 @@ from structreg.estimators import (
     fit_polynomial,
     select_arx_order_aic,
     select_degree_aic,
-    select_degrees_aic,
     solve_least_squares,
 )
 
@@ -174,7 +173,7 @@ def test_batched_degree_search_is_each_samples_search(seed):
     x = np.stack([gen.choice(5.0 + np.arange(c), size=n) for c in counts])
     x[:, :2] = 5.0, 6.0  # at least two distinct values in every sample
     y = (x - 1.0) / (x + 1.0) + 0.05 * gen.normal(size=x.shape) + 1e-3 * x**2
-    fits = select_degrees_aic(x, y, 5)
+    fits = select_degree_aic(x, y, 5)
     for fit, xs, ys in zip(fits, x, y):
         for reference in (select_degree_aic(xs, ys, 5),
                           _degree_search_one_fit_at_a_time(xs, ys, 5)):
@@ -188,7 +187,7 @@ def test_batched_degree_search_is_each_samples_search(seed):
 def test_batched_degree_search_names_a_sample_no_polynomial_fits():
     x = np.stack([np.arange(5.0, 25.0), np.full(20, 5.0)])
     with pytest.raises(SingularDesignError, match="20 rows and 1 distinct"):
-        select_degrees_aic(x, np.sqrt(x), 5)
+        select_degree_aic(x, np.sqrt(x), 5)
 
 
 def test_arx_exact_ar1_recovery():

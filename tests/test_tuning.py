@@ -293,8 +293,8 @@ def test_sample_split_exact_benchmark_noiseless():
 
 def _auction_second_stage():
     scenario = AuctionScenario.from_index(1)
-    return sre_auction(simulate_auctions(scenario, SeededRng(30)), scenario,
-                       SeededRng(31))
+    return sre_auction([simulate_auctions(scenario, SeededRng(30))], scenario,
+                       [SeededRng(31)])[0]
 
 
 def _entry_exit_second_stage():
@@ -308,7 +308,8 @@ def _entry_exit_second_stage():
 
 
 def _demand_second_stage():
-    return sre_demand(simulate_markets(DemandParams(M=600), SeededRng(11)), SeededRng(12))
+    data = simulate_markets(DemandParams(M=600), SeededRng(11))
+    return sre_demand([data], [SeededRng(12)])[0]
 
 
 @pytest.mark.parametrize(
