@@ -43,9 +43,7 @@ from .tuning import RidgeFold, forward_splits
 
 OVERBID_TRUTH_DRAWS = 4_000_000
 BID_QUADRATURE_NODES = 256
-# bid rows per block: bounds the (rows x nodes) arrays of a batch; a multiple
-# of four, so each block starts where the BLAS row groups of one call would
-_BID_BLOCK = 2048
+_BID_BLOCK = 2048  # bid rows per block: bounds the (rows x nodes) arrays of a batch
 # the beta truth's double-exponential rule: steps in t, coarsest to finest,
 # the agreement of two successive steps it stops at, and the half-width of
 # its t range (the weight at |t| = 4 is below 1e-35)
@@ -157,41 +155,27 @@ def _beta_bid_batch(values: np.ndarray, n, beta_shape: tuple[float, float]) -> n
     ``u = 1 - (1 - s)^2``; the latter clusters quadrature nodes where the
     integrand's mass concentrates (near ``u = 1`` for many bidders), so a
     fixed Gauss-Legendre rule reaches quadrature-level accuracy for the whole
-    batch in one pass, ``_BID_BLOCK`` values at a time. The values are taken
-    by bidder count, and the quadrature sum is one matrix-vector product per
-    count and block of that count's values, the product that count alone
-    would get: a BLAS product rounds a row by its place in the call. Agrees
-    with :func:`equilibrium_bid` to ~1e-10.
+    batch in one pass, ``_BID_BLOCK`` values at a time. Each value's
+    quadrature sum is its own row's ``einsum``, not a BLAS product, which
+    would round a row by its place in the call and by the thread that takes
+    it: a bid's bits depend on its value and count alone. A value of 0 bids
+    0. Agrees with :func:`equilibrium_bid` to ~1e-10.
     """
     v = np.asarray(values, dtype=float).ravel()
     counts = np.broadcast_to(np.asarray(n, dtype=float).ravel(), v.shape)
     s, w = _gl_rule()
     u = 1.0 - (1.0 - s) ** 2
     jacobian = 2.0 * (1.0 - s)
-    order = np.flatnonzero(v > 0.0)
-    order = order[np.argsort(counts[order], kind="stable")]
-    bounds = [0, *(np.flatnonzero(np.diff(counts[order])) + 1), order.size]
-    products = [(lo, min(lo + _BID_BLOCK, hi)) for first, hi in zip(bounds, bounds[1:])
-                for lo in range(first, hi, _BID_BLOCK)]
-    blocks: list[list[tuple[int, int]]] = []
-    for lo, hi in products:
-        if blocks and hi - blocks[-1][0][0] <= _BID_BLOCK:
-            blocks[-1].append((lo, hi))
-        else:
-            blocks.append([(lo, hi)])
-    out = np.zeros_like(v)
-    for block in blocks:
-        start = block[0][0]
-        rows = order[start:block[-1][1]]
+    out = np.empty_like(v)
+    for start in range(0, v.size, _BID_BLOCK):
+        rows = slice(start, start + _BID_BLOCK)
         vb = v[rows]
         log_ratio = (
             _beta_logcdf(vb[:, None] * u[None, :], beta_shape)
             - _beta_logcdf(vb, beta_shape)[:, None]
         )
         integrand = np.exp((counts[rows] - 1.0)[:, None] * log_ratio) * jacobian
-        for lo, hi in block:
-            part = slice(lo - start, hi - start)
-            out[order[lo:hi]] = vb[part] - vb[part] * (integrand[part] @ w)
+        out[rows] = np.where(vb > 0.0, vb - vb * np.einsum("ij,j->i", integrand, w), 0.0)
     return out
 
 

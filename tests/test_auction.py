@@ -87,27 +87,37 @@ def test_beta_bid_batch_matches_quadrature():
 
 
 _BLOCK_PROBE = """
+import hashlib
 import numpy as np
-from structreg.auction import _BID_BLOCK, _beta_bid_batch
-values = np.random.default_rng(4).beta(2.0, 5.0, size=3 * _BID_BLOCK + 123)
-edges = [0, 1000, _BID_BLOCK + 4, 2 * _BID_BLOCK + 516, values.size]
-pieces = [_beta_bid_batch(values[lo:hi], 7, (2.0, 5.0)) for lo, hi in zip(edges, edges[1:])]
-print(np.array_equal(_beta_bid_batch(values, 7, (2.0, 5.0)), np.concatenate(pieces)))
+from structreg.auction import _beta_bid_batch
+values = np.random.default_rng(4).beta(2.0, 5.0, size=50_000)
+counts = np.random.default_rng(5).integers(2, 51, size=values.size)
+edges = [0, 1, 1003, 2049, 7777, values.size]
+whole = _beta_bid_batch(values, counts, (2.0, 5.0))
+pieces = [_beta_bid_batch(values[lo:hi], counts[lo:hi], (2.0, 5.0))
+          for lo, hi in zip(edges, edges[1:])]
+print(np.array_equal(whole, np.concatenate(pieces)), hashlib.sha256(whole.tobytes()).hexdigest())
 """
 
 
 def test_beta_bid_batch_blocks_do_not_change_the_bids():
-    # A call spanning several row blocks against calls on slices whose edges
-    # fall inside blocks. The BLAS matrix-vector product rounds a row by its
-    # place in a group of four rows counted from the start of the call, and
-    # splits a large call between threads, so the slices start at multiples
-    # of four and the BLAS runs one thread, in a fresh interpreter.
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    # A call spanning many row blocks against calls on slices whose edges
+    # fall anywhere inside blocks, in a fresh interpreter with BLAS on one
+    # and on two threads: a BLAS product would round a row by its place in
+    # the call and split a large call between threads, so the bids would
+    # depend on the layout. The bytes must be the same at both thread counts.
     src = os.path.dirname(os.path.dirname(auction.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _BLOCK_PROBE], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["True"]
+    digests = set()
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas,
+                   MKL_NUM_THREADS=blas)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _BLOCK_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        same, digest = proc.stdout.split()
+        assert same == "True"
+        digests.add(digest)
+    assert len(digests) == 1
 
 
 def test_bid_monotone_and_shaded():
