@@ -39,7 +39,7 @@ from .sre import (
     default_lambda_grid,
     fit_theta_m,
 )
-from .tuning import RidgeFold, forward_splits
+from .tuning import RidgeFold, forward_cv
 
 OVERBID_TRUTH_DRAWS = 4_000_000
 BID_QUADRATURE_NODES = 256
@@ -391,11 +391,12 @@ def sre_auction(samples, scenario: AuctionScenario, rngs, lambda_grid=None,
     (validating nearest the out-of-domain bidder counts) and the final fit.
     The benchmark is the projection of the model's expected winning bids
     over both domains (:func:`_benchmark_projection`), computed once per
-    pair of bidder ranges; each fold and each of its splits re-express it on
-    their own standardization. The fitting halves, their forward
-    cross-validations and their final fits are each posed and solved as one
-    stack, and each sample gets the bits it gets in a block of one. The
-    cross-validation trace is ``fit.trace``.
+    pair of bidder ranges; each fitting half and each of its splits
+    re-express it on their own standardization. The fitting halves are one
+    fold (:meth:`~structreg.tuning.RidgeFold.of_samples`), cross-validated by
+    :func:`~structreg.tuning.forward_cv` and fitted as one stack, and each
+    sample gets the bits it gets in a block of one. The cross-validation
+    trace is ``fit.trace``.
     """
     grid = default_lambda_grid(samples[0].n) if lambda_grid is None else lambda_grid
     penalty = PenaltySpec(grid, np.asarray(SRE_PENALTY_WEIGHTS))
@@ -405,9 +406,7 @@ def sre_auction(samples, scenario: AuctionScenario, rngs, lambda_grid=None,
         fit_halves, PolynomialFeatures(SRE_POLY_DEGREE), penalty,
         _benchmark_projection(scenario.n_range_train[0], scenario.n_range_test[1]))
     target = DomainSpec.interval(*scenario.n_range_test)
-    splits = [forward_splits(fold.sample, forward_K, target, rng.split(3))
-              for fold, rng in zip(folds, rngs)]
-    return RidgeFold.fit_all(folds, RidgeFold.cross_validate_all(folds, splits))
+    return folds.fit(forward_cv(folds, forward_K, target, [rng.split(3) for rng in rngs]))
 
 
 def auction_experiment(

@@ -39,7 +39,7 @@ from .sre import (
     gmm_normal_equations,
     sre_gmm,  # noqa: F401  perfbench/selftest.py reads it as demand.sre_gmm
 )
-from .tuning import RidgeFold, kfold_splits
+from .tuning import RidgeFold, kfold_cv
 
 INSTRUMENT_POWERS = 5
 EVAL_GRID_POINTS = 100
@@ -201,15 +201,16 @@ def instrument_basis(z: np.ndarray, center, scale) -> np.ndarray:
 
 
 class GmmFold(RidgeFold):
-    """One training sample's penalized moment fit of the quadratic demand curve.
+    """The penalized moment fits of the quadratic demand curve on a stack of
+    training samples of one size.
 
     ``theta`` multiplies ``(1, p_std, p_std^2)`` where the price powers are
-    standardized by ``transform``. ``G`` and ``b`` are the sample's moment
-    normal equations ``(X'Z W Z'X, X'Z W Z'y)`` over its instrument block
-    ``Z``, built on its own rescaling of the cost shifter, and its projection
-    weight ``W = (Z'Z)^{-1}``. Every sample of a stack gets its own rescaling
-    and weight, and a cross-validation split's held-out moments are scored in
-    its training rows' basis and weight.
+    standardized by the sample's ``means`` and ``scales``. ``G`` and ``b``
+    are each sample's moment normal equations ``(X'Z W Z'X, X'Z W Z'y)``
+    over its instrument block ``Z``, built on its own rescaling of the cost
+    shifter, and its projection weight ``W = (Z'Z)^{-1}``. Every sample of a
+    stack gets its own rescaling and weight, and a cross-validation split's
+    held-out moments are scored in its training rows' basis and weight.
     """
 
     @classmethod
@@ -263,22 +264,20 @@ def sre_demand(samples, rngs, lambda_grid=None) -> list[SREFit]:
     beta_hat * p``: it lies in the quadratic's span, so its raw-scale
     coefficients over ``(1, p, p^2)`` are ``(alpha_hat, -beta_hat, 0)`` and
     no projection is fitted. The first halves' pricing regressions are one
-    batched least-squares solve; the moment folds of the second halves, their
-    K-fold cross-validations and their final fits are each posed and solved
-    as one stack, and each sample gets the bits it gets in a block of one.
-    The cross-validation trace is ``fit.trace``.
+    batched least-squares solve; the second halves are one moment fold
+    (:class:`GmmFold`), cross-validated by :func:`~structreg.tuning.kfold_cv`
+    and fitted as one stack, and each sample gets the bits it gets in a block
+    of one. The cross-validation trace is ``fit.trace``.
     """
     halves = [partition_indices(data.n, 2, rng.split(0)) for data, rng in zip(samples, rngs)]
     estimates = structural_estimate_demand([data.subset(folds[0])
                                             for data, folds in zip(samples, halves)])
     fit_halves = [data.subset(folds[1]) for data, folds in zip(samples, halves)]
-    n = fit_halves[0].n
-    grid = default_lambda_grid(n) if lambda_grid is None else np.asarray(lambda_grid, float)
+    grid = default_lambda_grid(fit_halves[0].n) if lambda_grid is None else lambda_grid
     penalty = PenaltySpec(grid, np.array([0.0, 1.0, 1.0]))
     folds = GmmFold.of_samples(fit_halves, _QUADRATIC, penalty,
                                [[e.alpha, -e.beta, 0.0] for e in estimates])
-    splits = [kfold_splits(n, CV_FOLDS, rng.split(2)) for rng in rngs]
-    return GmmFold.fit_all(folds, GmmFold.cross_validate_all(folds, splits))
+    return folds.fit(kfold_cv(folds, CV_FOLDS, [rng.split(2) for rng in rngs]))
 
 
 SCENARIOS = {

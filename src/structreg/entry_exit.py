@@ -493,8 +493,10 @@ def sre_entry_exit(
     is exogenous and known), so the shrink target encodes the model's
     out-of-domain behavior. It is projected once, to raw-scale coefficients
     (:func:`~structreg.sre.fit_theta_m`), and the training sample and each
-    window re-express them on their own standardization.
-    The rolling cross-validation trace is ``fit.trace``.
+    window re-express them on their own standardization. The training
+    sample is a fold of one (:meth:`~structreg.tuning.RidgeFold.of_samples`)
+    cross-validated by :func:`~structreg.tuning.rolling_cv`; the rolling
+    cross-validation trace is ``fit.trace``.
     """
     t_train = panel_second.t_total
     estimates = estimate_ccp_euler(panel_first, discount=discount)
@@ -504,7 +506,7 @@ def sre_entry_exit(
     train = arx_feature_rows(
         panel_second.shares_with_initial(), R_path_full[:t_train], p, q
     )
-    grid = default_lambda_grid(train.n) if lambda_grid is None else np.asarray(lambda_grid, float)
+    grid = default_lambda_grid(train.n) if lambda_grid is None else lambda_grid
     penalty = PenaltySpec(grid, np.concatenate([[0.0], np.ones(train.p)]))
     features = LinearFeatures(train.p)
     try:
@@ -515,8 +517,8 @@ def sre_entry_exit(
             f"{exc}: the benchmark's synthetic panels do not identify the ARX model; "
             f"degenerate CCP-Euler estimate mu={mu:.4g}, alpha={alpha:.4g}, "
             f"entry_cost={entry_cost:.4g}") from exc
-    fold = RidgeFold.of_sample(train, features, penalty, theta_m)
-    return fold.fit(rolling_cv(fold, max(2, train.n // 5)))
+    fold = RidgeFold.of_samples([train], features, penalty, theta_m)
+    return fold.fit(rolling_cv(fold, max(2, train.n // 5)))[0]
 
 
 def entry_exit_experiment(

@@ -4,36 +4,37 @@ Three cross-validation flavors pick the penalty strength: standard K-fold for
 i.i.d. data, a forward variant that always validates on the subsample nearest
 a known target input region, and a rolling-window variant for series data.
 
-Every study's second stage is one select-and-fit step on a fold object
-(:class:`RidgeFold`, or the demand study's moment fold): it builds the fold
-with :meth:`~RidgeFold.of_sample` on the half of the sample the structural
-stage did not use, passes it to the cross-validation, and returns
-:meth:`~RidgeFold.fit` of the resulting :class:`CvTrace`. The fold keeps its
-sample and fixes everything the cross-validation needs: its penalty's grid and
-:meth:`~RidgeFold.cross_validate`, which scores that grid on every split of a
-:class:`CvSplits` of the sample in one stacked array computation. A split is
-row indices into the sample with 0/1 row weights (a sliding window of rows
-for rolling cross-validation), so no per-split sample or fold is built.
+Every study's second stage is one select-and-fit step on a fold
+(:class:`RidgeFold`, or the demand study's moment fold): the posed problems
+of a stack of fitting samples of one size, a block of the auction or demand
+study's trials or the entry/exit study's one trial. It builds the fold with
+:meth:`~RidgeFold.of_samples` on the halves of the samples the structural
+stage did not use, cross-validates it with :func:`kfold_cv`,
+:func:`forward_cv` or :func:`rolling_cv` (one :class:`CvTrace` per sample),
+and returns :meth:`~RidgeFold.fit` of the traces (one fit per sample). The
+fold keeps its samples and fixes everything the cross-validation needs: its
+penalty's grid and :meth:`~RidgeFold.cross_validate`, which scores that grid
+on every split of every sample's :class:`CvSplits` in one stacked array
+computation. A split is row indices into its sample with 0/1 row weights (a
+sliding window of rows for rolling cross-validation), so no per-split sample
+or fold is built.
 
 A fold takes the benchmark ``theta_m`` as raw-scale coefficients over
 ``(1, F(x))`` and keeps it so; each solve re-expresses it on the
-standardization it poses, every split's and the fold's own, by its affine map.
+standardization it poses, every split's and each sample's own, by its affine
+map.
 
 A second-stage problem is posed in one place, the fold's ``_pose``, which
 poses a stack of samples at once: the cross-validation's splits, or the
 fitting samples themselves (every row, weight 1), which is how
-:meth:`~RidgeFold.of_samples` builds folds. It is solved in one place too:
-:func:`~structreg.sre.quadratic_path` solves every split's path, and the
-final fit is the fold's path at the one penalty the cross-validation chose.
-Several folds of one shape (a block of the auction or demand study's trials)
-go through each step as one stack: :meth:`~RidgeFold.of_samples`,
-:meth:`~RidgeFold.cross_validate_all` and :meth:`~RidgeFold.fit_all`; a single
-fold's :meth:`~RidgeFold.of_sample`, :meth:`~RidgeFold.cross_validate` and
-:meth:`~RidgeFold.fit` are their stacks of one.
+:meth:`~RidgeFold.of_samples` builds the fold. It is solved in one place too:
+:func:`~structreg.sre.quadratic_path` solves every split's path, and each
+final fit is its sample's path at the one penalty its cross-validation chose.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -113,11 +114,14 @@ class CvSplits:
     def unit(self) -> str:
         return "window" if self.kind == "rolling" else "fold"
 
-    def failure(self, index: int, reason, lam: float | None = None) -> CvError:
-        """The error naming split ``index`` and, when known, its grid point;
-        ``reason`` is a message or the error the split raised."""
+    def failure(self, index: int, reason, lam: float | None = None,
+                sample: int | None = None) -> CvError:
+        """The error naming split ``index``, when given the sample of a stack
+        it belongs to, and, when known, its grid point; ``reason`` is a
+        message or the error the split raised."""
+        of = "" if sample is None else f" of sample {sample}"
         at = "" if lam is None else f" at lambda={lam}"
-        return CvError(f"fitter failed on {self.unit} {index}{at}: {reason}")
+        return CvError(f"fitter failed on {self.unit} {index}{of}{at}: {reason}")
 
 
 def _fold_rows(rows: np.ndarray, K: int, rng: SeededRng) -> tuple[np.ndarray, ...]:
@@ -164,82 +168,86 @@ def rolling_splits(n: int, window_length: int) -> CvSplits:
     return CvSplits("rolling", train, np.ones(train.shape), val, np.ones(val.shape))
 
 
-def kfold_cv(fold: RidgeFold, K: int, rng: SeededRng) -> CvTrace:
-    """Standard K-fold cross-validation of ``fold`` over its penalty grid.
+def kfold_cv(fold: RidgeFold, K: int, rngs) -> list[CvTrace]:
+    """Standard K-fold cross-validation of every sample of ``fold`` over its
+    penalty grid, sample ``s`` partitioned by ``rngs[s]``.
 
-    Every training fold of the fold's sample is standardized on its own rows
-    and scored at every grid point on its held-out rows by
-    :meth:`RidgeFold.cross_validate`, all folds in one stacked computation;
-    the reported error per grid point is the mean over held-out folds.
+    Every training fold of a sample is standardized on its own rows and
+    scored at every grid point on its held-out rows by
+    :meth:`RidgeFold.cross_validate`, every fold of every sample in one
+    stacked computation; the reported error per grid point is the mean over
+    held-out folds.
     """
-    return fold.cross_validate(kfold_splits(fold.sample.n, K, rng))
+    return fold.cross_validate([kfold_splits(sample.n, K, rng)
+                                for sample, rng in zip(fold.samples, rngs, strict=True)])
 
 
-def forward_cv(fold: RidgeFold, K: int, target: DomainSpec, rng: SeededRng) -> CvTrace:
+def forward_cv(fold: RidgeFold, K: int, target: DomainSpec, rngs) -> list[CvTrace]:
     """K-fold cross-validation that always validates nearest the target.
 
-    The ``FORWARD_FRACTION`` of the fold's sample nearest ``target`` is first
-    held out of training entirely; the far part is partitioned into K folds.
-    Iteration k trains on the far part minus fold k and validates on fold k
-    plus the whole near-target part, so every validation set contains the
-    observations closest to where the model will be applied. Folds are
-    scored as in :func:`kfold_cv`.
+    The ``FORWARD_FRACTION`` of each sample of ``fold`` nearest ``target``
+    is first held out of training entirely; the far part is partitioned
+    into K folds by the sample's own rng in ``rngs``. Iteration k trains on
+    the far part minus fold k and validates on fold k plus the whole
+    near-target part, so every validation set contains the observations
+    closest to where the model will be applied. Folds are scored as in
+    :func:`kfold_cv`.
     """
-    return fold.cross_validate(forward_splits(fold.sample, K, target, rng))
+    return fold.cross_validate([forward_splits(sample, K, target, rng)
+                                for sample, rng in zip(fold.samples, rngs, strict=True)])
 
 
-def rolling_cv(fold: RidgeFold, window_length: int) -> CvTrace:
+def rolling_cv(fold: RidgeFold, window_length: int) -> list[CvTrace]:
     """Rolling-window cross-validation for time-ordered data.
 
     Every window origin fits on ``window_length`` consecutive observations
-    of the fold's sample and scores on the next one, so training never sees
-    the future. Rows must carry a nondecreasing ``time_index``. Windows are
-    scored as in :func:`kfold_cv`.
+    of a sample of ``fold`` and scores on the next one, so training never
+    sees the future. Every sample's rows must carry a nondecreasing
+    ``time_index``. Windows are scored as in :func:`kfold_cv`.
     """
-    data = fold.sample
-    if data.time_index is None:
-        raise DataError("rolling cross-validation requires time-indexed data")
-    if np.any(np.diff(data.time_index) < 0):
-        raise DataError("time_index must be nondecreasing")
-    if data.n <= window_length:
+    for data in fold.samples:
+        if data.time_index is None:
+            raise DataError("rolling cross-validation requires time-indexed data")
+        if np.any(np.diff(data.time_index) < 0):
+            raise DataError("time_index must be nondecreasing")
+    n = fold.samples[0].n
+    if n <= window_length:
         raise DataError("series shorter than window_length + 1")
-    return fold.cross_validate(rolling_splits(data.n, window_length))
+    return fold.cross_validate([rolling_splits(n, window_length)] * len(fold.samples))
 
 
 @dataclass(frozen=True)
 class RidgeFold:
-    """One training sample's penalized least-squares problem.
+    """The penalized least-squares problems of a stack of training samples of one size.
 
-    ``G`` and ``b`` are the ``sample``'s normal equations ``(X'X, X'y)`` over
-    the design ``(1, standardized features)`` and ``theta_m`` the benchmark
-    projection's raw-scale coefficients over ``(1, features)``. :meth:`_pose`
-    poses the problem on a stack of samples; :meth:`of_sample` builds the
-    fold as the stack of one sample of every row, and cross-validation's
-    :meth:`cross_validate` poses every split's training rows at once and
-    scores every grid point on the split's held-out rows. :meth:`fit` then
-    solves the fold's own path at the penalty the cross-validation chose.
+    ``stacked`` holds every sample's rows in turn and ``features`` their
+    expanded features. ``G`` and ``b`` are each sample's normal equations
+    ``(X'X, X'y)`` over the design ``(1, standardized features)``, with the
+    standardization's ``means`` and ``scales``, and ``theta_m`` each sample's
+    benchmark projection as raw-scale coefficients over ``(1, features)``,
+    all with a leading stack axis. :meth:`_pose` poses the problem on a
+    stack of samples; :meth:`of_samples` poses the samples themselves (every
+    row, weight 1), and cross-validation's :meth:`cross_validate` poses every
+    split's training rows at once and scores every grid point on the split's
+    held-out rows. :meth:`fit` then solves each sample's own path at the
+    penalty its cross-validation chose.
     """
 
-    sample: Dataset
+    samples: tuple[Dataset, ...]
+    stacked: Dataset
+    features: np.ndarray
     G: np.ndarray
     b: np.ndarray
-    transform: StandardizeTransform
+    means: np.ndarray
+    scales: np.ndarray
     theta_m: np.ndarray
     penalty: PenaltySpec
     feature_map: FeatureMap
 
     @classmethod
-    def of_sample(cls, sample: Dataset, feature_map: FeatureMap, penalty: PenaltySpec,
-                  theta_m) -> RidgeFold:
-        """The sample's fold over its standardized expanded features, shrunk
-        toward the raw-scale benchmark coefficients ``theta_m``: the stack of
-        one of :meth:`of_samples`."""
-        return cls.of_samples([sample], feature_map, penalty, theta_m)[0]
-
-    @classmethod
     def of_samples(cls, samples, feature_map: FeatureMap, penalty: PenaltySpec,
-                   theta_m) -> list[RidgeFold]:
-        """Each sample's fold over its standardized expanded features, every
+                   theta_m) -> RidgeFold:
+        """The samples' fold over their standardized expanded features, every
         sample posed in one stack (all its rows, weight 1); the samples have
         one row count. ``theta_m`` holds raw-scale benchmark coefficients,
         one row per sample or one vector that every sample shares: the
@@ -247,16 +255,14 @@ class RidgeFold:
         estimated demand line."""
         if len({sample.n for sample in samples}) != 1:
             raise DataError("the samples of a stack must have one row count")
-        data, offsets = _stacked_sample(samples)
-        rows = offsets[:, None] + np.arange(samples[0].n)
-        posed = cls._pose(feature_map.transform(data.inputs), data, rows, np.ones(rows.shape),
-                          lambda index, error: error)
+        data, n = _stacked_sample(samples), samples[0].n
+        features = feature_map.transform(data.inputs)
+        rows = n * np.arange(len(samples))[:, None] + np.arange(n)
+        posed = cls._pose(features, data, rows, np.ones(rows.shape), lambda index, error: error)
         G, b = cls._normal_equations(posed)
-        theta_m = np.broadcast_to(theta_m, (len(samples), feature_map.n_features + 1))
-        return [cls(sample, G[s], b[s], StandardizeTransform(
-                    posed["means"][s], posed["scales"][s], float(sample.outcome.mean())),
-                    theta_m[s], penalty, feature_map)
-                for s, sample in enumerate(samples)]
+        return cls(tuple(samples), data, features, G, b, posed["means"], posed["scales"],
+                   np.broadcast_to(theta_m, (len(samples), feature_map.n_features + 1)),
+                   penalty, feature_map)
 
     @classmethod
     def _pose(cls, F, data, rows, weight, fail) -> dict:
@@ -289,118 +295,95 @@ class RidgeFold:
         """Every split's held-out mean squared error, one column per grid point."""
         return (resid * resid).sum(axis=1) / splits.val_weight.sum(axis=1)[:, None]
 
-    def cross_validate(self, splits: CvSplits) -> CvTrace:
-        """The fold's error curve over every split at once, one row of
-        held-out errors per split: the stack of one of
-        :meth:`cross_validate_all`."""
-        return self.cross_validate_all([self], [splits])[0]
+    def cross_validate(self, splits) -> list[CvTrace]:
+        """Each sample's error curve over its own splits, ``splits[s]`` the
+        :class:`CvSplits` of sample ``s``, every split of every sample in one
+        stacked array computation.
 
-    @staticmethod
-    def cross_validate_all(folds, splits) -> list[CvTrace]:
-        """Each fold's error curve over its own splits, every split of every
-        fold in one stacked array computation.
-
-        The folds share one class, feature map and penalty, and their splits
-        one shape. Every split's training rows are posed at once by
-        :meth:`_pose`, each fold's ``theta_m`` is re-expressed on each of its
-        splits' standardization, and one stacked
+        The splits share one shape. Every split's training rows are posed at
+        once by :meth:`_pose`, each sample's ``theta_m`` is re-expressed on
+        each of its splits' standardization, and one stacked
         :func:`~structreg.sre.quadratic_path` call solves every split's path.
         A split that cannot be posed or solved raises :class:`CvError` naming
-        its place in the stack and, for a solve, its first offending grid
-        point.
+        its index, in a stack of more than one sample also its sample, and,
+        for a solve, its first offending grid point.
         """
-        _check_stack(folds)
-        cls, first = type(folds[0]), folds[0]
-        data, offsets = _stacked_sample([fold.sample for fold in folds])
-        stack = _stacked_splits(splits, offsets)
-        F = first.feature_map.transform(data.inputs)
-        posed = cls._pose(F, data, stack.train, stack.train_weight, stack.failure)
-        means, scales = posed["means"], posed["scales"]
-        G, b = cls._normal_equations(posed)
+        stack = _stacked_splits(splits, self.samples[0].n)
         ends = list(accumulate(len(part.train) for part in splits))
         rows = [slice(end - len(part.train), end) for part, end in zip(splits, ends)]
-        theta_m = np.concatenate([_express_in_transform(fold.theta_m, means[r], scales[r])
-                                  for fold, r in zip(folds, rows)])
+
+        def fail(index, reason, lam=None):
+            s = bisect_right(ends, index)
+            return splits[s].failure(index - rows[s].start, reason, lam,
+                                     s if len(splits) > 1 else None)
+
+        data, F = self.stacked, self.features
+        posed = self._pose(F, data, stack.train, stack.train_weight, fail)
+        means, scales = posed["means"], posed["scales"]
+        G, b = self._normal_equations(posed)
+        theta_m = np.concatenate([_express_in_transform(m, means[r], scales[r])
+                                  for m, r in zip(self.theta_m, rows)])
         finite = np.isfinite(G).all(axis=(1, 2)) & np.isfinite(b).all(axis=1) & np.isfinite(
             theta_m).all(axis=1)
         if not finite.all():
-            raise stack.failure(int(np.argmin(finite)), "G, b and theta_m must be finite")
-        grid = first.penalty.lambda_grid
+            raise fail(int(np.argmin(finite)), "G, b and theta_m must be finite")
+        grid = self.penalty.lambda_grid
         try:
-            thetas = quadratic_path(G, b, first.penalty.weights, theta_m, grid)
+            thetas = quadratic_path(G, b, self.penalty.weights, theta_m, grid)
         except SingularPathError as exc:
-            raise stack.failure(exc.index, exc, exc.lam) from exc
+            raise fail(exc.index, exc, exc.lam) from exc
         bad = ~np.isfinite(thetas).all(axis=2)
         if bad.any():
             index = int(np.argmax(bad.any(axis=1)))
-            raise stack.failure(index, "non-finite coefficients",
-                                float(grid[np.argmax(bad[index])]))
+            raise fail(index, "non-finite coefficients", float(grid[np.argmax(bad[index])]))
         F_val = (F[stack.val] - means[:, None, :]) / scales[:, None, :]
         predictions = thetas[:, None, :, 0] + F_val @ thetas[:, :, 1:].swapaxes(1, 2)
         resid = (data.outcome[stack.val][:, :, None] - predictions) * stack.val_weight[:, :, None]
-        errors = cls._held_out_error(data, posed, stack, resid)
+        errors = self._held_out_error(data, posed, stack, resid)
         return [CvTrace(part.kind, grid, errors[r]) for part, r in zip(splits, rows)]
 
-    def fit(self, trace: CvTrace) -> SREFit:
-        """The fit at the trace's ``lambda_star``, carrying the trace: the
-        stack of one of :meth:`fit_all`."""
-        return self.fit_all([self], [trace])[0]
+    def fit(self, traces) -> list[SREFit]:
+        """Each sample's fit at its own trace's ``lambda_star``, carrying the
+        trace and the sample's ``theta_m`` re-expressed on its
+        standardization, from one :func:`~structreg.sre.quadratic_path` call
+        with one penalty row per sample.
 
-    @staticmethod
-    def fit_all(folds, traces) -> list[SREFit]:
-        """Each fold's fit at its own trace's ``lambda_star``, carrying the
-        trace and the fold's ``theta_m`` re-expressed on its standardization,
-        from one :func:`~structreg.sre.quadratic_path` call with one penalty
-        row per fold.
-
-        A fold that is singular at its ``lambda_star`` raises
+        A sample that is singular at its ``lambda_star`` raises
         :class:`~structreg.sre.SingularPathError` naming that penalty and the
-        fold's place in the stack.
+        sample's place in the stack.
         """
-        _check_stack(folds)
         lam = np.array([[trace.lambda_star] for trace in traces])
-        theta_m = np.stack([_express_in_transform(fold.theta_m, fold.transform.column_means,
-                                                  fold.transform.column_scales)
-                            for fold in folds])
-        theta = quadratic_path(np.stack([fold.G for fold in folds]),
-                               np.stack([fold.b for fold in folds]), folds[0].penalty.weights,
-                               theta_m, lam)[:, 0]
-        return [SREFit(t, fold.transform, m, trace.lambda_star, fold.feature_map, trace)
-                for t, m, fold, trace in zip(theta, theta_m, folds, traces)]
+        theta_m = np.stack([_express_in_transform(m, mu, sd)
+                            for m, mu, sd in zip(self.theta_m, self.means, self.scales)])
+        theta = quadratic_path(self.G, self.b, self.penalty.weights, theta_m, lam)[:, 0]
+        return [SREFit(t, StandardizeTransform(mu, sd, float(sample.outcome.mean())), m,
+                       trace.lambda_star, self.feature_map, trace)
+                for t, m, mu, sd, sample, trace in zip(theta, theta_m, self.means, self.scales,
+                                                        self.samples, traces, strict=True)]
 
 
-def _check_stack(folds) -> None:
-    first = folds[0]
-    if any(type(fold) is not type(first) or fold.feature_map != first.feature_map
-           or not np.array_equal(fold.penalty.lambda_grid, first.penalty.lambda_grid)
-           or not np.array_equal(fold.penalty.weights, first.penalty.weights)
-           for fold in folds[1:]):
-        raise ValueError("the folds of a stack must share one class, feature map and penalty")
-
-
-def _stacked_sample(samples) -> tuple[Dataset, np.ndarray]:
-    """One sample of every sample's rows in turn, and the row each one starts at."""
+def _stacked_sample(samples) -> Dataset:
+    """One sample of every sample's rows in turn."""
     if len(samples) == 1:
-        return samples[0], np.zeros(1, dtype=int)
-    sizes = [sample.n for sample in samples]
+        return samples[0]
 
     def rows(name):
         parts = [getattr(sample, name) for sample in samples]
         return None if parts[0] is None else np.concatenate(parts)
 
-    return (Dataset(rows("inputs"), rows("outcome"), rows("instruments"), rows("time_index")),
-            np.cumsum(sizes) - sizes)
+    return Dataset(rows("inputs"), rows("outcome"), rows("instruments"), rows("time_index"))
 
 
-def _stacked_splits(splits, offsets) -> CvSplits:
-    """Every fold's splits in one stack, their rows moved to the stacked
-    sample's; the splits share one width, so no sum over a split's rows is
-    padded with rows of weight 0 it would not have alone."""
+def _stacked_splits(splits, n: int) -> CvSplits:
+    """Every sample's splits in one stack, their rows moved to the stacked
+    sample's, where sample ``s`` starts at row ``s * n``; the splits share
+    one width, so no sum over a split's rows is padded with rows of weight 0
+    it would not have alone."""
     if len(splits) == 1:
         return splits[0]
     if len({(part.train.shape[1], part.val.shape[1]) for part in splits}) != 1:
         raise DataError("the splits of a stack must have one width")
-    shift = np.repeat(offsets, [part.train.shape[0] for part in splits])[:, None]
+    shift = np.repeat(n * np.arange(len(splits)), [part.train.shape[0] for part in splits])[:, None]
     return CvSplits(splits[0].kind, np.concatenate([part.train for part in splits]) + shift,
                     np.concatenate([part.train_weight for part in splits]),
                     np.concatenate([part.val for part in splits]) + shift,

@@ -522,11 +522,11 @@ def test_stacked_second_stage_is_each_trials_stack_of_one(seed, index, cv):
     rngs = [SeededRng(seed).stream(int(t)) for t in gen.choice(1000, gen.integers(2, 9))]
     samples = [simulate_auctions(scenario, rng.split(0)) for rng in rngs]
     widths = []
-    cross_validate_all = RidgeFold.cross_validate_all
+    cross_validate = RidgeFold.cross_validate
 
-    def recording(folds, splits):
+    def recording(fold, splits):
         widths.extend((part.train.shape, part.val.shape) for part in splits)
-        return cross_validate_all(folds, splits)
+        return cross_validate(fold, splits)
 
     def second_stage(stack, stack_rngs):
         return sre_auction(stack, scenario, [rng.split(1) for rng in stack_rngs], grid, K)
@@ -539,7 +539,7 @@ def test_stacked_second_stage_is_each_trials_stack_of_one(seed, index, cv):
             second_stage(samples, rngs)
         return
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(RidgeFold, "cross_validate_all", staticmethod(recording))
+        patch.setattr(RidgeFold, "cross_validate", recording)
         fits = second_stage(samples, rngs)
     # every trial's splits have one shape, so no sum over a split's rows is padded
     assert len(widths) == len(rngs) and len(set(widths)) == 1

@@ -91,11 +91,12 @@ def test_benchmark_tracer_sees_every_trial(monkeypatch):
     assert tracer.leftover_wrappers("structreg") == []
     for name, study_spans in spans.items():
         assert len(layers.SpanView(study_spans).trial_durations_s()) == 2, name
-    # the stages the blocks run are the public functions the layers name
+    # the stages the blocks run, and their cross-validation, are the public
+    # functions the layers name
     measured_layers = {
-        "auction": ["auction.simulate_s", "estimators.baseline_s"],
-        "entry-exit": ["entry_exit.simulate_s", "entry_exit.regime_s"],
-        "demand": ["demand.simulate_s", "estimators.baseline_s", "demand.sre_s"],
+        "auction": ["auction.simulate_s", "estimators.baseline_s", "tuning.cv_s"],
+        "entry-exit": ["entry_exit.simulate_s", "entry_exit.regime_s", "tuning.cv_s"],
+        "demand": ["demand.simulate_s", "estimators.baseline_s", "demand.sre_s", "tuning.cv_s"],
     }
     for name, metric_names in measured_layers.items():
         values = layers.pass_metrics(spans[name], trials=2)

@@ -335,7 +335,7 @@ _PENALTY = PenaltySpec([1.0, 10.0], np.array([0.0, 1.0, 1.0]))
 
 def _moment_fold(sample, penalty, theta_m):
     """The sample's moment fold of the demand study's quadratic curve."""
-    return GmmFold.of_sample(sample, PolynomialFeatures(2), penalty, theta_m)
+    return GmmFold.of_samples([sample], PolynomialFeatures(2), penalty, theta_m)
 
 
 @pytest.mark.parametrize("z", [[3.0, 11.0, 27.0, 35.0], [2.0, 9.0, 17.0, 30.0, 38.0]])
@@ -364,8 +364,8 @@ def test_moment_fold_instruments_and_weight_are_the_sample_alone():
     std, _ = standardize(Dataset(PolynomialFeatures(2).transform(sample.inputs), sample.outcome))
     X = np.column_stack([np.ones(sample.n), std.inputs])
     G, b = gmm_normal_equations(X, Z, sample.outcome, np.linalg.inv(Z.T @ Z))
-    assert np.array_equal(fold.G, G)
-    assert np.array_equal(fold.b, b)
+    assert np.array_equal(fold.G[0], G)
+    assert np.array_equal(fold.b[0], b)
 
 
 def test_demand_trial_with_too_few_markets_per_fold_names_the_cause():
@@ -395,7 +395,7 @@ def test_kfold_names_the_training_fold_whose_instrument_gram_is_singular():
     penalty = PenaltySpec([1.0, 10.0], np.array([0.0, 1.0, 1.0]))
     final = _moment_fold(data, penalty, np.zeros(3))
     with pytest.raises(CvError, match="fitter failed on fold 2: singular instrument Gram matrix"):
-        kfold_cv(final, K, SeededRng(7))
+        kfold_cv(final, K, [SeededRng(7)])
 
 
 @pytest.mark.parametrize("scenario", [1, 2])
@@ -408,14 +408,14 @@ def test_demand_benchmark_is_the_estimated_line_itself(monkeypatch, scenario):
     of_samples = GmmFold.of_samples.__func__
 
     def recording(cls, *args):
-        folds.extend(of_samples(cls, *args))
-        return folds
+        folds.append(of_samples(cls, *args))
+        return folds[-1]
 
     monkeypatch.setattr(GmmFold, "of_samples", classmethod(recording))
     [fit] = sre_demand([data], [rng])
     # the fold keeps the line's raw coefficients over (1, p, p^2), no fitted projection
     [fold] = folds
-    assert np.array_equal(fold.theta_m, [estimate.alpha, -estimate.beta, 0.0])
+    assert np.array_equal(fold.theta_m, [[estimate.alpha, -estimate.beta, 0.0]])
     # re-expressed on the fold's standardization the curvature stays exactly 0,
     # and the benchmark curve is the line at the evaluation grid's prices, up
     # to the rounding of a few operations

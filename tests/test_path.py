@@ -197,12 +197,12 @@ def test_rolling_cv_names_singular_window_and_lambda():
                    time_index=np.arange(T))
 
     def fold(grid):
-        return RidgeFold.of_sample(data, LinearFeatures(2), PenaltySpec(grid, [0.0, 1.0, 1.0]),
-                                   np.zeros(3))
+        return RidgeFold.of_samples([data], LinearFeatures(2),
+                                    PenaltySpec(grid, [0.0, 1.0, 1.0]), np.zeros(3))
 
     with pytest.raises(CvError, match=r"window 20 at lambda=0\.0: singular"):
         rolling_cv(fold([0.0, 1.0]), 10)
-    trace = rolling_cv(fold([0.5, 1.0]), 10)
+    [trace] = rolling_cv(fold([0.5, 1.0]), 10)
     assert np.isfinite(trace.mean_errors).all()
 
 
@@ -211,11 +211,11 @@ def test_kfold_names_non_finite_path_and_lambda():
     x = gen.uniform(0.0, 10.0, size=40)
     data = Dataset(x[:, None], 1.0 + 2.0 * x)
     # lam * theta_m overflows at the second grid point only
-    fold = RidgeFold.of_sample(data, LinearFeatures(1), PenaltySpec([0.0, 1e10], [0.0, 1.0]),
-                               np.array([0.0, 1e300]))
+    fold = RidgeFold.of_samples([data], LinearFeatures(1),
+                                PenaltySpec([0.0, 1e10], [0.0, 1.0]), np.array([0.0, 1e300]))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             CvError, match=r"fold 0 at lambda=10000000000\.0: non-finite"):
-        kfold_cv(fold, 4, SeededRng(23))
+        kfold_cv(fold, 4, [SeededRng(23)])
 
 
 @given(seeds)
@@ -314,14 +314,14 @@ def split_rows(splits, s):
 
 
 def pose_alone(fold, train):
-    """Rows ``train`` of the fold's sample posed on their own with
+    """Rows ``train`` of the sample of a stack of one posed on their own with
     ``standardize``: their design, outcome, standardization and
     the fold's raw-scale ``theta_m`` re-expressed on it."""
-    data = fold.sample
+    [data], [raw] = fold.samples, fold.theta_m
     F = fold.feature_map.transform(data.inputs[train])
     std, transform = standardize(Dataset(F, data.outcome[train]))
-    slopes = fold.theta_m[1:]
-    theta_m = np.concatenate([[fold.theta_m[0] + transform.column_means @ slopes],
+    slopes = raw[1:]
+    theta_m = np.concatenate([[raw[0] + transform.column_means @ slopes],
                               slopes * transform.column_scales])
     design = np.column_stack([np.ones(train.size), std.inputs])
     return design, data.outcome[train], transform, theta_m
@@ -338,7 +338,7 @@ def closed_form(fold, train):
     X, y, transform, theta_m = pose_alone(fold, train)
     if not isinstance(fold, GmmFold):
         return (lambda lam: sre_ridge(X, y, theta_m, fold.penalty, lam)), transform, None
-    z = fold.sample.instruments[:, 0]
+    z = fold.samples[0].instruments[:, 0]
     center, scale = z[train].mean(), z[train].std()
 
     def basis(rows):
@@ -351,7 +351,7 @@ def closed_form(fold, train):
 
 def split_errors(fold, train, val):
     """The held-out errors of one split solved per lambda by :func:`closed_form`."""
-    data = fold.sample
+    data = fold.samples[0]
     solve, transform, moment = closed_form(fold, train)
     F_val = transform.transform_inputs(fold.feature_map.transform(data.inputs[val]))
     errors = []
@@ -371,7 +371,7 @@ def assert_matches_each_split(fold, splits, errors=None):
     """The stacked errors of every split (``errors``, computed afresh if not
     given) against :func:`split_errors` of the split, relative to the split's
     largest error."""
-    stacked = fold.cross_validate(splits).fold_errors if errors is None else errors
+    stacked = fold.cross_validate([splits])[0].fold_errors if errors is None else errors
     for s in range(splits.train.shape[0]):
         reference = split_errors(fold, *split_rows(splits, s))
         assert np.all(np.abs(stacked[s] - reference) <= 1e-9 * np.abs(reference).max())
@@ -381,8 +381,8 @@ def assert_matches_each_split(fold, splits, errors=None):
 @settings(max_examples=30, deadline=None)
 def test_stacked_kfold_and_forward_match_each_split(seed):
     gen, data, penalty = _cv_problem(seed)
-    fold = RidgeFold.of_sample(data, LinearFeatures(3), penalty,
-                               3.0 * np.arange(4.0) - 1.0)
+    fold = RidgeFold.of_samples([data], LinearFeatures(3), penalty,
+                                3.0 * np.arange(4.0) - 1.0)
     K = int(gen.integers(2, 7))
     if data.n % K == 0:
         K += 1  # unequal fold sizes
@@ -402,13 +402,13 @@ def test_stacked_rolling_matches_each_window_with_a_constant_column(seed):
     # the constant column's rounding spread counts as zero variance, so it
     # standardizes to zeros there, which is singular at lambda = 0 only
     penalty = PenaltySpec(GRID[1:], penalty.weights)
-    fold = RidgeFold.of_sample(data, LinearFeatures(3), penalty, np.ones(4))
+    fold = RidgeFold.of_samples([data], LinearFeatures(3), penalty, np.ones(4))
     splits = rolling_splits(data.n, 10)
     assert_matches_each_split(fold, splits)
     # with lambda = 0 on the grid window 15, the first with the constant
     # column, is singular posed alone and in the stacked run
-    fold = RidgeFold.of_sample(data, LinearFeatures(3), PenaltySpec(GRID, penalty.weights),
-                               np.ones(4))
+    fold = RidgeFold.of_samples([data], LinearFeatures(3), PenaltySpec(GRID, penalty.weights),
+                                np.ones(4))
     for s in range(16):
         X, y, _, theta_m = pose_alone(fold, split_rows(splits, s)[0])
         if s < 15:
@@ -428,7 +428,7 @@ def test_stacked_moment_kfold_matches_each_split(seed):
     gen = np.random.default_rng(seed)
     data = simulate_markets(DemandParams(M=int(gen.integers(100, 160))), SeededRng(seed))
     penalty = PenaltySpec(GRID, [0.0, 1.0, gen.uniform(0.1, 10.0)])
-    fold = GmmFold.of_sample(data, PolynomialFeatures(2), penalty,
-                             np.array([100.0, -20.0, 1.0]))
+    fold = GmmFold.of_samples([data], PolynomialFeatures(2), penalty,
+                              np.array([100.0, -20.0, 1.0]))
     K = 7 if data.n % 7 else 6
     assert_matches_each_split(fold, kfold_splits(data.n, K, SeededRng(seed)))

@@ -42,15 +42,16 @@ from .test_sre import line_rows
 
 
 def _record_cv(monkeypatch):
-    """Record ``(fold, splits)`` of every cross-validation run, alone or stacked."""
+    """Record ``(fold, splits)`` of every cross-validation run: the fold and
+    its list of every sample's splits."""
     seen = []
-    cross_validate_all = RidgeFold.cross_validate_all
+    cross_validate = RidgeFold.cross_validate
 
-    def recording(folds, splits):
-        seen.extend(zip(folds, splits))
-        return cross_validate_all(folds, splits)
+    def recording(fold, splits):
+        seen.append((fold, splits))
+        return cross_validate(fold, splits)
 
-    monkeypatch.setattr(RidgeFold, "cross_validate_all", staticmethod(recording))
+    monkeypatch.setattr(RidgeFold, "cross_validate", recording)
     return seen
 
 
@@ -58,8 +59,8 @@ def _line_fold(train, line, domain, grid):
     """The sample's ridge fold of a line, shrunk toward the benchmark line
     ``(intercept, slope)`` projected over ``domain``."""
     fmap = PolynomialFeatures(1)
-    return RidgeFold.of_sample(train, fmap, PenaltySpec(grid, WEIGHTS),
-                               fit_theta_m(fmap, line_rows(*line, *domain)))
+    return RidgeFold.of_samples([train], fmap, PenaltySpec(grid, WEIGHTS),
+                                fit_theta_m(fmap, line_rows(*line, *domain)))
 
 
 def _noisy_line_data(n=60, seed=0, noise=0.5):
@@ -75,7 +76,7 @@ WEIGHTS = np.array([0.0, 1.0])
 
 def test_kfold_singleton_grid():
     data = _noisy_line_data()
-    trace = kfold_cv(_line_fold(data, (0.0, 0.0), (0, 10), [0.0]), 5, SeededRng(1))
+    [trace] = kfold_cv(_line_fold(data, (0.0, 0.0), (0, 10), [0.0]), 5, [SeededRng(1)])
     assert trace.lambda_star == 0.0
 
 
@@ -85,7 +86,7 @@ def test_kfold_benchmark_true_dgp_prefers_max_lambda():
     gen = np.random.default_rng(2)
     x = gen.uniform(0.0, 10.0, size=60)
     data = Dataset(x[:, None], 1.0 + 2.0 * x + 0.5 * gen.normal(size=60))
-    trace = kfold_cv(_line_fold(data, (1.0, 2.0), (0, 10), GRID), 5, SeededRng(3))
+    [trace] = kfold_cv(_line_fold(data, (1.0, 2.0), (0, 10), GRID), 5, [SeededRng(3)])
     assert trace.lambda_star == GRID[-1]
     assert np.all(np.diff(trace.mean_errors) <= 1e-12)
 
@@ -93,7 +94,7 @@ def test_kfold_benchmark_true_dgp_prefers_max_lambda():
 def test_kfold_misspecified_benchmark_prefers_min_lambda():
     data = _noisy_line_data(n=400, seed=4, noise=0.1)
     bad = (-30.0, -7.0)  # far from the true line
-    trace = kfold_cv(_line_fold(data, bad, (0, 10), GRID), 5, SeededRng(5))
+    [trace] = kfold_cv(_line_fold(data, bad, (0, 10), GRID), 5, [SeededRng(5)])
     assert trace.lambda_star == GRID[0]
 
 
@@ -101,15 +102,33 @@ def test_kfold_propagates_fitter_failure_with_fold_id():
     # two identical feature columns: every training fold is singular at lambda = 0
     x = _noisy_line_data(n=20).inputs
     data = Dataset(np.column_stack([x, x]), np.arange(20.0))
-    final = RidgeFold.of_sample(data, LinearFeatures(2), PenaltySpec([0.0], [0.0, 1.0, 1.0]),
-                                np.zeros(3))
+    final = RidgeFold.of_samples([data], LinearFeatures(2),
+                                 PenaltySpec([0.0], [0.0, 1.0, 1.0]), np.zeros(3))
     with pytest.raises(CvError, match="fold 0 at lambda=0.0: singular"):
-        kfold_cv(final, 4, SeededRng(6))
+        kfold_cv(final, 4, [SeededRng(6)])
+
+
+def test_a_failing_split_in_a_stack_names_its_sample_and_its_own_index():
+    # sample 2's second column is constant: every training fold standardizes
+    # it to zeros, which is singular at lambda = 0; samples 0 and 1 are regular
+    gen = np.random.default_rng(9)
+    samples = [Dataset(gen.normal(size=(20, 2)), gen.normal(size=20)) for _ in range(3)]
+    samples[2] = Dataset(np.column_stack([samples[2].inputs[:, 0], np.full(20, 0.7)]),
+                         samples[2].outcome)
+    penalty = PenaltySpec([0.0, 1.0], [0.0, 1.0, 1.0])
+    rngs = [SeededRng(10).split(s) for s in range(3)]
+    stack = RidgeFold.of_samples(samples, LinearFeatures(2), penalty, np.zeros(3))
+    with pytest.raises(CvError, match=r"^fitter failed on fold 0 of sample 2 at lambda=0\.0: "):
+        kfold_cv(stack, 4, rngs)
+    # alone, the sample's split keeps the wording of a single sample
+    alone = RidgeFold.of_samples(samples[2:], LinearFeatures(2), penalty, np.zeros(3))
+    with pytest.raises(CvError, match=r"^fitter failed on fold 0 at lambda=0\.0: singular"):
+        kfold_cv(alone, 4, rngs[2:])
 
 
 def test_cv_trace_lambda_star_attains_minimum():
     data = _noisy_line_data(n=80, seed=7)
-    trace = kfold_cv(_line_fold(data, (1.0, 2.0), (0, 10), GRID), 4, SeededRng(8))
+    [trace] = kfold_cv(_line_fold(data, (1.0, 2.0), (0, 10), GRID), 4, [SeededRng(8)])
     assert trace.lambda_star == trace.lambda_grid[np.argmin(trace.mean_errors)]
     assert trace.fold_errors.shape == (4, GRID.size)
     assert np.allclose(trace.fold_errors.mean(axis=0), trace.mean_errors)
@@ -119,8 +138,8 @@ def test_forward_cv_near_target_rows_always_validated_never_trained(monkeypatch)
     seen = _record_cv(monkeypatch)
     data = Dataset(np.arange(1.0, 61.0)[:, None], np.zeros(60))
     target = DomainSpec.interval(61.0, 100.0)
-    forward_cv(_line_fold(data, (0.0, 0.0), (1, 100), [0.0, 1.0]), 5, target, SeededRng(9))
-    [(_, splits)] = seen
+    forward_cv(_line_fold(data, (0.0, 0.0), (1, 100), [0.0, 1.0]), 5, target, [SeededRng(9)])
+    [(_, [splits])] = seen
     near = set(range(51, 61))  # ceil(60/6) = 10 nearest points
     assert splits.kind == "forward" and splits.train.shape[0] == 5
     for s in range(5):
@@ -134,11 +153,11 @@ def test_forward_cv_fold_count_and_guards():
     data = Dataset(np.arange(1.0, 13.0)[:, None], np.zeros(12))
     target = DomainSpec.interval(20.0, 30.0)
     final = _line_fold(data, (0.0, 0.0), (1, 30), [0.0])
-    trace = forward_cv(final, 5, target, SeededRng(10))
+    [trace] = forward_cv(final, 5, target, [SeededRng(10)])
     assert trace.fold_errors.shape[0] == 5
     # the near-target sixth leaves 10 far-part rows, too few for 11 folds
     with pytest.raises(DataError, match="cannot form 11 folds from 10 far-part rows"):
-        forward_cv(final, 11, target, SeededRng(10))
+        forward_cv(final, 11, target, [SeededRng(10)])
 
 
 def test_rolling_cv_constant_series_zero_error_smallest_lambda():
@@ -148,9 +167,9 @@ def test_rolling_cv_constant_series_zero_error_smallest_lambda():
     data = Dataset(
         np.column_stack([np.ones(T)]), np.full(T, 0.3), time_index=np.arange(T)
     )
-    final = RidgeFold.of_sample(data, LinearFeatures(1), PenaltySpec([0.5, 1.0, 2.0], WEIGHTS),
-                                np.zeros(2))
-    trace = rolling_cv(final, 10)
+    final = RidgeFold.of_samples([data], LinearFeatures(1),
+                                 PenaltySpec([0.5, 1.0, 2.0], WEIGHTS), np.zeros(2))
+    [trace] = rolling_cv(final, 10)
     assert np.allclose(trace.mean_errors, 0.0)
     assert trace.lambda_star == 0.5
 
@@ -161,9 +180,9 @@ def test_rolling_cv_window_covering_all_but_last_is_single_holdout(monkeypatch):
     T = 30
     x = gen.normal(size=T)
     data = Dataset(x[:, None], gen.normal(size=T), time_index=np.arange(T))
-    trace = rolling_cv(_line_fold(data, (0.0, 0.0), (-3, 3), [0.0]), T - 1)
+    [trace] = rolling_cv(_line_fold(data, (0.0, 0.0), (-3, 3), [0.0]), T - 1)
     assert trace.fold_errors.shape[0] == 1
-    [(_, splits)] = seen
+    [(_, [splits])] = seen
     assert [rows.size for rows in split_rows(splits, 0)] == [T - 1, 1]
 
 
@@ -176,7 +195,7 @@ def test_rolling_cv_never_trains_on_future(monkeypatch):
         time_index=np.arange(T),
     )
     rolling_cv(_line_fold(data, (0.0, 1.0), (0, T), [1.0]), 12)
-    [(_, splits)] = seen
+    [(_, [splits])] = seen
     assert splits.train.shape[0] == T - 12
     for s in range(T - 12):
         train, val = split_rows(splits, s)
@@ -191,7 +210,7 @@ def test_rolling_cv_benchmark_true_series_prefers_large_lambda():
     y = 1.0 + 2.0 * x + 0.8 * gen.normal(size=T)
     data = Dataset(x[:, None], y, time_index=np.arange(T))
     grid = np.array([0.0, 1e8])
-    trace = rolling_cv(_line_fold(data, (1.0, 2.0), (0, 5), grid), 24)
+    [trace] = rolling_cv(_line_fold(data, (1.0, 2.0), (0, 5), grid), 24)
     assert trace.lambda_star == grid[-1]
 
 
@@ -199,6 +218,16 @@ def test_rolling_cv_requires_time_index():
     data = Dataset(np.arange(10.0)[:, None], np.zeros(10))
     with pytest.raises(DataError):
         rolling_cv(_line_fold(data, (0.0, 0.0), (0, 10), [0.0]), 4)
+
+
+def test_rolling_cv_checks_every_sample_of_a_stack():
+    gen = np.random.default_rng(19)
+    samples = [Dataset(gen.normal(size=(30, 1)), gen.normal(size=30), time_index=time)
+               for time in (np.arange(30), np.arange(30)[::-1])]
+    fold = RidgeFold.of_samples(samples, LinearFeatures(1), PenaltySpec([0.0], WEIGHTS),
+                                np.zeros(2))
+    with pytest.raises(DataError, match="time_index must be nondecreasing"):
+        rolling_cv(fold, 10)
 
 
 def _study_sample(name):
@@ -219,16 +248,17 @@ def test_of_sample_is_the_standardize_built_fold(name):
     train = Dataset(inputs, np.random.default_rng(18).normal(size=inputs.shape[0]))
     std, transform = standardize(Dataset(fmap.transform(inputs), train.outcome))
     theta_m = np.arange(fmap.n_features + 1.0)
-    final = RidgeFold.of_sample(train, fmap, PenaltySpec(GRID, np.ones(fmap.n_features + 1)),
-                                theta_m)
+    final = RidgeFold.of_samples([train], fmap,
+                                 PenaltySpec(GRID, np.ones(fmap.n_features + 1)), theta_m)
     X = np.column_stack([np.ones(train.n), std.inputs])
-    assert np.array_equal(final.G, X.T @ X)
-    assert np.array_equal(final.b, X.T @ train.outcome)
-    assert np.array_equal(final.transform.column_means, transform.column_means)
-    assert np.array_equal(final.transform.column_scales, transform.column_scales)
-    assert final.transform.outcome_mean == transform.outcome_mean
+    assert np.array_equal(final.G[0], X.T @ X)
+    assert np.array_equal(final.b[0], X.T @ train.outcome)
+    assert np.array_equal(final.means[0], transform.column_means)
+    assert np.array_equal(final.scales[0], transform.column_scales)
+    [fit] = final.fit([CvTrace("kfold", GRID, [[1.0, 0.0, 1.0, 1.0]])])
+    assert fit.transform.outcome_mean == transform.outcome_mean
     # the fold keeps the benchmark's raw-scale coefficients as given
-    assert np.array_equal(final.theta_m, theta_m)
+    assert np.array_equal(final.theta_m[0], theta_m)
 
 
 def test_final_fold_and_split_of_one_row_fail_typed():
@@ -242,14 +272,14 @@ def test_final_fold_and_split_of_one_row_fail_typed():
 def test_final_fit_on_a_collinear_sample_at_lambda_zero_fails_typed():
     x = np.linspace(0.0, 1.0, 20)
     train = Dataset(np.column_stack([x, 2.0 * x + 1.0]), np.sin(7.0 * x))
-    final = RidgeFold.of_sample(train, LinearFeatures(2), PenaltySpec(GRID, [0.0, 1.0, 1.0]),
-                                np.zeros(3))
+    final = RidgeFold.of_samples([train], LinearFeatures(2),
+                                 PenaltySpec(GRID, [0.0, 1.0, 1.0]), np.zeros(3))
     with pytest.raises(SingularPathError) as info:
-        final.fit(CvTrace("kfold", GRID, [[0.0, 1.0, 2.0, 3.0]]))
+        final.fit([CvTrace("kfold", GRID, [[0.0, 1.0, 2.0, 3.0]])])
     assert info.value.lam == 0.0
     # a positive penalty makes the same fold regular
     trace = CvTrace("kfold", GRID, [[1.0, 0.0, 2.0, 3.0]])
-    fit = final.fit(trace)
+    [fit] = final.fit([trace])
     assert fit.lambda_star == 1.0 and np.isfinite(fit.theta).all()
     assert fit.trace is trace
 
@@ -269,7 +299,7 @@ def _select_and_fit_on_half(data, line, grid, rng):
     5-fold cross-validation of it, and the fit at lambda*."""
     fit_half = data.subset(partition_indices(data.n, 2, rng.split(0))[1])
     final = _line_fold(fit_half, line, (0, 10), grid)
-    return final.fit(kfold_cv(final, 5, rng.split(3))), fit_half
+    return final.fit(kfold_cv(final, 5, [rng.split(3)]))[0], fit_half
 
 
 def test_sample_split_lambda_zero_reduces_to_plain_fit():
@@ -323,7 +353,7 @@ def test_second_stage_refits_the_fold_its_cv_refolded(monkeypatch, second_stage,
     # record the fold and splits of the study's one CV run
     seen = _record_cv(monkeypatch)
     fit = second_stage()
-    [(final, splits)] = seen
+    [(final, [splits])] = seen
     trace = fit.trace
     assert isinstance(trace, CvTrace)
     assert fit.lambda_star == trace.lambda_star
@@ -332,14 +362,13 @@ def test_second_stage_refits_the_fold_its_cv_refolded(monkeypatch, second_stage,
     # raw-scale theta_m re-expressed on the fold's standardization
     lam = trace.lambda_star
     assert np.array_equal(trace.lambda_grid, final.penalty.lambda_grid)
-    slopes = final.theta_m[1:]
+    slopes = final.theta_m[0, 1:]
     assert np.array_equal(fit.theta_m, np.concatenate([
-        [final.theta_m[0] + final.transform.column_means @ slopes],
-        slopes * final.transform.column_scales]))
-    assert np.array_equal(
-        fit.theta, quadratic_path(final.G, final.b, final.penalty.weights, fit.theta_m, [lam])[0])
+        [final.theta_m[0, 0] + final.means[0] @ slopes], slopes * final.scales[0]]))
+    assert np.array_equal(fit.theta, quadratic_path(final.G[0], final.b[0], final.penalty.weights,
+                                                    fit.theta_m, [lam])[0])
     # which is the per-lambda closed form of the whole sample posed alone
-    reference = closed_form(final, np.arange(final.sample.n))[0](lam)
+    reference = closed_form(final, np.arange(final.samples[0].n))[0](lam)
     assert np.linalg.norm(fit.theta - reference) <= 1e-9 * np.linalg.norm(reference)
     # every split posed the problem it poses alone
     assert_matches_each_split(final, splits, errors=trace.fold_errors)
