@@ -54,7 +54,7 @@ from .tuning import (  # noqa: F401
     kfold_cv,
     rolling_cv,
 )
-from .metrics import AggregateRow, metrics, metrics_table  # noqa: F401
+from .metrics import AggregateRow, Curves, metrics, metrics_table  # noqa: F401
 from .config import RunConfig, config_from_mapping, load_config  # noqa: F401
 from .harness import (  # noqa: F401
     MonteCarloReport,

@@ -31,7 +31,7 @@ import numpy as np
 # scipy.integrate is imported by the reference equilibrium_bid alone.
 from .data import Dataset, DomainSpec, SeededRng, partition_indices
 from .estimators import select_degree_aic
-from .metrics import _each, _run_trials
+from .metrics import Curves, _each, _run_trials
 from .sre import (
     PenaltySpec,
     PolynomialFeatures,
@@ -417,7 +417,7 @@ def auction_experiment(
     lambda_grid=None,
     forward_K: int = FORWARD_K,
     trial_indices=None,
-) -> tuple[list[tuple], dict]:
+) -> tuple[Curves, dict]:
     """Monte Carlo comparison of the three estimators on one auction scenario.
 
     Per trial: simulate training auctions on the in-domain bidder range, fit
@@ -426,9 +426,11 @@ def auction_experiment(
     is simulated on its own stream; the block's AIC searches
     (:func:`structreg.estimators.select_degree_aic`) and second stages
     (:func:`sre_auction`) are then fitted as one stack each, with each
-    trial's results the bits it gets alone. Returns the curve records of
-    :func:`structreg.metrics._run_trials` and metadata holding the grids and,
-    with overbidding, the truth's standard errors.
+    trial's results the bits it gets alone. Returns the run's
+    :class:`~structreg.metrics.Curves` (the trial driver
+    :func:`structreg.metrics._run_trials` builds them per estimator and
+    domain) and metadata holding the grids and, with overbidding, the
+    truth's standard errors.
     """
 
     def setup(rng):

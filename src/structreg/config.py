@@ -73,16 +73,21 @@ class ConfigError(ValueError):
     pass
 
 
-class _ConfigLoader(yaml.SafeLoader):
-    """YAML 1.1 loader that also reads exponent-form floats such as ``1e12``,
-    which plain YAML 1.1 takes for strings."""
+def _config_loader(base: type) -> type:
+    """The PyYAML safe loader ``base`` that also reads exponent-form floats
+    such as ``1e12``, which plain YAML 1.1 takes for strings."""
+    loader = type("_ConfigLoader", (base,), {})
+    loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+        list("-+0123456789."),
+    )
+    return loader
 
 
-_ConfigLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
-    list("-+0123456789."),
-)
+# libyaml's parser where PyYAML was built with it, else the pure-Python one;
+# both resolve and construct values in Python, so they read the same mapping
+_ConfigLoader = _config_loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
 
 
 @dataclass(frozen=True)

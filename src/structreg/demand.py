@@ -30,7 +30,7 @@ from .estimators import (
     fit_2sls,
     solve_least_squares,
 )
-from .metrics import _each, _run_trials
+from .metrics import Curves, _each, _run_trials
 from .sre import (
     PenaltySpec,
     PolynomialFeatures,
@@ -327,7 +327,7 @@ def demand_experiment(
     rng: SeededRng | None = None,
     lambda_grid=None,
     trial_indices=None,
-) -> tuple[list[tuple], dict]:
+) -> tuple[Curves, dict]:
     """Monte Carlo comparison of demand-curve estimators on one scenario.
 
     Per trial: simulate the markets, fit each requested estimator, and score
@@ -336,7 +336,9 @@ def demand_experiment(
     its own stream; the block's reduced-form fits (:func:`rf_demand`),
     structural fits (:func:`structural_estimate_demand`) and second stages
     (:func:`sre_demand`) are then fitted as one stack each, with each
-    trial's results the bits it gets alone.
+    trial's results the bits it gets alone. Returns the run's
+    :class:`~structreg.metrics.Curves` and metadata holding the scenario,
+    the reduced form, the parameters and the price grid.
     """
 
     def setup(rng):

@@ -39,7 +39,7 @@ from .estimators import (
     select_arx_order_aic,
     solve_least_squares,
 )
-from .metrics import _each, _run_trials
+from .metrics import Curves, _each, _run_trials
 from .sre import LinearFeatures, PenaltySpec, SREFit, default_lambda_grid, fit_theta_m
 from .tuning import RidgeFold, rolling_cv
 
@@ -530,7 +530,7 @@ def entry_exit_experiment(
     rpath: RPathSpec | None = None,
     lambda_grid=None,
     trial_indices=None,
-) -> tuple[list[tuple], dict]:
+) -> tuple[Curves, dict]:
     """Monte Carlo comparison of occupancy-share forecasters under one regime.
 
     Per trial: draw a profit path, simulate the panel (as two independent
@@ -538,7 +538,9 @@ def entry_exit_experiment(
     firms), fit the ARX baseline and the foresight structural model on the
     merged panel, fit the regularized ARX on the halves, and score one-step-
     ahead share predictions (realized lags) against the regime's expected
-    path of that trial, in-domain and out-of-domain.
+    path of that trial, in-domain and out-of-domain. Returns the run's
+    :class:`~structreg.metrics.Curves`, whose truth varies by trial, and
+    metadata holding the regime, the parameters and the profit-path spec.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime: {regime}")

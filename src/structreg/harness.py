@@ -2,7 +2,7 @@
 
 A run is fully determined by its config and seed (the per-trial contract is
 that of the trial driver, :func:`structreg.metrics._run_trials`: a trial's
-records depend on its own rng stream alone, whichever worker's slice and
+curves depend on its own rng stream alone, whichever worker's slice and
 whichever block of ``TRIAL_BLOCK`` trials it runs in), so the emitted
 ``summary.csv`` / ``curves.csv`` are byte-identical across reruns and worker
 counts.
@@ -37,7 +37,7 @@ from .demand import (
     demand_experiment,
 )
 from .entry_exit import PREDICTION_START, REGIMES, DdcParams, RPathSpec, entry_exit_experiment
-from .metrics import AggregateRow, metrics, sort_curves
+from .metrics import AggregateRow, Curves, metrics
 from .tuning import FORWARD_FRACTION
 
 SUMMARY_HEADER = "experiment,scenario,estimator,domain,bias,variance,mse,trials,seed"
@@ -54,10 +54,15 @@ class MonteCarloReport:
     base_seed: int
     estimators: tuple[str, ...]
     aggregates: tuple[AggregateRow, ...]
-    curves: tuple[tuple, ...]
+    curves: Curves
     config_snapshot: dict
     software_version: str = __version__
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # curves given as plain records are held in the one columnar form
+        if not isinstance(self.curves, Curves):
+            object.__setattr__(self, "curves", Curves.from_records(self.curves))
 
     def aggregate(self, estimator: str, domain: str) -> AggregateRow:
         for row in self.aggregates:
@@ -139,7 +144,7 @@ def configured_study(config: RunConfig):
         raise ConfigError(f"invalid {config.experiment} settings: {exc}") from exc
 
 
-def _run_slice(config: RunConfig, indices: tuple[int, ...]) -> tuple[list, dict]:
+def _run_slice(config: RunConfig, indices: tuple[int, ...]) -> tuple[Curves, dict]:
     """Run a subset of trial indices of the configured experiment."""
     experiment, args, kwargs = configured_study(config)
     grid = None if config.lambda_grid is None else np.asarray(config.lambda_grid, float)
@@ -163,29 +168,25 @@ def run_monte_carlo(config: RunConfig) -> MonteCarloReport:
     """Execute an experiment config and assemble its report.
 
     Trials run on a worker pool when ``SRE_THREADS`` allows; the report is
-    identical either way because trial streams are independent and records
-    are sorted before aggregation.
+    identical either way because trial streams are independent and the
+    workers' slices of trials, each in canonical order, are joined in trial
+    order.
     """
     started = time.time()
     workers = _worker_count(config.trials)
     indices = tuple(range(config.trials))
     if workers == 1:
-        records, metadata = _run_slice(config, indices)
+        curves, metadata = _run_slice(config, indices)
     else:
         # imported here: a sequential run never loads the multiprocessing machinery
         from concurrent.futures import ProcessPoolExecutor
 
-        # plain ints, so pooled records carry the same trial types as sequential ones
+        # plain ints, so pooled curves carry the same trial types as sequential ones
         chunks = [tuple(int(i) for i in chunk)
                   for chunk in np.array_split(indices, workers) if len(chunk)]
-        records, metadata = [], {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part_records, part_meta in pool.map(
-                _run_slice, [config] * len(chunks), chunks
-            ):
-                records.extend(part_records)
-                metadata = part_meta
-    curves = tuple(sort_curves(records))
+            parts, metas = zip(*pool.map(_run_slice, [config] * len(chunks), chunks))
+        curves, metadata = Curves.join(parts), metas[-1]
     aggregates = tuple(metrics(curves))
     metadata = dict(metadata)
     metadata["wall_time_s"] = time.time() - started
@@ -214,8 +215,38 @@ def _write_summary(report: MonteCarloReport, path: Path) -> None:
 
 
 def _write_curves(report: MonteCarloReport, path: Path) -> None:
-    path.write_text(CURVES_HEADER + "\n" + "".join(
-        ["%d,%s,%s,%.17g,%.17g,%.17g\n" % record for record in report.curves]))
+    """The curves as ``trial,estimator,domain,x,truth,prediction`` lines.
+
+    Each (estimator, domain) formats its x and truth strings once into a
+    template, shared by the estimators of one domain, and truth once per
+    trial where it varies by trial; each trial's lines of it then take one
+    ``%`` over its line prefix and values.
+    """
+    curves, templates, blocks = report.curves, {}, []
+    for (estimator, domain), (points, truth, prediction) in curves.blocks.items():
+        if not prediction.size:
+            continue
+        bits = truth.view(np.int64)
+        shared = bool((bits == bits[0]).all())  # one truth for every trial, bit for bit
+        key = (points.tobytes(), truth[0].tobytes() if shared else None)
+        if key not in templates:
+            if shared:
+                pairs = np.stack([points, truth[0]], axis=1).ravel().tolist()
+                templates[key] = ("%%s%.17g,%.17g,%%.17g\n" * points.size) % tuple(pairs)
+            else:
+                templates[key] = ("%%s%.17g,%%.17g,%%.17g\n" * points.size) % tuple(
+                    points.tolist())
+        blocks.append((estimator, domain, templates[key],
+                       (prediction,) if shared else (truth, prediction)))
+    text = [CURVES_HEADER + "\n"]
+    for t, trial in enumerate(curves.trials):
+        for estimator, domain, template, columns in blocks:
+            width = len(columns) + 1
+            line = ["%d,%s,%s," % (trial, estimator, domain)] * (width * columns[0].shape[1])
+            for i, column in enumerate(columns, 1):
+                line[i::width] = column[t].tolist()
+            text.append(template % tuple(line))
+    path.write_text("".join(text))
 
 
 def read_curves(path: str | Path) -> tuple[tuple, ...]:
@@ -229,13 +260,14 @@ def read_curves(path: str | Path) -> tuple[tuple, ...]:
 
 
 def report_to_dict(report: MonteCarloReport) -> dict:
-    """Every field of ``report`` but the curves, in field order."""
-    payload = dataclasses.asdict(dataclasses.replace(report, curves=()))
-    del payload["curves"]
-    return payload
+    """Every field of ``report`` but the curves, in field order; the
+    aggregates as mappings, and the other fields the report's own values."""
+    payload = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+               if f.name != "curves"}
+    return payload | {"aggregates": [dataclasses.asdict(row) for row in report.aggregates]}
 
 
-def report_from_dict(payload: dict, curves: tuple[tuple, ...]) -> MonteCarloReport:
+def report_from_dict(payload: dict, curves) -> MonteCarloReport:
     """The report of a :func:`report_to_dict` payload and its curves."""
     return MonteCarloReport(**{
         **payload,

@@ -252,13 +252,19 @@ class RidgeFold:
         one row count. ``theta_m`` holds raw-scale benchmark coefficients,
         one row per sample or one vector that every sample shares: the
         auction study's one cached projection, the demand study each trial's
-        estimated demand line."""
+        estimated demand line. A sample that cannot be posed raises its
+        error, naming the sample in a stack of more than one."""
         if len({sample.n for sample in samples}) != 1:
             raise DataError("the samples of a stack must have one row count")
         data, n = _stacked_sample(samples), samples[0].n
         features = feature_map.transform(data.inputs)
         rows = n * np.arange(len(samples))[:, None] + np.arange(n)
-        posed = cls._pose(features, data, rows, np.ones(rows.shape), lambda index, error: error)
+
+        def fail(index, error):
+            # a stack of several samples names the one that cannot be posed
+            return error if len(samples) == 1 else type(error)(f"{error} of sample {index}")
+
+        posed = cls._pose(features, data, rows, np.ones(rows.shape), fail)
         G, b = cls._normal_equations(posed)
         return cls(tuple(samples), data, features, G, b, posed["means"], posed["scales"],
                    np.broadcast_to(theta_m, (len(samples), feature_map.n_features + 1)),

@@ -351,6 +351,22 @@ def test_moment_fold_rejects_a_singular_instrument_gram_matrix():
         _moment_fold(_markets(np.full(10, 7.0)), _PENALTY, np.zeros(3))
 
 
+
+def test_a_stack_names_the_sample_it_cannot_pose():
+    # two 60-market samples; the second's cost shifter is constant, so its
+    # instrument powers are (1, 0, ..., 0) and their Gram matrix is singular
+    params = DemandParams(M=60)
+    drawn, held = (simulate_markets(params, SeededRng(3).stream(s)) for s in (0, 1))
+    flat = Dataset(held.inputs, held.outcome, np.full_like(held.instruments, 2.0))
+    theta_m = [[100.0, -2.0, 0.0]]
+    with pytest.raises(SingularDesignError,
+                       match="^singular instrument Gram matrix of sample 1$"):
+        GmmFold.of_samples([drawn, flat], PolynomialFeatures(2), _PENALTY, theta_m * 2)
+    # a stack of one keeps the wording
+    with pytest.raises(SingularDesignError, match="^singular instrument Gram matrix$"):
+        _moment_fold(flat, _PENALTY, theta_m)
+    _moment_fold(drawn, _PENALTY, theta_m)
+
 def test_moment_fold_of_one_row_is_rejected_by_its_standardization():
     with pytest.raises(DataError, match="standardize requires at least two rows"):
         _moment_fold(_markets([5.0]), _PENALTY, np.zeros(3))

@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import importlib
 import json
 import os
 import re
@@ -15,6 +16,8 @@ from structreg.auction import AuctionScenario, auction_experiment
 from structreg.config import (
     ConfigError,
     RunConfig,
+    _config_loader,
+    _ConfigLoader,
     config_from_mapping,
     load_config,
 )
@@ -22,7 +25,9 @@ from structreg.demand import demand_experiment
 from structreg.entry_exit import DdcParams, entry_exit_experiment
 from structreg.harness import (
     CURVES_HEADER,
+    SUMMARY_HEADER,
     MonteCarloReport,
+    _run_slice,
     _write_curves,
     emit_outputs,
     load_report,
@@ -32,7 +37,9 @@ from structreg.harness import (
 from structreg.metrics import (
     TRIAL_BLOCK,
     AggregateRow,
+    Curves,
     MetricsError,
+    _run_trials,
     metrics,
     metrics_table,
     sort_curves,
@@ -144,6 +151,8 @@ def test_metrics_match_the_per_point_reference(trials):
     rows = [(r.estimator, r.domain, r.bias, r.variance, r.mse, r.trials)
             for r in metrics(records)]
     assert rows == per_point_metrics(records)
+    # held as arrays, each point's trials come in trial order
+    assert metrics(Curves.from_records(records)) == metrics(sort_curves(records))
 
 
 BASE_CONFIG = {
@@ -229,6 +238,65 @@ def test_config_yaml_roundtrip(tmp_path):
     assert config.estimators == ("rf", "structural", "sre")
 
 
+def _typed(value):
+    """``value`` with each scalar as (type name, repr): equal only for equal
+    values of one type, NaN included."""
+    if isinstance(value, dict):
+        return {key: _typed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_typed(item) for item in value]
+    return type(value).__name__, repr(value)
+
+
+def _suite_config_texts() -> list[str]:
+    """The text of every shipped and golden config, the README example and
+    the suite's inline configs, YAML and JSON."""
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted(root.glob("perfbench/configs/*/*.yaml")) + sorted(
+        root.glob("tests/golden/*/config.yaml"))
+    section = (root / "README.md").read_text().split("### Config files", 1)[1]
+    return [path.read_text() for path in paths] + [
+        re.search(r"```yaml\n(.*?)```", section, re.S).group(1),
+        "experiment: auction\nscenario: 3\ntrials: 1\nbase_seed: 0\n"
+        "lambda_grid: [0, 1E4, 1.0e8, 1e12]\nauction: {overbid_sigma: 5e-1}\n",
+        "experiment: demand\nscenario: 2\ntrials: 3\nbase_seed: 5\ndemand:\n  M: 120\n",
+        json.dumps(BASE_CONFIG),
+        yaml.safe_dump({"experiment": "auction", "scenario": 1, "trials": 1, "base_seed": 0,
+                        "lambda_grid": [0.0, float("inf")], "cv": {"K": 4.0},
+                        "auction": {"n_train": [5.0, 30], "overbid_sigma": True},
+                        "demand": {"alpha": float("nan"), "eps_sd": -0.1}}),
+        "values: [1e12, 1E5, -1e-3, .5e2, +2.5E+3, 1.0e+8, 1_000, 0x1F, 0o17, .inf, -.Inf,\n"
+        "         .NaN, 1.5, 7, -0, yes, Off, ~, '1e3', 1e3x, 1e, e5, 2020-01-01]\n",
+    ]
+
+
+def test_both_yaml_loaders_read_every_config_alike():
+    if not yaml.__with_libyaml__:
+        pytest.skip("PyYAML is built without libyaml")
+    assert issubclass(_ConfigLoader, yaml.CSafeLoader)
+    python, libyaml = (_config_loader(base) for base in (yaml.SafeLoader, yaml.CSafeLoader))
+    for text in _suite_config_texts():
+        assert _typed(yaml.load(text, Loader=libyaml)) == _typed(yaml.load(text, Loader=python))
+    for loader in (python, libyaml):
+        values = yaml.load("[1e12, 1E5, -1e-3, .5e2, .inf]", Loader=loader)
+        assert _typed(values) == _typed([1e12, 1e5, -1e-3, 50.0, float("inf")])
+
+
+@pytest.mark.parametrize("base", ["SafeLoader", "CSafeLoader"])
+def test_malformed_yaml_is_a_config_error(tmp_path, monkeypatch, base):
+    if not hasattr(yaml, base):
+        pytest.skip("PyYAML is built without libyaml")
+    monkeypatch.setattr(importlib.import_module("structreg.config"), "_ConfigLoader",
+                        _config_loader(getattr(yaml, base)))
+    path = tmp_path / "run.yaml"
+    wording = f"^cannot parse config file {re.escape(str(path))}: "
+    for text in ("experiment: [auction\nscenario: 1\n", "experiment: auction: 1\n",
+                 "trials: 'two\n"):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=wording):
+            load_config(path)
+
+
 def run_config(**overrides) -> RunConfig:
     raw = dict(BASE_CONFIG)
     raw.update(overrides)
@@ -289,7 +357,7 @@ def test_emit_outputs_removes_a_file_whose_write_fails_halfway(tmp_path, monkeyp
 
 def per_record_curves(records) -> str:
     """One f-string and three ``.17g`` format calls per record: the reference
-    for the one-pass ``%`` formatting of ``_write_curves``."""
+    for the block-wise ``%`` formatting of ``_write_curves``."""
     g17 = lambda value: format(float(value), ".17g")  # noqa: E731
     lines = [CURVES_HEADER]
     for trial, estimator, domain, x, truth, prediction in records:
@@ -298,18 +366,140 @@ def per_record_curves(records) -> str:
 
 
 def test_write_curves_matches_the_per_record_reference(tmp_path):
+    # a rectangular Curves: every trial at every point of each (estimator,
+    # domain). The points are listed in x order (NaN last), so the records in
+    # canonical order are the listed values; -0.0 and 0.0, which sort equal,
+    # are points of different domains
     gen = np.random.default_rng(41)
+    points = {
+        "in": [-float("inf"), -1.7976931348623157e308, np.int64(-4), -2.2250738585072e-309,
+               -0.0, 5e-324, 0.1, 1 / 3, 7, 12.0, 2.0**53 + 1, 1e16, 1e308, float("inf"),
+               float("nan")],
+        "out": [-1e308, 0.0, np.float64(0.3), 2.0**53, 1e300],
+    }
     edge = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -2.2250738585072e-309,
-            1e308, -1.7976931348623157e308, 0.1, 1 / 3, 1e16, 2.0**53 + 1, 12.0, 7, np.float64(0.3),
-            np.int64(-4)]
-    values = edge + list(gen.standard_normal(50) * 10.0 ** gen.integers(-300, 300, 50))
-    records = [(trial, estimator, "in" if i % 2 else "out", x, values[(i + 3) % len(values)],
-                values[(i + 7) % len(values)])
-               for i, x in enumerate(values)
-               for trial, estimator in ((i % 5, "sre"), (np.int64(i), "structural"))]
-    report = MonteCarloReport("demand", 1, 5, 0, ("sre", "structural"), (), tuple(records), {})
+            1e308, -1.7976931348623157e308, 0.1, 1 / 3, 1e16, 2.0**53 + 1, 12.0, 7,
+            np.float64(0.3), np.int64(-4)]
+    trials = [0, np.int64(3), 4, np.int64(11)]
+
+    def values(shape):
+        drawn = gen.standard_normal(shape) * 10.0 ** gen.integers(-300, 300, shape)
+        picked = gen.random(shape) < 0.3
+        drawn[picked] = gen.choice(np.array(edge, dtype=float), picked.sum())
+        return drawn
+
+    blocks = {}
+    for estimator, domain in (("sre", "in"), ("sre", "out"), ("structural", "in"),
+                              ("s%re", "out")):
+        n = len(points[domain])
+        # one truth row for every trial (auction, demand) or a row per trial (entry/exit)
+        truth = (np.tile(values(n), (len(trials), 1)) if estimator == "sre"
+                 else values((len(trials), n)))
+        blocks[estimator, domain] = (points[domain], truth, values((len(trials), n)))
+    curves = Curves(trials, blocks)
+    records = [(trial, estimator, domain, x, truth[t][p], prediction[t][p])
+               for t, trial in enumerate(trials)
+               for (estimator, domain), (xs, truth, prediction) in sorted(blocks.items())
+               for p, x in enumerate(xs)]
+    report = MonteCarloReport("demand", 1, len(trials), 0, ("sre", "structural"), (), curves, {})
     _write_curves(report, tmp_path / "curves.csv")
     assert (tmp_path / "curves.csv").read_text() == per_record_curves(records)
+    assert per_record_curves(curves) == per_record_curves(records)
+
+
+def old_metrics(records) -> list[AggregateRow]:
+    """The per-record aggregation: records grouped per (estimator, domain) in
+    a dict, each group stable-sorted by x and reduced over points × trials."""
+    groups = {}
+    for trial, estimator, domain, x, truth, prediction in records:
+        groups.setdefault((estimator, domain), []).append((x, truth, prediction))
+    rows = []
+    for (estimator, domain), cells in sorted(groups.items()):
+        arr = np.asarray(cells, dtype=float)
+        x, truth, pred = arr[np.argsort(arr[:, 0], kind="stable")].T.copy()
+        n_trials = int(np.unique(np.unique(x, return_counts=True)[1])[0])
+        truth, pred = truth.reshape(-1, n_trials), pred.reshape(-1, n_trials)
+        err = pred - truth
+        rows.append(AggregateRow(
+            estimator, domain, float(np.mean(np.abs(err).mean(axis=1))),
+            float(np.mean(np.where((pred == pred[:, :1]).all(axis=1), 0.0,
+                                   pred.var(axis=1, ddof=0)))),
+            float(np.mean((err**2).mean(axis=1))), n_trials))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "config, workers",
+    [({"experiment": "auction", "scenario": 2, "trials": 3, "base_seed": 4,
+       "auction": {"M": 40}}, 1),
+     ({"experiment": "entry-exit", "scenario": 2, "trials": 2, "base_seed": 4,
+       "entry_exit": {"n_firms": 2000}}, 1),
+     ({"experiment": "demand", "scenario": 4, "trials": TRIAL_BLOCK * 2 + 3, "base_seed": 4,
+       "demand": {"M": 200}}, 1),
+     ({"experiment": "auction", "scenario": 1, "trials": 5, "base_seed": 6,
+       "auction": {"M": 40}}, 2)],
+    ids=["auction", "entry-exit", "demand-blocks", "auction-pooled"],
+)
+def test_outputs_match_the_per_record_oracle(tmp_path, monkeypatch, config, workers):
+    # the per-record formulation the columnar curves replaced: the records
+    # sorted as tuples, one "%" per record, and the dict-grouping aggregation
+    config = config_from_mapping(config)
+    monkeypatch.setenv("SRE_THREADS", str(workers))
+    emit_outputs(run_monte_carlo(config), tmp_path)
+    curves, _ = _run_slice(config, tuple(range(config.trials)))
+    records = sorted(list(curves)[::-1], key=lambda r: (r[0], r[1], r[2], r[3]))
+    if config.experiment == "entry-exit":
+        first = [r for r in records if r[0] == 0]
+        second = [r for r in records if r[0] == 1]
+        assert [r[4] for r in first] != [r[4] for r in second]  # truth varies by trial
+    summary = SUMMARY_HEADER + "\n" + "".join(
+        "%s,%s,%s,%s,%.17g,%.17g,%.17g,%s,%s\n" % (
+            config.experiment, config.scenario, row.estimator, row.domain, row.bias,
+            row.variance, row.mse, row.trials, config.base_seed) for row in old_metrics(records))
+    lines = CURVES_HEADER + "\n" + "".join(
+        "%d,%s,%s,%.17g,%.17g,%.17g\n" % record for record in records)
+    assert (tmp_path / "summary.csv").read_text() == summary
+    assert (tmp_path / "curves.csv").read_text() == lines
+
+
+def test_curves_are_a_sequence_of_records():
+    curves = Curves([2, 5], {("m", "in"): ([3.0, 1.0], [[30.0, 10.0], [31.0, 11.0]],
+                                           [[0.3, 0.1], [0.4, 0.2]]),
+                             ("a", "out"): ([9], [[9.0], [9.0]], [[1.0], [2.0]])})
+    expected = [(2, "a", "out", 9.0, 9.0, 1.0), (2, "m", "in", 1.0, 10.0, 0.1),
+                (2, "m", "in", 3.0, 30.0, 0.3), (5, "a", "out", 9.0, 9.0, 2.0),
+                (5, "m", "in", 1.0, 11.0, 0.2), (5, "m", "in", 3.0, 31.0, 0.4)]
+    assert list(curves) == expected and len(curves) == 6
+    assert all(type(value) is float for record in curves for value in record[3:])
+    assert [curves[i] for i in range(-6, 6)] == expected * 2
+    assert curves[1:3] == tuple(expected[1:3])
+    with pytest.raises(IndexError):
+        curves[6]
+    assert curves == tuple(expected) and curves != expected[:-1]
+    assert Curves.from_records(expected[::-1]) == curves
+    assert Curves.join([Curves.from_records(expected[:3]),
+                        Curves.from_records(expected[3:])]) == curves
+    assert metrics(curves) == metrics(expected)
+    with pytest.raises(MetricsError, match="repeats an evaluation point"):
+        Curves([0], {("m", "in"): ([1.0, 1.0], [[0.0, 0.0]], [[0.0, 0.0]])})
+    with pytest.raises(MetricsError, match="holds 1 of the 2 trials"):
+        Curves.from_records(expected[1:3] + [(5, "a", "out", 9.0, 9.0, 2.0)])
+
+
+def test_a_trial_whose_output_does_not_fit_its_points_is_named():
+    def setup(rng):
+        def block(rngs):
+            return [({"in": [0.0, 1.0, 2.0]},
+                     {"m": {"in": [0.0, 1.0] if r.stream_index == 3 else [0.0, 1.0, 2.0]}})
+                    for r in rngs]
+        return {"in": [1.0, 2.0, 3.0]}, block, {}
+
+    curves, _ = _run_trials(3, None, None, setup)
+    assert curves.trials == (0, 1, 2) and len(curves) == 9
+    for indices in (None, range(2, 6), (3,)):
+        with pytest.raises(RuntimeError, match=r"^trial 3 failed: 2 values for 3 evaluation "
+                                               r"points$"):
+            _run_trials(6, None, indices, setup)
 
 
 def test_rerun_is_byte_identical(tmp_path):
