@@ -254,8 +254,9 @@ def _row(values, points: np.ndarray) -> np.ndarray:
 def sort_curves(records) -> list[tuple]:
     """Canonical curve order: (trial, estimator, domain, x).
 
-    A run's :class:`Curves` come in this order by construction. It stays
-    public as the oracle the tests check that order against, and because the
+    A run's :class:`Curves` come in this order by construction, and
+    :meth:`Curves.from_records` puts plain records in it. It stays public as
+    the oracle the tests check that order against, and because the
     benchmark's ``metrics.aggregate_s`` layer names it.
     """
     return sorted(records, key=lambda r: (r[0], r[1], r[2], r[3]))
