@@ -7,6 +7,7 @@ to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -22,6 +23,7 @@ from .config import (
 from .harness import configured_study, emit_outputs, run_monte_carlo
 
 
+@functools.cache  # one parser per process: parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="structreg",

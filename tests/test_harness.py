@@ -585,12 +585,17 @@ def run(case):
 overbid = out / "auction-3.json"
 overbid.write_text(json.dumps({"experiment": "auction", "scenario": 3, "trials": 2,
                                "base_seed": 0, "auction": {"M": 40}}))
+# beta values of the default integer shape: their CDF is a binomial sum, no scipy
+beta = out / "auction-2.json"
+beta.write_text(json.dumps({"experiment": "auction", "scenario": 2, "trials": 2,
+                            "base_seed": 0, "auction": {"M": 40}}))
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(["validate", "--config", str(path)])
              for path in sorted(golden.glob("*/config.yaml"))]
     codes += [run(case) for case in
               ("auction-1", "demand-4", "entry-exit-2", "entry-exit-1-all-keys")]
     codes.append(main(["run", "--config", str(overbid), "--out", str(out / "auction-3")]))
+    codes.append(main(["run", "--config", str(beta), "--out", str(out / "auction-2")]))
     loaded = sorted(name for name in sys.modules
                     if name == "scipy" or name.startswith("scipy.")
                     or name == "concurrent.futures.process")
@@ -605,24 +610,51 @@ print(json.dumps({"codes": codes, "loaded": loaded, "beta_loaded": beta_loaded,
 
 def test_studies_without_beta_values_never_import_scipy(tmp_path):
     # scipy and the worker pool are imported where a run first computes with
-    # them; a fresh interpreter, since this one has imported scipy for other tests
+    # them, which a beta study of the default integer shape never does; a
+    # fresh interpreter, since this one has imported scipy for other tests
     golden = Path(__file__).parent / "golden"
     env = _cli_env()
     env.pop("SRE_THREADS", None)
     proc = subprocess.run([sys.executable, "-c", _LAZY_IMPORT_PROBE, str(golden), str(tmp_path)],
                           capture_output=True, text=True, env=env, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0] * 12
+    assert result["codes"] == [0] * 13
     assert result["loaded"] == []
-    # the first beta-value run imports scipy.special on first use, and not
-    # scipy.integrate, which only the reference equilibrium_bid needs; it
-    # reproduces its golden files
+    # the first run with a non-integer beta shape imports scipy.special on
+    # first use, and not scipy.integrate, which only the reference
+    # equilibrium_bid needs; it reproduces its golden files
     assert result["beta_loaded"] == ["scipy.special"]
     # config checking needs no schema library
     assert result["schema_loaded"] == []
     for name in ("summary.csv", "curves.csv"):
         assert ((tmp_path / "auction-2-all-keys" / name).read_bytes()
                 == (golden / "auction-2-all-keys" / name).read_bytes())
+
+
+def test_one_parser_serves_every_main_call(tmp_path, capsys):
+    from structreg import cli
+
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(BASE_CONFIG))
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(config_path), "--out", str(out)]
+    assert cli.main(argv) == 0
+    summary = (out / "summary.csv").read_bytes()
+    capsys.readouterr()
+    # a bad flag exits as a freshly built parser makes it exit
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--bogus"])
+    assert exc.value.code == 2
+    error = capsys.readouterr().err
+    assert "unrecognized arguments: --bogus" in error
+    with pytest.raises(SystemExit) as fresh:
+        cli._build_parser.__wrapped__().parse_args(argv + ["--bogus"])
+    assert (fresh.value.code, capsys.readouterr().err) == (2, error)
+    # and the same parser serves the next call
+    (out / "summary.csv").unlink()
+    assert cli.main(argv) == 0
+    assert (out / "summary.csv").read_bytes() == summary
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_cli_run_validate_and_list(tmp_path):
