@@ -68,6 +68,20 @@ _SCENARIO_FIELDS = {1: {"value_dist": "uniform"}, 2: {"value_dist": "beta"},
                     3: {"value_dist": "uniform", "overbid_sigma": 0.5}}
 
 
+def _value_law(value_dist: str, beta_shape) -> tuple[float, float]:
+    """The beta shape of a checked value law, as a tuple of floats: the
+    distribution must be uniform or beta, and the shape two positive, finite
+    numbers (checked for either distribution)."""
+    if value_dist not in ("uniform", "beta"):
+        raise ValueError(f"unknown value distribution: {value_dist}")
+    if len(beta_shape) != 2:
+        raise ValueError("beta_shape must have exactly two entries")
+    shape = tuple(float(a) for a in beta_shape)
+    if not all(0.0 < a < np.inf for a in shape):
+        raise ValueError("beta_shape entries must be positive and finite")
+    return shape
+
+
 @dataclass(frozen=True)
 class AuctionScenario:
     """One data-generating mechanism for repeated first-price auctions."""
@@ -80,19 +94,13 @@ class AuctionScenario:
     n_range_test: tuple[int, int] = (31, 50)
 
     def __post_init__(self):
-        if self.value_dist not in ("uniform", "beta"):
-            raise ValueError(f"unknown value distribution: {self.value_dist}")
+        # a tuple of floats: the beta truth's cache key must be hashable
+        object.__setattr__(self, "beta_shape", _value_law(self.value_dist, self.beta_shape))
         if self.overbid_sigma is not None and self.value_dist != "uniform":
             # the overbid truth table draws uniform values
             raise ValueError("overbidding is modelled for uniform values only")
         if self.overbid_sigma is not None and not 0.0 <= self.overbid_sigma < np.inf:
             raise ValueError("overbid_sigma must be nonnegative and finite")
-        if len(self.beta_shape) != 2:
-            raise ValueError("beta_shape must have exactly two entries")
-        # a tuple of floats: the beta truth's cache key must be hashable
-        object.__setattr__(self, "beta_shape", tuple(float(a) for a in self.beta_shape))
-        if not all(0.0 < a < np.inf for a in self.beta_shape):
-            raise ValueError("beta_shape entries must be positive and finite")
         if self.M < 1:
             raise ValueError("M must be >= 1")
         # named by their config keys, n_train and n_test
@@ -164,6 +172,7 @@ def equilibrium_bid(
         raise ValueError("value must lie in [0, 1]")
     if n < 2:
         raise ValueError("need at least two bidders")
+    beta_shape = _value_law(value_dist, beta_shape)
     if value_dist == "uniform":
         return (n - 1) / n * v
     if v == 0.0:

@@ -35,6 +35,7 @@ import numpy as np
 from .data import Dataset, SeededRng
 from .estimators import (
     SingularDesignError,
+    _arx_columns,
     arx_feature_rows,
     select_arx_order_aic,
     solve_least_squares,
@@ -116,13 +117,11 @@ class RPathSpec:
 def draw_profit_path(spec: RPathSpec, t_total: int, rng: SeededRng) -> np.ndarray:
     """A rising-trend profit path ``R_t = r0 + trend * t + u_t`` with AR(1) ``u``."""
     gen = rng.generator()
-    shocks = gen.normal(0.0, spec.innovation_sd, size=t_total)
-    u = np.empty(t_total)
-    prev = 0.0
-    for t in range(t_total):
-        prev = spec.ar_coef * prev + shocks[t]
-        u[t] = prev
-    return spec.r0 + spec.trend * np.arange(1, t_total + 1) + u
+    u, prev = [], 0.0
+    for shock in gen.normal(0.0, spec.innovation_sd, size=t_total).tolist():
+        prev = spec.ar_coef * prev + shock
+        u.append(prev)
+    return spec.r0 + spec.trend * np.arange(1, t_total + 1) + np.array(u, dtype=float)
 
 
 def flow_payoffs(params: PayoffParams, R) -> np.ndarray:
@@ -148,6 +147,15 @@ def _expected_value(cvf: np.ndarray) -> np.ndarray:
     return EULER_GAMMA + shift + np.log(np.exp(cvf - shift[..., None]).sum(axis=-1))
 
 
+def _shifted_exp(cvf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pieces :func:`_ccp_from_values` and :func:`_expected_value` share,
+    for choice-specific values with leading choice axes ``cvf[j, k, ...]``:
+    the max over ``k``, the max-shifted exponentials and their sum over ``k``."""
+    shift = np.maximum(cvf[:, 0], cvf[:, 1])
+    expv = np.exp(cvf - shift[:, None])
+    return shift, expv, expv[:, 0] + expv[:, 1]
+
+
 def solve_stationary(params: PayoffParams, R) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fixed-point values and CCPs when the profit stays at ``R`` forever.
 
@@ -160,8 +168,9 @@ def solve_stationary(params: PayoffParams, R) -> tuple[np.ndarray, np.ndarray, n
     per profit level. ``T`` is convex and ``I - b * ccp`` an M-matrix, so the
     iterates converge from any start, quadratically near the fixed point;
     about six steps reach a step of ``VALUE_TOL`` relative to the values at
-    ``b = 0.95``, and ``b = 0`` needs one. Non-finite payoffs never converge
-    and raise ``RuntimeError``.
+    ``b = 0.95``, and ``b = 0`` needs one. A NaN or ``+inf`` payoff never
+    converges and raises ``RuntimeError``; a ``-inf`` one is a choice never
+    made, and its values may converge.
 
     Returns
     -------
@@ -170,27 +179,36 @@ def solve_stationary(params: PayoffParams, R) -> tuple[np.ndarray, np.ndarray, n
         choice-specific values ``[.., j, k]``.
     """
     b = params.discount
-    pi = flow_payoffs(params, R)
-    vbar = _expected_value(pi)
+    # the arrays lead with their choice axes, pi[j, k, ...], so that a state's
+    # values are one array
+    pi = np.ascontiguousarray(np.moveaxis(flow_payoffs(params, R), (-2, -1), (0, 1)))
+    shift, expv, total = _shifted_exp(pi)
+    vbar = EULER_GAMMA + shift + np.log(total)
+    a = 1.0 - b
     for _ in range(NEWTON_STEPS):
-        cvf = pi + b * vbar[..., None, :]
-        ccp = _ccp_from_values(cvf)
-        residual = vbar - _expected_value(cvf)
+        cvf = pi + b * vbar[None]
+        # one exp serves the CCPs and T(vbar), as in _ccp_from_values and
+        # _expected_value
+        shift, expv, total = _shifted_exp(cvf)
+        r0, r1 = vbar - (EULER_GAMMA + shift + np.log(total))
         # I - b * ccp = [[1 - b + e, -e], [-x, 1 - b + x]] with e = b * p01 and
         # x = b * p10; its determinant (1 - b) * (1 - b + e + x) is positive
         # and formed without cancellation
-        e, x = b * ccp[..., 0, 1], b * ccp[..., 1, 0]
-        det = (1.0 - b) * (1.0 - b + e + x)
-        step = np.stack([(1.0 - b + x) * residual[..., 0] + e * residual[..., 1],
-                         x * residual[..., 0] + (1.0 - b + e) * residual[..., 1]],
-                        axis=-1) / det[..., None]
+        e, x = b * (expv[0, 1] / total[0]), b * (expv[1, 0] / total[1])
+        a_e = a + e
+        step = np.stack([(a + x) * r0 + e * r1, x * r0 + a_e * r1]) / (a * (a_e + x))
         vbar = vbar - step
         if np.abs(step).max() <= VALUE_TOL * max(1.0, np.abs(vbar).max()):
             break
     else:
         raise RuntimeError("Newton iteration for the stationary values did not converge")
-    cvf = pi + b * vbar[..., None, :]
-    return vbar, _ccp_from_values(cvf), cvf
+    cvf = pi + b * vbar[None]
+    _, expv, total = _shifted_exp(cvf)
+    ccp = expv / total[:, None]
+    # back to the trailing choice axes of the other solvers
+    return (np.ascontiguousarray(np.moveaxis(vbar, 0, -1)),
+            np.ascontiguousarray(np.moveaxis(ccp, (0, 1), (-2, -1))),
+            np.ascontiguousarray(np.moveaxis(cvf, (0, 1), (-2, -1))))
 
 
 def solve_perfect_foresight(
@@ -215,14 +233,19 @@ def solve_perfect_foresight(
     flows = flow_payoffs(params, R_path).reshape(T, 4).tolist()
     vbar, cvf = [None] * T, [None] * T
     # _expected_value on Python floats: numpy's per-call overhead would
-    # dominate a 2x2 block, while exp and log stay numpy's so that every
-    # value rounds as in the vectorized form
+    # dominate a 2x2 block, while exp and log stay numpy's, into buffers
+    # reused across periods, so that every value rounds as in the vectorized
+    # form
+    exp, log, shifted, sums = np.exp, np.log, np.empty(4), np.empty(2)
     for t in range(T - 1, -1, -1):
         p00, p01, p10, p11 = flows[t]
-        c00, c01, c10, c11 = cvf[t] = (p00 + b * v0, p01 + b * v1, p10 + b * v0, p11 + b * v1)
+        w0, w1 = b * v0, b * v1
+        c00, c01, c10, c11 = cvf[t] = (p00 + w0, p01 + w1, p10 + w0, p11 + w1)
         s0, s1 = max(c00, c01), max(c10, c11)
-        e00, e01, e10, e11 = np.exp(np.array([c00 - s0, c01 - s0, c10 - s1, c11 - s1])).tolist()
-        l0, l1 = np.log(np.array([e00 + e01, e10 + e11])).tolist()
+        shifted[0], shifted[1], shifted[2], shifted[3] = c00 - s0, c01 - s0, c10 - s1, c11 - s1
+        e00, e01, e10, e11 = exp(shifted, out=shifted).tolist()
+        sums[0], sums[1] = e00 + e01, e10 + e11
+        l0, l1 = log(sums, out=sums).tolist()
         v0, v1 = vbar[t] = (EULER_GAMMA + s0 + l0, EULER_GAMMA + s1 + l1)
     cvf = np.array(cvf).reshape(T, 2, 2)
     return np.array(vbar), _ccp_from_values(cvf), cvf
@@ -342,25 +365,24 @@ def simulate_market(ccps: np.ndarray, R_path, n_firms: int, rng: SeededRng) -> M
 
     Half the firms start as incumbents. Firms are exchangeable, so per-period
     binomial draws of stayers and entrants carry the full panel information.
+    The draws come from one stream of ``rng`` in a fixed order: each period,
+    the stayers among the incumbents, then the entrants among the rest.
     """
     R_path = np.asarray(R_path, dtype=float)
-    gen = rng.generator()
-    incumbents = n_firms // 2
-    initial = incumbents
+    binomial = rng.generator().binomial
+    initial = incumbents = n_firms // 2
     T = R_path.shape[0]
-    steps = []
+    draws = []
     for p_stay, p_enter in zip(ccps[:T, 1, 1].tolist(), ccps[:T, 0, 1].tolist()):
-        stay = gen.binomial(incumbents, p_stay)
-        enter = gen.binomial(n_firms - incumbents, p_enter)
-        steps.append((incumbents, stay, enter))
+        stay = binomial(incumbents, p_stay)
+        enter = binomial(n_firms - incumbents, p_enter)
+        draws += stay, enter
         incumbents = stay + enter
-    held, stay, enter = np.array(steps, dtype=np.int64).reshape(T, 3).T
-    counts = np.empty((T, 2, 2), dtype=np.int64)
-    counts[:, 1, 1] = stay
-    counts[:, 1, 0] = held - stay
-    counts[:, 0, 1] = enter
-    counts[:, 0, 0] = (n_firms - held) - enter
-    return MarketPanel(n_firms, initial, counts, R_path)
+    stay, enter = np.array(draws, dtype=np.int64).reshape(T, 2).T
+    # each period's incumbents are the previous period's stayers and entrants
+    held = np.concatenate([[initial], stay + enter])[:T]
+    counts = np.stack([(n_firms - held) - enter, enter, held - stay, stay], axis=1)
+    return MarketPanel(n_firms, initial, counts.reshape(T, 2, 2), R_path)
 
 
 class InsufficientTransitionsError(ValueError):
@@ -412,12 +434,11 @@ def estimate_ccp_euler(panel: MarketPanel, discount: float) -> tuple[float, floa
 def _propagate_shares(ccps: np.ndarray, initial_share: float) -> np.ndarray:
     """Expected occupancy share after each period under choice probabilities
     ``ccps[t, j, k]``, starting from the initial share."""
-    out = np.empty(ccps.shape[0])
-    share = initial_share
-    for t in range(ccps.shape[0]):
-        share = share * ccps[t, 1, 1] + (1.0 - share) * ccps[t, 0, 1]
-        out[t] = share
-    return out
+    out, share = [], initial_share
+    for p_stay, p_enter in zip(ccps[:, 1, 1].tolist(), ccps[:, 0, 1].tolist()):
+        share = share * p_stay + (1.0 - share) * p_enter
+        out.append(share)
+    return np.array(out, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -466,15 +487,11 @@ def synthetic_arx_rows(benchmark: DdcBenchmark, n_firms: int, rng: SeededRng) ->
     which makes a poor shrink target. Matching the second stage's firm count
     reproduces its noise scale; stacking replicas then pins the projection.
     """
-    p, q = SRE_ARX_ORDERS
-    parts = []
-    for r in range(SYNTHETIC_PANEL_REPLICAS):
-        panel = simulate_market(benchmark.ccps, benchmark.R_path, n_firms, rng.split(r))
-        parts.append(arx_feature_rows(panel.shares_with_initial(), benchmark.R_path, p, q))
-    return Dataset(
-        np.vstack([part.inputs for part in parts]),
-        np.concatenate([part.outcome for part in parts]),
-    )
+    shares = np.array([
+        simulate_market(benchmark.ccps, benchmark.R_path, n_firms, rng.split(r))
+        .shares_with_initial() for r in range(SYNTHETIC_PANEL_REPLICAS)])
+    inputs, outcome, _ = _arx_columns(shares, benchmark.R_path, *SRE_ARX_ORDERS)
+    return Dataset(inputs.reshape(-1, inputs.shape[-1]), outcome.ravel())
 
 
 def sre_entry_exit(

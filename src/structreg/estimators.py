@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import DataError, Dataset
 
 CONDITION_LIMIT = 1e12
 
@@ -256,6 +256,28 @@ class ARXFit:
         return self.linear_fit.predict(rows.inputs)
 
 
+def _arx_columns(shares_with_initial, R_path, p: int, q: int):
+    """Features ``(R_t, ..., R_t^p, s_{t-1}, ..., s_{t-q})``, targets ``s_t``
+    and 1-indexed periods ``q..T`` of the ARX(p, q) rows.
+
+    The share series may be one series of length ``T + 1`` or a stack of them
+    along leading axes, all on the one profit path ``R_1..R_T``; features then
+    have shape ``stack + (T - q + 1, p + q)`` and targets ``stack + (T - q + 1,)``.
+    """
+    s = np.asarray(shares_with_initial, dtype=float)
+    R = np.asarray(R_path, dtype=float).ravel()
+    if s.shape[-1] != R.shape[0] + 1:
+        raise ValueError("series lengths differ")
+    T = R.shape[0]
+    if T < q:
+        raise ValueError("series too short for requested orders")
+    periods = np.arange(q, T + 1)  # 1-indexed targets
+    stack = s.shape[:-1] + periods.shape
+    cols = [np.broadcast_to(R[periods - 1] ** j, stack) for j in range(1, p + 1)]
+    cols.extend(s[..., periods - ell] for ell in range(1, q + 1))
+    return np.stack(cols, axis=-1), s[..., periods], periods
+
+
 def arx_feature_rows(shares_with_initial, R_path, p: int, q: int) -> Dataset:
     """Supervised dataset for an ARX(p, q) fit: rows are periods ``q..T``.
 
@@ -263,17 +285,21 @@ def arx_feature_rows(shares_with_initial, R_path, p: int, q: int) -> Dataset:
     ``s_t``, where the series ``s`` includes the initial state at position 0,
     so it is one longer than the exogenous path ``R_1..R_T``.
     """
-    s = np.asarray(shares_with_initial, dtype=float).ravel()
-    R = np.asarray(R_path, dtype=float).ravel()
-    if s.shape[0] != R.shape[0] + 1:
-        raise ValueError("series lengths differ")
-    T = R.shape[0]
-    if T < q:
+    inputs, outcome, periods = _arx_columns(
+        np.asarray(shares_with_initial, dtype=float).ravel(), R_path, p, q)
+    return Dataset(inputs, outcome, time_index=periods)
+
+
+def _fit_arx_rows(inputs: np.ndarray, design: np.ndarray, target: np.ndarray,
+                  p: int, q: int) -> ARXFit:
+    """The fit of :func:`fit_arx` on its feature rows ``inputs``; ``design``
+    is the same rows behind a leading intercept column."""
+    if inputs.shape[0] <= p + 1:
         raise ValueError("series too short for requested orders")
-    periods = np.arange(q, T + 1)  # 1-indexed targets
-    cols = [R[periods - 1] ** j for j in range(1, p + 1)]
-    cols.extend(s[periods - ell] for ell in range(1, q + 1))
-    return Dataset(np.column_stack(cols), s[periods], time_index=periods)
+    cols = np.concatenate([[True], np.ptp(inputs, axis=0) > 0.0])
+    theta = np.zeros(design.shape[1])
+    theta[cols] = solve_least_squares(design[:, cols], target)
+    return ARXFit(p, q, LinearFit(float(theta[0]), theta[1:]))
 
 
 def fit_arx(shares_with_initial, R_path, p: int, q: int) -> ARXFit:
@@ -287,25 +313,50 @@ def fit_arx(shares_with_initial, R_path, p: int, q: int) -> ARXFit:
     if p < 1 or q < 1:
         raise ValueError("orders must be >= 1")
     rows = arx_feature_rows(shares_with_initial, R_path, p, q)
-    if rows.n <= p + 1:
-        raise ValueError("series too short for requested orders")
-    X, target = np.column_stack([np.ones(rows.n), rows.inputs]), rows.outcome
-    keep = np.ptp(X[:, 1:], axis=0) > 0.0
-    theta = np.zeros(X.shape[1])
-    cols = np.concatenate([[True], keep])
-    solved = solve_least_squares(X[:, cols], target)
-    theta[cols] = solved
-    return ARXFit(p, q, LinearFit(float(theta[0]), theta[1:]))
+    design = np.column_stack([np.ones(rows.n), rows.inputs])
+    return _fit_arx_rows(rows.inputs, design, rows.outcome, p, q)
 
 
 def select_arx_order_aic(shares_with_initial, R_path, exog_orders, ar_orders) -> ARXFit:
     """The ARX fit whose orders minimize AIC on the common usable sample, the
-    periods past the largest AR order; ties prefer the smaller (q, p) pair."""
+    periods past the largest AR order; ties prefer the smaller (q, p) pair.
+
+    Each candidate is the fit :func:`fit_arx` makes at its orders, on the
+    rows and columns it takes from one design of the series: the intercept,
+    the powers of ``R`` up to the largest exogenous order and the lags up to
+    the largest AR order, for every period past the smallest AR order.
+    """
     s = np.asarray(shares_with_initial, dtype=float).ravel()
-    q_max = max(ar_orders)
-    fits = [fit_arx(s, R_path, p, q) for q in sorted(ar_orders) for p in sorted(exog_orders)]
-    candidates = [(fit, s[q_max:] - fit.predict_series(s, R_path)[q_max - fit.ar_order:],
-                   1 + fit.exog_order + fit.ar_order) for fit in fits]
+    R = np.asarray(R_path, dtype=float).ravel()
+    exog_orders, ar_orders = sorted(exog_orders), sorted(ar_orders)
+    if exog_orders[0] < 1 or ar_orders[0] < 1:
+        raise ValueError("orders must be >= 1")
+    if s.shape[0] != R.shape[0] + 1:
+        raise ValueError("series lengths differ")
+    T, p_max, q_min, q_max = R.shape[0], exog_orders[-1], ar_orders[0], ar_orders[-1]
+    if T < q_max:
+        raise ValueError("series too short for requested orders")
+    # row i is period q_min + i; a lag column holds zeros where its lag
+    # precedes the series, rows that no candidate of that lag fits
+    design = np.zeros((T - q_min + 1, 1 + p_max + q_max))
+    design[:, 0] = 1.0
+    for j in range(1, p_max + 1):
+        design[:, j] = R[q_min - 1:] ** j
+    for ell in range(1, q_max + 1):
+        design[max(ell - q_min, 0):, p_max + ell] = s[max(q_min - ell, 0):T + 1 - ell]
+    if not (np.isfinite(design).all() and np.isfinite(s).all()):
+        raise DataError("non-finite entries in dataset")
+    candidates = []
+    for q in ar_orders:
+        for p in exog_orders:
+            features = [*range(1, p + 1), *range(p_max + 1, p_max + q + 1)]
+            rows = design[q - q_min:]
+            # C-ordered copies, as fit_arx's own rows, so that each solve and
+            # product takes the same BLAS path
+            inputs = rows.take(features, axis=1)
+            fit = _fit_arx_rows(inputs, rows.take([0, *features], axis=1), s[q:].copy(), p, q)
+            resid = s[q_max:] - fit.linear_fit.predict(inputs)[q_max - q:]
+            candidates.append((fit, resid, 1 + p + q))
     return _lowest_aic(candidates, s, s.shape[0] - q_max)
 
 

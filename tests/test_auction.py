@@ -57,6 +57,28 @@ def test_bid_rejects_out_of_range_value():
         equilibrium_bid(1.5, 5)
 
 
+def test_bid_rejects_an_unknown_value_distribution():
+    # a misspelt distribution is not read as beta
+    with pytest.raises(ValueError, match="unknown value distribution: unifrom"):
+        equilibrium_bid(0.5, 5, "unifrom")
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((2.0,), "beta_shape must have exactly two entries"),
+    ((2.0, 5.0, 1.0), "beta_shape must have exactly two entries"),
+    ((0.0, 5.0), "beta_shape entries must be positive and finite"),
+    ((2.0, -1.0), "beta_shape entries must be positive and finite"),
+    ((2.0, np.inf), "beta_shape entries must be positive and finite"),
+    ((np.nan, 5.0), "beta_shape entries must be positive and finite"),
+])
+def test_bid_rejects_a_beta_shape_of_other_than_two_positive_finite_numbers(shape, message):
+    for value_dist in ("uniform", "beta"):
+        with pytest.raises(ValueError, match=message):
+            equilibrium_bid(0.5, 5, value_dist, shape)
+        with pytest.raises(ValueError, match=message):
+            AuctionScenario(value_dist=value_dist, beta_shape=shape)
+
+
 def test_beta_bid_no_profitable_deviation():
     # expected payoff (v - b) * P(win); rivals bid b(V), so P(win at bid x)
     # equals F(b^{-1}(x))^{n-1}. The equilibrium bid must beat a 200-point

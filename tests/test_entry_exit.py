@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import structreg.entry_exit as entry_exit
 from structreg.data import SeededRng
 from structreg.entry_exit import (
     EULER_GAMMA,
+    REGIMES,
+    SRE_ARX_ORDERS,
+    SYNTHETIC_PANEL_REPLICAS,
     DdcBenchmark,
     DdcParams,
     InsufficientTransitionsError,
@@ -25,6 +31,7 @@ from structreg.entry_exit import (
     solve_perfect_foresight,
     solve_stationary,
     sre_entry_exit,
+    synthetic_arx_rows,
 )
 from structreg.estimators import arx_feature_rows, solve_least_squares
 
@@ -497,3 +504,184 @@ def test_entry_exit_experiment_accepts_the_smallest_firm_counts(n_firms):
             "myopic", DdcParams(n_firms=n_firms), trials=1, rng=SeededRng(30),
             estimators=("structural",),
         )
+
+
+# The previous forms of the per-trial loops, kept as oracles: each rewrite
+# must do the same floating-point operations in the same order, so it must
+# match them bit for bit on every input.
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+discounts = st.sampled_from([0.0, 0.5, 0.9, 0.95, 0.999])
+
+
+def _random_params(gen, discount):
+    return PayoffParams(mu=gen.uniform(-5.0, 2.0), alpha=gen.uniform(-2.0, 2.0),
+                        entry_cost=gen.uniform(0.0, 25.0), discount=discount)
+
+
+def stationary_previous(params, R):
+    """``solve_stationary`` on ``(..., 2, 2)`` blocks, with one exp for the
+    CCPs and another for the values."""
+    b = params.discount
+    pi = flow_payoffs(params, R)
+    vbar = _expected_value(pi)
+    for _ in range(entry_exit.NEWTON_STEPS):
+        cvf = pi + b * vbar[..., None, :]
+        ccp = _ccp_from_values(cvf)
+        residual = vbar - _expected_value(cvf)
+        e, x = b * ccp[..., 0, 1], b * ccp[..., 1, 0]
+        det = (1.0 - b) * (1.0 - b + e + x)
+        step = np.stack([(1.0 - b + x) * residual[..., 0] + e * residual[..., 1],
+                         x * residual[..., 0] + (1.0 - b + e) * residual[..., 1]],
+                        axis=-1) / det[..., None]
+        vbar = vbar - step
+        if np.abs(step).max() <= entry_exit.VALUE_TOL * max(1.0, np.abs(vbar).max()):
+            break
+    else:
+        raise RuntimeError("Newton iteration for the stationary values did not converge")
+    cvf = pi + b * vbar[..., None, :]
+    return vbar, _ccp_from_values(cvf), cvf
+
+
+def foresight_previous(params, R_path):
+    """``solve_perfect_foresight`` with a fresh array for each period's exp
+    and log."""
+    T = R_path.shape[0]
+    b = params.discount
+    v0, v1 = stationary_previous(params, R_path[-1])[0].tolist()
+    flows = flow_payoffs(params, R_path).reshape(T, 4).tolist()
+    vbar, cvf = [None] * T, [None] * T
+    for t in range(T - 1, -1, -1):
+        p00, p01, p10, p11 = flows[t]
+        c00, c01, c10, c11 = cvf[t] = (p00 + b * v0, p01 + b * v1, p10 + b * v0, p11 + b * v1)
+        s0, s1 = max(c00, c01), max(c10, c11)
+        e00, e01, e10, e11 = np.exp(np.array([c00 - s0, c01 - s0, c10 - s1, c11 - s1])).tolist()
+        l0, l1 = np.log(np.array([e00 + e01, e10 + e11])).tolist()
+        v0, v1 = vbar[t] = (EULER_GAMMA + s0 + l0, EULER_GAMMA + s1 + l1)
+    cvf = np.array(cvf).reshape(T, 2, 2)
+    return np.array(vbar), _ccp_from_values(cvf), cvf
+
+
+def counts_previous(ccps, R_path, n_firms, rng):
+    """``simulate_market``'s counts from a list of (held, stay, enter) steps."""
+    gen = rng.generator()
+    incumbents = n_firms // 2
+    T = R_path.shape[0]
+    steps = []
+    for p_stay, p_enter in zip(ccps[:T, 1, 1].tolist(), ccps[:T, 0, 1].tolist()):
+        stay = gen.binomial(incumbents, p_stay)
+        enter = gen.binomial(n_firms - incumbents, p_enter)
+        steps.append((incumbents, stay, enter))
+        incumbents = stay + enter
+    held, stay, enter = np.array(steps, dtype=np.int64).reshape(T, 3).T
+    counts = np.empty((T, 2, 2), dtype=np.int64)
+    counts[:, 1, 1] = stay
+    counts[:, 1, 0] = held - stay
+    counts[:, 0, 1] = enter
+    counts[:, 0, 0] = (n_firms - held) - enter
+    return counts
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@given(seeds, discounts)
+@settings(max_examples=60, deadline=None)
+def test_stationary_matches_its_previous_form(seed, discount):
+    gen = np.random.default_rng(seed)
+    params = _random_params(gen, discount)
+    R = gen.uniform(-50.0, 50.0, size=gen.integers(1, 300))
+    assert_same_arrays(solve_stationary(params, R), stationary_previous(params, R))
+    assert_same_arrays(solve_stationary(params, R[0]), stationary_previous(params, R[0]))
+    assert_same_arrays(solve_stationary(params, float(R[0])),
+                       stationary_previous(params, float(R[0])))
+
+
+@given(seeds, st.sampled_from([np.nan, np.inf, -np.inf]))
+@settings(max_examples=30, deadline=None)
+def test_stationary_non_finite_profit_matches_its_previous_form(seed, bad):
+    # a NaN or +inf operating payoff never converges and raises; a -inf one
+    # (firms never operate there) may converge, to the same values
+    gen = np.random.default_rng(seed)
+    params = _random_params(gen, 0.9)
+    R = gen.uniform(-50.0, 50.0, size=gen.integers(1, 50))
+    R[gen.integers(R.size)] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            want = stationary_previous(params, R)
+        except RuntimeError:
+            assert not params.alpha * bad < 0.0
+            with pytest.raises(RuntimeError, match="did not converge"):
+                solve_stationary(params, R)
+        else:
+            assert params.alpha * bad < 0.0
+            assert_same_arrays(solve_stationary(params, R), want)
+
+
+@given(seeds, discounts)
+@settings(max_examples=40, deadline=None)
+def test_perfect_foresight_matches_its_previous_form(seed, discount):
+    gen = np.random.default_rng(seed)
+    params = _random_params(gen, discount)
+    R = gen.uniform(-50.0, 50.0, size=gen.integers(1, 300))
+    assert_same_arrays(solve_perfect_foresight(params, R), foresight_previous(params, R))
+
+
+@given(seeds, st.sampled_from(REGIMES))
+@settings(max_examples=40, deadline=None)
+def test_simulate_market_counts_match_their_previous_form(seed, regime):
+    gen = np.random.default_rng(seed)
+    params = small_params(mu=gen.uniform(-4.0, 0.0), t_total=int(gen.integers(1, 200)),
+                          t_train=0)
+    R = draw_profit_path(RPathSpec(), params.t_total, SeededRng(seed).stream(0))
+    ccps = regime_ccps(regime, params, R)
+    n_firms = int(gen.choice([2, 3, 7, 2000, 100_000]))
+    panel = simulate_market(ccps, R, n_firms, SeededRng(seed).stream(1))
+    assert_same_arrays([panel.counts],
+                       [counts_previous(ccps, R, n_firms, SeededRng(seed).stream(1))])
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_profit_path_and_share_propagation_match_their_previous_forms(seed):
+    gen = np.random.default_rng(seed)
+    spec = RPathSpec(r0=gen.uniform(-1.0, 1.0), ar_coef=gen.uniform(-0.99, 0.99))
+    T = int(gen.integers(0, 300))
+    shocks = SeededRng(seed).generator().normal(0.0, spec.innovation_sd, size=T)
+    u = np.empty(T)
+    prev = 0.0
+    for t in range(T):
+        prev = spec.ar_coef * prev + shocks[t]
+        u[t] = prev
+    want = spec.r0 + spec.trend * np.arange(1, T + 1) + u
+    assert_same_arrays([draw_profit_path(spec, T, SeededRng(seed))], [want])
+
+    ccps = gen.uniform(size=(T, 2, 2))
+    share = initial = gen.uniform()
+    want = np.empty(T)
+    for t in range(T):
+        share = share * ccps[t, 1, 1] + (1.0 - share) * ccps[t, 0, 1]
+        want[t] = share
+    assert_same_arrays([_propagate_shares(ccps, initial)], [want])
+
+
+@given(seeds, st.sampled_from(REGIMES))
+@settings(max_examples=20, deadline=None)
+def test_synthetic_rows_are_the_stacked_replica_rows(seed, regime):
+    gen = np.random.default_rng(seed)
+    params = small_params(mu=gen.uniform(-4.0, 0.0), t_total=int(gen.integers(4, 120)),
+                          t_train=0)
+    R = draw_profit_path(RPathSpec(), params.t_total, SeededRng(seed).stream(0))
+    benchmark = DdcBenchmark(R, regime_ccps(regime, params, R))
+    n_firms = int(gen.choice([2, 7, 2000]))
+    rng = SeededRng(seed).stream(1)
+    parts = [arx_feature_rows(simulate_market(benchmark.ccps, R, n_firms, rng.split(r))
+                              .shares_with_initial(), R, *SRE_ARX_ORDERS)
+             for r in range(SYNTHETIC_PANEL_REPLICAS)]
+    rows = synthetic_arx_rows(benchmark, n_firms, rng)
+    assert_same_arrays([rows.inputs, rows.outcome],
+                       [np.vstack([part.inputs for part in parts]),
+                        np.concatenate([part.outcome for part in parts])])

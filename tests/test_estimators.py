@@ -4,9 +4,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structreg.data import DataError
 from structreg.estimators import (
     SingularDesignError,
     _lowest_aic,
+    arx_feature_rows,
     fit_2sls,
     fit_arx,
     fit_ols,
@@ -288,3 +290,73 @@ def test_selected_arx_predicts_as_a_refit_at_its_orders():
     fit = select_arx_order_aic(y, R[1:], (1, 2), (1, 2, 3, 4))
     refit = fit_arx(y, R[1:], fit.exog_order, fit.ar_order)
     assert np.array_equal(fit.predict_series(y, R[1:]), refit.predict_series(y, R[1:]))
+
+
+def select_arx_order_aic_previous(s, R, exog_orders, ar_orders):
+    """``select_arx_order_aic`` as it was: every candidate built, fitted and
+    predicted from its own feature rows, in the steps of ``fit_arx`` and
+    ``ARXFit.predict_series``."""
+    s = np.asarray(s, dtype=float).ravel()
+    q_max = max(ar_orders)
+    candidates = []
+    for q in sorted(ar_orders):
+        for p in sorted(exog_orders):
+            rows = arx_feature_rows(s, R, p, q)
+            if rows.n <= p + 1:
+                raise ValueError("series too short for requested orders")
+            X = np.column_stack([np.ones(rows.n), rows.inputs])
+            cols = np.concatenate([[True], np.ptp(X[:, 1:], axis=0) > 0.0])
+            theta = np.zeros(X.shape[1])
+            theta[cols] = solve_least_squares(X[:, cols], rows.outcome)
+            prediction = theta[0] + arx_feature_rows(s, R, p, q).inputs @ theta[1:]
+            candidates.append(((p, q, theta), s[q_max:] - prediction[q_max - q:], 1 + p + q))
+    return _lowest_aic(candidates, s, s.shape[0] - q_max)
+
+
+def _arx_series(seed):
+    """A share series with its profit path and candidate orders: an ARX
+    recursion with noise, a flat stretch, or a flat profit path, so that
+    constant columns are dropped in some candidates."""
+    gen = np.random.default_rng(seed)
+    T = int(gen.integers(8, 160))
+    R = gen.normal(size=T) * gen.uniform(0.1, 5.0)
+    if seed % 5 == 0:
+        R[:] = R[0]
+    s = np.empty(T + 1)
+    s[0] = gen.uniform()
+    for t in range(1, T + 1):
+        s[t] = 0.1 + 0.3 * R[t - 1] + 0.5 * s[t - 1] + 0.1 * gen.normal()
+    if seed % 5 == 1:
+        s[:] = s[0]
+    exog = sorted(gen.choice([1, 2, 3], size=gen.integers(1, 4), replace=False).tolist())
+    ar = sorted(gen.choice([1, 2, 3, 4], size=gen.integers(1, 5), replace=False).tolist())
+    return gen, s, R, exog, ar
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_arx_order_selection_matches_its_previous_form(seed):
+    _, s, R, exog, ar = _arx_series(seed)
+    try:
+        p, q, theta = select_arx_order_aic_previous(s, R, exog, ar)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            select_arx_order_aic(s, R, exog, ar)
+        return
+    fit = select_arx_order_aic(s, R, exog, ar)
+    assert (fit.exog_order, fit.ar_order) == (p, q)
+    assert fit.linear_fit.intercept == theta[0]
+    assert np.array_equal(fit.linear_fit.coefficients, theta[1:])
+    # and the chosen fit is fit_arx's at its orders
+    refit = fit_arx(s, R, p, q)
+    assert refit.linear_fit.intercept == theta[0]
+    assert np.array_equal(refit.linear_fit.coefficients, theta[1:])
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([np.nan, np.inf]))
+@settings(max_examples=20, deadline=None)
+def test_arx_order_selection_rejects_a_non_finite_share(seed, bad):
+    gen, s, R, exog, ar = _arx_series(seed)
+    s[gen.integers(s.size)] = bad
+    with pytest.raises(DataError, match="non-finite entries in dataset"):
+        select_arx_order_aic(s, R, exog, ar)

@@ -85,6 +85,7 @@ def test_path_matches_per_lambda_ridge(seed):
 
 
 @given(seeds)
+@example(31858)
 @settings(max_examples=60, deadline=None)
 def test_path_matches_per_lambda_gmm(seed):
     gen, X, y, weights, theta_m = _problem(seed)
@@ -93,9 +94,15 @@ def test_path_matches_per_lambda_gmm(seed):
         weights, theta_m = np.append(weights, 2.5), np.append(theta_m, 1.0)
     X, Z, W = _instruments(gen, X)
     penalty = PenaltySpec(GRID, weights)
-    path = quadratic_path(*gmm_normal_equations(X, Z, y, W), weights, theta_m, GRID)
+    G, b = gmm_normal_equations(X, Z, y, W)
+    path = quadratic_path(G, b, weights, theta_m, GRID)
     for row, lam in zip(path, GRID):
-        assert _relative(row, sre_gmm(X, Z, y, W, theta_m, penalty, lam)) <= 1e-8
+        # two backward-stable solves of G + lam * L agree to about cond * eps
+        # of it, not to any fixed bound: at seed 31858 and lam = 0, cond(G) is
+        # 8.5e8, and both sit 2e-8 to 4e-8 from a 50-digit solve
+        cond = np.linalg.cond(G + lam * np.diag(weights))
+        bound = max(1e-8, 10.0 * cond * np.finfo(float).eps)
+        assert _relative(row, sre_gmm(X, Z, y, W, theta_m, penalty, lam)) <= bound
 
 
 @given(seeds)
