@@ -19,6 +19,7 @@ from .config import (
     ConfigError,
     config_from_mapping,
     load_config,
+    read_mapping,
 )
 from .harness import configured_study, emit_outputs, run_monte_carlo
 
@@ -47,10 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merged_config(args: argparse.Namespace):
-    if args.config:
-        base = load_config(args.config).to_mapping()
-    else:
-        base = {}
+    """The config file's mapping with the flags laid over it, validated once,
+    so flags may complete or correct the file."""
+    base = read_mapping(args.config) if args.config else {}
     overrides = {
         "experiment": args.experiment,
         "scenario": args.scenario,

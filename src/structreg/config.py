@@ -154,6 +154,8 @@ def validate_mapping(raw: dict) -> None:
                                ("cv.K", K, 2)):
         if value < least:
             raise ConfigError(f"invalid config value at {path}: must be >= {least}")
+    if raw["base_seed"] >= 2**64:  # the run's rng takes a 64-bit unsigned seed
+        raise ConfigError("invalid config value at base_seed: must be < 2**64")
     experiment = raw["experiment"]
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"invalid config value at experiment: must be one of {EXPERIMENTS}")
@@ -192,8 +194,8 @@ def config_from_mapping(raw: dict) -> RunConfig:
                         for key, value in raw.items()})
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Read and validate a YAML or JSON config file."""
+def read_mapping(path: str | Path) -> dict:
+    """The mapping a YAML or JSON config file holds, not yet validated."""
     text = Path(path).read_text()
     try:
         raw = yaml.load(text, Loader=_ConfigLoader)
@@ -201,4 +203,9 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
-    return config_from_mapping(raw)
+    return raw
+
+
+def load_config(path: str | Path) -> RunConfig:
+    """Read and validate a YAML or JSON config file."""
+    return config_from_mapping(read_mapping(path))

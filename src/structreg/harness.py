@@ -59,11 +59,6 @@ class MonteCarloReport:
     software_version: str = __version__
     metadata: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        # curves given as plain records are held in the one columnar form
-        if not isinstance(self.curves, Curves):
-            object.__setattr__(self, "curves", Curves.from_records(self.curves))
-
     def aggregate(self, estimator: str, domain: str) -> AggregateRow:
         for row in self.aggregates:
             if row.estimator == estimator and row.domain == domain:
@@ -112,6 +107,11 @@ def configured_study(config: RunConfig):
             if params.t_train < PREDICTION_START:
                 raise ValueError(f"entry_exit.t_train = {params.t_train} ends training before "
                                  f"period {PREDICTION_START}, the first one scored")
+            if "sre" in config.estimators and params.n_firms < 4:
+                # a lone firm leaves one state empty in every period, so its
+                # half-panel's CCP-Euler fit has no usable period
+                raise ValueError(f"entry_exit.n_firms = {params.n_firms} leaves one firm in each "
+                                 f"half-panel; the sre estimator needs at least 4 firms")
             return entry_exit_experiment, (REGIMES[config.scenario - 1], params), {"rpath": rpath}
         params = _from_block(DemandParams, config.demand)
         if params.z_low == params.z_high:
@@ -249,14 +249,15 @@ def _write_curves(report: MonteCarloReport, path: Path) -> None:
     path.write_text("".join(text))
 
 
-def read_curves(path: str | Path) -> tuple[tuple, ...]:
-    """The ``(trial, estimator, domain, x, truth, prediction)`` records of a curves.csv."""
+def read_curves(path: str | Path) -> Curves:
+    """The :class:`Curves` of a curves.csv, read through its records."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != CURVES_HEADER:
         raise ValueError(f"unexpected header in {path}")
-    return tuple((int(trial), estimator, domain, float(x), float(truth), float(prediction))
-                 for trial, estimator, domain, x, truth, prediction
-                 in (line.split(",") for line in lines[1:]))
+    return Curves.from_records(
+        (int(trial), estimator, domain, float(x), float(truth), float(prediction))
+        for trial, estimator, domain, x, truth, prediction
+        in (line.split(",") for line in lines[1:]))
 
 
 def report_to_dict(report: MonteCarloReport) -> dict:
@@ -267,7 +268,7 @@ def report_to_dict(report: MonteCarloReport) -> dict:
     return payload | {"aggregates": [dataclasses.asdict(row) for row in report.aggregates]}
 
 
-def report_from_dict(payload: dict, curves) -> MonteCarloReport:
+def report_from_dict(payload: dict, curves: Curves) -> MonteCarloReport:
     """The report of a :func:`report_to_dict` payload and its curves."""
     return MonteCarloReport(**{
         **payload,
@@ -277,7 +278,8 @@ def report_from_dict(payload: dict, curves) -> MonteCarloReport:
 
 
 def load_report(path: str | Path) -> MonteCarloReport:
-    """The report.json at ``path``, with its curves read from the curves.csv beside it."""
+    """The report.json at ``path``, with its curves read by :func:`read_curves`
+    from the curves.csv beside it."""
     path = Path(path)
     return report_from_dict(json.loads(path.read_text()), read_curves(path.with_name("curves.csv")))
 

@@ -12,16 +12,15 @@ identity MSE = variance + mean squared (signed) error does.
 The three studies produce their curves through one trial driver,
 :func:`_run_trials`, which hands a study its trials a block at a time and
 returns them as one :class:`Curves`: per (estimator, domain), the domain's
-points and trials × points arrays of truth and prediction, which is also
-the sequence of records in (trial, estimator, domain, x) order.
-:func:`metrics` reduces those arrays directly; a plain sequence of records
-is first grouped into the same arrays.
+points and trials × points arrays of truth and prediction. That is the one
+in-memory form of a run's curves; records exist only where a curves.csv is
+written or read, and as what iterating a :class:`Curves` yields.
+:func:`metrics` reduces its arrays; plain records are first made into a
+:class:`Curves` by :meth:`Curves.from_records`.
 """
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -70,17 +69,17 @@ def _each(function, items) -> list:
     return out
 
 
-class Curves(Sequence):
-    """The curve records of a run as arrays, in (trial, estimator, domain, x) order.
+class Curves:
+    """The curves of a run as arrays, in (trial, estimator, domain, x) order.
 
     ``trials`` holds the trial ids, and ``blocks`` maps each (estimator,
     domain), in sorted order, to ``(points, truth, prediction)``: the
     domain's evaluation points, stable-sorted by x, and truth and prediction
-    as trials × points float arrays. As a read-only sequence it is the
-    records ``(trial, estimator, domain, x, truth, prediction)``, trial by
-    trial and, within a trial, by (estimator, domain) and x, with float
-    values; it compares equal to any sequence of equal records (float
-    ``==``, so a NaN equals nothing).
+    as read-only trials × points float arrays. Iterating it yields the records
+    ``(trial, estimator, domain, x, truth, prediction)``, trial by trial and,
+    within a trial, by (estimator, domain) and x, with float values. Two
+    curves are equal when their trials, keys and arrays are (a NaN equals
+    nothing).
     """
 
     def __init__(self, trials, blocks):
@@ -101,7 +100,6 @@ class Curves(Sequence):
             self.blocks[key] = (points, truth[:, order], prediction[:, order])
             for array in self.blocks[key]:
                 array.flags.writeable = False
-        self._per_trial = sum(points.size for points, _, _ in self.blocks.values())
 
     @classmethod
     def join(cls, parts) -> Curves:
@@ -123,20 +121,34 @@ class Curves(Sequence):
 
     @classmethod
     def from_records(cls, records) -> Curves:
-        """The curves of records, in any order, that hold every trial at
-        every point of each (estimator, domain)."""
+        """The curves of ``(trial, estimator, domain, x, truth, prediction)``
+        records, in any order, that hold every trial at every point of each
+        (estimator, domain)."""
         records = sort_curves(records)
-        trials = list(dict.fromkeys(record[0] for record in records))
+        position = {trial: t for t, trial in enumerate(dict.fromkeys(r[0] for r in records))}
+        n = len(position)
+        groups: dict[tuple, list[tuple]] = {}
+        for trial, estimator, domain, x, truth, prediction in records:
+            groups.setdefault((estimator, domain), []).append(
+                (x, position[trial], truth, prediction))
         blocks = {}
-        for key, points, truth, prediction in _record_groups(records):
-            if truth.shape[1] != len(trials):
-                raise MetricsError(f"estimator={key[0]!r} domain={key[1]!r} holds "
-                                   f"{truth.shape[1]} of the {len(trials)} trials")
-            blocks[key] = (points, truth.T, prediction.T)
-        return cls(trials, blocks)
-
-    def __len__(self) -> int:
-        return len(self.trials) * self._per_trial
+        for (estimator, domain), cells in groups.items():
+            arr = np.asarray(cells, dtype=float)
+            # stable: each point keeps its trials in trial order
+            x, t, truth, prediction = arr[np.argsort(arr[:, 0], kind="stable")].T
+            counts = np.unique(np.unique(x, return_counts=True)[1])
+            if counts.shape[0] != 1:
+                raise MetricsError(f"mismatched trial counts for estimator={estimator!r} "
+                                   f"domain={domain!r}: {counts.tolist()}")
+            if counts[0] != n:
+                raise MetricsError(f"estimator={estimator!r} domain={domain!r} holds "
+                                   f"{counts[0]} of the {n} trials")
+            if np.any(t.reshape(-1, n) != np.arange(n)):
+                raise MetricsError(f"estimator={estimator!r} domain={domain!r} holds a "
+                                   f"trial twice at one point")
+            blocks[estimator, domain] = (x[::n], truth.reshape(-1, n).T,
+                                         prediction.reshape(-1, n).T)
+        return cls(list(position), blocks)
 
     def __iter__(self):
         columns = [(estimator, domain, points.tolist(), truth.tolist(), prediction.tolist())
@@ -146,24 +158,12 @@ class Curves(Sequence):
                 yield from zip(repeat(trial), repeat(estimator), repeat(domain), x, truth[t],
                                prediction[t])
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        index = operator.index(index)
-        size = len(self)
-        if not -size <= index < size:
-            raise IndexError("curves index out of range")
-        t, offset = divmod(index % size, self._per_trial)
-        for (estimator, domain), (points, truth, prediction) in self.blocks.items():
-            if offset < points.size:
-                return (self.trials[t], estimator, domain, float(points[offset]),
-                        float(truth[t, offset]), float(prediction[t, offset]))
-            offset -= points.size
-
     def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+        if not isinstance(other, Curves):
             return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
+        return (self.trials == other.trials and self.blocks.keys() == other.blocks.keys()
+                and all(np.array_equal(mine, theirs) for key, arrays in self.blocks.items()
+                        for mine, theirs in zip(arrays, other.blocks[key])))
 
     def __repr__(self) -> str:
         return (f"Curves({len(self.trials)} trials, "
@@ -262,48 +262,24 @@ def sort_curves(records) -> list[tuple]:
     return sorted(records, key=lambda r: (r[0], r[1], r[2], r[3]))
 
 
-def _record_groups(records):
-    """``(key, points, truth, prediction)`` of each (estimator, domain) of
-    plain records, in sorted order: the points sorted by x, and truth and
-    prediction as C-contiguous points × trials arrays, each point's trials in
-    record order."""
-    groups: dict[tuple, list[tuple]] = {}
-    for trial, estimator, domain, x, truth, prediction in records:
-        groups.setdefault((estimator, domain), []).append((x, truth, prediction))
-    for (estimator, domain), cells in sorted(groups.items()):
-        arr = np.asarray(cells, dtype=float)
-        # stable: each point keeps its trials in record order
-        x, truth, pred = arr[np.argsort(arr[:, 0], kind="stable")].T.copy()
-        counts = np.unique(np.unique(x, return_counts=True)[1])
-        if counts.shape[0] != 1:
-            raise MetricsError(
-                f"mismatched trial counts for estimator={estimator!r} "
-                f"domain={domain!r}: {counts.tolist()}"
-            )
-        n_trials = int(counts[0])
-        yield ((estimator, domain), x[::n_trials], truth.reshape(-1, n_trials),
-               pred.reshape(-1, n_trials))
-
-
-def metrics(records) -> list[AggregateRow]:
+def metrics(curves) -> list[AggregateRow]:
     """Aggregate curves into per-estimator, per-domain metrics.
 
-    ``records`` is a :class:`Curves`, or any sequence of curve records
-    whose every (estimator, domain, x) cell holds the same number of trials.
-    Truth may vary by trial (conditioning on per-trial exogenous paths); bias
-    and MSE compare each prediction with its own trial's truth, while the
-    variance is taken over predictions alone. Each (estimator, domain) is
-    reduced by one reducer over C-contiguous points × trials arrays, so a
-    :class:`Curves` and its records, in any order that keeps each point's
-    trials in trial order, give the same bits.
+    ``curves`` is a :class:`Curves`; any other input is taken for curve
+    records and made into one by :meth:`Curves.from_records`, so plain
+    records give the same bits in any order, each point's trials reduced in
+    trial order. Truth may vary by trial (conditioning on per-trial
+    exogenous paths); bias and MSE compare each prediction with its own
+    trial's truth, while the variance is taken over predictions alone. Each
+    (estimator, domain) is reduced over C-contiguous points × trials arrays.
     """
-    if isinstance(records, Curves):
-        groups = ((key, truth.T.copy(), pred.T.copy())
-                  for key, (_, truth, pred) in records.blocks.items() if pred.size)
-    else:
-        groups = ((key, truth, pred) for key, _, truth, pred in _record_groups(records))
+    if not isinstance(curves, Curves):
+        curves = Curves.from_records(curves)
     rows = []
-    for (estimator, domain), truth, pred in groups:
+    for (estimator, domain), (_, truth, pred) in curves.blocks.items():
+        if not pred.size:
+            continue
+        truth, pred = truth.T.copy(), pred.T.copy()
         err = pred - truth
         rows.append(
             AggregateRow(

@@ -136,8 +136,8 @@ def per_point_metrics(records):
 @pytest.mark.parametrize("trials", [1, 2, 7, 8, 9, 127, 128, 129, 1000])
 def test_metrics_match_the_per_point_reference(trials):
     # 127-129 straddle the block size of numpy's pairwise summation, 7-9 its
-    # unrolled width; the records arrive shuffled, so each point's trials
-    # keep the order they have in the records
+    # unrolled width; the records arrive shuffled, and each point's trials
+    # are reduced in trial order
     gen = np.random.default_rng(trials)
     records = [
         (r, est, dom, float(x), float(gen.normal() * 10.0 ** gen.integers(-3, 3)),
@@ -150,9 +150,8 @@ def test_metrics_match_the_per_point_reference(trials):
     records = [records[i] for i in gen.permutation(len(records))]
     rows = [(r.estimator, r.domain, r.bias, r.variance, r.mse, r.trials)
             for r in metrics(records)]
-    assert rows == per_point_metrics(records)
-    # held as arrays, each point's trials come in trial order
-    assert metrics(Curves.from_records(records)) == metrics(sort_curves(records))
+    assert rows == per_point_metrics(sort_curves(records))
+    assert metrics(Curves.from_records(records)) == metrics(records)
 
 
 BASE_CONFIG = {
@@ -469,14 +468,10 @@ def test_curves_are_a_sequence_of_records():
     expected = [(2, "a", "out", 9.0, 9.0, 1.0), (2, "m", "in", 1.0, 10.0, 0.1),
                 (2, "m", "in", 3.0, 30.0, 0.3), (5, "a", "out", 9.0, 9.0, 2.0),
                 (5, "m", "in", 1.0, 11.0, 0.2), (5, "m", "in", 3.0, 31.0, 0.4)]
-    assert list(curves) == expected and len(curves) == 6
+    assert list(curves) == expected
     assert all(type(value) is float for record in curves for value in record[3:])
-    assert [curves[i] for i in range(-6, 6)] == expected * 2
-    assert curves[1:3] == tuple(expected[1:3])
-    with pytest.raises(IndexError):
-        curves[6]
-    assert curves == tuple(expected) and curves != expected[:-1]
     assert Curves.from_records(expected[::-1]) == curves
+    assert curves != Curves.from_records(expected[:3]) and curves != tuple(expected)
     assert Curves.join([Curves.from_records(expected[:3]),
                         Curves.from_records(expected[3:])]) == curves
     assert metrics(curves) == metrics(expected)
@@ -484,6 +479,9 @@ def test_curves_are_a_sequence_of_records():
         Curves([0], {("m", "in"): ([1.0, 1.0], [[0.0, 0.0]], [[0.0, 0.0]])})
     with pytest.raises(MetricsError, match="holds 1 of the 2 trials"):
         Curves.from_records(expected[1:3] + [(5, "a", "out", 9.0, 9.0, 2.0)])
+    with pytest.raises(MetricsError, match="holds a trial twice at one point"):
+        Curves.from_records([(2, "m", "in", 1.0, 10.0, 0.1), (2, "m", "in", 1.0, 10.0, 0.1),
+                             (5, "m", "in", 3.0, 31.0, 0.4), (5, "m", "in", 3.0, 31.0, 0.4)])
 
 
 def test_a_trial_whose_output_does_not_fit_its_points_is_named():
@@ -495,11 +493,33 @@ def test_a_trial_whose_output_does_not_fit_its_points_is_named():
         return {"in": [1.0, 2.0, 3.0]}, block, {}
 
     curves, _ = _run_trials(3, None, None, setup)
-    assert curves.trials == (0, 1, 2) and len(curves) == 9
+    assert curves.trials == (0, 1, 2) and len(list(curves)) == 9
     for indices in (None, range(2, 6), (3,)):
         with pytest.raises(RuntimeError, match=r"^trial 3 failed: 2 values for 3 evaluation "
                                                r"points$"):
             _run_trials(6, None, indices, setup)
+
+
+@pytest.mark.parametrize("trials, indices, name",
+                         [(6, range(3, 6), "3-5"), (6, None, "0-5"),
+                          (TRIAL_BLOCK + 3, None, f"{TRIAL_BLOCK}-{TRIAL_BLOCK + 2}")])
+def test_a_block_that_fails_only_when_stacked_is_named_by_its_range(trials, indices, name):
+    # the stacked work of a block that holds the last trial fails, yet every
+    # trial runs alone, so the block's range is named
+    last = trials - 1
+
+    def setup(rng):
+        def block(rngs):
+            if len(rngs) > 1 and rngs[-1].stream_index == last:
+                raise ValueError("stacked solve is singular")
+            return [({"in": [0.0]}, {"m": {"in": [1.0]}}) for _ in rngs]
+        return {"in": [1.0]}, block, {}
+
+    assert _run_trials(1, None, (last,), setup)[0].trials == (last,)
+    with pytest.raises(RuntimeError, match=rf"^trial {name} failed: stacked solve is singular$"
+                       ) as failure:
+        _run_trials(trials, None, indices, setup)
+    assert isinstance(failure.value.__cause__, ValueError)
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -693,9 +713,13 @@ def test_cli_run_validate_and_list(tmp_path):
     assert "whatever" in json.loads(proc.stderr.strip())["error"]
 
 
-def test_cli_flags_override_config(tmp_path):
+def test_cli_flags_override_config(tmp_path, capsys):
+    from structreg.cli import main
+
+    # the flags supply the keys the file lacks
     config_path = tmp_path / "run.json"
-    config_path.write_text(json.dumps(BASE_CONFIG))
+    config_path.write_text(json.dumps({k: v for k, v in BASE_CONFIG.items()
+                                       if k not in ("trials", "base_seed")}))
     out_dir = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "structreg.cli", "run", "--config", str(config_path),
@@ -705,6 +729,19 @@ def test_cli_flags_override_config(tmp_path):
     assert proc.returncode == 0, proc.stderr
     snapshot = json.loads((out_dir / "config.snapshot").read_text())
     assert snapshot["trials"] == 1 and snapshot["base_seed"] == 9
+    # the file alone still misses them
+    assert main(["validate", "--config", str(config_path)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "missing config keys: trials, base_seed"
+    assert main(["run", "--config", str(config_path), "--trials", "1", "--out", str(out_dir)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        "missing required settings (pass flags or a config file): base_seed")
+    # a flag corrects a value the file gets wrong
+    config_path.write_text(json.dumps({**BASE_CONFIG, "trials": 1, "scenario": 9}))
+    assert main(["validate", "--config", str(config_path)]) == 1
+    assert "scenario 9 invalid for auction" in json.loads(capsys.readouterr().err)["error"]
+    assert main(["run", "--config", str(config_path), "--scenario", "1", "--out",
+                 str(out_dir)]) == 0
+    assert json.loads((out_dir / "config.snapshot").read_text())["scenario"] == 1
 
 
 @pytest.mark.parametrize(
@@ -849,7 +886,15 @@ def test_readme_config_example_validates(tmp_path, capsys):
      ("demand", {"scenario": 2, "estimators": ["structural"], "demand": {"eps_sd": 0.0}},
       "singular at every seed, and the structural estimator needs it"),
      ("demand", {"estimators": ["rf", "sre"], "demand": {"eps_sd": 0.0}},
-      "singular at every seed, and the sre estimator needs it")],
+      "singular at every seed, and the sre estimator needs it"),
+     # the run's rng takes a 64-bit unsigned seed
+     ("auction", {"base_seed": 2**64}, "invalid config value at base_seed: must be < 2**64"),
+     # a half-panel of one firm leaves a state empty in every period
+     ("entry-exit", {"estimators": ["sre"], "entry_exit": {"n_firms": 2}},
+      "entry_exit.n_firms = 2 leaves one firm in each half-panel; the sre estimator needs at "
+      "least 4 firms"),
+     ("entry-exit", {"estimators": ["sre"], "entry_exit": {"n_firms": 3}},
+      "entry_exit.n_firms = 3 leaves one firm")],
 )
 def test_cli_validate_rejects_what_run_rejects(tmp_path, capsys, experiment, block, message):
     import yaml
