@@ -192,21 +192,47 @@ def standardize(data: Dataset) -> tuple[Dataset, StandardizeTransform]:
     return transform.apply(data), transform
 
 
-def stacked_standardization(values: np.ndarray, weight: np.ndarray):
-    """:func:`standardize`'s column means and scales for a stack of samples.
+def stacked_standardization(values: np.ndarray, rows: np.ndarray, weight: np.ndarray):
+    """:func:`standardize` of every sample in a stack.
 
-    ``values`` has shape ``(S, r, c)``: ``S`` samples of ``r`` rows each, of
-    which sample ``s`` uses the rows where ``weight[s]`` is 1 (0 elsewhere).
-    Returns ``(means, scales, centered)``: the ``(S, c)`` means and ``ddof=0``
-    scales of the used rows, with zero-variance columns at scale 1, and the
-    centered values, which are 0 on unused rows.
+    ``values`` has shape ``(n, c)`` and ``rows`` shape ``(S, r)``: sample
+    ``s`` is the rows ``values[rows[s]]`` where ``weight[s]`` is 1 (0
+    elsewhere). Returns ``(means, scales, standardized)``: the C-ordered
+    ``(S, c)`` means and ``ddof=0`` scales of the used rows, with
+    zero-variance columns at scale 1, and the ``(S, r, c)`` standardized
+    values, which are 0 on unused rows.
+
+    Every sum over a sample's rows keeps one order: row by row for two or
+    more columns, numpy's pairwise sum for one column. Two or more samples
+    of two or more columns are gathered column by column, as ``(c, r, S)``,
+    so that numpy's inner loops run over the stack, not over the few
+    columns, and ``standardized`` is a view of that layout. Matrix products
+    can round by the layout of their operands, so the means and scales come
+    back C-ordered; a caller that multiplies the standardized values copies
+    them into a C-ordered array first.
     """
-    w = weight[:, :, None]
-    count = weight.sum(axis=1)[:, None]
-    means = (values * w).sum(axis=1) / count
-    centered = (values - means[:, None, :]) * w
-    scales = np.sqrt((centered * centered).sum(axis=1) / count)
-    return means, _column_scales(scales, means), centered
+    count = weight.sum(axis=1)
+    # Summing over the row axis adds row by row unless that axis is the
+    # contiguous one: one column, or a stack of one laid out as (c, r, 1),
+    # is summed pairwise. So these keep the (S, r, c) layout, and its order.
+    columnar = rows.shape[0] > 1 and values.shape[1] > 1
+    if columnar:
+        stacked, w = np.take(values.T, rows.T, axis=1), np.ascontiguousarray(weight.T)
+    else:
+        stacked, w, count = values[rows], weight[:, :, None], count[:, None]
+    # stacked is a fresh gather, standardized in place; one buffer holds
+    # both products
+    products = stacked * w
+    means = products.sum(axis=1) / count
+    stacked -= means[:, None, :]
+    stacked *= w
+    scales = np.sqrt(np.multiply(stacked, stacked, out=products).sum(axis=1) / count)
+    scales = _column_scales(scales, means)
+    stacked /= scales[:, None, :]
+    if columnar:
+        return (np.ascontiguousarray(means.T), np.ascontiguousarray(scales.T),
+                stacked.transpose(2, 1, 0))
+    return means, scales, stacked
 
 
 def _column_scales(std: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -260,18 +286,20 @@ def partition_indices(n: int, K: int, rng: SeededRng) -> list[np.ndarray]:
     Group sizes differ by at most one; the assignment depends only on the rng.
     Indices within each group are sorted.
     """
+    sizes = partition_sizes(n, K)
+    perm = rng.generator().permutation(n)
+    return [np.sort(group) for group in np.split(perm, np.cumsum(sizes)[:-1])]
+
+
+def partition_sizes(n: int, K: int) -> np.ndarray:
+    """The group sizes of :func:`partition_indices`: the first ``n % K`` of
+    the K groups hold one row more than the others."""
     if K < 2:
         raise DataError("partition requires K >= 2")
     if K > n:
         raise DataError(f"cannot partition {n} rows into {K} parts")
-    perm = rng.generator().permutation(n)
     base, extra = divmod(n, K)
-    folds, start = [], 0
-    for k in range(K):
-        size = base + (1 if k < extra else 0)
-        folds.append(np.sort(perm[start : start + size]))
-        start += size
-    return folds
+    return base + (np.arange(K) < extra)
 
 
 def forward_split_rows(

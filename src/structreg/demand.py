@@ -185,7 +185,7 @@ def rf_demand(samples, form: str = "linear") -> list[RfDemandFit]:
     return [RfDemandFit(form, fit) for fit in fit_2sls(q, p[:, :, None], z[:, :, None])]
 
 
-def instrument_basis(z: np.ndarray, center, scale) -> np.ndarray:
+def instrument_basis(z: np.ndarray, center, scale, weight=1.0) -> np.ndarray:
     """Polynomial instrument block ``(1, z, z^2, ..., z^INSTRUMENT_POWERS)``.
 
     Powers are formed on the affinely rescaled shifter ``(z - center) /
@@ -194,10 +194,22 @@ def instrument_basis(z: np.ndarray, center, scale) -> np.ndarray:
     the basis) while keeping the Gram matrix well conditioned at degree 5.
     The caller must reuse one (center, scale) pair for every basis that
     shares a weight matrix. ``z`` of shape ``(S, n)`` with ``center`` and
-    ``scale`` of shape ``(S, 1)`` gives ``S`` blocks at once. The powers are
-    running products of the rescaled shifter (``estimators._powers``).
+    ``scale`` of shape ``(S, 1)`` gives ``S`` blocks at once.
+
+    Each row is multiplied by its ``weight``, 1 on the rows a sample uses and
+    0 on padding rows (by default every row is used), so column 0 is the
+    weight itself. The weight is put on the rescaled shifter before the
+    powers, which are its running products (``estimators._powers``): the
+    bits, zero signs included, are those of the unweighted powers times the
+    weight, without a pass over every column. The basis takes no sum over
+    rows; the moment fold's ``center`` and ``scale`` are the shifter's
+    :func:`~structreg.data.stacked_standardization`, one column and so
+    numpy's pairwise sum (two or more columns would be summed row by row).
+    The block is C-ordered, the layout the fold's matrix products read.
     """
-    return _powers((np.asarray(z, dtype=float) - center) / scale, INSTRUMENT_POWERS)
+    Z = _powers((np.asarray(z, dtype=float) - center) / scale * weight, INSTRUMENT_POWERS)
+    Z[..., 0] = weight
+    return Z
 
 
 class GmmFold(RidgeFold):
@@ -224,8 +236,8 @@ class GmmFold(RidgeFold):
         """
         posed = super()._pose(F, data, rows, weight, fail)
         z = data.instruments[:, 0]
-        center, scale, _ = stacked_standardization(z[rows][:, :, None], weight)
-        Z = instrument_basis(z[rows], center, scale) * weight[:, :, None]
+        center, scale, _ = stacked_standardization(z[:, None], rows, weight)
+        Z = instrument_basis(z[rows], center, scale, weight)
         few = weight.sum(axis=1) < Z.shape[2]
         if few.any():
             raise fail(int(np.argmax(few)), SingularDesignError("singular instrument Gram matrix"))
@@ -247,7 +259,7 @@ class GmmFold(RidgeFold):
     def _held_out_error(cls, data, posed, splits, resid) -> np.ndarray:
         """Every split's held-out moment objective, with its training weight."""
         Z_val = instrument_basis(data.instruments[splits.val, 0], posed["z_means"],
-                                 posed["z_scales"]) * splits.val_weight[:, :, None]
+                                 posed["z_scales"], splits.val_weight)
         m_bar = Z_val.swapaxes(1, 2) @ resid / splits.val_weight.sum(axis=1)[:, None, None]
         return np.sum(m_bar * (posed["weight"] @ m_bar), axis=1)
 

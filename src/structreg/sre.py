@@ -204,6 +204,17 @@ def _singular_floor(eigenvalues: np.ndarray) -> np.ndarray:
     return n * np.finfo(float).eps * np.abs(eigenvalues).max(axis=-1)
 
 
+def _singular_points(d: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Where ``diag(d) + lam`` is singular to working precision: one row per
+    system of eigenvalues ``d`` (``(S, k)``), one column per penalty of
+    ``grid`` (one row, or one row per system)."""
+    floor = _singular_floor(d)[:, None] + d.shape[1] * np.finfo(float).eps * grid
+    # Rounding is monotone, so the smallest denominator d_k + lam, rounded,
+    # is the smallest eigenvalue plus lam, rounded once: the same test
+    # without the (S, grid, k) denominators.
+    return d.min(axis=1, initial=np.inf)[:, None] + grid <= floor
+
+
 def quadratic_path(G, b, weights, theta_m, grid) -> np.ndarray:
     """Every grid point's minimizer of ``t'G t - 2 b't + lam * sum_j w_j (t_j - theta_m_j)^2``.
 
@@ -280,13 +291,12 @@ def quadratic_path(G, b, weights, theta_m, grid) -> np.ndarray:
         c = c - (G_pf @ K[:, :, -1:])[:, :, 0]
     S = S / np.outer(root, root)
     d, V = np.linalg.eigh(0.5 * (S + S.swapaxes(1, 2)))
-    denominators = d[:, None, :] + grid[:, :, None]
-    floor = _singular_floor(d)[:, None] + d.shape[1] * np.finfo(float).eps * grid
-    singular = (denominators.min(axis=2, initial=np.inf) <= floor) | free_singular[:, None]
+    singular = _singular_points(d, grid) | free_singular[:, None]
     if singular.any():
         first = np.argmax(singular.any(axis=1))
         lam = np.broadcast_to(grid, singular.shape)[first, np.argmax(singular[first])]
         raise SingularPathError(float(lam), None if single else int(first))
+    denominators = d[:, None, :] + grid[:, :, None]
     Vt = V.swapaxes(1, 2)
     numerators = (Vt @ (c / root)[:, :, None]).swapaxes(1, 2) + grid[:, :, None] * (
         Vt @ (root * theta_m[:, pen])[:, :, None]).swapaxes(1, 2)

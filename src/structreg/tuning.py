@@ -45,10 +45,9 @@ from .data import (
     DataError,
     Dataset,
     DomainSpec,
-    SeededRng,
     StandardizeTransform,
     forward_split_rows,
-    partition_indices,
+    partition_sizes,
     stacked_standardization,
     standardize,  # noqa: F401  perfbench/selftest.py reads it as tuning.standardize
 )
@@ -76,6 +75,8 @@ class CvTrace:
     ``fold_errors`` has one row per fold (or window) and one column per grid
     point; ``mean_errors`` is its mean over folds, and ``lambda_star`` attains
     the minimum mean error, exact ties resolving to the smallest penalty.
+    Every fold error must be finite, so that no ``lambda_star`` is read off
+    an overflow or a NaN.
     """
 
     kind: str
@@ -87,6 +88,8 @@ class CvTrace:
     def __post_init__(self):
         grid = np.asarray(self.lambda_grid, float)
         errors = np.asarray(self.fold_errors, float)
+        if not np.isfinite(errors).all():
+            raise CvError("fold errors must be finite")
         mean_errors = errors.mean(axis=0)
         object.__setattr__(self, "lambda_grid", grid)
         object.__setattr__(self, "fold_errors", errors)
@@ -124,41 +127,68 @@ class CvSplits:
         return CvError(f"fitter failed on {self.unit} {index}{of}{at}: {reason}")
 
 
-def _fold_rows(rows: np.ndarray, K: int, rng: SeededRng) -> tuple[np.ndarray, ...]:
-    """``(train, train_weight, val, val_weight)`` of K random folds of ``rows``:
-    split k validates on fold k and trains on the others, each padded to the
-    largest split with rows of weight 0."""
-    label = np.empty(rows.size, dtype=int)
-    for k, idx in enumerate(partition_indices(rows.size, K, rng)):
-        label[idx] = k
-    in_fold = label == np.arange(K)[:, None]
-    size = in_fold.sum(axis=1)
-    # a stable sort lists a split's own rows first, in sample order
-    train = np.argsort(in_fold, axis=1, kind="stable")[:, : rows.size - size.min()]
-    val = np.argsort(~in_fold, axis=1, kind="stable")[:, : size.max()]
-    return (rows[train], 1.0 - np.take_along_axis(in_fold, train, axis=1),
-            rows[val], np.take_along_axis(in_fold, val, axis=1).astype(float))
+def _fold_rows(rows: np.ndarray, K: int, rngs) -> tuple[np.ndarray, ...]:
+    """``(train, train_weight, val, val_weight)`` of K random folds of each
+    sample's rows, ``rows[s]`` partitioned by ``rngs[s]`` as
+    :func:`~structreg.data.partition_indices` would: split ``s * K + k``
+    validates on fold k of sample s and trains on its other folds, each
+    padded to the largest split with rows of weight 0. Every sample draws
+    its own permutation; the splits of all samples are then built in one
+    pass."""
+    S, n = rows.shape
+    size = partition_sizes(n, K)
+    longest, shortest = size[0], size[-1]
+    # fold k holds the k-th run of size[k] entries of the sample's permutation
+    label = np.empty((S, n), dtype=np.intp)
+    np.put_along_axis(label, np.stack([rng.generator().permutation(n)
+                                       for _, rng in zip(rows, rngs, strict=True)]),
+                      np.repeat(np.arange(K), size)[None], axis=1)
+    in_fold = (label[:, None, :] == np.arange(K)[:, None]).reshape(S * K, n)
+    # a stable sort lists a split's training rows, then its own, each in sample order
+    order = np.argsort(in_fold, axis=1, kind="stable")
+    own = np.tile(size, S)[:, None]
+    train = order[:, : n - shortest]
+    # the split's own rows, then its first training rows as padding
+    val = np.take_along_axis(order, (n - own + np.arange(longest)) % n, axis=1)
+
+    def sample_rows(positions):
+        return np.take_along_axis(rows, positions.reshape(S, -1), axis=1).reshape(S * K, -1)
+
+    return (sample_rows(train), (np.arange(n - shortest) < n - own).astype(float),
+            sample_rows(val), (np.arange(longest) < own).astype(float))
 
 
-def kfold_splits(n: int, K: int, rng: SeededRng) -> CvSplits:
-    """K random folds of ``n`` rows: fold k validates, the others train."""
-    return CvSplits("kfold", *_fold_rows(np.arange(n), K, rng))
+def _each_sample(kind: str, K: int, *arrays) -> list[CvSplits]:
+    """The per-sample :class:`CvSplits` of a block's split arrays, K splits a sample."""
+    return [CvSplits(kind, *(part[start:start + K] for part in arrays))
+            for start in range(0, len(arrays[0]), K)]
 
 
-def forward_splits(sample: Dataset, K: int, target: DomainSpec, rng: SeededRng) -> CvSplits:
-    """K folds of the far part of ``sample``, each validated with the near part.
+def kfold_splits(n: int, K: int, rngs) -> list[CvSplits]:
+    """K random folds of each sample of a block of samples of ``n`` rows,
+    sample ``s`` partitioned by ``rngs[s]``: fold k validates, the others
+    train."""
+    return _each_sample("kfold", K, *_fold_rows(np.broadcast_to(np.arange(n), (len(rngs), n)),
+                                                K, rngs))
 
-    The ``FORWARD_FRACTION`` of rows nearest ``target`` never trains; split k
-    trains on the far part minus fold k and validates on fold k plus the
-    whole near part.
+
+def forward_splits(samples, K: int, target: DomainSpec, rngs) -> list[CvSplits]:
+    """K folds of the far part of each sample of a block of samples of one
+    size, each validated with the near part; sample ``s`` is partitioned by
+    ``rngs[s]``.
+
+    The ``FORWARD_FRACTION`` of a sample's rows nearest ``target`` never
+    trains; split k trains on the far part minus fold k and validates on
+    fold k plus the whole near part.
     """
-    far, near = forward_split_rows(sample, target, FORWARD_FRACTION)
-    if far.size < K:
-        raise DataError(f"cannot form {K} folds from {far.size} far-part rows")
-    train, train_weight, val, val_weight = _fold_rows(far, K, rng)
-    return CvSplits("forward", train, train_weight,
-                    np.column_stack([val, np.broadcast_to(near, (K, near.size))]),
-                    np.column_stack([val_weight, np.ones((K, near.size))]))
+    far, near = (np.stack(part) for part in zip(
+        *(forward_split_rows(sample, target, FORWARD_FRACTION) for sample in samples)))
+    if far.shape[1] < K:
+        raise DataError(f"cannot form {K} folds from {far.shape[1]} far-part rows")
+    train, train_weight, val, val_weight = _fold_rows(far, K, rngs)
+    near = np.repeat(near, K, axis=0)
+    return _each_sample("forward", K, train, train_weight, np.concatenate([val, near], axis=1),
+                        np.concatenate([val_weight, np.ones(near.shape)], axis=1))
 
 
 def rolling_splits(n: int, window_length: int) -> CvSplits:
@@ -178,8 +208,7 @@ def kfold_cv(fold: RidgeFold, K: int, rngs) -> list[CvTrace]:
     stacked computation; the reported error per grid point is the mean over
     held-out folds.
     """
-    return fold.cross_validate([kfold_splits(sample.n, K, rng)
-                                for sample, rng in zip(fold.samples, rngs, strict=True)])
+    return fold.cross_validate(kfold_splits(fold.samples[0].n, K, rngs))
 
 
 def forward_cv(fold: RidgeFold, K: int, target: DomainSpec, rngs) -> list[CvTrace]:
@@ -193,8 +222,7 @@ def forward_cv(fold: RidgeFold, K: int, target: DomainSpec, rngs) -> list[CvTrac
     closest to where the model will be applied. Folds are scored as in
     :func:`kfold_cv`.
     """
-    return fold.cross_validate([forward_splits(sample, K, target, rng)
-                                for sample, rng in zip(fold.samples, rngs, strict=True)])
+    return fold.cross_validate(forward_splits(fold.samples, K, target, rngs))
 
 
 def rolling_cv(fold: RidgeFold, window_length: int) -> list[CvTrace]:
@@ -280,13 +308,23 @@ class RidgeFold:
         result holds the samples' ``means`` and ``scales`` and their
         ``design`` and ``outcome`` (0 on unused rows). A sample that cannot be
         posed raises ``fail(s, error)``.
+
+        The standardization keeps one summation order over a sample's rows:
+        row by row for two or more feature columns, numpy's pairwise sum for
+        one column (:func:`~structreg.data.stacked_standardization`). The
+        design is written into a C-ordered ``(S, r, c + 1)`` array, because
+        :meth:`_normal_equations` multiplies it by its own transpose and a
+        matrix product's rounding can follow the layout of its operands;
+        ``means`` and ``scales`` are C-ordered for the same reason.
         """
         count = weight.sum(axis=1)
         if np.any(count < 2):
             raise fail(int(np.argmax(count < 2)),
                        DataError("standardize requires at least two rows"))
-        means, scales, centered = stacked_standardization(F[rows], weight)
-        design = np.concatenate([weight[:, :, None], centered / scales[:, None, :]], axis=2)
+        means, scales, standardized = stacked_standardization(F, rows, weight)
+        design = np.empty(rows.shape + (F.shape[1] + 1,))
+        design[:, :, 0] = weight
+        design[:, :, 1:] = standardized
         return {"means": means, "scales": scales, "design": design,
                 "outcome": data.outcome[rows] * weight}
 
@@ -310,10 +348,13 @@ class RidgeFold:
         once by :meth:`_pose`, each sample's ``theta_m`` is re-expressed on
         each of its splits' standardization, and one stacked
         :func:`~structreg.sre.quadratic_path` call solves every split's path.
-        A split that cannot be posed or solved raises :class:`CvError` naming
-        its index, in a stack of more than one sample also its sample, and,
-        for a solve, its first offending grid point.
+        A split that cannot be posed or solved, or whose held-out error is
+        not finite (an overflow, say), raises :class:`CvError` naming its
+        index, in a stack of more than one sample also its sample, and, for
+        a solve or an error, its first offending grid point.
         """
+        if len(splits) != len(self.samples):
+            raise DataError(f"{len(splits)} sets of splits for {len(self.samples)} samples")
         stack = _stacked_splits(splits, self.samples[0].n)
         ends = list(accumulate(len(part.train) for part in splits))
         rows = [slice(end - len(part.train), end) for part, end in zip(splits, ends)]
@@ -345,7 +386,12 @@ class RidgeFold:
         F_val = (F[stack.val] - means[:, None, :]) / scales[:, None, :]
         predictions = thetas[:, None, :, 0] + F_val @ thetas[:, :, 1:].swapaxes(1, 2)
         resid = (data.outcome[stack.val][:, :, None] - predictions) * stack.val_weight[:, :, None]
-        errors = self._held_out_error(data, posed, stack, resid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            errors = self._held_out_error(data, posed, stack, resid)
+        bad = ~np.isfinite(errors)
+        if bad.any():
+            index = int(np.argmax(bad.any(axis=1)))
+            raise fail(index, "non-finite held-out error", float(grid[np.argmax(bad[index])]))
         return [CvTrace(part.kind, grid, errors[r]) for part, r in zip(splits, rows)]
 
     def fit(self, traces) -> list[SREFit]:

@@ -78,12 +78,12 @@ def test_constant_non_dyadic_column_counts_as_zero_variance():
     assert tr.column_scales[0] == 1.0
     assert np.abs(out.inputs[:, 0]).max() <= 1e-15
     # the stacked statistics of two samples, the constant one on five rows
-    values = np.stack([ds.inputs, ds.inputs])
+    rows = np.stack([np.arange(7), np.arange(7)])
     weight = np.array([[1.0] * 7, [0.0, 0.0] + [1.0] * 5])
-    means, scales, centered = stacked_standardization(values, weight)
+    means, scales, standardized = stacked_standardization(ds.inputs, rows, weight)
     assert np.array_equal(scales[:, 0], [1.0, 1.0])
     assert np.allclose(scales[:, 1], [np.arange(7.0).std(), np.arange(2.0, 7.0).std()])
-    assert np.abs(centered[:, :, 0]).max() <= 1e-15
+    assert np.abs(standardized[:, :, 0]).max() <= 1e-15
     assert np.array_equal(scales[0], tr.column_scales)
 
 

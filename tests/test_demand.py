@@ -29,7 +29,7 @@ from structreg.demand import (
     sre_demand,
     structural_estimate_demand,
 )
-from structreg.estimators import SingularDesignError, fit_2sls
+from structreg.estimators import SingularDesignError, _powers, fit_2sls
 from structreg.metrics import metrics_table
 from structreg.sre import (
     PenaltySpec,
@@ -268,13 +268,36 @@ def test_instrument_basis_of_a_stack_is_the_basis_of_each_row():
         assert np.array_equal(stacked[s], instrument_basis(z[s], center[s], scale[s]))
 
 
+@given(seed=st.integers(0, 2**32 - 1), S=st.sampled_from([1, 2, 25]))
+@settings(max_examples=40, deadline=None)
+def test_weighted_instrument_basis_matches_its_previous_form(seed, S):
+    # the previous form: every column of the unweighted basis times the
+    # weight. Zero-weight rows hold shifters below the center, so their
+    # odd powers are negative and the weighted zeros carry a sign.
+    gen = np.random.default_rng(seed)
+    r = int(gen.integers(2, 120))
+    weight = (gen.random((S, r)) < gen.uniform(0.2, 1.0)).astype(float)
+    z = gen.uniform(0.0, 40.0, size=(S, r))
+    center = gen.uniform(10.0, 30.0, size=(S, 1))
+    z[weight == 0.0] = center.repeat(r, axis=1)[weight == 0.0] - gen.uniform(
+        0.0, 10.0, size=int((weight == 0.0).sum()))
+    scale = gen.uniform(1.0, 15.0, size=(S, 1))
+    previous = _powers((z - center) / scale, INSTRUMENT_POWERS) * weight[:, :, None]
+    weighted = instrument_basis(z, center, scale, weight)
+    assert weighted.flags.c_contiguous
+    assert np.array_equal(weighted.view(np.int64), previous.view(np.int64))
+    # by default every row is used
+    assert np.array_equal(instrument_basis(z, center, scale).view(np.int64),
+                          _powers((z - center) / scale, INSTRUMENT_POWERS).view(np.int64))
+
+
 def test_sre_demand_builds_three_instrument_blocks(monkeypatch):
     # the final fold, the stacked training splits and their held-out rows
     calls = []
 
-    def counting(z, center, scale):
+    def counting(z, center, scale, weight):
         calls.append(np.shape(z))
-        return instrument_basis(z, center, scale)
+        return instrument_basis(z, center, scale, weight)
 
     monkeypatch.setattr(demand, "instrument_basis", counting)
     data = simulate_markets(DemandParams(M=400), SeededRng(18))
@@ -401,7 +424,7 @@ def test_kfold_names_the_training_fold_whose_instrument_gram_is_singular():
     # leaves fold 2 out sees one shifter value: its instrument powers are
     # (1, 0, ..., 0) and their Gram matrix is exactly singular
     n, K = 60, 5
-    splits = kfold_splits(n, K, SeededRng(7))
+    splits = kfold_splits(n, K, [SeededRng(7)])[0]
     fold_2 = splits.val[2][splits.val_weight[2] == 1.0]
     gen = np.random.default_rng(8)
     z = np.full(n, 2.0)
@@ -497,7 +520,7 @@ def test_a_singular_split_in_a_stack_names_its_trial_and_fold(monkeypatch):
     seed, failing, k, M = 6, 5, 3, 100
     trial_rng = SeededRng(seed).stream(failing).split(1)
     fitting = partition_indices(M, 2, trial_rng.split(0))[1]
-    splits = kfold_splits(fitting.size, demand.CV_FOLDS, trial_rng.split(2))
+    splits = kfold_splits(fitting.size, demand.CV_FOLDS, [trial_rng.split(2)])[0]
     held = fitting[splits.val[k][splits.val_weight[k] == 1.0]]
 
     def degenerate(params, rng):

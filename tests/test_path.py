@@ -24,6 +24,8 @@ from structreg.sre import (
     PenaltySpec,
     PolynomialFeatures,
     SingularPathError,
+    _singular_floor,
+    _singular_points,
     gmm_normal_equations,
     quadratic_path,
     sre_gmm,
@@ -182,6 +184,35 @@ def test_singular_system_names_first_offending_lambda():
     with pytest.raises(SingularPathError) as info:
         quadratic_path(G, b, [0.0, 1.0, 0.0], np.zeros(3), [2.0, 5.0])
     assert info.value.lam == 2.0
+
+
+def _previous_singular_points(d, grid):
+    """The singularity test as it was, over every denominator ``d_k + lam``:
+    the oracle of :func:`_singular_points`."""
+    denominators = d[:, None, :] + grid[:, :, None]
+    floor = _singular_floor(d)[:, None] + d.shape[1] * np.finfo(float).eps * grid
+    return denominators.min(axis=2, initial=np.inf) <= floor
+
+
+@given(seed=seeds, k=st.sampled_from([0, 1, 2, 6]), per_system=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_singularity_test_matches_the_denominators_minimum(seed, k, per_system):
+    # eigenvalues at and around the singular floor, and penalties that
+    # cancel an eigenvalue to within a few ulps; k = 0 is a system with no
+    # penalized coordinate
+    gen = np.random.default_rng(seed)
+    S, points = int(gen.integers(1, 30)), int(gen.integers(1, 8))
+    grid = np.sort(gen.choice([0.0, 1e-300, 1e-12, 1.0, 7.0, 1e12], size=(
+        S if per_system else 1, points)), axis=1)
+    top = gen.uniform(0.5, 1e3, size=(S, 1))
+    eps = np.finfo(float).eps
+    d = top * gen.choice([1.0, 0.5, 0.0, eps, -eps, 2 * eps, k * eps, -(k + 1) * eps],
+                         size=(S, k)) + gen.integers(-4, 5, size=(S, k)) * eps * top
+    d -= gen.choice([0.0, 1.0, 7.0], size=(S, k))
+    expected = _previous_singular_points(d, grid)
+    got = _singular_points(d, grid)
+    assert got.shape == expected.shape == (S, points)
+    assert np.array_equal(got, expected)
 
 
 def test_path_rejects_bad_inputs():
@@ -393,9 +424,9 @@ def test_stacked_kfold_and_forward_match_each_split(seed):
     K = int(gen.integers(2, 7))
     if data.n % K == 0:
         K += 1  # unequal fold sizes
-    assert_matches_each_split(fold, kfold_splits(data.n, K, SeededRng(seed)))
+    assert_matches_each_split(fold, kfold_splits(data.n, K, [SeededRng(seed)])[0])
     target = DomainSpec(data.inputs.max(axis=0), data.inputs.max(axis=0) + 1.0)
-    assert_matches_each_split(fold, forward_splits(data, K, target, SeededRng(seed)))
+    assert_matches_each_split(fold, forward_splits([data], K, target, [SeededRng(seed)])[0])
 
 
 @given(seeds)
@@ -438,4 +469,4 @@ def test_stacked_moment_kfold_matches_each_split(seed):
     fold = GmmFold.of_samples([data], PolynomialFeatures(2), penalty,
                               np.array([100.0, -20.0, 1.0]))
     K = 7 if data.n % 7 else 6
-    assert_matches_each_split(fold, kfold_splits(data.n, K, SeededRng(seed)))
+    assert_matches_each_split(fold, kfold_splits(data.n, K, [SeededRng(seed)])[0])

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structreg.auction import AuctionScenario, simulate_auctions, sre_auction
 from structreg.data import (
@@ -7,6 +11,8 @@ from structreg.data import (
     Dataset,
     DomainSpec,
     SeededRng,
+    _column_scales,
+    forward_split_rows,
     partition_indices,
     standardize,
 )
@@ -29,11 +35,14 @@ from structreg.sre import (
     quadratic_path,
 )
 from structreg.tuning import (
+    FORWARD_FRACTION,
     CvError,
     CvTrace,
     RidgeFold,
     forward_cv,
+    forward_splits,
     kfold_cv,
+    kfold_splits,
     rolling_cv,
 )
 
@@ -372,3 +381,136 @@ def test_second_stage_refits_the_fold_its_cv_refolded(monkeypatch, second_stage,
     assert np.linalg.norm(fit.theta - reference) <= 1e-9 * np.linalg.norm(reference)
     # every split posed the problem it poses alone
     assert_matches_each_split(final, splits, errors=trace.fold_errors)
+
+
+def test_an_overflowing_held_out_error_names_its_split_and_lambda():
+    # every prediction is finite, but its squared residual overflows
+    gen = np.random.default_rng(11)
+    X = gen.normal(size=(40, 2))
+    huge = Dataset(X, 1e160 * (X @ [1.0, 2.0] + gen.normal(size=40)))
+    penalty = PenaltySpec([0.0, 1.0, 10.0], [0.0, 1.0, 1.0])
+    alone = RidgeFold.of_samples([huge], LinearFeatures(2), penalty, np.zeros(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the typed error, not a RuntimeWarning
+        with pytest.raises(CvError, match=r"^fitter failed on fold 0 at lambda=0\.0: "
+                                          r"non-finite held-out error$"):
+            kfold_cv(alone, 5, [SeededRng(12)])
+        regular = Dataset(X, huge.outcome / 1e160)
+        stack = RidgeFold.of_samples([regular, huge], LinearFeatures(2), penalty, np.zeros(3))
+        with pytest.raises(CvError, match=r"^fitter failed on fold 0 of sample 1 at lambda=0\.0"):
+            kfold_cv(stack, 5, [SeededRng(12), SeededRng(13)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cv_trace_rejects_non_finite_fold_errors(bad):
+    with pytest.raises(CvError, match="fold errors must be finite"):
+        CvTrace("kfold", GRID, [[1.0, 2.0, 3.0, 4.0], [1.0, bad, 3.0, 4.0]])
+
+
+def _bits(array) -> np.ndarray:
+    """The array's float64 bits, so that zero signs count."""
+    return np.ascontiguousarray(array).view(np.int64)
+
+
+def _previous_pose(F, outcome, rows, weight):
+    """``RidgeFold._pose`` and ``stacked_standardization`` as they were
+    before the columnar gather: the oracle of their bits."""
+    values, w = F[rows], weight[:, :, None]
+    count = weight.sum(axis=1)[:, None]
+    means = (values * w).sum(axis=1) / count
+    centered = (values - means[:, None, :]) * w
+    scales = _column_scales(np.sqrt((centered * centered).sum(axis=1) / count), means)
+    design = np.concatenate([weight[:, :, None], centered / scales[:, None, :]], axis=2)
+    return means, scales, design, outcome[rows] * weight
+
+
+@given(seed=st.integers(0, 2**32 - 1), S=st.sampled_from([1, 2, 25]),
+       c=st.sampled_from([1, 2, 5, 6]))
+@settings(max_examples=60, deadline=None)
+def test_pose_matches_its_previous_form(seed, S, c):
+    # More than eight rows a sample, where numpy's pairwise sum of one
+    # column parts from a row-by-row sum.
+    gen = np.random.default_rng(seed)
+    r = int(gen.integers(9, 150))
+    n = int(gen.integers(r, 300))
+    F = gen.normal(gen.uniform(-5.0, 5.0), gen.uniform(0.1, 10.0), size=(n, c))
+    # column 0 sits at the edge of the zero-variance rule: a constant spread
+    # by a few dozen ulps, about 64 eps |mean| in standard deviation
+    mean = gen.uniform(0.1, 10.0)
+    F[:, 0] = mean + mean * np.finfo(float).eps * gen.integers(-90, 91, size=n)
+    rows = np.stack([gen.choice(n, size=r, replace=False) for _ in range(S)])
+    weight = (gen.random((S, r)) < gen.uniform(0.3, 1.0)).astype(float)
+    weight[:, :2] = 1.0  # at least two used rows, the rest padded at random
+    data = Dataset(gen.normal(size=(n, 1)), gen.normal(size=n))
+    posed = RidgeFold._pose(F, data, rows, weight, None)
+    means, scales, design, outcome = _previous_pose(F, data.outcome, rows, weight)
+    for name, expected in [("means", means), ("scales", scales), ("design", design),
+                           ("outcome", outcome)]:
+        assert posed[name].flags.c_contiguous, name
+        assert np.array_equal(_bits(posed[name]), _bits(expected)), name
+    G, b = RidgeFold._normal_equations(posed)
+    Xt = design.swapaxes(1, 2)
+    assert np.array_equal(_bits(G), _bits(Xt @ design))
+    assert np.array_equal(_bits(b), _bits((Xt @ outcome[:, :, None])[:, :, 0]))
+
+
+def _previous_fold_rows(rows, K, rng):
+    """One sample's ``(train, train_weight, val, val_weight)``, as the splits
+    were built before a block's were built in one pass: the oracle."""
+    label = np.empty(rows.size, dtype=int)
+    for k, idx in enumerate(partition_indices(rows.size, K, rng)):
+        label[idx] = k
+    in_fold = label == np.arange(K)[:, None]
+    size = in_fold.sum(axis=1)
+    train = np.argsort(in_fold, axis=1, kind="stable")[:, : rows.size - size.min()]
+    val = np.argsort(~in_fold, axis=1, kind="stable")[:, : size.max()]
+    return (rows[train], 1.0 - np.take_along_axis(in_fold, train, axis=1),
+            rows[val], np.take_along_axis(in_fold, val, axis=1).astype(float))
+
+
+def _split_arrays(splits):
+    return (splits.train, splits.train_weight, splits.val, splits.val_weight)
+
+
+@given(seed=st.integers(0, 2**32 - 1), S=st.sampled_from([1, 2, 5]))
+@settings(max_examples=60, deadline=None)
+def test_block_splits_match_each_samples_previous_form(seed, S):
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(2, 60))
+    K = int(gen.choice([2, n, int(gen.integers(2, n + 1))]))
+    rngs = [SeededRng(seed).split(s) for s in range(S)]
+    for s, splits in enumerate(kfold_splits(n, K, rngs)):
+        assert splits.kind == "kfold"
+        expected = _previous_fold_rows(np.arange(n), K, rngs[s])
+        for got, want in zip(_split_arrays(splits), expected, strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    # forward splits of samples of one size: each sample's far part folded
+    # by its own rng, validated with its own near part as well
+    n = int(gen.integers(12, 60))
+    samples = [Dataset(gen.uniform(0.0, 10.0, size=(n, 1)), np.zeros(n)) for _ in range(S)]
+    target, K = DomainSpec.interval(9.0, 10.0), int(gen.integers(2, 6))
+    for sample, rng, splits in zip(samples, rngs, forward_splits(samples, K, target, rngs),
+                                   strict=True):
+        far, near = forward_split_rows(sample, target, FORWARD_FRACTION)
+        train, train_weight, val, val_weight = _previous_fold_rows(far, K, rng)
+        expected = (train, train_weight,
+                    np.column_stack([val, np.broadcast_to(near, (K, near.size))]),
+                    np.column_stack([val_weight, np.ones((K, near.size))]))
+        for got, want in zip(_split_arrays(splits), expected, strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_block_splits_reject_impossible_partitions():
+    with pytest.raises(DataError, match="cannot partition 3 rows into 4 parts"):
+        kfold_splits(3, 4, [SeededRng(0), SeededRng(1)])
+    with pytest.raises(DataError, match="partition requires K >= 2"):
+        kfold_splits(3, 1, [SeededRng(0)])
+    # a fold of two samples cross-validates two sets of splits, no fewer
+    data = _noisy_line_data(n=20)
+    fold = RidgeFold.of_samples([data, data], LinearFeatures(1),
+                                PenaltySpec(GRID, WEIGHTS), np.zeros(2))
+    with pytest.raises(DataError, match="1 sets of splits for 2 samples"):
+        kfold_cv(fold, 4, [SeededRng(0)])
+    # and each sample of a block is partitioned by its own rng
+    with pytest.raises(ValueError, match="zip"):
+        forward_splits([data, data], 4, DomainSpec.interval(0.0, 1.0), [SeededRng(0)])
