@@ -222,7 +222,10 @@ class GmmFold(RidgeFold):
     over its instrument block ``Z``, built on its own rescaling of the cost
     shifter, and its projection weight ``W = (Z'Z)^{-1}``. Every sample of a
     stack gets its own rescaling and weight, and a cross-validation split's
-    held-out moments are scored in its training rows' basis and weight.
+    held-out moments are scored in its training rows' basis and weight, by
+    :meth:`_held_out_error` from the split's instrument cross-products. The
+    cross-validation passes on only ``lambda_star``, so those fold errors
+    may differ from the residual form's at rounding level.
     """
 
     @classmethod
@@ -255,12 +258,36 @@ class GmmFold(RidgeFold):
         return gmm_normal_equations(posed["design"], posed["instruments"], posed["outcome"],
                                     posed["weight"])
 
-    @classmethod
-    def _held_out_error(cls, data, posed, splits, resid) -> np.ndarray:
-        """Every split's held-out moment objective, with its training weight."""
+    def _held_out_error(self, posed, splits, F_val, thetas) -> np.ndarray:
+        """Every split's held-out moment objective ``m' W m`` at every grid
+        point, with its training rows' projection weight ``W``: the moment
+        fold's held-out score, formed here and nowhere else.
+
+        The held-out moments ``m = Z'r / n`` over the split's ``n`` validation
+        rows are linear in the path, and the split's validation instrument
+        block ``Z`` carries each row's 0/1 weight, so they are formed from
+        one cross-product block per split::
+
+            m = (Z'y - Z'1 theta_0 - Z'F_val theta_1) / n
+
+        without a residual per (split, row, grid point). The sums of
+        ``Z'y`` and ``Z'X theta`` cancel, so the objective differs from that
+        of ``Z'r / n`` by up to 1e-12 of the split's largest error, the
+        bound the tests hold it to; the cross-validation passes on only
+        ``lambda_star``. Both matrix products read C-ordered operands,
+        so a split's bits do not depend on the block it is stacked in.
+        """
+        data = self.stacked
         Z_val = instrument_basis(data.instruments[splits.val, 0], posed["z_means"],
                                  posed["z_scales"], splits.val_weight)
-        m_bar = Z_val.swapaxes(1, 2) @ resid / splits.val_weight.sum(axis=1)[:, None, None]
+        columns = np.empty(F_val.shape[:2] + (F_val.shape[2] + 2,))
+        columns[:, :, 0] = 1.0
+        columns[:, :, 1:-1] = F_val
+        columns[:, :, -1] = data.outcome[splits.val]
+        cross = Z_val.swapaxes(1, 2) @ columns
+        fitted = np.ascontiguousarray(cross[:, :, :-1]) @ np.ascontiguousarray(
+            thetas.swapaxes(1, 2))
+        m_bar = (cross[:, :, -1:] - fitted) / splits.val_weight.sum(axis=1)[:, None, None]
         return np.sum(m_bar * (posed["weight"] @ m_bar), axis=1)
 
 

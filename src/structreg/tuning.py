@@ -14,10 +14,20 @@ stage did not use, cross-validates it with :func:`kfold_cv`,
 and returns :meth:`~RidgeFold.fit` of the traces (one fit per sample). The
 fold keeps its samples and fixes everything the cross-validation needs: its
 penalty's grid and :meth:`~RidgeFold.cross_validate`, which scores that grid
-on every split of every sample's :class:`CvSplits` in one stacked array
-computation. A split is row indices into its sample with 0/1 row weights (a
-sliding window of rows for rolling cross-validation), so no per-split sample
-or fold is built.
+on every split of the block's one :class:`CvSplits` in one stacked array
+computation. A split is row indices into the block's stacked sample with 0/1
+row weights (a sliding window of rows for rolling cross-validation), so no
+per-split sample or fold is built.
+
+A split's held-out score is formed in one place, the fold's
+``_held_out_error`` hook, from the standardized features of its validation
+rows and its solved path: the held-out mean squared error of the residuals
+for :class:`RidgeFold`, the held-out moment objective from the split's
+instrument cross-products for the demand study's moment fold. The
+cross-validation passes on only each sample's ``lambda_star``, so a hook may
+order its arithmetic for speed: the moment fold's fold errors differ from
+those of its residual form at rounding level, while no ``lambda_star`` the
+studies choose moves.
 
 A fold takes the benchmark ``theta_m`` as raw-scale coefficients over
 ``(1, F(x))`` and keeps it so; each solve re-expresses it on the
@@ -34,9 +44,7 @@ final fit is its sample's path at the one penalty its cross-validation chose.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -99,12 +107,16 @@ class CvTrace:
 
 @dataclass(frozen=True)
 class CvSplits:
-    """Every split of one cross-validation run, as row indices into one sample.
+    """Every split of one cross-validation run of a block of samples of one
+    size, as row indices into the block's stacked sample.
 
-    Row ``s`` of ``train`` and ``val`` lists split ``s``'s training and
-    validation rows; ``train_weight`` and ``val_weight`` are 1 on the rows the
-    split uses and 0 on the others, so splits of unequal size share one
-    rectangular stack. ``kind`` names the cross-validation flavor.
+    Sample ``s`` of a block of ``n``-row samples starts at row ``s * n`` of
+    the stacked sample, as :meth:`RidgeFold.of_samples` stacks it. Each
+    sample has ``per_sample`` splits, and split ``j`` of sample ``s`` is row
+    ``s * per_sample + j`` of ``train`` and ``val``, which list its training
+    and validation rows; ``train_weight`` and ``val_weight`` are 1 on the
+    rows the split uses and 0 on the others, so splits of unequal size share
+    one rectangular stack. ``kind`` names the cross-validation flavor.
     """
 
     kind: str
@@ -112,19 +124,30 @@ class CvSplits:
     train_weight: np.ndarray
     val: np.ndarray
     val_weight: np.ndarray
+    per_sample: int
+
+    @property
+    def sample_count(self) -> int:
+        return len(self.train) // self.per_sample
 
     @property
     def unit(self) -> str:
         return "window" if self.kind == "rolling" else "fold"
 
-    def failure(self, index: int, reason, lam: float | None = None,
-                sample: int | None = None) -> CvError:
-        """The error naming split ``index``, when given the sample of a stack
-        it belongs to, and, when known, its grid point; ``reason`` is a
-        message or the error the split raised."""
-        of = "" if sample is None else f" of sample {sample}"
+    def failure(self, index: int, reason, lam: float | None = None) -> CvError:
+        """The error naming split ``index`` of the block by its index in its
+        sample, that sample in a block of more than one, and, when known, its
+        grid point; ``reason`` is a message or the error the split raised."""
+        sample, own = divmod(index, self.per_sample)
+        of = f" of sample {sample}" if self.sample_count > 1 else ""
         at = "" if lam is None else f" at lambda={lam}"
-        return CvError(f"fitter failed on {self.unit} {index}{of}{at}: {reason}")
+        return CvError(f"fitter failed on {self.unit} {own}{of}{at}: {reason}")
+
+
+def _block_rows(samples: int, n: int) -> np.ndarray:
+    """Each sample's rows of a block of ``n``-row samples in the stacked
+    sample, where sample ``s`` starts at row ``s * n``; one row per sample."""
+    return n * np.arange(samples)[:, None] + np.arange(n)
 
 
 def _fold_rows(rows: np.ndarray, K: int, rngs) -> tuple[np.ndarray, ...]:
@@ -158,21 +181,14 @@ def _fold_rows(rows: np.ndarray, K: int, rngs) -> tuple[np.ndarray, ...]:
             sample_rows(val), (np.arange(longest) < own).astype(float))
 
 
-def _each_sample(kind: str, K: int, *arrays) -> list[CvSplits]:
-    """The per-sample :class:`CvSplits` of a block's split arrays, K splits a sample."""
-    return [CvSplits(kind, *(part[start:start + K] for part in arrays))
-            for start in range(0, len(arrays[0]), K)]
-
-
-def kfold_splits(n: int, K: int, rngs) -> list[CvSplits]:
+def kfold_splits(n: int, K: int, rngs) -> CvSplits:
     """K random folds of each sample of a block of samples of ``n`` rows,
     sample ``s`` partitioned by ``rngs[s]``: fold k validates, the others
     train."""
-    return _each_sample("kfold", K, *_fold_rows(np.broadcast_to(np.arange(n), (len(rngs), n)),
-                                                K, rngs))
+    return CvSplits("kfold", *_fold_rows(_block_rows(len(rngs), n), K, rngs), K)
 
 
-def forward_splits(samples, K: int, target: DomainSpec, rngs) -> list[CvSplits]:
+def forward_splits(samples, K: int, target: DomainSpec, rngs) -> CvSplits:
     """K folds of the far part of each sample of a block of samples of one
     size, each validated with the near part; sample ``s`` is partitioned by
     ``rngs[s]``.
@@ -185,17 +201,21 @@ def forward_splits(samples, K: int, target: DomainSpec, rngs) -> list[CvSplits]:
         *(forward_split_rows(sample, target, FORWARD_FRACTION) for sample in samples)))
     if far.shape[1] < K:
         raise DataError(f"cannot form {K} folds from {far.shape[1]} far-part rows")
-    train, train_weight, val, val_weight = _fold_rows(far, K, rngs)
-    near = np.repeat(near, K, axis=0)
-    return _each_sample("forward", K, train, train_weight, np.concatenate([val, near], axis=1),
-                        np.concatenate([val_weight, np.ones(near.shape)], axis=1))
+    shift = _block_rows(len(samples), samples[0].n)[:, :1]
+    train, train_weight, val, val_weight = _fold_rows(far + shift, K, rngs)
+    near = np.repeat(near + shift, K, axis=0)
+    return CvSplits("forward", train, train_weight, np.concatenate([val, near], axis=1),
+                    np.concatenate([val_weight, np.ones(near.shape)], axis=1), K)
 
 
-def rolling_splits(n: int, window_length: int) -> CvSplits:
-    """Every window of ``window_length`` consecutive rows, validated on the next row."""
-    train = sliding_window_view(np.arange(n), window_length)[:-1]
-    val = np.arange(window_length, n)[:, None]
-    return CvSplits("rolling", train, np.ones(train.shape), val, np.ones(val.shape))
+def rolling_splits(n: int, window_length: int, samples: int) -> CvSplits:
+    """Every window of ``window_length`` consecutive rows of each sample of a
+    block of ``samples`` samples of ``n`` rows, validated on the next row."""
+    rows = _block_rows(samples, n)
+    train = sliding_window_view(rows, window_length, axis=1)[:, :-1].reshape(-1, window_length)
+    val = rows[:, window_length:].reshape(-1, 1)
+    return CvSplits("rolling", train, np.ones(train.shape), val, np.ones(val.shape),
+                    n - window_length)
 
 
 def kfold_cv(fold: RidgeFold, K: int, rngs) -> list[CvTrace]:
@@ -241,7 +261,7 @@ def rolling_cv(fold: RidgeFold, window_length: int) -> list[CvTrace]:
     n = fold.samples[0].n
     if n <= window_length:
         raise DataError("series shorter than window_length + 1")
-    return fold.cross_validate([rolling_splits(n, window_length)] * len(fold.samples))
+    return fold.cross_validate(rolling_splits(n, window_length, len(fold.samples)))
 
 
 @dataclass(frozen=True)
@@ -284,9 +304,9 @@ class RidgeFold:
         error, naming the sample in a stack of more than one."""
         if len({sample.n for sample in samples}) != 1:
             raise DataError("the samples of a stack must have one row count")
-        data, n = _stacked_sample(samples), samples[0].n
+        data = _stacked_sample(samples)
         features = feature_map.transform(data.inputs)
-        rows = n * np.arange(len(samples))[:, None] + np.arange(n)
+        rows = _block_rows(len(samples), samples[0].n)
 
         def fail(index, error):
             # a stack of several samples names the one that cannot be posed
@@ -334,65 +354,66 @@ class RidgeFold:
         Xt = posed["design"].swapaxes(1, 2)
         return Xt @ posed["design"], (Xt @ posed["outcome"][:, :, None])[:, :, 0]
 
-    @classmethod
-    def _held_out_error(cls, data, posed, splits, resid) -> np.ndarray:
-        """Every split's held-out mean squared error, one column per grid point."""
+    def _held_out_error(self, posed, splits, F_val, thetas) -> np.ndarray:
+        """Every split's held-out mean squared error, one column per grid
+        point, from its standardized validation features ``F_val`` and its
+        path ``thetas`` (split, grid point, coefficient)."""
+        predictions = thetas[:, None, :, 0] + F_val @ thetas[:, :, 1:].swapaxes(1, 2)
+        resid = ((self.stacked.outcome[splits.val][:, :, None] - predictions)
+                 * splits.val_weight[:, :, None])
         return (resid * resid).sum(axis=1) / splits.val_weight.sum(axis=1)[:, None]
 
-    def cross_validate(self, splits) -> list[CvTrace]:
-        """Each sample's error curve over its own splits, ``splits[s]`` the
-        :class:`CvSplits` of sample ``s``, every split of every sample in one
-        stacked array computation.
+    def cross_validate(self, splits: CvSplits) -> list[CvTrace]:
+        """Each sample's error curve over its own splits, every split of the
+        block's :class:`CvSplits` in one stacked array computation.
 
-        The splits share one shape. Every split's training rows are posed at
-        once by :meth:`_pose`, each sample's ``theta_m`` is re-expressed on
-        each of its splits' standardization, and one stacked
-        :func:`~structreg.sre.quadratic_path` call solves every split's path.
-        A split that cannot be posed or solved, or whose held-out error is
-        not finite (an overflow, say), raises :class:`CvError` naming its
-        index, in a stack of more than one sample also its sample, and, for
-        a solve or an error, its first offending grid point.
+        Every split's training rows are posed at once by :meth:`_pose`, each
+        sample's ``theta_m`` is re-expressed on each of its splits'
+        standardization, and one stacked :func:`~structreg.sre.quadratic_path`
+        call solves every split's path. The fold's ``_held_out_error`` hook
+        then scores every split's path on its held-out rows: the only place a
+        held-out score is formed. Only each sample's ``lambda_star`` leaves
+        the cross-validation, so a hook may round its fold errors differently
+        from another arithmetic form of the same score. A split that cannot
+        be posed or solved, or whose held-out error is not finite (an
+        overflow, say), raises :class:`CvError` naming its index, in a block
+        of more than one sample also its sample, and, for a solve or an
+        error, its first offending grid point.
         """
-        if len(splits) != len(self.samples):
-            raise DataError(f"{len(splits)} sets of splits for {len(self.samples)} samples")
-        stack = _stacked_splits(splits, self.samples[0].n)
-        ends = list(accumulate(len(part.train) for part in splits))
-        rows = [slice(end - len(part.train), end) for part, end in zip(splits, ends)]
-
-        def fail(index, reason, lam=None):
-            s = bisect_right(ends, index)
-            return splits[s].failure(index - rows[s].start, reason, lam,
-                                     s if len(splits) > 1 else None)
-
-        data, F = self.stacked, self.features
-        posed = self._pose(F, data, stack.train, stack.train_weight, fail)
+        S = len(self.samples)
+        if splits.sample_count != S:
+            raise DataError(f"{splits.sample_count} sets of splits for {S} samples")
+        F = self.features
+        posed = self._pose(F, self.stacked, splits.train, splits.train_weight, splits.failure)
         means, scales = posed["means"], posed["scales"]
         G, b = self._normal_equations(posed)
-        theta_m = np.concatenate([_express_in_transform(m, means[r], scales[r])
-                                  for m, r in zip(self.theta_m, rows)])
+        theta_m = np.concatenate([_express_in_transform(m, mu, sd) for m, mu, sd in zip(
+            self.theta_m, means.reshape(S, splits.per_sample, -1),
+            scales.reshape(S, splits.per_sample, -1))])
         finite = np.isfinite(G).all(axis=(1, 2)) & np.isfinite(b).all(axis=1) & np.isfinite(
             theta_m).all(axis=1)
         if not finite.all():
-            raise fail(int(np.argmin(finite)), "G, b and theta_m must be finite")
+            raise splits.failure(int(np.argmin(finite)), "G, b and theta_m must be finite")
         grid = self.penalty.lambda_grid
         try:
             thetas = quadratic_path(G, b, self.penalty.weights, theta_m, grid)
         except SingularPathError as exc:
-            raise fail(exc.index, exc, exc.lam) from exc
+            raise splits.failure(exc.index, exc, exc.lam) from exc
         bad = ~np.isfinite(thetas).all(axis=2)
         if bad.any():
             index = int(np.argmax(bad.any(axis=1)))
-            raise fail(index, "non-finite coefficients", float(grid[np.argmax(bad[index])]))
-        F_val = (F[stack.val] - means[:, None, :]) / scales[:, None, :]
-        predictions = thetas[:, None, :, 0] + F_val @ thetas[:, :, 1:].swapaxes(1, 2)
-        resid = (data.outcome[stack.val][:, :, None] - predictions) * stack.val_weight[:, :, None]
+            raise splits.failure(index, "non-finite coefficients",
+                                 float(grid[np.argmax(bad[index])]))
+        F_val = (F[splits.val] - means[:, None, :]) / scales[:, None, :]
         with np.errstate(over="ignore", invalid="ignore"):
-            errors = self._held_out_error(data, posed, stack, resid)
+            errors = self._held_out_error(posed, splits, F_val, thetas)
         bad = ~np.isfinite(errors)
         if bad.any():
             index = int(np.argmax(bad.any(axis=1)))
-            raise fail(index, "non-finite held-out error", float(grid[np.argmax(bad[index])]))
-        return [CvTrace(part.kind, grid, errors[r]) for part, r in zip(splits, rows)]
+            raise splits.failure(index, "non-finite held-out error",
+                                 float(grid[np.argmax(bad[index])]))
+        return [CvTrace(splits.kind, grid, sample)
+                for sample in errors.reshape(S, splits.per_sample, -1)]
 
     def fit(self, traces) -> list[SREFit]:
         """Each sample's fit at its own trace's ``lambda_star``, carrying the
@@ -424,22 +445,6 @@ def _stacked_sample(samples) -> Dataset:
         return None if parts[0] is None else np.concatenate(parts)
 
     return Dataset(rows("inputs"), rows("outcome"), rows("instruments"), rows("time_index"))
-
-
-def _stacked_splits(splits, n: int) -> CvSplits:
-    """Every sample's splits in one stack, their rows moved to the stacked
-    sample's, where sample ``s`` starts at row ``s * n``; the splits share
-    one width, so no sum over a split's rows is padded with rows of weight 0
-    it would not have alone."""
-    if len(splits) == 1:
-        return splits[0]
-    if len({(part.train.shape[1], part.val.shape[1]) for part in splits}) != 1:
-        raise DataError("the splits of a stack must have one width")
-    shift = np.repeat(n * np.arange(len(splits)), [part.train.shape[0] for part in splits])[:, None]
-    return CvSplits(splits[0].kind, np.concatenate([part.train for part in splits]) + shift,
-                    np.concatenate([part.train_weight for part in splits]),
-                    np.concatenate([part.val for part in splits]) + shift,
-                    np.concatenate([part.val_weight for part in splits]))
 
 
 def _express_in_transform(raw, means, scales) -> np.ndarray:

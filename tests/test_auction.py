@@ -600,14 +600,16 @@ def test_stacked_second_stage_is_each_trials_stack_of_one(seed, index, cv):
     cross_validate = RidgeFold.cross_validate
 
     def recording(fold, splits):
-        widths.extend((part.train.shape, part.val.shape) for part in splits)
+        widths.append((splits.train.shape[1], splits.val.shape[1]))
         return cross_validate(fold, splits)
 
     def second_stage(stack, stack_rngs):
         return sre_auction(stack, scenario, [rng.split(1) for rng in stack_rngs], grid, K)
 
     try:
-        alone = [second_stage([sample], [rng])[0] for sample, rng in zip(samples, rngs)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(RidgeFold, "cross_validate", recording)
+            alone = [second_stage([sample], [rng])[0] for sample, rng in zip(samples, rngs)]
     except CvError:
         # at lambda = 0 a split with fewer than six distinct bidder counts is singular
         with pytest.raises(CvError):
@@ -616,8 +618,9 @@ def test_stacked_second_stage_is_each_trials_stack_of_one(seed, index, cv):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RidgeFold, "cross_validate", recording)
         fits = second_stage(samples, rngs)
-    # every trial's splits have one shape, so no sum over a split's rows is padded
-    assert len(widths) == len(rngs) and len(set(widths)) == 1
+    # the block's splits are as wide as each trial's alone, so no sum over a
+    # split's rows is padded with rows of weight 0 it would not have alone
+    assert len(widths) == len(rngs) + 1 and len(set(widths)) == 1
     for fit, single in zip(fits, alone):
         assert fit.lambda_star == single.lambda_star
         assert np.array_equal(fit.theta, single.theta)

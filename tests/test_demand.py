@@ -34,11 +34,12 @@ from structreg.metrics import metrics_table
 from structreg.sre import (
     PenaltySpec,
     PolynomialFeatures,
+    default_lambda_grid,
     fit_theta_m,
     gmm_normal_equations,
     sre_gmm,
 )
-from structreg.tuning import kfold_splits
+from structreg.tuning import kfold_cv, kfold_splits
 
 
 def test_equilibrium_identities_hold():
@@ -424,7 +425,7 @@ def test_kfold_names_the_training_fold_whose_instrument_gram_is_singular():
     # leaves fold 2 out sees one shifter value: its instrument powers are
     # (1, 0, ..., 0) and their Gram matrix is exactly singular
     n, K = 60, 5
-    splits = kfold_splits(n, K, [SeededRng(7)])[0]
+    splits = kfold_splits(n, K, [SeededRng(7)])
     fold_2 = splits.val[2][splits.val_weight[2] == 1.0]
     gen = np.random.default_rng(8)
     z = np.full(n, 2.0)
@@ -489,6 +490,50 @@ def test_stacked_second_stage_is_each_trials_sre_demand(seed, scenario, M, grid)
         assert np.array_equal(fit.trace.fold_errors, alone.trace.fold_errors)
 
 
+class _ResidualMomentFold(GmmFold):
+    """The moment fold scored by the residual form it had before its
+    held-out moments came from instrument cross-products: the oracle."""
+
+    def _held_out_error(self, posed, splits, F_val, thetas):
+        predictions = thetas[:, None, :, 0] + F_val @ thetas[:, :, 1:].swapaxes(1, 2)
+        resid = ((self.stacked.outcome[splits.val][:, :, None] - predictions)
+                 * splits.val_weight[:, :, None])
+        Z_val = instrument_basis(self.stacked.instruments[splits.val, 0], posed["z_means"],
+                                 posed["z_scales"], splits.val_weight)
+        m_bar = Z_val.swapaxes(1, 2) @ resid / splits.val_weight.sum(axis=1)[:, None, None]
+        return np.sum(m_bar * (posed["weight"] @ m_bar), axis=1)
+
+
+# A float64 bound set before the comparison: about 4,500 eps of the split's
+# largest error, room for the two forms' different order of a few hundred
+# products and their cancellation in m = Z'y - Z'X theta.
+_MOMENT_FORM_RTOL = 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), S=st.sampled_from([1, 3]),
+       M=st.sampled_from([60, 61, 203, 1000]), K=st.sampled_from([4, 5, 7]),
+       scenario=st.sampled_from([1, 2, 3, 4]))
+@settings(max_examples=30, deadline=None)
+def test_cross_product_moments_match_the_residual_form(seed, S, M, K, scenario):
+    if M % K == 0:
+        K += 1  # unequal folds, so validation rows are padded with rows of weight 0
+    samples, _ = _trial_samples(scenario, M, seed, range(S))
+    # lambda = 0 on the grid: the unpenalized fit, whose moments cancel least
+    grid = np.concatenate([[0.0], default_lambda_grid(M)])
+    penalty = PenaltySpec(grid, np.array([0.0, 1.0, 1.0]))
+    theta_m = [[260.0, -2.0, 0.0]] * S
+    rngs = [SeededRng(seed).split(s) for s in range(S)]
+    traces = kfold_cv(GmmFold.of_samples(samples, PolynomialFeatures(2), penalty, theta_m),
+                      K, rngs)
+    oracle = kfold_cv(_ResidualMomentFold.of_samples(samples, PolynomialFeatures(2), penalty,
+                                                     theta_m), K, rngs)
+    for trace, expected in zip(traces, oracle, strict=True):
+        scale = np.abs(expected.fold_errors).max(axis=1, keepdims=True)
+        assert np.all(np.abs(trace.fold_errors - expected.fold_errors)
+                      <= _MOMENT_FORM_RTOL * scale)
+        assert trace.lambda_star == expected.lambda_star
+
+
 @pytest.mark.parametrize("scenario", [1, 2, 3, 4])
 def test_stacked_reduced_form_and_structural_fits_are_each_trials_fit(scenario):
     _, rf_form = scenario_params(scenario, DemandParams())
@@ -520,7 +565,7 @@ def test_a_singular_split_in_a_stack_names_its_trial_and_fold(monkeypatch):
     seed, failing, k, M = 6, 5, 3, 100
     trial_rng = SeededRng(seed).stream(failing).split(1)
     fitting = partition_indices(M, 2, trial_rng.split(0))[1]
-    splits = kfold_splits(fitting.size, demand.CV_FOLDS, [trial_rng.split(2)])[0]
+    splits = kfold_splits(fitting.size, demand.CV_FOLDS, [trial_rng.split(2)])
     held = fitting[splits.val[k][splits.val_weight[k] == 1.0]]
 
     def degenerate(params, rng):

@@ -409,7 +409,7 @@ def assert_matches_each_split(fold, splits, errors=None):
     """The stacked errors of every split (``errors``, computed afresh if not
     given) against :func:`split_errors` of the split, relative to the split's
     largest error."""
-    stacked = fold.cross_validate([splits])[0].fold_errors if errors is None else errors
+    stacked = fold.cross_validate(splits)[0].fold_errors if errors is None else errors
     for s in range(splits.train.shape[0]):
         reference = split_errors(fold, *split_rows(splits, s))
         assert np.all(np.abs(stacked[s] - reference) <= 1e-9 * np.abs(reference).max())
@@ -424,9 +424,9 @@ def test_stacked_kfold_and_forward_match_each_split(seed):
     K = int(gen.integers(2, 7))
     if data.n % K == 0:
         K += 1  # unequal fold sizes
-    assert_matches_each_split(fold, kfold_splits(data.n, K, [SeededRng(seed)])[0])
+    assert_matches_each_split(fold, kfold_splits(data.n, K, [SeededRng(seed)]))
     target = DomainSpec(data.inputs.max(axis=0), data.inputs.max(axis=0) + 1.0)
-    assert_matches_each_split(fold, forward_splits([data], K, target, [SeededRng(seed)])[0])
+    assert_matches_each_split(fold, forward_splits([data], K, target, [SeededRng(seed)]))
 
 
 @given(seeds)
@@ -441,7 +441,7 @@ def test_stacked_rolling_matches_each_window_with_a_constant_column(seed):
     # standardizes to zeros there, which is singular at lambda = 0 only
     penalty = PenaltySpec(GRID[1:], penalty.weights)
     fold = RidgeFold.of_samples([data], LinearFeatures(3), penalty, np.ones(4))
-    splits = rolling_splits(data.n, 10)
+    splits = rolling_splits(data.n, 10, 1)
     assert_matches_each_split(fold, splits)
     # with lambda = 0 on the grid window 15, the first with the constant
     # column, is singular posed alone and in the stacked run
@@ -469,4 +469,4 @@ def test_stacked_moment_kfold_matches_each_split(seed):
     fold = GmmFold.of_samples([data], PolynomialFeatures(2), penalty,
                               np.array([100.0, -20.0, 1.0]))
     K = 7 if data.n % 7 else 6
-    assert_matches_each_split(fold, kfold_splits(data.n, K, [SeededRng(seed)])[0])
+    assert_matches_each_split(fold, kfold_splits(data.n, K, [SeededRng(seed)]))

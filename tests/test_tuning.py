@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from structreg.auction import AuctionScenario, simulate_auctions, sre_auction
 from structreg.data import (
@@ -16,7 +17,7 @@ from structreg.data import (
     partition_indices,
     standardize,
 )
-from structreg.demand import DemandParams, simulate_markets, sre_demand
+from structreg.demand import DemandParams, GmmFold, simulate_markets, sre_demand
 from structreg.entry_exit import (
     DdcParams,
     RPathSpec,
@@ -44,6 +45,7 @@ from structreg.tuning import (
     kfold_cv,
     kfold_splits,
     rolling_cv,
+    rolling_splits,
 )
 
 from .test_path import assert_matches_each_split, closed_form, split_rows
@@ -52,7 +54,7 @@ from .test_sre import line_rows
 
 def _record_cv(monkeypatch):
     """Record ``(fold, splits)`` of every cross-validation run: the fold and
-    its list of every sample's splits."""
+    its block's :class:`CvSplits`."""
     seen = []
     cross_validate = RidgeFold.cross_validate
 
@@ -148,7 +150,7 @@ def test_forward_cv_near_target_rows_always_validated_never_trained(monkeypatch)
     data = Dataset(np.arange(1.0, 61.0)[:, None], np.zeros(60))
     target = DomainSpec.interval(61.0, 100.0)
     forward_cv(_line_fold(data, (0.0, 0.0), (1, 100), [0.0, 1.0]), 5, target, [SeededRng(9)])
-    [(_, [splits])] = seen
+    [(_, splits)] = seen
     near = set(range(51, 61))  # ceil(60/6) = 10 nearest points
     assert splits.kind == "forward" and splits.train.shape[0] == 5
     for s in range(5):
@@ -191,7 +193,7 @@ def test_rolling_cv_window_covering_all_but_last_is_single_holdout(monkeypatch):
     data = Dataset(x[:, None], gen.normal(size=T), time_index=np.arange(T))
     [trace] = rolling_cv(_line_fold(data, (0.0, 0.0), (-3, 3), [0.0]), T - 1)
     assert trace.fold_errors.shape[0] == 1
-    [(_, [splits])] = seen
+    [(_, splits)] = seen
     assert [rows.size for rows in split_rows(splits, 0)] == [T - 1, 1]
 
 
@@ -204,7 +206,7 @@ def test_rolling_cv_never_trains_on_future(monkeypatch):
         time_index=np.arange(T),
     )
     rolling_cv(_line_fold(data, (0.0, 1.0), (0, T), [1.0]), 12)
-    [(_, [splits])] = seen
+    [(_, splits)] = seen
     assert splits.train.shape[0] == T - 12
     for s in range(T - 12):
         train, val = split_rows(splits, s)
@@ -362,7 +364,7 @@ def test_second_stage_refits_the_fold_its_cv_refolded(monkeypatch, second_stage,
     # record the fold and splits of the study's one CV run
     seen = _record_cv(monkeypatch)
     fit = second_stage()
-    [(final, [splits])] = seen
+    [(final, splits)] = seen
     trace = fit.trace
     assert isinstance(trace, CvTrace)
     assert fit.lambda_star == trace.lambda_star
@@ -399,6 +401,24 @@ def test_an_overflowing_held_out_error_names_its_split_and_lambda():
         stack = RidgeFold.of_samples([regular, huge], LinearFeatures(2), penalty, np.zeros(3))
         with pytest.raises(CvError, match=r"^fitter failed on fold 0 of sample 1 at lambda=0\.0"):
             kfold_cv(stack, 5, [SeededRng(12), SeededRng(13)])
+
+
+def test_an_overflowing_held_out_moment_objective_names_its_split_and_lambda():
+    # every path is finite, but the held-out moments' objective overflows
+    regular = simulate_markets(DemandParams(M=200), SeededRng(14))
+    huge = Dataset(regular.inputs, 1e160 * regular.outcome, regular.instruments)
+    penalty = PenaltySpec([0.0, 1.0, 10.0], [0.0, 1.0, 1.0])
+    theta_m = np.array([260.0, -2.0, 0.0])
+    alone = GmmFold.of_samples([huge], PolynomialFeatures(2), penalty, theta_m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the typed error, not a RuntimeWarning
+        with pytest.raises(CvError, match=r"^fitter failed on fold 0 at lambda=0\.0: "
+                                          r"non-finite held-out error$"):
+            kfold_cv(alone, 5, [SeededRng(15)])
+        stack = GmmFold.of_samples([regular, huge], PolynomialFeatures(2), penalty, theta_m)
+        with pytest.raises(CvError, match=r"^fitter failed on fold 0 of sample 1 at "
+                                          r"lambda=0\.0: non-finite held-out error$"):
+            kfold_cv(stack, 5, [SeededRng(15), SeededRng(16)])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -468,8 +488,12 @@ def _previous_fold_rows(rows, K, rng):
             rows[val], np.take_along_axis(in_fold, val, axis=1).astype(float))
 
 
-def _split_arrays(splits):
-    return (splits.train, splits.train_weight, splits.val, splits.val_weight)
+def _sample_split_arrays(splits, s, n):
+    """Sample ``s``'s splits of a block of ``n``-row samples, with rows
+    moved back to the sample's own indices."""
+    own = slice(s * splits.per_sample, (s + 1) * splits.per_sample)
+    return (splits.train[own] - s * n, splits.train_weight[own],
+            splits.val[own] - s * n, splits.val_weight[own])
 
 
 @given(seed=st.integers(0, 2**32 - 1), S=st.sampled_from([1, 2, 5]))
@@ -479,25 +503,36 @@ def test_block_splits_match_each_samples_previous_form(seed, S):
     n = int(gen.integers(2, 60))
     K = int(gen.choice([2, n, int(gen.integers(2, n + 1))]))
     rngs = [SeededRng(seed).split(s) for s in range(S)]
-    for s, splits in enumerate(kfold_splits(n, K, rngs)):
-        assert splits.kind == "kfold"
-        expected = _previous_fold_rows(np.arange(n), K, rngs[s])
-        for got, want in zip(_split_arrays(splits), expected, strict=True):
+    splits = kfold_splits(n, K, rngs)
+    assert splits.kind == "kfold" and splits.per_sample == K and splits.sample_count == S
+    for s, rng in enumerate(rngs):
+        expected = _previous_fold_rows(np.arange(n), K, rng)
+        for got, want in zip(_sample_split_arrays(splits, s, n), expected, strict=True):
             assert got.dtype == want.dtype and np.array_equal(got, want)
     # forward splits of samples of one size: each sample's far part folded
     # by its own rng, validated with its own near part as well
     n = int(gen.integers(12, 60))
     samples = [Dataset(gen.uniform(0.0, 10.0, size=(n, 1)), np.zeros(n)) for _ in range(S)]
     target, K = DomainSpec.interval(9.0, 10.0), int(gen.integers(2, 6))
-    for sample, rng, splits in zip(samples, rngs, forward_splits(samples, K, target, rngs),
-                                   strict=True):
+    splits = forward_splits(samples, K, target, rngs)
+    assert splits.kind == "forward" and splits.per_sample == K and splits.sample_count == S
+    for s, (sample, rng) in enumerate(zip(samples, rngs, strict=True)):
         far, near = forward_split_rows(sample, target, FORWARD_FRACTION)
         train, train_weight, val, val_weight = _previous_fold_rows(far, K, rng)
         expected = (train, train_weight,
                     np.column_stack([val, np.broadcast_to(near, (K, near.size))]),
                     np.column_stack([val_weight, np.ones((K, near.size))]))
-        for got, want in zip(_split_arrays(splits), expected, strict=True):
+        for got, want in zip(_sample_split_arrays(splits, s, n), expected, strict=True):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+    # rolling windows: every sample's are one sample's windows of its own rows
+    length = int(gen.integers(2, n))
+    windows = rolling_splits(n, length, S)
+    assert windows.per_sample == n - length and windows.sample_count == S
+    train = sliding_window_view(np.arange(n), length)[:-1]
+    expected = (train, np.ones(train.shape), np.arange(length, n)[:, None], np.ones((n - length, 1)))
+    for s in range(S):
+        for got, want in zip(_sample_split_arrays(windows, s, n), expected, strict=True):
+            assert np.array_equal(got, want)
 
 
 def test_block_splits_reject_impossible_partitions():
