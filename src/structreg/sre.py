@@ -27,6 +27,7 @@ penalty the cross-validation chose. The per-``lam`` closed forms
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -195,24 +196,42 @@ class SingularPathError(SingularDesignError):
         self.index = index
 
 
+_EPS = np.finfo(float).eps
+
+
 def _singular_floor(eigenvalues: np.ndarray) -> np.ndarray:
     """Eigenvalues at or below this are zero to working precision, per system
     (the last axis holds one system's eigenvalues)."""
     n = eigenvalues.shape[-1]
     if n == 0:
         return np.zeros(eigenvalues.shape[:-1])
-    return n * np.finfo(float).eps * np.abs(eigenvalues).max(axis=-1)
+    return n * _EPS * np.abs(eigenvalues).max(axis=-1)
 
 
 def _singular_points(d: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Where ``diag(d) + lam`` is singular to working precision: one row per
     system of eigenvalues ``d`` (``(S, k)``), one column per penalty of
     ``grid`` (one row, or one row per system)."""
-    floor = _singular_floor(d)[:, None] + d.shape[1] * np.finfo(float).eps * grid
+    floor = _singular_floor(d)[:, None] + d.shape[1] * _EPS * grid
     # Rounding is monotone, so the smallest denominator d_k + lam, rounded,
     # is the smallest eigenvalue plus lam, rounded once: the same test
     # without the (S, grid, k) denominators.
     return d.min(axis=1, initial=np.inf)[:, None] + grid <= floor
+
+
+@functools.lru_cache(maxsize=16)
+def _weight_layout(weights: bytes) -> tuple[np.ndarray, ...]:
+    """The free (weight 0) and penalized coordinates of the float64 weights
+    whose bytes are ``weights``, as index vectors and as a column of the
+    penalized ones, with ``root = sqrt(w)`` of the penalized weights and its
+    outer product; read-only, shared by every solve with those weights."""
+    w = np.frombuffer(weights)
+    free, pen = np.flatnonzero(w == 0.0), np.flatnonzero(w > 0.0)
+    root = np.sqrt(w[pen])
+    layout = (free, pen, pen[:, None], root, np.outer(root, root))
+    for array in layout:
+        array.flags.writeable = False
+    return layout
 
 
 def quadratic_path(G, b, weights, theta_m, grid) -> np.ndarray:
@@ -261,8 +280,7 @@ def quadratic_path(G, b, weights, theta_m, grid) -> np.ndarray:
     if (b.ndim != 2 or G.shape != b.shape + b.shape[1:] or w.shape != b.shape[1:]
             or theta_m.shape != b.shape):
         raise PenaltyError("G, b, weights and theta_m must share one width")
-    n, k = b.shape
-    if grid.ndim != 2 or grid.shape[0] not in (1, n) or grid.size == 0:
+    if grid.ndim != 2 or grid.shape[0] not in (1, b.shape[0]) or grid.size == 0:
         raise PenaltyError("lambda grid must be a nonempty vector or one row per system")
     if np.any(grid < 0.0) or not np.isfinite(grid).all():
         raise PenaltyError("lambda grid must be nonnegative and finite")
@@ -270,32 +288,51 @@ def quadratic_path(G, b, weights, theta_m, grid) -> np.ndarray:
         raise PenaltyError("penalty weights must be nonnegative and finite")
     if not (np.isfinite(G).all() and np.isfinite(b).all() and np.isfinite(theta_m).all()):
         raise PenaltyError("G, b and theta_m must be finite")
-    free, pen = np.flatnonzero(w == 0.0), np.flatnonzero(w > 0.0)
-    root = np.sqrt(w[pen])
+    try:
+        theta = _solve_path(G, b, w, theta_m, grid)
+    except SingularPathError as exc:
+        if single:
+            exc.index = None
+        raise
+    return theta[0] if single else theta
+
+
+def _solve_path(G: np.ndarray, b: np.ndarray, w: np.ndarray, theta_m: np.ndarray,
+                grid: np.ndarray) -> np.ndarray:
+    """The solver of :func:`quadratic_path`, on inputs it has checked: a stack
+    ``G`` ``(S, k, k)``, ``b`` and ``theta_m`` ``(S, k)``, finite; weights
+    ``w`` ``(k,)`` and a grid ``(1 or S, points)``, nonnegative and finite.
+    A fold calls it directly, since the fold and its
+    :class:`PenaltySpec` have checked its inputs. A singular system raises
+    :class:`SingularPathError` with its index in the stack."""
+    n, k = b.shape
+    free, pen, pen_rows, root, root_outer = _weight_layout(w.tobytes())
     # Indexing an inner axis lays the result out by the stack's size, and a
     # matrix product's rounding can follow the layout of its operands; so the
     # products below take contiguous operands (G_pf, and phi rather than
     # theta[:, :, pen]), and each system's result is its own in any stack.
-    G_pf = np.ascontiguousarray(G[:, pen][:, :, free])
-    S, c = G[:, pen][:, :, pen], b[:, pen]
+    # Elementwise arithmetic and eigh, which copies its input, do not depend
+    # on the layout.
+    G_pf = np.ascontiguousarray(G[:, pen_rows, free])
+    S, c = G[:, pen_rows, pen], b[:, pen]
     # a singular free block is singular at every grid point
     free_singular = np.zeros(n, dtype=bool)
     if free.size:
         # K = G_ff^{-1} [G_fp, b_f]: the free block given the penalized one
-        d_f, V_f = np.linalg.eigh(G[:, free][:, :, free])
+        d_f, V_f = np.linalg.eigh(G[:, free[:, None], free])
         free_singular = d_f[:, 0] <= _singular_floor(d_f)
         d_f[free_singular] = 1.0  # placeholder; those systems raise below
         rhs = np.concatenate([G_pf.swapaxes(1, 2), b[:, free, None]], axis=2)
         K = V_f @ ((V_f.swapaxes(1, 2) @ rhs) / d_f[:, :, None])
         S = S - G_pf @ K[:, :, :-1]
         c = c - (G_pf @ K[:, :, -1:])[:, :, 0]
-    S = S / np.outer(root, root)
+    S = S / root_outer
     d, V = np.linalg.eigh(0.5 * (S + S.swapaxes(1, 2)))
     singular = _singular_points(d, grid) | free_singular[:, None]
     if singular.any():
         first = np.argmax(singular.any(axis=1))
         lam = np.broadcast_to(grid, singular.shape)[first, np.argmax(singular[first])]
-        raise SingularPathError(float(lam), None if single else int(first))
+        raise SingularPathError(float(lam), int(first))
     denominators = d[:, None, :] + grid[:, :, None]
     Vt = V.swapaxes(1, 2)
     numerators = (Vt @ (c / root)[:, :, None]).swapaxes(1, 2) + grid[:, :, None] * (
@@ -304,7 +341,7 @@ def quadratic_path(G, b, weights, theta_m, grid) -> np.ndarray:
     theta[:, :, pen] = phi = (numerators / denominators) @ Vt / root
     if free.size:
         theta[:, :, free] = K[:, None, :, -1] - phi @ K[:, :, :-1].swapaxes(1, 2)
-    return theta[0] if single else theta
+    return theta
 
 
 def _penalized_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -429,10 +466,21 @@ class SREFit:
             raise PenaltyError("theta and theta_m lengths differ")
 
     def predict(self, X) -> np.ndarray:
-        F = self.transform.transform_inputs(self.feature_map.transform(X))
-        return self.theta[0] + F @ self.theta[1:]
+        return predict_features([self], self.feature_map.transform(X))[0]
 
     def derivative(self, X, coordinate: int = 0) -> np.ndarray:
         dF = self.feature_map.derivative(X, coordinate) / self.transform.column_scales
         return dF @ self.theta[1:]
 
+
+def predict_features(fits, features) -> np.ndarray:
+    """Each fit's predictions ``(fits, rows)`` at the rows whose raw features
+    are ``features`` ``(rows, n_features)``: fits of one feature map, such as
+    the trials of a block, share one expansion of their evaluation points.
+    Each fit's row is :meth:`SREFit.predict`'s, bit for bit: the features
+    standardized by its transform, then one matrix-vector product."""
+    theta = np.stack([fit.theta for fit in fits])
+    means = np.stack([fit.transform.column_means for fit in fits])
+    scales = np.stack([fit.transform.column_scales for fit in fits])
+    F = (np.asarray(features, dtype=float) - means[:, None, :]) / scales[:, None, :]
+    return theta[:, :1] + (F @ theta[:, 1:, None])[:, :, 0]

@@ -8,14 +8,15 @@ Every study's second stage is one select-and-fit step on a fold
 (:class:`RidgeFold`, or the demand study's moment fold): the posed problems
 of a stack of fitting samples of one size, a block of the auction or demand
 study's trials or the entry/exit study's one trial. It builds the fold with
-:meth:`~RidgeFold.of_samples` on the halves of the samples the structural
-stage did not use, cross-validates it with :func:`kfold_cv`,
+:meth:`~RidgeFold.of_samples` (or :meth:`~RidgeFold.of_stack` on rows
+already stacked) on the halves of the samples the structural stage did not
+use, cross-validates it with :func:`kfold_cv`,
 :func:`forward_cv` or :func:`rolling_cv` (one :class:`CvTrace` per sample),
 and returns :meth:`~RidgeFold.fit` of the traces (one fit per sample). The
-fold keeps its samples and fixes everything the cross-validation needs: its
-penalty's grid and :meth:`~RidgeFold.cross_validate`, which scores that grid
-on every split of the block's one :class:`CvSplits` in one stacked array
-computation. A split is row indices into the block's stacked sample with 0/1
+fold keeps its samples' rows and fixes everything the cross-validation
+needs: its penalty's grid and :meth:`~RidgeFold.cross_validate`, which
+scores that grid on every split of the block's one :class:`CvSplits` in one
+stacked array computation. A split is row indices into the block's stacked sample with 0/1
 row weights (a sliding window of rows for rolling cross-validation), so no
 per-split sample or fold is built.
 
@@ -37,9 +38,13 @@ map.
 A second-stage problem is posed in one place, the fold's ``_pose``, which
 poses a stack of samples at once: the cross-validation's splits, or the
 fitting samples themselves (every row, weight 1), which is how
-:meth:`~RidgeFold.of_samples` builds the fold. It is solved in one place too:
-:func:`~structreg.sre.quadratic_path` solves every split's path, and each
-final fit is its sample's path at the one penalty its cross-validation chose.
+:meth:`~RidgeFold.of_stack` builds the fold. It is solved in one place too:
+the solver of :func:`~structreg.sre.quadratic_path` solves every split's
+path, and each final fit is its sample's path at the one penalty its
+cross-validation chose. The fold calls that solver directly, past the
+public function's checks: the fold has checked that ``G``, ``b`` and
+``theta_m`` are finite, and its :class:`~structreg.sre.PenaltySpec` the
+grid and the weights.
 """
 
 from __future__ import annotations
@@ -54,18 +59,20 @@ from .data import (
     Dataset,
     DomainSpec,
     StandardizeTransform,
-    forward_split_rows,
+    _forward_rows,
+    _partition_labels,
     partition_sizes,
     stacked_standardization,
     standardize,  # noqa: F401  perfbench/selftest.py reads it as tuning.standardize
 )
 from .sre import (
     FeatureMap,
+    PenaltyError,
     PenaltySpec,
     SingularPathError,
     SREFit,
+    _solve_path,
     fit_theta_m,  # noqa: F401  perfbench/selftest.py reads it as tuning.fit_theta_m
-    quadratic_path,
     sre_ridge,  # noqa: F401  perfbench/selftest.py reads it as tuning.sre_ridge
 )
 
@@ -104,6 +111,26 @@ class CvTrace:
         object.__setattr__(self, "mean_errors", mean_errors)
         object.__setattr__(self, "lambda_star", float(grid[int(np.argmin(mean_errors))]))
 
+    @classmethod
+    def of_block(cls, kind: str, lambda_grid: np.ndarray, errors: np.ndarray) -> list[CvTrace]:
+        """Each sample's trace of a block, from its fold errors ``errors[s]``
+        ``(samples, folds, grid points)``: every sample's mean errors and
+        ``lambda_star`` are taken in one call each, and each trace holds the
+        bits ``CvTrace(kind, lambda_grid, errors[s])`` holds."""
+        if not np.isfinite(errors).all():
+            raise CvError("fold errors must be finite")
+        mean_errors = errors.mean(axis=1)
+        traces = []
+        for fold_errors, mean, star in zip(errors, mean_errors,
+                                           lambda_grid[np.argmin(mean_errors, axis=1)].tolist()):
+            trace = object.__new__(cls)
+            for name, value in (("kind", kind), ("lambda_grid", lambda_grid),
+                                ("fold_errors", fold_errors), ("mean_errors", mean),
+                                ("lambda_star", star)):
+                object.__setattr__(trace, name, value)
+            traces.append(trace)
+        return traces
+
 
 @dataclass(frozen=True)
 class CvSplits:
@@ -111,7 +138,7 @@ class CvSplits:
     size, as row indices into the block's stacked sample.
 
     Sample ``s`` of a block of ``n``-row samples starts at row ``s * n`` of
-    the stacked sample, as :meth:`RidgeFold.of_samples` stacks it. Each
+    the stacked sample, as :meth:`RidgeFold.of_stack` holds it. Each
     sample has ``per_sample`` splits, and split ``j`` of sample ``s`` is row
     ``s * per_sample + j`` of ``train`` and ``val``, which list its training
     and validation rows; ``train_weight`` and ``val_weight`` are 1 on the
@@ -161,24 +188,19 @@ def _fold_rows(rows: np.ndarray, K: int, rngs) -> tuple[np.ndarray, ...]:
     S, n = rows.shape
     size = partition_sizes(n, K)
     longest, shortest = size[0], size[-1]
-    # fold k holds the k-th run of size[k] entries of the sample's permutation
-    label = np.empty((S, n), dtype=np.intp)
-    np.put_along_axis(label, np.stack([rng.generator().permutation(n)
-                                       for _, rng in zip(rows, rngs, strict=True)]),
-                      np.repeat(np.arange(K), size)[None], axis=1)
+    label = _partition_labels(n, K, [rng for _, rng in zip(rows, rngs, strict=True)])
     in_fold = (label[:, None, :] == np.arange(K)[:, None]).reshape(S * K, n)
     # a stable sort lists a split's training rows, then its own, each in sample order
     order = np.argsort(in_fold, axis=1, kind="stable")
     own = np.tile(size, S)[:, None]
-    train = order[:, : n - shortest]
     # the split's own rows, then its first training rows as padding
-    val = np.take_along_axis(order, (n - own + np.arange(longest)) % n, axis=1)
-
-    def sample_rows(positions):
-        return np.take_along_axis(rows, positions.reshape(S, -1), axis=1).reshape(S * K, -1)
-
-    return (sample_rows(train), (np.arange(n - shortest) < n - own).astype(float),
-            sample_rows(val), (np.arange(longest) < own).astype(float))
+    val = order[np.arange(S * K)[:, None], (n - own + np.arange(longest)) % n]
+    # row positions within the block's rows, one sample after another
+    offset = n * np.repeat(np.arange(S), K)[:, None]
+    rows = rows.ravel()
+    return (rows[order[:, : n - shortest] + offset],
+            (np.arange(n - shortest) < n - own).astype(float),
+            rows[val + offset], (np.arange(longest) < own).astype(float))
 
 
 def kfold_splits(n: int, K: int, rngs) -> CvSplits:
@@ -188,20 +210,22 @@ def kfold_splits(n: int, K: int, rngs) -> CvSplits:
     return CvSplits("kfold", *_fold_rows(_block_rows(len(rngs), n), K, rngs), K)
 
 
-def forward_splits(samples, K: int, target: DomainSpec, rngs) -> CvSplits:
+def forward_splits(inputs, K: int, target: DomainSpec, rngs) -> CvSplits:
     """K folds of the far part of each sample of a block of samples of one
-    size, each validated with the near part; sample ``s`` is partitioned by
+    size, each validated with the near part; ``inputs`` holds the samples'
+    inputs ``(samples, rows, p)``, and sample ``s`` is partitioned by
     ``rngs[s]``.
 
     The ``FORWARD_FRACTION`` of a sample's rows nearest ``target`` never
-    trains; split k trains on the far part minus fold k and validates on
-    fold k plus the whole near part.
+    trains (:func:`~structreg.data.forward_split_rows`, every sample in one
+    pass); split k trains on the far part minus fold k and validates on fold
+    k plus the whole near part.
     """
-    far, near = (np.stack(part) for part in zip(
-        *(forward_split_rows(sample, target, FORWARD_FRACTION) for sample in samples)))
+    inputs = np.asarray(inputs, dtype=float)
+    far, near = _forward_rows(inputs, target, FORWARD_FRACTION)
     if far.shape[1] < K:
         raise DataError(f"cannot form {K} folds from {far.shape[1]} far-part rows")
-    shift = _block_rows(len(samples), samples[0].n)[:, :1]
+    shift = _block_rows(inputs.shape[0], inputs.shape[1])[:, :1]
     train, train_weight, val, val_weight = _fold_rows(far + shift, K, rngs)
     near = np.repeat(near + shift, K, axis=0)
     return CvSplits("forward", train, train_weight, np.concatenate([val, near], axis=1),
@@ -228,7 +252,7 @@ def kfold_cv(fold: RidgeFold, K: int, rngs) -> list[CvTrace]:
     stacked computation; the reported error per grid point is the mean over
     held-out folds.
     """
-    return fold.cross_validate(kfold_splits(fold.samples[0].n, K, rngs))
+    return fold.cross_validate(kfold_splits(fold.sample_size, K, rngs))
 
 
 def forward_cv(fold: RidgeFold, K: int, target: DomainSpec, rngs) -> list[CvTrace]:
@@ -242,7 +266,8 @@ def forward_cv(fold: RidgeFold, K: int, target: DomainSpec, rngs) -> list[CvTrac
     closest to where the model will be applied. Folds are scored as in
     :func:`kfold_cv`.
     """
-    return fold.cross_validate(forward_splits(fold.samples, K, target, rngs))
+    return fold.cross_validate(forward_splits(fold.per_sample(fold.stacked.inputs), K,
+                                               target, rngs))
 
 
 def rolling_cv(fold: RidgeFold, window_length: int) -> list[CvTrace]:
@@ -253,35 +278,36 @@ def rolling_cv(fold: RidgeFold, window_length: int) -> list[CvTrace]:
     sees the future. Every sample's rows must carry a nondecreasing
     ``time_index``. Windows are scored as in :func:`kfold_cv`.
     """
-    for data in fold.samples:
-        if data.time_index is None:
-            raise DataError("rolling cross-validation requires time-indexed data")
-        if np.any(np.diff(data.time_index) < 0):
-            raise DataError("time_index must be nondecreasing")
-    n = fold.samples[0].n
+    time_index = fold.stacked.time_index
+    if time_index is None:
+        raise DataError("rolling cross-validation requires time-indexed data")
+    if np.any(np.diff(fold.per_sample(time_index), axis=1) < 0):
+        raise DataError("time_index must be nondecreasing")
+    n = fold.sample_size
     if n <= window_length:
         raise DataError("series shorter than window_length + 1")
-    return fold.cross_validate(rolling_splits(n, window_length, len(fold.samples)))
+    return fold.cross_validate(rolling_splits(n, window_length, fold.sample_count))
 
 
 @dataclass(frozen=True)
 class RidgeFold:
     """The penalized least-squares problems of a stack of training samples of one size.
 
-    ``stacked`` holds every sample's rows in turn and ``features`` their
-    expanded features. ``G`` and ``b`` are each sample's normal equations
-    ``(X'X, X'y)`` over the design ``(1, standardized features)``, with the
-    standardization's ``means`` and ``scales``, and ``theta_m`` each sample's
-    benchmark projection as raw-scale coefficients over ``(1, features)``,
-    all with a leading stack axis. :meth:`_pose` poses the problem on a
-    stack of samples; :meth:`of_samples` poses the samples themselves (every
-    row, weight 1), and cross-validation's :meth:`cross_validate` poses every
-    split's training rows at once and scores every grid point on the split's
-    held-out rows. :meth:`fit` then solves each sample's own path at the
-    penalty its cross-validation chose.
+    ``stacked`` holds the rows of each of the ``sample_count`` samples in
+    turn and ``features`` their expanded features. ``G`` and ``b`` are each
+    sample's normal equations ``(X'X, X'y)`` over the design ``(1,
+    standardized features)``, with the standardization's ``means`` and
+    ``scales``, and ``theta_m`` each sample's benchmark projection as
+    raw-scale coefficients over ``(1, features)``, all with a leading stack
+    axis. :meth:`_pose` poses the problem on a stack of samples;
+    :meth:`of_stack` poses the samples themselves (every row, weight 1), and
+    cross-validation's :meth:`cross_validate` poses every split's training
+    rows at once and scores every grid point on the split's held-out rows.
+    :meth:`fit` then solves each sample's own path at the penalty its
+    cross-validation chose.
     """
 
-    samples: tuple[Dataset, ...]
+    sample_count: int
     stacked: Dataset
     features: np.ndarray
     G: np.ndarray
@@ -295,28 +321,45 @@ class RidgeFold:
     @classmethod
     def of_samples(cls, samples, feature_map: FeatureMap, penalty: PenaltySpec,
                    theta_m) -> RidgeFold:
-        """The samples' fold over their standardized expanded features, every
-        sample posed in one stack (all its rows, weight 1); the samples have
-        one row count. ``theta_m`` holds raw-scale benchmark coefficients,
-        one row per sample or one vector that every sample shares: the
-        auction study's one cached projection, the demand study each trial's
-        estimated demand line. A sample that cannot be posed raises its
-        error, naming the sample in a stack of more than one."""
+        """:meth:`of_stack` of the samples' rows in turn; the samples have
+        one row count."""
         if len({sample.n for sample in samples}) != 1:
             raise DataError("the samples of a stack must have one row count")
-        data = _stacked_sample(samples)
-        features = feature_map.transform(data.inputs)
-        rows = _block_rows(len(samples), samples[0].n)
+        return cls.of_stack(_stacked_sample(samples), len(samples), feature_map, penalty,
+                            theta_m)
+
+    @classmethod
+    def of_stack(cls, stacked: Dataset, sample_count: int, feature_map: FeatureMap,
+                 penalty: PenaltySpec, theta_m) -> RidgeFold:
+        """The fold of ``sample_count`` samples of one size, whose rows
+        ``stacked`` holds in turn, over their standardized expanded features,
+        every sample posed in one stack (all its rows, weight 1).
+        ``theta_m`` holds raw-scale benchmark coefficients, one row per
+        sample or one vector that every sample shares: the auction study's
+        one cached projection, the demand study each trial's estimated
+        demand line. A sample that cannot be posed raises its error, naming
+        the sample in a stack of more than one."""
+        features = feature_map.transform(stacked.inputs)
+        rows = _block_rows(sample_count, stacked.n // sample_count)
 
         def fail(index, error):
             # a stack of several samples names the one that cannot be posed
-            return error if len(samples) == 1 else type(error)(f"{error} of sample {index}")
+            return error if sample_count == 1 else type(error)(f"{error} of sample {index}")
 
-        posed = cls._pose(features, data, rows, np.ones(rows.shape), fail)
+        posed = cls._pose(features, stacked, rows, np.ones(rows.shape), fail)
         G, b = cls._normal_equations(posed)
-        return cls(tuple(samples), data, features, G, b, posed["means"], posed["scales"],
-                   np.broadcast_to(theta_m, (len(samples), feature_map.n_features + 1)),
+        return cls(sample_count, stacked, features, G, b, posed["means"], posed["scales"],
+                   np.broadcast_to(theta_m, (sample_count, feature_map.n_features + 1)),
                    penalty, feature_map)
+
+    @property
+    def sample_size(self) -> int:
+        """Rows of each sample."""
+        return self.stacked.n // self.sample_count
+
+    def per_sample(self, values: np.ndarray) -> np.ndarray:
+        """``values`` of the stacked rows with one leading row per sample."""
+        return values.reshape(self.sample_count, self.sample_size, *values.shape[1:])
 
     @classmethod
     def _pose(cls, F, data, rows, weight, fail) -> dict:
@@ -358,10 +401,13 @@ class RidgeFold:
         """Every split's held-out mean squared error, one column per grid
         point, from its standardized validation features ``F_val`` and its
         path ``thetas`` (split, grid point, coefficient)."""
-        predictions = thetas[:, None, :, 0] + F_val @ thetas[:, :, 1:].swapaxes(1, 2)
-        resid = ((self.stacked.outcome[splits.val][:, :, None] - predictions)
-                 * splits.val_weight[:, :, None])
-        return (resid * resid).sum(axis=1) / splits.val_weight.sum(axis=1)[:, None]
+        # the prediction, residual and its square in one buffer, in place
+        resid = F_val @ thetas[:, :, 1:].swapaxes(1, 2)
+        resid += thetas[:, None, :, 0]
+        np.subtract(self.stacked.outcome[splits.val][:, :, None], resid, out=resid)
+        resid *= splits.val_weight[:, :, None]
+        resid *= resid
+        return resid.sum(axis=1) / splits.val_weight.sum(axis=1)[:, None]
 
     def cross_validate(self, splits: CvSplits) -> list[CvTrace]:
         """Each sample's error curve over its own splits, every split of the
@@ -369,34 +415,35 @@ class RidgeFold:
 
         Every split's training rows are posed at once by :meth:`_pose`, each
         sample's ``theta_m`` is re-expressed on each of its splits'
-        standardization, and one stacked :func:`~structreg.sre.quadratic_path`
-        call solves every split's path. The fold's ``_held_out_error`` hook
-        then scores every split's path on its held-out rows: the only place a
-        held-out score is formed. Only each sample's ``lambda_star`` leaves
-        the cross-validation, so a hook may round its fold errors differently
-        from another arithmetic form of the same score. A split that cannot
-        be posed or solved, or whose held-out error is not finite (an
-        overflow, say), raises :class:`CvError` naming its index, in a block
-        of more than one sample also its sample, and, for a solve or an
-        error, its first offending grid point.
+        standardization, and one stacked solve of
+        :func:`~structreg.sre.quadratic_path` (its solver, on inputs the fold
+        and its penalty have checked) solves every split's path. The fold's
+        ``_held_out_error`` hook then scores every split's path on its
+        held-out rows: the only place a held-out score is formed. Only each
+        sample's ``lambda_star`` leaves the cross-validation, so a hook may
+        round its fold errors differently from another arithmetic form of the
+        same score. A split that cannot be posed or solved, or whose held-out
+        error is not finite (an overflow, say), raises :class:`CvError`
+        naming its index, in a block of more than one sample also its sample,
+        and, for a solve or an error, its first offending grid point.
         """
-        S = len(self.samples)
+        S = self.sample_count
         if splits.sample_count != S:
             raise DataError(f"{splits.sample_count} sets of splits for {S} samples")
         F = self.features
         posed = self._pose(F, self.stacked, splits.train, splits.train_weight, splits.failure)
         means, scales = posed["means"], posed["scales"]
         G, b = self._normal_equations(posed)
-        theta_m = np.concatenate([_express_in_transform(m, mu, sd) for m, mu, sd in zip(
-            self.theta_m, means.reshape(S, splits.per_sample, -1),
-            scales.reshape(S, splits.per_sample, -1))])
+        theta_m = _express_in_transform(self.theta_m, means.reshape(S, splits.per_sample, -1),
+                                        scales.reshape(S, splits.per_sample, -1)
+                                        ).reshape(len(G), -1)
         finite = np.isfinite(G).all(axis=(1, 2)) & np.isfinite(b).all(axis=1) & np.isfinite(
             theta_m).all(axis=1)
         if not finite.all():
             raise splits.failure(int(np.argmin(finite)), "G, b and theta_m must be finite")
         grid = self.penalty.lambda_grid
         try:
-            thetas = quadratic_path(G, b, self.penalty.weights, theta_m, grid)
+            thetas = _solve_path(G, b, self.penalty.weights, theta_m, grid[None])
         except SingularPathError as exc:
             raise splits.failure(exc.index, exc, exc.lam) from exc
         bad = ~np.isfinite(thetas).all(axis=2)
@@ -412,27 +459,34 @@ class RidgeFold:
             index = int(np.argmax(bad.any(axis=1)))
             raise splits.failure(index, "non-finite held-out error",
                                  float(grid[np.argmax(bad[index])]))
-        return [CvTrace(splits.kind, grid, sample)
-                for sample in errors.reshape(S, splits.per_sample, -1)]
+        return CvTrace.of_block(splits.kind, grid, errors.reshape(S, splits.per_sample, -1))
 
     def fit(self, traces) -> list[SREFit]:
         """Each sample's fit at its own trace's ``lambda_star``, carrying the
         trace and the sample's ``theta_m`` re-expressed on its
-        standardization, from one :func:`~structreg.sre.quadratic_path` call
-        with one penalty row per sample.
+        standardization, from one stacked solve of
+        :func:`~structreg.sre.quadratic_path` with one penalty row per
+        sample; ``G``, ``b`` and ``theta_m`` must be finite, as
+        :func:`~structreg.sre.quadratic_path` requires.
 
         A sample that is singular at its ``lambda_star`` raises
         :class:`~structreg.sre.SingularPathError` naming that penalty and the
         sample's place in the stack.
         """
+        if len(traces) != self.sample_count:
+            raise DataError(f"{len(traces)} traces for {self.sample_count} samples")
         lam = np.array([[trace.lambda_star] for trace in traces])
-        theta_m = np.stack([_express_in_transform(m, mu, sd)
-                            for m, mu, sd in zip(self.theta_m, self.means, self.scales)])
-        theta = quadratic_path(self.G, self.b, self.penalty.weights, theta_m, lam)[:, 0]
-        return [SREFit(t, StandardizeTransform(mu, sd, float(sample.outcome.mean())), m,
-                       trace.lambda_star, self.feature_map, trace)
-                for t, m, mu, sd, sample, trace in zip(theta, theta_m, self.means, self.scales,
-                                                        self.samples, traces, strict=True)]
+        theta_m = _express_in_transform(self.theta_m, self.means[:, None],
+                                        self.scales[:, None])[:, 0]
+        if not (np.isfinite(self.G).all() and np.isfinite(self.b).all()
+                and np.isfinite(theta_m).all()):
+            raise PenaltyError("G, b and theta_m must be finite")
+        theta = _solve_path(self.G, self.b, self.penalty.weights, theta_m, lam)[:, 0]
+        outcome_means = self.per_sample(self.stacked.outcome).mean(axis=1).tolist()
+        return [SREFit(t, StandardizeTransform(mu, sd, mean), m, trace.lambda_star,
+                       self.feature_map, trace)
+                for t, m, mu, sd, mean, trace in zip(theta, theta_m, self.means, self.scales,
+                                                      outcome_means, traces)]
 
 
 def _stacked_sample(samples) -> Dataset:
@@ -448,7 +502,11 @@ def _stacked_sample(samples) -> Dataset:
 
 
 def _express_in_transform(raw, means, scales) -> np.ndarray:
-    """Raw-scale coefficients over ``(F - means) / scales``; ``means`` and
-    ``scales`` may carry a leading stack axis, one row per standardization."""
-    intercept = raw[0] + means @ raw[1:]
-    return np.concatenate([np.asarray(intercept)[..., None], raw[1:] * scales], axis=-1)
+    """Raw-scale coefficients over ``(F - means) / scales``, for a stack of
+    samples: ``raw`` holds each sample's coefficients ``(samples, k)``, and
+    ``means`` and ``scales`` each sample's standardizations ``(samples, m,
+    k - 1)``; the result is ``(samples, m, k)``. A sample's intercepts are
+    one matrix-vector product of its means, or one dot product when it has
+    one standardization."""
+    intercept = raw[:, None, 0] + (means @ raw[:, 1:, None])[:, :, 0]
+    return np.concatenate([intercept[:, :, None], raw[:, None, 1:] * scales], axis=2)

@@ -1,5 +1,7 @@
+import dataclasses
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -35,11 +37,14 @@ from structreg.auction import (
     true_expected_winning_bid,
     uniform_ipv_mean,
 )
-from structreg.data import Dataset, SeededRng, partition_indices, standardize
+from structreg.data import Dataset, DomainSpec, SeededRng, partition_indices, standardize
 from structreg.estimators import solve_least_squares
-from structreg.metrics import metrics_table
-from structreg.sre import PolynomialFeatures
-from structreg.tuning import CvError, RidgeFold, _express_in_transform
+from structreg.metrics import TRIAL_BLOCK, metrics_table
+from structreg.sre import PolynomialFeatures, SingularPathError, predict_features
+from structreg.tuning import FORWARD_FRACTION, CvError, RidgeFold, _express_in_transform
+
+from .test_data import forward_split_rows_previous, partition_indices_previous
+from .test_tuning import _previous_fold_rows
 
 
 def test_uniform_bid_closed_form():
@@ -413,8 +418,9 @@ def test_cached_projection_is_the_projection_on_each_standardization(seed):
     n = np.linspace(5, 50, SYNTHETIC_ROWS)
     design = np.column_stack([np.ones(n.size), transform.transform_inputs(features.transform(n))])
     fresh = solve_least_squares(design, uniform_ipv_mean(n))
-    cached = _express_in_transform(_benchmark_projection(5, 50), transform.column_means,
-                                   transform.column_scales)
+    cached = _express_in_transform(_benchmark_projection(5, 50)[None],
+                                   transform.column_means[None, None],
+                                   transform.column_scales[None, None])[0, 0]
     # a backward-stable solve is exact to about cond(design) * eps, so the two
     # agree within cond(design) ulp of the largest coefficient (cond is 4e3-4e5
     # here; the largest gap seen over 2,000 draws was 0.31 cond ulp)
@@ -440,15 +446,16 @@ def test_sre_auction_fits_the_second_part_of_its_split(monkeypatch):
     scenario = AuctionScenario.from_index(1)
     data = simulate_auctions(scenario, SeededRng(12))
     samples = []
-    of_samples = RidgeFold.of_samples.__func__
+    of_stack = RidgeFold.of_stack.__func__
 
-    def recording(cls, stack, *args):
-        samples.extend(stack)
-        return of_samples(cls, stack, *args)
+    def recording(cls, stacked, count, *args):
+        samples.append((stacked, count))
+        return of_stack(cls, stacked, count, *args)
 
-    monkeypatch.setattr(RidgeFold, "of_samples", classmethod(recording))
+    monkeypatch.setattr(RidgeFold, "of_stack", classmethod(recording))
     sre_auction([data], scenario, [SeededRng(13)])
-    [sample] = samples
+    [(sample, count)] = samples
+    assert count == 1
     # the rows of the second of the two parts the old two-way partition built
     second = partition_indices(data.n, 2, SeededRng(13).split(0))[1]
     assert np.array_equal(sample.inputs, data.inputs[second])
@@ -626,6 +633,104 @@ def test_stacked_second_stage_is_each_trials_stack_of_one(seed, index, cv):
         assert np.array_equal(fit.theta, single.theta)
         assert np.array_equal(fit.theta_m, single.theta_m)
         assert np.array_equal(fit.trace.fold_errors, single.trace.fold_errors)
+
+
+def _sre_predict_previous(fit, x):
+    """``SREFit.predict`` as it was, one fit at a time: the oracle."""
+    F = fit.transform.transform_inputs(fit.feature_map.transform(x))
+    return fit.theta[0] + F @ fit.theta[1:]
+
+
+class _PreviousErrorFold(RidgeFold):
+    """The fold scored by its held-out error as it was, before the residual
+    was formed in one buffer: the oracle of the fold errors."""
+
+    def _held_out_error(self, posed, splits, F_val, thetas):
+        predictions = thetas[:, None, :, 0] + F_val @ thetas[:, :, 1:].swapaxes(1, 2)
+        resid = ((self.stacked.outcome[splits.val][:, :, None] - predictions)
+                 * splits.val_weight[:, :, None])
+        return (resid * resid).sum(axis=1) / splits.val_weight.sum(axis=1)[:, None]
+
+
+@given(seed=st.integers(0, 2**32 - 1), S=st.sampled_from([1, 3, 4, TRIAL_BLOCK]),
+       narrow=st.booleans())
+@settings(max_examples=12, deadline=None)
+def test_block_halves_splits_and_predictions_match_their_previous_forms(seed, S, narrow):
+    # a narrow bidder range with lambda = 0 on the grid makes some trials'
+    # splits singular: the block then raises the first such trial's error,
+    # naming the trial
+    gen = np.random.default_rng(seed)
+    M = int(gen.choice([40, 100]))
+    scenario = AuctionScenario.from_index(1, M=M, n_range_train=(5, 9) if narrow else (5, 30))
+    grid, K = ((0.0, 1.0), 4) if narrow else (None, auction.FORWARD_K)
+    trial_rngs = [SeededRng(seed).stream(t) for t in range(S)]
+    samples = [simulate_auctions(scenario, rng.split(0)) for rng in trial_rngs]
+    rngs = [rng.split(1) for rng in trial_rngs]
+    seen = {}
+    of_stack, cross_validate = RidgeFold.of_stack.__func__, RidgeFold.cross_validate
+
+    def recording_stack(cls, stacked, count, *args):
+        seen["stacked"] = stacked
+        seen["fold"] = of_stack(cls, stacked, count, *args)
+        return seen["fold"]
+
+    def recording_cv(fold, splits):
+        seen["splits"] = splits
+        return cross_validate(fold, splits)
+
+    def outcome(stack, stack_rngs):
+        try:
+            return sre_auction(stack, scenario, stack_rngs, grid, K)
+        except (CvError, SingularPathError) as exc:
+            return exc
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RidgeFold, "of_stack", classmethod(recording_stack))
+        patch.setattr(RidgeFold, "cross_validate", recording_cv)
+        fits = outcome(samples, rngs)
+    # each trial's fitting half, as its own rng's previous two-way partition chose it
+    halves = [data.subset(partition_indices_previous(data.n, 2, rng.split(0))[1])
+              for data, rng in zip(samples, rngs)]
+    assert np.array_equal(seen["stacked"].inputs, np.concatenate([h.inputs for h in halves]))
+    assert np.array_equal(seen["stacked"].outcome, np.concatenate([h.outcome for h in halves]))
+    # and its forward splits, in the sample's place in the block
+    splits, m = seen["splits"], halves[0].n
+    target = DomainSpec.interval(*scenario.n_range_test)
+    for s, (half, rng) in enumerate(zip(halves, rngs)):
+        far, near = forward_split_rows_previous(half, target, FORWARD_FRACTION)
+        train, train_weight, val, val_weight = _previous_fold_rows(far, K, rng.split(3))
+        own = slice(s * K, (s + 1) * K)
+        near = np.broadcast_to(near, (K, near.size))
+        for got, want in ((splits.train[own], train + s * m),
+                          (splits.train_weight[own], train_weight),
+                          (splits.val[own], np.column_stack([val, near]) + s * m),
+                          (splits.val_weight[own], np.column_stack([val_weight,
+                                                                    np.ones(near.shape)]))):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    alone = [outcome([sample], [rng]) for sample, rng in zip(samples, rngs)]
+    failed = [s for s, result in enumerate(alone) if isinstance(result, Exception)]
+    if failed:
+        s = failed[0]
+        named = str(alone[s]) if S == 1 or isinstance(alone[s], SingularPathError) else re.sub(
+            r"^(fitter failed on fold \d+)", rf"\1 of sample {s}", str(alone[s]))
+        assert type(fits) is type(alone[s]) and str(fits) == named
+        return
+    # the fold errors as the previous held-out form scores them, and each
+    # benchmark re-expressed on its sample's standardization one at a time
+    fold = seen["fold"]
+    previous = _PreviousErrorFold(*(getattr(fold, f.name) for f in dataclasses.fields(fold)))
+    for fit, trace in zip(fits, previous.cross_validate(splits), strict=True):
+        assert np.array_equal(fit.trace.fold_errors, trace.fold_errors)
+    for fit, raw, mu, sd in zip(fits, fold.theta_m, fold.means, fold.scales):
+        assert np.array_equal(fit.theta_m, np.concatenate([[raw[0] + mu @ raw[1:]], raw[1:] * sd]))
+    x = np.arange(5.0, 51.0)[:, None]
+    features = PolynomialFeatures(auction.SRE_POLY_DEGREE).transform(x)
+    for fit, [single], prediction in zip(fits, alone, predict_features(fits, features),
+                                         strict=True):
+        assert fit.lambda_star == single.lambda_star
+        assert np.array_equal(fit.theta, single.theta)
+        assert np.array_equal(prediction, _sre_predict_previous(single, x))
+        assert np.array_equal(fit.predict(x), prediction)
 
 
 @pytest.mark.parametrize("block", [1, 3, 4, 10])

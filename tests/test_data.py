@@ -8,8 +8,12 @@ from structreg.data import (
     Dataset,
     DomainSpec,
     SeededRng,
+    _forward_rows,
+    _partition_labels,
+    forward_far_rows,
     forward_split_rows,
     partition_indices,
+    partition_sizes,
     stacked_standardization,
     standardize,
 )
@@ -123,6 +127,54 @@ def test_partition_union_property(K, seed):
     assert sorted(np.concatenate(folds).tolist()) == list(range(n))
     sizes = {f.size for f in folds}
     assert max(sizes) - min(sizes) <= 1
+
+
+def partition_indices_previous(n, K, rng):
+    """``partition_indices`` as it was, before a block's labels were set in
+    one call: the permutation split into runs, each sorted. The oracle."""
+    perm = rng.generator().permutation(n)
+    return [np.sort(group)
+            for group in np.split(perm, np.cumsum(partition_sizes(n, K))[:-1])]
+
+
+def forward_split_rows_previous(data, target, fraction):
+    """``forward_split_rows`` as it was, one sample at a time: the oracle."""
+    n_far = forward_far_rows(data.n, fraction)
+    box_dist = target.point_distance(data.inputs)
+    center_dist = np.sqrt(((data.inputs - target.center) ** 2).sum(axis=1))
+    order = np.lexsort((np.arange(data.n), center_dist, box_dist))
+    return np.sort(order[-n_far:]), np.sort(order[:-n_far])
+
+
+@given(seed=st.integers(0, 2**32 - 1), S=st.sampled_from([1, 3, 4, 32]))
+@settings(max_examples=40, deadline=None)
+def test_block_partitions_and_forward_rows_match_their_previous_forms(seed, S):
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(2, 120))
+    K = int(gen.integers(2, n + 1))
+    rngs = [SeededRng(seed).split(s) for s in range(S)]
+    labels = _partition_labels(n, K, rngs)
+    for label, rng in zip(labels, rngs, strict=True):
+        previous = partition_indices_previous(n, K, rng)
+        for k, group in enumerate(partition_indices(n, K, rng)):
+            assert group.dtype == previous[k].dtype and np.array_equal(group, previous[k])
+            assert np.array_equal(np.flatnonzero(label == k), previous[k])
+    # every sample's far and near rows in one call, ties in distance included
+    p = int(gen.integers(1, 3))
+    inputs = gen.integers(0, 12, size=(S, n, p)).astype(float)
+    target = DomainSpec(np.full(p, 9.0), np.full(p, 10.0 + gen.integers(0, 3)))
+    fraction = float(gen.uniform(0.05, 0.95))
+    if forward_far_rows(n, fraction) <= 0:
+        with pytest.raises(DataError, match="no observations for the far part"):
+            _forward_rows(inputs, target, fraction)
+        return
+    far, near = _forward_rows(inputs, target, fraction)
+    for s in range(S):
+        data = Dataset(inputs[s], np.zeros(n))
+        expected = forward_split_rows_previous(data, target, fraction)
+        for got in ((far[s], near[s]), forward_split_rows(data, target, fraction)):
+            for a, b in zip(got, expected, strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_seeded_rng_streams_reproducible_and_distinct():

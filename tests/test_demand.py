@@ -506,7 +506,7 @@ class _ResidualMomentFold(GmmFold):
 
 # A float64 bound set before the comparison: about 4,500 eps of the split's
 # largest error, room for the two forms' different order of a few hundred
-# products and their cancellation in m = Z'y - Z'X theta.
+# products and what cancels between Z'r_0 and the path's steps from lambda_0.
 _MOMENT_FORM_RTOL = 1e-12
 
 
@@ -531,6 +531,55 @@ def test_cross_product_moments_match_the_residual_form(seed, S, M, K, scenario):
         scale = np.abs(expected.fold_errors).max(axis=1, keepdims=True)
         assert np.all(np.abs(trace.fold_errors - expected.fold_errors)
                       <= _MOMENT_FORM_RTOL * scale)
+        assert trace.lambda_star == expected.lambda_star
+
+
+class _ExtendedMomentFold(GmmFold):
+    """The moment fold's held-out objective in the residual form, every sum
+    in 80-bit ``np.longdouble`` from the same float64 path, basis and
+    weight: the reference the float64 forms are measured against."""
+
+    def _held_out_error(self, posed, splits, F_val, thetas):
+        ext = np.longdouble
+        path = thetas.astype(ext)
+        predictions = path[:, None, :, 0] + F_val.astype(ext) @ path[:, :, 1:].swapaxes(1, 2)
+        resid = ((self.stacked.outcome[splits.val].astype(ext)[:, :, None] - predictions)
+                 * splits.val_weight.astype(ext)[:, :, None])
+        Z_val = instrument_basis(self.stacked.instruments[splits.val, 0], posed["z_means"],
+                                 posed["z_scales"], splits.val_weight).astype(ext)
+        m_bar = Z_val.swapaxes(1, 2) @ resid / splits.val_weight.sum(axis=1)[:, None, None]
+        self.reference = np.sum(m_bar * (posed["weight"].astype(ext) @ m_bar), axis=1)
+        return self.reference.astype(float)
+
+
+# (seed, trials, M, K, scenario, trial): the four traces, of 11,930 drawn as
+# the cases of test_cross_product_moments_match_the_residual_form are,
+# whose fold errors the previous cross-product form, m = (Z'y - Z'X theta) / n,
+# rounded worst, 4.5e-13 to 5.7e-13 of the split's largest error off the
+# extended-precision reference; scoring against the first grid point's
+# residual takes them to 2.0e-14 to 9.3e-14 (its worst over all 11,930 is
+# 2.9e-13, the residual form's 6.4e-14)
+_WORST_CANCELLING_TRACES = [(1570524374, 3, 1000, 6, 4, 0), (265418679, 3, 1000, 6, 2, 1),
+                            (187835011, 3, 1000, 6, 2, 0), (2941533027, 1, 1000, 7, 4, 0)]
+
+
+@pytest.mark.parametrize("seed, S, M, K, scenario, trial", _WORST_CANCELLING_TRACES)
+def test_moment_fold_errors_stay_near_an_extended_precision_reference(
+        seed, S, M, K, scenario, trial):
+    samples, _ = _trial_samples(scenario, M, seed, range(S))
+    penalty = PenaltySpec(np.concatenate([[0.0], default_lambda_grid(M)]),
+                          np.array([0.0, 1.0, 1.0]))
+    theta_m = [[260.0, -2.0, 0.0]] * S
+    rngs = [SeededRng(seed).split(s) for s in range(S)]
+    reference_fold = _ExtendedMomentFold.of_samples(samples, PolynomialFeatures(2), penalty,
+                                                    theta_m)
+    expected = kfold_cv(reference_fold, K, rngs)[trial]
+    reference = reference_fold.reference.reshape(S, K, -1)[trial]
+    scale = np.abs(reference).max(axis=1, keepdims=True)
+    for fold, bound in ((GmmFold, 1.5e-13), (_ResidualMomentFold, 2.5e-14)):
+        trace = kfold_cv(fold.of_samples(samples, PolynomialFeatures(2), penalty, theta_m),
+                         K, rngs)[trial]
+        assert np.all(np.abs(trace.fold_errors - reference) <= bound * scale)
         assert trace.lambda_star == expected.lambda_star
 
 

@@ -630,6 +630,19 @@ def test_perfect_foresight_matches_its_previous_form(seed, discount):
     assert_same_arrays(solve_perfect_foresight(params, R), foresight_previous(params, R))
 
 
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.9, 1.0])
+def test_a_zero_count_binomial_draw_consumes_no_bits(p):
+    # simulate_market does not draw among no firms: that leaves its stream,
+    # and every later draw, as they were only because numpy's binomial takes
+    # no bits for a count of 0. If numpy changes that, this fails first.
+    gen, fresh = SeededRng(5).generator(), SeededRng(5).generator()
+    assert gen.binomial(7, 0.3) == fresh.binomial(7, 0.3)
+    assert gen.binomial(0, p) == 0
+    assert [gen.binomial(7, 0.3), gen.binomial(2000, p)] == [fresh.binomial(7, 0.3),
+                                                              fresh.binomial(2000, p)]
+    assert np.array_equal(gen.random(8), fresh.random(8))
+
+
 @given(seeds, st.sampled_from(REGIMES))
 @settings(max_examples=40, deadline=None)
 def test_simulate_market_counts_match_their_previous_form(seed, regime):

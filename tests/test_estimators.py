@@ -4,10 +4,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structreg import estimators
 from structreg.data import DataError
+from structreg.metrics import TRIAL_BLOCK
 from structreg.estimators import (
+    LinearFit,
+    PolyFit,
     SingularDesignError,
-    _lowest_aic,
+    _powers,
     arx_feature_rows,
     fit_2sls,
     fit_arx,
@@ -156,12 +160,26 @@ def test_select_degree_names_a_sample_no_polynomial_fits(x):
         select_degree_aic(x, np.sqrt(x), 5)
 
 
+def _lowest_aic_previous(candidates, y, n: int):
+    """The AIC rule as it was, one candidate ``(fit, residuals, parameter
+    count)`` at a time: the oracle of the stacked rule."""
+    floor = n * (1e-10 * max(1.0, float(np.sqrt(np.mean(y**2))))) ** 2
+    best, best_aic = None, np.inf
+    for fit, resid, k in candidates:
+        rss = max(float(resid @ resid), floor)
+        aic = n * np.log(rss / n) + 2.0 * k
+        if aic < best_aic - 1e-12:
+            best, best_aic = fit, aic
+    return best
+
+
 def _degree_search_one_fit_at_a_time(x, y, max_degree):
     """The degree search as separate fits: one ``fit_polynomial`` per degree
     the sample allows, scored by the shared AIC rule."""
     top = min(max_degree, np.unique(x).shape[0] - 1, x.shape[0] - 3)
     fits = [fit_polynomial(x, y, degree) for degree in range(1, top + 1)]
-    return _lowest_aic([(fit, y - fit.predict(x), fit.degree + 1) for fit in fits], y, y.shape[0])
+    return _lowest_aic_previous([(fit, y - fit.predict(x), fit.degree + 1) for fit in fits],
+                                y, y.shape[0])
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -184,6 +202,76 @@ def test_batched_degree_search_is_each_samples_search(seed):
             assert fit.input_scale == reference.input_scale
             assert fit.linear_fit.intercept == reference.linear_fit.intercept
             assert np.array_equal(fit.linear_fit.coefficients, reference.linear_fit.coefficients)
+
+
+def select_degree_aic_previous(x, y, max_degree):
+    """The stacked degree search as it was, before the powers were formed
+    once: each degree's powers formed anew, and each candidate's residual
+    sum of squares taken by the AIC rule. The oracle; ``x`` and ``y`` are
+    ``(samples, rows)``."""
+    n = y.shape[1]
+    distinct = 1 + (np.diff(np.sort(x, axis=1), axis=1) != 0.0).sum(axis=1)
+    top = np.minimum(np.minimum(max_degree, distinct - 1), n - 3)
+    if np.any(top < 1):
+        raise SingularDesignError(
+            f"singular design: {n} rows and {distinct[np.argmax(top < 1)]} distinct x values "
+            f"allow no polynomial")
+    mean, scale = x.mean(axis=1), x.std(axis=1)
+    z = (x - mean[:, None]) / scale[:, None]
+    fits = [[] for _ in range(y.shape[0])]
+    for degree in range(1, int(top.max()) + 1):
+        rows = np.flatnonzero(top >= degree)
+        design = _powers(z[rows], degree)
+        theta = solve_least_squares(design, y[rows])
+        resid = y[rows] - (design @ theta[:, :, None])[:, :, 0]
+        for row, coefficients, r in zip(rows, theta, resid):
+            fits[row].append((degree, coefficients, r))
+    chosen = [_lowest_aic_previous([((d, c), r, d + 1) for d, c, r in each], row, n)
+              for each, row in zip(fits, y)]
+    return [PolyFit(d, LinearFit(float(c[0]), c[1:]), float(m), float(sd))
+            for (d, c), m, sd in zip(chosen, mean, scale)], [
+        [(d, float(r @ r)) for d, _, r in each] for each in fits]
+
+
+@given(seed=st.integers(0, 2**32 - 1), S=st.sampled_from([1, 3, 4, TRIAL_BLOCK]),
+       raising=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_degree_search_matches_its_previous_form(seed, S, raising):
+    # samples of 2 to 8 bidder counts, some exact and some noisy, so degree
+    # bounds, ties and chosen degrees differ; one sample may allow no
+    # polynomial, which the search names as it always has
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(4, 60))
+    counts = gen.integers(2, 9, size=S)
+    x = np.stack([gen.choice(5.0 + np.arange(c), size=n) for c in counts])
+    x[:, :2] = 5.0, 6.0
+    noise = gen.choice([0.0, 1e-3, 0.05], size=(S, 1))
+    y = (x - 1.0) / (x + 1.0) + noise * gen.normal(size=x.shape)
+    if raising:
+        x[gen.integers(S)] = 7.0
+    try:
+        expected, expected_rss = select_degree_aic_previous(x, y, 5)
+    except SingularDesignError as exc:
+        with pytest.raises(SingularDesignError, match=f"^{exc}$"):
+            select_degree_aic(x, y, 5)
+        return
+    # each candidate's residual sum of squares, as the AIC rule receives it
+    scored = []
+    lowest_aic = estimators._lowest_aic
+
+    def recording(candidates, *args):
+        scored.append([(degree, rss) for (degree, _), rss, _ in candidates])
+        return lowest_aic(candidates, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimators, "_lowest_aic", recording)
+        fits = select_degree_aic(x, y, 5)
+    assert scored == expected_rss
+    for fit, want in zip(fits, expected, strict=True):
+        assert (fit.degree, fit.input_mean, fit.input_scale) == (
+            want.degree, want.input_mean, want.input_scale)
+        assert fit.linear_fit.intercept == want.linear_fit.intercept
+        assert np.array_equal(fit.linear_fit.coefficients, want.linear_fit.coefficients)
 
 
 def test_batched_degree_search_names_a_sample_no_polynomial_fits():
@@ -310,7 +398,7 @@ def select_arx_order_aic_previous(s, R, exog_orders, ar_orders):
             theta[cols] = solve_least_squares(X[:, cols], rows.outcome)
             prediction = theta[0] + arx_feature_rows(s, R, p, q).inputs @ theta[1:]
             candidates.append(((p, q, theta), s[q_max:] - prediction[q_max - q:], 1 + p + q))
-    return _lowest_aic(candidates, s, s.shape[0] - q_max)
+    return _lowest_aic_previous(candidates, s, s.shape[0] - q_max)
 
 
 def _arx_series(seed):

@@ -32,6 +32,7 @@ from structreg.harness import (
     emit_outputs,
     load_report,
     recompute_aggregates_from_curves,
+    report_to_dict,
     run_monte_carlo,
 )
 from structreg.metrics import (
@@ -1082,3 +1083,25 @@ def test_every_experiment_needs_at_least_one_trial(experiment, args):
 def test_entry_exit_experiment_rejects_an_unknown_regime():
     with pytest.raises(ValueError, match="unknown regime: rational"):
         entry_exit_experiment("rational", DdcParams(), trials=1)
+
+
+def test_report_json_is_its_asdict_form(tmp_path):
+    # report.json's keys, their order and their values are those the
+    # dataclasses.asdict form of each aggregate row gave; between two runs of
+    # one config only the wall time and the finishing time differ
+    config = config_from_mapping({"experiment": "auction", "scenario": 3, "trials": 3,
+                                  "base_seed": 4, "auction": {"M": 40}})
+    texts = []
+    for run in (1, 2):
+        report = run_monte_carlo(config)
+        emit_outputs(report, tmp_path / str(run))
+        text = (tmp_path / str(run) / "report.json").read_text()
+        previous = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+                    if f.name != "curves"}
+        previous |= {"aggregates": [dataclasses.asdict(row) for row in report.aggregates]}
+        assert text == json.dumps(previous) + "\n"
+        assert json.dumps(report_to_dict(report)) == json.dumps(previous)
+        texts.append(json.loads(text))
+    for payload in texts:
+        del payload["metadata"]["wall_time_s"], payload["metadata"]["finished_at"]
+    assert json.dumps(texts[0]) == json.dumps(texts[1])

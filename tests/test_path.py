@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from structreg.data import Dataset, DomainSpec, SeededRng, standardize
 from structreg.demand import DemandParams, GmmFold, simulate_markets
 from structreg.estimators import fit_2sls, fit_ols
+from structreg.metrics import TRIAL_BLOCK
 from structreg.sre import (
     LinearFeatures,
     PenaltyError,
@@ -26,6 +27,7 @@ from structreg.sre import (
     SingularPathError,
     _singular_floor,
     _singular_points,
+    _solve_path,
     gmm_normal_equations,
     quadratic_path,
     sre_gmm,
@@ -334,6 +336,80 @@ def test_stacked_path_names_first_singular_system_and_lambda():
     assert info.value.index is None
 
 
+def _quadratic_path_previous(G, b, w, theta_m, grid):
+    """The stacked solve of ``quadratic_path`` as it was, before its checks
+    and its solver were parted and its weights' layout cached: the oracle.
+    ``G`` ``(S, k, k)``, ``b`` and ``theta_m`` ``(S, k)``, ``grid`` one row
+    or one row per system."""
+    n, k = b.shape
+    free, pen = np.flatnonzero(w == 0.0), np.flatnonzero(w > 0.0)
+    root = np.sqrt(w[pen])
+    G_pf = np.ascontiguousarray(G[:, pen][:, :, free])
+    S, c = G[:, pen][:, :, pen], b[:, pen]
+    free_singular = np.zeros(n, dtype=bool)
+    if free.size:
+        d_f, V_f = np.linalg.eigh(G[:, free][:, :, free])
+        free_singular = d_f[:, 0] <= _singular_floor(d_f)
+        d_f[free_singular] = 1.0
+        rhs = np.concatenate([G_pf.swapaxes(1, 2), b[:, free, None]], axis=2)
+        K = V_f @ ((V_f.swapaxes(1, 2) @ rhs) / d_f[:, :, None])
+        S = S - G_pf @ K[:, :, :-1]
+        c = c - (G_pf @ K[:, :, -1:])[:, :, 0]
+    S = S / np.outer(root, root)
+    d, V = np.linalg.eigh(0.5 * (S + S.swapaxes(1, 2)))
+    singular = _singular_points(d, grid) | free_singular[:, None]
+    if singular.any():
+        first = np.argmax(singular.any(axis=1))
+        lam = np.broadcast_to(grid, singular.shape)[first, np.argmax(singular[first])]
+        raise SingularPathError(float(lam), int(first))
+    denominators = d[:, None, :] + grid[:, :, None]
+    Vt = V.swapaxes(1, 2)
+    numerators = (Vt @ (c / root)[:, :, None]).swapaxes(1, 2) + grid[:, :, None] * (
+        Vt @ (root * theta_m[:, pen])[:, :, None]).swapaxes(1, 2)
+    theta = np.empty((n, grid.shape[1], k))
+    theta[:, :, pen] = phi = (numerators / denominators) @ Vt / root
+    if free.size:
+        theta[:, :, free] = K[:, None, :, -1] - phi @ K[:, :, :-1].swapaxes(1, 2)
+    return theta
+
+
+def _outcome(solve):
+    """``solve()``'s path, or the ``(lam, index)`` of the singular system it names."""
+    try:
+        return solve()
+    except SingularPathError as exc:
+        return exc.lam, exc.index
+
+
+@given(seed=seeds, S=st.sampled_from([1, 3, 4, TRIAL_BLOCK]), per_system=st.booleans(),
+       singular=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_the_folds_solver_is_public_quadratic_path_and_its_previous_form(
+        seed, S, per_system, singular):
+    # the solver a fold calls on checked inputs, the public path that checks
+    # them first, and the solve as it was give the same bits, or name the
+    # same singular system and penalty
+    gen, X, _, weights, _ = _problem(seed, with_intercept=seed % 2 == 0)
+    n, k = X.shape
+    Xs = gen.normal(size=(S, n, k)) * gen.uniform(0.1, 10.0, size=k)
+    if seed % 2 == 0:
+        Xs[:, :, 0] = 1.0
+    if singular:  # one system's last column repeats its first: singular at lambda = 0
+        Xs[gen.integers(S), :, -1] = Xs[0, :, 0] if k == 1 else Xs[0, :, 0] * 0.0
+    ys, targets = 3.0 * gen.normal(size=(S, n)), 5.0 * gen.normal(size=(S, k))
+    G, b = Xs.swapaxes(1, 2) @ Xs, (Xs.swapaxes(1, 2) @ ys[:, :, None])[:, :, 0]
+    grid = (np.sort(gen.choice(GRID, size=(S, 3)), axis=1) if per_system
+            else GRID[None])
+    previous = _outcome(lambda: _quadratic_path_previous(G, b, weights, targets, grid))
+    for path in (_outcome(lambda: _solve_path(G, b, weights, targets, grid)),
+                 _outcome(lambda: quadratic_path(G, b, weights, targets,
+                                                 grid if per_system else GRID))):
+        if isinstance(previous, tuple):
+            assert path == previous
+        else:
+            assert np.array_equal(path, previous)
+
+
 def _cv_problem(seed, n=None):
     """A random three-column sample and a penalty that leaves one slope free."""
     gen = np.random.default_rng(seed)
@@ -355,7 +431,7 @@ def pose_alone(fold, train):
     """Rows ``train`` of the sample of a stack of one posed on their own with
     ``standardize``: their design, outcome, standardization and
     the fold's raw-scale ``theta_m`` re-expressed on it."""
-    [data], [raw] = fold.samples, fold.theta_m
+    data, [raw] = fold.stacked, fold.theta_m
     F = fold.feature_map.transform(data.inputs[train])
     std, transform = standardize(Dataset(F, data.outcome[train]))
     slopes = raw[1:]
@@ -376,7 +452,7 @@ def closed_form(fold, train):
     X, y, transform, theta_m = pose_alone(fold, train)
     if not isinstance(fold, GmmFold):
         return (lambda lam: sre_ridge(X, y, theta_m, fold.penalty, lam)), transform, None
-    z = fold.samples[0].instruments[:, 0]
+    z = fold.stacked.instruments[:, 0]
     center, scale = z[train].mean(), z[train].std()
 
     def basis(rows):
@@ -389,7 +465,7 @@ def closed_form(fold, train):
 
 def split_errors(fold, train, val):
     """The held-out errors of one split solved per lambda by :func:`closed_form`."""
-    data = fold.samples[0]
+    data = fold.stacked
     solve, transform, moment = closed_form(fold, train)
     F_val = transform.transform_inputs(fold.feature_map.transform(data.inputs[val]))
     errors = []
@@ -426,7 +502,8 @@ def test_stacked_kfold_and_forward_match_each_split(seed):
         K += 1  # unequal fold sizes
     assert_matches_each_split(fold, kfold_splits(data.n, K, [SeededRng(seed)]))
     target = DomainSpec(data.inputs.max(axis=0), data.inputs.max(axis=0) + 1.0)
-    assert_matches_each_split(fold, forward_splits([data], K, target, [SeededRng(seed)]))
+    assert_matches_each_split(fold, forward_splits(data.inputs[None], K, target,
+                                                   [SeededRng(seed)]))
 
 
 @given(seeds)

@@ -48,6 +48,7 @@ from structreg.tuning import (
     rolling_splits,
 )
 
+from .test_data import partition_indices_previous
 from .test_path import assert_matches_each_split, closed_form, split_rows
 from .test_sre import line_rows
 
@@ -379,7 +380,7 @@ def test_second_stage_refits_the_fold_its_cv_refolded(monkeypatch, second_stage,
     assert np.array_equal(fit.theta, quadratic_path(final.G[0], final.b[0], final.penalty.weights,
                                                     fit.theta_m, [lam])[0])
     # which is the per-lambda closed form of the whole sample posed alone
-    reference = closed_form(final, np.arange(final.samples[0].n))[0](lam)
+    reference = closed_form(final, np.arange(final.sample_size))[0](lam)
     assert np.linalg.norm(fit.theta - reference) <= 1e-9 * np.linalg.norm(reference)
     # every split posed the problem it poses alone
     assert_matches_each_split(final, splits, errors=trace.fold_errors)
@@ -478,7 +479,7 @@ def _previous_fold_rows(rows, K, rng):
     """One sample's ``(train, train_weight, val, val_weight)``, as the splits
     were built before a block's were built in one pass: the oracle."""
     label = np.empty(rows.size, dtype=int)
-    for k, idx in enumerate(partition_indices(rows.size, K, rng)):
+    for k, idx in enumerate(partition_indices_previous(rows.size, K, rng)):
         label[idx] = k
     in_fold = label == np.arange(K)[:, None]
     size = in_fold.sum(axis=1)
@@ -514,7 +515,7 @@ def test_block_splits_match_each_samples_previous_form(seed, S):
     n = int(gen.integers(12, 60))
     samples = [Dataset(gen.uniform(0.0, 10.0, size=(n, 1)), np.zeros(n)) for _ in range(S)]
     target, K = DomainSpec.interval(9.0, 10.0), int(gen.integers(2, 6))
-    splits = forward_splits(samples, K, target, rngs)
+    splits = forward_splits(np.stack([sample.inputs for sample in samples]), K, target, rngs)
     assert splits.kind == "forward" and splits.per_sample == K and splits.sample_count == S
     for s, (sample, rng) in enumerate(zip(samples, rngs, strict=True)):
         far, near = forward_split_rows(sample, target, FORWARD_FRACTION)
@@ -548,4 +549,22 @@ def test_block_splits_reject_impossible_partitions():
         kfold_cv(fold, 4, [SeededRng(0)])
     # and each sample of a block is partitioned by its own rng
     with pytest.raises(ValueError, match="zip"):
-        forward_splits([data, data], 4, DomainSpec.interval(0.0, 1.0), [SeededRng(0)])
+        forward_splits(np.stack([data.inputs, data.inputs]), 4, DomainSpec.interval(0.0, 1.0),
+                       [SeededRng(0)])
+
+
+@given(seed=st.integers(0, 2**32 - 1), S=st.sampled_from([1, 3, 4, 32]))
+@settings(max_examples=30, deadline=None)
+def test_block_traces_are_each_samples_trace(seed, S):
+    # ties included: the smallest penalty of equal mean errors is lambda_star
+    gen = np.random.default_rng(seed)
+    errors = gen.integers(0, 4, size=(S, int(gen.integers(1, 8)), GRID.size)) * 0.25
+    errors += gen.choice([0.0, 1e-3], size=errors.shape) * gen.uniform(size=errors.shape)
+    for trace, sample in zip(CvTrace.of_block("kfold", GRID, errors), errors, strict=True):
+        alone = CvTrace("kfold", GRID, sample)
+        assert trace.kind == alone.kind and trace.lambda_star == alone.lambda_star
+        for name in ("lambda_grid", "fold_errors", "mean_errors"):
+            assert np.array_equal(getattr(trace, name), getattr(alone, name))
+    errors[-1, 0, -1] = np.inf
+    with pytest.raises(CvError, match="fold errors must be finite"):
+        CvTrace.of_block("kfold", GRID, errors)
