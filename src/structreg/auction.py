@@ -433,16 +433,6 @@ def _benchmark_projection(lo: int, hi: int) -> np.ndarray:
     return theta_m
 
 
-@functools.lru_cache(maxsize=8)
-def _default_penalty(n: int) -> PenaltySpec:
-    """The second stage's penalty over the default grid for samples of ``n``
-    rows, read-only: every block of a run, and every run of one process with
-    that sample size, shares one."""
-    penalty = PenaltySpec(default_lambda_grid(n), np.asarray(SRE_PENALTY_WEIGHTS))
-    penalty.lambda_grid.flags.writeable = penalty.weights.flags.writeable = False
-    return penalty
-
-
 def sre_auction(samples, scenario: AuctionScenario, rngs, lambda_grid=None,
                 forward_K: int = FORWARD_K) -> list[SREFit]:
     """Sample-split polynomial fits shrunk toward the uniform-values model,
@@ -463,21 +453,20 @@ def sre_auction(samples, scenario: AuctionScenario, rngs, lambda_grid=None,
     cross-validation trace is ``fit.trace``.
 
     Cost model (one process, BLAS on one thread, 2-core x86 host): a block
-    costs about 0.82 ms of fixed cost, mostly the two stacked solves and the
-    two stacked standardizations, plus about 0.22 ms per trial: its two
-    generators, which draw its halves and folds (about 35 us), and its
-    share of the stacked solves, held-out errors and fit. It was about
-    0.92 ms plus 0.32 ms per trial while each trial's halves,
-    forward rows, benchmark re-expressions, trace and fit were built in
-    turn and the public path solver checked what the fold had checked:
-    1.04, 1.67 and 7.80 ms for blocks of 1, 4 and 32 trials, from 1.25, 2.21
-    and 11.26 ms.
+    costs about 0.86 ms of fixed cost, mostly the two stacked solves and the
+    two stacked standardizations, plus about 0.21 ms per trial: its two
+    generators, which draw its halves and folds (about 35 us), its trace,
+    and its share of the stacked solves, held-out errors and fit. It was
+    about 0.88 ms plus 0.31 ms per trial while each trial's halves, forward
+    rows, benchmark re-expressions and fit were built in turn and the
+    public path solver checked what the fold had checked: 1.07, 1.67 and
+    7.63 ms for blocks of 1, 4 and 32 trials, from 1.18, 2.03 and 10.74 ms.
     """
     n = samples[0].n
     if any(data.n != n for data in samples):
         raise DataError("the samples of a stack must have one row count")
-    penalty = (_default_penalty(n) if lambda_grid is None
-               else PenaltySpec(lambda_grid, np.asarray(SRE_PENALTY_WEIGHTS)))
+    grid = default_lambda_grid(n) if lambda_grid is None else lambda_grid
+    penalty = PenaltySpec(grid, np.asarray(SRE_PENALTY_WEIGHTS))
     # each sample's fitting half, the second group of its two-way partition,
     # as rows of the block's samples in turn: sample s at row s * n
     half = np.flatnonzero(_partition_labels(n, 2, [rng.split(0) for rng in rngs]) == 1)

@@ -212,9 +212,9 @@ def select_degree_aic(x, y, max_degree: int) -> PolyFit | list[PolyFit]:
     Cost model (one process, BLAS on one thread, 2-core x86 host): a stack
     costs about 0.23 ms of fixed cost, one batched SVD solve and two
     residual products per degree, plus about 0.07 ms per sample, its share
-    of those and its candidates' scoring; 0.30, 0.52 and 2.54 ms for stacks
-    of 1, 4 and 32 samples, from 0.32, 0.55 and 2.83 ms while each degree's
-    powers were formed anew (about 0.24 ms plus 0.08 ms per sample).
+    of those and its candidates' scoring; 0.30, 0.52 and 2.36 ms for stacks
+    of 1, 4 and 32 samples, from 0.31, 0.55 and 2.54 ms while each degree's
+    powers were formed anew (about 0.24 ms plus 0.07 ms per sample).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

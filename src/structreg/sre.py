@@ -27,7 +27,6 @@ penalty the cross-validation chose. The per-``lam`` closed forms
 from __future__ import annotations
 
 import abc
-import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -219,21 +218,6 @@ def _singular_points(d: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return d.min(axis=1, initial=np.inf)[:, None] + grid <= floor
 
 
-@functools.lru_cache(maxsize=16)
-def _weight_layout(weights: bytes) -> tuple[np.ndarray, ...]:
-    """The free (weight 0) and penalized coordinates of the float64 weights
-    whose bytes are ``weights``, as index vectors and as a column of the
-    penalized ones, with ``root = sqrt(w)`` of the penalized weights and its
-    outer product; read-only, shared by every solve with those weights."""
-    w = np.frombuffer(weights)
-    free, pen = np.flatnonzero(w == 0.0), np.flatnonzero(w > 0.0)
-    root = np.sqrt(w[pen])
-    layout = (free, pen, pen[:, None], root, np.outer(root, root))
-    for array in layout:
-        array.flags.writeable = False
-    return layout
-
-
 def quadratic_path(G, b, weights, theta_m, grid) -> np.ndarray:
     """Every grid point's minimizer of ``t'G t - 2 b't + lam * sum_j w_j (t_j - theta_m_j)^2``.
 
@@ -306,15 +290,16 @@ def _solve_path(G: np.ndarray, b: np.ndarray, w: np.ndarray, theta_m: np.ndarray
     :class:`PenaltySpec` have checked its inputs. A singular system raises
     :class:`SingularPathError` with its index in the stack."""
     n, k = b.shape
-    free, pen, pen_rows, root, root_outer = _weight_layout(w.tobytes())
+    free, pen = np.flatnonzero(w == 0.0), np.flatnonzero(w > 0.0)
+    root = np.sqrt(w[pen])
     # Indexing an inner axis lays the result out by the stack's size, and a
     # matrix product's rounding can follow the layout of its operands; so the
     # products below take contiguous operands (G_pf, and phi rather than
     # theta[:, :, pen]), and each system's result is its own in any stack.
     # Elementwise arithmetic and eigh, which copies its input, do not depend
     # on the layout.
-    G_pf = np.ascontiguousarray(G[:, pen_rows, free])
-    S, c = G[:, pen_rows, pen], b[:, pen]
+    G_pf = np.ascontiguousarray(G[:, pen[:, None], free])
+    S, c = G[:, pen[:, None], pen], b[:, pen]
     # a singular free block is singular at every grid point
     free_singular = np.zeros(n, dtype=bool)
     if free.size:
@@ -326,7 +311,7 @@ def _solve_path(G: np.ndarray, b: np.ndarray, w: np.ndarray, theta_m: np.ndarray
         K = V_f @ ((V_f.swapaxes(1, 2) @ rhs) / d_f[:, :, None])
         S = S - G_pf @ K[:, :, :-1]
         c = c - (G_pf @ K[:, :, -1:])[:, :, 0]
-    S = S / root_outer
+    S = S / np.outer(root, root)
     d, V = np.linalg.eigh(0.5 * (S + S.swapaxes(1, 2)))
     singular = _singular_points(d, grid) | free_singular[:, None]
     if singular.any():

@@ -111,26 +111,6 @@ class CvTrace:
         object.__setattr__(self, "mean_errors", mean_errors)
         object.__setattr__(self, "lambda_star", float(grid[int(np.argmin(mean_errors))]))
 
-    @classmethod
-    def of_block(cls, kind: str, lambda_grid: np.ndarray, errors: np.ndarray) -> list[CvTrace]:
-        """Each sample's trace of a block, from its fold errors ``errors[s]``
-        ``(samples, folds, grid points)``: every sample's mean errors and
-        ``lambda_star`` are taken in one call each, and each trace holds the
-        bits ``CvTrace(kind, lambda_grid, errors[s])`` holds."""
-        if not np.isfinite(errors).all():
-            raise CvError("fold errors must be finite")
-        mean_errors = errors.mean(axis=1)
-        traces = []
-        for fold_errors, mean, star in zip(errors, mean_errors,
-                                           lambda_grid[np.argmin(mean_errors, axis=1)].tolist()):
-            trace = object.__new__(cls)
-            for name, value in (("kind", kind), ("lambda_grid", lambda_grid),
-                                ("fold_errors", fold_errors), ("mean_errors", mean),
-                                ("lambda_star", star)):
-                object.__setattr__(trace, name, value)
-            traces.append(trace)
-        return traces
-
 
 @dataclass(frozen=True)
 class CvSplits:
@@ -339,6 +319,10 @@ class RidgeFold:
         one cached projection, the demand study each trial's estimated
         demand line. A sample that cannot be posed raises its error, naming
         the sample in a stack of more than one."""
+        if sample_count < 1 or stacked.n % sample_count:
+            raise DataError(f"{stacked.n} rows cannot be {sample_count} samples of one size")
+        if penalty.weights.shape != (feature_map.n_features + 1,):
+            raise PenaltyError("G, b, weights and theta_m must share one width")
         features = feature_map.transform(stacked.inputs)
         rows = _block_rows(sample_count, stacked.n // sample_count)
 
@@ -459,7 +443,8 @@ class RidgeFold:
             index = int(np.argmax(bad.any(axis=1)))
             raise splits.failure(index, "non-finite held-out error",
                                  float(grid[np.argmax(bad[index])]))
-        return CvTrace.of_block(splits.kind, grid, errors.reshape(S, splits.per_sample, -1))
+        return [CvTrace(splits.kind, grid, sample)
+                for sample in errors.reshape(S, splits.per_sample, -1)]
 
     def fit(self, traces) -> list[SREFit]:
         """Each sample's fit at its own trace's ``lambda_star``, carrying the

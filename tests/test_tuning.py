@@ -29,6 +29,7 @@ from structreg.entry_exit import (
 from structreg.estimators import fit_ols
 from structreg.sre import (
     LinearFeatures,
+    PenaltyError,
     PenaltySpec,
     PolynomialFeatures,
     SingularPathError,
@@ -279,6 +280,29 @@ def test_final_fold_and_split_of_one_row_fail_typed():
         _line_fold(data.subset([2]), (0.0, 0.0), (0, 6), GRID)
     with pytest.raises(CvError, match="window 0: standardize requires at least two rows"):
         rolling_cv(_line_fold(data, (0.0, 0.0), (0, 6), GRID), 1)
+
+
+def test_a_fold_of_another_width_of_weights_fails_typed():
+    # weights one short or one long of the design (1, x) fail before any solve
+    data = _noisy_line_data(n=20)
+    for weights in ([1.0], [0.0, 1.0, 1.0]):
+        with pytest.raises(PenaltyError, match="G, b, weights and theta_m must share one width"):
+            RidgeFold.of_samples([data], LinearFeatures(1), PenaltySpec(GRID, weights),
+                                 np.zeros(2))
+
+
+def test_a_stack_of_rows_that_are_not_whole_samples_fails_typed():
+    data = _noisy_line_data(n=20)
+    penalty = PenaltySpec(GRID, WEIGHTS)
+    with pytest.raises(DataError, match="20 rows cannot be 3 samples of one size"):
+        RidgeFold.of_stack(data, 3, LinearFeatures(1), penalty, np.zeros(2))
+    with pytest.raises(DataError, match="20 rows cannot be 0 samples of one size"):
+        RidgeFold.of_stack(data, 0, LinearFeatures(1), penalty, np.zeros(2))
+    # rows that are whole samples pose each sample alone
+    halves = RidgeFold.of_stack(data, 2, LinearFeatures(1), penalty, np.zeros(2))
+    first = RidgeFold.of_samples([data.subset(np.arange(10))], LinearFeatures(1), penalty,
+                                 np.zeros(2))
+    assert np.array_equal(halves.G[0], first.G[0]) and np.array_equal(halves.b[0], first.b[0])
 
 
 def test_final_fit_on_a_collinear_sample_at_lambda_zero_fails_typed():
@@ -551,20 +575,3 @@ def test_block_splits_reject_impossible_partitions():
     with pytest.raises(ValueError, match="zip"):
         forward_splits(np.stack([data.inputs, data.inputs]), 4, DomainSpec.interval(0.0, 1.0),
                        [SeededRng(0)])
-
-
-@given(seed=st.integers(0, 2**32 - 1), S=st.sampled_from([1, 3, 4, 32]))
-@settings(max_examples=30, deadline=None)
-def test_block_traces_are_each_samples_trace(seed, S):
-    # ties included: the smallest penalty of equal mean errors is lambda_star
-    gen = np.random.default_rng(seed)
-    errors = gen.integers(0, 4, size=(S, int(gen.integers(1, 8)), GRID.size)) * 0.25
-    errors += gen.choice([0.0, 1e-3], size=errors.shape) * gen.uniform(size=errors.shape)
-    for trace, sample in zip(CvTrace.of_block("kfold", GRID, errors), errors, strict=True):
-        alone = CvTrace("kfold", GRID, sample)
-        assert trace.kind == alone.kind and trace.lambda_star == alone.lambda_star
-        for name in ("lambda_grid", "fold_errors", "mean_errors"):
-            assert np.array_equal(getattr(trace, name), getattr(alone, name))
-    errors[-1, 0, -1] = np.inf
-    with pytest.raises(CvError, match="fold errors must be finite"):
-        CvTrace.of_block("kfold", GRID, errors)
